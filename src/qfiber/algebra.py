@@ -54,18 +54,6 @@ class FieldSpec:
     def normalize(self, a: int) -> int:
         return a % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
@@ -128,10 +116,6 @@ class MonomialOrder:
             (sum(head), tuple(-e for e in reversed(head))),
             (sum(tail), tuple(-e for e in reversed(tail))),
         )
-
-    def eliminates(self, nvars_front: int) -> bool:
-        """True when monomials in the first nvars_front variables dominate."""
-        return self.kind == "block" and self.split == nvars_front
 
     def __str__(self):
         return f"block:{self.split}" if self.kind == "block" else self.kind
@@ -450,14 +434,6 @@ class Polynomial:
         return f"<poly {poly_to_string(self)}>"
 
 
-def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
 def poly_to_string(f: Polynomial) -> str:
     """Canonical text form; round-trips through the parser."""
     if not f.terms:
@@ -477,34 +453,6 @@ def poly_to_string(f: Polynomial) -> str:
         else:
             parts.append("*".join([str(c)] + factors))
     return " + ".join(parts)
-
-
-def poly_to_pretty(f: Polynomial) -> str:
-    """Reader-facing form: residues above p/2 are shown as small negatives."""
-    if not f.terms:
-        return "0"
-    p = f.ring.p
-    out = ""
-    for i, (m, c) in enumerate(f.terms):
-        neg = c > p // 2
-        cc = p - c if neg else c
-        factors = []
-        for name, e in zip(f.ring.variables, m):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            body = str(cc)
-        elif cc == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(cc)] + factors)
-        if i == 0:
-            out = ("-" if neg else "") + body
-        else:
-            out += (" - " if neg else " + ") + body
-    return out
 
 
 def random_poly(ring: PolyRing, degree: int, rng, homogeneous: bool = True,

@@ -24,11 +24,11 @@ import numpy as np
 from .algebra import GREVLEX, PolyRing, Polynomial
 from .groebner import Ideal
 from .linalg import (RowBasis, as_mod_array, identity, kernel_intersection,
-                     mat_mul, mat_vec, nullspace, rank, rref)
+                     mat_mul, nullspace, rank, rref)
 from .rng import Stream
 from .zerodim import (ArtinianAlgebra, _eval_matrix_poly, _image_basis,
-                      _restrict, local_decompose, minpoly_of_vector,
-                      semisimple_poly)
+                      _is_nilpotent, _restrict, local_decompose,
+                      minpoly_of_vector, semisimple_poly)
 
 # Local decompositions inside reports use a fixed stream so that repeated
 # runs of the same scenario agree bit for bit.
@@ -52,11 +52,9 @@ class FinModule:
 
     actions holds one square matrix per ambient variable of the algebra;
     generator_images the coordinates of the distinguished generators, one
-    row each.  Modules born from an ideal presentation keep their relation
-    space (a k-basis of the kernel of (u_ij) -> sum u_ij * gen_i * mono_j),
-    which is what the fast Hom path consumes.  restriction, when present,
-    is the matrix of the natural surjection from the companion restricted
-    conormal module onto this one.
+    row each.  Presented modules k^(g*d)/K keep their relation space K (for
+    a conormal module, a k-basis of the kernel of
+    (u_ij) -> sum u_ij * gen_i * mono_j), which is what hom_module consumes.
     """
 
     basis_dim: int
@@ -64,9 +62,7 @@ class FinModule:
     generator_images: np.ndarray
     algebra: ArtinianAlgebra
     annihilator: Ideal | None = None
-    restriction: np.ndarray | None = field(default=None, repr=False)
     _kernel: np.ndarray | None = field(default=None, repr=False)
-    _span: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def ngens(self) -> int:
@@ -189,13 +185,16 @@ def _block_apply(X: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     return mat_mul(rows.reshape(-1, d), X.T, p).reshape(r, w)
 
 
-def _quotient_rep(big_rows: np.ndarray, small_rows: np.ndarray, appliers, p: int):
-    """Basis, action matrices, and coordinates for span(big)/span(small).
+def _quotient_rep(big_rows: np.ndarray, small_rows: np.ndarray,
+                  alg: ArtinianAlgebra):
+    """Basis size, action matrices, and coordinates for span(big)/span(small).
 
-    Assumes span(small) <= span(big) and both stable under the appliers.
+    Rows live in k^(g*d), where the algebra acts blockwise on each d-chunk.
+    Assumes span(small) <= span(big) and both stable under that action.
     coordize sends any rows inside span(big) to their coordinates in the
     quotient basis (the rref rows of big reduced modulo small).
     """
+    p = alg.p
     R_s, piv_s = rref(small_rows, p)
     R_s = R_s[: len(piv_s)]
 
@@ -214,8 +213,22 @@ def _quotient_rep(big_rows: np.ndarray, small_rows: np.ndarray, appliers, p: int
             return np.zeros((np.asarray(rows).shape[0], 0), dtype=np.int64)
         return _mod_small(rows)[:, piv_q]
 
-    mats = tuple(coordize(apply(R_q)).T.copy() for apply in appliers)
-    return dim, mats, coordize, R_q
+    mats = tuple(coordize(_block_apply(X, R_q, p)).T.copy()
+                 for X in alg.actions())
+    return dim, mats, coordize
+
+
+def _presented_module(kernel: np.ndarray, g: int, alg: ArtinianAlgebra,
+                      annihilator: Ideal | None) -> FinModule:
+    """The module k^(g*d)/kernel over alg, generated by the g block ones.
+
+    kernel is a k-basis of an alg-stable subspace of k^(g*d); the module
+    keeps it as its relation space.
+    """
+    dim, mats, coordize = _quotient_rep(identity(g * alg.dim), kernel, alg)
+    ones = np.kron(identity(g), alg.one)
+    return FinModule(dim, mats, coordize(ones), alg, annihilator,
+                     _kernel=kernel)
 
 
 def _hom_rows(kernel: np.ndarray, g: int, alg: ArtinianAlgebra) -> np.ndarray:
@@ -237,49 +250,30 @@ def _hom_rows(kernel: np.ndarray, g: int, alg: ArtinianAlgebra) -> np.ndarray:
     return kernel_intersection(blocks(), g * d, p)
 
 
-def _poly_action_vec(actions, f: Polynomial, v: np.ndarray, p: int) -> np.ndarray:
-    """Image of the vector v under the action of the polynomial f."""
-    out = np.zeros_like(v)
+def _poly_action(actions, f: Polynomial, dim: int, p: int) -> np.ndarray:
+    """Matrix by which the polynomial f acts, given the variable actions."""
+    out = np.zeros((dim, dim), dtype=np.int64)
     for m, c in f.terms:
-        w = v
-        for i, e in enumerate(m):
+        w = identity(dim)
+        for X, e in zip(actions, m):
             for _ in range(e):
-                w = mat_vec(actions[i], w, p)
+                w = mat_mul(X, w, p)
         out = (out + c * w) % p
     return out
 
 
 def _check_annihilates(mod: FinModule, ideal: Ideal):
-    """Spot check that the stated annihilator kills the module."""
-    p = mod.algebra.p
-    st = Stream(_REPORT_SEED ^ 0x5A)
+    """Certify that every generator of the stated annihilator acts as zero."""
     for f in ideal.gens:
-        v = st.vector(mod.basis_dim, p)
-        if np.any(_poly_action_vec(mod.actions, f, v, p)):
+        if _poly_action(mod.actions, f, mod.basis_dim, mod.algebra.p).any():
             raise RuntimeError("annihilator check failed: inconsistent module")
 
 
-def _algebra_appliers(alg: ArtinianAlgebra, p: int):
-    return [lambda rows, X=X: _block_apply(X, rows, p) for X in alg.actions()]
-
-
 def _conormal_module(gens, relations: Ideal, alg: ArtinianAlgebra,
-                     annihilator: Ideal | None):
-    """Module spanned by the given ideal generators modulo relations.
-
-    Returns the module together with its coordinate map on rows of the
-    spanning space k^(g*d).
-    """
+                     annihilator: Ideal | None) -> FinModule:
+    """Module spanned by the given ideal generators modulo relations."""
     kernel = _spanning_kernel(gens, relations, alg)
-    g, d, p = len(gens), alg.dim, alg.p
-    dim, mats, coordize, span = _quotient_rep(identity(g * d), kernel,
-                                              _algebra_appliers(alg, p), p)
-    images = np.zeros((g, g * d), dtype=np.int64)
-    for i in range(g):
-        images[i, i * d:(i + 1) * d] = alg.one
-    mod = FinModule(dim, mats, coordize(images), alg, annihilator,
-                    _kernel=kernel, _span=span)
-    return mod, coordize
+    return _presented_module(kernel, len(gens), alg, annihilator)
 
 
 # --- conormal modules of a scenario ----------------------------------------
@@ -294,8 +288,8 @@ def conormal_restricted(s: IntersectionScenario) -> FinModule:
     """
     if s._big is None:
         relations = s.I_Y.power(2) + s.I_X * s.I_Y
-        s._big, _ = _conormal_module(s.I_Y.gens, relations, s.Z,
-                                     annihilator=s.I_X + s.I_Y)
+        s._big = _conormal_module(s.I_Y.gens, relations, s.Z,
+                                  annihilator=s.I_X + s.I_Y)
     return s._big
 
 
@@ -303,18 +297,19 @@ def conormal_in_X(s: IntersectionScenario) -> FinModule:
     """Conormal module of the intersection inside X.
 
     Same generators as the restricted conormal module (the I_X part dies in
-    the quotient), with relations I_X + I_Y^2; carries the matrix of the
-    natural surjection from the restricted module in .restriction.
+    the quotient), with relations I_X + I_Y^2.  Both modules are quotients
+    of the same k^(g*d), so the natural map from the restricted module is
+    well defined, and then onto, exactly when its relation space lies in
+    this one; that containment is certified here.
     """
     if s._small is None:
         big = conormal_restricted(s)
         relations = s.I_X + s.I_Y.power(2)
-        small, coordize = _conormal_module(s.I_Y.gens, relations, s.Z,
-                                           annihilator=s.I_X + s.I_Y)
-        rho = coordize(big._span).T.copy()
-        if rank(rho, s.Z.p) != small.basis_dim:
+        small = _conormal_module(s.I_Y.gens, relations, s.Z,
+                                 annihilator=s.I_X + s.I_Y)
+        both = np.vstack([small._kernel, big._kernel])
+        if rank(both, s.Z.p) != small._kernel.shape[0]:
             raise RuntimeError("restriction map failed to be onto")
-        small.restriction = rho
         s._small = small
     return s._small
 
@@ -325,54 +320,19 @@ def conormal_in_X(s: IntersectionScenario) -> FinModule:
 def hom_module(M: FinModule, A: ArtinianAlgebra) -> FinModule:
     """Hom_A(M, A) with its induced module structure.
 
-    Presentation-born modules over A use the relation-space constraints;
-    anything else falls back to the literal commutant system.  The induced
-    action is (a*phi)(m) = a*phi(m).
+    M must be a presented module over A (it carries its relation space);
+    the homomorphisms are the solutions of the relation-space constraints,
+    and the induced action is (a*phi)(m) = a*phi(m).
     """
+    if M._kernel is None or M.algebra is not A:
+        raise ValueError("hom_module needs a presented module over the "
+                         "given algebra")
     if M.annihilator is not None:
         _check_annihilates(M, M.annihilator)
-    p = A.p
-    if M._kernel is not None and M.algebra is A:
-        g = M.ngens
-        rows = _hom_rows(M._kernel, g, A)
-        appliers = _algebra_appliers(A, p)
-    else:
-        rows = _commutant_rows(M, A)
-        m = M.basis_dim
-        appliers = [lambda r, X=X: _left_apply(X, r, m, p) for X in A.actions()]
-    dim, mats, _, _ = _quotient_rep(rows, np.zeros((0, rows.shape[1]),
-                                                   dtype=np.int64), appliers, p)
+    rows = _hom_rows(M._kernel, M.ngens, A)
+    dim, mats, _ = _quotient_rep(
+        rows, np.zeros((0, rows.shape[1]), dtype=np.int64), A)
     return FinModule(dim, mats, identity(dim), A, annihilator=A.ideal)
-
-
-def _commutant_rows(M: FinModule, A: ArtinianAlgebra) -> np.ndarray:
-    """Hom space as the commutant: k-linear phi with phi o x_v = x_v o phi."""
-    m, d, p = M.basis_dim, A.dim, A.p
-    acts = A.actions()
-    if len(acts) != len(M.actions):
-        raise ValueError("module and algebra live over different rings")
-    if m == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    blocks = [np.mod(np.kron(X, identity(m)) - np.kron(identity(d), B.T), p)
-              for X, B in zip(acts, M.actions)]
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, d * m), dtype=np.int64)
-    return nullspace(stacked, p)
-
-
-def hom_dim_commutant(M: FinModule, A: ArtinianAlgebra) -> int:
-    """dim Hom_A(M, A) by the commutant route; a cross-check on hom_module."""
-    return _commutant_rows(M, A).shape[0]
-
-
-def _left_apply(X: np.ndarray, rows: np.ndarray, m: int, p: int) -> np.ndarray:
-    """Post-compose flattened (d x m) maps with the action matrix X."""
-    r = rows.shape[0]
-    d = X.shape[0]
-    if r == 0:
-        return rows
-    V = rows.reshape(r, d, m).transpose(1, 0, 2).reshape(d, r * m)
-    out = mat_mul(X, V, p)
-    return out.reshape(d, r, m).transpose(1, 0, 2).reshape(r, d * m)
 
 
 def hilbert_tangent_dim(ideal: Ideal) -> int:
@@ -438,19 +398,14 @@ def _defect_report(big: FinModule, small: FinModule, alg: ArtinianAlgebra,
     smaller one embeds in the bigger (its relation space contains the
     other), so the defect module is a genuine quotient of subspaces.
     """
-    p = alg.p
     g = big.ngens
     n_big = _hom_rows(big._kernel, g, alg)
     n_small = _hom_rows(small._kernel, g, alg)
-    if rank(np.vstack([n_big, n_small]), p) != n_big.shape[0]:
+    if rank(np.vstack([n_big, n_small]), alg.p) != n_big.shape[0]:
         raise RuntimeError("dual of the restriction map failed to embed")
-    appliers = _algebra_appliers(alg, p)
-    dim_q, q_actions, _, _ = _quotient_rep(n_big, n_small, appliers, p)
-    factors = local_decompose(alg, stream or Stream(_REPORT_SEED))
-    per = []
-    for f in factors:
-        dim_c, mu_c = _factor_mu(f, q_actions, p)
-        per.append((f.length, dim_c, mu_c))
+    dim_q, q_actions, _ = _quotient_rep(n_big, n_small, alg)
+    mu_q, per = module_mu(FinModule(dim_q, q_actions, identity(dim_q), alg),
+                          stream)
     if sum(t[1] for t in per) != dim_q:
         raise RuntimeError("local defect lengths do not add up")
     q = None
@@ -459,7 +414,7 @@ def _defect_report(big: FinModule, small: FinModule, alg: ArtinianAlgebra,
     return QReport(deg_z=alg.dim, c=c, dim_m_big=big.basis_dim,
                    dim_m_small=small.basis_dim,
                    hilb_tangent_dim=n_small.shape[0], dim_q=dim_q, q=q,
-                   mu_q=sum(t[2] for t in per), per_component=tuple(per))
+                   mu_q=mu_q, per_component=per)
 
 
 def q_module(s: IntersectionScenario, stream: Stream | None = None) -> QReport:
@@ -491,22 +446,12 @@ def q_affine_pair(A: PolyRing, L: Ideal, I: Ideal,
     alg = ArtinianAlgebra.from_ideal(I + L + extra)
     isq = I.power(2)
     ann = I + L + extra
-    big, _ = _conormal_module(I.gens, isq + I * L + extra, alg, ann)
-    small, _ = _conormal_module(I.gens, isq + L + extra, alg, ann)
+    big = _conormal_module(I.gens, isq + I * L + extra, alg, ann)
+    small = _conormal_module(I.gens, isq + L + extra, alg, ann)
     return _defect_report(big, small, alg, None, 0, stream)
 
 
 # --- intrinsic defect module of the intersection algebra --------------------
-
-
-def _is_nilpotent(X: np.ndarray, p: int) -> bool:
-    steps = max(1, X.shape[0]).bit_length() + 1
-    N = np.mod(X, p)
-    for _ in range(steps):
-        if not N.any():
-            return True
-        N = mat_mul(N, N, p)
-    return not N.any()
 
 
 def _drop_variables(ideal: Ideal, doomed: list) -> Ideal:
@@ -582,27 +527,18 @@ def qbar(Z: ArtinianAlgebra, stream: Stream | None = None) -> FinModule:
     cokernel of Hom(I/I^2, A/I) inside the dual of the minimal free cover.
     The result has no free summand.
     """
-    p = Z.p
     if Z.ideal is None:
         raise ValueError("needs an ideal-born algebra")
-    for X in Z.actions():
-        if not _is_nilpotent(X, p):
-            raise ValueError("algebra is not local at the origin")
+    if not all(_is_nilpotent(X, Z.p) for X in Z.actions()):
+        raise ValueError("algebra is not local at the origin")
     J = minimal_presentation(Z.ideal)
     alg = ArtinianAlgebra.from_ideal(J)
     if alg.dim != Z.dim:
         raise RuntimeError("minimal re-presentation changed the length")
     gens = minimal_generators(J)
-    mu, d = len(gens), alg.dim
-    Jmin = Ideal(alg.ring, gens)
-    kernel = _spanning_kernel(gens, Jmin.power(2), alg)
-    hom_rows = _hom_rows(kernel, mu, alg)
-    dim, mats, coordize, _ = _quotient_rep(identity(mu * d), hom_rows,
-                                           _algebra_appliers(alg, p), p)
-    images = np.zeros((mu, mu * d), dtype=np.int64)
-    for i in range(mu):
-        images[i, i * d:(i + 1) * d] = alg.one
-    return FinModule(dim, mats, coordize(images), alg, annihilator=J)
+    kernel = _spanning_kernel(gens, Ideal(alg.ring, gens).power(2), alg)
+    hom_rows = _hom_rows(kernel, len(gens), alg)
+    return _presented_module(hom_rows, len(gens), alg, annihilator=J)
 
 
 # --- symmetry ----------------------------------------------------------------

@@ -14,10 +14,11 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import FieldSpec, PolyRing, random_poly
-from .excess import QReport, _is_nilpotent, minimal_generators
+from .excess import QReport, minimal_generators
 from .groebner import Ideal, hilbert_data
 from .rng import Stream
-from .zerodim import ArtinianAlgebra, TangentData, tangent_data
+from .zerodim import (ArtinianAlgebra, TangentData, _is_nilpotent,
+                      tangent_data)
 
 LICCI = "Licci"
 UNKNOWN = "Unknown"

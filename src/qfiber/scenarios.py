@@ -13,6 +13,7 @@ from math import comb
 
 import numpy as np
 
+from . import univar as uv
 from .algebra import (
     FieldSpec,
     PolyRing,
@@ -226,13 +227,14 @@ def gen_reye(s: Seed) -> ReyeData:
     return ReyeData(ring, A, Ideal(ring, minors), det)
 
 
-def _roots_scan(coeffs, p: int):
-    """All roots in F_p of sum coeffs[k] t^k, by vectorized evaluation."""
-    t = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed([int(c) % p for c in coeffs]):
-        acc = (acc * t + c) % p
-    return [int(r) for r in t[acc == 0]]
+def _common_roots(polys, p: int) -> list:
+    """Sorted common roots in F_p of nonzero coefficient lists (lowest
+    degree first), as the roots of their gcd."""
+    g = []
+    for coeffs in polys:
+        g = uv.gcd(g, uv.trim([int(c) % p for c in coeffs]), p)
+    # roots come out sorted, so the splitting stream cannot change them
+    return uv.roots(g, p, Stream(0))
 
 
 def reye_trisecant(d: ReyeData, s: Seed) -> ReyeCheck:
@@ -260,7 +262,7 @@ def reye_trisecant(d: ReyeData, s: Seed) -> ReyeCheck:
         coeffs = solve(V, np.array(ys, dtype=np.int64), p)
         if not np.any(coeffs % p):
             continue
-        for t0 in _roots_scan(coeffs, p):
+        for t0 in _common_roots([coeffs], p):
             pt = [(a + t0 * b) % p for a, b in zip(u, w)]
             if not any(pt):
                 continue
@@ -365,27 +367,21 @@ def _cone_forms(hp: Polynomial, l: int, dring: PolyRing) -> list:
     return [dring.poly(b) for b in buckets[1:] if b]
 
 
+def _coeffs_in(g: Polynomial, j: int) -> list:
+    """Coefficients of a polynomial in the j-th variable alone, lowest
+    degree first."""
+    coeffs = [0] * (max(m[j] for m, _ in g.terms) + 1)
+    for m, c in g.terms:
+        coeffs[m[j]] = c
+    return coeffs
+
+
 def _common_binary_roots(gens, active, p: int):
     """Common projective roots (a:b) over F_p in the two active variables."""
     i, j = active
-    t = np.arange(p, dtype=np.int64)
-    ok = np.ones(p, dtype=bool)
-    inf_ok = True
-    for g in gens:
-        acc = np.zeros(p, dtype=np.int64)
-        deg = max(m[j] for m, _ in g.terms)
-        coeffs = [0] * (deg + 1)
-        at_inf = 0
-        for m, c in g.terms:
-            coeffs[m[j]] = c
-            if m[i] == 0:
-                at_inf = c
-        for c in reversed(coeffs):
-            acc = (acc * t + int(c)) % p
-        ok &= acc == 0
-        inf_ok = inf_ok and at_inf % p == 0
-    out = [(1, int(r)) for r in t[ok]]
-    if inf_ok:
+    out = [(1, r) for r in _common_roots([_coeffs_in(g, j) for g in gens], p)]
+    # (0:1) is a root when every form is divisible by the i-th variable
+    if all(m[i] for g in gens for m, _ in g.terms):
         out.append((0, 1))
     return out
 
@@ -435,20 +431,9 @@ def _rational_cone_point(cone, dring: PolyRing):
             if not slices:
                 sol = (a, b, 0)
                 break
-            deg = max(max(m[2] for m, _ in g.terms) for g in slices)
-            t = np.arange(p, dtype=np.int64)
-            ok = np.ones(p, dtype=bool)
-            for g in slices:
-                coeffs = [0] * (deg + 1)
-                for m, c in g.terms:
-                    coeffs[m[2]] = c
-                acc = np.zeros(p, dtype=np.int64)
-                for c in reversed(coeffs):
-                    acc = (acc * t + int(c)) % p
-                ok &= acc == 0
-            hits = t[ok]
-            if hits.size:
-                sol = (a, b, int(hits[0]))
+            hits = _common_roots([_coeffs_in(g, 2) for g in slices], p)
+            if hits:
+                sol = (a, b, hits[0])
                 break
     if sol is None:
         return None

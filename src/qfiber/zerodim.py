@@ -285,18 +285,22 @@ def _restrict(B: np.ndarray, pivots, X: np.ndarray, p: int) -> np.ndarray:
     return XB[pivots, :]
 
 
+def _is_nilpotent(X: np.ndarray, p: int) -> bool:
+    """True when X^d = 0 for the size d of X, by repeated squaring."""
+    N = np.mod(X, p)
+    for _ in range(max(1, X.shape[0]).bit_length() + 1):
+        if not N.any():
+            return True
+        N = mat_mul(N, N, p)
+    return not N.any()
+
+
 def _rational_point(actions, length: int, p: int):
     """Support point if rational: each action is scalar plus nilpotent."""
     point = []
-    steps = max(1, length).bit_length() + 1
     for A in actions:
         a = int(np.trace(A) % p) * pow(length % p, p - 2, p) % p
-        N = (A - a * identity(A.shape[0])) % p
-        for _ in range(steps):
-            if not N.any():
-                break
-            N = mat_mul(N, N, p)
-        if N.any():
+        if not _is_nilpotent(A - a * identity(A.shape[0]), p):
             return None
         point.append(a)
     return tuple(point)
@@ -439,23 +443,6 @@ def _compose_mod(f, g, modulus, p):
         out = uv.mod_poly(uv.mul(out, g, p), modulus, p)
         if c:
             out = uv.add(out, [c], p)
-    return out
-
-
-def nilpotent_parts(alg: ArtinianAlgebra) -> list:
-    """Nilpotent parts of the variable actions, one matrix per variable.
-
-    On a local algebra with rational point a, these are the actions of
-    x_v - a_v minus the residue-field contribution; their joint column span
-    is the action of the maximal ideal.
-    """
-    out = []
-    for v in range(alg.nvars):
-        A = alg.action(v)
-        mp = minpoly_of_vector(A, alg.one, alg.p)
-        h = semisimple_poly(mp, alg.p)
-        S = _eval_matrix_poly(h, A, alg.p)
-        out.append((A - S) % alg.p)
     return out
 
 

@@ -12,7 +12,6 @@ from qfiber.excess import (
     conormal_in_X,
     conormal_restricted,
     hilbert_tangent_dim,
-    hom_dim_commutant,
     hom_module,
     make_scenario,
     minimal_generators,
@@ -21,15 +20,14 @@ from qfiber.excess import (
     q_module,
     qbar,
     symmetry_check,
-    _algebra_appliers,
     _hom_rows,
-    _poly_action_vec,
+    _poly_action,
+    _presented_module,
     _quotient_rep,
 )
 from qfiber.groebner import Ideal
-from qfiber.linalg import mat_mul, rank
+from qfiber.linalg import identity, mat_mul, nullspace, rank, rref
 from qfiber.parser import parse_ideal
-from qfiber.rng import Stream
 from qfiber.zerodim import (
     ArtinianAlgebra,
     _eval_matrix_poly,
@@ -81,6 +79,13 @@ def multipoint():
     return scenario(R, "x1 - a^2 + 1, x2", "x1, x2", 1, 2)
 
 
+def axes_on_line():
+    """The three coordinate axes, not a complete intersection, met by a
+    line in the plane z = 0; the restricted conormal module is not free."""
+    R = ring("x,y,z")
+    return scenario(R, "z, x + y - 1", "x*y, y*z, x*z", 1, 2)
+
+
 def nonresidue():
     c = 2
     while pow(c, (P - 1) // 2, P) == 1:
@@ -93,13 +98,43 @@ def q_space(s):
     big, small = conormal_restricted(s), conormal_in_X(s)
     nb = _hom_rows(big._kernel, big.ngens, s.Z)
     ns = _hom_rows(small._kernel, small.ngens, s.Z)
-    dim, mats, _, _ = _quotient_rep(nb, ns, _algebra_appliers(s.Z, P), P)
+    dim, mats, _ = _quotient_rep(nb, ns, s.Z)
     return dim, mats
 
 
-def free_rank_one(A):
-    return FinModule(A.dim, tuple(A.actions()), A.one.reshape(1, -1), A,
-                     annihilator=A.ideal)
+def free_rank_one(A, annihilator):
+    return _presented_module(np.zeros((0, A.dim), dtype=np.int64), 1, A,
+                             annihilator)
+
+
+def _left_apply(X, rows, m, p):
+    """Post-compose flattened (d x m) maps with the action matrix X."""
+    r, d = rows.shape[0], X.shape[0]
+    if r == 0:
+        return rows
+    V = rows.reshape(r, d, m).transpose(1, 0, 2).reshape(d, r * m)
+    out = mat_mul(X, V, p)
+    return out.reshape(d, r, m).transpose(1, 0, 2).reshape(r, d * m)
+
+
+def commutant_hom(M, A):
+    """Hom_A(M, A) as the commutant: k-linear phi with phi o x_v = x_v o phi.
+
+    Reads only the action matrices of M, so it is independent of the
+    relation-space route inside hom_module; the oracle it is checked
+    against.
+    """
+    m, d, p = M.basis_dim, A.dim, A.p
+    acts = A.actions()
+    assert len(acts) == len(M.actions)
+    if m == 0:
+        return FinModule(0, tuple(identity(0) for _ in acts), identity(0), A)
+    blocks = [np.mod(np.kron(X, identity(m)) - np.kron(identity(d), B.T), p)
+              for X, B in zip(acts, M.actions)]
+    R, piv = rref(nullspace(np.vstack(blocks), p), p)
+    R = R[:len(piv)]
+    mats = tuple(_left_apply(X, R, m, p)[:, piv].T.copy() for X in acts)
+    return FinModule(len(piv), mats, identity(len(piv)), A)
 
 
 class TestConormal:
@@ -137,10 +172,27 @@ class TestConormal:
         assert conormal_in_X(s).basis_dim == 2
 
     def test_restriction_is_onto(self):
+        # both sides are quotients of k^(g*d); the big relation space lies
+        # in the small one, so the identity induces the surjection 9 -> 7
         s = graph2()
-        rho = conormal_in_X(s).restriction
-        assert rho.shape == (7, 9)
-        assert rank(rho, P) == 7
+        big, small = conormal_restricted(s), conormal_in_X(s)
+        assert (big.basis_dim, small.basis_dim) == (9, 7)
+        assert small._kernel.shape == (2, 9)
+        assert rank(np.vstack([small._kernel, big._kernel]), P) == 2
+        # not a complete intersection: the containment has rows to test
+        s = axes_on_line()
+        big, small = conormal_restricted(s), conormal_in_X(s)
+        assert big._kernel.shape[0] > 0
+        assert rank(np.vstack([small._kernel, big._kernel]), P) == \
+            small._kernel.shape[0]
+
+    def test_restriction_outside_relations_rejected(self):
+        # a big side whose relations escape the small side admits no
+        # restriction map at all
+        s = graph2()
+        s._big = _presented_module(identity(9), 3, s.Z, None)
+        with pytest.raises(RuntimeError, match="onto"):
+            conormal_in_X(s)
 
     def test_actions_commute(self):
         small = conormal_in_X(graph2())
@@ -151,17 +203,15 @@ class TestConormal:
     def test_annihilated_by_intersection_ideal(self):
         s = graph2()
         big = conormal_restricted(s)
-        st = Stream(3)
         for f in (s.I_X + s.I_Y).gens:
-            v = st.vector(big.basis_dim, P)
-            assert not np.any(_poly_action_vec(big.actions, f, v, P))
+            assert not _poly_action(big.actions, f, big.basis_dim, P).any()
 
 
 class TestHom:
     def test_hom_of_free_rank_one(self):
         R = ring()
         A = ArtinianAlgebra.from_ideal(idl(R, "x^2, y^2"))
-        h = hom_module(free_rank_one(A), A)
+        h = hom_module(free_rank_one(A, A.ideal), A)
         assert h.basis_dim == A.dim
         # the dual of the free cover is again free: one generator suffices
         assert module_mu(h) == (1, ((4, 4, 1),))
@@ -169,29 +219,52 @@ class TestHom:
     def test_hom_into_socle(self):
         R = ring("x")
         A = ArtinianAlgebra.from_ideal(idl(R, "x^2"))
-        residue = FinModule(1, (np.zeros((1, 1), dtype=np.int64),),
-                            np.array([[1]], dtype=np.int64), A)
+        # the residue field: one generator with the relation x * gen = 0
+        residue = _presented_module(np.array([[0, 1]], dtype=np.int64), 1, A,
+                                    idl(R, "x"))
+        assert residue.basis_dim == 1
         h = hom_module(residue, A)
         assert h.basis_dim == 1
         assert module_mu(h) == (1, ((2, 1, 1),))
 
     def test_dual_routes_agree(self):
+        def agree(M, A):
+            h, oracle = hom_module(M, A), commutant_hom(M, A)
+            assert h.basis_dim == oracle.basis_dim
+            assert module_mu(h) == module_mu(oracle)
+            return h.basis_dim
+
         for s, expected in ((graph2(), 6), (fatpoint(), 18)):
-            small = conormal_in_X(s)
-            assert hom_module(small, s.Z).basis_dim == expected
-            assert hom_dim_commutant(small, s.Z) == expected
+            assert agree(conormal_in_X(s), s.Z) == expected
+        # two local factors; a non-free big side (K_big != 0)
+        for s in (multipoint(), axes_on_line()):
+            agree(conormal_restricted(s), s.Z)
+            agree(conormal_in_X(s), s.Z)
+        assert conormal_restricted(axes_on_line())._kernel.shape[0] > 0
+        R = ring("x,y,z")
+        zbar = qbar(ArtinianAlgebra.from_ideal(
+            idl(R, "x^2, y^2, z^2, x*y, x*z, y*z")))
+        assert agree(zbar, zbar.algebra) > 0
 
     def test_free_dual_has_full_rank(self):
         s = fatpoint()
         big = conormal_restricted(s)
         assert hom_module(big, s.Z).basis_dim == 6 * 4
-        assert hom_dim_commutant(big, s.Z) == 6 * 4
+        assert commutant_hom(big, s.Z).basis_dim == 6 * 4
+
+    def test_needs_presented_module(self):
+        R = ring("x")
+        A = ArtinianAlgebra.from_ideal(idl(R, "x^2"))
+        with pytest.raises(ValueError):
+            hom_module(commutant_hom(free_rank_one(A, None), A), A)
+        B = ArtinianAlgebra.from_ideal(idl(R, "x^3"))
+        with pytest.raises(ValueError):
+            hom_module(free_rank_one(A, None), B)
 
     def test_wrong_annihilator_rejected(self):
         R = ring("x")
         A = ArtinianAlgebra.from_ideal(idl(R, "x^2"))
-        bad = FinModule(A.dim, tuple(A.actions()), A.one.reshape(1, -1), A,
-                        annihilator=idl(R, "x"))
+        bad = free_rank_one(A, annihilator=idl(R, "x"))
         with pytest.raises(RuntimeError):
             hom_module(bad, A)
 

@@ -10,7 +10,7 @@ from qfiber.invariants import corank_fiber_lower_bound
 from qfiber.parser import parse_session
 from qfiber.scenarios import (
     Seed,
-    _roots_scan,
+    _common_roots,
     gen_EI_model,
     gen_ci_secant,
     gen_fatpoint_model,
@@ -184,8 +184,8 @@ class TestScenarioText:
 class TestRootsScan:
     def test_quadratic(self):
         p = 32003
-        assert _roots_scan([p - 1, 0, 1], p) == [1, p - 1]
+        assert _common_roots([[p - 1, 0, 1]], p) == [1, p - 1]
 
     def test_rootless(self):
         # t^2 + t + 1 has no roots mod 5
-        assert _roots_scan([1, 1, 1], 5) == []
+        assert _common_roots([[1, 1, 1]], 5) == []
