@@ -8,7 +8,7 @@ codimension, so no length-linear bound can explain it.  The script also
 swaps the two arguments of a scenario to show the defect does not care
 which side is called X.
 
-Run:  python3 demos/excess_versus_transversal.py   (about 20 seconds)
+Run:  python3 demos/excess_versus_transversal.py   (under a second)
 """
 
 from qfiber import (

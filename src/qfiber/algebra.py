@@ -41,7 +41,8 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Prime field F_p with p an odd prime; elements are residues in [0, p)."""
+    """Prime field F_p with p an odd prime below 2^31; elements are residues
+    in [0, p)."""
 
     p: int
 
@@ -50,6 +51,10 @@ class FieldSpec:
             raise ValueError(f"characteristic {self.p} is not prime")
         if self.p == 2:
             raise ValueError("characteristic must exceed 2")
+        # residue products then stay below 2^62: int64 linear algebra
+        # never overflows
+        if self.p >= 1 << 31:
+            raise ValueError(f"characteristic {self.p} is not below 2^31")
 
     def normalize(self, a: int) -> int:
         return a % self.p

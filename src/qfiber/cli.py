@@ -320,7 +320,7 @@ def cmd_table(args) -> int:
         print("error: need 2 <= n-min <= n-max <= 8", file=sys.stderr)
         return EXIT_USAGE
     if args.n_max > 6 and not args.extended:
-        print("error: rows n = 7, 8 need --extended (hour-scale runtime)",
+        print("error: rows n = 7, 8 need --extended (about 25 s and 2.5 min)",
               file=sys.stderr)
         return EXIT_USAGE
     tasks = [(n, args.seed, args.p, args.max_pairs)
@@ -443,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n-min", type=int, default=2, dest="n_min")
     t.add_argument("--n-max", type=int, default=6, dest="n_max")
     t.add_argument("--extended", action="store_true",
-                   help="allow the hour-scale rows n = 7, 8")
+                   help="allow the slow rows n = 7, 8 (about 25 s and "
+                        "2.5 min)")
     t.set_defaults(func=cmd_table)
 
     b = sub.add_parser("bounds", help="closed-form bound calculators")

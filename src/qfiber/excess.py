@@ -73,7 +73,8 @@ class FinModule:
 class IntersectionScenario:
     """An intersection X cap Y in affine space, finite by construction.
 
-    dims holds (dim X, codim Y, dim Z); smoothness of X is the caller's
+    dims holds (dim X, codim Y, dim Z); codim Y is certified against I_Y
+    when the conormal modules are built; smoothness of X is the caller's
     responsibility (generators build graphs and linear spaces, smooth by
     construction).  chart_ring/chart_ideal, when present, re-present the
     intersection inside a coordinate chart of X and feed the intrinsic
@@ -283,13 +284,26 @@ def conormal_restricted(s: IntersectionScenario) -> FinModule:
     """Conormal module of Y restricted to the intersection.
 
     Spanned by the generators of I_Y times the monomial basis of the
-    coordinate algebra, with relations I_Y^2 + I_X*I_Y.  For a complete
-    intersection Y of codimension g the module is free of rank g.
+    coordinate algebra, with relations I_Y^2 + I_X*I_Y.  codim Y is
+    certified from I_Y itself and must match the stated one.  When it
+    equals the number g of generators, they form a regular sequence (the
+    polynomial ring is Cohen-Macaulay), so I_Y/I_Y^2 is free over O_Y on
+    their classes and the module is free of rank g: its relation space is
+    zero and the relation basis is never built.
     """
     if s._big is None:
-        relations = s.I_Y.power(2) + s.I_X * s.I_Y
-        s._big = _conormal_module(s.I_Y.gens, relations, s.Z,
-                                  annihilator=s.I_X + s.I_Y)
+        codim_y = s.ring.nvars - s.I_Y.krull_dim()
+        if codim_y != s.dims[1]:
+            raise RuntimeError(f"codim Y is {codim_y}, but the scenario "
+                               f"states {s.dims[1]}")
+        g = len(s.I_Y.gens)
+        ann = s.I_X + s.I_Y
+        if codim_y == g:
+            free = np.zeros((0, g * s.Z.dim), dtype=np.int64)
+            s._big = _presented_module(free, g, s.Z, ann)
+        else:
+            relations = s.I_Y.power(2) + s.I_X * s.I_Y
+            s._big = _conormal_module(s.I_Y.gens, relations, s.Z, ann)
     return s._big
 
 

@@ -627,7 +627,13 @@ class Ideal:
         return self.groebner().leading_monomials()
 
     def krull_dim(self) -> int:
-        """Krull dimension of the quotient ring (affine)."""
+        """Krull dimension of the quotient ring (affine).
+
+        When every generator has a witness variable the quotient is a
+        polynomial ring in the other variables, and no basis is built.
+        """
+        if _has_witnesses(self.gens):
+            return self.ring.nvars - len(self.gens)
         gb = self.groebner()
         if gb.is_trivial():
             return -1
@@ -650,6 +656,25 @@ class Ideal:
 
     def __repr__(self):
         return f"<ideal with {len(self.gens)} generators in {self.ring}>"
+
+
+def _has_witnesses(gens) -> bool:
+    """True when each generator owns a witness variable.
+
+    A witness of g occurs in g only as its degree-one monomial and in no
+    other generator.  Then g = c*x - h with h free of every witness, so the
+    quotient is the polynomial ring in the variables that witness nothing:
+    graph ideals (x_i - q_i(a)) and coordinate ideals qualify.
+    """
+    terms_with: dict = {}  # variable -> count of terms, in all gens, with it
+    for g in gens:
+        for m, _ in g.terms:
+            for v, e in enumerate(m):
+                if e:
+                    terms_with[v] = terms_with.get(v, 0) + 1
+    return all(any(sum(m) == 1 and terms_with[m.index(1)] == 1
+                   for m, _ in g.terms)
+               for g in gens)
 
 
 def _max_independent(nvars: int, supports) -> int:

@@ -154,9 +154,9 @@ class ArtinianAlgebra:
     def element_matrix(self, vec) -> np.ndarray:
         """Multiplication matrix of the element with the given coordinates."""
         T = self.mult_tensor()
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        # contraction stays within int64 because dim * p^2 << 2^63
-        return np.mod(np.einsum("j,jab->ab", vec, T), self.p)
+        d = self.dim
+        row = np.asarray(vec, dtype=np.int64).reshape(1, d) % self.p
+        return mat_mul(row, T.reshape(d, d * d), self.p).reshape(d, d)
 
     def poly_matrix(self, f: Polynomial) -> np.ndarray:
         return self.element_matrix(self.coords(f))

@@ -38,6 +38,12 @@ class TestField:
         with pytest.raises(ValueError):
             FieldSpec(2)
 
+    def test_prime_bound(self):
+        # the largest prime below 2^31 is accepted, the first above is not
+        assert FieldSpec(2147483647).p == 2**31 - 1
+        with pytest.raises(ValueError, match="2\\^31"):
+            FieldSpec(2147483659)
+
     def test_inverse(self):
         F = FieldSpec(101)
         for a in range(1, 101):

@@ -154,6 +154,26 @@ class TestCompute:
         assert code == 1
         assert "line 2" in err
 
+    def test_largest_prime(self, capsys, tmp_path):
+        f = tmp_path / "two.txt"
+        f.write_text(TWO_POINTS.replace("32003", "2147483647"))
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 0
+        assert (doc["deg_Z"], doc["q"]) == (2, "2/1")
+        assert doc["checks"]["qlength"]["status"] == "pass"
+        points = sorted(tuple(e["point"]) for e in doc["licci"])
+        assert points == [(1, 0), (2147483646, 0)]
+
+    def test_prime_above_bound_exits_1(self, capsys, tmp_path):
+        f = tmp_path / "two.txt"
+        f.write_text(TWO_POINTS.replace("32003", "2147483659"))
+        for argv in (["compute", "--input", str(f)],
+                     ["scenario", "fatpoint", "--p", "2147483659"],
+                     ["table", "--n-min", "2", "--n-max", "2",
+                      "--p", "2147483659"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and "2^31" in err and not out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "compute", "--input", "/no/such/file")
         assert code == 1

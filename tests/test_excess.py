@@ -9,6 +9,7 @@ from qfiber.algebra import FieldSpec, PolyRing
 from qfiber.excess import (
     ExcessIntersection,
     FinModule,
+    IntersectionScenario,
     conormal_in_X,
     conormal_restricted,
     hilbert_tangent_dim,
@@ -24,10 +25,13 @@ from qfiber.excess import (
     _poly_action,
     _presented_module,
     _quotient_rep,
+    _spanning_kernel,
 )
-from qfiber.groebner import Ideal
+from qfiber.groebner import Ideal, _has_witnesses
 from qfiber.linalg import identity, mat_mul, nullspace, rank, rref
 from qfiber.parser import parse_ideal
+from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
+                              gen_quadric_graph)
 from qfiber.zerodim import (
     ArtinianAlgebra,
     _eval_matrix_poly,
@@ -84,6 +88,39 @@ def axes_on_line():
     line in the plane z = 0; the restricted conormal module is not free."""
     R = ring("x,y,z")
     return scenario(R, "z, x + y - 1", "x*y, y*z, x*z", 1, 2)
+
+
+def plane_holds_points():
+    """A double point and a simple point in the plane z = 0, cut out by four
+    generators in codimension 3: not a complete intersection."""
+    R = ring("x,y,z")
+    return scenario(R, "z", "x^2 - x, y^2, x*y, z", 2, 3)
+
+
+def swapped(s):
+    """The scenario with X and Y exchanged, as symmetry_check builds it."""
+    r = s.ring.nvars
+    return IntersectionScenario(s.ring, s.I_Y, s.I_X,
+                                (r - s.dims[1], r - s.dims[0], s.dims[2]),
+                                s.Z)
+
+
+# complete-intersection Y: graph n = 2..5 (axis Y), the fat point (a CI
+# that only the basis route of krull_dim recognises), EI (graph Y), and
+# graph n = 3 swapped (graph Y)
+CI_SCENARIOS = {
+    **{f"graph{n}": (lambda n=n: gen_quadric_graph(n, Seed(0)))
+       for n in range(2, 6)},
+    "fatpoint": lambda: gen_fatpoint_model(Seed(0)),
+    "ei": lambda: gen_EI_model(Seed(0)),
+    "swapped3": lambda: swapped(gen_quadric_graph(3, Seed(0))),
+}
+
+
+def big_relations(s):
+    """Relation space of the restricted conormal module by the general path."""
+    relations = s.I_Y.power(2) + s.I_X * s.I_Y
+    return _spanning_kernel(s.I_Y.gens, relations, s.Z)
 
 
 def nonresidue():
@@ -193,6 +230,27 @@ class TestConormal:
         s._big = _presented_module(identity(9), 3, s.Z, None)
         with pytest.raises(RuntimeError, match="onto"):
             conormal_in_X(s)
+
+    @pytest.mark.parametrize("case", sorted(CI_SCENARIOS))
+    def test_free_big_module_matches_general_path(self, case):
+        s = CI_SCENARIOS[case]()
+        assert _has_witnesses(s.I_Y.gens) == (case != "fatpoint")
+        width = len(s.I_Y.gens) * s.Z.dim
+        assert conormal_restricted(s)._kernel.shape == (0, width)
+        assert big_relations(s).shape == (0, width)
+
+    @pytest.mark.parametrize("make", [axes_on_line, plane_holds_points])
+    def test_non_ci_takes_general_path(self, make):
+        s = make()
+        kernel = conormal_restricted(s)._kernel
+        assert kernel.shape[0] > 0
+        assert np.array_equal(kernel, big_relations(s))
+
+    def test_wrong_codim_rejected(self):
+        R = ring("x1,x2,x3,a,b")
+        s = scenario(R, "x1 - a^2, x2 - a*b, x3 - b^2", "x1, x2, x3", 2, 2)
+        with pytest.raises(RuntimeError, match="codim Y is 3"):
+            q_module(s)
 
     def test_actions_commute(self):
         small = conormal_in_X(graph2())

@@ -11,12 +11,15 @@ from qfiber.groebner import (
     HilbertData,
     Ideal,
     ResourceAbort,
+    _has_witnesses,
+    _max_independent,
     exact_div,
     groebner,
     hilbert_data,
     poly_divmod,
 )
 from qfiber.parser import parse_ideal, parse_polynomial
+from qfiber.scenarios import Seed, gen_EI_model, gen_quadric_graph
 
 
 def ring(names="x,y,z", p=32003, order=GREVLEX):
@@ -25,6 +28,16 @@ def ring(names="x,y,z", p=32003, order=GREVLEX):
 
 def ideal(R, text):
     return Ideal(R, parse_ideal(text, R))
+
+
+def basis_dim(I):
+    """Krull dimension read off a fresh Groebner basis, the general route."""
+    gb = groebner(I.ring, I.gens)
+    if gb.is_trivial():
+        return -1
+    supports = [frozenset(i for i, e in enumerate(m) if e)
+                for m in gb.leading_monomials()]
+    return _max_independent(I.ring.nvars, supports)
 
 
 class TestBasis:
@@ -208,6 +221,30 @@ class TestDimension:
     def test_dim_of_quadric_surface(self):
         R = ring("x,y,z")
         assert ideal(R, "x*z - y^2").krull_dim() == 2
+
+    @pytest.mark.parametrize("case", ["graph3", "graph4", "ei_Y", "axes"])
+    def test_witness_dim_matches_basis(self, case):
+        if case == "ei_Y":
+            I = gen_EI_model(Seed(0)).I_Y
+        else:
+            s = gen_quadric_graph(4 if case == "graph4" else 3, Seed(0))
+            I = s.I_Y if case == "axes" else s.I_X
+        assert _has_witnesses(I.gens)
+        fresh = Ideal(I.ring, I.gens)
+        assert fresh.krull_dim() == basis_dim(I) == I.ring.nvars - len(I.gens)
+        assert fresh._gb is None  # the certificate built no basis
+
+    @pytest.mark.parametrize("text,dim", [
+        ("x^2 - a, y - a", 2),  # the would-be witness x only squared
+        ("x*a - b, y - b", 2),  # x only inside another term
+        ("x - a^2, x - b^2", 2),  # x shared by two generators
+        ("x - a^2, x - a^2", 3),  # a duplicated generator
+    ])
+    def test_near_misses_take_the_basis_route(self, text, dim):
+        I = ideal(ring("x,y,a,b"), text)
+        assert not _has_witnesses(I.gens)
+        assert I.krull_dim() == basis_dim(I) == dim
+        assert I._gb is not None
 
 
 class TestHilbert:

@@ -90,6 +90,13 @@ class TestMatMul:
         C = mat_mul(A, B, p)
         assert all(int(C[i, j]) == direct[i, j] for i in range(3) for j in range(2))
 
+    def test_largest_prime(self):
+        p = 2**31 - 1
+        A = np.array([[p - 1, p - 2], [p - 3, p - 5]], dtype=np.int64)
+        want = [[sum(int(A[i, k]) * int(A[k, j]) for k in range(2)) % p
+                 for j in range(2)] for i in range(2)]
+        assert mat_mul(A, A, p).tolist() == want
+
 
 class TestRowBasis:
     def test_dim_matches_rank(self):

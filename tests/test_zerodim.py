@@ -72,6 +72,17 @@ class TestAlgebra:
         want = (A.action(0) + 7 * A.action(1)) % P
         assert (M == want).all()
 
+    def test_element_matrix_at_largest_prime(self):
+        # d * (p-1)^2 exceeds int64 here, so the contraction must chunk
+        p = 2**31 - 1
+        A = algebra(ring(p=p),
+                    "x^3 + 3*x*y + 5*y + 7, y^2 + 11*x + 13*y + 17")
+        vec = [p - 1 - j for j in range(A.dim)]
+        T = A.mult_tensor()
+        want = [[sum(c * int(T[j, a, b]) for j, c in enumerate(vec)) % p
+                 for b in range(A.dim)] for a in range(A.dim)]
+        assert A.element_matrix(vec).tolist() == want
+
     def test_mult_tensor_consistency(self):
         R = ring()
         A = algebra(R, "x^3, y^2")
