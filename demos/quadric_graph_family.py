@@ -6,7 +6,7 @@ intersection is one fat point whose length, defect ratio q, and mu are
 independent of the random seed; the script recomputes them for n = 2..5
 and checks them against the known values.  (n = 6..8 follow the same
 pattern but take seconds to minutes; the CLI exposes them via
-`qfiber table`, with `--extended` for n = 7, 8.)
+`qfiber table --n-max 8`.)
 
 Run:  python3 demos/quadric_graph_family.py
 """

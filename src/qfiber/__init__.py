@@ -9,73 +9,26 @@ over F_p with exact integer arithmetic; no floating point touches any
 mathematical value.
 """
 
-from .algebra import (
-    FieldSpec,
-    GREVLEX,
-    LEX,
-    MonomialOrder,
-    PolyRing,
-    Polynomial,
-    block_order,
-    compare_monomials,
-    poly_to_string,
-    random_poly,
-)
+from .algebra import FieldSpec, PolyRing
 from .excess import (
     ExcessIntersection,
-    FinModule,
-    IntersectionScenario,
-    QReport,
-    SymmetryReport,
-    conormal_in_X,
-    conormal_restricted,
-    hilbert_tangent_dim,
-    hom_module,
-    make_scenario,
-    minimal_generators,
     minimal_presentation,
-    module_mu,
     q_affine_pair,
     q_module,
-    qbar,
     symmetry_check,
 )
-# the raw Buchberger driver stays at qfiber.groebner.groebner: exporting it
-# here would shadow the submodule binding that cli and tests rely on
-from .groebner import (
-    DEFAULT_MAX_PAIRS,
-    HilbertData,
-    Ideal,
-    ResourceAbort,
-    hilbert_data,
-)
+from .groebner import Ideal, ResourceAbort, pair_budget
 from .invariants import (
-    LICCI,
-    UNKNOWN,
-    BoundReport,
-    LicciVerdict,
-    Prop22Result,
-    QLengthCheck,
     cnr_constant,
     corank_fiber_lower_bound,
     licci_check,
-    main1_report,
     mather_bound,
-    plane_sweep_bound,
     plane_sweep_report,
-    prop22_experiment,
-    qlength_verify,
-    reg_vs_q_report,
     secant_sweep_bound,
 )
-from .parser import ParseError, parse_ideal, parse_polynomial, parse_session
-from .rng import Stream
+from .parser import ParseError, parse_ideal
 from .scenarios import (
-    CISecantScenario,
-    ReyeCheck,
-    ReyeData,
     Seed,
-    SecantCheck,
     gen_EI_model,
     gen_ci_secant,
     gen_fatpoint_model,
@@ -85,99 +38,41 @@ from .scenarios import (
     scenario_text,
     secant_through_point,
 )
-from .zerodim import (
-    ArtinianAlgebra,
-    LocalFactor,
-    RegularityResult,
-    TangentData,
-    cm_regularity,
-    derivations_dim,
-    local_decompose,
-    minpoly_of_element,
-    t1_dim,
-    tangent_data,
-    zariski_tangent_dim,
-)
+from .zerodim import cm_regularity
 
 __version__ = "0.1.0"
 
+# Everything else is imported from its submodule (qfiber.excess, ...).
 __all__ = [
-    "ArtinianAlgebra",
-    "BoundReport",
-    "CISecantScenario",
-    "DEFAULT_MAX_PAIRS",
-    "ExcessIntersection",
+    # what the README and demos/ import
     "FieldSpec",
-    "FinModule",
-    "GREVLEX",
-    "HilbertData",
     "Ideal",
-    "IntersectionScenario",
-    "LEX",
-    "LICCI",
-    "LicciVerdict",
-    "LocalFactor",
-    "MonomialOrder",
-    "ParseError",
     "PolyRing",
-    "Polynomial",
-    "Prop22Result",
-    "QLengthCheck",
-    "QReport",
-    "RegularityResult",
-    "ResourceAbort",
-    "ReyeCheck",
-    "ReyeData",
     "Seed",
-    "SecantCheck",
-    "Stream",
-    "SymmetryReport",
-    "TangentData",
-    "UNKNOWN",
-    "block_order",
     "cm_regularity",
     "cnr_constant",
-    "compare_monomials",
-    "conormal_in_X",
-    "conormal_restricted",
     "corank_fiber_lower_bound",
-    "derivations_dim",
     "gen_EI_model",
     "gen_ci_secant",
     "gen_fatpoint_model",
     "gen_quadric_graph",
     "gen_reye",
-    "hilbert_data",
-    "hilbert_tangent_dim",
-    "hom_module",
     "licci_check",
-    "local_decompose",
-    "main1_report",
-    "make_scenario",
     "mather_bound",
-    "minimal_generators",
     "minimal_presentation",
-    "minpoly_of_element",
-    "module_mu",
     "parse_ideal",
-    "parse_polynomial",
-    "parse_session",
-    "plane_sweep_bound",
     "plane_sweep_report",
-    "poly_to_string",
-    "prop22_experiment",
     "q_affine_pair",
     "q_module",
-    "qbar",
-    "qlength_verify",
-    "random_poly",
-    "reg_vs_q_report",
     "reye_trisecant",
     "scenario_text",
     "secant_sweep_bound",
     "secant_through_point",
     "symmetry_check",
-    "t1_dim",
-    "tangent_data",
-    "zariski_tangent_dim",
+    # the S-pair budget of every Groebner basis run
+    "pair_budget",
+    # the errors a caller may catch
+    "ExcessIntersection",
+    "ParseError",
+    "ResourceAbort",
 ]

@@ -8,7 +8,7 @@ canonical residues in [0, p).  Everything here is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 LT, EQ, GT = -1, 0, 1
 
@@ -460,22 +460,18 @@ def poly_to_string(f: Polynomial) -> str:
     return " + ".join(parts)
 
 
-def random_poly(ring: PolyRing, degree: int, rng, homogeneous: bool = True,
-                variables: Iterable[str] | None = None) -> Polynomial:
+def random_poly(ring: PolyRing, degree: int, rng,
+                homogeneous: bool = True) -> Polynomial:
     """Dense random polynomial of the given (total) degree.
 
-    rng must provide randrange; restricted to a variable subset when given.
+    rng must provide randrange.
     """
-    idx = [ring.var_index(v) for v in variables] if variables is not None else list(range(ring.nvars))
     monos: list = []
 
     def walk(pos, left, expo):
-        if pos == len(idx):
+        if pos == ring.nvars:
             if left == 0 or not homogeneous:
-                e = [0] * ring.nvars
-                for i, v in zip(idx, expo):
-                    e[i] = v
-                monos.append(tuple(e))
+                monos.append(tuple(expo))
             return
         for e in range(left + 1):
             walk(pos + 1, left - e, expo + [e])

@@ -20,7 +20,6 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from . import groebner as groebner_mod
 from .algebra import FieldSpec, PolyRing
 from .excess import (
     ExcessIntersection,
@@ -28,7 +27,7 @@ from .excess import (
     minimal_presentation,
     q_module,
 )
-from .groebner import Ideal, ResourceAbort
+from .groebner import _PAIR_BUDGET, Ideal, ResourceAbort, pair_budget
 from .invariants import (
     UNKNOWN,
     LicciVerdict,
@@ -289,12 +288,12 @@ def cmd_compute(args) -> int:
 
 def _table_row(task) -> dict:
     n, seed, p, max_pairs = task
-    if max_pairs is not None:
-        groebner_mod.DEFAULT_MAX_PAIRS = max_pairs
     t0 = time.perf_counter()
     try:
-        scen = gen_quadric_graph(n, Seed(seed, FieldSpec(p)))
-        rep = q_module(scen, Stream(seed))
+        # a pool worker need not share the caller's context: set the budget
+        with pair_budget(max_pairs):
+            scen = gen_quadric_graph(n, Seed(seed, FieldSpec(p)))
+            rep = q_module(scen, Stream(seed))
     except ResourceAbort as e:
         return {"n": n, "seed": seed, "aborted": True, "error": str(e),
                 "seconds": round(time.perf_counter() - t0, 2)}
@@ -319,14 +318,11 @@ def cmd_table(args) -> int:
     if not 2 <= args.n_min <= args.n_max <= 8:
         print("error: need 2 <= n-min <= n-max <= 8", file=sys.stderr)
         return EXIT_USAGE
-    if args.n_max > 6 and not args.extended:
-        print("error: rows n = 7, 8 need --extended (about 25 s and 2.5 min)",
-              file=sys.stderr)
-        return EXIT_USAGE
     tasks = [(n, args.seed, args.p, args.max_pairs)
              for n in range(args.n_min, args.n_max + 1)]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        workers = min(args.jobs, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_table_row, tasks))
     else:
         rows = [_table_row(t) for t in tasks]
@@ -418,8 +414,11 @@ def _common() -> argparse.ArgumentParser:
                         "fixes the ring)")
     c.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     c.add_argument("--output", choices=("json", "text"), default="json")
-    c.add_argument("--max-pairs", type=int, default=None, dest="max_pairs",
-                   help="S-pair budget for every basis run (abort beyond)")
+    c.add_argument("--max-pairs", type=int, default=_PAIR_BUDGET.get(),
+                   dest="max_pairs",
+                   help="S-pair budget of each Groebner basis run; a run "
+                        "that needs more aborts with exit 3 (default: "
+                        "%(default)s)")
     c.add_argument("--jobs", type=int, default=1,
                    help="worker processes for table rows")
     return c
@@ -441,10 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", parents=[common],
                        help="reproduce the quadric-graph invariant table")
     t.add_argument("--n-min", type=int, default=2, dest="n_min")
-    t.add_argument("--n-max", type=int, default=6, dest="n_max")
-    t.add_argument("--extended", action="store_true",
-                   help="allow the slow rows n = 7, 8 (about 25 s and "
-                        "2.5 min)")
+    t.add_argument("--n-max", type=int, default=6, dest="n_max",
+                   help="last row (at most 8; n = 7 takes about 25 s and "
+                        "n = 8 about 2.5 min)")
     t.set_defaults(func=cmd_table)
 
     b = sub.add_parser("bounds", help="closed-form bound calculators")
@@ -479,11 +477,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
-    orig_budget = groebner_mod.DEFAULT_MAX_PAIRS
-    if getattr(args, "max_pairs", None) is not None:
-        groebner_mod.DEFAULT_MAX_PAIRS = args.max_pairs
     try:
-        return args.func(args)
+        with pair_budget(args.max_pairs):
+            return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -496,8 +492,6 @@ def main(argv=None) -> int:
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH
-    finally:
-        groebner_mod.DEFAULT_MAX_PAIRS = orig_budget
 
 
 if __name__ == "__main__":

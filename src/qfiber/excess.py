@@ -532,7 +532,7 @@ def minimal_presentation(ideal: Ideal) -> Ideal:
     return J
 
 
-def qbar(Z: ArtinianAlgebra, stream: Stream | None = None) -> FinModule:
+def qbar(Z: ArtinianAlgebra) -> FinModule:
     """Intrinsic defect module of a local finite algebra at the origin.
 
     Re-presents the algebra minimally (eliminating every variable with a

@@ -15,6 +15,8 @@ ideal equality is tuple equality.
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +33,24 @@ from .algebra import (
     mono_mul,
 )
 
-DEFAULT_MAX_PAIRS = 1_000_000
+# S-pair budget of each basis run in the current context; pair_budget sets it
+_PAIR_BUDGET: ContextVar[int] = ContextVar("pair_budget", default=1_000_000)
+
+
+@contextmanager
+def pair_budget(n: int):
+    """Cap every Groebner basis run inside the block at n S-pairs.
+
+    A run that needs more raises ResourceAbort.  The budget holds for each
+    run separately, whatever the entry point, and the previous budget comes
+    back when the block exits, also when it raises.  A basis an Ideal has
+    already cached costs no pairs and is returned as it is.
+    """
+    token = _PAIR_BUDGET.set(n)
+    try:
+        yield
+    finally:
+        _PAIR_BUDGET.reset(token)
 
 
 class ResourceAbort(RuntimeError):
@@ -379,10 +398,13 @@ class GroebnerBasis:
         return self.normal_form(f).is_zero()
 
 
-def groebner(ring: PolyRing, gens, max_pairs: int | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the generators in the ring's own order."""
+def groebner(ring: PolyRing, gens) -> GroebnerBasis:
+    """Reduced Groebner basis of the generators in the ring's own order.
+
+    Raises ResourceAbort beyond the S-pair budget set by pair_budget.
+    """
     gens = [g for g in gens if not g.is_zero()]
-    budget = DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
+    budget = _PAIR_BUDGET.get()
     if not gens:
         enc = _Enc(ring.nvars, ring.order, 5)
         return GroebnerBasis(ring, (), enc, [])
@@ -441,34 +463,20 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 # --- ideal calculus -------------------------------------------------------
 
 
-def _fresh_name(taken, base: str) -> str:
-    if base not in taken:
-        return base
-    i = 0
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
+def _extend_ring_front(ring: PolyRing):
+    """Ring with one fresh variable in front and a block order killing it."""
+    name, i = "_t", 0
+    while name in ring.variables:
+        name, i = f"_t{i}", i + 1
+    return PolyRing(ring.field, (name,) + ring.variables, block_order(1)), name
 
 
-def _extend_ring_front(ring: PolyRing, extra: int = 1, base: str = "_t"):
-    """Ring with extra fresh variables in front and a block order killing them."""
-    taken = set(ring.variables)
-    names = []
-    for _ in range(extra):
-        nm = _fresh_name(taken, base)
-        names.append(nm)
-        taken.add(nm)
-    big = PolyRing(ring.field, tuple(names) + ring.variables, block_order(extra))
-    return big, names
+def _lift_front(f: Polynomial, big: PolyRing) -> Polynomial:
+    return Polynomial(big, tuple(((0,) + m, c) for m, c in f.terms))
 
 
-def _lift_front(f: Polynomial, big: PolyRing, extra: int) -> Polynomial:
-    pad = (0,) * extra
-    return Polynomial(big, tuple((pad + m, c) for m, c in f.terms))
-
-
-def _drop_front(f: Polynomial, small: PolyRing, extra: int) -> Polynomial:
-    return Polynomial(small, tuple((m[extra:], c) for m, c in f.terms))
+def _drop_front(f: Polynomial, small: PolyRing) -> Polynomial:
+    return Polynomial(small, tuple((m[1:], c) for m, c in f.terms))
 
 
 class Ideal:
@@ -484,9 +492,9 @@ class Ideal:
                 raise ValueError("generator from a different ring")
         self._gb = None
 
-    def groebner(self, max_pairs: int | None = None) -> GroebnerBasis:
+    def groebner(self) -> GroebnerBasis:
         if self._gb is None:
-            self._gb = groebner(self.ring, self.gens, max_pairs)
+            self._gb = groebner(self.ring, self.gens)
         return self._gb
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -533,16 +541,16 @@ class Ideal:
         """I cap J via a tag variable: (t I + (1-t) J) cap k[x]."""
         self._check(other)
         ring = self.ring
-        big, (tname,) = _extend_ring_front(ring)
+        big, tname = _extend_ring_front(ring)
         t = big.var(tname)
         one_minus_t = big.one() - t
-        gens = [t * _lift_front(f, big, 1) for f in self.gens]
-        gens += [one_minus_t * _lift_front(g, big, 1) for g in other.gens]
+        gens = [t * _lift_front(f, big) for f in self.gens]
+        gens += [one_minus_t * _lift_front(g, big) for g in other.gens]
         gb = groebner(big, gens)
         out = []
         for h in gb.polys:
             if all(m[0] == 0 for m, _ in h.terms):
-                out.append(_drop_front(h, ring, 1))
+                out.append(_drop_front(h, ring))
         return Ideal(ring, out)
 
     def quotient(self, other) -> "Ideal":

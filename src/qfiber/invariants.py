@@ -17,8 +17,7 @@ from .algebra import FieldSpec, PolyRing, random_poly
 from .excess import QReport, minimal_generators
 from .groebner import Ideal, hilbert_data
 from .rng import Stream
-from .zerodim import (ArtinianAlgebra, TangentData, _is_nilpotent,
-                      tangent_data)
+from .zerodim import ArtinianAlgebra, _is_nilpotent, tangent_data
 
 LICCI = "Licci"
 UNKNOWN = "Unknown"
@@ -142,7 +141,7 @@ class LicciVerdict:
         return {"status": self.status, "rule": self.rule}
 
 
-def licci_check(ideal: Ideal, tangent: TangentData | None = None) -> LicciVerdict:
+def licci_check(ideal: Ideal) -> LicciVerdict:
     """First sufficient licci condition that fires, else Unknown.
 
     Ladder order: complete intersection; codimension at most 2; at most 4
@@ -154,11 +153,9 @@ def licci_check(ideal: Ideal, tangent: TangentData | None = None) -> LicciVerdic
     for v in range(ideal.ring.nvars):
         if not _is_nilpotent(alg.action(v), p):
             raise ValueError("licci ladder needs an ideal local at the origin")
-    if tangent is None:
-        tangent = tangent_data(ideal)
     mu = len(minimal_generators(ideal))
     codim = ideal.ring.nvars
-    tdim = tangent.zariski_dim
+    tdim = tangent_data(ideal).zariski_dim
     if mu == codim:
         return LicciVerdict(LICCI, "CI")
     if codim <= 2:

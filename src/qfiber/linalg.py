@@ -35,10 +35,6 @@ def mat_mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def mat_vec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    return mat_mul(A, np.asarray(v, dtype=np.int64).reshape(-1, 1), p).ravel()
-
-
 def rref(A, p: int):
     """Reduced row echelon form.
 

@@ -306,25 +306,28 @@ def _rational_point(actions, length: int, p: int):
     return tuple(point)
 
 
-def local_decompose(alg: ArtinianAlgebra, stream: Stream, confirm: int = 2,
-                    budget: int = 8) -> list:
+_CONFIRM = 2
+_FORMS = 8
+
+
+def local_decompose(alg: ArtinianAlgebra, stream: Stream) -> list:
     """Split an artinian algebra into its local factors.
 
-    Monte Carlo: a factor is accepted as local once `confirm` extra random
+    Monte Carlo: a factor is accepted as local once _CONFIRM extra random
     linear forms in a row have a primary minimal polynomial.  Each level
-    retries up to `budget` forms before giving up (which raises, carrying
+    retries up to _FORMS forms before giving up (which raises, carrying
     the stream's seed for reproduction).
     """
     if alg.dim >= alg.p:
         raise ValueError("algebra dimension must stay below the field size")
     out = []
-    _decompose_into(alg, stream, confirm, budget, (), out)
+    _decompose_into(alg, stream, (), out)
     # canonical order: by length, then by chain for ties
     out.sort(key=lambda f: (f.length, f.chain))
     return out
 
 
-def _decompose_into(alg, stream, confirm, budget, chain, out):
+def _decompose_into(alg, stream, chain, out):
     n = alg.nvars
     p = alg.p
     if alg.dim == 1:
@@ -333,13 +336,13 @@ def _decompose_into(alg, stream, confirm, budget, chain, out):
                                _rational_point(alg.actions(), 1, p)))
         return
     agreeing = 0
-    for trial in range(budget):
+    for trial in range(_FORMS):
         coeffs = tuple(stream.randrange(p) for _ in range(n))
         mp = minpoly_of_element(alg, coeffs)
         red = uv.squarefree_part(mp, p)
         if uv.deg(red) == 1 or uv.is_irreducible(red, p):
             agreeing += 1
-            if agreeing > confirm:
+            if agreeing > _CONFIRM:
                 out.append(LocalFactor(
                     alg.dim, chain,
                     tuple(np.asarray(a) % p for a in alg.actions()),
@@ -349,15 +352,15 @@ def _decompose_into(alg, stream, confirm, budget, chain, out):
                 return
             continue
         factors = uv.factor_squarefree(red, p, stream)
-        _split_by(alg, coeffs, mp, factors, stream, confirm, budget, chain, out)
+        _split_by(alg, coeffs, mp, factors, stream, chain, out)
         return
     raise RuntimeError(
-        f"local decomposition made no progress after {budget} linear forms "
+        f"local decomposition made no progress after {_FORMS} linear forms "
         f"(stream seed {stream.seed})"
     )
 
 
-def _split_by(alg, coeffs, mp, factors, stream, confirm, budget, chain, out):
+def _split_by(alg, coeffs, mp, factors, stream, chain, out):
     p = alg.p
     # primary parts of the minimal polynomial
     primaries = []
@@ -386,7 +389,7 @@ def _split_by(alg, coeffs, mp, factors, stream, confirm, budget, chain, out):
         sub_actions = [_restrict(B, pivots, X, p) for X in alg.actions()]
         one_vec = mat_mul(E, alg.one.reshape(-1, 1), p).ravel()
         sub = ArtinianAlgebra.from_matrices(p, sub_actions, one_vec[pivots])
-        _decompose_into(sub, stream.fork(branch), confirm, budget,
+        _decompose_into(sub, stream.fork(branch),
                         chain + ((tuple(coeffs), tuple(u)),), out)
 
 

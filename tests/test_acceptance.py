@@ -90,7 +90,7 @@ TABLE_EXPECTED = {2: (3, "3/1", 3), 3: (6, "6/1", 3), 4: (10, "5/1", 5),
 
 # seeds 0, 1, 2 of the default rows, then the row n = 7 at seed 0
 TABLE_RUNS = [(["--n-min", "2", "--n-max", "6"], seed) for seed in (0, 1, 2)]
-TABLE_RUNS.append((["--n-min", "7", "--n-max", "7", "--extended"], 0))
+TABLE_RUNS.append((["--n-min", "7", "--n-max", "7"], 0))
 
 
 def test_01_reference_table(capsys):

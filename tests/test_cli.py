@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from qfiber import groebner as groebner_mod
+from qfiber import cli
+from qfiber.algebra import FieldSpec, PolyRing
 from qfiber.cli import main
+from qfiber.groebner import ResourceAbort, groebner, pair_budget
+from qfiber.parser import parse_ideal
 
 QG2 = """\
 ring R = Fp(32003)[x1, x2, x3, a1, a2], grevlex;
@@ -56,23 +59,56 @@ class TestTable:
         assert "deg Z" in out
         assert "ok" in out
 
-    def test_extended_gate(self, capsys):
-        code, out, err = run(capsys, "table", "--n-min", "2", "--n-max", "7")
+    def test_rows_beyond_8_and_extended_rejected(self, capsys):
+        code, _, err = run(capsys, "table", "--n-min", "2", "--n-max", "9")
         assert code == 1
-        assert "--extended" in err
+        assert "n-max <= 8" in err
+        code, _, err = run(capsys, "table", "--n-max", "6", "--extended")
+        assert code == 1
+        assert "unrecognized arguments: --extended" in err
 
     def test_range_check(self, capsys):
         code, _, err = run(capsys, "table", "--n-min", "1", "--n-max", "3")
         assert code == 1
 
     def test_abort_marks_rows_and_exits_3(self, capsys):
-        before = groebner_mod.DEFAULT_MAX_PAIRS
+        R = PolyRing(FieldSpec(32003), ("x", "y", "z"))
+        gens = parse_ideal("x^2 + y^2 + z^2 - 1, x*y*z - 1, x + y - z^2", R)
+        with pytest.raises(ResourceAbort), pair_budget(5):
+            groebner(R, gens)  # this basis needs more than 5 S-pairs
         code, doc, _ = run_json(capsys, "table", "--n-min", "4",
                                 "--n-max", "4", "--max-pairs", "5")
         assert code == 3
         assert doc["rows"][0]["aborted"] is True
-        # the budget override must not leak into the process
-        assert groebner_mod.DEFAULT_MAX_PAIRS == before
+        # the budget ends with main: the same basis succeeds afterwards
+        assert len(groebner(R, gens)) > 0
+
+    @pytest.mark.parametrize("jobs, pools", [("4", [2]), ("1", [])],
+                             ids=["jobs4-rows2", "jobs1"])
+    def test_workers_capped_by_rows(self, capsys, monkeypatch, jobs, pools):
+        started = []
+
+        class SerialPool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        code, doc, _ = run_json(capsys, "table", "--n-min", "2",
+                                "--n-max", "3", "--jobs", jobs)
+        assert code == 0
+        assert [r["n"] for r in doc["rows"]] == [2, 3]
+        assert started == pools
 
     def test_parallel_rows(self, capsys):
         code, doc, _ = run_json(capsys, "table", "--n-min", "2",
@@ -269,3 +305,20 @@ class TestPlumbing:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+
+# every entry point that builds a basis honours --max-pairs; the table row
+# runs in a pool worker, which sets the budget on its own side
+@pytest.mark.parametrize("argv", [
+    ["compute", "--input", "{qg2}", "--max-pairs", "1"],
+    ["scenario", "reye", "--max-pairs", "1"],
+    ["scenario", "secant-demo", "--n", "1", "--l", "2", "--max-pairs", "1"],
+    ["scenario", "ei", "--max-pairs", "3"],
+    ["table", "--n-min", "4", "--n-max", "4", "--max-pairs", "5",
+     "--jobs", "2"],
+], ids=["compute", "reye", "secant-demo", "ei", "table-jobs"])
+def test_budget_exhausted_exits_3(capsys, tmp_path, argv):
+    f = tmp_path / "qg2.txt"
+    f.write_text(QG2)
+    code, _, _ = run(capsys, *(a.format(qg2=f) for a in argv))
+    assert code == 3

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from qfiber.algebra import FieldSpec, GREVLEX, LEX, PolyRing, random_poly
+from qfiber.excess import q_module
 from qfiber.groebner import (
-    DEFAULT_MAX_PAIRS,
     GroebnerBasis,
     HilbertData,
     Ideal,
@@ -16,6 +16,7 @@ from qfiber.groebner import (
     exact_div,
     groebner,
     hilbert_data,
+    pair_budget,
     poly_divmod,
 )
 from qfiber.parser import parse_ideal, parse_polynomial
@@ -111,8 +112,8 @@ class TestBasis:
     def test_resource_abort(self):
         R = ring("x,y,z")
         gens = parse_ideal("x^3 - 2*x*y, x^2*y - 2*y^2 + x, z^4 - x*y", R)
-        with pytest.raises(ResourceAbort) as ei:
-            groebner(R, gens, max_pairs=1)
+        with pytest.raises(ResourceAbort) as ei, pair_budget(1):
+            groebner(R, gens)
         assert ei.value.pairs_done >= 2
         assert ei.value.max_pairs == 1
 
@@ -122,6 +123,41 @@ class TestBasis:
         assert len(gb) == 0
         f = parse_polynomial("x + y", R)
         assert gb.normal_form(f) == f
+
+
+class TestPairBudget:
+    GENS = "x^3 - 2*x*y, x^2*y - 2*y^2 + x, z^4 - x*y"
+
+    def test_library_entry_point_aborts_then_recovers(self):
+        with pytest.raises(ResourceAbort), pair_budget(5):
+            q_module(gen_quadric_graph(4, Seed(1)))
+        rep = q_module(gen_quadric_graph(4, Seed(1)))
+        assert (rep.deg_z, rep.q, rep.mu_q) == (10, 5, 5)
+
+    def test_restored_when_block_raises(self):
+        R = ring("x,y,z")
+        gens = parse_ideal(self.GENS, R)
+        with pytest.raises(ResourceAbort), pair_budget(1):
+            groebner(R, gens)
+        assert len(groebner(R, gens)) > 0
+        with pytest.raises(KeyError), pair_budget(1):
+            raise KeyError("an error of the caller's own")
+        assert len(groebner(R, gens)) > 0
+
+    def test_nested_blocks_restore_the_outer_budget(self):
+        R = ring("x,y,z")
+        gens = parse_ideal(self.GENS, R)
+        with pair_budget(1):
+            with pair_budget(10_000):
+                assert len(groebner(R, gens)) > 0
+            with pytest.raises(ResourceAbort):
+                groebner(R, gens)
+
+    def test_cached_basis_costs_no_pairs(self):
+        I = ideal(ring("x,y,z"), self.GENS)
+        gb = I.groebner()
+        with pair_budget(1):
+            assert I.groebner() is gb
 
 
 class TestIdealOps:
