@@ -407,13 +407,18 @@ def cmd_scenario(args) -> int:
 # --- argument plumbing -------------------------------------------------------
 
 
-def _common() -> argparse.ArgumentParser:
-    c = argparse.ArgumentParser(add_help=False)
+def _output() -> argparse.ArgumentParser:
+    o = argparse.ArgumentParser(add_help=False)
+    o.add_argument("--output", choices=("json", "text"), default="json")
+    return o
+
+
+def _common(output: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    c = argparse.ArgumentParser(add_help=False, parents=[output])
     c.add_argument("--p", type=int, default=32003,
                    help="prime field (ignored by compute: the input file "
                         "fixes the ring)")
     c.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    c.add_argument("--output", choices=("json", "text"), default="json")
     c.add_argument("--max-pairs", type=int, default=_PAIR_BUDGET.get(),
                    dest="max_pairs",
                    help="S-pair budget of each Groebner basis run; a run "
@@ -425,7 +430,8 @@ def _common() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common()
+    output = _output()
+    common = _common(output)
     ap = argparse.ArgumentParser(
         prog="qfiber",
         description="Excess-intersection invariants over prime fields.")
@@ -441,13 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reproduce the quadric-graph invariant table")
     t.add_argument("--n-min", type=int, default=2, dest="n_min")
     t.add_argument("--n-max", type=int, default=6, dest="n_max",
-                   help="last row (at most 8; n = 7 takes about 25 s and "
-                        "n = 8 about 2.5 min)")
+                   help="last row (at most 8; n = 7 takes about 16 s and "
+                        "n = 8 about 1.8 min)")
     t.set_defaults(func=cmd_table)
 
+    # closed forms use no field, no seed and no Groebner basis: --output
+    # alone, and the budget main sets stays at its default
     b = sub.add_parser("bounds", help="closed-form bound calculators")
+    b.set_defaults(max_pairs=_PAIR_BUDGET.get())
     bsub = b.add_subparsers(dest="op", required=True)
-    m = bsub.add_parser("mather", parents=[common])
+    m = bsub.add_parser("mather", parents=[output])
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--c", type=int, required=True)
     m.add_argument("--coranks", required=True,
@@ -456,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                         ("plane", ("n", "r", "l", "t")),
                         ("cnr", ("n", "r")),
                         ("corank", ("d",))):
-        sp = bsub.add_parser(name, parents=[common])
+        sp = bsub.add_parser(name, parents=[output])
         for f in flags:
             sp.add_argument(f"--{f}", type=int, required=True)
     for sp in bsub.choices.values():

@@ -10,6 +10,16 @@ computation restarts with wider fields.
 Pair handling is Buchberger with the Gebauer-Moller update and sugar-first
 selection.  Reduced bases are unique, monic, and sorted by leading term, so
 ideal equality is tuple equality.
+
+Normal forms look up their reducer in a first-divisor memo, as Singular
+keeps a reducer index (Greuel-Pfister, A Singular Introduction to
+Commutative Algebra): a packed monomial maps to the index of the first
+basis entry, in list order, whose leading term divides it, or to ~n when
+none of the first n entries does, so a later lookup scans only the
+entries appended since.  The reducer is the one a linear scan would pick,
+so the work done is unchanged.  One memo serves the whole pair loop, one
+the interreduction, and each GroebnerBasis keeps one for normal_form,
+replaced by an empty one whenever a repack re-encodes the monomials.
 """
 
 from __future__ import annotations
@@ -179,12 +189,17 @@ def _monic_terms(terms, p: int):
     return [(k, m, c * inv % p) for k, m, c in terms]
 
 
-def _nf_terms(terms, basis, enc: _Enc, p: int):
+def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict):
     """Full normal form of a term list against monic engine polynomials.
 
     basis entries are (ltkey, ltpacked, tail) with tail the non-leading
     terms.  Work queue is a max-heap with lazy deletion backed by a coeff
     dict; keys are additive so shifted tails cost one add per term.
+
+    memo maps a packed monomial to the index of the first basis entry whose
+    leading term divides it, or to ~n when none of the first n entries
+    does, so a later lookup scans only the entries appended since.  It
+    stays valid while basis only grows at the end with fixed leading terms.
     """
     coeff: dict = {}
     heap: list = []
@@ -197,21 +212,25 @@ def _nf_terms(terms, basis, enc: _Enc, p: int):
             coeff[m] = (prev + c) % p
     heapq.heapify(heap)
     gmask = enc.gmask
+    n = len(basis)
     out = []
     while heap:
         negk, m = heapq.heappop(heap)
         c = coeff.pop(m, None)
         if c is None or c == 0:
             continue
-        hit = None
-        for ltk, ltm, tail in basis:
-            if ((m | gmask) - ltm) & gmask == gmask:
-                hit = (ltk, ltm, tail)
-                break
-        if hit is None:
+        i = memo.get(m, -1)  # -1 == ~0: no entry checked yet
+        if i < 0 and ~i < n:
+            for i in range(~i, n):
+                if ((m | gmask) - basis[i][1]) & gmask == gmask:
+                    break
+            else:
+                i = ~n
+            memo[m] = i
+        if i < 0:
             out.append((-negk, m, c))
             continue
-        ltk, ltm, tail = hit
+        ltk, ltm, tail = basis[i]
         q = m - ltm
         qk = -negk - ltk
         for tk, tm, tc in tail:
@@ -306,6 +325,7 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
         seen.add(sig)
         add_element(terms, max(enc.deg(m) for _, m, _ in terms))
 
+    memo: dict = {}    # first-divisor memo of lts, which only grows
     done = 0
     while heap:
         sug, Lk, i, j = heapq.heappop(heap)
@@ -318,7 +338,7 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
         s = _spoly_terms(G[i], G[j], enc, p)
         if not s:
             continue
-        h = _nf_terms(s, lts, enc, p)
+        h = _nf_terms(s, lts, enc, p, memo)
         if h:
             add_element(_monic_terms(h, p), sug)
 
@@ -328,30 +348,27 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     for t in order:
         if not any(enc.divides(lts[s][1], lts[t][1]) for s in keep):
             keep.append(t)
-    basis = [G[t] for t in keep]
-    # interreduce: full normal form of each against the others
-    for idx in range(len(basis)):
-        others = [
-            (b[0][0], b[0][1], b[1:])
-            for s, b in enumerate(basis)
-            if s != idx
-        ]
-        red = _nf_terms(basis[idx], others, enc, p)
-        basis[idx] = _monic_terms(red, p)
-    basis.sort(key=lambda ts: ts[0][0])
-    return basis
+    # interreduce: reduce each tail against the whole minimal basis.  Every
+    # term met lies below the element's own leading term, which therefore
+    # divides none of them, so this is reduction against the others.
+    view = [lts[t] for t in keep]
+    memo = {}
+    for idx, (ltk, ltm, tail) in enumerate(view):
+        view[idx] = (ltk, ltm, _nf_terms(tail, view, enc, p, memo))
+    return [[(ltk, ltm, 1)] + tail for ltk, ltm, tail in view]
 
 
 class GroebnerBasis:
     """Reduced Groebner basis: monic, interreduced, sorted by leading term."""
 
-    __slots__ = ("ring", "polys", "_enc", "_engine")
+    __slots__ = ("ring", "polys", "_enc", "_engine", "_memo")
 
     def __init__(self, ring: PolyRing, polys: tuple, enc: _Enc, engine: list):
         self.ring = ring
         self.polys = polys
         self._enc = enc
         self._engine = engine
+        self._memo: dict = {}  # first-divisor memo of _engine under _enc
 
     def __iter__(self):
         return iter(self.polys)
@@ -384,7 +401,8 @@ class GroebnerBasis:
         while True:
             try:
                 terms = enc.encode_poly(f)
-                red = _nf_terms(terms, self._engine, enc, self.ring.p)
+                red = _nf_terms(terms, self._engine, enc, self.ring.p,
+                                self._memo)
                 return enc.decode_poly(red, self.ring)
             except _Repack:
                 enc = _Enc(self.ring.nvars, self.ring.order, enc.B * 2)
@@ -393,6 +411,8 @@ class GroebnerBasis:
                     (t[0][0], t[0][1], t[1:])
                     for t in (enc.encode_poly(g) for g in self.polys)
                 ]
+                # memo keys are packed under the old field width
+                self._memo = {}
 
     def reduces_to_zero(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()

@@ -112,7 +112,7 @@ def test_01_reference_table(capsys):
             worst = max(worst, row["seconds"])
     _verdict(capsys, 1, "table n=2..6 exact over seeds 0,1,2, n=7 at seed 0",
              problems,
-             f"16 rows, slowest {worst:.2f}s; n=8 (about 2.5 minutes) is "
+             f"16 rows, slowest {worst:.2f}s; n=8 (about 1.8 minutes) is "
              "not gating")
 
 

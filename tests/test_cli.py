@@ -1,6 +1,10 @@
 """Command line front end: golden JSON fields, exit codes, error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +250,22 @@ class TestBounds:
         assert code == 0
         assert doc["value"] == 4
 
+    @pytest.mark.parametrize("option", [("--max-pairs", "1"),
+                                        ("--jobs", "2"), ("--p", "7"),
+                                        ("--seed", "3")],
+                             ids=lambda o: o[0].strip("-"))
+    def test_options_it_would_ignore_exit_1(self, capsys, option):
+        # closed forms use no field, no seed and no Groebner basis
+        code, out, err = run(capsys, "bounds", "corank", "--d", "4", *option)
+        assert code == 1 and not out
+        assert option[0] in err
+
+    def test_text_output(self, capsys):
+        code, out, _ = run(capsys, "bounds", "corank", "--d", "4",
+                           "--output", "text")
+        assert code == 0
+        assert "value: 10" in out
+
     def test_bad_args_exit_1(self, capsys):
         code, _, err = run(capsys, "bounds", "plane", "--n", "1", "--r", "3",
                            "--l", "3", "--t", "1")
@@ -322,3 +342,14 @@ def test_budget_exhausted_exits_3(capsys, tmp_path, argv):
     f.write_text(QG2)
     code, _, _ = run(capsys, *(a.format(qg2=f) for a in argv))
     assert code == 3
+
+
+def test_python_m_runs_the_command_line():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "qfiber", "bounds", "corank", "--d", "4"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["value"] == 10

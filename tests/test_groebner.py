@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from qfiber.algebra import FieldSpec, GREVLEX, LEX, PolyRing, random_poly
+from qfiber.algebra import (
+    FieldSpec,
+    GREVLEX,
+    LEX,
+    PolyRing,
+    block_order,
+    mono_div,
+    mono_divides,
+    mono_mul,
+    random_poly,
+)
 from qfiber.excess import q_module
 from qfiber.groebner import (
     GroebnerBasis,
@@ -123,6 +133,99 @@ class TestBasis:
         assert len(gb) == 0
         f = parse_polynomial("x + y", R)
         assert gb.normal_form(f) == f
+
+    def test_memo_dropped_on_repack(self):
+        # x = y and y^2 = 1, so x^k reduces to y for odd k and to 1 for even
+        R = ring("x,y")
+        gb = ideal(R, "x*y - 1, y^2 - 1").groebner()
+        y, one = parse_polynomial("y", R), R.one()
+
+        def check(k):
+            want = y if k % 2 else one
+            assert gb.normal_form(R.monomial((k, 0))) == want
+            fresh = ideal(R, "x*y - 1, y^2 - 1").groebner()
+            assert fresh.normal_form(R.monomial((k, 0))) == want
+
+        for k in range(1, 16):  # fills the memo at the initial width
+            check(k)
+        assert gb._enc.B == 5
+        check(16)  # beyond the field width: forces a repack
+        assert gb._enc.B > 5
+        # every memo entry names the first divisor under the new packing
+        # (a stale one sends x^201 below into an unbounded reduction)
+        enc, engine = gb._enc, gb._engine
+        for m, i in gb._memo.items():
+            assert i == next((j for j, (_, ltm, _) in enumerate(engine)
+                              if enc.divides(ltm, m)), ~len(engine))
+        for k in (201, 202, *range(1, 16)):
+            check(k)
+
+
+def oracle_normal_form(f, basis):
+    """Full reduction of f by a list of polynomials, on exponent tuples.
+
+    The largest remaining term is divided by the first element whose
+    leading monomial divides it, or else moved to the remainder.  Against a
+    Groebner basis the remainder does not depend on the reducer chosen.
+    """
+    ring = f.ring
+    p = ring.p
+    work = dict(f.terms)
+    rem = {}
+    while work:
+        m = max(work, key=ring.order.key)
+        c = work.pop(m)
+        if c == 0:
+            continue
+        g = next((g for g in basis
+                  if mono_divides(g.leading_monomial(), m)), None)
+        if g is None:
+            rem[m] = c
+            continue
+        u = mono_div(m, g.leading_monomial())
+        cu = c * pow(g.leading_coeff(), p - 2, p) % p
+        for tm, tc in g.terms[1:]:
+            mm = mono_mul(u, tm)
+            work[mm] = (work.get(mm, 0) - cu * tc) % p
+    return ring.poly(rem)
+
+
+def sparse_poly(R, rng, terms, degree):
+    expos = [tuple(rng.randrange(degree + 1) for _ in range(R.nvars))
+             for _ in range(terms)]
+    return R.poly({e: rng.randrange(1, R.p) for e in expos})
+
+
+ORDERS = {"grevlex": GREVLEX, "lex": LEX, "block1": block_order(1)}
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+class TestNormalFormOracle:
+    GENS = ("x^2*y - z^2 + 3*x, y^2*z - x*y + 2, x*z^2 - y^2 + z - 1",
+            "x*y - z^2, y*z - x^2 + y, x^3 - y*z + 1")
+
+    @pytest.mark.parametrize("text", GENS)
+    def test_normal_form_matches_tuple_reduction(self, order, text):
+        R = ring(order=order)
+        gb = ideal(R, text).groebner()
+        rng = random.Random(7)
+        for _ in range(25):
+            f = sparse_poly(R, rng, rng.randrange(1, 8), 6)
+            assert gb.normal_form(f) == oracle_normal_form(f, gb.polys)
+
+    def test_reduced_basis_independent_of_generator_order(self, order):
+        R = ring(order=order)
+        rng = random.Random(11)
+        gens = [sparse_poly(R, rng, 4, 2) for _ in range(3)]
+        want = groebner(R, gens).polys
+        assert len(want) > 3
+        for _ in range(4):
+            rng.shuffle(gens)
+            assert groebner(R, gens).polys == want
+        # reduced: every non-leading term is a standard monomial
+        for g in want:
+            tail = R.poly(dict(g.terms[1:]))
+            assert oracle_normal_form(tail, want) == tail
 
 
 class TestPairBudget:
