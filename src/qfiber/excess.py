@@ -9,9 +9,13 @@ are all computed by exact linear algebra over F_p on top of Groebner
 normal forms.
 
 A module generated by g elements over an algebra of dimension d is handled
-as a quotient of k^(g*d): the only Groebner work is the g*d normal forms of
-generator-times-basis-monomial products, after which every action, Hom
-space, and quotient is numpy on int64 residues.
+as a quotient of k^(g*d) by its relation space K.  Every K here has the
+form {u : sum u_i f_i in (f)*I + (h)} over the algebra R/I, and it is the
+image of the f-parts of the syzygies of (f, h).  So the Groebner work is
+one run over f and h that tracks cofactors, the normal forms of the
+syzygies it finds, and, for the algebra, the basis of I; no basis of a
+squared ideal is built.  After that every action, Hom space, and quotient
+is numpy on int64 residues.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import GREVLEX, PolyRing, Polynomial
-from .groebner import Ideal
+from .groebner import Ideal, syzygies
 from .linalg import (RowBasis, as_mod_array, identity, kernel_intersection,
-                     mat_mul, nullspace, rank, rref)
+                     mat_mul, rank, rref)
 from .rng import Stream
 from .zerodim import (ArtinianAlgebra, _eval_matrix_poly, _image_basis,
                       _is_nilpotent, _restrict, local_decompose,
@@ -154,27 +158,34 @@ class SymmetryReport:
 # --- presentation engine ----------------------------------------------------
 
 
-def _spanning_kernel(gens, relations: Ideal, alg: ArtinianAlgebra) -> np.ndarray:
-    """Relation space of the module spanned by {gen_i * mono_j} mod relations.
+def _relation_space(f, h, alg: ArtinianAlgebra) -> np.ndarray:
+    """k-basis, in rref, of K = {u in alg^g : sum u_i f_i in (f)*I + (h)}.
 
-    The module is the image of k^(g*d) under (i, j) -> gen_i * mono_j over
-    the standard monomials mono_j of the algebra; the rows returned are a
-    k-basis of the kernel of that spanning map, read off from the normal
-    forms modulo the relation ideal.
+    I is the ideal of the algebra and must contain f and h; K is the
+    relation space of the module (f)/((f)*I + (h)) presented on the g
+    generators f over the standard monomials.  K is the image of the
+    f-parts of Syz(f, h): writing sum u_i f_i = sum v_i f_i + sum e_k h_k
+    with v in I^g, the vector (u - v, -e) is a syzygy and u - v = u in
+    alg^g; conversely the f-part s of a syzygy has sum s_i f_i in (h).
+    So the images of the generators from groebner.syzygies span K as an
+    alg-module, and K is their span closed under the variable actions.
     """
-    ring = relations.ring
-    gb = relations.groebner()
-    cols: dict = {}
-    sparse = []
-    for f in gens:
-        for m in alg.std:
-            nf = gb.normal_form(f * ring.monomial(m))
-            sparse.append([(cols.setdefault(t, len(cols)), c) for t, c in nf.terms])
-    E = np.zeros((len(sparse), max(len(cols), 1)), dtype=np.int64)
-    for i, row in enumerate(sparse):
-        for j, c in row:
-            E[i, j] = c
-    return nullspace(E.T, alg.p)
+    g, d, p = len(f), alg.dim, alg.p
+    rows = [np.concatenate([alg.coords(c) for c in s])
+            for s in syzygies(alg.ring, f, h)]
+    R, piv = rref(np.array(rows, dtype=np.int64).reshape(-1, g * d), p)
+    R = R[:len(piv)]
+    new = R
+    while new.shape[0]:
+        cand = np.vstack([_block_apply(X, new, p) for X in alg.actions()])
+        if piv:
+            cand = np.mod(cand - mat_mul(cand[:, piv], R, p), p)
+        new, piv_new = rref(cand, p)
+        new = new[:len(piv_new)]
+        if piv_new:
+            R, piv = rref(np.vstack([R, new]), p)
+            R = R[:len(piv)]
+    return R
 
 
 def _block_apply(X: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
@@ -270,13 +281,6 @@ def _check_annihilates(mod: FinModule, ideal: Ideal):
             raise RuntimeError("annihilator check failed: inconsistent module")
 
 
-def _conormal_module(gens, relations: Ideal, alg: ArtinianAlgebra,
-                     annihilator: Ideal | None) -> FinModule:
-    """Module spanned by the given ideal generators modulo relations."""
-    kernel = _spanning_kernel(gens, relations, alg)
-    return _presented_module(kernel, len(gens), alg, annihilator)
-
-
 # --- conormal modules of a scenario ----------------------------------------
 
 
@@ -289,7 +293,8 @@ def conormal_restricted(s: IntersectionScenario) -> FinModule:
     equals the number g of generators, they form a regular sequence (the
     polynomial ring is Cohen-Macaulay), so I_Y/I_Y^2 is free over O_Y on
     their classes and the module is free of rank g: its relation space is
-    zero and the relation basis is never built.
+    zero and no syzygy is computed.  Otherwise the relation space is the
+    image of Syz(I_Y gens).
     """
     if s._big is None:
         codim_y = s.ring.nvars - s.I_Y.krull_dim()
@@ -297,13 +302,11 @@ def conormal_restricted(s: IntersectionScenario) -> FinModule:
             raise RuntimeError(f"codim Y is {codim_y}, but the scenario "
                                f"states {s.dims[1]}")
         g = len(s.I_Y.gens)
-        ann = s.I_X + s.I_Y
         if codim_y == g:
-            free = np.zeros((0, g * s.Z.dim), dtype=np.int64)
-            s._big = _presented_module(free, g, s.Z, ann)
+            kernel = np.zeros((0, g * s.Z.dim), dtype=np.int64)
         else:
-            relations = s.I_Y.power(2) + s.I_X * s.I_Y
-            s._big = _conormal_module(s.I_Y.gens, relations, s.Z, ann)
+            kernel = _relation_space(s.I_Y.gens, [], s.Z)
+        s._big = _presented_module(kernel, g, s.Z, s.I_X + s.I_Y)
     return s._big
 
 
@@ -311,16 +314,17 @@ def conormal_in_X(s: IntersectionScenario) -> FinModule:
     """Conormal module of the intersection inside X.
 
     Same generators as the restricted conormal module (the I_X part dies in
-    the quotient), with relations I_X + I_Y^2.  Both modules are quotients
-    of the same k^(g*d), so the natural map from the restricted module is
-    well defined, and then onto, exactly when its relation space lies in
-    this one; that containment is certified here.
+    the quotient), with relations I_X + I_Y^2; the relation space is the
+    image of the I_Y-parts of Syz(I_Y gens, I_X gens).  Both modules are
+    quotients of the same k^(g*d), so the natural map from the restricted
+    module is well defined, and then onto, exactly when its relation space
+    lies in this one; that containment is certified here.
     """
     if s._small is None:
         big = conormal_restricted(s)
-        relations = s.I_X + s.I_Y.power(2)
-        small = _conormal_module(s.I_Y.gens, relations, s.Z,
-                                 annihilator=s.I_X + s.I_Y)
+        kernel = _relation_space(s.I_Y.gens, s.I_X.gens, s.Z)
+        small = _presented_module(kernel, big.ngens, s.Z,
+                                  annihilator=s.I_X + s.I_Y)
         both = np.vstack([small._kernel, big._kernel])
         if rank(both, s.Z.p) != small._kernel.shape[0]:
             raise RuntimeError("restriction map failed to be onto")
@@ -353,7 +357,7 @@ def hilbert_tangent_dim(ideal: Ideal) -> int:
     """dim Hom(I/I^2, A/I): first-order deformations of the finite scheme
     V(I) inside its ambient affine space."""
     alg = ArtinianAlgebra.from_ideal(ideal)
-    kernel = _spanning_kernel(ideal.gens, ideal.power(2), alg)
+    kernel = _relation_space(ideal.gens, [], alg)
     return _hom_rows(kernel, len(ideal.gens), alg).shape[0]
 
 
@@ -457,12 +461,14 @@ def q_affine_pair(A: PolyRing, L: Ideal, I: Ideal,
     small quotient.  c and q are not defined for a bare pair and stay None.
     """
     extra = Ideal(A, []) if modulus is None else modulus
-    alg = ArtinianAlgebra.from_ideal(I + L + extra)
-    isq = I.power(2)
     ann = I + L + extra
-    big = _conormal_module(I.gens, isq + I * L + extra, alg, ann)
-    small = _conormal_module(I.gens, isq + L + extra, alg, ann)
-    return _defect_report(big, small, alg, None, 0, stream)
+    alg = ArtinianAlgebra.from_ideal(ann)
+    g = len(I.gens)
+    big = _relation_space(I.gens, extra.gens, alg)
+    small = _relation_space(I.gens, L.gens + extra.gens, alg)
+    return _defect_report(_presented_module(big, g, alg, ann),
+                          _presented_module(small, g, alg, ann),
+                          alg, None, 0, stream)
 
 
 # --- intrinsic defect module of the intersection algebra --------------------
@@ -550,7 +556,7 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
     if alg.dim != Z.dim:
         raise RuntimeError("minimal re-presentation changed the length")
     gens = minimal_generators(J)
-    kernel = _spanning_kernel(gens, Ideal(alg.ring, gens).power(2), alg)
+    kernel = _relation_space(gens, [], alg)
     hom_rows = _hom_rows(kernel, len(gens), alg)
     return _presented_module(hom_rows, len(gens), alg, annihilator=J)
 

@@ -20,6 +20,14 @@ entries appended since.  The reducer is the one a linear scan would pick,
 so the work done is unchanged.  One memo serves the whole pair loop, one
 the interreduction, and each GroebnerBasis keeps one for normal_form,
 replaced by an empty one whenever a repack re-encodes the monomials.
+
+The same pair loop yields syzygies.  A tracked run (syzygies) carries for
+each element the f-part of its cofactor vector, reduced modulo the
+partial basis through the pair loop's memo, and records it wherever
+Buchberger meets zero; by Schreyer's theorem these generate the syzygies
+modulo the ideal (Eisenbud, Commutative Algebra, Thm 15.10; the
+Gebauer-Moller criteria keep a generating set).  A plain run tracks
+nothing and does the same work as before.
 """
 
 from __future__ import annotations
@@ -189,7 +197,7 @@ def _monic_terms(terms, p: int):
     return [(k, m, c * inv % p) for k, m, c in terms]
 
 
-def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict):
+def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
     """Full normal form of a term list against monic engine polynomials.
 
     basis entries are (ltkey, ltpacked, tail) with tail the non-leading
@@ -200,6 +208,10 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict):
     leading term divides it, or to ~n when none of the first n entries
     does, so a later lookup scans only the entries appended since.  It
     stays valid while basis only grows at the end with fixed leading terms.
+
+    used is None or a list; a list receives one (c, q, qk, i) per step,
+    which subtracted c * x^q * basis[i] (q packed, qk its key), so the
+    normal form is terms minus the sum of those multiples.
     """
     coeff: dict = {}
     heap: list = []
@@ -233,6 +245,8 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict):
         ltk, ltm, tail = basis[i]
         q = m - ltm
         qk = -negk - ltk
+        if used is not None:
+            used.append((c, q, qk, i))
         for tk, tm, tc in tail:
             mm = q + tm
             if mm & gmask:
@@ -273,13 +287,56 @@ def _spoly_terms(f, g, enc: _Enc, p: int):
     return out
 
 
-def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
-    """Reduced Groebner basis of the encoded inputs; raises ResourceAbort."""
+def _combine(entries, lts, enc: _Enc, p: int, memo: dict):
+    """Sum of c * x^q * v over entries (c, q, qk, v), reduced modulo lts.
+
+    v is a cofactor vector: one term list per tracked generator.  Only its
+    class modulo the ideal of lts matters, so each part is reduced.
+    """
+    gmask = enc.gmask
+    out = []
+    for n in range(len(entries[0][3])):
+        coeff: dict = {}
+        keys: dict = {}
+        for c, q, qk, v in entries:
+            for tk, tm, tc in v[n]:
+                mm = q + tm
+                prev = coeff.get(mm)
+                if prev is None:
+                    if mm & gmask:
+                        raise _Repack
+                    coeff[mm] = c * tc
+                    keys[mm] = qk + tk
+                else:
+                    coeff[mm] = prev + c * tc
+        terms = [(keys[m], m, c) for m, c in coeff.items() if c % p]
+        out.append(_nf_terms(terms, lts, enc, p, memo, None) if terms
+                   else terms)
+    return out
+
+
+def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int, cofs):
+    """Reduced Groebner basis of the encoded inputs; raises ResourceAbort.
+
+    Returns (basis, syzygies).  cofs is None for a plain run, which finds
+    no syzygies.  Otherwise cofs[k] is the cofactor vector of inputs[k]
+    (one term list per tracked generator f_i: the unit e_i, or zero for an
+    untracked generator h).  The run then carries, for each element, a
+    vector c with element - sum c_i f_i in (h) + (f)J, J the ideal of the
+    inputs: c is kept reduced modulo the partial basis, which lies in J.
+    It records c as a syzygy wherever Buchberger meets zero: a pair
+    reducing to zero, a zero S-polynomial, a duplicate input.  Coprime
+    pairs and pairs the Gebauer-Moller update drops give no record; their
+    syzygies vanish modulo J or follow from the others.
+    """
     G: list = []       # engine polys, monic, lt first
     lts: list = []     # (ltkey, ltpacked, tail) view for the reducer search
     sugars: list = []
     pairs: dict = {}   # (i, j) -> (sugar, lcmkey, lcmpacked)
     heap: list = []
+    memo: dict = {}    # first-divisor memo of lts, which only grows
+    cof_of: list = []  # tracked runs: cofactor vector of each element
+    syz: list = []
 
     def add_element(terms, sugar):
         t = len(G)
@@ -314,18 +371,25 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
             pairs[(i, t)] = (sug, Lk, L)
             heapq.heappush(heap, (sug, Lk, i, t))
 
-    seen = set()
-    for terms in sorted(inputs, key=lambda ts: ts[0][0]):
+    seen: dict = {}    # monic input -> its element
+    for k in sorted(range(len(inputs)), key=lambda k: inputs[k][0][0]):
+        terms = inputs[k]
         if not terms:
             continue
-        terms = _monic_terms(terms, p)
+        inv = pow(terms[0][2], p - 2, p)
+        terms = [(tk, m, c * inv % p) for tk, m, c in terms]
         sig = tuple((m, c) for _, m, c in terms)
         if sig in seen:
+            if cofs is not None:
+                syz.append(_combine([(inv, 0, 0, cofs[k]),
+                                     (-1, 0, 0, cof_of[seen[sig]])],
+                                    lts, enc, p, memo))
             continue
-        seen.add(sig)
+        seen[sig] = len(G)
+        if cofs is not None:
+            cof_of.append(_combine([(inv, 0, 0, cofs[k])], lts, enc, p, memo))
         add_element(terms, max(enc.deg(m) for _, m, _ in terms))
 
-    memo: dict = {}    # first-divisor memo of lts, which only grows
     done = 0
     while heap:
         sug, Lk, i, j = heapq.heappop(heap)
@@ -336,9 +400,16 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
         if done > max_pairs:
             raise ResourceAbort(done, len(G), max_pairs)
         s = _spoly_terms(G[i], G[j], enc, p)
-        if not s:
-            continue
-        h = _nf_terms(s, lts, enc, p, memo)
+        used = None if cofs is None else []
+        h = _nf_terms(s, lts, enc, p, memo, used) if s else s
+        if used is not None:
+            # cofactor of h, scaled like the monic element h becomes
+            L = cur[2]
+            inv = pow(h[0][2], p - 2, p) if h else 1
+            entries = [(inv, L - lts[i][1], Lk - lts[i][0], cof_of[i]),
+                       (-inv, L - lts[j][1], Lk - lts[j][0], cof_of[j])]
+            entries += [(-c * inv, q, qk, cof_of[t]) for c, q, qk, t in used]
+            (cof_of if h else syz).append(_combine(entries, lts, enc, p, memo))
         if h:
             add_element(_monic_terms(h, p), sug)
 
@@ -354,8 +425,8 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     view = [lts[t] for t in keep]
     memo = {}
     for idx, (ltk, ltm, tail) in enumerate(view):
-        view[idx] = (ltk, ltm, _nf_terms(tail, view, enc, p, memo))
-    return [[(ltk, ltm, 1)] + tail for ltk, ltm, tail in view]
+        view[idx] = (ltk, ltm, _nf_terms(tail, view, enc, p, memo, None))
+    return [[(ltk, ltm, 1)] + tail for ltk, ltm, tail in view], syz
 
 
 class GroebnerBasis:
@@ -402,7 +473,7 @@ class GroebnerBasis:
             try:
                 terms = enc.encode_poly(f)
                 red = _nf_terms(terms, self._engine, enc, self.ring.p,
-                                self._memo)
+                                self._memo, None)
                 return enc.decode_poly(red, self.ring)
             except _Repack:
                 enc = _Enc(self.ring.nvars, self.ring.order, enc.B * 2)
@@ -418,27 +489,54 @@ class GroebnerBasis:
         return self.normal_form(f).is_zero()
 
 
+def _run(ring: PolyRing, gens, cofs):
+    """_buchberger on the generators, widening the exponent fields until
+    nothing overflows; returns (codec, basis, syzygies)."""
+    budget = _PAIR_BUDGET.get()
+    bits = _initial_bits(gens)
+    while True:
+        enc = _Enc(ring.nvars, ring.order, bits)
+        try:
+            encoded = [enc.encode_poly(g) for g in gens]
+            return (enc, *_buchberger(enc, encoded, ring.p, budget, cofs))
+        except _Repack:
+            bits *= 2
+
+
 def groebner(ring: PolyRing, gens) -> GroebnerBasis:
     """Reduced Groebner basis of the generators in the ring's own order.
 
     Raises ResourceAbort beyond the S-pair budget set by pair_budget.
     """
     gens = [g for g in gens if not g.is_zero()]
-    budget = _PAIR_BUDGET.get()
     if not gens:
         enc = _Enc(ring.nvars, ring.order, 5)
         return GroebnerBasis(ring, (), enc, [])
-    bits = _initial_bits(gens)
-    while True:
-        enc = _Enc(ring.nvars, ring.order, bits)
-        try:
-            encoded = [enc.encode_poly(g) for g in gens]
-            basis = _buchberger(enc, encoded, ring.p, budget)
-            polys = tuple(enc.decode_poly(t, ring) for t in basis)
-            engine = [(t[0][0], t[0][1], t[1:]) for t in basis]
-            return GroebnerBasis(ring, polys, enc, engine)
-        except _Repack:
-            bits *= 2
+    enc, basis, _ = _run(ring, gens, None)
+    polys = tuple(enc.decode_poly(t, ring) for t in basis)
+    engine = [(t[0][0], t[0][1], t[1:]) for t in basis]
+    return GroebnerBasis(ring, polys, enc, engine)
+
+
+def syzygies(ring: PolyRing, f, h) -> list:
+    """f-parts of generators of Syz(f, h), each modulo J = (f) + (h).
+
+    f and h are lists of nonzero polynomials.  Every entry s is a tuple of
+    len(f) polynomials, the f-part of a syzygy up to vectors with entries
+    in J, so sum s_i f_i lies in (h) + (f)J.  Over R/I for any ideal I
+    containing J, the images of the entries generate the image of the
+    f-parts of all syzygies (Schreyer: the S-pair syzygies of a Groebner
+    basis generate; Eisenbud, Commutative Algebra, Thm 15.10).
+
+    One Buchberger run over f + h tracks the cofactors; it costs S-pairs
+    from the budget set by pair_budget like any basis run.
+    """
+    g = len(f)
+    gens = list(f) + list(h)
+    units = [[[(0, 0, 1)] if i == k else [] for i in range(g)]
+             for k in range(len(gens))]
+    enc, _, syz = _run(ring, gens, units)
+    return [tuple(enc.decode_poly(t, ring) for t in s) for s in syz]
 
 
 # --- polynomial division -------------------------------------------------

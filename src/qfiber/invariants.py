@@ -17,7 +17,7 @@ from .algebra import FieldSpec, PolyRing, random_poly
 from .excess import QReport, minimal_generators
 from .groebner import Ideal, hilbert_data
 from .rng import Stream
-from .zerodim import ArtinianAlgebra, _is_nilpotent, tangent_data
+from .zerodim import ArtinianAlgebra, _is_nilpotent, zariski_tangent_dim
 
 LICCI = "Licci"
 UNKNOWN = "Unknown"
@@ -155,7 +155,7 @@ def licci_check(ideal: Ideal) -> LicciVerdict:
             raise ValueError("licci ladder needs an ideal local at the origin")
     mu = len(minimal_generators(ideal))
     codim = ideal.ring.nvars
-    tdim = tangent_data(ideal).zariski_dim
+    tdim = zariski_tangent_dim(ideal)
     if mu == codim:
         return LicciVerdict(LICCI, "CI")
     if codim <= 2:

@@ -16,6 +16,7 @@ from qfiber.excess import (
     hom_module,
     make_scenario,
     minimal_generators,
+    minimal_presentation,
     module_mu,
     q_affine_pair,
     q_module,
@@ -25,9 +26,9 @@ from qfiber.excess import (
     _poly_action,
     _presented_module,
     _quotient_rep,
-    _spanning_kernel,
+    _relation_space,
 )
-from qfiber.groebner import Ideal, _has_witnesses
+from qfiber.groebner import Ideal, _has_witnesses, _run
 from qfiber.linalg import identity, mat_mul, nullspace, rank, rref
 from qfiber.parser import parse_ideal
 from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
@@ -117,10 +118,46 @@ CI_SCENARIOS = {
 }
 
 
+def spanning_kernel(gens, relations, alg):
+    """Relation space of the module spanned by {gen_i * mono_j} mod relations.
+
+    The module is the image of k^(g*d) under (i, j) -> gen_i * mono_j over
+    the standard monomials mono_j of the algebra; the rows returned are a
+    k-basis of the kernel of that spanning map, read off from the normal
+    forms modulo a Groebner basis of the relation ideal.  The general path
+    that _relation_space replaces, kept here as its oracle.
+    """
+    ring = relations.ring
+    gb = relations.groebner()
+    cols: dict = {}
+    sparse = []
+    for f in gens:
+        for m in alg.std:
+            nf = gb.normal_form(f * ring.monomial(m))
+            sparse.append([(cols.setdefault(t, len(cols)), c)
+                           for t, c in nf.terms])
+    E = np.zeros((len(sparse), max(len(cols), 1)), dtype=np.int64)
+    for i, row in enumerate(sparse):
+        for j, c in row:
+            E[i, j] = c
+    return nullspace(E.T, alg.p)
+
+
+def rref_rows(A):
+    R, piv = rref(A, P)
+    return R[:len(piv)]
+
+
 def big_relations(s):
     """Relation space of the restricted conormal module by the general path."""
     relations = s.I_Y.power(2) + s.I_X * s.I_Y
-    return _spanning_kernel(s.I_Y.gens, relations, s.Z)
+    return spanning_kernel(s.I_Y.gens, relations, s.Z)
+
+
+def small_relations(s):
+    """Relation space of the conormal module in X by the general path."""
+    relations = s.I_X + s.I_Y.power(2)
+    return spanning_kernel(s.I_Y.gens, relations, s.Z)
 
 
 def nonresidue():
@@ -244,7 +281,7 @@ class TestConormal:
         s = make()
         kernel = conormal_restricted(s)._kernel
         assert kernel.shape[0] > 0
-        assert np.array_equal(kernel, big_relations(s))
+        assert np.array_equal(kernel, rref_rows(big_relations(s)))
 
     def test_wrong_codim_rejected(self):
         R = ring("x1,x2,x3,a,b")
@@ -263,6 +300,102 @@ class TestConormal:
         big = conormal_restricted(s)
         for f in (s.I_X + s.I_Y).gens:
             assert not _poly_action(big.actions, f, big.basis_dim, P).any()
+
+
+def affine_cases():
+    """(L, I, modulus) inputs of q_affine_pair, as the pair tests use them."""
+    R = ring()
+    L, I = idl(R, "y"), idl(R, "x^2, x*y")
+    R4 = ring("x,y,u,v")
+    I4 = idl(R4, "x^2") + idl(R4, "u^2")
+    return [(L, I, None), (L, I, I * L), (L, I, idl(R, "x^2")),
+            (idl(R4, "y, v"), I4, idl(R4, "u^2"))]
+
+
+# graph n = 2..6, the fat point, EI and graph n = 3, 4 swapped
+SMALL_SIDE_SCENARIOS = {
+    **{f"graph{n}": (lambda n=n: gen_quadric_graph(n, Seed(0)))
+       for n in range(2, 7)},
+    "fatpoint": lambda: gen_fatpoint_model(Seed(0)),
+    "ei": lambda: gen_EI_model(Seed(0)),
+    "swapped3": lambda: swapped(gen_quadric_graph(3, Seed(0))),
+    "swapped4": lambda: swapped(gen_quadric_graph(4, Seed(0))),
+    "multipoint": multipoint,
+}
+
+
+class TestRelationSpace:
+    """The syzygy route against the general path through I^2-type bases."""
+
+    @pytest.mark.parametrize("case", sorted(SMALL_SIDE_SCENARIOS))
+    def test_small_side_matches_general_path(self, case):
+        s = SMALL_SIDE_SCENARIOS[case]()
+        assert np.array_equal(conormal_in_X(s)._kernel,
+                              rref_rows(small_relations(s)))
+
+    @pytest.mark.parametrize("make", [axes_on_line, plane_holds_points])
+    def test_both_sides_of_non_ci(self, make):
+        s = make()
+        assert np.array_equal(conormal_restricted(s)._kernel,
+                              rref_rows(big_relations(s)))
+        assert np.array_equal(conormal_in_X(s)._kernel,
+                              rref_rows(small_relations(s)))
+
+    @pytest.mark.parametrize("text", [
+        "x^2, y^2, z^2, x*y, x*z, y*z", "x^2, y^3, x*z, z^2 - x*y",
+        "x - y^2, y^3, z^2", "x, y, z"])
+    def test_squared_ideal_inputs(self, text):
+        # hilbert_tangent_dim takes the generators of I, qbar the minimal
+        # generators of its minimal presentation J; both against I^2
+        I = idl(ring("x,y,z"), text)
+        alg = ArtinianAlgebra.from_ideal(I)
+        assert np.array_equal(_relation_space(I.gens, [], alg), rref_rows(
+            spanning_kernel(I.gens, I.power(2), alg)))
+        J = minimal_presentation(I)
+        gens = minimal_generators(J)
+        algj = ArtinianAlgebra.from_ideal(J)
+        assert np.array_equal(_relation_space(gens, [], algj), rref_rows(
+            spanning_kernel(gens, Ideal(J.ring, gens).power(2), algj)))
+
+    @pytest.mark.parametrize("idx", range(4))
+    def test_affine_pair_inputs(self, idx):
+        L, I, modulus = affine_cases()[idx]
+        extra = Ideal(I.ring, []) if modulus is None else modulus
+        alg = ArtinianAlgebra.from_ideal(I + L + extra)
+        isq = I.power(2)
+        big = _relation_space(I.gens, extra.gens, alg)
+        small = _relation_space(I.gens, L.gens + extra.gens, alg)
+        assert np.array_equal(big, rref_rows(
+            spanning_kernel(I.gens, isq + I * L + extra, alg)))
+        assert np.array_equal(small, rref_rows(
+            spanning_kernel(I.gens, isq + L + extra, alg)))
+
+    def test_repacked_tracked_run(self):
+        # with y^8 the generators fit the initial packed fields (exponents
+        # up to 31), but the cofactors outgrow them, so the tracked run
+        # alone re-encodes wider
+        R = ring()
+        f = parse_ideal("x^7*y^3 + x*y^2, x*y^8", R)
+        units = [[[(0, 0, 1)] if i == k else [] for i in range(2)]
+                 for k in range(2)]
+        assert _run(R, f, units)[0].B > _run(R, f, None)[0].B
+        I = Ideal(R, f)
+        Z = I + idl(R, "x^3, y^3")
+        alg = ArtinianAlgebra.from_ideal(Z)
+        K = _relation_space(f, [], alg)
+        assert K.shape[0] > 0
+        assert np.array_equal(K, rref_rows(spanning_kernel(f, I * Z, alg)))
+
+    def test_no_squared_ideal(self, monkeypatch):
+        def refuse(self, k):
+            raise AssertionError("Ideal.power was called")
+
+        monkeypatch.setattr(Ideal, "power", refuse)
+        rep = q_module(gen_quadric_graph(4, Seed(0)))
+        assert (rep.deg_z, rep.q, rep.mu_q) == (10, 5, 5)
+        R = ring("x,y,z")
+        assert hilbert_tangent_dim(idl(R, "x^2, y^2, z^2, x*y, x*z, y*z")) \
+            == 18
 
 
 class TestHom:

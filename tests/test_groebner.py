@@ -23,11 +23,13 @@ from qfiber.groebner import (
     ResourceAbort,
     _has_witnesses,
     _max_independent,
+    _run,
     exact_div,
     groebner,
     hilbert_data,
     pair_budget,
     poly_divmod,
+    syzygies,
 )
 from qfiber.parser import parse_ideal, parse_polynomial
 from qfiber.scenarios import Seed, gen_EI_model, gen_quadric_graph
@@ -261,6 +263,66 @@ class TestPairBudget:
         gb = I.groebner()
         with pair_budget(1):
             assert I.groebner() is gb
+
+
+def units(g, n):
+    """Cofactor vectors of a tracked run over g tracked, n - g other gens."""
+    return [[[(0, 0, 1)] if i == k else [] for i in range(g)]
+            for k in range(n)]
+
+
+def graph_pair(n):
+    s = gen_quadric_graph(n, Seed(0))
+    return s.ring, list(s.I_Y.gens), list(s.I_X.gens)
+
+
+class TestSyzygies:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_tracked_basis_is_the_plain_basis(self, n):
+        R, f, h = graph_pair(n)
+        gens = f + h
+        _, plain, none = _run(R, gens, None)
+        enc, tracked, syz = _run(R, gens, units(len(f), len(gens)))
+        assert tracked == plain and none == [] and syz
+        assert tuple(enc.decode_poly(t, R) for t in tracked) == \
+            groebner(R, gens).polys
+
+    @pytest.mark.parametrize("ftext,htext", [
+        ("x^2, x*y, y^2", ""),
+        ("x*y, y*z, x*z", "z, x + y - 1"),
+        ("x^2 - x, y^2, x*y, z", "z"),
+    ])
+    def test_entries_are_syzygies(self, ftext, htext):
+        # sum s_i f_i lies in (h) + (f)*((f) + (h)) for every entry s
+        R = ring("x,y,z")
+        f = parse_ideal(ftext, R)
+        h = parse_ideal(htext, R) if htext else []
+        J = Ideal(R, f + h)
+        target = Ideal(R, h) + Ideal(R, f) * J
+        found = syzygies(R, f, h)
+        assert found
+        for s in found:
+            assert len(s) == len(f)
+            total = R.zero()
+            for si, fi in zip(s, f):
+                total = total + si * fi
+            assert target.contains(total)
+
+    def test_duplicate_input_gives_a_syzygy(self):
+        # z lies in both lists; the second copy is dropped as a duplicate,
+        # which leaves e_z as the syzygy z - z = 0
+        R = ring("x,y,z")
+        f = parse_ideal("x^2 - x, y^2, x*y, z", R)
+        h = parse_ideal("z", R)
+        zero = R.zero()
+        assert any(s[:3] == (zero,) * 3 and s[3].degree() == 0
+                   for s in syzygies(R, f, h))
+
+    def test_budget_aborts_the_tracked_run(self):
+        R, f, h = graph_pair(4)
+        with pytest.raises(ResourceAbort), pair_budget(5):
+            syzygies(R, f, h)
+        assert syzygies(R, f, h)
 
 
 class TestIdealOps:

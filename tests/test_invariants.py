@@ -26,6 +26,7 @@ from qfiber.invariants import (
     secant_sweep_bound,
 )
 from qfiber.parser import parse_ideal
+from qfiber.scenarios import Seed, gen_fatpoint_model
 
 P = 32003
 
@@ -199,6 +200,20 @@ class TestLicciLadder:
         R = ring("x")
         with pytest.raises(ValueError):
             licci_check(idl(R, "x^2 - 1"))
+
+    def test_reads_no_deformation_space(self, monkeypatch):
+        # the ladder reads the Zariski tangent dimension only, so it must
+        # not build the relation space of I^2 behind hilbert_tangent_dim
+        cases = [(gen_fatpoint_model(Seed(0)).chart_ideal, (UNKNOWN, None)),
+                 (idl(ring(), "x^2, y^3"), (LICCI, "CI"))]
+
+        def refuse(ideal):
+            raise AssertionError("hilbert_tangent_dim was called")
+
+        monkeypatch.setattr("qfiber.excess.hilbert_tangent_dim", refuse)
+        for ideal, want in cases:
+            v = licci_check(ideal)
+            assert (v.status, v.rule) == want
 
 
 class TestQLength:
