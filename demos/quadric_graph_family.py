@@ -5,7 +5,7 @@ variables, intersected with the axis plane of the graph directions.  The
 intersection is one fat point whose length, defect ratio q, and mu are
 independent of the random seed; the script recomputes them for n = 2..5
 and checks them against the known values.  (n = 6..8 follow the same
-pattern but take up to about 45 s; the CLI exposes them via
+pattern but take up to about 20 s; the CLI exposes them via
 `qfiber table --n-max 8`.)
 
 Run:  python3 demos/quadric_graph_family.py

@@ -447,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reproduce the quadric-graph invariant table")
     t.add_argument("--n-min", type=int, default=2, dest="n_min")
     t.add_argument("--n-max", type=int, default=6, dest="n_max",
-                   help="last row (at most 8; n = 7 takes about 6 s and "
-                        "n = 8 about 45 s)")
+                   help="last row (at most 8; n = 7 takes about 4 s and "
+                        "n = 8 about 20 s)")
     t.set_defaults(func=cmd_table)
 
     # closed forms use no field, no seed and no Groebner basis: --output

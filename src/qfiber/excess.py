@@ -14,8 +14,12 @@ form {u : sum u_i f_i in (f)*I + (h)} over the algebra R/I, and it is the
 image of the f-parts of the syzygies of (f, h).  So the Groebner work is
 one run over f and h that tracks cofactors, the normal forms of the
 syzygies it finds, and, for the algebra, the basis of I; no basis of a
-squared ideal is built.  After that every action, Hom space, and quotient
+squared ideal is built.  After that every Hom space, quotient, and action
 is numpy on int64 residues.
+
+A conormal module is kept as its relation space K alone: the defect report
+reads K_big, K_small and g (dim M = g*d - dim K), and only the defect
+module itself, the quotient of the two Hom spaces, gets action matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import GREVLEX, PolyRing, Polynomial
+from .algebra import GREVLEX, PolyRing
 from .groebner import Ideal, syzygies
 from .linalg import (RowBasis, as_mod_array, identity, kernel_intersection,
                      mat_mul, rank, rref)
@@ -56,21 +60,14 @@ class FinModule:
 
     actions holds one square matrix per ambient variable of the algebra;
     generator_images the coordinates of the distinguished generators, one
-    row each.  Presented modules k^(g*d)/K keep their relation space K (for
-    a conormal module, a k-basis of the kernel of
-    (u_ij) -> sum u_ij * gen_i * mono_j), which is what hom_module consumes.
+    row each.  The defect module and qbar are built this way; a conormal
+    module is never presented, only its relation space is kept.
     """
 
     basis_dim: int
     actions: tuple
     generator_images: np.ndarray
     algebra: ArtinianAlgebra
-    annihilator: Ideal | None = None
-    _kernel: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def ngens(self) -> int:
-        return self.generator_images.shape[0]
 
 
 @dataclass
@@ -82,7 +79,8 @@ class IntersectionScenario:
     responsibility (generators build graphs and linear spaces, smooth by
     construction).  chart_ring/chart_ideal, when present, re-present the
     intersection inside a coordinate chart of X and feed the intrinsic
-    tangent computations.
+    tangent computations.  _big and _small cache the relation spaces
+    K_big and K_small of the two conormal modules once they are built.
     """
 
     ring: PolyRing
@@ -92,8 +90,8 @@ class IntersectionScenario:
     Z: ArtinianAlgebra
     chart_ring: PolyRing | None = None
     chart_ideal: Ideal | None = None
-    _big: FinModule | None = field(default=None, repr=False, compare=False)
-    _small: FinModule | None = field(default=None, repr=False, compare=False)
+    _big: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _small: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def c(self) -> int:
@@ -203,98 +201,60 @@ def _quotient_rep(big_rows: np.ndarray, small_rows: np.ndarray,
 
     Rows live in k^(g*d), where the algebra acts blockwise on each d-chunk.
     Assumes span(small) <= span(big) and both stable under that action.
-    coordize sends any rows inside span(big) to their coordinates in the
-    quotient basis (the rref rows of big reduced modulo small).
+    A row of span(big) is read in the pivot coordinates of rref(big); there
+    the quotient basis is the non-pivot columns of rref(small), and coordize
+    sends any rows inside span(big) to their coordinates in that basis (the
+    non-pivot columns of their reduction modulo rref(small), which are all
+    it computes).
     """
     p = alg.p
-    R_s, piv_s = rref(small_rows, p)
-    R_s = R_s[: len(piv_s)]
-
-    def _mod_small(rows):
-        rows = as_mod_array(rows, p)
-        if piv_s and rows.shape[0]:
-            rows = np.mod(rows - mat_mul(rows[:, piv_s], R_s, p), p)
-        return rows
-
-    R_q, piv_q = rref(_mod_small(big_rows), p)
-    dim = len(piv_q)
-    R_q = R_q[:dim]
+    R_b, piv_b = rref(big_rows, p)
+    R_s, piv_s = rref(as_mod_array(small_rows, p)[:, piv_b], p)
+    pivset = set(piv_s)
+    free = [j for j in range(len(piv_b)) if j not in pivset]
+    R_free = R_s[: len(piv_s)][:, free]
 
     def coordize(rows):
-        if dim == 0:
-            return np.zeros((np.asarray(rows).shape[0], 0), dtype=np.int64)
-        return _mod_small(rows)[:, piv_q]
+        rows = as_mod_array(rows, p)[:, piv_b]
+        out = rows[:, free]
+        if piv_s and rows.shape[0]:
+            out = np.mod(out - mat_mul(rows[:, piv_s], R_free, p), p)
+        return out
 
-    mats = tuple(coordize(_block_apply(X, R_q, p)).T.copy()
+    mats = tuple(coordize(_block_apply(X, R_b[free], p)).T.copy()
                  for X in alg.actions())
-    return dim, mats, coordize
-
-
-def _presented_module(kernel: np.ndarray, g: int, alg: ArtinianAlgebra,
-                      annihilator: Ideal | None) -> FinModule:
-    """The module k^(g*d)/kernel over alg, generated by the g block ones.
-
-    kernel is a k-basis of an alg-stable subspace of k^(g*d); the module
-    keeps it as its relation space.
-    """
-    dim, mats, coordize = _quotient_rep(identity(g * alg.dim), kernel, alg)
-    ones = np.kron(identity(g), alg.one)
-    return FinModule(dim, mats, coordize(ones), alg, annihilator,
-                     _kernel=kernel)
+    return len(free), mats, coordize
 
 
 def _hom_rows(kernel: np.ndarray, g: int, alg: ArtinianAlgebra) -> np.ndarray:
-    """Solution space of the Hom constraints of a presented module.
+    """Solution space of the Hom constraints of the module k^(g*d)/kernel.
 
     A homomorphism into the algebra is a block vector (phi_1, ..., phi_g);
     each relation row kappa imposes sum_i mult(kappa_i) @ phi_i = 0, and a
     k-basis of relations is enough because the constraint is linear in
     kappa.
     """
-    d, p = alg.dim, alg.p
-
-    def blocks():
-        for row in kernel:
-            k = row.reshape(g, d)
-            yield np.concatenate([alg.element_matrix(k[i]) for i in range(g)],
-                                 axis=1)
-
-    return kernel_intersection(blocks(), g * d, p)
-
-
-def _poly_action(actions, f: Polynomial, dim: int, p: int) -> np.ndarray:
-    """Matrix by which the polynomial f acts, given the variable actions."""
-    out = np.zeros((dim, dim), dtype=np.int64)
-    for m, c in f.terms:
-        w = identity(dim)
-        for X, e in zip(actions, m):
-            for _ in range(e):
-                w = mat_mul(X, w, p)
-        out = (out + c * w) % p
-    return out
-
-
-def _check_annihilates(mod: FinModule, ideal: Ideal):
-    """Certify that every generator of the stated annihilator acts as zero."""
-    for f in ideal.gens:
-        if _poly_action(mod.actions, f, mod.basis_dim, mod.algebra.p).any():
-            raise RuntimeError("annihilator check failed: inconsistent module")
+    d = alg.dim
+    blocks = [np.concatenate([alg.element_matrix(k_i) for k_i in k], axis=1)
+              for k in kernel.reshape(-1, g, d)]
+    return kernel_intersection(blocks, g * d, alg.p)
 
 
 # --- conormal modules of a scenario ----------------------------------------
 
 
-def conormal_restricted(s: IntersectionScenario) -> FinModule:
-    """Conormal module of Y restricted to the intersection.
+def conormal_restricted(s: IntersectionScenario) -> np.ndarray:
+    """Relation space K_big of the conormal module of Y restricted to the
+    intersection.
 
-    Spanned by the generators of I_Y times the monomial basis of the
-    coordinate algebra, with relations I_Y^2 + I_X*I_Y.  codim Y is
-    certified from I_Y itself and must match the stated one.  When it
-    equals the number g of generators, they form a regular sequence (the
-    polynomial ring is Cohen-Macaulay), so I_Y/I_Y^2 is free over O_Y on
-    their classes and the module is free of rank g: its relation space is
-    zero and no syzygy is computed.  Otherwise the relation space is the
-    image of Syz(I_Y gens).
+    The module is spanned by the generators of I_Y times the monomial basis
+    of the coordinate algebra, with relations I_Y^2 + I_X*I_Y; K_big is
+    returned as rref rows in k^(g*d).  codim Y is certified from I_Y itself
+    and must match the stated one.  When it equals the number g of
+    generators, they form a regular sequence (the polynomial ring is
+    Cohen-Macaulay), so I_Y/I_Y^2 is free over O_Y on their classes and the
+    module is free of rank g: K_big is zero and no syzygy is computed.
+    Otherwise K_big is the image of Syz(I_Y gens).
     """
     if s._big is None:
         codim_y = s.ring.nvars - s.I_Y.krull_dim()
@@ -303,62 +263,41 @@ def conormal_restricted(s: IntersectionScenario) -> FinModule:
                                f"states {s.dims[1]}")
         g = len(s.I_Y.gens)
         if codim_y == g:
-            kernel = np.zeros((0, g * s.Z.dim), dtype=np.int64)
+            s._big = np.zeros((0, g * s.Z.dim), dtype=np.int64)
         else:
-            kernel = _relation_space(s.I_Y.gens, [], s.Z)
-        s._big = _presented_module(kernel, g, s.Z, s.I_X + s.I_Y)
+            s._big = _relation_space(s.I_Y.gens, [], s.Z)
     return s._big
 
 
-def conormal_in_X(s: IntersectionScenario) -> FinModule:
-    """Conormal module of the intersection inside X.
+def conormal_in_X(s: IntersectionScenario) -> np.ndarray:
+    """Relation space K_small of the conormal module of the intersection
+    inside X, as rref rows in k^(g*d).
 
     Same generators as the restricted conormal module (the I_X part dies in
-    the quotient), with relations I_X + I_Y^2; the relation space is the
-    image of the I_Y-parts of Syz(I_Y gens, I_X gens).  Both modules are
-    quotients of the same k^(g*d), so the natural map from the restricted
-    module is well defined, and then onto, exactly when its relation space
-    lies in this one; that containment is certified here.
+    the quotient), with relations I_X + I_Y^2; K_small is the image of the
+    I_Y-parts of Syz(I_Y gens, I_X gens).  Both modules are quotients of the
+    same k^(g*d), so the natural map from the restricted module is well
+    defined, and then onto, exactly when K_big lies in K_small; that
+    containment is certified here.
     """
     if s._small is None:
         big = conormal_restricted(s)
-        kernel = _relation_space(s.I_Y.gens, s.I_X.gens, s.Z)
-        small = _presented_module(kernel, big.ngens, s.Z,
-                                  annihilator=s.I_X + s.I_Y)
-        both = np.vstack([small._kernel, big._kernel])
-        if rank(both, s.Z.p) != small._kernel.shape[0]:
+        small = _relation_space(s.I_Y.gens, s.I_X.gens, s.Z)
+        if rank(np.vstack([small, big]), s.Z.p) != small.shape[0]:
             raise RuntimeError("restriction map failed to be onto")
         s._small = small
     return s._small
 
 
-# --- Hom --------------------------------------------------------------------
+# --- first-order deformations -----------------------------------------------
 
 
-def hom_module(M: FinModule, A: ArtinianAlgebra) -> FinModule:
-    """Hom_A(M, A) with its induced module structure.
-
-    M must be a presented module over A (it carries its relation space);
-    the homomorphisms are the solutions of the relation-space constraints,
-    and the induced action is (a*phi)(m) = a*phi(m).
-    """
-    if M._kernel is None or M.algebra is not A:
-        raise ValueError("hom_module needs a presented module over the "
-                         "given algebra")
-    if M.annihilator is not None:
-        _check_annihilates(M, M.annihilator)
-    rows = _hom_rows(M._kernel, M.ngens, A)
-    dim, mats, _ = _quotient_rep(
-        rows, np.zeros((0, rows.shape[1]), dtype=np.int64), A)
-    return FinModule(dim, mats, identity(dim), A, annihilator=A.ideal)
-
-
-def hilbert_tangent_dim(ideal: Ideal) -> int:
-    """dim Hom(I/I^2, A/I): first-order deformations of the finite scheme
-    V(I) inside its ambient affine space."""
-    alg = ArtinianAlgebra.from_ideal(ideal)
-    kernel = _relation_space(ideal.gens, [], alg)
-    return _hom_rows(kernel, len(ideal.gens), alg).shape[0]
+def hilbert_tangent_dim(alg: ArtinianAlgebra) -> int:
+    """dim Hom(I/I^2, A/I) for the algebra A/I: first-order deformations of
+    the finite scheme V(I) inside its ambient affine space."""
+    gens = alg.ideal.gens
+    kernel = _relation_space(gens, [], alg)
+    return _hom_rows(kernel, len(gens), alg).shape[0]
 
 
 # --- minimal generator counts ----------------------------------------------
@@ -407,18 +346,18 @@ def module_mu(mod: FinModule, stream: Stream | None = None):
 # --- the defect module ------------------------------------------------------
 
 
-def _defect_report(big: FinModule, small: FinModule, alg: ArtinianAlgebra,
-                   c: int | None, dim_z: int,
+def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
+                   alg: ArtinianAlgebra, c: int | None, dim_z: int,
                    stream: Stream | None) -> QReport:
-    """Assemble the report from the two conormal modules.
+    """Assemble the report from the relation spaces of the two conormal
+    modules, both quotients of k^(g*d).
 
     The two Hom spaces live in the same spanning coordinates and the
     smaller one embeds in the bigger (its relation space contains the
     other), so the defect module is a genuine quotient of subspaces.
     """
-    g = big.ngens
-    n_big = _hom_rows(big._kernel, g, alg)
-    n_small = _hom_rows(small._kernel, g, alg)
+    n_big = _hom_rows(big, g, alg)
+    n_small = _hom_rows(small, g, alg)
     if rank(np.vstack([n_big, n_small]), alg.p) != n_big.shape[0]:
         raise RuntimeError("dual of the restriction map failed to embed")
     dim_q, q_actions, _ = _quotient_rep(n_big, n_small, alg)
@@ -429,8 +368,9 @@ def _defect_report(big: FinModule, small: FinModule, alg: ArtinianAlgebra,
     q = None
     if c is not None and c - dim_z >= 1:
         q = Fraction(dim_q, c - dim_z)
-    return QReport(deg_z=alg.dim, c=c, dim_m_big=big.basis_dim,
-                   dim_m_small=small.basis_dim,
+    width = g * alg.dim
+    return QReport(deg_z=alg.dim, c=c, dim_m_big=width - big.shape[0],
+                   dim_m_small=width - small.shape[0],
                    hilb_tangent_dim=n_small.shape[0], dim_q=dim_q, q=q,
                    mu_q=mu_q, per_component=per)
 
@@ -443,7 +383,8 @@ def q_module(s: IntersectionScenario, stream: Stream | None = None) -> QReport:
     """
     big = conormal_restricted(s)
     small = conormal_in_X(s)
-    report = _defect_report(big, small, s.Z, s.c, s.dims[2], stream)
+    report = _defect_report(big, small, len(s.I_Y.gens), s.Z, s.c,
+                            s.dims[2], stream)
     if report.q is None:
         raise ExcessIntersection(
             "q undefined: codim Y - dim X - dim Z <= 0", report)
@@ -461,14 +402,10 @@ def q_affine_pair(A: PolyRing, L: Ideal, I: Ideal,
     small quotient.  c and q are not defined for a bare pair and stay None.
     """
     extra = Ideal(A, []) if modulus is None else modulus
-    ann = I + L + extra
-    alg = ArtinianAlgebra.from_ideal(ann)
-    g = len(I.gens)
+    alg = ArtinianAlgebra.from_ideal(I + L + extra)
     big = _relation_space(I.gens, extra.gens, alg)
     small = _relation_space(I.gens, L.gens + extra.gens, alg)
-    return _defect_report(_presented_module(big, g, alg, ann),
-                          _presented_module(small, g, alg, ann),
-                          alg, None, 0, stream)
+    return _defect_report(big, small, len(I.gens), alg, None, 0, stream)
 
 
 # --- intrinsic defect module of the intersection algebra --------------------
@@ -556,9 +493,10 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
     if alg.dim != Z.dim:
         raise RuntimeError("minimal re-presentation changed the length")
     gens = minimal_generators(J)
-    kernel = _relation_space(gens, [], alg)
-    hom_rows = _hom_rows(kernel, len(gens), alg)
-    return _presented_module(hom_rows, len(gens), alg, annihilator=J)
+    g = len(gens)
+    hom_rows = _hom_rows(_relation_space(gens, [], alg), g, alg)
+    dim, mats, coordize = _quotient_rep(identity(g * alg.dim), hom_rows, alg)
+    return FinModule(dim, mats, coordize(np.kron(identity(g), alg.one)), alg)
 
 
 # --- symmetry ----------------------------------------------------------------

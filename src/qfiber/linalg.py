@@ -193,17 +193,9 @@ class RowBasis:
 def kernel_intersection(blocks, dim: int, p: int) -> np.ndarray:
     """Basis of the intersection of kernels of an iterable of matrices.
 
-    Each block is a 2d array with dim columns.  The running solution basis N
-    shrinks monotonically; blocks are applied to N rather than stacked, which
-    keeps the work proportional to the current solution dimension.
+    Each block is a 2d array with dim columns.  The intersection is the
+    nullspace of all blocks stacked, taken in one elimination; with no
+    blocks it is all of k^dim.
     """
-    N = identity(dim)
-    for H in blocks:
-        if N.shape[0] == 0:
-            break
-        HN = mat_mul(np.asarray(H, dtype=np.int64), N.T, p)
-        if not np.any(HN):
-            continue
-        C = nullspace(HN, p)
-        N = mat_mul(C, N, p)
-    return N
+    return nullspace(np.vstack([np.zeros((0, dim), dtype=np.int64), *blocks]),
+                     p)

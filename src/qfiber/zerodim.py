@@ -514,7 +514,7 @@ def tangent_data(ideal: Ideal) -> TangentData:
     from .excess import hilbert_tangent_dim  # deferred: excess builds on us
 
     alg = ArtinianAlgebra.from_ideal(ideal)
-    hil = hilbert_tangent_dim(ideal)
+    hil = hilbert_tangent_dim(alg)
     der = derivations_dim(alg)
     n = ideal.ring.nvars
     return TangentData(zariski_tangent_dim(ideal), der,

@@ -1,5 +1,6 @@
 """Conormal modules, Hom duals, and the defect-module invariants."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from qfiber.excess import (
     conormal_in_X,
     conormal_restricted,
     hilbert_tangent_dim,
-    hom_module,
     make_scenario,
     minimal_generators,
     minimal_presentation,
@@ -22,9 +22,8 @@ from qfiber.excess import (
     q_module,
     qbar,
     symmetry_check,
+    _block_apply,
     _hom_rows,
-    _poly_action,
-    _presented_module,
     _quotient_rep,
     _relation_space,
 )
@@ -167,18 +166,102 @@ def nonresidue():
     return c
 
 
+def hom_spaces(s):
+    """The Hom rows of both conormal modules, from their relation spaces."""
+    g = len(s.I_Y.gens)
+    return (_hom_rows(conormal_restricted(s), g, s.Z),
+            _hom_rows(conormal_in_X(s), g, s.Z))
+
+
 def q_space(s):
     """Defect-module actions straight from the internals, for oracles."""
-    big, small = conormal_restricted(s), conormal_in_X(s)
-    nb = _hom_rows(big._kernel, big.ngens, s.Z)
-    ns = _hom_rows(small._kernel, small.ngens, s.Z)
-    dim, mats, _ = _quotient_rep(nb, ns, s.Z)
+    dim, mats, _ = _quotient_rep(*hom_spaces(s), s.Z)
     return dim, mats
 
 
+@dataclass
+class Presented(FinModule):
+    """The module k^(g*d)/kernel over an algebra, keeping its relation space
+    and, when one is stated, an ideal that must annihilate it."""
+
+    kernel: np.ndarray | None = None
+    annihilator: Ideal | None = None
+
+
+def presented(kernel, g, A, annihilator=None):
+    """k^(g*d)/kernel over A, generated by the g block ones."""
+    dim, mats, coordize = _quotient_rep(identity(g * A.dim), kernel, A)
+    return Presented(dim, mats, coordize(np.kron(identity(g), A.one)), A,
+                     kernel, annihilator)
+
+
+def conormal_modules(s):
+    """Both conormal modules of a scenario, presented from K_big, K_small."""
+    g, ann = len(s.I_Y.gens), s.I_X + s.I_Y
+    return (presented(conormal_restricted(s), g, s.Z, ann),
+            presented(conormal_in_X(s), g, s.Z, ann))
+
+
 def free_rank_one(A, annihilator):
-    return _presented_module(np.zeros((0, A.dim), dtype=np.int64), 1, A,
-                             annihilator)
+    return presented(np.zeros((0, A.dim), dtype=np.int64), 1, A, annihilator)
+
+
+def poly_action(actions, f, dim, p):
+    """Matrix by which the polynomial f acts, given the variable actions."""
+    out = np.zeros((dim, dim), dtype=np.int64)
+    for m, c in f.terms:
+        w = identity(dim)
+        for X, e in zip(actions, m):
+            for _ in range(e):
+                w = mat_mul(X, w, p)
+        out = (out + c * w) % p
+    return out
+
+
+def check_annihilates(mod, ideal):
+    """Certify that every generator of the stated annihilator acts as zero."""
+    for f in ideal.gens:
+        if poly_action(mod.actions, f, mod.basis_dim, mod.algebra.p).any():
+            raise RuntimeError("annihilator check failed: inconsistent module")
+
+
+def hom_module(M, A):
+    """Hom_A(M, A) of a presented module through its relation space.
+
+    The homomorphisms are the solutions of the _hom_rows constraints and
+    the induced action is (a*phi)(m) = a*phi(m); commutant_hom is the
+    independent route it is checked against.
+    """
+    if not isinstance(M, Presented) or M.algebra is not A:
+        raise ValueError("hom_module needs a presented module over the "
+                         "given algebra")
+    if M.annihilator is not None:
+        check_annihilates(M, M.annihilator)
+    rows = _hom_rows(M.kernel, M.generator_images.shape[0], A)
+    dim, mats, _ = _quotient_rep(
+        rows, np.zeros((0, rows.shape[1]), dtype=np.int64), A)
+    return FinModule(dim, mats, identity(dim), A)
+
+
+def reduce_then_rref_quotient(big_rows, small_rows, alg):
+    """span(big)/span(small) by reducing big modulo rref(small) and taking
+    the rref of what is left; (dim, actions).  The route _quotient_rep
+    replaced, kept as its oracle."""
+    p = alg.p
+    R_s, piv_s = rref(small_rows, p)
+    R_s = R_s[:len(piv_s)]
+
+    def mod_small(rows):
+        rows = np.mod(np.asarray(rows, dtype=np.int64), p)
+        if piv_s and rows.shape[0]:
+            rows = np.mod(rows - mat_mul(rows[:, piv_s], R_s, p), p)
+        return rows
+
+    R_q, piv_q = rref(mod_small(big_rows), p)
+    R_q = R_q[:len(piv_q)]
+    mats = tuple(mod_small(_block_apply(X, R_q, p))[:, piv_q].T.copy()
+                 for X in alg.actions())
+    return len(piv_q), mats
 
 
 def _left_apply(X, rows, m, p):
@@ -216,55 +299,52 @@ class TestConormal:
         # X the whole plane: the restricted conormal module is m/m^2
         R = ring()
         s = make_scenario(R, Ideal(R, []), idl(R, "x, y"), 2, 2)
-        big = conormal_restricted(s)
+        big, _ = conormal_modules(s)
         assert big.basis_dim == 2
         assert rank(big.generator_images, P) == 2
 
     def test_ci_freeness(self):
         s = graph2()
-        big = conormal_restricted(s)
-        assert big.basis_dim == 3 * 3
-        assert big._kernel.shape[0] == 0
+        assert conormal_restricted(s).shape == (0, 3 * 3)
+        assert conormal_modules(s)[0].basis_dim == 3 * 3
         f = fatpoint()
-        bigf = conormal_restricted(f)
-        assert bigf.basis_dim == 6 * 4
+        assert conormal_modules(f)[0].basis_dim == 6 * 4
 
     def test_small_module_dims(self):
         # over the chart the small side is m^2/m^4: 3 + 4 = 7 for the plane,
         # 6 + 10 = 16 for three variables
-        assert conormal_in_X(graph2()).basis_dim == 7
-        assert conormal_in_X(fatpoint()).basis_dim == 16
+        assert conormal_modules(graph2())[1].basis_dim == 7
+        assert conormal_modules(fatpoint())[1].basis_dim == 16
 
     def test_small_module_on_curve(self):
         R = ring("x1,a")
         s = scenario(R, "x1 - a^2", "x1", 1, 1)
-        assert conormal_in_X(s).basis_dim == 2
+        assert conormal_modules(s)[1].basis_dim == 2
 
     def test_small_module_transversal_point(self):
         R = ring("x,y,z")
         s = scenario(R, "z", "x, y - z", 2, 2)
-        assert conormal_in_X(s).basis_dim == 2
+        assert conormal_modules(s)[1].basis_dim == 2
 
     def test_restriction_is_onto(self):
         # both sides are quotients of k^(g*d); the big relation space lies
         # in the small one, so the identity induces the surjection 9 -> 7
         s = graph2()
         big, small = conormal_restricted(s), conormal_in_X(s)
-        assert (big.basis_dim, small.basis_dim) == (9, 7)
-        assert small._kernel.shape == (2, 9)
-        assert rank(np.vstack([small._kernel, big._kernel]), P) == 2
+        assert tuple(M.basis_dim for M in conormal_modules(s)) == (9, 7)
+        assert small.shape == (2, 9)
+        assert rank(np.vstack([small, big]), P) == 2
         # not a complete intersection: the containment has rows to test
         s = axes_on_line()
         big, small = conormal_restricted(s), conormal_in_X(s)
-        assert big._kernel.shape[0] > 0
-        assert rank(np.vstack([small._kernel, big._kernel]), P) == \
-            small._kernel.shape[0]
+        assert big.shape[0] > 0
+        assert rank(np.vstack([small, big]), P) == small.shape[0]
 
     def test_restriction_outside_relations_rejected(self):
         # a big side whose relations escape the small side admits no
         # restriction map at all
         s = graph2()
-        s._big = _presented_module(identity(9), 3, s.Z, None)
+        s._big = identity(9)
         with pytest.raises(RuntimeError, match="onto"):
             conormal_in_X(s)
 
@@ -273,13 +353,13 @@ class TestConormal:
         s = CI_SCENARIOS[case]()
         assert _has_witnesses(s.I_Y.gens) == (case != "fatpoint")
         width = len(s.I_Y.gens) * s.Z.dim
-        assert conormal_restricted(s)._kernel.shape == (0, width)
+        assert conormal_restricted(s).shape == (0, width)
         assert big_relations(s).shape == (0, width)
 
     @pytest.mark.parametrize("make", [axes_on_line, plane_holds_points])
     def test_non_ci_takes_general_path(self, make):
         s = make()
-        kernel = conormal_restricted(s)._kernel
+        kernel = conormal_restricted(s)
         assert kernel.shape[0] > 0
         assert np.array_equal(kernel, rref_rows(big_relations(s)))
 
@@ -290,16 +370,19 @@ class TestConormal:
             q_module(s)
 
     def test_actions_commute(self):
-        small = conormal_in_X(graph2())
+        s = graph2()
+        small = conormal_modules(s)[1]
+        assert len(small.actions) == s.Z.nvars and small.basis_dim == 7
         for A in small.actions:
             for B in small.actions:
                 assert np.array_equal(mat_mul(A, B, P), mat_mul(B, A, P))
 
     def test_annihilated_by_intersection_ideal(self):
         s = graph2()
-        big = conormal_restricted(s)
+        big = conormal_modules(s)[0]
+        assert big.basis_dim == 9
         for f in (s.I_X + s.I_Y).gens:
-            assert not _poly_action(big.actions, f, big.basis_dim, P).any()
+            assert not poly_action(big.actions, f, big.basis_dim, P).any()
 
 
 def affine_cases():
@@ -330,15 +413,15 @@ class TestRelationSpace:
     @pytest.mark.parametrize("case", sorted(SMALL_SIDE_SCENARIOS))
     def test_small_side_matches_general_path(self, case):
         s = SMALL_SIDE_SCENARIOS[case]()
-        assert np.array_equal(conormal_in_X(s)._kernel,
+        assert np.array_equal(conormal_in_X(s),
                               rref_rows(small_relations(s)))
 
     @pytest.mark.parametrize("make", [axes_on_line, plane_holds_points])
     def test_both_sides_of_non_ci(self, make):
         s = make()
-        assert np.array_equal(conormal_restricted(s)._kernel,
+        assert np.array_equal(conormal_restricted(s),
                               rref_rows(big_relations(s)))
-        assert np.array_equal(conormal_in_X(s)._kernel,
+        assert np.array_equal(conormal_in_X(s),
                               rref_rows(small_relations(s)))
 
     @pytest.mark.parametrize("text", [
@@ -394,8 +477,8 @@ class TestRelationSpace:
         rep = q_module(gen_quadric_graph(4, Seed(0)))
         assert (rep.deg_z, rep.q, rep.mu_q) == (10, 5, 5)
         R = ring("x,y,z")
-        assert hilbert_tangent_dim(idl(R, "x^2, y^2, z^2, x*y, x*z, y*z")) \
-            == 18
+        assert hilbert_tangent_dim(ArtinianAlgebra.from_ideal(
+            idl(R, "x^2, y^2, z^2, x*y, x*z, y*z"))) == 18
 
 
 class TestHom:
@@ -411,8 +494,8 @@ class TestHom:
         R = ring("x")
         A = ArtinianAlgebra.from_ideal(idl(R, "x^2"))
         # the residue field: one generator with the relation x * gen = 0
-        residue = _presented_module(np.array([[0, 1]], dtype=np.int64), 1, A,
-                                    idl(R, "x"))
+        residue = presented(np.array([[0, 1]], dtype=np.int64), 1, A,
+                            idl(R, "x"))
         assert residue.basis_dim == 1
         h = hom_module(residue, A)
         assert h.basis_dim == 1
@@ -426,20 +509,29 @@ class TestHom:
             return h.basis_dim
 
         for s, expected in ((graph2(), 6), (fatpoint(), 18)):
-            assert agree(conormal_in_X(s), s.Z) == expected
+            assert agree(conormal_modules(s)[1], s.Z) == expected
         # two local factors; a non-free big side (K_big != 0)
         for s in (multipoint(), axes_on_line()):
-            agree(conormal_restricted(s), s.Z)
-            agree(conormal_in_X(s), s.Z)
-        assert conormal_restricted(axes_on_line())._kernel.shape[0] > 0
+            for M in conormal_modules(s):
+                agree(M, s.Z)
+        assert conormal_restricted(axes_on_line()).shape[0] > 0
+        # qbar is the cokernel of the Hom rows of I/I^2 in k^(g*d); present
+        # the same module here, so that it keeps its relation space
         R = ring("x,y,z")
         zbar = qbar(ArtinianAlgebra.from_ideal(
             idl(R, "x^2, y^2, z^2, x*y, x*z, y*z")))
-        assert agree(zbar, zbar.algebra) > 0
+        A = zbar.algebra
+        gens = minimal_generators(A.ideal)
+        g = len(gens)
+        M = presented(_hom_rows(_relation_space(gens, [], A), g, A), g, A)
+        assert M.basis_dim == zbar.basis_dim
+        assert all(np.array_equal(X, Y)
+                   for X, Y in zip(M.actions, zbar.actions))
+        assert agree(M, A) > 0
 
     def test_free_dual_has_full_rank(self):
         s = fatpoint()
-        big = conormal_restricted(s)
+        big = conormal_modules(s)[0]
         assert hom_module(big, s.Z).basis_dim == 6 * 4
         assert commutant_hom(big, s.Z).basis_dim == 6 * 4
 
@@ -460,12 +552,12 @@ class TestHom:
             hom_module(bad, A)
 
     def test_hilbert_tangent(self):
-        R = ring("x,y,z")
-        assert hilbert_tangent_dim(idl(R, "x^2, y^2, z^2, x*y, x*z, y*z")) == 18
-        R1 = ring("x")
-        assert hilbert_tangent_dim(idl(R1, "x^2")) == 2
-        R2 = ring()
-        assert hilbert_tangent_dim(idl(R2, "x, y")) == 2
+        def tangent(R, text):
+            return hilbert_tangent_dim(ArtinianAlgebra.from_ideal(idl(R, text)))
+
+        assert tangent(ring("x,y,z"), "x^2, y^2, z^2, x*y, x*z, y*z") == 18
+        assert tangent(ring("x"), "x^2") == 2
+        assert tangent(ring(), "x, y") == 2
 
 
 class TestQModule:
@@ -549,8 +641,59 @@ class TestQModule:
     def test_hom_dims_assemble(self):
         s = graph2()
         rep = q_module(s)
-        big_dual = hom_module(conormal_restricted(s), s.Z)
+        big_dual = hom_module(conormal_modules(s)[0], s.Z)
         assert big_dual.basis_dim == rep.dim_q + rep.hilb_tangent_dim
+
+    def test_one_quotient_per_report(self, monkeypatch):
+        # only the defect module gets a basis and actions; the conormal
+        # modules stay relation spaces
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _quotient_rep(*args)
+
+        monkeypatch.setattr("qfiber.excess._quotient_rep", counting)
+        rep = q_module(gen_quadric_graph(4, Seed(0)))
+        assert (rep.deg_z, rep.q, rep.mu_q) == (10, 5, 5)
+        assert len(calls) == 1
+
+
+class TestQuotient:
+    """_quotient_rep against the reduce-then-rref route it replaced."""
+
+    @pytest.mark.parametrize("make", [axes_on_line, plane_holds_points])
+    def test_proper_big_span(self, make):
+        # K_big != 0, so the big Hom space is a proper subspace and the two
+        # routes pick different bases of the same quotient
+        s = make()
+        nb, ns = hom_spaces(s)
+        assert 0 < nb.shape[0] < nb.shape[1]
+        dim, mats, _ = _quotient_rep(nb, ns, s.Z)
+        odim, omats = reduce_then_rref_quotient(nb, ns, s.Z)
+        assert dim == odim > 0
+        assert module_mu(FinModule(dim, mats, identity(dim), s.Z)) == \
+            module_mu(FinModule(odim, omats, identity(odim), s.Z))
+        # the ranks of the actions do not depend on the basis; x and y act
+        # nontrivially here
+        ranks = [rank(X, P) for X in mats]
+        assert ranks == [rank(X, P) for X in omats] and any(ranks)
+
+    @pytest.mark.parametrize("make", [
+        multipoint, lambda: gen_quadric_graph(3, Seed(0)),
+        lambda: gen_EI_model(Seed(0))], ids=["multipoint", "graph3", "ei"])
+    def test_whole_space_is_bit_identical(self, make):
+        # a free big module has dual k^(g*d), where both routes read the
+        # quotient basis off the non-pivot columns of rref(small); on these
+        # inputs some variable acts on Q by a nonzero matrix
+        s = make()
+        nb, ns = hom_spaces(s)
+        assert np.array_equal(nb, identity(nb.shape[1]))
+        dim, mats, _ = _quotient_rep(nb, ns, s.Z)
+        odim, omats = reduce_then_rref_quotient(nb, ns, s.Z)
+        assert dim == odim
+        assert any(X.any() for X in mats)
+        assert all(np.array_equal(X, Y) for X, Y in zip(mats, omats))
 
 
 class TestQbar:
@@ -565,7 +708,7 @@ class TestQbar:
         zbar = qbar(ArtinianAlgebra.from_ideal(
             idl(R, "x^2, y^2, z^2, x*y, x*z, y*z")))
         assert zbar.basis_dim == 6
-        assert zbar.ngens == 6
+        assert zbar.generator_images.shape[0] == 6
         assert module_mu(zbar) == (6, ((4, 6, 6),))
 
     def test_embedding_dimension_reduction(self):
@@ -573,7 +716,7 @@ class TestQbar:
         zbar = qbar(ArtinianAlgebra.from_ideal(idl(R, "x - y^2, y^3")))
         assert zbar.basis_dim == 0
         assert zbar.algebra.nvars == 1
-        assert zbar.ngens == 1
+        assert zbar.generator_images.shape[0] == 1
 
     def test_independence_relation(self):
         s = graph2()
@@ -583,7 +726,7 @@ class TestQbar:
         assert gap % rep.deg_z == 0
         m = gap // rep.deg_z
         assert m >= 0
-        assert m == s.dims[1] - zbar.ngens
+        assert m == s.dims[1] - zbar.generator_images.shape[0]
         assert rep.mu_q == module_mu(zbar)[0] + m
 
     def test_nonlocal_rejected(self):
@@ -688,3 +831,18 @@ class TestTangentData:
         td = tangent_data(idl(R, "x^2, y^2, z^2, x*y, x*z, y*z"))
         assert (td.zariski_dim, td.derivations_dim) == (3, 9)
         assert (td.t1_dim, td.hilb_tangent_dim) == (15, 18)
+
+    def test_one_algebra_per_call(self, monkeypatch):
+        ideal = gen_fatpoint_model(Seed(0)).chart_ideal
+        built = []
+        from_ideal = ArtinianAlgebra.from_ideal.__func__
+
+        def counting(cls, ideal):
+            built.append(ideal)
+            return from_ideal(cls, ideal)
+
+        monkeypatch.setattr(ArtinianAlgebra, "from_ideal",
+                            classmethod(counting))
+        td = tangent_data(ideal)
+        assert td.hilb_tangent_dim == 18
+        assert len(built) == 1
