@@ -54,7 +54,6 @@ from .scenarios import (
     scenario_text,
     secant_through_point,
 )
-from .zerodim import local_decompose
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -214,13 +213,6 @@ def cmd_compute(args) -> int:
     I_Y = Ideal(ring, ideals["Y"])
     dim_x = I_X.krull_dim()
     codim_y = ring.nvars - I_Y.krull_dim()
-    zdim = (I_X + I_Y).krull_dim()
-    if zdim > 0:
-        print("error: intersection not finite", file=sys.stderr)
-        return EXIT_USAGE
-    if zdim < 0:
-        print("error: intersection is empty", file=sys.stderr)
-        return EXIT_USAGE
     scen = make_scenario(ring, I_X, I_Y, dim_x, codim_y)
     try:
         report = q_module(scen, Stream(args.seed))
@@ -228,8 +220,10 @@ def cmd_compute(args) -> int:
     except ExcessIntersection as e:
         report = e.report
         excess_note = str(e)
-    factors = local_decompose(scen.Z, Stream(args.seed))
-    zgens = list((I_X + I_Y).gens)
+    # the ladder reads the factors the report was split into, so the
+    # component lines and the verdicts pair up by construction
+    factors = report.factors
+    zgens = list(scen.Z.ideal.gens)
     verdicts = []
     components = []
     for f in factors:
@@ -415,9 +409,6 @@ def _output() -> argparse.ArgumentParser:
 
 def _common(output: argparse.ArgumentParser) -> argparse.ArgumentParser:
     c = argparse.ArgumentParser(add_help=False, parents=[output])
-    c.add_argument("--p", type=int, default=32003,
-                   help="prime field (ignored by compute: the input file "
-                        "fixes the ring)")
     c.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     c.add_argument("--max-pairs", type=int, default=_PAIR_BUDGET.get(),
                    dest="max_pairs",
@@ -478,6 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--n", type=int, default=None)
     sc.add_argument("--l", type=int, default=None)
     sc.set_defaults(func=cmd_scenario)
+    # compute reads its ring, field included, from the input file
+    for sp in (t, sc):
+        sp.add_argument("--p", type=int, default=32003, help="prime field")
     return ap
 
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from .algebra import GREVLEX, PolyRing
 from .groebner import Ideal, syzygies
-from .linalg import (RowBasis, as_mod_array, identity, kernel_intersection,
-                     mat_mul, rank, rref)
+from .linalg import (as_mod_array, identity, kernel_intersection, mat_mul,
+                     rank, rref)
 from .rng import Stream
 from .zerodim import (ArtinianAlgebra, _eval_matrix_poly, _image_basis,
                       _is_nilpotent, _restrict, local_decompose,
@@ -102,8 +102,19 @@ class IntersectionScenario:
 def make_scenario(ring: PolyRing, ideal_x: Ideal, ideal_y: Ideal,
                   dim_x: int, codim_y: int, chart_ring: PolyRing | None = None,
                   chart_ideal: Ideal | None = None) -> IntersectionScenario:
-    """Bundle the data of an intersection, checking finiteness up front."""
-    alg = ArtinianAlgebra.from_ideal(ideal_x + ideal_y)
+    """Bundle the data of an intersection, checking finiteness up front.
+
+    I_X + I_Y is formed once, here: its Groebner basis serves both the
+    finiteness check and the algebra Z, whose ideal it stays.  Raises
+    ValueError when the intersection is not finite or is empty.
+    """
+    ideal_z = ideal_x + ideal_y
+    dim_z = ideal_z.krull_dim()
+    if dim_z > 0:
+        raise ValueError("intersection not finite")
+    if dim_z < 0:
+        raise ValueError("intersection is empty")
+    alg = ArtinianAlgebra.from_ideal(ideal_z)
     return IntersectionScenario(ring, ideal_x, ideal_y, (dim_x, codim_y, 0),
                                 alg, chart_ring, chart_ideal)
 
@@ -115,6 +126,9 @@ class QReport:
     per_component lists (local length of Z, local defect length, local mu)
     over the local factors of the coordinate algebra; q is exact or None
     when the excess codimension is not positive (affine pairs never set it).
+    factors holds those local factors, in the same order, so that later
+    per-point work reads the one decomposition the report was built from;
+    it is left out of the JSON form, equality and repr.
     """
 
     deg_z: int
@@ -126,6 +140,7 @@ class QReport:
     q: Fraction | None
     mu_q: int
     per_component: tuple
+    factors: tuple = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -327,18 +342,16 @@ def _factor_mu(factor, actions, p: int):
     return dim_c, dim_c - rank(radical, p)
 
 
-def module_mu(mod: FinModule, stream: Stream | None = None):
+def module_mu(mod: FinModule, factors):
     """Minimal number of generators of the module, with its per-component
-    breakdown over the local factors of the base algebra.
+    breakdown over the given local factors of the base algebra.
 
     Returns (mu, components) with components a tuple of (local length of
-    the algebra, local module length, local mu).
+    the algebra, local module length, local mu), one per factor in order.
     """
-    A = mod.algebra
-    factors = local_decompose(A, stream or Stream(_REPORT_SEED))
     per = []
     for f in factors:
-        dim_c, mu_c = _factor_mu(f, mod.actions, A.p)
+        dim_c, mu_c = _factor_mu(f, mod.actions, mod.algebra.p)
         per.append((f.length, dim_c, mu_c))
     return sum(t[2] for t in per), tuple(per)
 
@@ -348,21 +361,24 @@ def module_mu(mod: FinModule, stream: Stream | None = None):
 
 def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
                    alg: ArtinianAlgebra, c: int | None, dim_z: int,
-                   stream: Stream | None) -> QReport:
+                   stream: Stream) -> QReport:
     """Assemble the report from the relation spaces of the two conormal
     modules, both quotients of k^(g*d).
 
     The two Hom spaces live in the same spanning coordinates and the
     smaller one embeds in the bigger (its relation space contains the
-    other), so the defect module is a genuine quotient of subspaces.
+    other), so the defect module is a genuine quotient of subspaces.  The
+    algebra is split into local factors once, with the stream; the
+    report keeps them.
     """
     n_big = _hom_rows(big, g, alg)
     n_small = _hom_rows(small, g, alg)
     if rank(np.vstack([n_big, n_small]), alg.p) != n_big.shape[0]:
         raise RuntimeError("dual of the restriction map failed to embed")
     dim_q, q_actions, _ = _quotient_rep(n_big, n_small, alg)
+    factors = tuple(local_decompose(alg, stream))
     mu_q, per = module_mu(FinModule(dim_q, q_actions, identity(dim_q), alg),
-                          stream)
+                          factors)
     if sum(t[1] for t in per) != dim_q:
         raise RuntimeError("local defect lengths do not add up")
     q = None
@@ -372,19 +388,20 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
     return QReport(deg_z=alg.dim, c=c, dim_m_big=width - big.shape[0],
                    dim_m_small=width - small.shape[0],
                    hilb_tangent_dim=n_small.shape[0], dim_q=dim_q, q=q,
-                   mu_q=mu_q, per_component=per)
+                   mu_q=mu_q, per_component=per, factors=factors)
 
 
 def q_module(s: IntersectionScenario, stream: Stream | None = None) -> QReport:
     """Defect module report of a scenario; q = dim_Q / (c - dim Z) exactly.
 
+    The stream splits Z into local factors (a fixed one when omitted).
     Raises ExcessIntersection (carrying the report, q = None) when the
     excess codimension c - dim Z is not positive.
     """
     big = conormal_restricted(s)
     small = conormal_in_X(s)
     report = _defect_report(big, small, len(s.I_Y.gens), s.Z, s.c,
-                            s.dims[2], stream)
+                            s.dims[2], stream or Stream(_REPORT_SEED))
     if report.q is None:
         raise ExcessIntersection(
             "q undefined: codim Y - dim X - dim Z <= 0", report)
@@ -392,8 +409,7 @@ def q_module(s: IntersectionScenario, stream: Stream | None = None) -> QReport:
 
 
 def q_affine_pair(A: PolyRing, L: Ideal, I: Ideal,
-                  modulus: Ideal | None = None,
-                  stream: Stream | None = None) -> QReport:
+                  modulus: Ideal | None = None) -> QReport:
     """Two-ideal defect module over A (or A/modulus), with no smoothness
     or complete-intersection hypotheses.
 
@@ -405,7 +421,8 @@ def q_affine_pair(A: PolyRing, L: Ideal, I: Ideal,
     alg = ArtinianAlgebra.from_ideal(I + L + extra)
     big = _relation_space(I.gens, extra.gens, alg)
     small = _relation_space(I.gens, L.gens + extra.gens, alg)
-    return _defect_report(big, small, len(I.gens), alg, None, 0, stream)
+    return _defect_report(big, small, len(I.gens), alg, None, 0,
+                          Stream(_REPORT_SEED))
 
 
 # --- intrinsic defect module of the intersection algebra --------------------
@@ -424,24 +441,25 @@ def _drop_variables(ideal: Ideal, doomed: list) -> Ideal:
     return Ideal(small, out)
 
 
-def minimal_generators(ideal: Ideal) -> list:
-    """Minimal generating subset of the Groebner basis of an ideal supported
-    at the origin, by span selection modulo (maximal ideal) * ideal."""
-    ring = ideal.ring
-    gb_polys = ideal.groebner().polys
+def minimal_generators(alg: ArtinianAlgebra) -> list:
+    """Minimal generating subset of the Groebner basis of the ideal of an
+    algebra supported at the origin.
+
+    An element is kept when its class modulo (maximal ideal) * ideal lies
+    outside the span of the classes of the elements before it: the kept
+    elements sit at the pivot columns of the rref of their coordinate
+    columns.  Their count must equal the length drop from the algebra of
+    (maximal ideal) * ideal to the algebra itself.
+    """
+    ring = alg.ring
+    gb_polys = alg.ideal.groebner().polys
     mvars = [ring.var(nm) for nm in ring.variables]
-    m_ideal = Ideal(ring, [v * f for v in mvars for f in gb_polys])
-    amod = ArtinianAlgebra.from_ideal(m_ideal)
-    quot = ArtinianAlgebra.from_ideal(ideal)
-    basis = RowBasis(amod.dim, amod.p)
-    out = []
-    for f in gb_polys:
-        idx, _ = basis.insert(amod.coords(f))
-        if idx >= 0:
-            out.append(f)
-    if len(out) != amod.dim - quot.dim:
+    amod = ArtinianAlgebra.from_ideal(
+        Ideal(ring, [v * f for v in mvars for f in gb_polys]))
+    _, piv = rref(np.array([amod.coords(f) for f in gb_polys]).T, amod.p)
+    if len(piv) != amod.dim - alg.dim:
         raise RuntimeError("generator count disagrees with the length drop")
-    return out
+    return [gb_polys[j] for j in piv]
 
 
 def minimal_presentation(ideal: Ideal) -> Ideal:
@@ -490,9 +508,7 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
         raise ValueError("algebra is not local at the origin")
     J = minimal_presentation(Z.ideal)
     alg = ArtinianAlgebra.from_ideal(J)
-    if alg.dim != Z.dim:
-        raise RuntimeError("minimal re-presentation changed the length")
-    gens = minimal_generators(J)
+    gens = minimal_generators(alg)
     g = len(gens)
     hom_rows = _hom_rows(_relation_space(gens, [], alg), g, alg)
     dim, mats, coordize = _quotient_rep(identity(g * alg.dim), hom_rows, alg)
@@ -502,8 +518,7 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
 # --- symmetry ----------------------------------------------------------------
 
 
-def symmetry_check(s: IntersectionScenario,
-                   stream: Stream | None = None) -> SymmetryReport:
+def symmetry_check(s: IntersectionScenario) -> SymmetryReport:
     """Defect reports of the scenario and of its swapped orientation.
 
     Both orientations share the intersection algebra, so the excess
@@ -511,7 +526,7 @@ def symmetry_check(s: IntersectionScenario,
     the per-component breakdown is what the report records.  Smoothness of
     both sides is assumed, not verified.
     """
-    st = stream or Stream(_REPORT_SEED)
+    st = Stream(_REPORT_SEED)
     r = s.ring.nvars
     swapped = IntersectionScenario(s.ring, s.I_Y, s.I_X,
                                    (r - s.dims[1], r - s.dims[0], s.dims[2]),

@@ -153,7 +153,7 @@ def licci_check(ideal: Ideal) -> LicciVerdict:
     for v in range(ideal.ring.nvars):
         if not _is_nilpotent(alg.action(v), p):
             raise ValueError("licci ladder needs an ideal local at the origin")
-    mu = len(minimal_generators(ideal))
+    mu = len(minimal_generators(alg))
     codim = ideal.ring.nvars
     tdim = zariski_tangent_dim(ideal)
     if mu == codim:
@@ -223,7 +223,8 @@ def qlength_verify(report: QReport, verdict: LicciVerdict, *,
     The caller must attest the hypotheses (smooth first argument, complete
     intersection second, positive excess codimension, finite intersection);
     they are not re-derivable from the report.  component_verdicts, when
-    given, aligns with report.per_component and enables the decomposition
+    given, holds one verdict per factor of report.factors, in order (so it
+    aligns with report.per_component), and enables the decomposition
     bound: licci components contribute their full length, the rest
     contribute reduced degree (default 1 each; pass
     component_reduced_degrees to override) times the floor constant.

@@ -108,88 +108,6 @@ def solve(A, b, p: int):
     return x
 
 
-class RowBasis:
-    """Incremental row span in full reduced echelon form.
-
-    With ntrack > 0, every inserted vector carries a fresh tracking
-    coordinate, and a dependent insert returns the dependency: a vector r of
-    length ntrack with r[k] the coefficient of the k-th inserted row,
-    normalized so the current row has coefficient 1.  Dependencies returned
-    across a run of inserts are linearly independent by construction.
-    """
-
-    def __init__(self, ncols: int, p: int, ntrack: int = 0):
-        self.p = p
-        self.ncols = ncols
-        self.ntrack = ntrack
-        self._cap = 16
-        self._rows = np.zeros((self._cap, ncols + ntrack), dtype=np.int64)
-        self._n = 0
-        self.pivots: list = []
-        self._inserted = 0
-
-    @property
-    def dim(self) -> int:
-        return self._n
-
-    def matrix(self) -> np.ndarray:
-        """Current basis rows (payload part only)."""
-        return self._rows[: self._n, : self.ncols].copy()
-
-    def _grow(self):
-        self._cap *= 2
-        rows = np.zeros((self._cap, self.ncols + self.ntrack), dtype=np.int64)
-        rows[: self._n] = self._rows[: self._n]
-        self._rows = rows
-
-    def reduce(self, v) -> np.ndarray:
-        """Normal form of v against the current span; no insertion."""
-        w = np.zeros(self.ncols + self.ntrack, dtype=np.int64)
-        w[: self.ncols] = as_mod_array(v, self.p)
-        return self._reduce_full(w)[: self.ncols]
-
-    def _reduce_full(self, w: np.ndarray) -> np.ndarray:
-        if self._n and self.pivots:
-            coeffs = w[self.pivots]
-            if np.any(coeffs):
-                w = np.mod(w - mat_mul(coeffs, self._rows[: self._n], self.p), self.p)
-        return w
-
-    def contains(self, v) -> bool:
-        return not np.any(self.reduce(v))
-
-    def insert(self, v):
-        """Insert v; returns (row_index, None) or (-1, dependency)."""
-        p = self.p
-        k = self._inserted
-        if self.ntrack and k >= self.ntrack:
-            raise ValueError("more inserts than tracking slots")
-        w = np.zeros(self.ncols + self.ntrack, dtype=np.int64)
-        w[: self.ncols] = as_mod_array(v, p)
-        if self.ntrack:
-            w[self.ncols + k] = 1
-        self._inserted = k + 1
-        w = self._reduce_full(w)
-        payload = w[: self.ncols]
-        nz = np.nonzero(payload)[0]
-        if nz.size == 0:
-            return -1, (w[self.ncols:].copy() if self.ntrack else None)
-        piv = int(nz[0])
-        w = w * pow(int(w[piv]), p - 2, p) % p
-        # clear the new pivot from existing rows to keep full reduction
-        if self._n:
-            col = self._rows[: self._n, piv].copy()
-            rows = np.nonzero(col)[0]
-            if rows.size:
-                self._rows[rows] = np.mod(self._rows[rows] - np.outer(col[rows], w), p)
-        if self._n == self._cap:
-            self._grow()
-        self._rows[self._n] = w
-        self.pivots.append(piv)
-        self._n += 1
-        return self._n - 1, None
-
-
 def kernel_intersection(blocks, dim: int, p: int) -> np.ndarray:
     """Basis of the intersection of kernels of an iterable of matrices.
 

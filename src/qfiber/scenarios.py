@@ -143,13 +143,14 @@ def gen_fatpoint_model(s: Seed) -> IntersectionScenario:
         ygens.append(quad - ell)
     I_X = Ideal(R, [R.var(3 + i) for i in range(6)])
     I_Y = Ideal(R, ygens)
+    chart_ideal = Ideal(chart, [chart.poly({m: 1}) for m in monos])
+    scen = make_scenario(R, I_X, I_Y, 3, 6, chart_ring=chart,
+                         chart_ideal=chart_ideal)
     reference = Ideal(R, [R.poly({m + (0,) * 6: 1}) for m in monos]
                       + [R.var(3 + i) for i in range(6)])
-    if not (I_X + I_Y).equals(reference):
+    if not scen.Z.ideal.equals(reference):
         raise RuntimeError(f"intersection ideal drifted from seed {s.seed}")
-    chart_ideal = Ideal(chart, [chart.poly({m: 1}) for m in monos])
-    return make_scenario(R, I_X, I_Y, 3, 6, chart_ring=chart,
-                         chart_ideal=chart_ideal)
+    return scen
 
 
 # --- determinantal surface and its trisecant lines ----------------------------
@@ -211,17 +212,25 @@ def gen_reye(s: Seed) -> ReyeData:
             entries[(i, j)] = entries[(j, i)] = f
             k += 1
     A = tuple(tuple(entries[(i, j)] for j in range(4)) for i in range(4))
-    minors = []
-    seen = set()
+    # A is symmetric, so minor (j, i) is the transpose of minor (i, j) and
+    # has the same determinant: only the minors with i <= j are computed
+    minor = {}
     for i in range(4):
-        for j in range(4):
+        for j in range(i, 4):
             sub = [[A[a][b] for b in range(4) if b != j]
                    for a in range(4) if a != i]
-            m = _det(sub, ring)
-            if m not in seen:
-                seen.add(m)
-                minors.append(m)
-    det = _det([list(row) for row in A], ring)
+            minor[(i, j)] = _det(sub, ring)
+    minors = []
+    seen = set()
+    for m in minor.values():
+        if m not in seen:
+            seen.add(m)
+            minors.append(m)
+    # det A along row 0, term by term as _det expands it
+    det = ring.zero()
+    for j in range(4):
+        term = A[0][j] * minor[(0, j)]
+        det = det - term if j % 2 else det + term
     if det.degree() != 4:
         raise RuntimeError(f"degenerate symmetric matrix from seed {s.seed}")
     return ReyeData(ring, A, Ideal(ring, minors), det)
@@ -243,11 +252,16 @@ def reye_trisecant(d: ReyeData, s: Seed) -> ReyeCheck:
     The left kernel of the scalar matrix at the point gives a row-space
     vector of 4 linear forms; their zero locus is a line through the point
     meeting the minor surface in a projective scheme of degree 3.
+
+    The check reads only the cone dimension and the degree, both from the
+    Hilbert polynomial, so the ideal is not saturated: I^sat/I has finite
+    length, which leaves both unchanged when the cone has dimension >= 1,
+    and an ideal primary to the irrelevant ideal fails the dimension-1
+    test either way (dimension 0, or -1 after saturation).
     """
     ring = d.ring
     p = ring.p
     st = s.stream().fork(7)
-    irrelevant = Ideal(ring, [ring.var(i) for i in range(6)])
     attempts = 0
     for trial in range(_BUDGET):
         attempts += 1
@@ -284,8 +298,7 @@ def reye_trisecant(d: ReyeData, s: Seed) -> ReyeCheck:
             if rank(rows, p) != 4:
                 continue
             on_line = not any(g.evaluate(pt) % p for g in gs)
-            sat, _ = (d.I_X + Ideal(ring, gs)).saturate(irrelevant)
-            hd = hilbert_data(sat)
+            hd = hilbert_data(d.I_X + Ideal(ring, gs))
             if hd.krull_dim != 1:
                 continue
             return ReyeCheck(tuple(pt), d.detA.degree(), on_line, hd.degree,
@@ -457,20 +470,21 @@ def _frame(pt, p: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def secant_through_point(scen: CISecantScenario, stream: Stream | None = None
-                         ) -> SecantCheck:
+def secant_through_point(scen: CISecantScenario) -> SecantCheck:
     """Find an l-secant line of the CI through a random point.
 
     Asserts that the cone of directions is nonempty over the closure; the
     rational-direction leg is best effort (a finite field may lack one),
     and when a direction exists the line's intersection degree with the
-    CI is verified to be at least l.
+    CI is verified to be at least l.  As in reye_trisecant, that degree
+    comes from the Hilbert polynomial of the unsaturated ideal: saturating
+    by the irrelevant ideal changes neither the cone dimension nor the
+    degree when the dimension is >= 1, and cannot make it 1 when it is 0.
     """
-    st = stream if stream is not None else scen.seed.stream().fork(101)
+    st = scen.seed.stream().fork(101)
     ring, l, r = scen.ring, scen.l, scen.r
     p = ring.p
     dring = PolyRing(ring.field, tuple(f"d{i}" for i in range(1, r + 1)))
-    irrelevant = Ideal(ring, [ring.var(i) for i in range(r + 1)])
     fallback = None
     for trial in range(_BUDGET):
         tr = st.fork(trial)
@@ -509,9 +523,7 @@ def secant_through_point(scen: CISecantScenario, stream: Stream | None = None
         if any(f.evaluate(pt) % p or f.evaluate([int(x) for x in q]) % p
                for f in forms):
             raise RuntimeError("line forms fail at their defining points")
-        sat, _ = (Ideal(ring, list(scen.gens))
-                  + Ideal(ring, forms)).saturate(irrelevant)
-        hd = hilbert_data(sat)
+        hd = hilbert_data(Ideal(ring, list(scen.gens) + forms))
         deg = hd.degree if hd.krull_dim == 1 else None
         return SecantCheck(tuple(pt), nonempty,
                            tuple(int(x) for x in v), deg, trial + 1,

@@ -17,7 +17,7 @@ import numpy as np
 from . import univar as uv
 from .algebra import Polynomial, mono_divides
 from .groebner import Ideal, hilbert_data
-from .linalg import RowBasis, identity, mat_mul, rank, rref
+from .linalg import identity, mat_mul, rank, rref
 from .rng import Stream
 
 
@@ -260,17 +260,20 @@ def _eval_matrix_poly(coeffs, M: np.ndarray, p: int) -> np.ndarray:
 
 
 def minpoly_of_vector(M: np.ndarray, v, p: int) -> list:
-    """Minimal polynomial of M acting on the cyclic subspace of v."""
+    """Minimal polynomial of M acting on the cyclic subspace of v.
+
+    Reads the rref of the Krylov matrix [v, Mv, ..., M^d v]: once M^k v
+    depends on the vectors before it, so do all later powers, so the
+    pivots are the columns 0..k-1 and column k writes M^k v in them.  The
+    polynomial is t^k minus that combination, lowest degree first.
+    """
     d = M.shape[0]
-    rb = RowBasis(d, p, ntrack=d + 1)
-    w = np.asarray(v, dtype=np.int64) % p
-    inserted = 0
-    while True:
-        idx, rel = rb.insert(w)
-        inserted += 1
-        if idx < 0:
-            return uv.trim([int(c) for c in rel[:inserted]])
-        w = mat_mul(M, w.reshape(-1, 1), p).ravel()
+    cols = [np.asarray(v, dtype=np.int64) % p]
+    for _ in range(d):
+        cols.append(mat_mul(M, cols[-1], p))
+    R, piv = rref(np.stack(cols, axis=1), p)
+    k = len(piv)
+    return [int(-c) % p for c in R[:k, k]] + [1]
 
 
 def minpoly_of_element(alg: ArtinianAlgebra, coeffs) -> list:

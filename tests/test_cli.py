@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from qfiber import cli
+from qfiber import cli, excess, zerodim
+from qfiber import groebner as gb_module
 from qfiber.algebra import FieldSpec, PolyRing
 from qfiber.cli import main
-from qfiber.groebner import ResourceAbort, groebner, pair_budget
-from qfiber.parser import parse_ideal
+from qfiber.excess import make_scenario, q_module
+from qfiber.groebner import Ideal, ResourceAbort, groebner, pair_budget
+from qfiber.parser import parse_ideal, parse_session
+from qfiber.rng import Stream
 
 QG2 = """\
 ring R = Fp(32003)[x1, x2, x3, a1, a2], grevlex;
@@ -24,6 +27,20 @@ TWO_POINTS = """\
 ring R = Fp(32003)[x, y], grevlex;
 ideal X = y, x^2 - 1;
 ideal Y = y;
+"""
+
+# two points, of lengths 2 and 1
+PLANE_HOLDS_POINTS = """\
+ring R = Fp(32003)[x, y, z], grevlex;
+ideal X = z;
+ideal Y = x^2 - x, y^2, x*y, z;
+"""
+
+# two points, neither at the origin
+LINE_MEETS_AXES = """\
+ring R = Fp(32003)[x, y, z], grevlex;
+ideal X = z, x + y - 1;
+ideal Y = x*y, y*z, x*z;
 """
 
 TRANSVERSAL = """\
@@ -218,6 +235,88 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--input", "/no/such/file")
         assert code == 1
 
+    def test_field_option_exits_1(self, capsys, tmp_path):
+        # the input file fixes the ring, field included
+        f = tmp_path / "two.txt"
+        f.write_text(TWO_POINTS)
+        code, out, err = run(capsys, "compute", "--input", str(f),
+                             "--p", "7")
+        assert code == 1 and not out
+        assert "--p" in err
+
+    @pytest.mark.parametrize("text", [QG2, TWO_POINTS, PLANE_HOLDS_POINTS],
+                             ids=["graph", "two-points", "plane-points"])
+    def test_one_decomposition_per_session(self, capsys, tmp_path,
+                                           monkeypatch, text):
+        calls = []
+        plain = zerodim.local_decompose
+
+        def counting(alg, stream):
+            calls.append(alg.dim)
+            return plain(alg, stream)
+
+        for mod in (zerodim, excess, cli):
+            if hasattr(mod, "local_decompose"):
+                monkeypatch.setattr(mod, "local_decompose", counting)
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 0
+        assert calls == [doc["deg_Z"]]
+        # the component lines and the licci lines come from one list
+        assert [c["length"] for c in doc["components"]] == \
+            [e["length"] for e in doc["licci"]]
+
+    @pytest.mark.parametrize("text", [TWO_POINTS, LINE_MEETS_AXES],
+                             ids=["two-points", "line-axes"])
+    def test_one_intersection_basis_per_session(self, capsys, tmp_path,
+                                                monkeypatch, text):
+        # sessions whose points lie off the origin, so that the ladder
+        # works on shifted generators, not on those of I_X + I_Y
+        ring, ideals, _ = parse_session(text)
+        zgens = Ideal(ring, ideals["X"]).gens + Ideal(ring, ideals["Y"]).gens
+        runs = []
+
+        def counting(ring, gens):
+            runs.append(tuple(gens))
+            return groebner(ring, gens)
+
+        monkeypatch.setattr(gb_module, "groebner", counting)
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        code, _, _ = run(capsys, "compute", "--input", str(f))
+        assert code == 0
+        assert runs.count(zgens) == 1
+
+    @pytest.mark.parametrize("text", [TWO_POINTS, PLANE_HOLDS_POINTS],
+                             ids=["two-points", "plane-points"])
+    def test_report_keeps_its_factors(self, text):
+        ring, ideals, _ = parse_session(text)
+        I_X, I_Y = Ideal(ring, ideals["X"]), Ideal(ring, ideals["Y"])
+        scen = make_scenario(ring, I_X, I_Y, I_X.krull_dim(),
+                             ring.nvars - I_Y.krull_dim())
+        rep = q_module(scen, Stream(0))
+        assert len(rep.factors) == len(rep.per_component) == 2
+        for f, (length, _, _) in zip(rep.factors, rep.per_component):
+            assert f.length == length
+        # the factors ride along outside the JSON form and equality
+        assert "factors" not in rep.to_json_dict()
+        assert "factors" not in repr(rep)
+
+    def test_scenario_checks_finiteness(self):
+        ring, ideals, _ = parse_session(
+            "ring R = Fp(32003)[x, y, z], grevlex;\nideal X = x;\n"
+            "ideal Y = y;\n")
+        with pytest.raises(ValueError, match="intersection not finite"):
+            make_scenario(ring, Ideal(ring, ideals["X"]),
+                          Ideal(ring, ideals["Y"]), 2, 1)
+        ring, ideals, _ = parse_session(
+            "ring R = Fp(32003)[x, y], grevlex;\nideal X = x;\n"
+            "ideal Y = x - 1, y;\n")
+        with pytest.raises(ValueError, match="intersection is empty"):
+            make_scenario(ring, Ideal(ring, ideals["X"]),
+                          Ideal(ring, ideals["Y"]), 1, 2)
+
 
 class TestBounds:
     def test_secant(self, capsys):
@@ -309,6 +408,18 @@ class TestScenario:
         assert doc["cone_nonempty"] is True
         assert doc["passed"] is True
         assert doc["r"] == 3
+
+    def test_secant_checks_never_saturate(self, capsys, monkeypatch):
+        # they read only the Hilbert polynomial, which saturation keeps
+        def refuse(self, other):
+            raise AssertionError("Ideal.saturate was called")
+
+        monkeypatch.setattr(Ideal, "saturate", refuse)
+        for argv in (["reye", "--seed", "1"], ["reye", "--seed", "3"],
+                     ["secant-demo", "--n", "1", "--l", "2"],
+                     ["secant-demo", "--n", "2", "--l", "3"]):
+            code, doc, _ = run_json(capsys, "scenario", *argv)
+            assert code == 0 and doc["passed"] is True
 
     def test_secant_demo_rejects_parameters(self, capsys):
         code, _, err = run(capsys, "scenario", "secant-demo",

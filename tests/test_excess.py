@@ -26,16 +26,19 @@ from qfiber.excess import (
     _hom_rows,
     _quotient_rep,
     _relation_space,
+    _REPORT_SEED,
 )
 from qfiber.groebner import Ideal, _has_witnesses, _run
 from qfiber.linalg import identity, mat_mul, nullspace, rank, rref
-from qfiber.parser import parse_ideal
+from qfiber.parser import parse_ideal, parse_polynomial
+from qfiber.rng import Stream
 from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
                               gen_quadric_graph)
 from qfiber.zerodim import (
     ArtinianAlgebra,
     _eval_matrix_poly,
     derivations_dim,
+    local_decompose,
     minpoly_of_vector,
     semisimple_poly,
     t1_dim,
@@ -55,6 +58,11 @@ def idl(R, text):
 
 def scenario(R, xtext, ytext, dim_x, codim_y, **kw):
     return make_scenario(R, idl(R, xtext), idl(R, ytext), dim_x, codim_y, **kw)
+
+
+def mu(mod):
+    """module_mu over the local factors a report on the same algebra uses."""
+    return module_mu(mod, local_decompose(mod.algebra, Stream(_REPORT_SEED)))
 
 
 def graph2():
@@ -435,8 +443,8 @@ class TestRelationSpace:
         assert np.array_equal(_relation_space(I.gens, [], alg), rref_rows(
             spanning_kernel(I.gens, I.power(2), alg)))
         J = minimal_presentation(I)
-        gens = minimal_generators(J)
         algj = ArtinianAlgebra.from_ideal(J)
+        gens = minimal_generators(algj)
         assert np.array_equal(_relation_space(gens, [], algj), rref_rows(
             spanning_kernel(gens, Ideal(J.ring, gens).power(2), algj)))
 
@@ -488,7 +496,7 @@ class TestHom:
         h = hom_module(free_rank_one(A, A.ideal), A)
         assert h.basis_dim == A.dim
         # the dual of the free cover is again free: one generator suffices
-        assert module_mu(h) == (1, ((4, 4, 1),))
+        assert mu(h) == (1, ((4, 4, 1),))
 
     def test_hom_into_socle(self):
         R = ring("x")
@@ -499,13 +507,13 @@ class TestHom:
         assert residue.basis_dim == 1
         h = hom_module(residue, A)
         assert h.basis_dim == 1
-        assert module_mu(h) == (1, ((2, 1, 1),))
+        assert mu(h) == (1, ((2, 1, 1),))
 
     def test_dual_routes_agree(self):
         def agree(M, A):
             h, oracle = hom_module(M, A), commutant_hom(M, A)
             assert h.basis_dim == oracle.basis_dim
-            assert module_mu(h) == module_mu(oracle)
+            assert mu(h) == mu(oracle)
             return h.basis_dim
 
         for s, expected in ((graph2(), 6), (fatpoint(), 18)):
@@ -521,7 +529,7 @@ class TestHom:
         zbar = qbar(ArtinianAlgebra.from_ideal(
             idl(R, "x^2, y^2, z^2, x*y, x*z, y*z")))
         A = zbar.algebra
-        gens = minimal_generators(A.ideal)
+        gens = minimal_generators(A)
         g = len(gens)
         M = presented(_hom_rows(_relation_space(gens, [], A), g, A), g, A)
         assert M.basis_dim == zbar.basis_dim
@@ -672,8 +680,8 @@ class TestQuotient:
         dim, mats, _ = _quotient_rep(nb, ns, s.Z)
         odim, omats = reduce_then_rref_quotient(nb, ns, s.Z)
         assert dim == odim > 0
-        assert module_mu(FinModule(dim, mats, identity(dim), s.Z)) == \
-            module_mu(FinModule(odim, omats, identity(odim), s.Z))
+        assert mu(FinModule(dim, mats, identity(dim), s.Z)) == \
+            mu(FinModule(odim, omats, identity(odim), s.Z))
         # the ranks of the actions do not depend on the basis; x and y act
         # nontrivially here
         ranks = [rank(X, P) for X in mats]
@@ -709,7 +717,7 @@ class TestQbar:
             idl(R, "x^2, y^2, z^2, x*y, x*z, y*z")))
         assert zbar.basis_dim == 6
         assert zbar.generator_images.shape[0] == 6
-        assert module_mu(zbar) == (6, ((4, 6, 6),))
+        assert mu(zbar) == (6, ((4, 6, 6),))
 
     def test_embedding_dimension_reduction(self):
         R = ring()
@@ -727,7 +735,7 @@ class TestQbar:
         m = gap // rep.deg_z
         assert m >= 0
         assert m == s.dims[1] - zbar.generator_images.shape[0]
-        assert rep.mu_q == module_mu(zbar)[0] + m
+        assert rep.mu_q == mu(zbar)[0] + m
 
     def test_nonlocal_rejected(self):
         R = ring("x")
@@ -735,11 +743,24 @@ class TestQbar:
             qbar(ArtinianAlgebra.from_ideal(idl(R, "x^2 - 1")))
 
     def test_minimal_generators(self):
-        R = ring()
-        assert len(minimal_generators(idl(R, "x^2, x*y, y^2"))) == 3
-        assert len(minimal_generators(idl(R, "x, y^2"))) == 2
-        # redundant spanning sets collapse
-        assert len(minimal_generators(idl(R, "x^2, y^2, x^2 + y^2"))) == 2
+        # the exact Groebner elements kept, in basis order
+        cases = [
+            ("x,y", "x^2, x*y, y^2", "y^2, x*y, x^2"),
+            ("x,y", "x, y^2", "x, y^2"),
+            # redundant spanning sets collapse
+            ("x,y", "x^2, y^2, x^2 + y^2", "y^2, x^2"),
+            # Groebner elements inside (maximal ideal) * ideal are dropped,
+            # the first one too
+            ("x,y,z", "x^2, y^3, x*z, z^2 - x*y",
+             "x*z, x*y - z^2, x^2, y^3"),
+            ("x,y", "x^3 + y^2, x*y^2, y^3 + x^2*y",
+             "x*y^2, x^2*y, x^3 + y^2"),
+        ]
+        for names, text, kept in cases:
+            R = ring(names)
+            A = ArtinianAlgebra.from_ideal(idl(R, text))
+            assert minimal_generators(A) == \
+                [parse_polynomial(t, R) for t in kept.split(", ")]
 
 
 class TestAffinePairs:

@@ -27,6 +27,7 @@ from qfiber.invariants import (
 )
 from qfiber.parser import parse_ideal
 from qfiber.scenarios import Seed, gen_fatpoint_model
+from qfiber.zerodim import ArtinianAlgebra
 
 P = 32003
 
@@ -62,7 +63,7 @@ def fatpoint():
 
 
 def fake_report(q, mu=1, degz=1, c=1):
-    return QReport(degz, c, 0, 0, 0, 0, q, mu, ())
+    return QReport(degz, c, 0, 0, 0, 0, q, mu, (), ())
 
 
 class TestMather:
@@ -214,6 +215,23 @@ class TestLicciLadder:
         for ideal, want in cases:
             v = licci_check(ideal)
             assert (v.status, v.rule) == want
+
+    def test_two_algebras_per_call(self, monkeypatch):
+        # one algebra of the ideal, read by the locality check and by
+        # minimal_generators, and one of (maximal ideal) * ideal
+        built = []
+        plain = ArtinianAlgebra.from_ideal.__func__
+
+        def counting(cls, ideal):
+            built.append(ideal)
+            return plain(cls, ideal)
+
+        monkeypatch.setattr(ArtinianAlgebra, "from_ideal",
+                            classmethod(counting))
+        for text in ("x^2, y^3", "x^2, x*y, y^2"):
+            built.clear()
+            licci_check(idl(ring(), text))
+            assert len(built) == 2
 
 
 class TestQLength:

@@ -1,4 +1,4 @@
-"""Exact F_p linear algebra: echelon forms, kernels, incremental spans."""
+"""Exact F_p linear algebra: echelon forms, kernels, products."""
 
 import random
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qfiber.linalg import (
-    RowBasis,
     identity,
     kernel_intersection,
     mat_mul,
@@ -96,44 +95,6 @@ class TestMatMul:
         want = [[sum(int(A[i, k]) * int(A[k, j]) for k in range(2)) % p
                  for j in range(2)] for i in range(2)]
         assert mat_mul(A, A, p).tolist() == want
-
-
-class TestRowBasis:
-    def test_dim_matches_rank(self):
-        rng = random.Random(19)
-        A = rand_matrix(rng, 12, 7)
-        rb = RowBasis(7, P)
-        for row in A:
-            rb.insert(row)
-        assert rb.dim == rank(A, P)
-        # the recorded span contains every original row
-        for row in A:
-            assert rb.contains(row)
-
-    def test_dependencies_are_exact(self):
-        rng = random.Random(23)
-        A = rand_matrix(rng, 10, 4)
-        rb = RowBasis(4, P, ntrack=10)
-        rels = []
-        for row in A:
-            idx, rel = rb.insert(row)
-            if idx < 0:
-                rels.append(rel)
-        assert len(rels) == 10 - rank(A, P)
-        for rel in rels:
-            combo = mat_mul(rel.reshape(1, -1), A, P)
-            assert not combo.any()
-        # the dependencies themselves are independent
-        assert rank(np.array(rels), P) == len(rels)
-
-    def test_reduce_is_stable(self):
-        rb = RowBasis(3, 7)
-        rb.insert([1, 2, 3])
-        rb.insert([0, 1, 1])
-        v = rb.reduce([2, 4, 6])
-        assert not v.any()
-        w = rb.reduce([0, 0, 5])
-        assert w.any()
 
 
 class TestKernelIntersection:

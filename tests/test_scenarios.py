@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from qfiber import groebner as gb_module
+from qfiber import scenarios
 from qfiber.excess import q_module
-from qfiber.groebner import Ideal
+from qfiber.groebner import Ideal, hilbert_data
 from qfiber.invariants import corank_fiber_lower_bound
 from qfiber.parser import parse_session
 from qfiber.scenarios import (
     Seed,
     _common_roots,
+    _det,
     gen_EI_model,
     gen_ci_secant,
     gen_fatpoint_model,
@@ -90,6 +93,19 @@ class TestFatpointModel:
                      + [R.var(3 + i) for i in range(6)])
         assert (sc.I_X + sc.I_Y).equals(want)
 
+    def test_one_intersection_basis(self, monkeypatch):
+        # the drift check reads the basis the scenario built for Z
+        runs = []
+        plain = gb_module.groebner
+
+        def counting(ring, gens):
+            runs.append(tuple(gens))
+            return plain(ring, gens)
+
+        monkeypatch.setattr(gb_module, "groebner", counting)
+        sc = gen_fatpoint_model(Seed(3))
+        assert runs.count(sc.I_X.gens + sc.I_Y.gens) == 1
+
     def test_report_independent_of_seed(self):
         # the random linear forms never change the intersection invariants
         for seed in (0, 11):
@@ -124,6 +140,24 @@ class TestReye:
             assert chk.point_on_line
             assert chk.intersection_degree == 3
             assert chk.passed
+
+    def test_minors_match_the_full_expansion(self):
+        # the expansion the generator used before it took only the minors
+        # with i <= j: all 16 cofactor determinants, deduplicated in
+        # row-major order, and det A expanded from scratch
+        for seed in range(10):
+            d = gen_reye(Seed(seed))
+            A = d.A
+            minors, seen = [], set()
+            for i in range(4):
+                for j in range(4):
+                    m = _det([[A[a][b] for b in range(4) if b != j]
+                              for a in range(4) if a != i], d.ring)
+                    if m not in seen:
+                        seen.add(m)
+                        minors.append(m)
+            assert d.I_X.gens == Ideal(d.ring, minors).gens
+            assert d.detA == _det([list(row) for row in A], d.ring)
 
     def test_json_shape(self):
         d = gen_reye(Seed(2))
@@ -163,6 +197,45 @@ class TestCISecant:
         a = gen_ci_secant(2, 3, Seed(7))
         b = gen_ci_secant(2, 3, Seed(7))
         assert list(a.gens) == list(b.gens)
+
+
+def _checked_ideals(monkeypatch, check, *args):
+    """Run a secant check, returning the ideals it hands to hilbert_data."""
+    seen = []
+
+    def recording(ideal):
+        seen.append(ideal)
+        return hilbert_data(ideal)
+
+    monkeypatch.setattr(scenarios, "hilbert_data", recording)
+    check(*args)
+    monkeypatch.undo()
+    return seen
+
+
+class TestNoSaturation:
+    """The secant checks read cone dimension and degree of unsaturated
+    ideals; saturating by the irrelevant ideal must not change either."""
+
+    def test_saturation_agrees(self, monkeypatch):
+        runs = []
+        for seed in range(1, 6):
+            d = gen_reye(Seed(seed))
+            runs.append(_checked_ideals(monkeypatch, reye_trisecant, d,
+                                        Seed(seed)))
+        for n, l in ((1, 2), (2, 3)):
+            scen = gen_ci_secant(n, l, Seed(0))
+            runs.append(_checked_ideals(monkeypatch, secant_through_point,
+                                        scen))
+        for ideals in runs:
+            assert ideals
+            for ideal in ideals:
+                ring = ideal.ring
+                irrelevant = Ideal(ring, [ring.var(i)
+                                          for i in range(ring.nvars)])
+                a = hilbert_data(ideal)
+                b = hilbert_data(ideal.saturate(irrelevant)[0])
+                assert (a.krull_dim, a.degree) == (b.krull_dim, b.degree)
 
 
 class TestScenarioText:

@@ -106,6 +106,37 @@ class TestMinpoly:
         mp = minpoly_of_vector(A.action(0), A.one, P)
         assert mp == [P - 1, 0, 1]
 
+    def test_by_definition(self):
+        # f is monic, f(M) v = 0, and deg f is the rank of the Krylov
+        # matrix [v, Mv, ..., M^d v]: no monic polynomial of lower degree
+        # kills v
+        rng = np.random.default_rng(7)
+        d = 6
+        N = np.triu(rng.integers(0, P, (d, d)), k=1)  # nilpotent
+        D = np.diag([3, 3, 5, 5, 5, 9])
+        cases = [(N, rng.integers(0, P, d)), (N, np.eye(d, dtype=np.int64)[0]),
+                 (np.mod(D + N, P), rng.integers(0, P, d)),
+                 (np.mod(D + N, P), np.eye(d, dtype=np.int64)[2])]
+        for M, v in cases:
+            M = np.asarray(M, dtype=np.int64)
+            v = np.asarray(v, dtype=np.int64)
+            f = minpoly_of_vector(M, v, P)
+            assert f[-1] == 1
+            assert not mat_mul(_eval_matrix_poly(f, M, P), v, P).any()
+            krylov = [v]
+            for _ in range(d):
+                krylov.append(mat_mul(M, krylov[-1], P))
+            assert len(f) - 1 == rank(np.stack(krylov, axis=1), P)
+        # on a nilpotent M every vector has minimal polynomial t^k; the last
+        # unit vector runs through the whole flag, and e_0 is killed at once
+        assert minpoly_of_vector(N, np.eye(d, dtype=np.int64)[d - 1], P) \
+            == [0] * d + [1]
+        assert minpoly_of_vector(N, np.eye(d, dtype=np.int64)[0], P) == [0, 1]
+        # the zero vector is killed by the constant 1
+        assert minpoly_of_vector(N, np.zeros(d, dtype=np.int64), P) == [1]
+        assert minpoly_of_vector(np.zeros((0, 0), dtype=np.int64),
+                                 np.zeros(0, dtype=np.int64), P) == [1]
+
 
 class TestTangent:
     def test_fat_point_tangent(self):
