@@ -16,11 +16,8 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations_with_replacement
 
-import numpy as np
-
-from .algebra import FieldSpec, PolyRing
+from .algebra import FieldSpec
 from .excess import (
     ExcessIntersection,
     make_scenario,
@@ -40,7 +37,7 @@ from .invariants import (
     qlength_verify,
     secant_sweep_bound,
 )
-from .linalg import mat_mul, rref
+from .linalg import mat_mul
 from .parser import ParseError, parse_session
 from .rng import Stream
 from .scenarios import (
@@ -132,40 +129,18 @@ def _table_text(out: dict) -> str:
 # --- compute -----------------------------------------------------------------
 
 
-def _nilpotency_index(mats, p: int) -> int:
-    """Steps until the maximal-ideal chain of a local factor reaches zero."""
-    d = mats[0].shape[0]
-    basis = np.eye(d, dtype=np.int64)
-    k = 0
-    while basis.shape[0]:
-        cols = np.vstack([mat_mul(M, basis.T, p).T for M in mats])
-        R, piv = rref(cols, p)
-        basis = R[: len(piv)]
-        k += 1
-        if k > d + 1:
-            raise RuntimeError("nilpotency chain failed to terminate")
-    return k
+def _component_verdict(Z, factor, isolate: bool):
+    """Licci ladder verdict for one local factor of the intersection Z.
 
-
-def _power_monomials(ring: PolyRing, n: int) -> list:
-    out = []
-    for combo in combinations_with_replacement(range(ring.nvars), n):
-        e = [0] * ring.nvars
-        for i in combo:
-            e[i] += 1
-        out.append(ring.poly({tuple(e): 1}))
-    return out
-
-
-def _component_verdict(ring: PolyRing, zgens, factor, isolate: bool):
-    """Licci ladder verdict for one local factor of the intersection.
-
-    Rational factors are translated to the origin, isolated by adding the
-    power of the maximal ideal that kills the factor (only needed when
-    other factors exist), re-presented minimally, and fed to the ladder.
+    When Z has other factors, the component is cut out as I_Z + (1 - e),
+    with e the factor's idempotent in O_Z lifted to a polynomial; the ideal
+    of a component is unique, so this is I_Z + m^k for every k at or above
+    its Loewy length.  A component off the origin is then translated to
+    it.  A single factor at the origin thus hands I_Z itself, with its
+    basis and algebra, to the minimal re-presentation and the ladder.
     Non-rational factors (clusters) stay Unknown.
     """
-    p = ring.p
+    p = Z.p
     if factor.point is None:
         return LicciVerdict(UNKNOWN, None), {
             "length": factor.length,
@@ -176,14 +151,13 @@ def _component_verdict(ring: PolyRing, zgens, factor, isolate: bool):
                     "ladder not applied",
         }
     pt = [int(a) % p for a in factor.point]
-    gens = [g.shift(pt) for g in zgens]
+    ideal = Z.ideal
     if isolate:
-        mats = [np.mod(np.asarray(M, dtype=np.int64)
-                       - a * np.eye(factor.length, dtype=np.int64), p)
-                for M, a in zip(factor.actions, pt)]
-        gens = gens + _power_monomials(ring, _nilpotency_index(mats, p))
-    reduced = minimal_presentation(Ideal(ring, gens))
-    verdict = licci_check(reduced)
+        e = mat_mul(factor.projector(Z.actions(), p), Z.one, p)
+        ideal = ideal + Ideal(Z.ring, [Z.ring.one() - Z.lift(e)])
+    if any(pt):
+        ideal = Ideal(Z.ring, [g.shift(pt) for g in ideal.gens])
+    verdict = licci_check(minimal_presentation(ideal))
     return verdict, {
         "length": factor.length,
         "point": pt,
@@ -223,13 +197,11 @@ def cmd_compute(args) -> int:
     # the ladder reads the factors the report was split into, so the
     # component lines and the verdicts pair up by construction
     factors = report.factors
-    zgens = list(scen.Z.ideal.gens)
     verdicts = []
     components = []
     for f in factors:
         try:
-            v, d = _component_verdict(ring, zgens, f,
-                                      isolate=len(factors) > 1)
+            v, d = _component_verdict(scen.Z, f, isolate=len(factors) > 1)
         except ResourceAbort:
             raise
         except (ValueError, RuntimeError) as e:

@@ -79,8 +79,7 @@ class IntersectionScenario:
     responsibility (generators build graphs and linear spaces, smooth by
     construction).  chart_ring/chart_ideal, when present, re-present the
     intersection inside a coordinate chart of X and feed the intrinsic
-    tangent computations.  _big and _small cache the relation spaces
-    K_big and K_small of the two conormal modules once they are built.
+    tangent computations.
     """
 
     ring: PolyRing
@@ -90,8 +89,6 @@ class IntersectionScenario:
     Z: ArtinianAlgebra
     chart_ring: PolyRing | None = None
     chart_ideal: Ideal | None = None
-    _big: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _small: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def c(self) -> int:
@@ -271,17 +268,14 @@ def conormal_restricted(s: IntersectionScenario) -> np.ndarray:
     module is free of rank g: K_big is zero and no syzygy is computed.
     Otherwise K_big is the image of Syz(I_Y gens).
     """
-    if s._big is None:
-        codim_y = s.ring.nvars - s.I_Y.krull_dim()
-        if codim_y != s.dims[1]:
-            raise RuntimeError(f"codim Y is {codim_y}, but the scenario "
-                               f"states {s.dims[1]}")
-        g = len(s.I_Y.gens)
-        if codim_y == g:
-            s._big = np.zeros((0, g * s.Z.dim), dtype=np.int64)
-        else:
-            s._big = _relation_space(s.I_Y.gens, [], s.Z)
-    return s._big
+    codim_y = s.ring.nvars - s.I_Y.krull_dim()
+    if codim_y != s.dims[1]:
+        raise RuntimeError(f"codim Y is {codim_y}, but the scenario "
+                           f"states {s.dims[1]}")
+    g = len(s.I_Y.gens)
+    if codim_y == g:
+        return np.zeros((0, g * s.Z.dim), dtype=np.int64)
+    return _relation_space(s.I_Y.gens, [], s.Z)
 
 
 def conormal_in_X(s: IntersectionScenario) -> np.ndarray:
@@ -292,16 +286,10 @@ def conormal_in_X(s: IntersectionScenario) -> np.ndarray:
     the quotient), with relations I_X + I_Y^2; K_small is the image of the
     I_Y-parts of Syz(I_Y gens, I_X gens).  Both modules are quotients of the
     same k^(g*d), so the natural map from the restricted module is well
-    defined, and then onto, exactly when K_big lies in K_small; that
-    containment is certified here.
+    defined, and then onto, exactly when K_big lies in K_small; the defect
+    report certifies that containment.
     """
-    if s._small is None:
-        big = conormal_restricted(s)
-        small = _relation_space(s.I_Y.gens, s.I_X.gens, s.Z)
-        if rank(np.vstack([small, big]), s.Z.p) != small.shape[0]:
-            raise RuntimeError("restriction map failed to be onto")
-        s._small = small
-    return s._small
+    return _relation_space(s.I_Y.gens, s.I_X.gens, s.Z)
 
 
 # --- first-order deformations -----------------------------------------------
@@ -365,12 +353,15 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
     """Assemble the report from the relation spaces of the two conormal
     modules, both quotients of k^(g*d).
 
-    The two Hom spaces live in the same spanning coordinates and the
-    smaller one embeds in the bigger (its relation space contains the
-    other), so the defect module is a genuine quotient of subspaces.  The
-    algebra is split into local factors once, with the stream; the
-    report keeps them.
+    The restriction map between the modules exists, and is onto, exactly
+    when K_big lies in K_small; that is certified first.  The two Hom
+    spaces then live in the same spanning coordinates and the smaller one
+    embeds in the bigger, so the defect module is a genuine quotient of
+    subspaces.  The algebra is split into local factors once, with the
+    stream; the report keeps them.
     """
+    if rank(np.vstack([small, big]), alg.p) != small.shape[0]:
+        raise RuntimeError("restriction map failed to be onto")
     n_big = _hom_rows(big, g, alg)
     n_small = _hom_rows(small, g, alg)
     if rank(np.vstack([n_big, n_small]), alg.p) != n_big.shape[0]:

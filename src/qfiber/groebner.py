@@ -598,9 +598,13 @@ def _drop_front(f: Polynomial, small: PolyRing) -> Polynomial:
 
 
 class Ideal:
-    """Ideal of a polynomial ring, with a cached reduced Groebner basis."""
+    """Ideal of a polynomial ring, with a cached reduced Groebner basis.
 
-    __slots__ = ("ring", "gens", "_gb")
+    _alg holds the quotient algebra once ArtinianAlgebra.from_ideal has
+    built it, so each ideal has one basis and one algebra.
+    """
+
+    __slots__ = ("ring", "gens", "_gb", "_alg")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring
@@ -609,6 +613,7 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self._gb = None
+        self._alg = None
 
     def groebner(self) -> GroebnerBasis:
         if self._gb is None:

@@ -46,6 +46,10 @@ class ArtinianAlgebra:
 
     @classmethod
     def from_ideal(cls, ideal: Ideal) -> "ArtinianAlgebra":
+        """The quotient algebra of a zero-dimensional ideal, built once and
+        kept on the ideal beside its Groebner basis."""
+        if ideal._alg is not None:
+            return ideal._alg
         ring = ideal.ring
         gb = ideal.groebner()
         if gb.is_trivial():
@@ -76,6 +80,7 @@ class ArtinianAlgebra:
                       for m in std
                   ))
         alg.one[index[zero]] = 1
+        ideal._alg = alg
         return alg
 
     @classmethod

@@ -14,8 +14,10 @@ from qfiber.algebra import FieldSpec, PolyRing
 from qfiber.cli import main
 from qfiber.excess import make_scenario, q_module
 from qfiber.groebner import Ideal, ResourceAbort, groebner, pair_budget
+from qfiber.linalg import mat_mul
 from qfiber.parser import parse_ideal, parse_session
 from qfiber.rng import Stream
+from qfiber.zerodim import local_decompose
 
 QG2 = """\
 ring R = Fp(32003)[x1, x2, x3, a1, a2], grevlex;
@@ -41,6 +43,24 @@ LINE_MEETS_AXES = """\
 ring R = Fp(32003)[x, y, z], grevlex;
 ideal X = z, x + y - 1;
 ideal Y = x*y, y*z, x*z;
+"""
+
+# Y = (x - 1, y, z)^2 * (x, y, z) + (w): a reduced point at the origin and
+# a fat point of length 4 at (1, 0, 0, 0)
+FAT_OFF_ORIGIN = """\
+ring R = Fp(32003)[x, y, z, w], grevlex;
+ideal X = w;
+ideal Y = (x-1)^2*x, (x-1)^2*y, (x-1)^2*z, (x-1)*y*x, (x-1)*y^2, (x-1)*y*z,
+          (x-1)*z*x, (x-1)*z*y, (x-1)*z^2, y^2*x, y^3, y^2*z, y*z*x, y*z^2,
+          z^2*x, z^3, w;
+"""
+
+# x^3 + x = x (x^2 + 1), and -1 is not a square mod 32003: a rational
+# point at the origin and a cluster of length 2
+CLUSTER = """\
+ring R = Fp(32003)[x, y], grevlex;
+ideal X = y;
+ideal Y = y, x^3 + x;
 """
 
 TRANSVERSAL = """\
@@ -287,6 +307,75 @@ class TestCompute:
         code, _, _ = run(capsys, "compute", "--input", str(f))
         assert code == 0
         assert runs.count(zgens) == 1
+
+    def test_work_per_session(self, capsys, tmp_path, monkeypatch):
+        # one compute on QG2: no basis run twice on the same generators,
+        # and one algebra per basis, the single origin factor reusing Z's
+        runs, built = [], []
+        plain_run = gb_module._run
+        plain_init = zerodim.ArtinianAlgebra.__init__
+
+        def counting_run(ring, gens, cofs):
+            runs.append(tuple(gens))
+            return plain_run(ring, gens, cofs)
+
+        def counting_init(self, *args, **kwargs):
+            plain_init(self, *args, **kwargs)
+            if self.ideal is not None:
+                built.append(self.ideal.groebner().polys)
+
+        monkeypatch.setattr(gb_module, "_run", counting_run)
+        monkeypatch.setattr(zerodim.ArtinianAlgebra, "__init__",
+                            counting_init)
+        f = tmp_path / "qg2.txt"
+        f.write_text(QG2)
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 0 and doc["licci"][0]["verdict"] == "Licci"
+        assert len(runs) == len(set(runs)) == 5
+        assert len(built) == len(set(built)) == 3
+
+    def test_fat_component_off_origin(self, capsys, tmp_path):
+        f = tmp_path / "fat.txt"
+        f.write_text(FAT_OFF_ORIGIN)
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 0
+        assert [(e["point"], e["length"], e["verdict"], e["rule"])
+                for e in doc["licci"]] == [
+            ([0, 0, 0, 0], 1, "Licci", "CI"),
+            ([1, 0, 0, 0], 4, "Unknown", None)]
+
+    @pytest.mark.parametrize("text", [FAT_OFF_ORIGIN, TWO_POINTS, CLUSTER],
+                             ids=["fat-off-origin", "two-points", "cluster"])
+    def test_idempotent_cuts_out_the_component(self, text):
+        # I_Z + (1 - e) against I_Z + m^k with k the local length, which is
+        # at least the Loewy length
+        ring, ideals, _ = parse_session(text)
+        I_X, I_Y = Ideal(ring, ideals["X"]), Ideal(ring, ideals["Y"])
+        scen = make_scenario(ring, I_X, I_Y, I_X.krull_dim(),
+                             ring.nvars - I_Y.krull_dim())
+        Z, p = scen.Z, ring.p
+        rational = 0
+        for f in local_decompose(Z, Stream(1)):
+            if f.point is None:
+                continue
+            rational += 1
+            e = mat_mul(f.projector(Z.actions(), p), Z.one, p)
+            cut = Z.ideal + Ideal(ring, [ring.one() - Z.lift(e)])
+            m = Ideal(ring, [ring.var(v) - a
+                             for v, a in zip(ring.variables, f.point)])
+            oracle = Z.ideal + m.power(f.length)
+            assert cut.groebner().polys == oracle.groebner().polys
+        assert rational >= 1
+
+    def test_cluster_keeps_its_unknown_line(self, capsys, tmp_path):
+        f = tmp_path / "cluster.txt"
+        f.write_text(CLUSTER)
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 0
+        assert [(e["point"], e["length"], e["verdict"], e["rule"])
+                for e in doc["licci"]] == [
+            ([0, 0], 1, "Licci", "CI"), (None, 2, "Unknown", None)]
+        assert "cluster" in doc["licci"][1]["note"]
 
     @pytest.mark.parametrize("text", [TWO_POINTS, PLANE_HOLDS_POINTS],
                              ids=["two-points", "plane-points"])

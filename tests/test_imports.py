@@ -1,0 +1,70 @@
+"""No library module imports a name it never uses.
+
+No linter runs on this tree, so an import whose last reader went away in
+a refactor is caught here, from the source alone.  `__init__.py` is left
+out: its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qfiber"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree) -> dict:
+    """Name bound by each import, anywhere in the module -> its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                out[a.asname or a.name] = node.lineno
+    return out
+
+
+def used_names(tree) -> set:
+    """Every name read in the module, quoted annotations included."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used |= used_names(ast.parse(sub.value, mode="eval"))
+    return used
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return sorted((line, name) for name, line in imported_names(tree).items()
+                  if name not in used)
+
+
+def test_checker_finds_leftovers():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport numpy as np\n"
+              "from .linalg import mat_mul, rref\n"
+              "from .algebra import PolyRing\n"
+              "def f(r: 'PolyRing'):\n    return mat_mul(np.eye(2), r)\n")
+    assert unused_imports(source) == [(2, "os"), (4, "rref")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    source = (SRC / name).read_text(encoding="utf-8")
+    assert unused_imports(source) == []

@@ -39,6 +39,15 @@ class TestAlgebra:
         assert A.std[0] == (0, 0)
         assert A.one.tolist() == [1, 0, 0, 0]
 
+    def test_one_algebra_per_ideal(self):
+        # the algebra is kept on the ideal, as its basis is
+        R = ring()
+        I = Ideal(R, parse_ideal("x^2, y^2", R))
+        assert ArtinianAlgebra.from_ideal(I) is ArtinianAlgebra.from_ideal(I)
+        J = Ideal(R, I.gens)
+        assert ArtinianAlgebra.from_ideal(J) is not \
+            ArtinianAlgebra.from_ideal(I)
+
     def test_rejects_positive_dim(self):
         R = ring()
         with pytest.raises(ValueError):
