@@ -26,6 +26,7 @@ from .excess import (
 )
 from .groebner import _PAIR_BUDGET, Ideal, ResourceAbort, pair_budget
 from .invariants import (
+    LICCI,
     UNKNOWN,
     LicciVerdict,
     cnr_constant,
@@ -138,7 +139,8 @@ def _component_verdict(Z, factor, isolate: bool):
     its Loewy length.  A component off the origin is then translated to
     it.  A single factor at the origin thus hands I_Z itself, with its
     basis and algebra, to the minimal re-presentation and the ladder.
-    Non-rational factors (clusters) stay Unknown.
+    A reduced rational point is a complete intersection and takes no
+    ladder.  Non-rational factors (clusters) stay Unknown.
     """
     p = Z.p
     if factor.point is None:
@@ -151,13 +153,18 @@ def _component_verdict(Z, factor, isolate: bool):
                     "ladder not applied",
         }
     pt = [int(a) % p for a in factor.point]
-    ideal = Z.ideal
-    if isolate:
-        e = mat_mul(factor.projector(Z.actions(), p), Z.one, p)
-        ideal = ideal + Ideal(Z.ring, [Z.ring.one() - Z.lift(e)])
-    if any(pt):
-        ideal = Ideal(Z.ring, [g.shift(pt) for g in ideal.gens])
-    verdict = licci_check(minimal_presentation(ideal))
+    if factor.length == 1:
+        # a reduced rational point has the ideal m_pt, generated by its n
+        # linear forms: a complete intersection, the ladder's first rung
+        verdict = LicciVerdict(LICCI, "CI")
+    else:
+        ideal = Z.ideal
+        if isolate:
+            e = mat_mul(factor.projector(Z.actions(), p), Z.one, p)
+            ideal = ideal + Ideal(Z.ring, [Z.ring.one() - Z.lift(e)])
+        if any(pt):
+            ideal = Ideal(Z.ring, [g.shift(pt) for g in ideal.gens])
+        verdict = licci_check(minimal_presentation(ideal))
     return verdict, {
         "length": factor.length,
         "point": pt,

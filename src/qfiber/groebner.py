@@ -5,7 +5,8 @@ per variable with a guard bit on top, so divisibility, quotients and lcm are
 a few integer operations.  Monomial order keys are additive integers: the
 key of a product is the sum of keys, which lets normal-form reduction shift
 whole polynomials by pure adds.  Field overflow trips a guard bit and the
-computation restarts with wider fields.
+computation restarts with wider fields.  The same codec serves the
+cofactor expansion of the Reye minors in scenarios.
 
 Pair handling is Buchberger with the Gebauer-Moller update and sugar-first
 selection.  Reduced bases are unique, monic, and sorted by leading term, so

@@ -54,13 +54,15 @@ def rref(A, p: int):
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
+        # row r is zero left of c, so only columns c.. change
         inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = A[r] * inv % p
+        A[r, c:] = A[r, c:] * inv % p
         col = A[:, c].copy()
         col[r] = 0
         rows = np.nonzero(col)[0]
         if rows.size:
-            A[rows] = np.mod(A[rows] - np.outer(col[rows], A[r]), p)
+            A[rows, c:] = np.mod(A[rows, c:] - np.outer(col[rows], A[r, c:]),
+                                 p)
         pivots.append(c)
         r += 1
     return A, pivots

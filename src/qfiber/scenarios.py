@@ -22,7 +22,7 @@ from .algebra import (
     random_poly,
 )
 from .excess import IntersectionScenario, make_scenario
-from .groebner import Ideal, hilbert_data
+from .groebner import Ideal, _Enc, hilbert_data
 from .linalg import nullspace, rank, solve
 from .rng import Stream
 
@@ -188,16 +188,55 @@ class ReyeCheck:
         }
 
 
-def _det(rows, ring: PolyRing) -> Polynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = ring.zero()
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det(minor, ring)
-        acc = acc - term if j % 2 else acc + term
-    return acc
+def _minors_and_det(A, ring: PolyRing):
+    """The 3x3 minors (i, j), i <= j in row-major order, and det A of a
+    4x4 matrix of linear forms.
+
+    The entries are encoded once with the Groebner engine's codec.  Every
+    sub-determinant is expanded along its first row on {packed: coeff}
+    dicts, memoised by (rows, cols) and reduced mod p once; the order key
+    of a product is the sum of the factors' keys.  det A is the row-0
+    expansion over the minors (0, j), which the memo already holds.
+    """
+    if any(f.degree() > 1 for row in A for f in row):
+        raise ValueError("matrix entries must be linear")
+    p = ring.p
+    # linear entries keep every exponent of a k x k sub-determinant at or
+    # below k <= 4, which a 4-bit field (7 below its guard bit) holds
+    enc = _Enc(ring.nvars, ring.order, 4)
+    ent = [[{enc.pack(e): c for e, c in f.terms} for f in row] for row in A]
+    keys = {m: enc.key(m) for row in ent for d in row for m in d}
+    memo = {}
+
+    def sub(rows, cols):
+        if len(rows) == 1:
+            return ent[rows[0]][cols[0]]
+        got = memo.get((rows, cols))
+        if got is None:
+            acc = {}
+            for k, c in enumerate(cols):
+                g = sub(rows[1:], cols[:k] + cols[k + 1:])
+                for mf, cf in ent[rows[0]][c].items():
+                    kf = keys[mf]
+                    if k % 2:
+                        cf = -cf
+                    for mg, cg in g.items():
+                        m = mf + mg
+                        acc[m] = acc.get(m, 0) + cf * cg
+                        keys[m] = kf + keys[mg]
+            got = memo[(rows, cols)] = {m: c % p for m, c in acc.items()
+                                        if c % p}
+        return got
+
+    def decode(d):
+        return enc.decode_poly(
+            sorted(((keys[m], m, c) for m, c in d.items()), reverse=True),
+            ring)
+
+    full = tuple(range(4))
+    minors = [decode(sub(full[:i] + full[i + 1:], full[:j] + full[j + 1:]))
+              for i in range(4) for j in range(i, 4)]
+    return minors, decode(sub(full, full))
 
 
 def gen_reye(s: Seed) -> ReyeData:
@@ -214,26 +253,11 @@ def gen_reye(s: Seed) -> ReyeData:
     A = tuple(tuple(entries[(i, j)] for j in range(4)) for i in range(4))
     # A is symmetric, so minor (j, i) is the transpose of minor (i, j) and
     # has the same determinant: only the minors with i <= j are computed
-    minor = {}
-    for i in range(4):
-        for j in range(i, 4):
-            sub = [[A[a][b] for b in range(4) if b != j]
-                   for a in range(4) if a != i]
-            minor[(i, j)] = _det(sub, ring)
-    minors = []
-    seen = set()
-    for m in minor.values():
-        if m not in seen:
-            seen.add(m)
-            minors.append(m)
-    # det A along row 0, term by term as _det expands it
-    det = ring.zero()
-    for j in range(4):
-        term = A[0][j] * minor[(0, j)]
-        det = det - term if j % 2 else det + term
+    minors, det = _minors_and_det(A, ring)
     if det.degree() != 4:
         raise RuntimeError(f"degenerate symmetric matrix from seed {s.seed}")
-    return ReyeData(ring, A, Ideal(ring, minors), det)
+    # equal minors kept once, in row-major order of first appearance
+    return ReyeData(ring, A, Ideal(ring, dict.fromkeys(minors)), det)
 
 
 def _common_roots(polys, p: int) -> list:

@@ -12,7 +12,8 @@ from qfiber import cli, excess, zerodim
 from qfiber import groebner as gb_module
 from qfiber.algebra import FieldSpec, PolyRing
 from qfiber.cli import main
-from qfiber.excess import make_scenario, q_module
+from qfiber.excess import make_scenario, minimal_presentation, q_module
+from qfiber.invariants import licci_check
 from qfiber.groebner import Ideal, ResourceAbort, groebner, pair_budget
 from qfiber.linalg import mat_mul
 from qfiber.parser import parse_ideal, parse_session
@@ -333,6 +334,50 @@ class TestCompute:
         assert code == 0 and doc["licci"][0]["verdict"] == "Licci"
         assert len(runs) == len(set(runs)) == 5
         assert len(built) == len(set(built)) == 3
+
+    @pytest.mark.parametrize("text", [TWO_POINTS, LINE_MEETS_AXES],
+                             ids=["two-points", "line-axes"])
+    def test_reduced_point_verdict_matches_the_ladder(self, text):
+        # a length-1 rational factor is decided as a complete intersection;
+        # the ladder on its isolated, shifted ideal stays the oracle
+        ring, ideals, _ = parse_session(text)
+        I_X, I_Y = Ideal(ring, ideals["X"]), Ideal(ring, ideals["Y"])
+        scen = make_scenario(ring, I_X, I_Y, I_X.krull_dim(),
+                             ring.nvars - I_Y.krull_dim())
+        Z, p = scen.Z, ring.p
+        factors = q_module(scen, Stream(1)).factors
+        assert len(factors) == 2
+        for f in factors:
+            assert f.length == 1 and f.point is not None
+            e = mat_mul(f.projector(Z.actions(), p), Z.one, p)
+            ideal = Z.ideal + Ideal(ring, [ring.one() - Z.lift(e)])
+            ideal = Ideal(ring, [g.shift([int(a) % p for a in f.point])
+                                 for g in ideal.gens])
+            oracle = licci_check(minimal_presentation(ideal))
+            verdict, line = cli._component_verdict(Z, f, isolate=True)
+            assert verdict == oracle
+            assert (line["verdict"], line["rule"]) == (oracle.status,
+                                                       oracle.rule)
+
+    def test_reduced_points_take_no_ladder(self, capsys, tmp_path,
+                                           monkeypatch):
+        # before the shortcut, TWO_POINTS took 11 basis runs, 8 of them
+        # isolating, re-presenting and laddering its two reduced points
+        runs = []
+        plain_run = gb_module._run
+
+        def counting_run(ring, gens, cofs):
+            runs.append(tuple(gens))
+            return plain_run(ring, gens, cofs)
+
+        monkeypatch.setattr(gb_module, "_run", counting_run)
+        f = tmp_path / "two.txt"
+        f.write_text(TWO_POINTS)
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 0
+        assert [(e["verdict"], e["rule"]) for e in doc["licci"]] == \
+            [("Licci", "CI")] * 2
+        assert len(runs) == 3
 
     def test_fat_component_off_origin(self, capsys, tmp_path):
         f = tmp_path / "fat.txt"

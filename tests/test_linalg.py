@@ -22,6 +22,32 @@ def rand_matrix(rng, m, n, p=P):
     return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=np.int64)
 
 
+def full_update_rref(A, p):
+    """rref updating whole rows at each pivot: the oracle for the
+    column-restricted elimination in linalg.rref."""
+    A = np.mod(np.asarray(A, dtype=np.int64), p)
+    m, n = A.shape
+    pivots, r = [], 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        col = A[:, c].copy()
+        col[r] = 0
+        rows = np.nonzero(col)[0]
+        if rows.size:
+            A[rows] = np.mod(A[rows] - np.outer(col[rows], A[r]), p)
+        pivots.append(c)
+        r += 1
+    return A, pivots
+
+
 class TestRref:
     def test_known(self):
         A = [[1, 2], [2, 4]]
@@ -37,6 +63,24 @@ class TestRref:
         R2, piv2 = rref(R, P)
         assert piv == piv2
         assert (R == R2).all()
+
+    @pytest.mark.parametrize("p", [3, 32003, 2147483629])
+    def test_matches_full_row_update(self, p):
+        rng = random.Random(p)
+        for _ in range(40):
+            m, n = rng.randrange(1, 9), rng.randrange(1, 11)
+            A = rand_matrix(rng, m, n, p)
+            A[:, rng.randrange(n)] = 0
+            if m > 1:
+                A[rng.randrange(m)] = A[0]
+            if rng.randrange(3) == 0 and m > 2:
+                # a rank-deficient product
+                A = mat_mul(rand_matrix(rng, m, 2, p),
+                            rand_matrix(rng, 2, n, p), p)
+            R, piv = rref(A, p)
+            R0, piv0 = full_update_rref(A, p)
+            assert piv == piv0
+            assert R.dtype == R0.dtype and (R == R0).all()
 
     def test_rank_random_products(self):
         rng = random.Random(5)

@@ -6,6 +6,7 @@ import pytest
 
 from qfiber import groebner as gb_module
 from qfiber import scenarios
+from qfiber.algebra import Polynomial, PolyRing, random_poly
 from qfiber.excess import q_module
 from qfiber.groebner import Ideal, hilbert_data
 from qfiber.invariants import corank_fiber_lower_bound
@@ -13,7 +14,7 @@ from qfiber.parser import parse_session
 from qfiber.scenarios import (
     Seed,
     _common_roots,
-    _det,
+    _minors_and_det,
     gen_EI_model,
     gen_ci_secant,
     gen_fatpoint_model,
@@ -124,6 +125,36 @@ class TestEIModel:
         assert r.q == Fraction(31, 3)
 
 
+def _det(rows, ring):
+    """Cofactor expansion along the first row on Polynomial arithmetic:
+    the oracle for the packed expansion in the scenario generator."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = ring.zero()
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * _det(minor, ring)
+        acc = acc - term if j % 2 else acc + term
+    return acc
+
+
+def _drop(A, i, j):
+    """A with row i and column j removed."""
+    return [[A[a][b] for b in range(len(A)) if b != j]
+            for a in range(len(A)) if a != i]
+
+
+def _helper_against_oracle(A, ring):
+    """_minors_and_det on A, checked term for term against _det."""
+    minors, det = _minors_and_det(A, ring)
+    assert [m.terms for m in minors] == [
+        _det(_drop(A, i, j), ring).terms
+        for i in range(4) for j in range(i, 4)]
+    assert det.terms == _det(A, ring).terms
+    return minors, det
+
+
 class TestReye:
     def test_matrix_and_minors(self):
         d = gen_reye(Seed(0))
@@ -145,19 +176,74 @@ class TestReye:
         # the expansion the generator used before it took only the minors
         # with i <= j: all 16 cofactor determinants, deduplicated in
         # row-major order, and det A expanded from scratch
-        for seed in range(10):
+        for seed in range(40):
             d = gen_reye(Seed(seed))
             A = d.A
             minors, seen = [], set()
             for i in range(4):
                 for j in range(4):
-                    m = _det([[A[a][b] for b in range(4) if b != j]
-                              for a in range(4) if a != i], d.ring)
+                    m = _det(_drop(A, i, j), d.ring)
                     if m not in seen:
                         seen.add(m)
                         minors.append(m)
-            assert d.I_X.gens == Ideal(d.ring, minors).gens
-            assert d.detA == _det([list(row) for row in A], d.ring)
+            gens = Ideal(d.ring, minors).gens
+            assert [g.terms for g in d.I_X.gens] == [g.terms for g in gens]
+            assert d.detA.terms == _det([list(row) for row in A],
+                                        d.ring).terms
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_helper_on_a_general_matrix_with_zeros(self, seed):
+        # not symmetric, some entries zero, one entry with a constant term
+        ring = PolyRing(Seed(0).p, tuple(f"y{i}" for i in range(6)))
+        st = Seed(seed).stream()
+        A = [[random_poly(ring, 1, st.fork(4 * i + j)) for j in range(4)]
+             for i in range(4)]
+        A[0][1] = A[2][2] = A[3][0] = ring.zero()
+        A[1][3] = A[1][3] + ring.constant(5)
+        minors, det = _helper_against_oracle(A, ring)
+        assert det.degree() == 4
+
+    def test_helper_on_a_singular_matrix(self):
+        # row 3 = row 1 + 2 * row 2: det A is the zero polynomial
+        ring = PolyRing(Seed(0).p, tuple(f"y{i}" for i in range(6)))
+        st = Seed(3).stream()
+        A = [[random_poly(ring, 1, st.fork(4 * i + j)) for j in range(4)]
+             for i in range(3)]
+        A.append([a + b * 2 for a, b in zip(A[1], A[2])])
+        minors, det = _helper_against_oracle(A, ring)
+        assert det.is_zero()
+        # minor (0, 0) keeps the dependent rows, minor (3, 3) drops one
+        assert minors[0].is_zero() and not minors[-1].is_zero()
+
+    def test_helper_needs_linear_entries(self):
+        ring = PolyRing(Seed(0).p, ("y0", "y1"))
+        A = [[ring.var(0)] * 4 for _ in range(4)]
+        A[2][1] = ring.var(1) * ring.var(1)
+        with pytest.raises(ValueError, match="linear"):
+            _minors_and_det(A, ring)
+
+    def test_degenerate_draw_raises(self, monkeypatch):
+        # every entry y0: A has rank 1, so det A is the zero polynomial
+        monkeypatch.setattr(
+            scenarios, "random_poly",
+            lambda ring, degree, rng, homogeneous=True: ring.var(0))
+        with pytest.raises(RuntimeError,
+                           match="degenerate symmetric matrix from seed 5"):
+            gen_reye(Seed(5))
+
+    def test_expansion_multiplies_no_polynomials(self, monkeypatch):
+        # the minors are expanded on packed monomials, not Polynomial terms
+        calls = []
+        plain = Polynomial.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return plain(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        d = gen_reye(Seed(0))
+        assert calls == []
+        assert d.detA.degree() == 4
 
     def test_json_shape(self):
         d = gen_reye(Seed(2))
