@@ -11,11 +11,12 @@ normal forms.
 A module generated by g elements over an algebra of dimension d is handled
 as a quotient of k^(g*d) by its relation space K.  Every K here has the
 form {u : sum u_i f_i in (f)*I + (h)} over the algebra R/I, and it is the
-image of the f-parts of the syzygies of (f, h).  So the Groebner work is
-one run over f and h that tracks cofactors, the normal forms of the
-syzygies it finds, and, for the algebra, the basis of I; no basis of a
-squared ideal is built.  After that every Hom space, quotient, and action
-is numpy on int64 residues.
+image of the f-parts of the syzygies of (f, h).  They come from replaying
+the trace of a basis run over f and h, which for the conormal modules and
+the tangent space is a run already cached (that of I itself, or of I_Y),
+on cofactors kept as (g x d) arrays in the coordinates of R/I.  No basis
+of a squared ideal is built.  After that every Hom space, quotient, and
+action is numpy on int64 residues.
 
 A conormal module is kept as its relation space K alone: the defect report
 reads K_big, K_small and g (dim M = g*d - dim K), and only the defect
@@ -30,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import GREVLEX, PolyRing
-from .groebner import Ideal, syzygies
+from .groebner import Ideal
 from .linalg import (as_mod_array, identity, kernel_intersection, mat_mul,
                      rank, rref)
 from .rng import Stream
@@ -168,26 +169,54 @@ class SymmetryReport:
 # --- presentation engine ----------------------------------------------------
 
 
-def _relation_space(f, h, alg: ArtinianAlgebra) -> np.ndarray:
+def _relation_space(f, ideal: Ideal, alg: ArtinianAlgebra) -> np.ndarray:
     """k-basis, in rref, of K = {u in alg^g : sum u_i f_i in (f)*I + (h)}.
 
-    I is the ideal of the algebra and must contain f and h; K is the
-    relation space of the module (f)/((f)*I + (h)) presented on the g
-    generators f over the standard monomials.  K is the image of the
-    f-parts of Syz(f, h): writing sum u_i f_i = sum v_i f_i + sum e_k h_k
-    with v in I^g, the vector (u - v, -e) is a syzygy and u - v = u in
-    alg^g; conversely the f-part s of a syzygy has sum s_i f_i in (h).
-    So the images of the generators from groebner.syzygies span K as an
-    alg-module, and K is their span closed under the variable actions.
+    f is a run of consecutive generators of the ideal, h the others, and
+    I, the ideal of the algebra, contains the ideal.  K is the relation
+    space of the module (f)/((f)*I + (h)) on the g generators f over the
+    standard monomials, and the image of the f-parts of Syz(f, h): writing
+    sum u_i f_i = sum v_i f_i + sum e_k h_k with v in I^g, (u - v, -e) is a
+    syzygy and u - v = u in alg^g; conversely the f-part s of a syzygy has
+    sum s_i f_i in (h).  So the replay of the ideal's basis run on the unit
+    cofactors of f, zero on h, spans K as an alg-module.  A cofactor is a
+    (g x d) array in alg coordinates; x^q acts by M_q = X_v M_(q - e_v).
     """
     g, d, p = len(f), alg.dim, alg.p
-    rows = [np.concatenate([alg.coords(c) for c in s])
-            for s in syzygies(alg.ring, f, h)]
-    R, piv = rref(np.array(rows, dtype=np.int64).reshape(-1, g * d), p)
+    gens = ideal.gens
+    at = next((o for o in range(len(gens) - g + 1)
+               if gens[o:o + g] == tuple(f)), None)
+    if at is None:
+        raise ValueError("f is not a run of generators of the ideal")
+    units = np.zeros((len(gens), g, d), dtype=np.int64)
+    units[at + np.arange(g), np.arange(g)] = alg.one
+    acts = alg.actions()
+    powers = {(0,) * alg.nvars: identity(d)}
+
+    def power(q):  # M_q, through every missing M_(q - e_v) on the way
+        chain = []
+        while q not in powers:
+            v = next(i for i, e in enumerate(q) if e)
+            chain.append((q, v))
+            q = q[:v] + (q[v] - 1,) + q[v + 1:]
+        for r, v in reversed(chain):
+            powers[r] = mat_mul(acts[v], powers[q], p)
+            q = r
+        return powers[q]
+
+    def combine(parts):
+        by_shift: dict = {}
+        for c, q, v in parts:
+            by_shift[q] = (by_shift.get(q, 0) + c * v) % p
+        return sum(mat_mul(acc, power(q).T, p)
+                   for q, acc in by_shift.items()) % p
+
+    syz = ideal.groebner().syzygies(units, combine)
+    R, piv = rref(np.array(syz, dtype=np.int64).reshape(len(syz), g * d), p)
     R = R[:len(piv)]
     new = R
     while new.shape[0]:
-        cand = np.vstack([_block_apply(X, new, p) for X in alg.actions()])
+        cand = np.vstack([_block_apply(X, new, p) for X in acts])
         if piv:
             cand = np.mod(cand - mat_mul(cand[:, piv], R, p), p)
         new, piv_new = rref(cand, p)
@@ -248,7 +277,7 @@ def _hom_rows(kernel: np.ndarray, g: int, alg: ArtinianAlgebra) -> np.ndarray:
     """
     d = alg.dim
     blocks = [np.concatenate([alg.element_matrix(k_i) for k_i in k], axis=1)
-              for k in kernel.reshape(-1, g, d)]
+              for k in kernel.reshape(kernel.shape[0], g, d)]
     return kernel_intersection(blocks, g * d, alg.p)
 
 
@@ -266,7 +295,8 @@ def conormal_restricted(s: IntersectionScenario) -> np.ndarray:
     generators, they form a regular sequence (the polynomial ring is
     Cohen-Macaulay), so I_Y/I_Y^2 is free over O_Y on their classes and the
     module is free of rank g: K_big is zero and no syzygy is computed.
-    Otherwise K_big is the image of Syz(I_Y gens).
+    Otherwise K_big is the image of Syz(I_Y gens), read off the basis run
+    of I_Y that certifying codim Y has cached.
     """
     codim_y = s.ring.nvars - s.I_Y.krull_dim()
     if codim_y != s.dims[1]:
@@ -275,7 +305,7 @@ def conormal_restricted(s: IntersectionScenario) -> np.ndarray:
     g = len(s.I_Y.gens)
     if codim_y == g:
         return np.zeros((0, g * s.Z.dim), dtype=np.int64)
-    return _relation_space(s.I_Y.gens, [], s.Z)
+    return _relation_space(s.I_Y.gens, s.I_Y, s.Z)
 
 
 def conormal_in_X(s: IntersectionScenario) -> np.ndarray:
@@ -284,12 +314,13 @@ def conormal_in_X(s: IntersectionScenario) -> np.ndarray:
 
     Same generators as the restricted conormal module (the I_X part dies in
     the quotient), with relations I_X + I_Y^2; K_small is the image of the
-    I_Y-parts of Syz(I_Y gens, I_X gens).  Both modules are quotients of the
-    same k^(g*d), so the natural map from the restricted module is well
-    defined, and then onto, exactly when K_big lies in K_small; the defect
-    report certifies that containment.
+    I_Y-parts of Syz(I_Y gens, I_X gens), read off the basis run of
+    I_X + I_Y that built the algebra Z, so no basis run starts here.  Both
+    modules are quotients of the same k^(g*d), so the natural map from the
+    restricted module is well defined, and then onto, exactly when K_big
+    lies in K_small; the defect report certifies that containment.
     """
-    return _relation_space(s.I_Y.gens, s.I_X.gens, s.Z)
+    return _relation_space(s.I_Y.gens, s.Z.ideal, s.Z)
 
 
 # --- first-order deformations -----------------------------------------------
@@ -297,9 +328,10 @@ def conormal_in_X(s: IntersectionScenario) -> np.ndarray:
 
 def hilbert_tangent_dim(alg: ArtinianAlgebra) -> int:
     """dim Hom(I/I^2, A/I) for the algebra A/I: first-order deformations of
-    the finite scheme V(I) inside its ambient affine space."""
+    the finite scheme V(I) inside its ambient affine space.  The relations
+    come from the basis run of I that built the algebra."""
     gens = alg.ideal.gens
-    kernel = _relation_space(gens, [], alg)
+    kernel = _relation_space(gens, alg.ideal, alg)
     return _hom_rows(kernel, len(gens), alg).shape[0]
 
 
@@ -410,8 +442,8 @@ def q_affine_pair(A: PolyRing, L: Ideal, I: Ideal,
     """
     extra = Ideal(A, []) if modulus is None else modulus
     alg = ArtinianAlgebra.from_ideal(I + L + extra)
-    big = _relation_space(I.gens, extra.gens, alg)
-    small = _relation_space(I.gens, L.gens + extra.gens, alg)
+    big = _relation_space(I.gens, I + extra, alg)
+    small = _relation_space(I.gens, alg.ideal, alg)
     return _defect_report(big, small, len(I.gens), alg, None, 0,
                           Stream(_REPORT_SEED))
 
@@ -501,7 +533,8 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
     alg = ArtinianAlgebra.from_ideal(J)
     gens = minimal_generators(alg)
     g = len(gens)
-    hom_rows = _hom_rows(_relation_space(gens, [], alg), g, alg)
+    hom_rows = _hom_rows(_relation_space(gens, Ideal(alg.ring, gens), alg),
+                         g, alg)
     dim, mats, coordize = _quotient_rep(identity(g * alg.dim), hom_rows, alg)
     return FinModule(dim, mats, coordize(np.kron(identity(g), alg.one)), alg)
 

@@ -22,13 +22,12 @@ so the work done is unchanged.  One memo serves the whole pair loop, one
 the interreduction, and each GroebnerBasis keeps one for normal_form,
 replaced by an empty one whenever a repack re-encodes the monomials.
 
-The same pair loop yields syzygies.  A tracked run (syzygies) carries for
-each element the f-part of its cofactor vector, reduced modulo the
-partial basis through the pair loop's memo, and records it wherever
-Buchberger meets zero; by Schreyer's theorem these generate the syzygies
-modulo the ideal (Eisenbud, Commutative Algebra, Thm 15.10; the
-Gebauer-Moller criteria keep a generating set).  A plain run tracks
-nothing and does the same work as before.
+Every run keeps its trace, the multiples c * x^q of inputs and earlier
+elements that each input and S-pair summed (Traverso's Groebner trace,
+ISSAC 1988).  GroebnerBasis.syzygies replays it, spending no S-pairs, on
+cofactors in the caller's own format; by Schreyer's theorem the sums that
+reached zero generate the syzygies modulo the ideal (Eisenbud, Commutative
+Algebra, Thm 15.10; the Gebauer-Moller criteria keep a generating set).
 """
 
 from __future__ import annotations
@@ -210,9 +209,9 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
     does, so a later lookup scans only the entries appended since.  It
     stays valid while basis only grows at the end with fixed leading terms.
 
-    used is None or a list; a list receives one (c, q, qk, i) per step,
-    which subtracted c * x^q * basis[i] (q packed, qk its key), so the
-    normal form is terms minus the sum of those multiples.
+    used is None or a list; a list receives one (c, q, i) per step, which
+    subtracted c * x^q * basis[i] (q packed), so the normal form is terms
+    minus the sum of those multiples.
     """
     coeff: dict = {}
     heap: list = []
@@ -247,7 +246,7 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
         q = m - ltm
         qk = -negk - ltk
         if used is not None:
-            used.append((c, q, qk, i))
+            used.append((c, q, i))
         for tk, tm, tc in tail:
             mm = q + tm
             if mm & gmask:
@@ -288,47 +287,18 @@ def _spoly_terms(f, g, enc: _Enc, p: int):
     return out
 
 
-def _combine(entries, lts, enc: _Enc, p: int, memo: dict):
-    """Sum of c * x^q * v over entries (c, q, qk, v), reduced modulo lts.
+def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
+    """Reduced Groebner basis of the encoded inputs, and the trace of the
+    run; raises ResourceAbort.
 
-    v is a cofactor vector: one term list per tracked generator.  Only its
-    class modulo the ideal of lts matters, so each part is reduced.
-    """
-    gmask = enc.gmask
-    out = []
-    for n in range(len(entries[0][3])):
-        coeff: dict = {}
-        keys: dict = {}
-        for c, q, qk, v in entries:
-            for tk, tm, tc in v[n]:
-                mm = q + tm
-                prev = coeff.get(mm)
-                if prev is None:
-                    if mm & gmask:
-                        raise _Repack
-                    coeff[mm] = c * tc
-                    keys[mm] = qk + tk
-                else:
-                    coeff[mm] = prev + c * tc
-        terms = [(keys[m], m, c) for m, c in coeff.items() if c % p]
-        out.append(_nf_terms(terms, lts, enc, p, memo, None) if terms
-                   else terms)
-    return out
-
-
-def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int, cofs):
-    """Reduced Groebner basis of the encoded inputs; raises ResourceAbort.
-
-    Returns (basis, syzygies).  cofs is None for a plain run, which finds
-    no syzygies.  Otherwise cofs[k] is the cofactor vector of inputs[k]
-    (one term list per tracked generator f_i: the unit e_i, or zero for an
-    untracked generator h).  The run then carries, for each element, a
-    vector c with element - sum c_i f_i in (h) + (f)J, J the ideal of the
-    inputs: c is kept reduced modulo the partial basis, which lies in J.
-    It records c as a syzygy wherever Buchberger meets zero: a pair
-    reducing to zero, a zero S-polynomial, a duplicate input.  Coprime
-    pairs and pairs the Gebauer-Moller update drops give no record; their
-    syzygies vanish modulo J or follow from the others.
+    The trace has one entry (scale, terms) per input and per S-pair, in run
+    order.  A term (c, q, src) stands for c * x^q times source src, q
+    packed: sources 0..n-1 are the n inputs, source n + t the t-th element
+    added.  An entry with nonzero scale adds the element scale * (sum of
+    its terms).  A zero scale marks a sum that reached zero: a duplicate
+    input, a zero S-polynomial, a pair reducing to zero.  Coprime pairs and
+    pairs the Gebauer-Moller update drops leave no entry; their syzygies
+    have entries in the ideal or follow from the others.
     """
     G: list = []       # engine polys, monic, lt first
     lts: list = []     # (ltkey, ltpacked, tail) view for the reducer search
@@ -336,8 +306,8 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int, cofs):
     pairs: dict = {}   # (i, j) -> (sugar, lcmkey, lcmpacked)
     heap: list = []
     memo: dict = {}    # first-divisor memo of lts, which only grows
-    cof_of: list = []  # tracked runs: cofactor vector of each element
-    syz: list = []
+    trace: list = []
+    n = len(inputs)
 
     def add_element(terms, sugar):
         t = len(G)
@@ -381,19 +351,15 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int, cofs):
         terms = [(tk, m, c * inv % p) for tk, m, c in terms]
         sig = tuple((m, c) for _, m, c in terms)
         if sig in seen:
-            if cofs is not None:
-                syz.append(_combine([(inv, 0, 0, cofs[k]),
-                                     (-1, 0, 0, cof_of[seen[sig]])],
-                                    lts, enc, p, memo))
+            trace.append((0, [(inv, 0, k), (p - 1, 0, n + seen[sig])]))
             continue
         seen[sig] = len(G)
-        if cofs is not None:
-            cof_of.append(_combine([(inv, 0, 0, cofs[k])], lts, enc, p, memo))
+        trace.append((inv, [(1, 0, k)]))
         add_element(terms, max(enc.deg(m) for _, m, _ in terms))
 
     done = 0
     while heap:
-        sug, Lk, i, j = heapq.heappop(heap)
+        sug, _, i, j = heapq.heappop(heap)
         cur = pairs.pop((i, j), None)
         if cur is None:
             continue
@@ -401,16 +367,13 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int, cofs):
         if done > max_pairs:
             raise ResourceAbort(done, len(G), max_pairs)
         s = _spoly_terms(G[i], G[j], enc, p)
-        used = None if cofs is None else []
+        used: list = []
         h = _nf_terms(s, lts, enc, p, memo, used) if s else s
-        if used is not None:
-            # cofactor of h, scaled like the monic element h becomes
-            L = cur[2]
-            inv = pow(h[0][2], p - 2, p) if h else 1
-            entries = [(inv, L - lts[i][1], Lk - lts[i][0], cof_of[i]),
-                       (-inv, L - lts[j][1], Lk - lts[j][0], cof_of[j])]
-            entries += [(-c * inv, q, qk, cof_of[t]) for c, q, qk, t in used]
-            (cof_of if h else syz).append(_combine(entries, lts, enc, p, memo))
+        L = cur[2]
+        terms = [(1, L - lts[i][1], n + i), (p - 1, L - lts[j][1], n + j)]
+        terms += [(p - c, q, n + t) for c, q, t in used]
+        # scaled like the monic element h becomes
+        trace.append((pow(h[0][2], p - 2, p) if h else 0, terms))
         if h:
             add_element(_monic_terms(h, p), sug)
 
@@ -427,20 +390,25 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int, cofs):
     memo = {}
     for idx, (ltk, ltm, tail) in enumerate(view):
         view[idx] = (ltk, ltm, _nf_terms(tail, view, enc, p, memo, None))
-    return [[(ltk, ltm, 1)] + tail for ltk, ltm, tail in view], syz
+    return [[(ltk, ltm, 1)] + tail for ltk, ltm, tail in view], trace
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, interreduced, sorted by leading term."""
+    """Reduced Groebner basis: monic, interreduced, sorted by leading term.
 
-    __slots__ = ("ring", "polys", "_enc", "_engine", "_memo")
+    _trace is (codec, trace) of the run that built it; repacks leave it.
+    """
 
-    def __init__(self, ring: PolyRing, polys: tuple, enc: _Enc, engine: list):
+    __slots__ = ("ring", "polys", "_enc", "_engine", "_memo", "_trace")
+
+    def __init__(self, ring: PolyRing, polys: tuple, enc: _Enc, engine: list,
+                 trace: list):
         self.ring = ring
         self.polys = polys
         self._enc = enc
         self._engine = engine
         self._memo: dict = {}  # first-divisor memo of _engine under _enc
+        self._trace = (enc, trace)
 
     def __iter__(self):
         return iter(self.polys)
@@ -489,17 +457,36 @@ class GroebnerBasis:
     def reduces_to_zero(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
+    def syzygies(self, cofs, combine) -> list:
+        """Replay the run that built the basis on the caller's cofactors.
 
-def _run(ring: PolyRing, gens, cofs):
+        cofs[k] stands for the k-th nonzero generator the basis was built
+        from; combine(parts) returns the sum of c * x^q * v over its parts
+        (c, q, v), q an exponent tuple and v a cofactor.  Returns the
+        cofactors of the sums that reached zero: on unit cofactors, these
+        and the vectors with entries in the ideal generate the syzygies.
+        """
+        enc, trace = self._trace
+        p = self.ring.p
+        unpack = lru_cache(maxsize=None)(enc.unpack)
+        vals, out = list(cofs), []
+        for scale, terms in trace:
+            parts = [(c * (scale or 1) % p, unpack(q), vals[src])
+                     for c, q, src in terms]
+            (vals if scale else out).append(combine(parts))
+        return out
+
+
+def _run(ring: PolyRing, gens):
     """_buchberger on the generators, widening the exponent fields until
-    nothing overflows; returns (codec, basis, syzygies)."""
+    nothing overflows; returns (codec, basis, trace)."""
     budget = _PAIR_BUDGET.get()
     bits = _initial_bits(gens)
     while True:
         enc = _Enc(ring.nvars, ring.order, bits)
         try:
             encoded = [enc.encode_poly(g) for g in gens]
-            return (enc, *_buchberger(enc, encoded, ring.p, budget, cofs))
+            return (enc, *_buchberger(enc, encoded, ring.p, budget))
         except _Repack:
             bits *= 2
 
@@ -512,32 +499,11 @@ def groebner(ring: PolyRing, gens) -> GroebnerBasis:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         enc = _Enc(ring.nvars, ring.order, 5)
-        return GroebnerBasis(ring, (), enc, [])
-    enc, basis, _ = _run(ring, gens, None)
+        return GroebnerBasis(ring, (), enc, [], [])
+    enc, basis, trace = _run(ring, gens)
     polys = tuple(enc.decode_poly(t, ring) for t in basis)
     engine = [(t[0][0], t[0][1], t[1:]) for t in basis]
-    return GroebnerBasis(ring, polys, enc, engine)
-
-
-def syzygies(ring: PolyRing, f, h) -> list:
-    """f-parts of generators of Syz(f, h), each modulo J = (f) + (h).
-
-    f and h are lists of nonzero polynomials.  Every entry s is a tuple of
-    len(f) polynomials, the f-part of a syzygy up to vectors with entries
-    in J, so sum s_i f_i lies in (h) + (f)J.  Over R/I for any ideal I
-    containing J, the images of the entries generate the image of the
-    f-parts of all syzygies (Schreyer: the S-pair syzygies of a Groebner
-    basis generate; Eisenbud, Commutative Algebra, Thm 15.10).
-
-    One Buchberger run over f + h tracks the cofactors; it costs S-pairs
-    from the budget set by pair_budget like any basis run.
-    """
-    g = len(f)
-    gens = list(f) + list(h)
-    units = [[[(0, 0, 1)] if i == k else [] for i in range(g)]
-             for k in range(len(gens))]
-    enc, _, syz = _run(ring, gens, units)
-    return [tuple(enc.decode_poly(t, ring) for t in s) for s in syz]
+    return GroebnerBasis(ring, polys, enc, engine, trace)
 
 
 # --- polynomial division -------------------------------------------------

@@ -29,7 +29,8 @@ from qfiber.excess import (
     _relation_space,
     _REPORT_SEED,
 )
-from qfiber.groebner import Ideal, _has_witnesses, _run
+from qfiber import groebner as gb_module
+from qfiber.groebner import Ideal, _has_witnesses, pair_budget
 from qfiber.linalg import identity, mat_mul, nullspace, rank, rref
 from qfiber.parser import parse_ideal, parse_polynomial
 from qfiber.rng import Stream
@@ -441,12 +442,13 @@ class TestRelationSpace:
         # generators of its minimal presentation J; both against I^2
         I = idl(ring("x,y,z"), text)
         alg = ArtinianAlgebra.from_ideal(I)
-        assert np.array_equal(_relation_space(I.gens, [], alg), rref_rows(
+        assert np.array_equal(_relation_space(I.gens, I, alg), rref_rows(
             spanning_kernel(I.gens, I.power(2), alg)))
         J = minimal_presentation(I)
         algj = ArtinianAlgebra.from_ideal(J)
         gens = minimal_generators(algj)
-        assert np.array_equal(_relation_space(gens, [], algj), rref_rows(
+        assert np.array_equal(_relation_space(gens, Ideal(J.ring, gens),
+                                              algj), rref_rows(
             spanning_kernel(gens, Ideal(J.ring, gens).power(2), algj)))
 
     @pytest.mark.parametrize("idx", range(4))
@@ -455,8 +457,8 @@ class TestRelationSpace:
         extra = Ideal(I.ring, []) if modulus is None else modulus
         alg = ArtinianAlgebra.from_ideal(I + L + extra)
         isq = I.power(2)
-        big = _relation_space(I.gens, extra.gens, alg)
-        small = _relation_space(I.gens, L.gens + extra.gens, alg)
+        big = _relation_space(I.gens, I + extra, alg)
+        small = _relation_space(I.gens, alg.ideal, alg)
         assert np.array_equal(big, rref_rows(
             spanning_kernel(I.gens, isq + I * L + extra, alg)))
         assert np.array_equal(small, rref_rows(
@@ -464,19 +466,42 @@ class TestRelationSpace:
 
     def test_repacked_tracked_run(self):
         # with y^8 the generators fit the initial packed fields (exponents
-        # up to 31), but the cofactors outgrow them, so the tracked run
-        # alone re-encodes wider
+        # up to 31), but their cofactors as polynomials would outgrow them
         R = ring()
         f = parse_ideal("x^7*y^3 + x*y^2, x*y^8", R)
-        units = [[[(0, 0, 1)] if i == k else [] for i in range(2)]
-                 for k in range(2)]
-        assert _run(R, f, units)[0].B > _run(R, f, None)[0].B
         I = Ideal(R, f)
         Z = I + idl(R, "x^3, y^3")
         alg = ArtinianAlgebra.from_ideal(Z)
-        K = _relation_space(f, [], alg)
+        K = _relation_space(f, I, alg)
         assert K.shape[0] > 0
         assert np.array_equal(K, rref_rows(spanning_kernel(f, I * Z, alg)))
+
+    def test_small_side_starts_no_basis_run(self, monkeypatch):
+        # K_small and the Hilbert tangent space read the run that built Z
+        s = gen_quadric_graph(4, Seed(0))
+        runs = []
+
+        def counting_run(ring, gens):
+            runs.append(gens)
+            return plain_run(ring, gens)
+
+        plain_run = gb_module._run
+        monkeypatch.setattr(gb_module, "_run", counting_run)
+        with pair_budget(1):
+            assert conormal_in_X(s).shape[0] > 0
+            assert hilbert_tangent_dim(s.Z) > 0
+        assert runs == []
+
+    def test_f_must_be_a_run_of_generators(self):
+        R = ring("x,y,z")
+        I = idl(R, "x^2, x*y, y^2, z")
+        alg = ArtinianAlgebra.from_ideal(I)
+        assert _relation_space(I.gens[1:3], I, alg).shape[1] == 2 * alg.dim
+        gens = I.gens
+        with pytest.raises(ValueError, match="run of generators"):
+            _relation_space([gens[0], gens[2]], I, alg)
+        with pytest.raises(ValueError, match="run of generators"):
+            _relation_space([gens[0] + gens[1]], I, alg)
 
     def test_no_squared_ideal(self, monkeypatch):
         def refuse(self, k):
@@ -532,7 +557,8 @@ class TestHom:
         A = zbar.algebra
         gens = minimal_generators(A)
         g = len(gens)
-        M = presented(_hom_rows(_relation_space(gens, [], A), g, A), g, A)
+        K = _relation_space(gens, Ideal(A.ring, gens), A)
+        M = presented(_hom_rows(K, g, A), g, A)
         assert M.basis_dim == zbar.basis_dim
         assert all(np.array_equal(X, Y)
                    for X, Y in zip(M.actions, zbar.actions))

@@ -68,3 +68,34 @@ def test_checker_finds_leftovers():
 def test_no_unused_imports(name):
     source = (SRC / name).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def imported_modules(tree) -> set:
+    """Absolute name of every module the source imports from, anywhere."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "qfiber." * (node.level > 0) + (node.module or "")
+            out.add(base.rstrip("."))
+            if node.module is None:  # from . import x
+                out |= {f"qfiber.{a.name}" for a in node.names}
+    return out
+
+
+def test_module_finder():
+    source = ("import numpy as np\nfrom .linalg import rref\n"
+              "from . import zerodim\ndef f():\n    import heapq\n")
+    assert imported_modules(ast.parse(source)) == {
+        "numpy", "qfiber.linalg", "qfiber", "qfiber.zerodim", "heapq"}
+
+
+def test_groebner_keeps_no_cofactor_format():
+    # syzygy cofactors are the caller's: GroebnerBasis.syzygies hands them
+    # to the caller's combine and never builds one itself
+    tree = ast.parse((SRC / "groebner.py").read_text(encoding="utf-8"))
+    found = imported_modules(tree)
+    banned = {"numpy", "qfiber.linalg", "qfiber.zerodim"}
+    assert not {m for m in found
+                if any(m == b or m.startswith(b + ".") for b in banned)}
