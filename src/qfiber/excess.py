@@ -14,9 +14,10 @@ form {u : sum u_i f_i in (f)*I + (h)} over the algebra R/I, and it is the
 image of the f-parts of the syzygies of (f, h).  They come from replaying
 the trace of a basis run over f and h, which for the conormal modules and
 the tangent space is a run already cached (that of I itself, or of I_Y),
-on cofactors kept as (g x d) arrays in the coordinates of R/I.  No basis
-of a squared ideal is built.  After that every Hom space, quotient, and
-action is numpy on int64 residues.
+on cofactors kept as (g x d) arrays in the coordinates of R/I, shifted by
+the algebra's memoised monomial matrices.  No basis of a squared ideal is
+built.  After that every Hom space, quotient, and action is numpy on int64
+residues.
 
 A conormal module is kept as its relation space K alone: the defect report
 reads K_big, K_small and g (dim M = g*d - dim K), and only the defect
@@ -180,7 +181,8 @@ def _relation_space(f, ideal: Ideal, alg: ArtinianAlgebra) -> np.ndarray:
     syzygy and u - v = u in alg^g; conversely the f-part s of a syzygy has
     sum s_i f_i in (h).  So the replay of the ideal's basis run on the unit
     cofactors of f, zero on h, spans K as an alg-module.  A cofactor is a
-    (g x d) array in alg coordinates; x^q acts by M_q = X_v M_(q - e_v).
+    (g x d) array in alg coordinates; x^q acts by the algebra's memoised
+    monomial matrix M_q, shared by every replay on the algebra.
     """
     g, d, p = len(f), alg.dim, alg.p
     gens = ideal.gens
@@ -191,24 +193,12 @@ def _relation_space(f, ideal: Ideal, alg: ArtinianAlgebra) -> np.ndarray:
     units = np.zeros((len(gens), g, d), dtype=np.int64)
     units[at + np.arange(g), np.arange(g)] = alg.one
     acts = alg.actions()
-    powers = {(0,) * alg.nvars: identity(d)}
-
-    def power(q):  # M_q, through every missing M_(q - e_v) on the way
-        chain = []
-        while q not in powers:
-            v = next(i for i, e in enumerate(q) if e)
-            chain.append((q, v))
-            q = q[:v] + (q[v] - 1,) + q[v + 1:]
-        for r, v in reversed(chain):
-            powers[r] = mat_mul(acts[v], powers[q], p)
-            q = r
-        return powers[q]
 
     def combine(parts):
         by_shift: dict = {}
         for c, q, v in parts:
             by_shift[q] = (by_shift.get(q, 0) + c * v) % p
-        return sum(mat_mul(acc, power(q).T, p)
+        return sum(mat_mul(acc, alg.monomial_matrix(q).T, p)
                    for q, acc in by_shift.items()) % p
 
     syz = ideal.groebner().syzygies(units, combine)
@@ -525,8 +515,6 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
     cokernel of Hom(I/I^2, A/I) inside the dual of the minimal free cover.
     The result has no free summand.
     """
-    if Z.ideal is None:
-        raise ValueError("needs an ideal-born algebra")
     if not all(_is_nilpotent(X, Z.p) for X in Z.actions()):
         raise ValueError("algebra is not local at the origin")
     J = minimal_presentation(Z.ideal)

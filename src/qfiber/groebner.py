@@ -561,17 +561,19 @@ def _lift_front(f: Polynomial, big: PolyRing) -> Polynomial:
 
 
 def _drop_front(f: Polynomial, small: PolyRing) -> Polynomial:
-    return Polynomial(small, tuple((m[1:], c) for m, c in f.terms))
+    # re-sorted: the big ring's block order need not restrict to small's
+    return small.poly({m[1:]: c for m, c in f.terms})
 
 
 class Ideal:
     """Ideal of a polynomial ring, with a cached reduced Groebner basis.
 
     _alg holds the quotient algebra once ArtinianAlgebra.from_ideal has
-    built it, so each ideal has one basis and one algebra.
+    built it, so each ideal has one basis and one algebra.  The algebra
+    refers back to its ideal weakly, so the two make no reference cycle.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_alg")
+    __slots__ = ("ring", "gens", "_gb", "_alg", "__weakref__")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring

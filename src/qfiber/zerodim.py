@@ -1,15 +1,17 @@
 """Finite-dimensional quotient algebras and their local structure.
 
 An ArtinianAlgebra is F_p[x]/I for a zero-dimensional I, represented by its
-standard-monomial basis and the multiplication matrices of the variables.
-On top of that live the tangent-space and derivation-module dimensions, the
-splitting of the algebra into local factors through idempotents, semisimple
-parts of multiplication operators, and the regularity of projective point
-ideals.
+standard-monomial basis and the memoised monomial matrices M_q = X^q built
+from the multiplication matrices X_v of the variables.  On top of that live
+the tangent-space and derivation-module dimensions, the splitting of the
+algebra into local factors through idempotents (on bare action matrices),
+semisimple parts of multiplication operators, and the regularity of
+projective point ideals.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,27 +24,30 @@ from .rng import Stream
 
 
 class ArtinianAlgebra:
-    """F_p-algebra of finite dimension with explicit multiplication.
+    """F_p[x]/I for a zero-dimensional ideal I, in its standard monomials.
 
-    Built either from a zero-dimensional ideal (carrying a monomial basis
-    and normal forms) or from raw commuting action matrices (as happens for
-    local factors, which have no distinguished monomial basis).
+    The ideal keeps the algebra beside its Groebner basis (from_ideal), so
+    each ideal has one; the algebra keeps the basis and refers to the ideal
+    weakly (see ideal).  Every d x d matrix of the algebra is a monomial
+    matrix M_q = X^q, built once and memoised; the multiplication tensor
+    stacks the standard monomials' matrices and holds those memo entries.
     """
 
-    def __init__(self, p: int, dim: int, actions, one, ring=None, ideal=None,
-                 std=None, parents=None):
-        self.p = p
-        self.dim = dim
-        self._actions = actions
-        self.one = np.asarray(one, dtype=np.int64)
-        self.ring = ring
-        self.ideal = ideal
-        self.std = std
-        self._parents = parents
-        self._index = {m: i for i, m in enumerate(std)} if std is not None else None
+    def __init__(self, ideal: Ideal, std):
+        self._ideal = weakref.ref(ideal)
+        self._gens = ideal.gens
+        self._gb = ideal.groebner()
+        self.ring = ideal.ring
+        self.p = self.ring.p
+        self.std = tuple(std)
+        self.dim = len(self.std)
+        self._index = {m: i for i, m in enumerate(self.std)}
+        zero = (0,) * self.ring.nvars
+        self.one = np.zeros(self.dim, dtype=np.int64)
+        self.one[self._index[zero]] = 1
+        self._actions = None
+        self._monomials = {zero: identity(self.dim)}
         self._tensor = None
-
-    # -- constructors
 
     @classmethod
     def from_ideal(cls, ideal: Ideal) -> "ArtinianAlgebra":
@@ -57,56 +62,45 @@ class ArtinianAlgebra:
         if not ideal.is_zero_dimensional():
             raise ValueError("quotient is not finite-dimensional")
         lms = gb.leading_monomials()
-        zero = (0,) * ring.nvars
-        # breadth-first walk of the standard monomials; parents feed the
-        # chained construction of multiplication matrices
-        seen = {zero: None}
-        queue = [zero]
-        while queue:
-            m = queue.pop(0)
+        # breadth-first walk of the standard monomials
+        walk = [(0,) * ring.nvars]
+        seen = set(walk)
+        for m in walk:
             for v in range(ring.nvars):
-                mm = tuple(e + 1 if i == v else e for i, e in enumerate(m))
+                mm = m[:v] + (m[v] + 1,) + m[v + 1:]
                 if mm in seen or any(mono_divides(l, mm) for l in lms):
                     continue
-                seen[mm] = (m, v)
-                queue.append(mm)
-        std = sorted(seen, key=ring.order.key)
-        index = {m: i for i, m in enumerate(std)}
-        d = len(std)
-        alg = cls(ring.p, d, None, np.zeros(d, dtype=np.int64), ring=ring,
-                  ideal=ideal, std=tuple(std),
-                  parents=tuple(
-                      (index[seen[m][0]], seen[m][1]) if seen[m] is not None else None
-                      for m in std
-                  ))
-        alg.one[index[zero]] = 1
-        ideal._alg = alg
-        return alg
+                seen.add(mm)
+                walk.append(mm)
+        ideal._alg = cls(ideal, sorted(walk, key=ring.order.key))
+        return ideal._alg
 
-    @classmethod
-    def from_matrices(cls, p: int, actions, one) -> "ArtinianAlgebra":
-        actions = [np.asarray(a, dtype=np.int64) for a in actions]
-        d = actions[0].shape[0] if actions else len(one)
-        return cls(p, d, actions, one)
+    @property
+    def ideal(self) -> Ideal:
+        """The ideal of the algebra.  Once the caller's ideal object is gone,
+        an equal one is made on the same basis, with this algebra as its
+        cached quotient, so nothing is computed again."""
+        ideal = self._ideal()
+        if ideal is None:
+            ideal = Ideal(self.ring, self._gens)
+            ideal._gb, ideal._alg = self._gb, self
+            self._ideal = weakref.ref(ideal)
+        return ideal
 
     @property
     def nvars(self) -> int:
-        if self._actions is not None:
-            return len(self._actions)
         return self.ring.nvars
 
     # -- coordinates
 
     def coords(self, f: Polynomial) -> np.ndarray:
-        nf = self.ideal.normal_form(f)
+        nf = self._gb.normal_form(f)
         v = np.zeros(self.dim, dtype=np.int64)
         for m, c in nf.terms:
             v[self._index[m]] = c
         return v
 
     def lift(self, vec) -> Polynomial:
-        if self.std is None:
-            raise ValueError("no monomial basis on a matrix-born algebra")
         d = {}
         for m, c in zip(self.std, vec):
             c = int(c) % self.p
@@ -125,13 +119,13 @@ class ArtinianAlgebra:
         return self.actions()[v]
 
     def _build_actions(self) -> list:
-        ring, gb = self.ring, self.ideal.groebner()
+        ring = self.ring
         d = self.dim
         out = []
         for v in range(ring.nvars):
             X = np.zeros((d, d), dtype=np.int64)
             for j, m in enumerate(self.std):
-                mm = tuple(e + 1 if i == v else e for i, e in enumerate(m))
+                mm = m[:v] + (m[v] + 1,) + m[v + 1:]
                 hit = self._index.get(mm)
                 if hit is not None:
                     X[hit, j] = 1
@@ -140,19 +134,33 @@ class ArtinianAlgebra:
             out.append(X)
         return out
 
+    def monomial_matrix(self, q) -> np.ndarray:
+        """M_q, the multiplication matrix of x^q for any exponent q.
+
+        M_q = X_v M_(q - e_v) with v the first variable of q, memoised
+        through every missing M_(q - e_v) on the way.  The actions commute
+        and products mod p are exact, so any chain gives the same matrix.
+        """
+        memo = self._monomials
+        chain = []
+        while q not in memo:
+            v = next(i for i, e in enumerate(q) if e)
+            chain.append((q, v))
+            q = q[:v] + (q[v] - 1,) + q[v + 1:]
+        for r, v in reversed(chain):
+            memo[r] = mat_mul(self.action(v), memo[q], self.p)
+            q = r
+        return memo[q]
+
     def mult_tensor(self) -> np.ndarray:
-        """tensor[j] is the matrix of multiplication by the j-th basis element."""
+        """tensor[j] is the matrix of multiplication by the j-th basis
+        element; the memo then holds these slices, not copies."""
         if self._tensor is None:
-            d, p = self.dim, self.p
-            T = np.zeros((d, d, d), dtype=np.int64)
-            if self._parents is None:
-                raise ValueError("multiplication tensor needs a monomial basis")
-            for j in range(d):
-                if self._parents[j] is None:
-                    T[j] = identity(d)
-                else:
-                    par, v = self._parents[j]
-                    T[j] = mat_mul(self.action(v), T[par], p)
+            d = self.dim
+            T = np.empty((d, d, d), dtype=np.int64)
+            for j, m in enumerate(self.std):
+                T[j] = self.monomial_matrix(m)
+                self._monomials[m] = T[j]
             self._tensor = T
         return self._tensor
 
@@ -165,14 +173,6 @@ class ArtinianAlgebra:
 
     def poly_matrix(self, f: Polynomial) -> np.ndarray:
         return self.element_matrix(self.coords(f))
-
-    def linear_form_matrix(self, coeffs) -> np.ndarray:
-        acts = self.actions()
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for c, X in zip(coeffs, acts):
-            if c % self.p:
-                out = (out + (c % self.p) * X) % self.p
-        return out
 
 
 # --- tangent and derivation dimensions ------------------------------------
@@ -242,15 +242,20 @@ class LocalFactor:
 
     def projector(self, action_mats, p: int) -> np.ndarray:
         """Idempotent of this factor acting on a module via its actions."""
-        d = action_mats[0].shape[0]
-        E = identity(d)
+        E = identity(action_mats[0].shape[0])
         for coeffs, upoly in self.chain:
-            L = np.zeros((d, d), dtype=np.int64)
-            for c, X in zip(coeffs, action_mats):
-                if c:
-                    L = (L + c * np.asarray(X, dtype=np.int64)) % p
+            L = _linear_form(coeffs, action_mats, p)
             E = mat_mul(E, _eval_matrix_poly(list(upoly), L, p), p)
         return E
+
+
+def _linear_form(coeffs, mats, p: int) -> np.ndarray:
+    """The matrix sum_v c_v X_v of a linear form on commuting matrices."""
+    out = np.zeros(mats[0].shape, dtype=np.int64)
+    for c, X in zip(coeffs, mats):
+        if c % p:
+            out = (out + (c % p) * np.asarray(X, dtype=np.int64)) % p
+    return out
 
 
 def _eval_matrix_poly(coeffs, M: np.ndarray, p: int) -> np.ndarray:
@@ -281,12 +286,6 @@ def minpoly_of_vector(M: np.ndarray, v, p: int) -> list:
     return [int(-c) % p for c in R[:k, k]] + [1]
 
 
-def minpoly_of_element(alg: ArtinianAlgebra, coeffs) -> list:
-    """Minimal polynomial of the linear form sum c_v x_v in the algebra."""
-    M = alg.linear_form_matrix(coeffs)
-    return minpoly_of_vector(M, alg.one, p=alg.p)
-
-
 def _restrict(B: np.ndarray, pivots, X: np.ndarray, p: int) -> np.ndarray:
     """Matrix of X on the invariant subspace spanned by the rref rows B."""
     XB = mat_mul(np.asarray(X, dtype=np.int64), B.T, p)
@@ -315,61 +314,44 @@ def _rational_point(actions, length: int, p: int):
 
 
 _CONFIRM = 2
-_FORMS = 8
 
 
 def local_decompose(alg: ArtinianAlgebra, stream: Stream) -> list:
     """Split an artinian algebra into its local factors.
 
-    Monte Carlo: a factor is accepted as local once _CONFIRM extra random
-    linear forms in a row have a primary minimal polynomial.  Each level
-    retries up to _FORMS forms before giving up (which raises, carrying
-    the stream's seed for reproduction).
+    Monte Carlo: a random linear form whose minimal polynomial is not
+    primary splits the algebra by an idempotent; a factor is accepted as
+    local once _CONFIRM + 1 forms in a row have a primary minimal
+    polynomial.  Factors are split on their bare action matrices and unit
+    vector, which is all a LocalFactor keeps.
     """
     if alg.dim >= alg.p:
         raise ValueError("algebra dimension must stay below the field size")
     out = []
-    _decompose_into(alg, stream, (), out)
+    _decompose_into(alg.actions(), alg.one, alg.p, stream, (), out)
     # canonical order: by length, then by chain for ties
     out.sort(key=lambda f: (f.length, f.chain))
     return out
 
 
-def _decompose_into(alg, stream, chain, out):
-    n = alg.nvars
-    p = alg.p
-    if alg.dim == 1:
-        out.append(LocalFactor(1, chain, tuple(np.asarray(a) % p for a in alg.actions()),
-                               tuple(int(c) % p for c in alg.one),
-                               _rational_point(alg.actions(), 1, p)))
-        return
-    agreeing = 0
-    for trial in range(_FORMS):
-        coeffs = tuple(stream.randrange(p) for _ in range(n))
-        mp = minpoly_of_element(alg, coeffs)
+def _decompose_into(actions, one, p, stream, chain, out):
+    dim = len(one)
+    # a factor of length one is a field; a longer one is accepted as local
+    # once _CONFIRM + 1 forms in a row fail to split it
+    for _ in range(_CONFIRM + 1 if dim > 1 else 0):
+        coeffs = tuple(stream.randrange(p) for _ in actions)
+        mp = minpoly_of_vector(_linear_form(coeffs, actions, p), one, p)
         red = uv.squarefree_part(mp, p)
-        if uv.deg(red) == 1 or uv.is_irreducible(red, p):
-            agreeing += 1
-            if agreeing > _CONFIRM:
-                out.append(LocalFactor(
-                    alg.dim, chain,
-                    tuple(np.asarray(a) % p for a in alg.actions()),
-                    tuple(int(c) % p for c in alg.one),
-                    _rational_point(alg.actions(), alg.dim, p),
-                ))
-                return
-            continue
-        factors = uv.factor_squarefree(red, p, stream)
-        _split_by(alg, coeffs, mp, factors, stream, chain, out)
-        return
-    raise RuntimeError(
-        f"local decomposition made no progress after {_FORMS} linear forms "
-        f"(stream seed {stream.seed})"
-    )
+        if uv.deg(red) != 1 and not uv.is_irreducible(red, p):
+            factors = uv.factor_squarefree(red, p, stream)
+            _split_by(actions, one, p, coeffs, mp, factors, stream, chain, out)
+            return
+    out.append(LocalFactor(dim, chain, tuple(np.asarray(a) % p for a in actions),
+                           tuple(int(c) % p for c in one),
+                           _rational_point(actions, dim, p)))
 
 
-def _split_by(alg, coeffs, mp, factors, stream, chain, out):
-    p = alg.p
+def _split_by(actions, one, p, coeffs, mp, factors, stream, chain, out):
     # primary parts of the minimal polynomial
     primaries = []
     for q in factors:
@@ -382,7 +364,7 @@ def _split_by(alg, coeffs, mp, factors, stream, chain, out):
             rest = quo
             e += 1
         primaries.append((q, e))
-    L = alg.linear_form_matrix(coeffs)
+    L = _linear_form(coeffs, actions, p)
     for branch, (q, e) in enumerate(primaries):
         qe = [1]
         for _ in range(e):
@@ -394,10 +376,9 @@ def _split_by(alg, coeffs, mp, factors, stream, chain, out):
         E = _eval_matrix_poly(u, L, p)
         # the factor is the image of the projector
         B, pivots = _image_basis(E, p)
-        sub_actions = [_restrict(B, pivots, X, p) for X in alg.actions()]
-        one_vec = mat_mul(E, alg.one.reshape(-1, 1), p).ravel()
-        sub = ArtinianAlgebra.from_matrices(p, sub_actions, one_vec[pivots])
-        _decompose_into(sub, stream.fork(branch),
+        one_vec = mat_mul(E, one.reshape(-1, 1), p).ravel()
+        _decompose_into([_restrict(B, pivots, X, p) for X in actions],
+                        one_vec[pivots], p, stream.fork(branch),
                         chain + ((tuple(coeffs), tuple(u)),), out)
 
 

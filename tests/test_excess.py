@@ -30,6 +30,7 @@ from qfiber.excess import (
     _REPORT_SEED,
 )
 from qfiber import groebner as gb_module
+from qfiber import zerodim
 from qfiber.groebner import Ideal, _has_witnesses, pair_budget
 from qfiber.linalg import identity, mat_mul, nullspace, rank, rref
 from qfiber.parser import parse_ideal, parse_polynomial
@@ -491,6 +492,24 @@ class TestRelationSpace:
             assert conormal_in_X(s).shape[0] > 0
             assert hilbert_tangent_dim(s.Z) > 0
         assert runs == []
+
+    def test_second_replay_builds_no_monomial_matrix(self, monkeypatch):
+        # the replay's M_q live on the algebra, so a second K_small on the
+        # same scenario multiplies no matrix in zerodim
+        s = gen_quadric_graph(3, Seed(0))
+        products = []
+
+        def counting(a, b, p):
+            products.append(a.shape)
+            return plain(a, b, p)
+
+        plain = zerodim.mat_mul
+        monkeypatch.setattr(zerodim, "mat_mul", counting)
+        first = conormal_in_X(s)
+        built = len(products)
+        assert built > 0
+        assert np.array_equal(conormal_in_X(s), first)
+        assert len(products) == built
 
     def test_f_must_be_a_run_of_generators(self):
         R = ring("x,y,z")

@@ -348,6 +348,17 @@ class TestIdealOps:
             # product lies inside the intersection
             assert meet.contains_ideal(I * J)
 
+    @pytest.mark.parametrize("order", [LEX, block_order(1)],
+                             ids=["lex", "block1"])
+    def test_intersection_terms_sorted(self, order):
+        # the tag-variable ring orders terms its own way; every generator
+        # handed back must be sorted in the ring's order
+        R = ring("x,y,z", p=101, order=order)
+        meet = ideal(R, "x - y^2, z").intersect(ideal(R, "x^2 + y, z - x"))
+        assert len(meet.gens) == 4
+        for g in meet.gens:
+            assert g == R.poly(dict(g.terms))
+
     def test_quotient_hand(self):
         R = ring("x,y")
         I = ideal(R, "x^2, x*y")

@@ -1,8 +1,11 @@
-"""No library module imports a name it never uses.
+"""No library module imports a name it never uses, and no private helper
+is defined without a reader.
 
 No linter runs on this tree, so an import whose last reader went away in
 a refactor is caught here, from the source alone.  `__init__.py` is left
-out: its imports are the package's re-exports.
+out of the import check: its imports are the package's re-exports.  A
+`_private` function, class or method must be read somewhere in the
+package; tests do not count as readers.
 """
 
 import ast
@@ -99,3 +102,61 @@ def test_groebner_keeps_no_cofactor_format():
     banned = {"numpy", "qfiber.linalg", "qfiber.zerodim"}
     assert not {m for m in found
                 if any(m == b or m.startswith(b + ".") for b in banned)}
+
+
+def private_definitions(tree) -> dict:
+    """Private function, class and method names defined at module or class
+    level (dunders left out) -> the line of their first definition."""
+    out = {}
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    out.setdefault(name, node.lineno)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body)
+
+    visit(tree.body)
+    return out
+
+
+def read_names(tree) -> set:
+    """Every name or attribute the module reads."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def unread_private_definitions(sources: dict) -> list:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set().union(*(read_names(t) for t in trees.values()))
+    return sorted((name, line, d) for name, t in trees.items()
+                  for d, line in private_definitions(t).items()
+                  if d not in read)
+
+
+def test_private_checker_finds_dead_helpers():
+    sources = {
+        "a.py": ("def _used():\n    pass\n"
+                 "def _dead():\n    pass\n"
+                 "class _Box:\n"
+                 "    def __init__(self):\n        self._x = _used()\n"
+                 "    def _read(self):\n        return self._x\n"
+                 "    def _unread(self):\n        pass\n"),
+        "b.py": "from .a import _Box\nprint(_Box()._read())\n",
+    }
+    assert unread_private_definitions(sources) == [
+        ("a.py", 3, "_dead"), ("a.py", 10, "_unread")]
+
+
+def test_no_dead_private_helpers():
+    sources = {name: (SRC / name).read_text(encoding="utf-8")
+               for name in sorted(p.name for p in SRC.glob("*.py"))}
+    assert unread_private_definitions(sources) == []

@@ -78,6 +78,28 @@ class TestQuadricGraph:
         assert r.q == 6
         assert (r.dim_m_big, r.dim_m_small) == (24, 19)
 
+    def test_one_basis_run(self, monkeypatch):
+        # O_Z = k[a]/(quadrics): the draw is judged on the run that builds Z
+        runs = []
+        plain = gb_module.groebner
+
+        def counting(ring, gens):
+            runs.append(tuple(gens))
+            return plain(ring, gens)
+
+        monkeypatch.setattr(gb_module, "groebner", counting)
+        sc = gen_quadric_graph(4, Seed(0))
+        assert runs == [sc.I_X.gens + sc.I_Y.gens]
+
+    def test_all_draws_degenerate(self, monkeypatch):
+        # equal quadrics leave Z infinite on every draw
+        def square(ring, degree, stream, homogeneous=False):
+            return ring.var(0) ** 2
+
+        monkeypatch.setattr(scenarios, "random_poly", square)
+        with pytest.raises(RuntimeError, match="degenerate quadrics"):
+            gen_quadric_graph(2, Seed(0))
+
     def test_chart_matches_ambient(self):
         sc = gen_quadric_graph(2, Seed(4))
         assert sc.chart_ring.nvars == 2

@@ -1,5 +1,8 @@
 """Artinian algebras: bases, actions, local splitting, tangent invariants."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from qfiber.groebner import Ideal
 from qfiber.linalg import mat_mul, rank
 from qfiber.parser import parse_ideal, parse_polynomial
 from qfiber.rng import Stream
+from qfiber.scenarios import Seed, gen_fatpoint_model, gen_quadric_graph
 from qfiber.zerodim import (
     ArtinianAlgebra,
     _eval_matrix_poly,
@@ -47,6 +51,35 @@ class TestAlgebra:
         J = Ideal(R, I.gens)
         assert ArtinianAlgebra.from_ideal(J) is not \
             ArtinianAlgebra.from_ideal(I)
+
+    def test_freed_without_the_cycle_collector(self):
+        # the algebra refers to its ideal weakly: dropping both frees them
+        gc.disable()
+        try:
+            sc = gen_quadric_graph(3, Seed(0))
+            sc.Z.mult_tensor()
+            freed = weakref.ref(sc.Z)
+            del sc
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_ideal_outlives_its_first_object(self):
+        # once the ideal it was built from is gone, the algebra hands out an
+        # equal ideal whose cached algebra is itself
+        R = ring()
+        I = Ideal(R, parse_ideal("x^2 - y, y^3", R))
+        A = ArtinianAlgebra.from_ideal(I)
+        assert A.ideal is I
+        gone = weakref.ref(I)
+        del I
+        assert gone() is None
+        J = A.ideal
+        assert A.ideal is J
+        assert ArtinianAlgebra.from_ideal(J) is A
+        assert J.gens == tuple(parse_ideal("x^2 - y, y^3", R))
+        assert A.lift(A.coords(parse_polynomial("x^2", R))) == \
+            parse_polynomial("y", R)
 
     def test_rejects_positive_dim(self):
         R = ring()
@@ -100,6 +133,44 @@ class TestAlgebra:
         assert (T[one_idx] == np.eye(A.dim, dtype=np.int64)).all()
         # tensor row of the class of x equals the action of x
         assert (T[A.std.index((1, 0))] == A.action(0)).all()
+
+
+def scenario_algebra(name):
+    if name == "fatpoint":
+        return gen_fatpoint_model(Seed(0)).Z
+    return gen_quadric_graph(3, Seed(0)).Z
+
+
+def action_power(A, q):
+    """X^q as a plain product of action matrices."""
+    M = np.eye(A.dim, dtype=np.int64)
+    for v, e in enumerate(q):
+        for _ in range(e):
+            M = mat_mul(A.action(v), M, P)
+    return M
+
+
+class TestMonomialMatrices:
+    @pytest.mark.parametrize("name", ["fatpoint", "graph3"])
+    def test_products_of_action_powers(self, name):
+        A = scenario_algebra(name)
+        n = A.nvars
+        top = A.std[-1]
+        outside = [tuple(3 * (i == v) for i in range(n)) for v in range(n)]
+        outside += [(1,) * n, top[:-1] + (top[-1] + 2,)]
+        assert not set(outside) & set(A.std)
+        for q in A.std + tuple(outside):
+            assert np.array_equal(A.monomial_matrix(q), action_power(A, q))
+
+    @pytest.mark.parametrize("name", ["fatpoint", "graph3"])
+    def test_tensor_holds_the_standard_matrices(self, name):
+        A = scenario_algebra(name)
+        early = A.monomial_matrix(A.std[-1])
+        T = A.mult_tensor()
+        assert np.array_equal(T[-1], early)
+        for j, q in enumerate(A.std):
+            assert np.shares_memory(A.monomial_matrix(q), T[j])
+            assert np.array_equal(T[j], action_power(A, q))
 
 
 class TestMinpoly:
@@ -236,6 +307,17 @@ class TestDecompose:
             assert (mat_mul(E, E, P) == E).all()
             total = (total + E) % P
         assert (total == np.eye(A.dim, dtype=np.int64)).all()
+
+    def test_splits_on_bare_matrices(self, monkeypatch):
+        # a factor is its actions and unit vector: no algebra is built
+        A = algebra(ring(), "x^2 - 1, y^2 - 4")
+        A.actions()
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("local_decompose built an algebra")
+
+        monkeypatch.setattr(ArtinianAlgebra, "__init__", refuse)
+        assert len(local_decompose(A, Stream(23))) == 4
 
     def test_deterministic(self):
         R = ring()
