@@ -460,25 +460,27 @@ def poly_to_string(f: Polynomial) -> str:
     return " + ".join(parts)
 
 
+def _exponents(nvars: int, degree: int) -> list:
+    """(exponent vector, degree left over) for every exponent vector of
+    total degree at most degree, in lexicographic order: the first
+    exponent slowest, each ascending."""
+    out = [((), degree)]
+    for _ in range(nvars):
+        out = [(m + (e,), left - e) for m, left in out
+               for e in range(left + 1)]
+    return out
+
+
 def random_poly(ring: PolyRing, degree: int, rng,
                 homogeneous: bool = True) -> Polynomial:
     """Dense random polynomial of the given (total) degree.
 
     rng must provide randrange.
     """
-    monos: list = []
-
-    def walk(pos, left, expo):
-        if pos == ring.nvars:
-            if left == 0 or not homogeneous:
-                monos.append(tuple(expo))
-            return
-        for e in range(left + 1):
-            walk(pos + 1, left - e, expo + [e])
-
-    walk(0, degree, [])
     d = {}
-    for m in monos:
+    for m, left in _exponents(ring.nvars, degree):
+        if homogeneous and left:
+            continue
         c = rng.randrange(ring.p)
         if c:
             d[m] = c

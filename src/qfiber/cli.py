@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 from .algebra import FieldSpec
 from .excess import (
@@ -24,7 +25,7 @@ from .excess import (
     minimal_presentation,
     q_module,
 )
-from .groebner import _PAIR_BUDGET, Ideal, ResourceAbort, pair_budget
+from .groebner import DEFAULT_PAIR_BUDGET, Ideal, ResourceAbort, pair_budget
 from .invariants import (
     LICCI,
     UNKNOWN,
@@ -389,7 +390,7 @@ def _output() -> argparse.ArgumentParser:
 def _common(output: argparse.ArgumentParser) -> argparse.ArgumentParser:
     c = argparse.ArgumentParser(add_help=False, parents=[output])
     c.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    c.add_argument("--max-pairs", type=int, default=_PAIR_BUDGET.get(),
+    c.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_BUDGET,
                    dest="max_pairs",
                    help="S-pair budget of each Groebner basis run; a run "
                         "that needs more aborts with exit 3 (default: "
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     # closed forms use no field, no seed and no Groebner basis: --output
     # alone, and the budget main sets stays at its default
     b = sub.add_parser("bounds", help="closed-form bound calculators")
-    b.set_defaults(max_pairs=_PAIR_BUDGET.get())
+    b.set_defaults(max_pairs=DEFAULT_PAIR_BUDGET)
     bsub = b.add_subparsers(dest="op", required=True)
     m = bsub.add_parser("mather", parents=[output])
     m.add_argument("--n", type=int, required=True)
@@ -454,9 +455,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call rather than at import,
+    and kept for the process.  It holds no value of the caller's context:
+    every default is a constant."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:

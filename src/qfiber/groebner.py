@@ -51,8 +51,12 @@ from .algebra import (
     mono_mul,
 )
 
-# S-pair budget of each basis run in the current context; pair_budget sets it
-_PAIR_BUDGET: ContextVar[int] = ContextVar("pair_budget", default=1_000_000)
+# S-pair budget of each basis run: the library default, which the command
+# line's --max-pairs shares, and the budget in the current context, which
+# pair_budget sets
+DEFAULT_PAIR_BUDGET = 1_000_000
+_PAIR_BUDGET: ContextVar[int] = ContextVar("pair_budget",
+                                           default=DEFAULT_PAIR_BUDGET)
 
 
 @contextmanager
@@ -784,23 +788,24 @@ def _max_independent(nvars: int, supports) -> int:
     ideal, hence of the quotient itself.
     """
     supports = [s for s in supports if s]
-    best = 0
-
-    def extend(i: int, chosen: frozenset):
-        nonlocal best
-        if nvars - i + len(chosen) <= best:
-            return
-        if i == nvars:
-            best = max(best, len(chosen))
-            return
-        cand = chosen | {i}
-        if not any(s <= cand for s in supports):
-            extend(i + 1, cand)
-        extend(i + 1, chosen)
-
     if any(not s for s in supports):
         return -1
-    extend(0, frozenset())
+    best = 0
+    # depth first over variables 0, 1, ...: take i when that meets no
+    # support entirely, then leave it out; a branch that cannot beat the
+    # best set found so far is cut
+    stack = [(0, frozenset())]
+    while stack:
+        i, chosen = stack.pop()
+        if nvars - i + len(chosen) <= best:
+            continue
+        if i == nvars:
+            best = len(chosen)
+            continue
+        stack.append((i + 1, chosen))
+        cand = chosen | {i}
+        if not any(s <= cand for s in supports):
+            stack.append((i + 1, cand))
     return best
 
 

@@ -7,6 +7,9 @@ accepted by FieldSpec is safe.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import permutations
+
 import numpy as np
 
 
@@ -108,6 +111,42 @@ def solve(A, b, p: int):
     for i, c in enumerate(pivots):
         x[c] = R[i, n]
     return x
+
+
+@cache
+def _signed_permutations(n: int) -> tuple:
+    """(permutation of range(n), its sign) for the Leibniz expansion."""
+    out = []
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        out.append((perm, -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def pencil_det(A, B, p: int) -> list:
+    """Coefficients of det(A + t*B) mod p, lowest degree first, for small
+    square A and B (n + 1 of them for n x n).
+
+    The Leibniz expansion multiplies n linear factors a + t*b per
+    permutation over F_p[t], so the result is exact for every p, also
+    when F_p has too few points to interpolate a degree-n polynomial.
+    """
+    A = [[int(x) for x in row] for row in A]
+    B = [[int(x) for x in row] for row in B]
+    acc = [0] * (len(A) + 1)
+    for perm, sign in _signed_permutations(len(A)):
+        f = [sign]
+        for i, j in enumerate(perm):
+            a, b = A[i][j], B[i][j]
+            f = [(x * a + y * b) % p for x, y in zip(f + [0], [0] + f)]
+        acc = [u + v for u, v in zip(acc, f)]
+    return [c % p for c in acc]
+
+
+def det(A, p: int) -> int:
+    """Determinant mod p of a small square matrix."""
+    return pencil_det(A, np.zeros_like(np.asarray(A)), p)[0]
 
 
 def kernel_intersection(blocks, dim: int, p: int) -> np.ndarray:

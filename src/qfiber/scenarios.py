@@ -9,6 +9,7 @@ silent retries would hide genericity failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -23,7 +24,7 @@ from .algebra import (
 )
 from .excess import IntersectionScenario, make_scenario
 from .groebner import Ideal, _Enc, hilbert_data
-from .linalg import nullspace, rank, solve
+from .linalg import det, mat_mul, nullspace, pencil_det, rank
 from .rng import Stream
 
 _BUDGET = 8
@@ -154,12 +155,50 @@ def gen_fatpoint_model(s: Seed) -> IntersectionScenario:
 
 @dataclass(frozen=True)
 class ReyeData:
-    """Symmetric 4x4 of random linear forms on P^5 with its minor surface."""
+    """Symmetric 4x4 matrix A of linear forms on P^5; its 3x3 minors cut
+    out the rank <= 2 surface X.
+
+    The trisecant check reads A only through its coefficient tensor.  I_X
+    and det A are expanded by _minors_and_det on first read and kept, so
+    a caller who never reads them never pays for the expansion.
+    """
 
     ring: PolyRing
     A: tuple
-    I_X: Ideal
-    detA: Polynomial
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """C of shape (nvars, 4, 4) with A(x) = sum_k x_k C[k] mod p.
+
+        Raises ValueError unless every entry is a linear form with no
+        constant term.
+        """
+        C = np.zeros((self.ring.nvars, 4, 4), dtype=np.int64)
+        for i, row in enumerate(self.A):
+            for j, f in enumerate(row):
+                for m, c in f.terms:
+                    if sum(m) != 1:
+                        raise ValueError("matrix entries must be linear "
+                                         "forms without constant term")
+                    C[m.index(1), i, j] = c
+        return C
+
+    @cached_property
+    def _expansion(self) -> tuple:
+        # A is symmetric, so minor (j, i) is the transpose of minor (i, j)
+        # and has the same determinant: only the minors with i <= j are
+        # expanded, and equal minors are kept once, in row-major order of
+        # first appearance
+        minors, det_a = _minors_and_det(self.A, self.ring)
+        return Ideal(self.ring, dict.fromkeys(minors)), det_a
+
+    @property
+    def I_X(self) -> Ideal:
+        return self._expansion[0]
+
+    @property
+    def detA(self) -> Polynomial:
+        return self._expansion[1]
 
 
 @dataclass(frozen=True)
@@ -204,39 +243,51 @@ def _minors_and_det(A, ring: PolyRing):
     keys = {m: enc.key(m) for row in ent for d in row for m in d}
     memo = {}
 
-    def sub(rows, cols):
-        if len(rows) == 1:
-            return ent[rows[0]][cols[0]]
-        got = memo.get((rows, cols))
-        if got is None:
-            acc = {}
-            for k, c in enumerate(cols):
-                g = sub(rows[1:], cols[:k] + cols[k + 1:])
-                for mf, cf in ent[rows[0]][c].items():
-                    kf = keys[mf]
-                    if k % 2:
-                        cf = -cf
-                    for mg, cg in g.items():
-                        m = mf + mg
-                        acc[m] = acc.get(m, 0) + cf * cg
-                        keys[m] = kf + keys[mg]
-            got = memo[(rows, cols)] = {m: c % p for m, c in acc.items()
-                                        if c % p}
-        return got
-
     def decode(d):
         return enc.decode_poly(
             sorted(((keys[m], m, c) for m, c in d.items()), reverse=True),
             ring)
 
+    def expand(rows, cols):
+        return decode(_sub_det(rows, cols, ent, keys, memo, p))
+
     full = tuple(range(4))
-    minors = [decode(sub(full[:i] + full[i + 1:], full[:j] + full[j + 1:]))
+    minors = [expand(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
               for i in range(4) for j in range(i, 4)]
-    return minors, decode(sub(full, full))
+    return minors, expand(full, full)
+
+
+def _sub_det(rows, cols, ent, keys, memo, p):
+    """Determinant of ent on (rows, cols) as {packed: coeff}, expanded along
+    its first row; memo holds the expansions by (rows, cols) and keys the
+    order key of every packed monomial met."""
+    if len(rows) == 1:
+        return ent[rows[0]][cols[0]]
+    got = memo.get((rows, cols))
+    if got is None:
+        acc = {}
+        for k, c in enumerate(cols):
+            g = _sub_det(rows[1:], cols[:k] + cols[k + 1:], ent, keys, memo, p)
+            for mf, cf in ent[rows[0]][c].items():
+                kf = keys[mf]
+                if k % 2:
+                    cf = -cf
+                for mg, cg in g.items():
+                    m = mf + mg
+                    acc[m] = acc.get(m, 0) + cf * cg
+                    keys[m] = kf + keys[mg]
+        got = memo[(rows, cols)] = {m: c % p for m, c in acc.items() if c % p}
+    return got
 
 
 def gen_reye(s: Seed) -> ReyeData:
-    """Symmetric matrix model of a surface in P^5 swept by trisecants."""
+    """Symmetric matrix model of a surface in P^5 swept by trisecants.
+
+    det A is a quartic form or zero, and det A(e_k) = det C[k] at the
+    coordinate points, so one nonzero det C[k] proves det A nonzero
+    without expanding it.  Only when every such probe is zero is det A
+    expanded, to decide the draw exactly.
+    """
     ring = PolyRing(s.p, tuple(f"y{i}" for i in range(6)))
     st = s.stream()
     entries = {}
@@ -247,13 +298,12 @@ def gen_reye(s: Seed) -> ReyeData:
             entries[(i, j)] = entries[(j, i)] = f
             k += 1
     A = tuple(tuple(entries[(i, j)] for j in range(4)) for i in range(4))
-    # A is symmetric, so minor (j, i) is the transpose of minor (i, j) and
-    # has the same determinant: only the minors with i <= j are computed
-    minors, det = _minors_and_det(A, ring)
-    if det.degree() != 4:
+    d = ReyeData(ring, A)
+    C = d.coefficients
+    if not any(det(C[k], ring.p) for k in range(ring.nvars)) \
+            and d.detA.degree() != 4:
         raise RuntimeError(f"degenerate symmetric matrix from seed {s.seed}")
-    # equal minors kept once, in row-major order of first appearance
-    return ReyeData(ring, A, Ideal(ring, dict.fromkeys(minors)), det)
+    return d
 
 
 def _common_roots(polys, p: int) -> list:
@@ -266,64 +316,107 @@ def _common_roots(polys, p: int) -> list:
     return uv.roots(g, p, Stream(0))
 
 
+def _line_degree(forms, d: int, p: int) -> tuple:
+    """Cone dimension and degree of k[s, t]/(F_1, ..., F_m) for binary
+    forms F_i of degree d, each given by the coefficients of F_i(1, t),
+    lowest degree first.
+
+    Restricting a homogeneous ideal I to a line L spanned by a and b,
+    x = s*a + t*b, gives S/(I + I_L) = k[s, t]/(F_i) as graded rings, so
+    this reads the cone dimension and degree of X meeting L.
+
+    Theorem.  If some F_i is nonzero, let G = gcd(F_i).  Then
+    (F_i) = G*J' with J' = (F_i/G), whose generators share no factor, so
+    J' is primary to (s, t) or the unit ideal and holds every form of
+    large degree e.  The Hilbert function of k[s, t]/(F_i) is then
+    (e + 1) - (e - deg G + 1) = deg G in large degree e: the cone has
+    dimension 1 and degree deg G when G is not constant, and dimension 0
+    when it is (X and L do not meet; the degree is reported as 0).  When
+    every F_i is zero, L lies in X: dimension 2 and degree 1.  G is
+    s^a*H with a = min(d - deg f_i), the multiplicity of the root
+    (s : t) = (0 : 1), the point b, and H(1, t) = gcd(f_i).
+    """
+    fs = [f for f in (uv.trim([int(c) % p for c in f]) for f in forms) if f]
+    if not fs:
+        return 2, 1
+    g = []
+    for f in fs:
+        g = uv.gcd(g, f, p)
+    degree = min(d - uv.deg(f) for f in fs) + uv.deg(g)
+    return (1, degree) if degree else (0, 0)
+
+
+def _at(C: np.ndarray, points, p: int) -> np.ndarray:
+    """The scalar matrices sum_k x_k C[k] mod p, one per point x."""
+    n = C.shape[0]
+    flat = mat_mul(np.asarray(points, dtype=np.int64), C.reshape(n, -1), p)
+    return flat.reshape((-1,) + C.shape[1:])
+
+
+def _pencil_minors(C: np.ndarray, a, b, p: int) -> list:
+    """The ten 3x3 minors (i, j), i <= j, of A(a) + t*A(b) as coefficient
+    lists in t: F_ij(1, t) for the binary cubics F_ij that the minors of A
+    restrict to on the line spanned by a and b."""
+    A0, A1 = _at(C, [a, b], p).tolist()
+    out = []
+    for i in range(4):
+        rows = [r for r in range(4) if r != i]
+        for j in range(i, 4):
+            cols = [c for c in range(4) if c != j]
+            out.append(pencil_det([[A0[r][c] for c in cols] for r in rows],
+                                  [[A1[r][c] for c in cols] for r in rows],
+                                  p))
+    return out
+
+
 def reye_trisecant(d: ReyeData, s: Seed) -> ReyeCheck:
     """Sample a point of det A = 0 and verify the trisecant line through it.
 
-    The left kernel of the scalar matrix at the point gives a row-space
-    vector of 4 linear forms; their zero locus is a line through the point
-    meeting the minor surface in a projective scheme of degree 3.
-
-    The check reads only the cone dimension and the degree, both from the
-    Hilbert polynomial, so the ideal is not saturated: I^sat/I has finite
-    length, which leaves both unchanged when the cone has dimension >= 1,
-    and an ideal primary to the irrelevant ideal fails the dimension-1
-    test either way (dimension 0, or -1 after saturation).
+    Everything runs on the coefficient tensor C of A, with scalar
+    matrices and polynomials in one variable.  det A restricted to a
+    random line u + t*w is the quartic det(A(u) + t*A(w)); at a root the
+    scalar matrix has a kernel row v, and the four linear forms of v*A
+    cut out a line L through the point.  L meets the minor surface in a
+    projective scheme of degree 3: the minors restrict to the binary
+    cubics of the pencil A(b0) + t*A(b1), with b0, b1 spanning L, and
+    _line_degree reads cone dimension and degree off their gcd.  No
+    Groebner basis is built and det A is never expanded: det_degree is 4
+    because the restricted quartic is nonzero and the entries are linear
+    forms.
     """
-    ring = d.ring
-    p = ring.p
+    C = d.coefficients
+    n, p = d.ring.nvars, d.ring.p
     st = s.stream().fork(7)
     attempts = 0
     for trial in range(_BUDGET):
         attempts += 1
         tr = st.fork(trial)
-        u = [tr.randrange(p) for _ in range(6)]
-        w = [tr.randrange(p) for _ in range(6)]
-        # restrict det A to the line u + t*w and interpolate the quartic
-        ys = [d.detA.evaluate([(a + t * b) % p for a, b in zip(u, w)])
-              for t in range(5)]
-        V = np.array([[pow(t, k, p) for k in range(5)] for t in range(5)],
-                     dtype=np.int64)
-        coeffs = solve(V, np.array(ys, dtype=np.int64), p)
-        if not np.any(coeffs % p):
+        u = [tr.randrange(p) for _ in range(n)]
+        w = [tr.randrange(p) for _ in range(n)]
+        Au, Aw = _at(C, [u, w], p)
+        quartic = pencil_det(Au, Aw, p)
+        if not any(quartic):
             continue
-        for t0 in _common_roots([coeffs], p):
+        for t0 in _common_roots([quartic], p):
             pt = [(a + t0 * b) % p for a, b in zip(u, w)]
             if not any(pt):
                 continue
-            Ap = np.array([[d.A[i][j].evaluate(pt) for j in range(4)]
-                           for i in range(4)], dtype=np.int64)
-            ker = nullspace(Ap, p)
+            ker = nullspace((Au + t0 * Aw) % p, p)
             if ker.shape[0] != 1:
                 continue
-            gs = []
-            for j in range(4):
-                g = ring.zero()
-                for i in range(4):
-                    if ker[0][i]:
-                        g = g + ring.constant(int(ker[0][i])) * d.A[i][j]
-                gs.append(g)
-            unit = lambda v: tuple(1 if k == v else 0 for k in range(6))
-            rows = np.array([[g.coeff_of(unit(v)) for v in range(6)]
-                             for g in gs], dtype=np.int64)
+            # row j: coefficients of the linear form sum_i ker_i A[i][j]
+            rows = mat_mul(ker, C.transpose(1, 0, 2).reshape(4, -1),
+                           p).reshape(n, 4).T
             if rank(rows, p) != 4:
                 continue
-            on_line = not any(g.evaluate(pt) % p for g in gs)
-            hd = hilbert_data(d.I_X + Ideal(ring, gs))
-            if hd.krull_dim != 1:
+            on_line = not np.any(mat_mul(rows, np.array(pt, dtype=np.int64),
+                                         p))
+            b0, b1 = nullspace(rows, p)
+            dim, degree = _line_degree(_pencil_minors(C, b0, b1, p), 3, p)
+            if dim != 1:
                 continue
-            return ReyeCheck(tuple(pt), d.detA.degree(), on_line, hd.degree,
-                             attempts, on_line and hd.degree == 3
-                             and d.detA.degree() == 4)
+            return ReyeCheck(tuple(pt), 4, on_line, degree, attempts,
+                             on_line and degree == 3)
     raise RuntimeError(f"no usable quartic point from seed {s.seed}")
 
 
@@ -481,6 +574,19 @@ def _rational_cone_point(cone, dring: PolyRing):
     return v
 
 
+def _restrict(gens, a, b) -> list:
+    """Coefficients of g(a + t*b) in t, lowest degree first, for each g."""
+    ring = gens[0].ring
+    tring = PolyRing(ring.field, ("t",))
+    images = {name: tring.poly({(0,): a[v], (1,): b[v]})
+              for v, name in enumerate(ring.variables)}
+    out = []
+    for g in gens:
+        h = g.substitute(images)
+        out.append([] if h.is_zero() else _coeffs_in(h, 0))
+    return out
+
+
 def _frame(pt, p: int) -> np.ndarray:
     """Invertible matrix whose first column is pt (unit columns elsewhere)."""
     m = len(pt)
@@ -497,9 +603,9 @@ def secant_through_point(scen: CISecantScenario) -> SecantCheck:
     rational-direction leg is best effort (a finite field may lack one),
     and when a direction exists the line's intersection degree with the
     CI is verified to be at least l.  As in reye_trisecant, that degree
-    comes from the Hilbert polynomial of the unsaturated ideal: saturating
-    by the irrelevant ideal changes neither the cone dimension nor the
-    degree when the dimension is >= 1, and cannot make it 1 when it is 0.
+    is read by _line_degree off the binary forms of degree l that the
+    generators restrict to on the line through the point and the
+    direction, with no Groebner basis.
     """
     st = scen.seed.stream().fork(101)
     ring, l, r = scen.ring, scen.l, scen.r
@@ -535,16 +641,9 @@ def secant_through_point(scen: CISecantScenario) -> SecantCheck:
                 tuple(pt), nonempty, None, None, trial + 1, nonempty,
                 "no rational direction; existence holds over the closure")
             continue
-        q = (M @ np.concatenate([[0], v])) % p
-        lin = nullspace(np.array([pt, q], dtype=np.int64) % p, p)
-        forms = [ring.poly({tuple(1 if t == j else 0 for t in range(r + 1)):
-                            int(row[j]) for j in range(r + 1) if row[j]})
-                 for row in lin]
-        if any(f.evaluate(pt) % p or f.evaluate([int(x) for x in q]) % p
-               for f in forms):
-            raise RuntimeError("line forms fail at their defining points")
-        hd = hilbert_data(Ideal(ring, list(scen.gens) + forms))
-        deg = hd.degree if hd.krull_dim == 1 else None
+        q = [int(x) for x in (M @ np.concatenate([[0], v])) % p]
+        dim, degree = _line_degree(_restrict(scen.gens, pt, q), l, p)
+        deg = degree if dim == 1 else None
         return SecantCheck(tuple(pt), nonempty,
                            tuple(int(x) for x in v), deg, trial + 1,
                            nonempty and deg is not None and deg >= l, "")

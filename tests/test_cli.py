@@ -1,9 +1,12 @@
 """Command line front end: golden JSON fields, exit codes, error paths."""
 
+import argparse
+import gc
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -589,17 +592,82 @@ class TestPlumbing:
 # runs in a pool worker, which sets the budget on its own side
 @pytest.mark.parametrize("argv", [
     ["compute", "--input", "{qg2}", "--max-pairs", "1"],
-    ["scenario", "reye", "--max-pairs", "1"],
     ["scenario", "secant-demo", "--n", "1", "--l", "2", "--max-pairs", "1"],
     ["scenario", "ei", "--max-pairs", "3"],
     ["table", "--n-min", "4", "--n-max", "4", "--max-pairs", "5",
      "--jobs", "2"],
-], ids=["compute", "reye", "secant-demo", "ei", "table-jobs"])
+], ids=["compute", "secant-demo", "ei", "table-jobs"])
 def test_budget_exhausted_exits_3(capsys, tmp_path, argv):
     f = tmp_path / "qg2.txt"
     f.write_text(QG2)
     code, _, _ = run(capsys, *(a.format(qg2=f) for a in argv))
     assert code == 3
+
+
+def test_reye_builds_no_basis_so_the_budget_cannot_bind(capsys, monkeypatch):
+    # the trisecant check works on scalar matrices and binary cubics
+    def refuse(ring, gens):
+        raise AssertionError("groebner() was called")
+
+    monkeypatch.setattr(gb_module, "groebner", refuse)
+    code, doc, _ = run_json(capsys, "scenario", "reye", "--max-pairs", "1")
+    assert code == 0
+    assert doc["line_degree"] == 3 and doc["passed"] is True
+
+
+class TestParserCache:
+    def test_three_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        plain = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return plain()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert main(["bounds", "corank", "--d", "4"]) == 0
+            assert main(["scenario", "reye", "--seed", "1"]) == 0
+            assert main(["bounds", "cnr", "--n", "2", "--r", "4"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_cached_parser_keeps_no_caller_budget(self, capsys):
+        # the first call builds the parser inside a tight budget; the
+        # default of --max-pairs must not freeze at that budget
+        cli._parser.cache_clear()
+        with pair_budget(3):
+            assert main(["bounds", "corank", "--d", "4"]) == 0
+        capsys.readouterr()
+        code, doc, _ = run_json(capsys, "scenario", "ei")
+        assert code == 0
+        assert doc["deg_Z"] == 8
+
+
+def test_no_cyclic_garbage_from_the_package(capsys, tmp_path):
+    # the cached parser and the package's own functions must not need the
+    # cycle collector: with DEBUG_SAVEALL every unreachable object a
+    # collection finds is kept in gc.garbage, where it can be inspected
+    assert main(["bounds", "corank", "--d", "4"]) == 0  # parser built here
+    f = tmp_path / "qg2.txt"
+    f.write_text(QG2)
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert main(["scenario", "reye", "--seed", "1"]) == 0
+        assert main(["compute", "--input", str(f), "--seed", "1"]) == 0
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not [o for o in garbage if isinstance(o, argparse.ArgumentParser)]
+    assert not [o for o in garbage if isinstance(o, types.FunctionType)
+                and o.__module__.startswith("qfiber")]
 
 
 def test_python_m_runs_the_command_line():

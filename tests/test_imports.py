@@ -5,7 +5,9 @@ No linter runs on this tree, so an import whose last reader went away in
 a refactor is caught here, from the source alone.  `__init__.py` is left
 out of the import check: its imports are the package's re-exports.  A
 `_private` function, class or method must be read somewhere in the
-package; tests do not count as readers.
+package; tests do not count as readers.  No nested function calls itself:
+such a closure holds itself through its cell, and every call leaves a
+cycle for the cycle collector.
 """
 
 import ast
@@ -160,3 +162,35 @@ def test_no_dead_private_helpers():
     sources = {name: (SRC / name).read_text(encoding="utf-8")
                for name in sorted(p.name for p in SRC.glob("*.py"))}
     assert unread_private_definitions(sources) == []
+
+
+def self_referencing_closures(source: str) -> list:
+    """(outer, inner) for every function nested in a function whose body
+    reads its own name."""
+    out = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(
+                    inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(isinstance(n, ast.Name) and n.id == inner.name
+                   for n in ast.walk(inner)):
+                out.append((outer.name, inner.name))
+    return out
+
+
+def test_closure_checker_finds_recursion():
+    source = ("def f(n):\n"
+              "    def walk(k):\n        return k and walk(k - 1)\n"
+              "    def leaf(k):\n        return k\n"
+              "    return walk(n) + leaf(n)\n"
+              "def g(n):\n    return n and g(n - 1)\n")
+    assert self_referencing_closures(source) == [("f", "walk")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_self_referencing_closures(name):
+    source = (SRC / name).read_text(encoding="utf-8")
+    assert self_referencing_closures(source) == []

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from qfiber.linalg import (
+    det,
     identity,
     kernel_intersection,
     mat_mul,
     nullspace,
+    pencil_det,
     rank,
     rref,
     solve,
@@ -158,3 +160,57 @@ class TestKernelIntersection:
     def test_empty_blocks(self):
         N = kernel_intersection([], 5, P)
         assert (N == identity(5)).all()
+
+
+def elimination_det(A, p):
+    """Determinant by Gaussian elimination over F_p: the oracle for the
+    Leibniz expansion."""
+    A = [[int(x) % p for x in row] for row in A]
+    n, out = len(A), 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if A[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            A[c], A[r] = A[r], A[c]
+            out = -out
+        out = out * A[c][c] % p
+        inv = pow(A[c][c], p - 2, p)
+        for r in range(c + 1, n):
+            f = A[r][c] * inv % p
+            A[r] = [(x - f * y) % p for x, y in zip(A[r], A[c])]
+    return out % p
+
+
+class TestDeterminants:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_det_matches_elimination(self, n):
+        rng = random.Random(n)
+        for p in (3, 5, P, 2147483647):
+            for _ in range(5):
+                A = rand_matrix(rng, n, n, p)
+                assert det(A, p) == elimination_det(A, p)
+
+    def test_det_singular(self):
+        A = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
+        assert det(A, P) == 0 and rank(A, P) == 2
+
+    @pytest.mark.parametrize("p", [3, 5, P])
+    def test_pencil_matches_every_evaluation(self, p):
+        # det(A + t*B) has degree <= 4, above p - 1 when p = 3: the
+        # expansion must hold at every t in F_p without interpolating
+        rng = random.Random(p)
+        for _ in range(5):
+            A, B = rand_matrix(rng, 4, 4, p), rand_matrix(rng, 4, 4, p)
+            coeffs = pencil_det(A, B, p)
+            assert len(coeffs) == 5
+            assert coeffs[0] == det(A, p) and coeffs[4] == det(B, p)
+            for t in range(p if p < 50 else 7):
+                value = sum(c * t ** k for k, c in enumerate(coeffs)) % p
+                assert value == elimination_det((A + t * B) % p, p)
+
+    def test_pencil_keeps_a_vanishing_leading_coefficient(self):
+        # B of rank 1: det(A + t*B) is linear in t
+        A = np.array([[1, 0], [0, 1]], dtype=np.int64)
+        B = np.array([[1, 2], [2, 4]], dtype=np.int64)
+        assert pencil_det(A, B, P) == [1, 5, 0]

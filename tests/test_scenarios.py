@@ -2,16 +2,21 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qfiber import groebner as gb_module
 from qfiber import scenarios
+from qfiber import univar as uv
 from qfiber.algebra import Polynomial, PolyRing, random_poly
+from qfiber.cli import main
 from qfiber.excess import q_module
 from qfiber.groebner import Ideal, hilbert_data
 from qfiber.invariants import corank_fiber_lower_bound
+from qfiber.linalg import nullspace
 from qfiber.parser import parse_session
 from qfiber.scenarios import (
+    ReyeData,
     Seed,
     _common_roots,
     _minors_and_det,
@@ -267,6 +272,45 @@ class TestReye:
         assert calls == []
         assert d.detA.degree() == 4
 
+    def test_draw_and_check_expand_no_minors(self, monkeypatch, capsys):
+        # a nonzero det C[k] decides the draw, and the check works on the
+        # coefficient tensor: the minors and det A are never expanded
+        def refuse(A, ring):
+            raise AssertionError("_minors_and_det was called")
+
+        monkeypatch.setattr(scenarios, "_minors_and_det", refuse)
+        for seed in range(5):
+            d = gen_reye(Seed(seed))
+            assert reye_trisecant(d, Seed(seed)).passed
+        assert main(["scenario", "reye", "--seed", "1"]) == 0
+
+    def test_expansion_on_first_read_only(self):
+        d = gen_reye(Seed(0))
+        assert "_expansion" not in vars(d)
+        first = d.I_X
+        assert d.I_X is first and d.detA is d._expansion[1]
+
+    def test_coefficient_tensor(self):
+        d = gen_reye(Seed(4))
+        C = d.coefficients
+        assert C.shape == (6, 4, 4)
+        for i in range(4):
+            for j in range(4):
+                for k in range(6):
+                    unit = tuple(int(v == k) for v in range(6))
+                    assert C[k, i, j] == d.A[i][j].coeff_of(unit)
+
+    @pytest.mark.parametrize("bad", ["square", "constant"])
+    def test_check_needs_linear_forms(self, bad):
+        d = gen_reye(Seed(0))
+        ring = d.ring
+        extra = ring.var(0) * ring.var(1) if bad == "square" \
+            else ring.constant(5)
+        A = [list(row) for row in d.A]
+        A[1][2] = A[2][1] = A[1][2] + extra
+        with pytest.raises(ValueError, match="linear forms"):
+            reye_trisecant(ReyeData(ring, tuple(map(tuple, A))), Seed(0))
+
     def test_json_shape(self):
         d = gen_reye(Seed(2))
         chk = reye_trisecant(d, Seed(2))
@@ -307,43 +351,141 @@ class TestCISecant:
         assert list(a.gens) == list(b.gens)
 
 
-def _checked_ideals(monkeypatch, check, *args):
-    """Run a secant check, returning the ideals it hands to hilbert_data."""
-    seen = []
+def _examined_lines(monkeypatch, check, *args):
+    """Run a secant check; for every line whose degree it reads, return
+    (a, b, forms, degree of the forms, the helper's answer), with a and b
+    spanning the line."""
+    spans, answers = [], []
+    restrictors = {"_pencil_minors": scenarios._pencil_minors,
+                   "_restrict": scenarios._restrict}
 
-    def recording(ideal):
-        seen.append(ideal)
-        return hilbert_data(ideal)
+    def recording(name):
+        plain = restrictors[name]
 
-    monkeypatch.setattr(scenarios, "hilbert_data", recording)
+        def restrict(x, a, b, *rest):
+            spans.append(([int(c) for c in a], [int(c) for c in b]))
+            return plain(x, a, b, *rest)
+        return restrict
+
+    line_degree = scenarios._line_degree
+
+    def answering(forms, d, p):
+        got = line_degree(forms, d, p)
+        answers.append((forms, d, got))
+        return got
+
+    for name in restrictors:
+        monkeypatch.setattr(scenarios, name, recording(name))
+    monkeypatch.setattr(scenarios, "_line_degree", answering)
     check(*args)
     monkeypatch.undo()
-    return seen
+    assert len(spans) == len(answers)
+    return [span + answer for span, answer in zip(spans, answers)]
+
+
+def _line_ideal(gens, a, b):
+    """The ideal generated by gens and the linear forms vanishing on the
+    line spanned by a and b."""
+    ring = gens[0].ring
+    forms = [ring.poly({tuple(int(k == v) for k in range(ring.nvars)):
+                        int(c) for v, c in enumerate(row)})
+             for row in nullspace(np.array([a, b]), ring.p)]
+    return Ideal(ring, list(gens) + forms)
+
+
+def _assert_hilbert_agrees(ideal, cone):
+    """The helper's (cone dimension, degree) against hilbert_data of the
+    unsaturated ideal and of its saturation by the irrelevant ideal; for
+    a line missing X the saturation is the unit ideal, of degree 0."""
+    ring = ideal.ring
+    irrelevant = Ideal(ring, [ring.var(i) for i in range(ring.nvars)])
+    a = hilbert_data(ideal)
+    b = hilbert_data(ideal.saturate(irrelevant)[0])
+    dim, degree = cone
+    assert a.krull_dim == dim
+    assert b.degree == degree
+    if dim >= 1:
+        assert (a.degree, b.krull_dim) == (degree, dim)
+    else:
+        assert b.krull_dim == -1
 
 
 class TestNoSaturation:
-    """The secant checks read cone dimension and degree of unsaturated
-    ideals; saturating by the irrelevant ideal must not change either."""
+    """The secant checks read cone dimension and degree of X meeting a line
+    off the gcd of binary forms; that must equal the Hilbert data of the
+    unsaturated I + I_L, which saturation leaves unchanged."""
 
     def test_saturation_agrees(self, monkeypatch):
         runs = []
         for seed in range(1, 6):
             d = gen_reye(Seed(seed))
-            runs.append(_checked_ideals(monkeypatch, reye_trisecant, d,
-                                        Seed(seed)))
+            runs.append((d.I_X.gens, _examined_lines(
+                monkeypatch, reye_trisecant, d, Seed(seed))))
         for n, l in ((1, 2), (2, 3)):
             scen = gen_ci_secant(n, l, Seed(0))
-            runs.append(_checked_ideals(monkeypatch, secant_through_point,
-                                        scen))
-        for ideals in runs:
-            assert ideals
-            for ideal in ideals:
-                ring = ideal.ring
-                irrelevant = Ideal(ring, [ring.var(i)
-                                          for i in range(ring.nvars)])
-                a = hilbert_data(ideal)
-                b = hilbert_data(ideal.saturate(irrelevant)[0])
-                assert (a.krull_dim, a.degree) == (b.krull_dim, b.degree)
+            runs.append((scen.gens, _examined_lines(
+                monkeypatch, secant_through_point, scen)))
+        for gens, lines in runs:
+            assert lines
+            for a, b, _, _, cone in lines:
+                _assert_hilbert_agrees(_line_ideal(gens, a, b), cone)
+
+    def test_point_of_x_at_infinity(self, monkeypatch):
+        # reparametrize each examined line so that its second vector is a
+        # rational point of X: the root at (0 : 1) then carries degree
+        found = 0
+        for seed in range(1, 6):
+            d = gen_reye(Seed(seed))
+            p = d.ring.p
+            for a, b, forms, _, cone in _examined_lines(
+                    monkeypatch, reye_trisecant, d, Seed(seed)):
+                for t0 in _common_roots(forms, p):
+                    on_x = [(x + t0 * y) % p for x, y in zip(a, b)]
+                    moved = scenarios._pencil_minors(d.coefficients, b, on_x,
+                                                     p)
+                    assert all(len(uv.trim(list(f))) <= 3 for f in moved)
+                    assert scenarios._line_degree(moved, 3, p) == cone
+                    _assert_hilbert_agrees(_line_ideal(d.I_X.gens, b, on_x),
+                                           cone)
+                    found += 1
+        assert found
+
+    def test_line_missing_x(self):
+        d = gen_reye(Seed(1))
+        p = d.ring.p
+        st = Seed(1).stream().fork(55)
+        for _ in range(3):
+            a = [st.randrange(p) for _ in range(6)]
+            b = [st.randrange(p) for _ in range(6)]
+            forms = scenarios._pencil_minors(d.coefficients, a, b, p)
+            cone = scenarios._line_degree(forms, 3, p)
+            assert cone == (0, 0)
+            _assert_hilbert_agrees(_line_ideal(d.I_X.gens, a, b), cone)
+
+    def test_line_inside_x(self):
+        # (y0*y2 + y1*y3, y2^2 - y1*y3) contains the line y2 = y3 = 0
+        ring = PolyRing(Seed(0).p, ("y0", "y1", "y2", "y3"))
+        y0, y1, y2, y3 = (ring.var(i) for i in range(4))
+        gens = [y0 * y2 + y1 * y3, y2 * y2 - y1 * y3]
+        a, b = [1, 0, 0, 0], [0, 1, 0, 0]
+        cone = scenarios._line_degree(scenarios._restrict(gens, a, b), 2,
+                                      ring.p)
+        assert cone == (2, 1)
+        _assert_hilbert_agrees(_line_ideal(gens, a, b), cone)
+
+    def test_double_root_at_infinity(self):
+        # on the line y2 = 0, y0*y1^2 + y2^3 and y1^3 share the factor
+        # y1^2: a double point at e0, which is b in the second chart
+        ring = PolyRing(Seed(0).p, ("y0", "y1", "y2"))
+        y0, y1, y2 = (ring.var(i) for i in range(3))
+        gens = [y0 * y1 * y1 + y2 * y2 * y2, y1 * y1 * y1]
+        for a, b in (([1, 0, 0], [0, 1, 0]), ([0, 1, 0], [1, 0, 0])):
+            forms = scenarios._restrict(gens, a, b)
+            cone = scenarios._line_degree(forms, 3, ring.p)
+            assert cone == (1, 2)
+            _assert_hilbert_agrees(_line_ideal(gens, a, b), cone)
+        # in the second chart f = F(1, t) keeps no root: t and 1
+        assert forms == [[0, 1], [1]]
 
 
 class TestScenarioText:
