@@ -409,6 +409,30 @@ class Polynomial:
             out = out + term
         return out
 
+    def to_ring(self, target: PolyRing) -> "Polynomial":
+        """The same polynomial in target, variables matched by name.
+
+        Terms are re-sorted in target's order.  Raises ValueError when a
+        variable that occurs here is missing from target.
+        """
+        if target == self.ring:
+            return self
+        if target.field != self.ring.field:
+            raise ValueError("rings over different fields")
+        names = self.ring.variables
+        # source index of each target variable; len(names) reads the 0
+        # appended to every exponent vector
+        src = [names.index(nm) if nm in names else len(names)
+               for nm in target.variables]
+        out = {}
+        for m, c in self.terms:
+            m += (0,)
+            e = tuple(m[i] for i in src)
+            if sum(e) != sum(m):
+                raise ValueError(f"a variable of {self} is not in {target}")
+            out[e] = c
+        return target.poly(out)
+
     def shift(self, point: Sequence[int]) -> "Polynomial":
         """Translate coordinates: x_i -> x_i + a_i."""
         images = {

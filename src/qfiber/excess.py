@@ -444,14 +444,9 @@ def q_affine_pair(A: PolyRing, L: Ideal, I: Ideal,
 def _drop_variables(ideal: Ideal, doomed: list) -> Ideal:
     """Image of the ideal in the polynomial ring on the surviving variables."""
     ring = ideal.ring
-    kept = [nm for nm in ring.variables if nm not in set(doomed)]
-    small = PolyRing(ring.field, tuple(kept), GREVLEX)
-    keep_idx = [ring.var_index(nm) for nm in kept]
-    out = []
-    for f in ideal.eliminate(doomed):
-        terms = {tuple(m[i] for i in keep_idx): c for m, c in f.terms}
-        out.append(small.poly(terms))
-    return Ideal(small, out)
+    kept = tuple(nm for nm in ring.variables if nm not in doomed)
+    small = PolyRing(ring.field, kept, GREVLEX)
+    return Ideal(small, [f.to_ring(small) for f in ideal.eliminate(doomed)])
 
 
 def minimal_generators(alg: ArtinianAlgebra) -> list:

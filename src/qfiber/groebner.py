@@ -5,8 +5,7 @@ per variable with a guard bit on top, so divisibility, quotients and lcm are
 a few integer operations.  Monomial order keys are additive integers: the
 key of a product is the sum of keys, which lets normal-form reduction shift
 whole polynomials by pure adds.  Field overflow trips a guard bit and the
-computation restarts with wider fields.  The same codec serves the
-cofactor expansion of the Reye minors in scenarios.
+computation restarts with wider fields.
 
 Pair handling is Buchberger with the Gebauer-Moller update and sugar-first
 selection.  Reduced bases are unique, monic, and sorted by leading term, so
@@ -553,20 +552,13 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _extend_ring_front(ring: PolyRing):
-    """Ring with one fresh variable in front and a block order killing it."""
+    """Ring with one fresh tag variable in front and a block order that
+    eliminates it, and the tag's name; polynomials move in and out of it
+    with Polynomial.to_ring."""
     name, i = "_t", 0
     while name in ring.variables:
         name, i = f"_t{i}", i + 1
     return PolyRing(ring.field, (name,) + ring.variables, block_order(1)), name
-
-
-def _lift_front(f: Polynomial, big: PolyRing) -> Polynomial:
-    return Polynomial(big, tuple(((0,) + m, c) for m, c in f.terms))
-
-
-def _drop_front(f: Polynomial, small: PolyRing) -> Polynomial:
-    # re-sorted: the big ring's block order need not restrict to small's
-    return small.poly({m[1:]: c for m, c in f.terms})
 
 
 class Ideal:
@@ -639,15 +631,10 @@ class Ideal:
         ring = self.ring
         big, tname = _extend_ring_front(ring)
         t = big.var(tname)
-        one_minus_t = big.one() - t
-        gens = [t * _lift_front(f, big) for f in self.gens]
-        gens += [one_minus_t * _lift_front(g, big) for g in other.gens]
-        gb = groebner(big, gens)
-        out = []
-        for h in gb.polys:
-            if all(m[0] == 0 for m, _ in h.terms):
-                out.append(_drop_front(h, ring))
-        return Ideal(ring, out)
+        gens = [t * f.to_ring(big) for f in self.gens]
+        gens += [(1 - t) * g.to_ring(big) for g in other.gens]
+        return Ideal(ring, [h.to_ring(ring)
+                            for h in Ideal(big, gens).eliminate([tname])])
 
     def quotient(self, other) -> "Ideal":
         """Ideal quotient (I : J); other may be a Polynomial or an Ideal."""
@@ -684,46 +671,24 @@ class Ideal:
     def eliminate(self, names) -> list:
         """Generators of I cap k[remaining variables].
 
-        The computation runs in an internal ring that permutes the doomed
+        The computation runs in an internal ring that moves the doomed
         variables to the front under a block order; results are mapped back
         to the original ring (so they are generators, not necessarily a
         Groebner basis for the original order).
         """
         ring = self.ring
-        doomed = [ring.var_index(nm) for nm in names]
-        if not doomed:
+        names = tuple(names)
+        for nm in names:
+            ring.var_index(nm)  # KeyError for a name the ring lacks
+        if not names:
             return list(self.groebner().polys)
-        dset = set(doomed)
-        rest = [i for i in range(ring.nvars) if i not in dset]
-        perm = doomed + rest  # position j in the big ring holds old index perm[j]
-        big = PolyRing(
-            ring.field,
-            tuple(ring.variables[i] for i in perm),
-            block_order(len(doomed)) if rest else GREVLEX,
-        )
-        inv = [0] * ring.nvars
-        for j, i in enumerate(perm):
-            inv[i] = j
-
-        def to_big(f):
-            return Polynomial(
-                big,
-                tuple((tuple(m[i] for i in perm), c) for m, c in f.terms),
-            )
-
-        gb = groebner(big, [to_big(g) for g in self.gens])
-        k = len(doomed)
-        out = []
-        for h in gb.polys:
-            if all(all(m[j] == 0 for j in range(k)) for m, _ in h.terms):
-                back = {}
-                for m, c in h.terms:
-                    mm = [0] * ring.nvars
-                    for j, e in enumerate(m):
-                        mm[perm[j]] = e
-                    back[tuple(mm)] = c
-                out.append(ring.poly(back))
-        return out
+        k = len(names)
+        rest = tuple(nm for nm in ring.variables if nm not in names)
+        big = PolyRing(ring.field, names + rest,
+                       block_order(k) if rest else GREVLEX)
+        gb = groebner(big, [g.to_ring(big) for g in self.gens])
+        return [h.to_ring(ring) for h in gb.polys
+                if not any(any(m[:k]) for m, _ in h.terms)]
 
     # -- dimension and leading-term combinatorics
 

@@ -98,21 +98,6 @@ def nullspace(A, p: int) -> np.ndarray:
     return basis
 
 
-def solve(A, b, p: int):
-    """One solution of A x = b, or None when inconsistent."""
-    A = as_mod_array(A, p)
-    b = as_mod_array(b, p).reshape(-1, 1)
-    m, n = A.shape
-    R, pivots = rref(np.hstack([A, b]), p)
-    for i in range(len(pivots)):
-        if pivots[i] == n:
-            return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, n]
-    return x
-
-
 @cache
 def _signed_permutations(n: int) -> tuple:
     """(permutation of range(n), its sign) for the Leibniz expansion."""

@@ -9,8 +9,6 @@ without coordinating counters.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -46,13 +44,6 @@ class Stream:
             x = self.next64()
             if x < limit:
                 return lo + x % n
-
-    def nonzero(self, p: int) -> int:
-        """Uniform element of F_p minus zero."""
-        return self.randrange(1, p)
-
-    def vector(self, n: int, p: int) -> np.ndarray:
-        return np.array([self.randrange(p) for _ in range(n)], dtype=np.int64)
 
     def fork(self, label: int) -> "Stream":
         """Independent substream determined by (seed, label)."""

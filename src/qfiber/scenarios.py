@@ -23,7 +23,7 @@ from .algebra import (
     random_poly,
 )
 from .excess import IntersectionScenario, make_scenario
-from .groebner import Ideal, _Enc, hilbert_data
+from .groebner import Ideal, hilbert_data
 from .linalg import det, mat_mul, nullspace, pencil_det, rank
 from .rng import Stream
 
@@ -41,17 +41,6 @@ class Seed:
         return Stream(self.seed)
 
 
-def _transplant(poly: Polynomial, target: PolyRing, index_map) -> Polynomial:
-    """Re-home a polynomial along an injective variable index map."""
-    terms = {}
-    for m, c in poly.terms:
-        e = [0] * target.nvars
-        for src, dst in enumerate(index_map):
-            e[dst] = m[src]
-        terms[tuple(e)] = c
-    return target.poly(terms)
-
-
 def _graph_scenario(s: Seed, graph_count: int, base_count: int, label: str,
                     expected: int, graph_is_x: bool) -> IntersectionScenario:
     """Graph of random quadrics against its axis plane.
@@ -66,7 +55,6 @@ def _graph_scenario(s: Seed, graph_count: int, base_count: int, label: str,
     chart = PolyRing(s.p, tuple(f"a{i}" for i in range(1, base_count + 1)))
     names = tuple(f"x{i}" for i in range(1, graph_count + 1)) + chart.variables
     R = PolyRing(s.p, names)
-    amap = list(range(graph_count, graph_count + base_count))
     axis = Ideal(R, [R.var(i) for i in range(graph_count)])
     stream = s.stream()
     for trial in range(_BUDGET):
@@ -75,7 +63,7 @@ def _graph_scenario(s: Seed, graph_count: int, base_count: int, label: str,
                  for i in range(graph_count)]
         graph_gens = []
         for i, f in enumerate(quads):
-            g = R.var(i) - _transplant(f, R, amap)
+            g = R.var(i) - f.to_ring(R)
             if g.homogeneous_part(1) != R.var(i):
                 raise RuntimeError("graph generator lost its linear witness")
             graph_gens.append(g)
@@ -158,9 +146,11 @@ class ReyeData:
     """Symmetric 4x4 matrix A of linear forms on P^5; its 3x3 minors cut
     out the rank <= 2 surface X.
 
-    The trisecant check reads A only through its coefficient tensor.  I_X
-    and det A are expanded by _minors_and_det on first read and kept, so
-    a caller who never reads them never pays for the expansion.
+    The trisecant check reads A only through its coefficient tensor, which
+    is where the entries are checked to be linear forms.  I_X and det A
+    are expanded by _minors_and_det, on Polynomial arithmetic, on first
+    read and kept, so a caller who never reads them never pays for the
+    expansion.
     """
 
     ring: PolyRing
@@ -225,58 +215,35 @@ class ReyeCheck:
 
 def _minors_and_det(A, ring: PolyRing):
     """The 3x3 minors (i, j), i <= j in row-major order, and det A of a
-    4x4 matrix of linear forms.
+    4x4 matrix of polynomials.
 
-    The entries are encoded once with the Groebner engine's codec.  Every
-    sub-determinant is expanded along its first row on {packed: coeff}
-    dicts, memoised by (rows, cols) and reduced mod p once; the order key
-    of a product is the sum of the factors' keys.  det A is the row-0
-    expansion over the minors (0, j), which the memo already holds.
+    Every sub-determinant is expanded along its first row on Polynomial
+    arithmetic and memoised by (rows, cols), so the minors share their
+    2x2 blocks.  det A is the row-0 expansion over the minors (0, j),
+    which the memo already holds.
     """
-    if any(f.degree() > 1 for row in A for f in row):
-        raise ValueError("matrix entries must be linear")
-    p = ring.p
-    # linear entries keep every exponent of a k x k sub-determinant at or
-    # below k <= 4, which a 4-bit field (7 below its guard bit) holds
-    enc = _Enc(ring.nvars, ring.order, 4)
-    ent = [[{enc.pack(e): c for e, c in f.terms} for f in row] for row in A]
-    keys = {m: enc.key(m) for row in ent for d in row for m in d}
     memo = {}
-
-    def decode(d):
-        return enc.decode_poly(
-            sorted(((keys[m], m, c) for m, c in d.items()), reverse=True),
-            ring)
-
-    def expand(rows, cols):
-        return decode(_sub_det(rows, cols, ent, keys, memo, p))
-
     full = tuple(range(4))
-    minors = [expand(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
+    minors = [_sub_det(A, full[:i] + full[i + 1:], full[:j] + full[j + 1:],
+                       ring, memo)
               for i in range(4) for j in range(i, 4)]
-    return minors, expand(full, full)
+    return minors, _sub_det(A, full, full, ring, memo)
 
 
-def _sub_det(rows, cols, ent, keys, memo, p):
-    """Determinant of ent on (rows, cols) as {packed: coeff}, expanded along
-    its first row; memo holds the expansions by (rows, cols) and keys the
-    order key of every packed monomial met."""
+def _sub_det(A, rows, cols, ring: PolyRing, memo: dict) -> Polynomial:
+    """Determinant of A on (rows, cols), expanded along its first row;
+    memo holds the expansions by (rows, cols)."""
     if len(rows) == 1:
-        return ent[rows[0]][cols[0]]
+        return A[rows[0]][cols[0]]
     got = memo.get((rows, cols))
     if got is None:
-        acc = {}
+        got = ring.zero()
         for k, c in enumerate(cols):
-            g = _sub_det(rows[1:], cols[:k] + cols[k + 1:], ent, keys, memo, p)
-            for mf, cf in ent[rows[0]][c].items():
-                kf = keys[mf]
-                if k % 2:
-                    cf = -cf
-                for mg, cg in g.items():
-                    m = mf + mg
-                    acc[m] = acc.get(m, 0) + cf * cg
-                    keys[m] = kf + keys[mg]
-        got = memo[(rows, cols)] = {m: c % p for m, c in acc.items() if c % p}
+            term = A[rows[0]][c] * _sub_det(A, rows[1:],
+                                            cols[:k] + cols[k + 1:],
+                                            ring, memo)
+            got = got - term if k % 2 else got + term
+        memo[(rows, cols)] = got
     return got
 
 

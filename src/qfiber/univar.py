@@ -9,8 +9,6 @@ squarefree step never meets a vanishing derivative.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def trim(f: list) -> list:
     while f and f[-1] == 0:
@@ -46,19 +44,15 @@ def scale(f: list, c: int, p: int) -> list:
 
 
 def mul(f: list, g: list, p: int) -> list:
+    """Schoolbook product; python ints hold every partial sum exactly."""
     if not f or not g:
         return []
-    a = np.asarray(f, dtype=np.int64)
-    b = np.asarray(g, dtype=np.int64)
-    # convolution chunks keep partial sums below 2^63
-    chunk = max(1, int((1 << 62) // ((p - 1) * (p - 1))))
-    if min(len(f), len(g)) <= chunk:
-        return trim([int(c) for c in np.mod(np.convolve(a, b), p)])
-    out = np.zeros(len(f) + len(g) - 1, dtype=np.int64)
-    for s in range(0, len(g), chunk):
-        seg = np.convolve(a, b[s:s + chunk])
-        out[s:s + len(seg)] = np.mod(out[s:s + len(seg)] + seg, p)
-    return trim([int(c) for c in out])
+    n = len(g)
+    out = [0] * (len(f) + n - 1)
+    for i, a in enumerate(f):
+        if a:
+            out[i:i + n] = [c + a * b for c, b in zip(out[i:i + n], g)]
+    return trim([c % p for c in out])
 
 
 def divmod_poly(f: list, g: list, p: int):

@@ -39,7 +39,6 @@ from qfiber.parser import parse_ideal
 from qfiber.rng import Stream
 from qfiber.scenarios import (
     Seed,
-    _transplant,
     gen_EI_model,
     gen_fatpoint_model,
     gen_quadric_graph,
@@ -193,7 +192,7 @@ def _transversal_pair(a: int, b: int, deg: int, seed: int):
         raise RuntimeError(f"no regular sequence at shape {(a, b, deg)}")
     amb = PolyRing(_FIELD, tuple(f"x{i + 1}" for i in range(a))
                    + tuple(f"u{i + 1}" for i in range(b)))
-    lifted = [_transplant(g, amb, list(range(a, a + b))) for g in gens]
+    lifted = [g.to_ring(amb) for g in gens]
     plane = Ideal(amb, [amb.var(i) for i in range(a)])
     return amb, plane, Ideal(amb, lifted), Ideal(chart, gens)
 

@@ -147,6 +147,33 @@ class TestArithmetic:
         assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
         assert f.substitute(images) == parse_polynomial("2*a^2*b^2", S)
 
+    def test_to_ring_matches_by_name(self):
+        R = ring3(101)
+        S = PolyRing(FieldSpec(101), ("w", "z", "x", "y"))
+        f = parse_polynomial("x^2*z + 3*y + 5", R)
+        assert f.to_ring(S) == parse_polynomial("x^2*z + 3*y + 5", S)
+        assert f.to_ring(S).to_ring(R) == f
+        assert f.to_ring(R) is f
+
+    @pytest.mark.parametrize("order", [LEX, block_order(1)],
+                             ids=["lex", "block1"])
+    def test_to_ring_sorts_in_the_target_order(self, order):
+        R = ring3(101)
+        S = PolyRing(FieldSpec(101), ("z", "y", "x"), order)
+        g = parse_polynomial("x^3 + y^2*z + z^2 + x*y + 7", R).to_ring(S)
+        assert g.terms == S.poly(dict(g.terms)).terms
+        assert g == parse_polynomial("x^3 + y^2*z + z^2 + x*y + 7", S)
+
+    def test_to_ring_refuses_a_missing_variable(self):
+        R = ring3(101)
+        S = PolyRing(FieldSpec(101), ("x", "y"))
+        assert parse_polynomial("x*y + 2", R).to_ring(S) == \
+            parse_polynomial("x*y + 2", S)
+        with pytest.raises(ValueError, match="not in"):
+            parse_polynomial("x + z", R).to_ring(S)
+        with pytest.raises(ValueError, match="fields"):
+            parse_polynomial("x", R).to_ring(ring3(103))
+
     def test_shift_translates_origin(self):
         R = ring3(101)
         f = parse_polynomial("x^2 + y", R)

@@ -5,12 +5,14 @@ No linter runs on this tree, so an import whose last reader went away in
 a refactor is caught here, from the source alone.  `__init__.py` is left
 out of the import check: its imports are the package's re-exports.  A
 `_private` function, class or method must be read somewhere in the
-package; tests do not count as readers.  No nested function calls itself:
-such a closure holds itself through its cell, and every call leaves a
-cycle for the cycle collector.
+package outside its own body; tests do not count as readers.  No nested
+function calls itself: such a closure holds itself through its cell, and
+every call leaves a cycle for the cycle collector.  The packed-monomial
+codec `_Enc` is named in `groebner.py` alone.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -108,7 +110,7 @@ def test_groebner_keeps_no_cofactor_format():
 
 def private_definitions(tree) -> dict:
     """Private function, class and method names defined at module or class
-    level (dunders left out) -> the line of their first definition."""
+    level (dunders left out) -> the node of their first definition."""
     out = {}
 
     def visit(body):
@@ -117,7 +119,7 @@ def private_definitions(tree) -> dict:
                                  ast.ClassDef)):
                 name = node.name
                 if name.startswith("_") and not name.endswith("__"):
-                    out.setdefault(name, node.lineno)
+                    out.setdefault(name, node)
                 if isinstance(node, ast.ClassDef):
                     visit(node.body)
 
@@ -125,23 +127,25 @@ def private_definitions(tree) -> dict:
     return out
 
 
-def read_names(tree) -> set:
-    """Every name or attribute the module reads."""
-    out = set()
+def read_names(tree) -> Counter:
+    """How often the code under tree reads each name or attribute."""
+    out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
+            out[node.attr] += 1
     return out
 
 
 def unread_private_definitions(sources: dict) -> list:
+    """(module, line, name) of each private definition that nothing reads
+    outside its own body: a helper only its own recursion calls is dead."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    read = set().union(*(read_names(t) for t in trees.values()))
-    return sorted((name, line, d) for name, t in trees.items()
-                  for d, line in private_definitions(t).items()
-                  if d not in read)
+    read = sum((read_names(t) for t in trees.values()), Counter())
+    return sorted((name, node.lineno, d) for name, t in trees.items()
+                  for d, node in private_definitions(t).items()
+                  if read[d] == read_names(node)[d])
 
 
 def test_private_checker_finds_dead_helpers():
@@ -151,11 +155,12 @@ def test_private_checker_finds_dead_helpers():
                  "class _Box:\n"
                  "    def __init__(self):\n        self._x = _used()\n"
                  "    def _read(self):\n        return self._x\n"
-                 "    def _unread(self):\n        pass\n"),
+                 "    def _unread(self):\n        pass\n"
+                 "def _loop(n):\n    return n and _loop(n - 1)\n"),
         "b.py": "from .a import _Box\nprint(_Box()._read())\n",
     }
     assert unread_private_definitions(sources) == [
-        ("a.py", 3, "_dead"), ("a.py", 10, "_unread")]
+        ("a.py", 3, "_dead"), ("a.py", 10, "_unread"), ("a.py", 12, "_loop")]
 
 
 def test_no_dead_private_helpers():
@@ -194,3 +199,27 @@ def test_closure_checker_finds_recursion():
 def test_no_self_referencing_closures(name):
     source = (SRC / name).read_text(encoding="utf-8")
     assert self_referencing_closures(source) == []
+
+
+def named(tree) -> set:
+    """Every identifier the module defines, imports, reads or writes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out |= {node.name.split(".")[-1], node.asname}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+def test_packed_codec_stays_in_groebner():
+    # the packed-monomial codec is the Groebner engine's own: no other
+    # module imports it, builds one or reads its fields
+    naming = [p.name for p in sorted(SRC.glob("*.py"))
+              if "_Enc" in named(ast.parse(p.read_text(encoding="utf-8")))]
+    assert naming == ["groebner.py"]

@@ -14,7 +14,6 @@ from qfiber.linalg import (
     pencil_det,
     rank,
     rref,
-    solve,
 )
 
 P = 32003
@@ -106,19 +105,6 @@ class TestNullspace:
         N = nullspace(np.zeros((3, 4), dtype=np.int64), P)
         assert N.shape == (4, 4)
         assert rank(N, P) == 4
-
-    def test_solve(self):
-        rng = random.Random(13)
-        A = rand_matrix(rng, 4, 6)
-        x0 = np.array([rng.randrange(P) for _ in range(6)], dtype=np.int64)
-        b = mat_mul(A, x0.reshape(-1, 1), P).ravel()
-        x = solve(A, b, P)
-        assert x is not None
-        assert (mat_mul(A, x.reshape(-1, 1), P).ravel() == b).all()
-
-    def test_solve_inconsistent(self):
-        A = np.array([[1, 0], [1, 0]], dtype=np.int64)
-        assert solve(A, [1, 2], 7) is None
 
 
 class TestMatMul:

@@ -18,18 +18,6 @@ def test_randrange_bounds():
     assert all(5 <= v < 8 for v in vals)
 
 
-def test_nonzero():
-    s = Stream(2)
-    assert all(1 <= s.nonzero(3) < 3 for _ in range(100))
-
-
-def test_vector():
-    s = Stream(3)
-    v = s.vector(6, 101)
-    assert v.shape == (6,)
-    assert all(0 <= int(x) < 101 for x in v)
-
-
 def test_fork_independent():
     s = Stream(9)
     f1 = s.fork(0)

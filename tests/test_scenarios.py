@@ -13,7 +13,7 @@ from qfiber.cli import main
 from qfiber.excess import q_module
 from qfiber.groebner import Ideal, hilbert_data
 from qfiber.invariants import corank_fiber_lower_bound
-from qfiber.linalg import nullspace
+from qfiber.linalg import det, nullspace
 from qfiber.parser import parse_session
 from qfiber.scenarios import (
     ReyeData,
@@ -153,8 +153,9 @@ class TestEIModel:
 
 
 def _det(rows, ring):
-    """Cofactor expansion along the first row on Polynomial arithmetic:
-    the oracle for the packed expansion in the scenario generator."""
+    """Cofactor expansion along the first row, recomputed for every
+    minor: the oracle for the memoised expansion in the scenario
+    generator."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -174,12 +175,12 @@ def _drop(A, i, j):
 
 def _helper_against_oracle(A, ring):
     """_minors_and_det on A, checked term for term against _det."""
-    minors, det = _minors_and_det(A, ring)
+    minors, det_a = _minors_and_det(A, ring)
     assert [m.terms for m in minors] == [
         _det(_drop(A, i, j), ring).terms
         for i in range(4) for j in range(i, 4)]
-    assert det.terms == _det(A, ring).terms
-    return minors, det
+    assert det_a.terms == _det(A, ring).terms
+    return minors, det_a
 
 
 class TestReye:
@@ -218,6 +219,25 @@ class TestReye:
             assert d.detA.terms == _det([list(row) for row in A],
                                         d.ring).terms
 
+    def test_minors_agree_with_scalar_determinants(self):
+        # an oracle that shares no expansion with the helper: at a point x,
+        # each minor and det A evaluate to the determinants of the scalar
+        # matrix A(x) = sum_k x_k C[k]
+        for seed in range(10):
+            d = gen_reye(Seed(seed))
+            p = d.ring.p
+            C = d.coefficients
+            minors, det_a = _minors_and_det(d.A, d.ring)
+            st = Seed(seed).stream().fork(99)
+            for _ in range(3):
+                x = [st.randrange(p) for _ in range(d.ring.nvars)]
+                Ax = [[sum(xk * int(C[k, i, j]) for k, xk in enumerate(x)) % p
+                       for j in range(4)] for i in range(4)]
+                assert det_a.evaluate(x) == det(Ax, p)
+                assert [m.evaluate(x) for m in minors] == [
+                    det(_drop(Ax, i, j), p)
+                    for i in range(4) for j in range(i, 4)]
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_helper_on_a_general_matrix_with_zeros(self, seed):
         # not symmetric, some entries zero, one entry with a constant term
@@ -227,8 +247,8 @@ class TestReye:
              for i in range(4)]
         A[0][1] = A[2][2] = A[3][0] = ring.zero()
         A[1][3] = A[1][3] + ring.constant(5)
-        minors, det = _helper_against_oracle(A, ring)
-        assert det.degree() == 4
+        minors, det_a = _helper_against_oracle(A, ring)
+        assert det_a.degree() == 4
 
     def test_helper_on_a_singular_matrix(self):
         # row 3 = row 1 + 2 * row 2: det A is the zero polynomial
@@ -237,17 +257,10 @@ class TestReye:
         A = [[random_poly(ring, 1, st.fork(4 * i + j)) for j in range(4)]
              for i in range(3)]
         A.append([a + b * 2 for a, b in zip(A[1], A[2])])
-        minors, det = _helper_against_oracle(A, ring)
-        assert det.is_zero()
+        minors, det_a = _helper_against_oracle(A, ring)
+        assert det_a.is_zero()
         # minor (0, 0) keeps the dependent rows, minor (3, 3) drops one
         assert minors[0].is_zero() and not minors[-1].is_zero()
-
-    def test_helper_needs_linear_entries(self):
-        ring = PolyRing(Seed(0).p, ("y0", "y1"))
-        A = [[ring.var(0)] * 4 for _ in range(4)]
-        A[2][1] = ring.var(1) * ring.var(1)
-        with pytest.raises(ValueError, match="linear"):
-            _minors_and_det(A, ring)
 
     def test_degenerate_draw_raises(self, monkeypatch):
         # every entry y0: A has rank 1, so det A is the zero polynomial
@@ -259,7 +272,8 @@ class TestReye:
             gen_reye(Seed(5))
 
     def test_expansion_multiplies_no_polynomials(self, monkeypatch):
-        # the minors are expanded on packed monomials, not Polynomial terms
+        # a draw with a nonzero det C[k] expands nothing: the minors and
+        # det A wait for their first read
         calls = []
         plain = Polynomial.__mul__
 

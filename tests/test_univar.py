@@ -29,6 +29,17 @@ class TestArithmetic:
             assert back == f
             assert uv.deg(r) < uv.deg(g)
 
+    def test_mul_near_the_field_bound(self):
+        # residue products near 2^62: every partial sum must stay exact
+        p = 2147483629
+        rng = random.Random(11)
+        for m, n in ((5, 7), (9, 6), (12, 12)):
+            f = [rng.randrange(1, p) for _ in range(m)]
+            g = [rng.randrange(1, p) for _ in range(n)]
+            direct = [sum(f[i] * g[k - i] for i in range(m) if 0 <= k - i < n)
+                      % p for k in range(m + n - 1)]
+            assert uv.mul(f, g, p) == uv.trim(direct)
+
     def test_gcd_of_products(self):
         rng = random.Random(5)
         a = from_roots([1, 2, 3], P)
