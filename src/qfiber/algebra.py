@@ -115,12 +115,11 @@ class MonomialOrder:
             return m
         if self.kind == "grevlex":
             return (sum(m), tuple(-e for e in reversed(m)))
+        # grevlex on the leading k exponents, then on the rest, in one flat
+        # tuple: the head part has the same length for every monomial
         k = self.split
-        head, tail = m[:k], m[k:]
-        return (
-            (sum(head), tuple(-e for e in reversed(head))),
-            (sum(tail), tuple(-e for e in reversed(tail))),
-        )
+        return (sum(m[:k]), *(-e for e in reversed(m[:k])),
+                sum(m[k:]), *(-e for e in reversed(m[k:])))
 
     def __str__(self):
         return f"block:{self.split}" if self.kind == "block" else self.kind

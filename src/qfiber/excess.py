@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -193,15 +194,8 @@ def _relation_space(f, ideal: Ideal, alg: ArtinianAlgebra) -> np.ndarray:
     units = np.zeros((len(gens), g, d), dtype=np.int64)
     units[at + np.arange(g), np.arange(g)] = alg.one
     acts = alg.actions()
-
-    def combine(parts):
-        by_shift: dict = {}
-        for c, q, v in parts:
-            by_shift[q] = (by_shift.get(q, 0) + c * v) % p
-        return sum(mat_mul(acc, alg.monomial_matrix(q).T, p)
-                   for q, acc in by_shift.items()) % p
-
-    syz = ideal.groebner().syzygies(units, combine)
+    syz = _replay(ideal.groebner(), units, p,
+                  lambda q, v: mat_mul(v, alg.monomial_matrix(q).T, p))
     R, piv = rref(np.array(syz, dtype=np.int64).reshape(len(syz), g * d), p)
     R = R[:len(piv)]
     new = R
@@ -215,6 +209,21 @@ def _relation_space(f, ideal: Ideal, alg: ArtinianAlgebra) -> np.ndarray:
             R, piv = rref(np.vstack([R, new]), p)
             R = R[:len(piv)]
     return R
+
+
+def _replay(gb, units, p: int, shift) -> list:
+    """The syzygies of gb's basis run, replayed on the unit cofactors.
+
+    A combination groups its parts c * x^q * v by the shift q and hands
+    each sum v to shift(q, v), the action of x^q on a cofactor.
+    """
+    def combine(parts):
+        by_shift: dict = {}
+        for c, q, v in parts:
+            by_shift[q] = (by_shift.get(q, 0) + c * v) % p
+        return sum(shift(q, v) for q, v in by_shift.items()) % p
+
+    return gb.syzygies(units, combine)
 
 
 def _block_apply(X: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
@@ -442,32 +451,66 @@ def q_affine_pair(A: PolyRing, L: Ideal, I: Ideal,
 
 
 def _drop_variables(ideal: Ideal, doomed: list) -> Ideal:
-    """Image of the ideal in the polynomial ring on the surviving variables."""
+    """Image of the ideal in the polynomial ring on the surviving variables.
+
+    When every doomed x_v leads an element g_v of the reduced basis, no
+    other element and no tail of a g_v holds a doomed variable, since the
+    basis is reduced.  Then x_v -> x_v - g_v retracts onto k[kept], so the
+    other elements generate I cap k[kept].  Otherwise the block-order
+    elimination runs.
+    """
     ring = ideal.ring
     kept = tuple(nm for nm in ring.variables if nm not in doomed)
     small = PolyRing(ring.field, kept, GREVLEX)
-    return Ideal(small, [f.to_ring(small) for f in ideal.eliminate(doomed)])
+    polys = ideal.groebner().polys
+    lead = {tuple(int(nm == v) for nm in ring.variables) for v in doomed}
+    if lead <= {f.leading_monomial() for f in polys}:
+        gens = [f for f in polys if f.leading_monomial() not in lead]
+    else:
+        gens = ideal.eliminate(doomed)
+    return Ideal(small, [f.to_ring(small) for f in gens])
+
+
+def _koszul_mu(alg: ArtinianAlgebra) -> int:
+    """dim H_1(x; A) = dim Tor_1(k, A) = dim I/mI for A = R/I with I in m.
+
+    The Koszul complex A^C(n,2) -> A^n -> A on the actions X_v has
+    d1 = [X_1 ... X_n] and d2(e_ij) = x_i e_j - x_j e_i, so the count is
+    n*d - rank d1 - rank d2.
+    """
+    X, n, d, p = alg.actions(), alg.nvars, alg.dim, alg.p
+    pairs = list(combinations(range(n), 2))
+    d2 = np.zeros((len(pairs) * d, n * d), dtype=np.int64)  # transposed
+    for k, (i, j) in enumerate(pairs):
+        d2[k * d:(k + 1) * d, j * d:(j + 1) * d] = X[i].T
+        d2[k * d:(k + 1) * d, i * d:(i + 1) * d] = (-X[j].T) % p
+    return n * d - rank(np.hstack(X), p) - rank(d2, p)
 
 
 def minimal_generators(alg: ArtinianAlgebra) -> list:
     """Minimal generating subset of the Groebner basis of the ideal of an
     algebra supported at the origin.
 
-    An element is kept when its class modulo (maximal ideal) * ideal lies
-    outside the span of the classes of the elements before it: the kept
-    elements sit at the pivot columns of the rref of their coordinate
-    columns.  Their count must equal the length drop from the algebra of
-    (maximal ideal) * ideal to the algebra itself.
+    I/mI = k^g / K(0) for the g basis elements, K(0) the constant terms of
+    their syzygies: sum s_j(0) g_j = -sum (s_j - s_j(0)) g_j lies in mI.
+    Evaluation at the origin kills each x^q with q != 0 and each entry in
+    I, so a basis run on the elements (the ideal's own when its generators
+    are its reduced basis), replayed on the unit vectors of k^g, spans
+    K(0).  Element j is kept when e_j lies outside K(0) + span(e_<j): the
+    complement of the pivots of rref(K(0)) with reversed columns.  The
+    count must equal the Koszul count (_koszul_mu).
     """
-    ring = alg.ring
-    gb_polys = alg.ideal.groebner().polys
-    mvars = [ring.var(nm) for nm in ring.variables]
-    amod = ArtinianAlgebra.from_ideal(
-        Ideal(ring, [v * f for v in mvars for f in gb_polys]))
-    _, piv = rref(np.array([amod.coords(f) for f in gb_polys]).T, amod.p)
-    if len(piv) != amod.dim - alg.dim:
-        raise RuntimeError("generator count disagrees with the length drop")
-    return [gb_polys[j] for j in piv]
+    ideal = alg.ideal
+    polys = ideal.groebner().polys
+    run = (ideal if ideal.gens == polys else Ideal(alg.ring, polys)).groebner()
+    g, p = len(polys), alg.p
+    k0 = _replay(run, identity(g), p, lambda q, v: 0 * v if any(q) else v)
+    _, piv = rref(np.array(k0, dtype=np.int64).reshape(len(k0), g)[:, ::-1], p)
+    dropped = {g - 1 - j for j in piv}
+    kept = [f for j, f in enumerate(polys) if j not in dropped]
+    if len(kept) != _koszul_mu(alg):
+        raise RuntimeError("generator count disagrees with the Koszul count")
+    return kept
 
 
 def minimal_presentation(ideal: Ideal) -> Ideal:
@@ -475,7 +518,9 @@ def minimal_presentation(ideal: Ideal) -> Ideal:
 
     Eliminates every variable that carries a linear part in the ideal,
     keeping one variable when all of them would go (a reduced point), and
-    verifies the quotient length survives the move.
+    verifies the quotient length survives the move.  When each of those
+    variables leads an element of the reduced basis, the image is read off
+    the basis (_drop_variables); otherwise a block-order elimination runs.
     """
     ring = ideal.ring
     n = ring.nvars

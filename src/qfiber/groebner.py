@@ -698,10 +698,11 @@ class Ideal:
     def krull_dim(self) -> int:
         """Krull dimension of the quotient ring (affine).
 
-        When every generator has a witness variable the quotient is a
-        polynomial ring in the other variables, and no basis is built.
+        When the generators have linear witnesses (_linear_witnesses) the
+        quotient is a polynomial ring in nvars - #gens variables, and no
+        basis is built.
         """
-        if _has_witnesses(self.gens):
+        if _linear_witnesses(self.gens, self.ring.p):
             return self.ring.nvars - len(self.gens)
         gb = self.groebner()
         if gb.is_trivial():
@@ -727,23 +728,38 @@ class Ideal:
         return f"<ideal with {len(self.gens)} generators in {self.ring}>"
 
 
-def _has_witnesses(gens) -> bool:
-    """True when each generator owns a witness variable.
+def _linear_witnesses(gens, p: int) -> bool:
+    """True when the witness variables give the generators a rank-g matrix.
 
-    A witness of g occurs in g only as its degree-one monomial and in no
-    other generator.  Then g = c*x - h with h free of every witness, so the
-    quotient is the polynomial ring in the variables that witness nothing:
-    graph ideals (x_i - q_i(a)) and coordinate ideals qualify.
+    A witness occurs in the generators only as its degree-one monomial.
+    When the g x |W| matrix of the witnesses' coefficients has rank g, a
+    linear change of the witnesses makes every generator w'_j - r_j with
+    r_j free of them, so the quotient is the polynomial ring in the other
+    nvars - g variables: graph ideals, coordinate ideals and the fat
+    point's Y (quadrics minus independent linear forms in u) qualify.  The
+    rank is taken on python ints.
     """
-    terms_with: dict = {}  # variable -> count of terms, in all gens, with it
+    alone: dict = {}  # variable -> True while it occurs only linearly alone
     for g in gens:
         for m, _ in g.terms:
+            linear = sum(m) == 1
             for v, e in enumerate(m):
                 if e:
-                    terms_with[v] = terms_with.get(v, 0) + 1
-    return all(any(sum(m) == 1 and terms_with[m.index(1)] == 1
-                   for m, _ in g.terms)
-               for g in gens)
+                    alone[v] = linear and alone.get(v, True)
+    wit = [v for v, ok in alone.items() if ok]
+    if len(wit) < len(gens):
+        return False
+    lin = [{m.index(1): c for m, c in g.terms if sum(m) == 1} for g in gens]
+    rows = [[row.get(v, 0) for v in wit] for row in lin]
+    # elimination mod p; the rows left over are zero, so rank g leaves none
+    for col in range(len(wit)):
+        top = next((r for r in rows if r[col]), None)
+        if top is not None:
+            rows.remove(top)
+            inv = pow(top[col], p - 2, p)
+            rows = [[(a - r[col] * inv * b) % p for a, b in zip(r, top)]
+                    for r in rows]
+    return not rows
 
 
 def _max_independent(nvars: int, supports) -> int:

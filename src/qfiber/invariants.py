@@ -146,7 +146,10 @@ def licci_check(ideal: Ideal) -> LicciVerdict:
 
     Ladder order: complete intersection; codimension at most 2; at most 4
     minimal generators; Zariski tangent dimension at most 2; almost
-    complete intersection with tangent dimension at most 3.
+    complete intersection with tangent dimension at most 3.  mu is read
+    off the syzygies of the ideal's basis at the origin and checked
+    against the Koszul count (minimal_generators), on the one algebra of
+    the ideal; (maximal ideal) * ideal gets no basis.
     """
     alg = ArtinianAlgebra.from_ideal(ideal)
     p = ideal.ring.p

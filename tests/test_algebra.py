@@ -89,6 +89,23 @@ class TestOrders:
                 assert compare_monomials(order, a, b) == LT
         assert R.order is GREVLEX
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_flat_block_key_matches_the_nested_one(self, k):
+        # the key the block order had: one grevlex key per block, nested
+        def nested(m):
+            head, tail = m[:k], m[k:]
+            return ((sum(head), tuple(-e for e in reversed(head))),
+                    (sum(tail), tuple(-e for e in reversed(tail))))
+
+        rnd = random.Random(k)
+        order = block_order(k)
+        monos = [tuple(rnd.randrange(4) for _ in range(k + 3))
+                 for _ in range(80)]
+        for a in monos:
+            for b in monos:
+                assert (order.key(a) < order.key(b)) == (nested(a) < nested(b))
+                assert (order.key(a) == order.key(b)) == (a == b)
+
 
 class TestArithmetic:
     def test_leading_term_sorted(self):

@@ -21,6 +21,8 @@ from qfiber.groebner import Ideal, ResourceAbort, groebner, pair_budget
 from qfiber.linalg import mat_mul
 from qfiber.parser import parse_ideal, parse_session
 from qfiber.rng import Stream
+from qfiber.scenarios import (Seed, gen_fatpoint_model, gen_quadric_graph,
+                              scenario_text)
 from qfiber.zerodim import local_decompose
 
 QG2 = """\
@@ -326,7 +328,10 @@ class TestCompute:
     def test_work_per_session(self, capsys, tmp_path, monkeypatch):
         # one compute on QG2: no basis run twice on the same generators,
         # and one algebra per basis, the single origin factor reusing Z's;
-        # K_small and the tangent space read the syzygies off Z's run
+        # K_small and the tangent space read the syzygies off Z's run.  The
+        # two runs are Z's and that of its minimal chart J, read off Z's
+        # basis with no elimination run; mu(J) replays J's run, so
+        # (maximal ideal) * J gets no basis and no algebra
         runs, built = [], []
         plain_run = gb_module._run
         plain_init = zerodim.ArtinianAlgebra.__init__
@@ -347,8 +352,8 @@ class TestCompute:
         f.write_text(QG2)
         code, doc, _ = run_json(capsys, "compute", "--input", str(f))
         assert code == 0 and doc["licci"][0]["verdict"] == "Licci"
-        assert len(runs) == len(set(runs)) == 4
-        assert len(built) == len(set(built)) == 3
+        assert len(runs) == len(set(runs)) == 2
+        assert len(built) == len(set(built)) == 2
 
     @pytest.mark.parametrize("text", [TWO_POINTS, LINE_MEETS_AXES],
                              ids=["two-points", "line-axes"])
@@ -466,6 +471,99 @@ class TestCompute:
         with pytest.raises(ValueError, match="intersection is empty"):
             make_scenario(ring, Ideal(ring, ideals["X"]),
                           Ideal(ring, ideals["Y"]), 1, 2)
+
+
+def benchmark_sessions(seed):
+    """The six sessions of the benchmark's compute workload at a seed."""
+    s = Seed(seed)
+    return {"graph3": scenario_text(gen_quadric_graph(3, s)),
+            "graph4": scenario_text(gen_quadric_graph(4, s)),
+            "fatpoint": scenario_text(gen_fatpoint_model(s)),
+            "two_points": TWO_POINTS, "line_meets_axes": LINE_MEETS_AXES,
+            "plane_holds_points": PLANE_HOLDS_POINTS}
+
+
+class TestBenchmarkSessions:
+    def test_basis_runs_of_a_pass(self, capsys, tmp_path, monkeypatch):
+        # one pass of the compute workload at seed 1, inputs included (27
+        # runs before codim Y, the minimal chart and mu were certified by
+        # theorem); a change that starts another basis run fails here
+        runs = []
+        plain = gb_module._run
+
+        def counting(ring, gens):
+            runs.append(tuple(gens))
+            return plain(ring, gens)
+
+        monkeypatch.setattr(gb_module, "_run", counting)
+        sessions = benchmark_sessions(1)
+        per = {"inputs": len(runs)}
+        for name, text in sessions.items():
+            runs.clear()
+            f = tmp_path / f"{name}.txt"
+            f.write_text(text)
+            code, _, _ = run(capsys, "compute", "--input", str(f),
+                             "--seed", "1")
+            assert code == 0
+            per[name] = len(runs)
+        assert per == {"inputs": 4, "graph3": 2, "graph4": 2, "fatpoint": 2,
+                       "two_points": 2, "line_meets_axes": 2,
+                       "plane_holds_points": 4}
+        assert sum(per.values()) == 18
+
+    def test_fat_point_codim_y_takes_no_basis(self, capsys, tmp_path,
+                                              monkeypatch):
+        # u1..u6 occur only linearly, with a full-rank coefficient matrix
+        text = benchmark_sessions(1)["fatpoint"]
+        ring, ideals, _ = parse_session(text)
+        ygens = Ideal(ring, ideals["Y"]).gens
+        runs = []
+        plain = gb_module._run
+
+        def counting(ring, gens):
+            runs.append(tuple(gens))
+            return plain(ring, gens)
+
+        monkeypatch.setattr(gb_module, "_run", counting)
+        f = tmp_path / "fat.txt"
+        f.write_text(text)
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 0 and doc["codim_Y"] == 6 and runs
+        assert ygens not in runs
+
+    def test_minimal_charts_match_the_elimination(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # every chart the ladder reads in the workload is read off the
+        # reduced basis; the block-order elimination is the oracle
+        charts = []
+        plain = excess._drop_variables
+        eliminate = Ideal.eliminate
+
+        def recording(ideal, doomed):
+            charts.append((ideal, doomed, plain(ideal, doomed)))
+            return charts[-1][2]
+
+        def refuse(self, names):
+            raise AssertionError("the block-order elimination ran")
+
+        monkeypatch.setattr(excess, "_drop_variables", recording)
+        monkeypatch.setattr(Ideal, "eliminate", refuse)
+        for name, text in benchmark_sessions(1).items():
+            f = tmp_path / f"{name}.txt"
+            f.write_text(text)
+            code, _, _ = run(capsys, "compute", "--input", str(f),
+                             "--seed", "1")
+            assert code == 0
+        monkeypatch.undo()
+        # graph n = 3, 4, the fat point and the double point of
+        # plane_holds_points, cut out by its idempotent
+        assert len(charts) == 4
+        for ideal, doomed, J in charts:
+            small = PolyRing(ideal.ring.field, J.ring.variables)
+            oracle = Ideal(small, [h.to_ring(small)
+                                   for h in eliminate(ideal, doomed)])
+            assert J.ring == small
+            assert J.groebner().polys == oracle.groebner().polys
 
 
 class TestBounds:

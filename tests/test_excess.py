@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qfiber.algebra import FieldSpec, PolyRing
+from qfiber import excess
 from qfiber.excess import (
     ExcessIntersection,
     FinModule,
@@ -25,13 +26,14 @@ from qfiber.excess import (
     _block_apply,
     _defect_report,
     _hom_rows,
+    _koszul_mu,
     _quotient_rep,
     _relation_space,
     _REPORT_SEED,
 )
 from qfiber import groebner as gb_module
 from qfiber import zerodim
-from qfiber.groebner import Ideal, _has_witnesses, pair_budget
+from qfiber.groebner import Ideal, _linear_witnesses, pair_budget
 from qfiber.linalg import identity, mat_mul, nullspace, rank, rref
 from qfiber.parser import parse_ideal, parse_polynomial
 from qfiber.rng import Stream
@@ -116,9 +118,9 @@ def swapped(s):
                                 s.Z)
 
 
-# complete-intersection Y: graph n = 2..5 (axis Y), the fat point (a CI
-# that only the basis route of krull_dim recognises), EI (graph Y), and
-# graph n = 3 swapped (graph Y)
+# complete-intersection Y: graph n = 2..5 (axis Y), the fat point (its
+# witnesses u1..u6 carry a full-rank matrix, not a permutation), EI (graph
+# Y), and graph n = 3 swapped (graph Y)
 CI_SCENARIOS = {
     **{f"graph{n}": (lambda n=n: gen_quadric_graph(n, Seed(0)))
        for n in range(2, 6)},
@@ -126,6 +128,30 @@ CI_SCENARIOS = {
     "ei": lambda: gen_EI_model(Seed(0)),
     "swapped3": lambda: swapped(gen_quadric_graph(3, Seed(0))),
 }
+
+
+def length_drop_generators(alg):
+    """The general path of minimal_generators, kept as its oracle: the basis
+    elements at the pivot columns of the rref of their coordinates modulo
+    (maximal ideal) * ideal, whose count must be the length drop from the
+    algebra of (maximal ideal) * ideal to the algebra itself."""
+    ring = alg.ring
+    polys = alg.ideal.groebner().polys
+    mvars = [ring.var(nm) for nm in ring.variables]
+    amod = ArtinianAlgebra.from_ideal(
+        Ideal(ring, [v * f for v in mvars for f in polys]))
+    _, piv = rref(np.array([amod.coords(f) for f in polys]).T, amod.p)
+    assert len(piv) == amod.dim - alg.dim
+    return [polys[j] for j in piv]
+
+
+def eliminated_chart(ideal, doomed):
+    """The general path of the minimal chart, kept as its oracle: the
+    block-order elimination of the doomed variables."""
+    ring = ideal.ring
+    small = PolyRing(ring.field,
+                     tuple(nm for nm in ring.variables if nm not in doomed))
+    return Ideal(small, [f.to_ring(small) for f in ideal.eliminate(doomed)])
 
 
 def spanning_kernel(gens, relations, alg):
@@ -362,7 +388,8 @@ class TestConormal:
     @pytest.mark.parametrize("case", sorted(CI_SCENARIOS))
     def test_free_big_module_matches_general_path(self, case):
         s = CI_SCENARIOS[case]()
-        assert _has_witnesses(s.I_Y.gens) == (case != "fatpoint")
+        # every case, the fat point too, is certified by linear witnesses
+        assert _linear_witnesses(s.I_Y.gens, s.ring.p)
         width = len(s.I_Y.gens) * s.Z.dim
         assert conormal_restricted(s).shape == (0, width)
         assert big_relations(s).shape == (0, width)
@@ -807,6 +834,136 @@ class TestQbar:
             A = ArtinianAlgebra.from_ideal(idl(R, text))
             assert minimal_generators(A) == \
                 [parse_polynomial(t, R) for t in kept.split(", ")]
+
+
+# local ideals whose minimal generators the ladder and qbar read: the
+# cases of TestQbar.test_minimal_generators, the qbar inputs, the graph
+# charts n = 2..5 and the fat point
+MU_CASES = {
+    "square": ("x,y", "x^2, x*y, y^2"),
+    "x-y2": ("x,y", "x, y^2"),
+    "redundant": ("x,y", "x^2, y^2, x^2 + y^2"),
+    "drop-first": ("x,y,z", "x^2, y^3, x*z, z^2 - x*y"),
+    "cusp": ("x,y", "x^3 + y^2, x*y^2, y^3 + x^2*y"),
+    "fat3": ("x,y,z", "x^2, y^2, z^2, x*y, x*z, y*z"),
+    "x2": ("x", "x^2"),
+    "embedded": ("x,y", "x - y^2, y^3"),
+    "embedded3": ("x,y,z", "x - y^2, y^3, z^2"),
+    "point": ("x,y,z", "x, y, z"),
+    # y^4 + x*y^3 lies in (maximal ideal) * ideal, neither element does:
+    # the later one goes
+    "tie": ("x,y", "x^3 + y^3, x^2*y + x*y^2, x^4, y^4"),
+}
+
+
+def local_ideal(case):
+    if case in MU_CASES:
+        names, text = MU_CASES[case]
+        return idl(ring(names), text)
+    if case == "fatpoint":
+        return gen_fatpoint_model(Seed(0)).chart_ideal
+    return gen_quadric_graph(int(case[5:]), Seed(0)).chart_ideal
+
+
+def chart_and_doomed(ideal, monkeypatch, eliminate=True):
+    """minimal_presentation's chart and the variables it dropped; with
+    eliminate False, Ideal.eliminate raises meanwhile."""
+    seen = []
+    plain = excess._drop_variables
+
+    def recording(ideal, doomed):
+        seen.append(doomed)
+        return plain(ideal, doomed)
+
+    def refuse(self, names):
+        raise AssertionError("the block-order elimination ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(excess, "_drop_variables", recording)
+        if not eliminate:
+            m.setattr(Ideal, "eliminate", refuse)
+        J = minimal_presentation(ideal)
+    return J, seen[0]
+
+
+class TestMinimalChart:
+    @pytest.mark.parametrize("case", ["graph2", "graph3", "graph4", "graph5",
+                                      "fatpoint"])
+    def test_read_off_the_reduced_basis(self, case, monkeypatch):
+        ideal = CI_SCENARIOS[case]().Z.ideal
+        J, doomed = chart_and_doomed(ideal, monkeypatch, eliminate=False)
+        assert doomed and J.ring.nvars == ideal.ring.nvars - len(doomed)
+        assert J.groebner().polys == \
+            eliminated_chart(ideal, doomed).groebner().polys
+        # the chart's generators are its reduced basis, which mu replays
+        assert J.gens == J.groebner().polys
+
+    def test_variable_leading_no_element_takes_the_elimination(
+            self, monkeypatch):
+        # x has a linear part but leads no element (y^2 leads x - y^2)
+        ideal = idl(ring(), "x - y^2, y^3")
+        calls = []
+        plain = Ideal.eliminate
+
+        def counting(self, names):
+            calls.append(tuple(names))
+            return plain(self, names)
+
+        monkeypatch.setattr(Ideal, "eliminate", counting)
+        J, doomed = chart_and_doomed(ideal, monkeypatch)
+        assert doomed == ["x"] and calls == [("x",)]
+        assert J.groebner().polys == \
+            eliminated_chart(ideal, doomed).groebner().polys
+        assert ArtinianAlgebra.from_ideal(J).dim == 3
+
+
+class TestMinimalGenerators:
+    @pytest.mark.parametrize("case", sorted(MU_CASES) + [
+        "graph2", "graph3", "graph4", "graph5", "fatpoint"])
+    def test_matches_the_length_drop(self, case):
+        # the ideal itself and its minimal chart, which qbar reads
+        ideal = local_ideal(case)
+        for I in (ideal, minimal_presentation(ideal)):
+            alg = ArtinianAlgebra.from_ideal(I)
+            kept = minimal_generators(alg)
+            assert kept == length_drop_generators(alg)
+            assert len(kept) == _koszul_mu(alg)
+
+    def test_replays_the_charts_own_run(self, monkeypatch):
+        J = minimal_presentation(gen_quadric_graph(4, Seed(0)).Z.ideal)
+        alg = ArtinianAlgebra.from_ideal(J)
+        runs = []
+        plain = gb_module._run
+
+        def counting(ring, gens):
+            runs.append(tuple(gens))
+            return plain(ring, gens)
+
+        monkeypatch.setattr(gb_module, "_run", counting)
+        assert len(minimal_generators(alg)) == 5
+        assert runs == []
+
+    def test_other_generators_run_on_the_basis(self, monkeypatch):
+        I = idl(ring(), "x^2, x*y, y^2")
+        alg = ArtinianAlgebra.from_ideal(I)
+        polys = I.groebner().polys
+        assert I.gens != polys
+        runs = []
+        plain = gb_module._run
+
+        def counting(ring, gens):
+            runs.append(tuple(gens))
+            return plain(ring, gens)
+
+        monkeypatch.setattr(gb_module, "_run", counting)
+        assert minimal_generators(alg) == list(polys)
+        assert runs == [polys]
+
+    def test_count_mismatch_raises(self, monkeypatch):
+        alg = ArtinianAlgebra.from_ideal(local_ideal("fat3"))
+        monkeypatch.setattr(excess, "_koszul_mu", lambda alg: 5)
+        with pytest.raises(RuntimeError, match="Koszul"):
+            minimal_generators(alg)
 
 
 class TestAffinePairs:

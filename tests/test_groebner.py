@@ -21,7 +21,7 @@ from qfiber.groebner import (
     HilbertData,
     Ideal,
     ResourceAbort,
-    _has_witnesses,
+    _linear_witnesses,
     _max_independent,
     exact_div,
     groebner,
@@ -30,7 +30,8 @@ from qfiber.groebner import (
     poly_divmod,
 )
 from qfiber.parser import parse_ideal, parse_polynomial
-from qfiber.scenarios import Seed, gen_EI_model, gen_quadric_graph
+from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
+                              gen_quadric_graph)
 
 
 def ring(names="x,y,z", p=32003, order=GREVLEX):
@@ -440,27 +441,35 @@ class TestDimension:
         R = ring("x,y,z")
         assert ideal(R, "x*z - y^2").krull_dim() == 2
 
-    @pytest.mark.parametrize("case", ["graph3", "graph4", "ei_Y", "axes"])
+    @pytest.mark.parametrize("case", [
+        "graph3", "graph4", "ei_Y", "axes", "fatpoint_Y",
+        # witness matrices of rank g that are no permutation of a diagonal
+        "x^2 - a, y - a", "x*a - b, y - b", "x + y - a^2, x - y - b^2",
+    ])
     def test_witness_dim_matches_basis(self, case):
-        if case == "ei_Y":
+        if "," in case:
+            I = ideal(ring("x,y,a,b"), case)
+        elif case == "ei_Y":
             I = gen_EI_model(Seed(0)).I_Y
+        elif case == "fatpoint_Y":
+            I = gen_fatpoint_model(Seed(0)).I_Y
         else:
             s = gen_quadric_graph(4 if case == "graph4" else 3, Seed(0))
             I = s.I_Y if case == "axes" else s.I_X
-        assert _has_witnesses(I.gens)
+        assert _linear_witnesses(I.gens, I.ring.p)
         fresh = Ideal(I.ring, I.gens)
         assert fresh.krull_dim() == basis_dim(I) == I.ring.nvars - len(I.gens)
         assert fresh._gb is None  # the certificate built no basis
 
     @pytest.mark.parametrize("text,dim", [
-        ("x^2 - a, y - a", 2),  # the would-be witness x only squared
-        ("x*a - b, y - b", 2),  # x only inside another term
-        ("x - a^2, x - b^2", 2),  # x shared by two generators
+        ("x - a^2, x - b^2", 2),  # x shared, the witness matrix has rank 1
         ("x - a^2, x - a^2", 3),  # a duplicated generator
+        ("x + y - a^2, x + y - b^2", 2),  # two witnesses, rank 1
+        ("x - a^2, y + x^2 - b^2", 2),  # x also occurs squared
     ])
     def test_near_misses_take_the_basis_route(self, text, dim):
         I = ideal(ring("x,y,a,b"), text)
-        assert not _has_witnesses(I.gens)
+        assert not _linear_witnesses(I.gens, I.ring.p)
         assert I.krull_dim() == basis_dim(I) == dim
         assert I._gb is not None
 
