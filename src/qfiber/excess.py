@@ -16,12 +16,14 @@ the trace of a basis run over f and h, which for the conormal modules and
 the tangent space is a run already cached (that of I itself, or of I_Y),
 on cofactors kept as (g x d) arrays in the coordinates of R/I, shifted by
 the algebra's memoised monomial matrices.  No basis of a squared ideal is
-built.  After that every Hom space, quotient, and action is numpy on int64
-residues.
+built.  After that all is numpy on int64 residues.
 
-A conormal module is kept as its relation space K alone: the defect report
-reads K_big, K_small and g (dim M = g*d - dim K), and only the defect
-module itself, the quotient of the two Hom spaces, gets action matrices.
+A conormal module is kept as its relation space K alone (dim M = g*d -
+dim K).  Its dual is the kernel of the relation map Phi_K : O^g -> O^m,
+phi -> (sum_i kappa^(j)_i phi_i)_j over O-generators kappa^(1..m) of K, so
+the defect module ker Phi_big / ker Phi_small is Phi_small(ker Phi_big).
+With a free big module (a complete-intersection Y) that is the O-span of
+the g columns of Phi_small, and no Hom space is solved for.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ import numpy as np
 
 from .algebra import GREVLEX, PolyRing
 from .groebner import Ideal
-from .linalg import (as_mod_array, identity, kernel_intersection, mat_mul,
-                     rank, rref)
+from .linalg import identity, kernel_intersection, mat_mul, rank, rref
 from .rng import Stream
 from .zerodim import (ArtinianAlgebra, _eval_matrix_poly, _image_basis,
                       _is_nilpotent, _restrict, local_decompose,
@@ -193,22 +194,10 @@ def _relation_space(f, ideal: Ideal, alg: ArtinianAlgebra) -> np.ndarray:
         raise ValueError("f is not a run of generators of the ideal")
     units = np.zeros((len(gens), g, d), dtype=np.int64)
     units[at + np.arange(g), np.arange(g)] = alg.one
-    acts = alg.actions()
     syz = _replay(ideal.groebner(), units, p,
                   lambda q, v: mat_mul(v, alg.monomial_matrix(q).T, p))
-    R, piv = rref(np.array(syz, dtype=np.int64).reshape(len(syz), g * d), p)
-    R = R[:len(piv)]
-    new = R
-    while new.shape[0]:
-        cand = np.vstack([_block_apply(X, new, p) for X in acts])
-        if piv:
-            cand = np.mod(cand - mat_mul(cand[:, piv], R, p), p)
-        new, piv_new = rref(cand, p)
-        new = new[:len(piv_new)]
-        if piv_new:
-            R, piv = rref(np.vstack([R, new]), p)
-            R = R[:len(piv)]
-    return R
+    return _submodule(np.array(syz, dtype=np.int64).reshape(len(syz), g * d),
+                      alg)[0]
 
 
 def _replay(gb, units, p: int, shift) -> list:
@@ -235,35 +224,40 @@ def _block_apply(X: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     return mat_mul(rows.reshape(-1, d), X.T, p).reshape(r, w)
 
 
-def _quotient_rep(big_rows: np.ndarray, small_rows: np.ndarray,
-                  alg: ArtinianAlgebra):
-    """Basis size, action matrices, and coordinates for span(big)/span(small).
+def _submodule(rows: np.ndarray, alg: ArtinianAlgebra):
+    """rref k-basis and pivots of the alg-submodule the rows span, rows of
+    k^(w*d) acted on blockwise: each round reduces the images of the rows
+    new in the last round modulo the basis so far."""
+    p, acts = alg.p, alg.actions()
+    R, piv = rref(rows, p)
+    R = R[:len(piv)]
+    new = R
+    while new.shape[0]:
+        cand = np.vstack([_block_apply(X, new, p) for X in acts])
+        if piv:
+            cand = np.mod(cand - mat_mul(cand[:, piv], R, p), p)
+        new, piv_new = rref(cand, p)
+        new = new[:len(piv_new)]
+        if piv_new:
+            R, piv = rref(np.vstack([R, new]), p)
+            R = R[:len(piv)]
+    return R, piv
 
-    Rows live in k^(g*d), where the algebra acts blockwise on each d-chunk.
-    Assumes span(small) <= span(big) and both stable under that action.
-    A row of span(big) is read in the pivot coordinates of rref(big); there
-    the quotient basis is the non-pivot columns of rref(small), and coordize
-    sends any rows inside span(big) to their coordinates in that basis (the
-    non-pivot columns of their reduction modulo rref(small), which are all
-    it computes).
-    """
-    p = alg.p
-    R_b, piv_b = rref(big_rows, p)
-    R_s, piv_s = rref(as_mod_array(small_rows, p)[:, piv_b], p)
-    pivset = set(piv_s)
-    free = [j for j in range(len(piv_b)) if j not in pivset]
-    R_free = R_s[: len(piv_s)][:, free]
 
-    def coordize(rows):
-        rows = as_mod_array(rows, p)[:, piv_b]
-        out = rows[:, free]
-        if piv_s and rows.shape[0]:
-            out = np.mod(out - mat_mul(rows[:, piv_s], R_free, p), p)
-        return out
-
-    mats = tuple(coordize(_block_apply(X, R_b[free], p)).T.copy()
-                 for X in alg.actions())
-    return len(free), mats, coordize
+def _relation_image(K: np.ndarray, g: int, alg: ArtinianAlgebra):
+    """The images c_i = (kappa^(1)_i, ..., kappa^(m)_i) of the g block ones
+    under Phi_K, rows of k^(m*d), and the rref k-basis and pivots of the
+    submodule Phi_K(alg^g) they span.  When every variable acts nilpotently
+    the kappa are the rows of K outside m*K = span(X_v*K), which generate
+    it (Nakayama); otherwise all rows of K."""
+    p, acts = alg.p, alg.actions()
+    if K.shape[0] and all(_is_nilpotent(X, p) for X in acts):
+        mK, piv = rref(np.vstack([_block_apply(X, K, p) for X in acts]), p)
+        K, piv = rref(K - mat_mul(K[:, piv], mK[:len(piv)], p), p)
+        K = K[:len(piv)]
+    m, d = K.shape[0], alg.dim
+    cols = K.reshape(m, g, d).transpose(1, 0, 2).reshape(g, m * d)
+    return (cols, *_submodule(cols, alg))
 
 
 def _hom_rows(kernel: np.ndarray, g: int, alg: ArtinianAlgebra) -> np.ndarray:
@@ -328,10 +322,12 @@ def conormal_in_X(s: IntersectionScenario) -> np.ndarray:
 def hilbert_tangent_dim(alg: ArtinianAlgebra) -> int:
     """dim Hom(I/I^2, A/I) for the algebra A/I: first-order deformations of
     the finite scheme V(I) inside its ambient affine space.  The relations
-    come from the basis run of I that built the algebra."""
+    come from the basis run of I that built the algebra; by rank-nullity
+    the dimension is g*d - dim Phi_K(alg^g)."""
     gens = alg.ideal.gens
-    kernel = _relation_space(gens, alg.ideal, alg)
-    return _hom_rows(kernel, len(gens), alg).shape[0]
+    _, _, piv = _relation_image(_relation_space(gens, alg.ideal, alg),
+                                len(gens), alg)
+    return len(gens) * alg.dim - len(piv)
 
 
 # --- minimal generator counts ----------------------------------------------
@@ -382,34 +378,36 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
                    alg: ArtinianAlgebra, c: int | None, dim_z: int,
                    stream: Stream) -> QReport:
     """Assemble the report from the relation spaces of the two conormal
-    modules, both quotients of k^(g*d).
-
-    The restriction map between the modules exists, and is onto, exactly
-    when K_big lies in K_small; that is certified first.  The two Hom
-    spaces then live in the same spanning coordinates and the smaller one
-    embeds in the bigger, so the defect module is a genuine quotient of
-    subspaces.  The algebra is split into local factors once, with the
-    stream; the report keeps them.
+    modules: Q = Phi_small(ker Phi_big), dim ker Phi_small = g*d -
+    dim Phi_small(alg^g).  The restriction map exists, and is onto, exactly
+    when K_big lies in K_small; that is certified first.  Unless K_big = 0,
+    ker Phi_big is solved for and mapped through Phi_small, whose row (i, a)
+    is the a-th standard monomial times c_i.  Q's actions are read off its
+    rref basis, where a row's coordinates are its pivot entries.  Z is
+    split into local factors once, with the stream; the report keeps them.
     """
-    if rank(np.vstack([small, big]), alg.p) != small.shape[0]:
+    p, width = alg.p, g * alg.dim
+    if rank(np.vstack([small, big]), p) != small.shape[0]:
         raise RuntimeError("restriction map failed to be onto")
-    n_big = _hom_rows(big, g, alg)
-    n_small = _hom_rows(small, g, alg)
-    if rank(np.vstack([n_big, n_small]), alg.p) != n_big.shape[0]:
-        raise RuntimeError("dual of the restriction map failed to embed")
-    dim_q, q_actions, _ = _quotient_rep(n_big, n_small, alg)
-    factors = tuple(local_decompose(alg, stream))
-    mu_q, per = module_mu(FinModule(dim_q, q_actions, identity(dim_q), alg),
+    cols, R, piv = _relation_image(small, g, alg)
+    hilb_tangent_dim = width - len(piv)
+    if big.shape[0]:
+        phi = np.stack([_block_apply(alg.monomial_matrix(q), cols, p)
+                        for q in alg.std], axis=1).reshape(width, -1)
+        R, piv = rref(mat_mul(_hom_rows(big, g, alg), phi, p), p)
+        R = R[:len(piv)]
+    dim_q, factors = len(piv), tuple(local_decompose(alg, stream))
+    actions = tuple(_block_apply(X, R, p)[:, piv].T for X in alg.actions())
+    mu_q, per = module_mu(FinModule(dim_q, actions, identity(dim_q), alg),
                           factors)
     if sum(t[1] for t in per) != dim_q:
         raise RuntimeError("local defect lengths do not add up")
     q = None
     if c is not None and c - dim_z >= 1:
         q = Fraction(dim_q, c - dim_z)
-    width = g * alg.dim
     return QReport(deg_z=alg.dim, c=c, dim_m_big=width - big.shape[0],
                    dim_m_small=width - small.shape[0],
-                   hilb_tangent_dim=n_small.shape[0], dim_q=dim_q, q=q,
+                   hilb_tangent_dim=hilb_tangent_dim, dim_q=dim_q, q=q,
                    mu_q=mu_q, per_component=per, factors=factors)
 
 
@@ -552,8 +550,8 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
     Re-presents the algebra minimally (eliminating every variable with a
     linear part in the defining ideal, checking the length survives), takes
     a minimal generating set of the re-presented ideal, and returns the
-    cokernel of Hom(I/I^2, A/I) inside the dual of the minimal free cover.
-    The result has no free summand.
+    cokernel of Hom(I/I^2, A/I) = ker Phi_K inside the dual A^g of the
+    minimal free cover: the image of Phi_K.  It has no free summand.
     """
     if not all(_is_nilpotent(X, Z.p) for X in Z.actions()):
         raise ValueError("algebra is not local at the origin")
@@ -561,10 +559,10 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
     alg = ArtinianAlgebra.from_ideal(J)
     gens = minimal_generators(alg)
     g = len(gens)
-    hom_rows = _hom_rows(_relation_space(gens, Ideal(alg.ring, gens), alg),
-                         g, alg)
-    dim, mats, coordize = _quotient_rep(identity(g * alg.dim), hom_rows, alg)
-    return FinModule(dim, mats, coordize(np.kron(identity(g), alg.one)), alg)
+    cols, R, piv = _relation_image(
+        _relation_space(gens, Ideal(alg.ring, gens), alg), g, alg)
+    acts = tuple(_block_apply(X, R, alg.p)[:, piv].T for X in alg.actions())
+    return FinModule(len(piv), acts, cols[:, piv], alg)
 
 
 # --- symmetry ----------------------------------------------------------------

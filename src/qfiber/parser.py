@@ -119,17 +119,17 @@ class _Parser:
     def parse_poly(self) -> Polynomial:
         if self.ring is None:
             self.fail("no ring declared")
-        t = self.peek()
-        if t.kind == "-":
+        sign = 1
+        if self.peek().kind == "-":
             self.next()
-            out = -self.parse_term()
-        else:
-            out = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.parse_term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
+            sign = -1
+        acc: dict = {}
+        while True:
+            for m, c in self.parse_term().terms:
+                acc[m] = acc.get(m, 0) + sign * c
+            if self.peek().kind not in ("+", "-"):
+                return self.ring.poly(acc)
+            sign = 1 if self.next().kind == "+" else -1
 
     def parse_term(self) -> Polynomial:
         out = self.parse_factor()

@@ -18,7 +18,54 @@ from qfiber.algebra import (
     poly_to_string,
     random_poly,
 )
-from qfiber.parser import ParseError, parse_polynomial
+from qfiber.parser import (ParseError, _Parser, _tokenize, parse_polynomial,
+                           parse_session)
+from qfiber.scenarios import (Seed, gen_fatpoint_model, gen_quadric_graph,
+                              scenario_text)
+
+
+class SequentialParser(_Parser):
+    """Sums a polynomial's terms one Polynomial addition at a time: the
+    route parse_poly replaced, kept as its oracle."""
+
+    def parse_poly(self):
+        if self.ring is None:
+            self.fail("no ring declared")
+        if self.peek().kind == "-":
+            self.next()
+            out = -self.parse_term()
+        else:
+            out = self.parse_term()
+        while self.peek().kind in ("+", "-"):
+            op = self.next().kind
+            rhs = self.parse_term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+
+# the session files of the benchmark's compute workload
+BENCHMARK_SESSIONS = [
+    *(scenario_text(make(Seed(0))) for make in (
+        lambda s: gen_quadric_graph(3, s), lambda s: gen_quadric_graph(4, s),
+        gen_fatpoint_model)),
+    "ring R = Fp(32003)[x, y], grevlex;\n"
+    "ideal X = y, x^2 - 1;\nideal Y = y;\n",
+    "ring R = Fp(32003)[x, y, z], grevlex;\n"
+    "ideal X = z, x + y - 1;\nideal Y = x*y, y*z, x*z;\n",
+    "ring R = Fp(32003)[x, y, z], grevlex;\n"
+    "ideal X = z;\nideal Y = x^2 - x, y^2, x*y, z;\n",
+]
+
+
+def parse_outcome(parser):
+    """Generators by ideal name and the loose polynomials, as term tuples,
+    or the position of the ParseError."""
+    try:
+        _, ideals, loose = parser.parse_session()
+    except ParseError as e:
+        return ("error", e.line, e.col, str(e))
+    return ({name: [f.terms for f in gens] for name, gens in ideals.items()},
+            [f.terms for f in loose])
 
 
 def ring3(p=32003, order=GREVLEX):
@@ -278,6 +325,18 @@ class TestParser:
 
         with pytest.raises(ParseError):
             parse_session("ring R = Fp(7)[x]; ring S = Fp(7)[y]")
+
+    @pytest.mark.parametrize("idx", range(len(BENCHMARK_SESSIONS)))
+    def test_one_sum_per_polynomial_matches_sequential_sums(self, idx):
+        # the whole session and every prefix of it, most of which end in a
+        # ParseError, parse alike; with a negated and a cancelling sum added
+        text = BENCHMARK_SESSIONS[idx]
+        v = text[text.index("[") + 1:].split(",")[0].strip()
+        text += f"-{v}^2 + 2*{v}^2 - ({v} - 1)^2 + {v}^2;"
+        assert parse_outcome(_Parser(_tokenize(text)))[0] != "error"
+        for k in range(len(text) + 1):
+            assert parse_outcome(_Parser(_tokenize(text[:k]))) == \
+                parse_outcome(SequentialParser(_tokenize(text[:k])))
 
     def test_session_block_order(self):
         from qfiber.parser import parse_session

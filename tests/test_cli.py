@@ -207,6 +207,24 @@ class TestCompute:
         assert doc["checks"]["qlength"]["status"] == "skipped"
         assert "note" in doc
 
+    @pytest.mark.parametrize("text,gens,codim", [
+        (LINE_MEETS_AXES, 3, 2), (PLANE_HOLDS_POINTS, 4, 3)],
+        ids=["line-axes", "plane-points"])
+    def test_non_ci_y_skips_qlength(self, capsys, tmp_path, text, gens,
+                                    codim):
+        # q is defined, but the length bounds assume a complete
+        # intersection Y, which more generators than codim Y rule out
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 0
+        assert doc["q"] is not None and doc["codim_Y"] == codim
+        assert doc["checks"]["qlength"] == {
+            "status": "skipped",
+            "reason": "Y is not certified a complete intersection: "
+                      f"{gens} generators in codimension {codim}"}
+        assert doc["checks"]["main1"]["status"] == "report-only"
+
     def test_y_is_the_whole_space(self, capsys, tmp_path):
         # Y has no generators: both conormal modules have g = 0 generators,
         # so every relation space is empty and has width 0

@@ -27,14 +27,13 @@ from qfiber.excess import (
     _defect_report,
     _hom_rows,
     _koszul_mu,
-    _quotient_rep,
     _relation_space,
     _REPORT_SEED,
 )
 from qfiber import groebner as gb_module
 from qfiber import zerodim
 from qfiber.groebner import Ideal, _linear_witnesses, pair_budget
-from qfiber.linalg import identity, mat_mul, nullspace, rank, rref
+from qfiber.linalg import as_mod_array, identity, mat_mul, nullspace, rank, rref
 from qfiber.parser import parse_ideal, parse_polynomial
 from qfiber.rng import Stream
 from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
@@ -201,6 +200,37 @@ def nonresidue():
     while pow(c, (P - 1) // 2, P) == 1:
         c += 1
     return c
+
+
+def _quotient_rep(big_rows, small_rows, alg):
+    """Basis size, action matrices, and coordinates for span(big)/span(small).
+
+    Rows live in k^(g*d), where the algebra acts blockwise on each d-chunk.
+    Assumes span(small) <= span(big) and both stable under that action.
+    A row of span(big) is read in the pivot coordinates of rref(big); there
+    the quotient basis is the non-pivot columns of rref(small), and coordize
+    sends any rows inside span(big) to their coordinates in that basis (the
+    non-pivot columns of their reduction modulo rref(small), which are all
+    it computes).  The quotient of the Hom-row route that the image of the
+    relation map replaced, kept as its oracle.
+    """
+    p = alg.p
+    R_b, piv_b = rref(big_rows, p)
+    R_s, piv_s = rref(as_mod_array(small_rows, p)[:, piv_b], p)
+    pivset = set(piv_s)
+    free = [j for j in range(len(piv_b)) if j not in pivset]
+    R_free = R_s[: len(piv_s)][:, free]
+
+    def coordize(rows):
+        rows = as_mod_array(rows, p)[:, piv_b]
+        out = rows[:, free]
+        if piv_s and rows.shape[0]:
+            out = np.mod(out - mat_mul(rows[:, piv_s], R_free, p), p)
+        return out
+
+    mats = tuple(coordize(_block_apply(X, R_b[free], p)).T.copy()
+                 for X in alg.actions())
+    return len(free), mats, coordize
 
 
 def hom_spaces(s):
@@ -727,14 +757,20 @@ class TestQModule:
 
     def test_one_quotient_per_report(self, monkeypatch):
         # only the defect module gets a basis and actions; the conormal
-        # modules stay relation spaces
+        # modules stay relation spaces, and with a free big side neither
+        # dual is solved for nor an element matrix of Z built
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return _quotient_rep(*args)
+            return FinModule(*args)
 
-        monkeypatch.setattr("qfiber.excess._quotient_rep", counting)
+        def refuse(*args):
+            raise AssertionError("a Hom space or element matrix was built")
+
+        monkeypatch.setattr(excess, "FinModule", counting)
+        monkeypatch.setattr(excess, "_hom_rows", refuse)
+        monkeypatch.setattr(ArtinianAlgebra, "element_matrix", refuse)
         rep = q_module(gen_quadric_graph(4, Seed(0)))
         assert (rep.deg_z, rep.q, rep.mu_q) == (10, 5, 5)
         assert len(calls) == 1
@@ -1070,3 +1106,124 @@ class TestTangentData:
         td = tangent_data(ideal)
         assert td.hilb_tangent_dim == 18
         assert len(built) == 1
+
+
+# --- the image of the relation map against the Hom-row route -----------------
+
+
+def two_points():
+    """Two reduced points cut on the line y = 0, as a compute session reads
+    them: dim X = 0, codim Y = 1."""
+    return scenario(ring(), "y, x^2 - 1", "y", 0, 1)
+
+
+def madic_hilbert(mod):
+    """dim m^k*M for k = 0, 1, ... until it stops falling, for m = (x) the
+    ideal of the origin: an invariant of the module, not of its basis."""
+    p = mod.algebra.p
+    V = identity(mod.basis_dim)
+    dims = [mod.basis_dim]
+    while V.shape[0]:
+        R, piv = rref(np.vstack([mat_mul(V, X.T, p) for X in mod.actions]), p)
+        V = R[:len(piv)]
+        if len(piv) == dims[-1]:
+            break
+        dims.append(len(piv))
+    return dims
+
+
+def reported_q(s, monkeypatch):
+    """q_module's report and the defect module it computed mu on."""
+    seen = []
+    plain = excess.module_mu
+
+    def recording(mod, factors):
+        seen.append(mod)
+        return plain(mod, factors)
+
+    with monkeypatch.context() as m:
+        m.setattr(excess, "module_mu", recording)
+        rep = q_module(s)
+    return rep, seen[0]
+
+
+def invariants(mod):
+    """(dim, mu and per-component over the report's factors, the m-adic
+    Hilbert function) of a module over its algebra."""
+    return mod.basis_dim, mu(mod), madic_hilbert(mod)
+
+
+def hom_route_qbar(Z):
+    """qbar by the Hom-row route: the quotient of k^(g*d) by the Hom rows
+    of I/I^2 for the minimal generators of the minimal chart."""
+    alg = ArtinianAlgebra.from_ideal(minimal_presentation(Z.ideal))
+    gens = minimal_generators(alg)
+    g = len(gens)
+    rows = _hom_rows(_relation_space(gens, Ideal(alg.ring, gens), alg), g, alg)
+    dim, mats, coordize = _quotient_rep(identity(g * alg.dim), rows, alg)
+    return FinModule(dim, mats, coordize(np.kron(identity(g), alg.one)), alg)
+
+
+IMAGE_SCENARIOS = {
+    **{f"graph{n}-{seed}": (lambda n=n, seed=seed:
+                            gen_quadric_graph(n, Seed(seed)))
+       for n in range(2, 8) for seed in (0, 1)},
+    "graph8-0": lambda: gen_quadric_graph(8, Seed(0)),
+    "ei": lambda: gen_EI_model(Seed(0)),
+    "fatpoint": lambda: gen_fatpoint_model(Seed(0)),
+    "two_points": two_points,
+    "line_meets_axes": axes_on_line,
+    "plane_holds_points": plane_holds_points,
+}
+
+
+class TestImageRoute:
+    """Q = Phi_small(ker Phi_big) against ker Phi_big / ker Phi_small."""
+
+    @pytest.mark.parametrize("case", list(IMAGE_SCENARIOS))
+    def test_defect_module_matches_hom_rows(self, case, monkeypatch):
+        s = IMAGE_SCENARIOS[case]()
+        rep, mod = reported_q(s, monkeypatch)
+        nb, ns = hom_spaces(s)
+        dim, mats, _ = _quotient_rep(nb, ns, s.Z)
+        oracle = invariants(FinModule(dim, mats, identity(dim), s.Z))
+        assert invariants(mod) == oracle
+        assert (rep.dim_q, (rep.mu_q, rep.per_component)) == oracle[:2]
+        assert rep.hilb_tangent_dim == ns.shape[0]
+        # the big side is free, its dual all of k^(g*d), but on non-CI Y
+        free = nb.shape[0] == nb.shape[1]
+        assert free == (case not in ("line_meets_axes", "plane_holds_points"))
+
+    @pytest.mark.parametrize("case", sorted(MU_CASES) + [
+        "graph2", "graph3", "graph4", "graph5", "graph6", "fatpoint"])
+    def test_qbar_and_tangent_match_hom_rows(self, case):
+        Z = ArtinianAlgebra.from_ideal(local_ideal(case))
+        zbar, oracle = qbar(Z), hom_route_qbar(Z)
+        assert invariants(zbar) == invariants(oracle)
+        assert zbar.generator_images.shape == oracle.generator_images.shape
+        gens = Z.ideal.gens
+        kernel = _relation_space(gens, Z.ideal, Z)
+        assert hilbert_tangent_dim(Z) == \
+            _hom_rows(kernel, len(gens), Z).shape[0]
+
+    def test_tangent_off_the_origin(self):
+        # two reduced points: no action is nilpotent, so every relation row
+        # serves as a generator of K
+        Z = ArtinianAlgebra.from_ideal(idl(ring(), "y, x^2 - 1"))
+        kernel = _relation_space(Z.ideal.gens, Z.ideal, Z)
+        cols, _, _ = excess._relation_image(kernel, len(Z.ideal.gens), Z)
+        assert cols.shape[1] == kernel.shape[0] * Z.dim
+        assert hilbert_tangent_dim(Z) == 4 == \
+            _hom_rows(kernel, len(Z.ideal.gens), Z).shape[0]
+
+    @pytest.mark.parametrize("n", [4, 6, 7])
+    def test_generators_span_the_relation_space(self, n):
+        # the rows outside m*K generate K; at n = 7 they are 14 of 42
+        s = gen_quadric_graph(n, Seed(0))
+        K, g, d = conormal_in_X(s), len(s.I_Y.gens), s.Z.dim
+        cols, _, _ = excess._relation_image(K, g, s.Z)
+        gens = cols.reshape(g, -1, d).transpose(1, 0, 2).reshape(-1, g * d)
+        assert np.array_equal(excess._submodule(gens, s.Z)[0], K)
+        assert gens.shape[0] <= K.shape[0]
+        if n == 7:
+            assert (gens.shape[0], K.shape[0]) == (14, 42)
