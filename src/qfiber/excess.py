@@ -19,11 +19,13 @@ the algebra's memoised monomial matrices.  No basis of a squared ideal is
 built.  After that all is numpy on int64 residues.
 
 A conormal module is kept as its relation space K alone (dim M = g*d -
-dim K).  Its dual is the kernel of the relation map Phi_K : O^g -> O^m,
-phi -> (sum_i kappa^(j)_i phi_i)_j over O-generators kappa^(1..m) of K, so
-the defect module ker Phi_big / ker Phi_small is Phi_small(ker Phi_big).
-With a free big module (a complete-intersection Y) that is the O-span of
-the g columns of Phi_small, and no Hom space is solved for.
+dim K).  Every Hom into the algebra is read off a relation map: the dual
+of O^g/K is the kernel of Phi_K : O^g -> O^m, phi -> (sum_i kappa^(j)_i
+phi_i)_j over O-generators kappa^(1..m) of K, so the defect module
+ker Phi_big / ker Phi_small is Phi_small(ker Phi_big).  With a free big
+module (a complete-intersection Y) that is the O-span of the g columns of
+Phi_small, and no kernel is taken; otherwise ker Phi_big is the nullspace
+of the k-matrix of Phi_big, which is built from its columns alone.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .algebra import GREVLEX, PolyRing
 from .groebner import Ideal
-from .linalg import identity, kernel_intersection, mat_mul, rank, rref
+from .linalg import identity, mat_mul, nullspace, rank, rref
 from .rng import Stream
 from .zerodim import (ArtinianAlgebra, _eval_matrix_poly, _image_basis,
                       _is_nilpotent, _restrict, local_decompose,
@@ -260,18 +262,12 @@ def _relation_image(K: np.ndarray, g: int, alg: ArtinianAlgebra):
     return (cols, *_submodule(cols, alg))
 
 
-def _hom_rows(kernel: np.ndarray, g: int, alg: ArtinianAlgebra) -> np.ndarray:
-    """Solution space of the Hom constraints of the module k^(g*d)/kernel.
-
-    A homomorphism into the algebra is a block vector (phi_1, ..., phi_g);
-    each relation row kappa imposes sum_i mult(kappa_i) @ phi_i = 0, and a
-    k-basis of relations is enough because the constraint is linear in
-    kappa.
-    """
-    d = alg.dim
-    blocks = [np.concatenate([alg.element_matrix(k_i) for k_i in k], axis=1)
-              for k in kernel.reshape(kernel.shape[0], g, d)]
-    return kernel_intersection(blocks, g * d, alg.p)
+def _relation_matrix(cols: np.ndarray, alg: ArtinianAlgebra) -> np.ndarray:
+    """The k-matrix of Phi_K on alg^g from its columns c_i: row (i, a) is
+    the a-th standard monomial times c_i, so Phi_K(phi) = phi @ matrix."""
+    g, w = cols.shape
+    return np.stack([_block_apply(alg.monomial_matrix(q), cols, alg.p)
+                     for q in alg.std], axis=1).reshape(g * alg.dim, w)
 
 
 # --- conormal modules of a scenario ----------------------------------------
@@ -381,10 +377,11 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
     modules: Q = Phi_small(ker Phi_big), dim ker Phi_small = g*d -
     dim Phi_small(alg^g).  The restriction map exists, and is onto, exactly
     when K_big lies in K_small; that is certified first.  Unless K_big = 0,
-    ker Phi_big is solved for and mapped through Phi_small, whose row (i, a)
-    is the a-th standard monomial times c_i.  Q's actions are read off its
-    rref basis, where a row's coordinates are its pivot entries.  Z is
-    split into local factors once, with the stream; the report keeps them.
+    ker Phi_big is the nullspace of the k-matrix of Phi_big, and its k-basis
+    is mapped through that of Phi_small (_relation_matrix).  Q's actions are
+    read off its rref basis, where a row's coordinates are its pivot
+    entries.  Z is split into local factors once, with the stream; the
+    report keeps them.
     """
     p, width = alg.p, g * alg.dim
     if rank(np.vstack([small, big]), p) != small.shape[0]:
@@ -392,9 +389,9 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
     cols, R, piv = _relation_image(small, g, alg)
     hilb_tangent_dim = width - len(piv)
     if big.shape[0]:
-        phi = np.stack([_block_apply(alg.monomial_matrix(q), cols, p)
-                        for q in alg.std], axis=1).reshape(width, -1)
-        R, piv = rref(mat_mul(_hom_rows(big, g, alg), phi, p), p)
+        cols_big = _relation_image(big, g, alg)[0]
+        ker_big = nullspace(_relation_matrix(cols_big, alg).T, p)
+        R, piv = rref(mat_mul(ker_big, _relation_matrix(cols, alg), p), p)
         R = R[:len(piv)]
     dim_q, factors = len(piv), tuple(local_decompose(alg, stream))
     actions = tuple(_block_apply(X, R, p)[:, piv].T for X in alg.actions())

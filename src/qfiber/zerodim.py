@@ -29,8 +29,7 @@ class ArtinianAlgebra:
     The ideal keeps the algebra beside its Groebner basis (from_ideal), so
     each ideal has one; the algebra keeps the basis and refers to the ideal
     weakly (see ideal).  Every d x d matrix of the algebra is a monomial
-    matrix M_q = X^q, built once and memoised; the multiplication tensor
-    stacks the standard monomials' matrices and holds those memo entries.
+    matrix M_q = X^q, built once and memoised.
     """
 
     def __init__(self, ideal: Ideal, std):
@@ -47,7 +46,6 @@ class ArtinianAlgebra:
         self.one[self._index[zero]] = 1
         self._actions = None
         self._monomials = {zero: identity(self.dim)}
-        self._tensor = None
 
     @classmethod
     def from_ideal(cls, ideal: Ideal) -> "ArtinianAlgebra":
@@ -152,28 +150,6 @@ class ArtinianAlgebra:
             q = r
         return memo[q]
 
-    def mult_tensor(self) -> np.ndarray:
-        """tensor[j] is the matrix of multiplication by the j-th basis
-        element; the memo then holds these slices, not copies."""
-        if self._tensor is None:
-            d = self.dim
-            T = np.empty((d, d, d), dtype=np.int64)
-            for j, m in enumerate(self.std):
-                T[j] = self.monomial_matrix(m)
-                self._monomials[m] = T[j]
-            self._tensor = T
-        return self._tensor
-
-    def element_matrix(self, vec) -> np.ndarray:
-        """Multiplication matrix of the element with the given coordinates."""
-        T = self.mult_tensor()
-        d = self.dim
-        row = np.asarray(vec, dtype=np.int64).reshape(1, d) % self.p
-        return mat_mul(row, T.reshape(d, d * d), self.p).reshape(d, d)
-
-    def poly_matrix(self, f: Polynomial) -> np.ndarray:
-        return self.element_matrix(self.coords(f))
-
 
 # --- tangent and derivation dimensions ------------------------------------
 
@@ -195,28 +171,22 @@ def zariski_tangent_dim(ideal: Ideal) -> int:
 
 
 def derivations_dim(alg: ArtinianAlgebra) -> int:
-    """dim_k of the module of k-derivations of the algebra.
+    """dim_k Der_k(A) of the algebra A = R/I, R = k[x_1..x_n].
 
-    A derivation is determined by the images v_i of the variables, subject
-    to sum_i (df/dx_i) v_i = 0 in the algebra for every defining relation f;
-    the generators of the ideal suffice by the Leibniz rule.
+    Der_k(A) = Hom_A(Omega_A, A), and Omega_A = A^n/(J) for J the Jacobian
+    rows (df_j/dx_v)_v of generators f_j of I (Eisenbud, Commutative
+    Algebra, ch. 16); the generators suffice by the Leibniz rule, since a
+    derivation that kills f_j kills a*f_j in A.  So Der_k(A) is the kernel
+    of the relation map Phi_J : A^n -> A^m, and by rank-nullity its
+    dimension is n*d - dim Phi_J(A^n), the submodule spanned by the n
+    columns c_v = (df_j/dx_v)_j.
     """
-    ring = alg.ring
-    n, d, p = ring.nvars, alg.dim, alg.p
-    gens = alg.ideal.groebner().polys
-    blocks = []
-    for f in gens:
-        row = np.zeros((d, n * d), dtype=np.int64)
-        for v in range(n):
-            df = f.diff(v)
-            if df.is_zero():
-                continue
-            row[:, v * d:(v + 1) * d] = alg.poly_matrix(df)
-        blocks.append(row)
-    if not blocks:
-        return n * d
-    A = np.vstack(blocks)
-    return n * d - rank(A, p)
+    from .excess import _submodule  # deferred: excess builds on us
+
+    gens, n = alg.ideal.gens, alg.nvars
+    cols = np.array([[alg.coords(f.diff(v)) for f in gens] for v in range(n)],
+                    dtype=np.int64).reshape(n, len(gens) * alg.dim)
+    return n * alg.dim - len(_submodule(cols, alg)[1])
 
 
 # --- local decomposition ---------------------------------------------------

@@ -25,7 +25,6 @@ from qfiber.excess import (
     symmetry_check,
     _block_apply,
     _defect_report,
-    _hom_rows,
     _koszul_mu,
     _relation_space,
     _REPORT_SEED,
@@ -231,6 +230,29 @@ def _quotient_rep(big_rows, small_rows, alg):
     mats = tuple(coordize(_block_apply(X, R_b[free], p)).T.copy()
                  for X in alg.actions())
     return len(free), mats, coordize
+
+
+def element_matrices(vecs, alg):
+    """Multiplication matrices of the elements whose coordinates are the
+    rows of vecs: sum_j vec_j * M_(std_j), one d x d matrix per row."""
+    d = alg.dim
+    T = np.stack([alg.monomial_matrix(q) for q in alg.std])
+    return mat_mul(vecs.reshape(-1, d), T.reshape(d, d * d),
+                   alg.p).reshape(-1, d, d)
+
+
+def _hom_rows(kernel, g, alg):
+    """Solution space of the Hom constraints of the module k^(g*d)/kernel.
+
+    A homomorphism into the algebra is a block vector (phi_1, ..., phi_g);
+    each relation row kappa imposes sum_i mult(kappa_i) @ phi_i = 0, and a
+    k-basis of relations is enough because the constraint is linear in
+    kappa.  The element-matrix route that the kernel of the relation map
+    replaced, kept as its oracle.
+    """
+    d = alg.dim
+    mults = element_matrices(kernel, alg).reshape(-1, g, d, d)
+    return nullspace(mults.transpose(0, 2, 1, 3).reshape(-1, g * d), alg.p)
 
 
 def hom_spaces(s):
@@ -757,8 +779,8 @@ class TestQModule:
 
     def test_one_quotient_per_report(self, monkeypatch):
         # only the defect module gets a basis and actions; the conormal
-        # modules stay relation spaces, and with a free big side neither
-        # dual is solved for nor an element matrix of Z built
+        # modules stay relation spaces, and with a free big side no kernel
+        # of a relation map is taken
         calls = []
 
         def counting(*args):
@@ -766,11 +788,10 @@ class TestQModule:
             return FinModule(*args)
 
         def refuse(*args):
-            raise AssertionError("a Hom space or element matrix was built")
+            raise AssertionError("a kernel was taken")
 
         monkeypatch.setattr(excess, "FinModule", counting)
-        monkeypatch.setattr(excess, "_hom_rows", refuse)
-        monkeypatch.setattr(ArtinianAlgebra, "element_matrix", refuse)
+        monkeypatch.setattr(excess, "nullspace", refuse)
         rep = q_module(gen_quadric_graph(4, Seed(0)))
         assert (rep.deg_z, rep.q, rep.mu_q) == (10, 5, 5)
         assert len(calls) == 1
@@ -1132,8 +1153,8 @@ def madic_hilbert(mod):
     return dims
 
 
-def reported_q(s, monkeypatch):
-    """q_module's report and the defect module it computed mu on."""
+def reported_q(run, monkeypatch):
+    """The report of run() and the defect module it computed mu on."""
     seen = []
     plain = excess.module_mu
 
@@ -1143,7 +1164,7 @@ def reported_q(s, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(excess, "module_mu", recording)
-        rep = q_module(s)
+        rep = run()
     return rep, seen[0]
 
 
@@ -1162,6 +1183,16 @@ def hom_route_qbar(Z):
     rows = _hom_rows(_relation_space(gens, Ideal(alg.ring, gens), alg), g, alg)
     dim, mats, coordize = _quotient_rep(identity(g * alg.dim), rows, alg)
     return FinModule(dim, mats, coordize(np.kron(identity(g), alg.one)), alg)
+
+
+def assert_matches_hom_rows(rep, mod, nb, ns, alg):
+    """The report and its defect module against ker Phi_big / ker Phi_small
+    from the Hom rows nb, ns of the two sides."""
+    dim, mats, _ = _quotient_rep(nb, ns, alg)
+    oracle = invariants(FinModule(dim, mats, identity(dim), alg))
+    assert invariants(mod) == oracle
+    assert (rep.dim_q, (rep.mu_q, rep.per_component)) == oracle[:2]
+    assert rep.hilb_tangent_dim == ns.shape[0]
 
 
 IMAGE_SCENARIOS = {
@@ -1183,16 +1214,26 @@ class TestImageRoute:
     @pytest.mark.parametrize("case", list(IMAGE_SCENARIOS))
     def test_defect_module_matches_hom_rows(self, case, monkeypatch):
         s = IMAGE_SCENARIOS[case]()
-        rep, mod = reported_q(s, monkeypatch)
+        rep, mod = reported_q(lambda: q_module(s), monkeypatch)
         nb, ns = hom_spaces(s)
-        dim, mats, _ = _quotient_rep(nb, ns, s.Z)
-        oracle = invariants(FinModule(dim, mats, identity(dim), s.Z))
-        assert invariants(mod) == oracle
-        assert (rep.dim_q, (rep.mu_q, rep.per_component)) == oracle[:2]
-        assert rep.hilb_tangent_dim == ns.shape[0]
+        assert_matches_hom_rows(rep, mod, nb, ns, s.Z)
         # the big side is free, its dual all of k^(g*d), but on non-CI Y
         free = nb.shape[0] == nb.shape[1]
         assert free == (case not in ("line_meets_axes", "plane_holds_points"))
+
+    @pytest.mark.parametrize("idx", range(4))
+    def test_affine_pair_matches_hom_rows(self, idx, monkeypatch):
+        # every input of affine_cases has a big side that is not free
+        L, I, modulus = affine_cases()[idx]
+        rep, mod = reported_q(lambda: q_affine_pair(I.ring, L, I, modulus),
+                              monkeypatch)
+        extra = Ideal(I.ring, []) if modulus is None else modulus
+        alg, g = mod.algebra, len(I.gens)
+        big = _relation_space(I.gens, I + extra, alg)
+        assert big.shape[0] > 0
+        nb = _hom_rows(big, g, alg)
+        ns = _hom_rows(_relation_space(I.gens, alg.ideal, alg), g, alg)
+        assert_matches_hom_rows(rep, mod, nb, ns, alg)
 
     @pytest.mark.parametrize("case", sorted(MU_CASES) + [
         "graph2", "graph3", "graph4", "graph5", "graph6", "fatpoint"])
@@ -1227,3 +1268,33 @@ class TestImageRoute:
         assert gens.shape[0] <= K.shape[0]
         if n == 7:
             assert (gens.shape[0], K.shape[0]) == (14, 42)
+
+
+def jacobian_block_derivations_dim(alg):
+    """dim Der_k(A) by the Jacobian blocks that the relation map replaced:
+    the images phi_v of the variables solve sum_v mult(df/dx_v) @ phi_v = 0
+    for each element f of the reduced basis.  The oracle of
+    derivations_dim."""
+    n, d = alg.nvars, alg.dim
+    polys = alg.ideal.groebner().polys
+    jac = np.array([[alg.coords(f.diff(v)) for v in range(n)] for f in polys],
+                   dtype=np.int64)
+    mults = element_matrices(jac, alg).reshape(len(polys), n, d, d)
+    return n * d - rank(mults.transpose(0, 2, 1, 3).reshape(-1, n * d), alg.p)
+
+
+# two reduced points, on the line and in the plane: no action is nilpotent
+NON_LOCAL = {"x^2 - 1": "x", "y, x^2 - 1": "x,y"}
+
+
+class TestDerivationsRoute:
+    """dim Der_k(A) = n*d - dim Phi_J(A^n) against the Jacobian blocks."""
+
+    @pytest.mark.parametrize("case", sorted(MU_CASES) + [
+        "graph2", "graph3", "graph4", "graph5", "graph6", "fatpoint",
+        *NON_LOCAL])
+    def test_matches_jacobian_blocks(self, case):
+        ideal = idl(ring(NON_LOCAL[case]), case) if case in NON_LOCAL \
+            else local_ideal(case)
+        alg = ArtinianAlgebra.from_ideal(ideal)
+        assert derivations_dim(alg) == jacobian_block_derivations_dim(alg)

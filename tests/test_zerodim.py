@@ -57,7 +57,8 @@ class TestAlgebra:
         gc.disable()
         try:
             sc = gen_quadric_graph(3, Seed(0))
-            sc.Z.mult_tensor()
+            for q in sc.Z.std:
+                sc.Z.monomial_matrix(q)
             freed = weakref.ref(sc.Z)
             del sc
             assert freed() is None
@@ -106,33 +107,19 @@ class TestAlgebra:
         # x^2 reduces to y in the quotient
         assert A.lift(A.coords(parse_polynomial("x^2", R))) == parse_polynomial("y", R)
 
-    def test_element_matrix_matches_actions(self):
-        R = ring()
-        A = algebra(R, "x^2, y^3")
-        f = parse_polynomial("x + 7*y", R)
-        M = A.poly_matrix(f)
-        want = (A.action(0) + 7 * A.action(1)) % P
-        assert (M == want).all()
-
     def test_element_matrix_at_largest_prime(self):
-        # d * (p-1)^2 exceeds int64 here, so the contraction must chunk
+        # sum_j c_j M_(std_j) multiplies by the element with coordinates c;
+        # at p = 2^31 - 1 every product of the memo is a chunked contraction
         p = 2**31 - 1
         A = algebra(ring(p=p),
                     "x^3 + 3*x*y + 5*y + 7, y^2 + 11*x + 13*y + 17")
         vec = [p - 1 - j for j in range(A.dim)]
-        T = A.mult_tensor()
-        want = [[sum(c * int(T[j, a, b]) for j, c in enumerate(vec)) % p
-                 for b in range(A.dim)] for a in range(A.dim)]
-        assert A.element_matrix(vec).tolist() == want
-
-    def test_mult_tensor_consistency(self):
-        R = ring()
-        A = algebra(R, "x^3, y^2")
-        T = A.mult_tensor()
-        one_idx = A.std.index((0, 0))
-        assert (T[one_idx] == np.eye(A.dim, dtype=np.int64)).all()
-        # tensor row of the class of x equals the action of x
-        assert (T[A.std.index((1, 0))] == A.action(0)).all()
+        M = [A.monomial_matrix(q) for q in A.std]
+        f = A.lift(vec)
+        for b, q in enumerate(A.std):
+            got = [sum(c * int(Mj[a, b]) for c, Mj in zip(vec, M)) % p
+                   for a in range(A.dim)]
+            assert got == A.coords(f * A.ring.monomial(q)).tolist()
 
 
 def scenario_algebra(name):
@@ -161,16 +148,6 @@ class TestMonomialMatrices:
         assert not set(outside) & set(A.std)
         for q in A.std + tuple(outside):
             assert np.array_equal(A.monomial_matrix(q), action_power(A, q))
-
-    @pytest.mark.parametrize("name", ["fatpoint", "graph3"])
-    def test_tensor_holds_the_standard_matrices(self, name):
-        A = scenario_algebra(name)
-        early = A.monomial_matrix(A.std[-1])
-        T = A.mult_tensor()
-        assert np.array_equal(T[-1], early)
-        for j, q in enumerate(A.std):
-            assert np.shares_memory(A.monomial_matrix(q), T[j])
-            assert np.array_equal(T[j], action_power(A, q))
 
 
 class TestMinpoly:
