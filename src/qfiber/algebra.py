@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-LT, EQ, GT = -1, 0, 1
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -79,11 +77,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -131,18 +124,6 @@ LEX = MonomialOrder("lex")
 
 def block_order(split: int) -> MonomialOrder:
     return MonomialOrder("block", split)
-
-
-def compare_monomials(order: MonomialOrder, a: Monomial, b: Monomial) -> int:
-    """Return LT, EQ or GT for a vs b in the given order."""
-    if len(a) != len(b):
-        raise ValueError("monomials live in different rings")
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return LT
-    if ka > kb:
-        return GT
-    return EQ
 
 
 # --- rings and polynomials -----------------------------------------------

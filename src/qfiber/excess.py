@@ -41,7 +41,7 @@ from .groebner import Ideal
 from .linalg import identity, mat_mul, nullspace, rank, rref
 from .rng import Stream
 from .zerodim import (ArtinianAlgebra, _eval_matrix_poly, _image_basis,
-                      _is_nilpotent, _restrict, local_decompose,
+                      _is_nilpotent, _linear_parts, _restrict, local_decompose,
                       minpoly_of_vector, semisimple_poly)
 
 # Local decompositions inside reports use a fixed stream so that repeated
@@ -246,20 +246,34 @@ def _submodule(rows: np.ndarray, alg: ArtinianAlgebra):
     return R, piv
 
 
-def _relation_image(K: np.ndarray, g: int, alg: ArtinianAlgebra):
+def _relation_columns(K: np.ndarray, g: int, alg: ArtinianAlgebra):
     """The images c_i = (kappa^(1)_i, ..., kappa^(m)_i) of the g block ones
-    under Phi_K, rows of k^(m*d), and the rref k-basis and pivots of the
-    submodule Phi_K(alg^g) they span.  When every variable acts nilpotently
-    the kappa are the rows of K outside m*K = span(X_v*K), which generate
-    it (Nakayama); otherwise all rows of K."""
+    under Phi_K, rows of k^(m*d); they span Phi_K(alg^g) as a module
+    (_submodule).  When every variable acts nilpotently the kappa are the
+    rows of K outside m*K, which generate it (Nakayama); otherwise all rows
+    of K.  m*K is spanned by X_v*K over the variables v with no linear
+    pivot, which span m/m^2: m = (those) + m^2, so Nakayama again gives
+    m*K = (those)*K."""
     p, acts = alg.p, alg.actions()
     if K.shape[0] and all(_is_nilpotent(X, p) for X in acts):
-        mK, piv = rref(np.vstack([_block_apply(X, K, p) for X in acts]), p)
-        K, piv = rref(K - mat_mul(K[:, piv], mK[:len(piv)], p), p)
+        lin = set(_linear_pivots(alg.ideal))
+        mK = [_block_apply(X, K, p) for v, X in enumerate(acts)
+              if v not in lin]
+        if mK:
+            mK, piv = rref(np.vstack(mK), p)
+            K = K - mat_mul(K[:, piv], mK[:len(piv)], p)
+        K, piv = rref(K, p)
         K = K[:len(piv)]
     m, d = K.shape[0], alg.dim
-    cols = K.reshape(m, g, d).transpose(1, 0, 2).reshape(g, m * d)
-    return (cols, *_submodule(cols, alg))
+    return K.reshape(m, g, d).transpose(1, 0, 2).reshape(g, m * d)
+
+
+def _linear_pivots(ideal: Ideal) -> list:
+    """Pivot columns of the rref of the linear parts of the ideal's reduced
+    basis: variables that other variables give modulo m^2 in the quotient,
+    so the rest span m/m^2."""
+    ring = ideal.ring
+    return rref(_linear_parts(ideal.groebner().polys, ring.nvars), ring.p)[1]
 
 
 def _relation_matrix(cols: np.ndarray, alg: ArtinianAlgebra) -> np.ndarray:
@@ -321,9 +335,9 @@ def hilbert_tangent_dim(alg: ArtinianAlgebra) -> int:
     come from the basis run of I that built the algebra; by rank-nullity
     the dimension is g*d - dim Phi_K(alg^g)."""
     gens = alg.ideal.gens
-    _, _, piv = _relation_image(_relation_space(gens, alg.ideal, alg),
-                                len(gens), alg)
-    return len(gens) * alg.dim - len(piv)
+    cols = _relation_columns(_relation_space(gens, alg.ideal, alg),
+                             len(gens), alg)
+    return len(gens) * alg.dim - len(_submodule(cols, alg)[1])
 
 
 # --- minimal generator counts ----------------------------------------------
@@ -386,10 +400,11 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
     p, width = alg.p, g * alg.dim
     if rank(np.vstack([small, big]), p) != small.shape[0]:
         raise RuntimeError("restriction map failed to be onto")
-    cols, R, piv = _relation_image(small, g, alg)
+    cols = _relation_columns(small, g, alg)
+    R, piv = _submodule(cols, alg)
     hilb_tangent_dim = width - len(piv)
     if big.shape[0]:
-        cols_big = _relation_image(big, g, alg)[0]
+        cols_big = _relation_columns(big, g, alg)
         ker_big = nullspace(_relation_matrix(cols_big, alg).T, p)
         R, piv = rref(mat_mul(ker_big, _relation_matrix(cols, alg), p), p)
         R = R[:len(piv)]
@@ -518,17 +533,8 @@ def minimal_presentation(ideal: Ideal) -> Ideal:
     the basis (_drop_variables); otherwise a block-order elimination runs.
     """
     ring = ideal.ring
-    n = ring.nvars
-    p = ring.p
-    gb = ideal.groebner().polys
-    lin = np.zeros((len(gb), n), dtype=np.int64)
-    for i, f in enumerate(gb):
-        part = f.homogeneous_part(1)
-        for v in range(n):
-            lin[i, v] = part.coeff_of(tuple(1 if j == v else 0 for j in range(n)))
-    _, piv = rref(lin, p)
-    doomed = [ring.variables[j] for j in piv]
-    if len(doomed) == n:
+    doomed = [ring.variables[j] for j in _linear_pivots(ideal)]
+    if len(doomed) == ring.nvars:
         # a reduced point; keep one variable so the re-presented ring is
         # nontrivial (the ideal becomes principal on it)
         doomed = doomed[:-1]
@@ -556,8 +562,9 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
     alg = ArtinianAlgebra.from_ideal(J)
     gens = minimal_generators(alg)
     g = len(gens)
-    cols, R, piv = _relation_image(
+    cols = _relation_columns(
         _relation_space(gens, Ideal(alg.ring, gens), alg), g, alg)
+    R, piv = _submodule(cols, alg)
     acts = tuple(_block_apply(X, R, alg.p)[:, piv].T for X in alg.actions())
     return FinModule(len(piv), acts, cols[:, piv], alg)
 

@@ -44,10 +44,8 @@ from .algebra import (
     Polynomial,
     block_order,
     mono_deg,
-    mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 # S-pair budget of each basis run: the library default, which the command
@@ -509,45 +507,6 @@ def groebner(ring: PolyRing, gens) -> GroebnerBasis:
     return GroebnerBasis(ring, polys, enc, engine, trace)
 
 
-# --- polynomial division -------------------------------------------------
-
-
-def poly_divmod(f: Polynomial, g: Polynomial):
-    """Quotient and remainder of f by a single nonzero g (lt cancellation)."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    p = ring.p
-    ltm, ltc = g.leading_monomial(), g.leading_coeff()
-    inv = pow(ltc, p - 2, p)
-    q: dict = {}
-    r: dict = {}
-    work = dict(f.terms)
-    keyf = ring.order.key
-    while work:
-        m = max(work, key=keyf)
-        c = work.pop(m)
-        if c == 0:
-            continue
-        if mono_divides(ltm, m):
-            u = mono_div(m, ltm)
-            cu = c * inv % p
-            q[u] = (q.get(u, 0) + cu) % p
-            for tm, tc in g.terms[1:]:
-                mm = mono_mul(u, tm)
-                work[mm] = (work.get(mm, 0) - cu * tc) % p
-        else:
-            r[m] = c
-    return ring.poly(q), ring.poly(r)
-
-
-def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    q, r = poly_divmod(f, g)
-    if not r.is_zero():
-        raise ValueError("division is not exact")
-    return q
-
-
 # --- ideal calculus -------------------------------------------------------
 
 
@@ -591,10 +550,6 @@ class Ideal:
     def contains(self, f: Polynomial) -> bool:
         return self.groebner().reduces_to_zero(f)
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        gb = self.groebner()
-        return all(gb.reduces_to_zero(g) for g in other.gens)
-
     def equals(self, other: "Ideal") -> bool:
         return self.groebner().polys == other.groebner().polys
 
@@ -636,37 +591,35 @@ class Ideal:
         return Ideal(ring, [h.to_ring(ring)
                             for h in Ideal(big, gens).eliminate([tname])])
 
-    def quotient(self, other) -> "Ideal":
-        """Ideal quotient (I : J); other may be a Polynomial or an Ideal."""
-        if isinstance(other, Polynomial):
-            if other.is_zero():
-                raise ZeroDivisionError("quotient by the zero polynomial")
-            meet = self.intersect(Ideal(self.ring, [other]))
-            return Ideal(self.ring, [exact_div(h, other) for h in meet.groebner().polys])
-        self._check(other)
-        out = None
-        for g in other.gens:
-            part = self.quotient(g)
-            out = part if out is None else out.intersect(part)
-        if out is None:
-            raise ValueError("quotient by the zero ideal")
-        return out
-
     def saturate(self, other) -> tuple:
-        """Saturation (I : J^infty); returns (ideal, steps).
+        """Saturation (I : J^infty), J an Ideal or a Polynomial; returns
+        (ideal, steps), steps 0 when I was already saturated (I itself is
+        returned) and 1 otherwise.
 
-        steps == 0 means the input was already saturated.
+        For each generator g of J, I : g^infty = (I + (1 - t*g)) cap k[x],
+        one elimination of a tag t (Rabinowitsch; Cox-Little-O'Shea, Ideals,
+        Varieties, and Algorithms, ch. 4 sec. 4), and I : J^infty is the
+        intersection of these parts: when g_i^(N_i) * f lies in I for each
+        i, so does J^M * f for M = sum (N_i - 1) + 1.
         """
         if isinstance(other, Polynomial):
             other = Ideal(self.ring, [other])
-        cur = self
-        steps = 0
-        while True:
-            nxt = cur.quotient(other)
-            if nxt.groebner().polys == cur.groebner().polys:
-                return cur, steps
-            cur = nxt
-            steps += 1
+        self._check(other)
+        if not other.gens:
+            raise ValueError("saturation by the zero ideal")
+        ring = self.ring
+        big, tname = _extend_ring_front(ring)
+        t = big.var(tname)
+        gens = [f.to_ring(big) for f in self.gens]
+        out = None
+        for g in other.gens:
+            tagged = Ideal(big, gens + [1 - t * g.to_ring(big)])
+            part = Ideal(ring, [h.to_ring(ring)
+                                for h in tagged.eliminate([tname])])
+            out = part if out is None else out.intersect(part)
+        if out.groebner().polys == self.groebner().polys:
+            return self, 0
+        return out, 1
 
     def eliminate(self, names) -> list:
         """Generators of I cap k[remaining variables].

@@ -104,13 +104,6 @@ def derivative(f: list, p: int) -> list:
     return trim([c * i % p for i, c in enumerate(f)][1:])
 
 
-def eval_at(f: list, a: int, p: int) -> int:
-    out = 0
-    for c in reversed(f):
-        out = (out * a + c) % p
-    return out
-
-
 def squarefree_part(f: list, p: int) -> list:
     """Radical of f; valid whenever deg f < p (no p-th power factors)."""
     f = monic(f, p)

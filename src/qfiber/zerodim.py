@@ -154,20 +154,23 @@ class ArtinianAlgebra:
 # --- tangent and derivation dimensions ------------------------------------
 
 
+def _linear_parts(polys, n: int) -> np.ndarray:
+    """The degree-one coefficients of the polynomials, one row each and
+    one column per variable."""
+    out = np.zeros((len(polys), n), dtype=np.int64)
+    for i, f in enumerate(polys):
+        for m, c in f.terms:
+            if sum(m) == 1:
+                out[i, m.index(1)] = c
+    return out
+
+
 def zariski_tangent_dim(ideal: Ideal) -> int:
     """dim of the Zariski tangent space of V(I) at the origin."""
     ring = ideal.ring
-    n = ring.nvars
-    rows = []
-    for g in ideal.gens:
-        if g.constant_part() != 0:
-            raise ValueError("the origin does not lie on the scheme")
-        lin = g.homogeneous_part(1)
-        rows.append([lin.coeff_of(tuple(1 if i == v else 0 for i in range(n)))
-                     for v in range(n)])
-    if not rows:
-        return n
-    return n - rank(np.array(rows, dtype=np.int64), ring.p)
+    if any(g.constant_part() != 0 for g in ideal.gens):
+        raise ValueError("the origin does not lie on the scheme")
+    return ring.nvars - rank(_linear_parts(ideal.gens, ring.nvars), ring.p)
 
 
 def derivations_dim(alg: ArtinianAlgebra) -> int:
@@ -413,6 +416,9 @@ def _compose_mod(f, g, modulus, p):
 
 @dataclass(frozen=True)
 class RegularityResult:
+    """saturation_steps is 0 when the input ideal was already saturated by
+    the irrelevant ideal and 1 when saturating changed it."""
+
     regularity: int
     degree: int
     hilbert_values: tuple
@@ -423,10 +429,10 @@ def cm_regularity(ideal: Ideal) -> RegularityResult:
     """Regularity of a saturated ideal of points in projective space.
 
     The input is first saturated with respect to the irrelevant ideal
-    (saturation_steps == 0 means it already was); the quotient must then
-    have a 1-dimensional affine cone.  The regularity is read off the
-    Hilbert function: 1 + the first degree where it reaches the number of
-    points.
+    (saturation_steps is 0 when it already was, 1 otherwise); the quotient
+    must then have a 1-dimensional affine cone.  The regularity is read off
+    the Hilbert function: 1 + the first degree where it reaches the number
+    of points.
     """
     ring = ideal.ring
     if not ideal.is_homogeneous():
@@ -478,8 +484,3 @@ def tangent_data(ideal: Ideal) -> TangentData:
     n = ideal.ring.nvars
     return TangentData(zariski_tangent_dim(ideal), der,
                        hil - n * alg.dim + der, hil)
-
-
-def t1_dim(ideal: Ideal) -> int:
-    """Intrinsic first-order deformation dimension of the finite scheme."""
-    return tangent_data(ideal).t1_dim

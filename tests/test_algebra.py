@@ -5,15 +5,11 @@ import random
 import pytest
 
 from qfiber.algebra import (
-    EQ,
-    GT,
-    LT,
     FieldSpec,
     GREVLEX,
     LEX,
     PolyRing,
     block_order,
-    compare_monomials,
     is_prime,
     poly_to_string,
     random_poly,
@@ -103,29 +99,28 @@ class TestOrders:
     def test_grevlex_vs_lex_disagree(self):
         # x^2*y*z vs x*y^3: same degree, grevlex favors the smaller z power
         a, b = (2, 1, 1), (1, 3, 0)
-        assert compare_monomials(GREVLEX, a, b) == LT
-        assert compare_monomials(LEX, a, b) == GT
-        assert compare_monomials(GREVLEX, (2, 0, 0), (1, 1, 1)) == LT
-        assert compare_monomials(LEX, (2, 0, 0), (1, 1, 1)) == GT
-        assert compare_monomials(GREVLEX, a, a) == EQ
+        assert GREVLEX.key(a) < GREVLEX.key(b)
+        assert LEX.key(a) > LEX.key(b)
+        assert GREVLEX.key((2, 0, 0)) < GREVLEX.key((1, 1, 1))
+        assert LEX.key((2, 0, 0)) > LEX.key((1, 1, 1))
 
     def test_grevlex_classic(self):
         # same degree: the one with the smaller last exponent wins
-        assert compare_monomials(GREVLEX, (2, 1, 0), (1, 2, 0)) == GT
-        assert compare_monomials(GREVLEX, (1, 1, 1), (0, 3, 0)) == LT
-        assert compare_monomials(GREVLEX, (1, 0, 1), (0, 2, 0)) == LT
+        assert GREVLEX.key((2, 1, 0)) > GREVLEX.key((1, 2, 0))
+        assert GREVLEX.key((1, 1, 1)) < GREVLEX.key((0, 3, 0))
+        assert GREVLEX.key((1, 0, 1)) < GREVLEX.key((0, 2, 0))
 
     def test_block_order_eliminates(self):
         # block(1) on (t, x, y): any t beats any power of x, y
         o = block_order(1)
-        assert compare_monomials(o, (1, 0, 0), (0, 5, 7)) == GT
+        assert o.key((1, 0, 0)) > o.key((0, 5, 7))
         # tail block is grevlex on (x, y): x^2 > x*y > y^2
-        assert compare_monomials(o, (0, 2, 0), (0, 1, 1)) == GT
-        assert compare_monomials(o, (0, 1, 1), (0, 0, 2)) == GT
+        assert o.key((0, 2, 0)) > o.key((0, 1, 1))
+        assert o.key((0, 1, 1)) > o.key((0, 0, 2))
 
     def test_block_tail_is_grevlex(self):
         o = block_order(1)
-        assert compare_monomials(o, (0, 2, 0), (0, 0, 3)) == LT
+        assert o.key((0, 2, 0)) < o.key((0, 0, 3))
 
     def test_total_order(self):
         R = ring3()
@@ -133,7 +128,7 @@ class TestOrders:
         for order in (GREVLEX, LEX, block_order(2)):
             s = sorted(monos, key=order.key)
             for a, b in zip(s, s[1:]):
-                assert compare_monomials(order, a, b) == LT
+                assert order.key(a) < order.key(b)
         assert R.order is GREVLEX
 
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -44,7 +44,6 @@ from qfiber.zerodim import (
     local_decompose,
     minpoly_of_vector,
     semisimple_poly,
-    t1_dim,
     tangent_data,
 )
 
@@ -1063,7 +1062,7 @@ class TestAffinePairs:
         R = ring()
         L, I = idl(R, "y"), idl(R, "x^2, x*y")
         sub = idl(R, "x^2")
-        assert I.contains_ideal(sub)
+        assert all(I.contains(f) for f in sub.gens)
         assert q_affine_pair(R, L, I, modulus=sub).dim_q <= \
             q_affine_pair(R, L, I).dim_q
 
@@ -1105,7 +1104,7 @@ class TestTangentData:
 
     def test_reduced_point(self):
         R = ring("x,y,z")
-        assert t1_dim(idl(R, "x, y, z")) == 0
+        assert tangent_data(idl(R, "x, y, z")).t1_dim == 0
 
     def test_fat_point(self):
         R = ring("x,y,z")
@@ -1252,7 +1251,7 @@ class TestImageRoute:
         # serves as a generator of K
         Z = ArtinianAlgebra.from_ideal(idl(ring(), "y, x^2 - 1"))
         kernel = _relation_space(Z.ideal.gens, Z.ideal, Z)
-        cols, _, _ = excess._relation_image(kernel, len(Z.ideal.gens), Z)
+        cols = excess._relation_columns(kernel, len(Z.ideal.gens), Z)
         assert cols.shape[1] == kernel.shape[0] * Z.dim
         assert hilbert_tangent_dim(Z) == 4 == \
             _hom_rows(kernel, len(Z.ideal.gens), Z).shape[0]
@@ -1262,12 +1261,62 @@ class TestImageRoute:
         # the rows outside m*K generate K; at n = 7 they are 14 of 42
         s = gen_quadric_graph(n, Seed(0))
         K, g, d = conormal_in_X(s), len(s.I_Y.gens), s.Z.dim
-        cols, _, _ = excess._relation_image(K, g, s.Z)
+        cols = excess._relation_columns(K, g, s.Z)
         gens = cols.reshape(g, -1, d).transpose(1, 0, 2).reshape(-1, g * d)
         assert np.array_equal(excess._submodule(gens, s.Z)[0], K)
         assert gens.shape[0] <= K.shape[0]
         if n == 7:
             assert (gens.shape[0], K.shape[0]) == (14, 42)
+
+
+def all_variable_columns(K, g, alg):
+    """The Nakayama columns of Phi_K with m*K stacked over every variable,
+    the route _relation_columns narrowed to the variables spanning m/m^2."""
+    p, acts = alg.p, alg.actions()
+    if K.shape[0] and all(zerodim._is_nilpotent(X, p) for X in acts):
+        mK, piv = rref(np.vstack([excess._block_apply(X, K, p)
+                                  for X in acts]), p)
+        K, piv = rref(K - mat_mul(K[:, piv], mK[:len(piv)], p), p)
+        K = K[:len(piv)]
+    m, d = K.shape[0], alg.dim
+    return K.reshape(m, g, d).transpose(1, 0, 2).reshape(g, m * d)
+
+
+def reduced_point_relations():
+    """A reduced point on redundant generators: every variable is a linear
+    pivot, so m*K is stacked over no variable at all."""
+    ideal = idl(ring(), "x, y, x + y")
+    alg = ArtinianAlgebra.from_ideal(ideal)
+    return _relation_space(ideal.gens, ideal, alg), 3, alg
+
+
+COTANGENT_CASES = {
+    **{f"graph{n}": (lambda n=n: gen_quadric_graph(n, Seed(0)))
+       for n in range(2, 8)},
+    "ei": lambda: gen_EI_model(Seed(0)),
+    "fatpoint": lambda: gen_fatpoint_model(Seed(0)),
+    "reduced_point": None,
+}
+
+
+class TestCotangentColumns:
+    """m*K from the variables with no linear pivot against m*K from all."""
+
+    @pytest.mark.parametrize("case", list(COTANGENT_CASES))
+    def test_matches_all_variables(self, case):
+        if case == "reduced_point":
+            K, g, alg = reduced_point_relations()
+            assert K.shape[0]
+        else:
+            s = COTANGENT_CASES[case]()
+            K, g, alg = conormal_in_X(s), len(s.I_Y.gens), s.Z
+        cols = excess._relation_columns(K, g, alg)
+        assert np.array_equal(cols, all_variable_columns(K, g, alg))
+        # the narrowing leaves out at least one variable, all of them on
+        # the reduced point
+        pivots = excess._linear_pivots(alg.ideal)
+        assert pivots
+        assert (len(pivots) == alg.nvars) == (case == "reduced_point")
 
 
 def jacobian_block_derivations_dim(alg):

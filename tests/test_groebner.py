@@ -9,8 +9,8 @@ from qfiber.algebra import (
     GREVLEX,
     LEX,
     PolyRing,
+    Polynomial,
     block_order,
-    mono_div,
     mono_divides,
     mono_mul,
     random_poly,
@@ -23,11 +23,9 @@ from qfiber.groebner import (
     ResourceAbort,
     _linear_witnesses,
     _max_independent,
-    exact_div,
     groebner,
     hilbert_data,
     pair_budget,
-    poly_divmod,
 )
 from qfiber.parser import parse_ideal, parse_polynomial
 from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
@@ -160,6 +158,11 @@ class TestBasis:
                               if enc.divides(ltm, m)), ~len(engine))
         for k in (201, 202, *range(1, 16)):
             check(k)
+
+
+def mono_div(a, b):
+    """a / b on exponent tuples; b divides a."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def oracle_normal_form(f, basis):
@@ -329,6 +332,83 @@ class TestSyzygies:
         assert_exact(R, gens, replayed(gb, gens))
 
 
+# --- the ideal-quotient route Ideal.saturate replaced, kept as its oracle
+
+
+def poly_divmod(f, g):
+    """Quotient and remainder of f by a single nonzero g (lt cancellation)."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    ring = f.ring
+    p = ring.p
+    ltm = g.leading_monomial()
+    inv = pow(g.leading_coeff(), p - 2, p)
+    q, r = {}, {}
+    work = dict(f.terms)
+    while work:
+        m = max(work, key=ring.order.key)
+        c = work.pop(m)
+        if c == 0:
+            continue
+        if mono_divides(ltm, m):
+            u = mono_div(m, ltm)
+            cu = c * inv % p
+            q[u] = (q.get(u, 0) + cu) % p
+            for tm, tc in g.terms[1:]:
+                mm = mono_mul(u, tm)
+                work[mm] = (work.get(mm, 0) - cu * tc) % p
+        else:
+            r[m] = c
+    return ring.poly(q), ring.poly(r)
+
+
+def exact_div(f, g):
+    q, r = poly_divmod(f, g)
+    if not r.is_zero():
+        raise ValueError("division is not exact")
+    return q
+
+
+def quotient(I, other):
+    """Ideal quotient I : J, J an Ideal or a Polynomial: I : g is
+    (I cap (g)) / g, and I : J the intersection over the generators."""
+    if isinstance(other, Polynomial):
+        if other.is_zero():
+            raise ZeroDivisionError("quotient by the zero polynomial")
+        meet = I.intersect(Ideal(I.ring, [other]))
+        return Ideal(I.ring, [exact_div(h, other)
+                              for h in meet.groebner().polys])
+    out = None
+    for g in other.gens:
+        part = quotient(I, g)
+        out = part if out is None else out.intersect(part)
+    if out is None:
+        raise ValueError("quotient by the zero ideal")
+    return out
+
+
+def loop_saturate(I, J):
+    """(I : J^infty, steps): I : J iterated until it stops growing."""
+    if isinstance(J, Polynomial):
+        J = Ideal(I.ring, [J])
+    cur, steps = I, 0
+    while True:
+        nxt = quotient(cur, J)
+        if nxt.groebner().polys == cur.groebner().polys:
+            return cur, steps
+        cur, steps = nxt, steps + 1
+
+
+def assert_saturates_like_the_loop(I, J):
+    """Ideal.saturate gives the loop's reduced basis, and steps 0 exactly
+    when the ideal is unchanged; returns the saturation."""
+    sat, steps = I.saturate(J)
+    want = loop_saturate(I, J)[0].groebner().polys
+    assert sat.groebner().polys == want
+    assert steps == int(want != I.groebner().polys)
+    return sat
+
+
 class TestIdealOps:
     def test_intersection_hand(self):
         R = ring("x,y")
@@ -347,7 +427,7 @@ class TestIdealOps:
             for h in meet.gens:
                 assert I.contains(h) and J.contains(h)
             # product lies inside the intersection
-            assert meet.contains_ideal(I * J)
+            assert all(meet.contains(h) for h in (I * J).gens)
 
     @pytest.mark.parametrize("order", [LEX, block_order(1)],
                              ids=["lex", "block1"])
@@ -366,13 +446,13 @@ class TestIdealOps:
     def test_quotient_hand(self):
         R = ring("x,y")
         I = ideal(R, "x^2, x*y")
-        q = I.quotient(parse_polynomial("x", R))
+        q = quotient(I, parse_polynomial("x", R))
         assert q.groebner().polys == tuple(parse_ideal("y, x", R)) or set(map(str, q.groebner().polys)) == {"x", "y"}
 
     def test_quotient_by_ideal(self):
         R = ring("x,y")
         I = ideal(R, "x*y")
-        q = I.quotient(ideal(R, "y"))
+        q = quotient(I, ideal(R, "y"))
         assert [str(g) for g in q.groebner().polys] == ["x"]
 
     def test_saturate(self):
@@ -380,7 +460,7 @@ class TestIdealOps:
         I = ideal(R, "x^2*y, x*y^2")
         sat, steps = I.saturate(parse_polynomial("x", R))
         assert [str(g) for g in sat.groebner().polys] == ["y"]
-        assert steps == 2
+        assert steps == 1
 
     def test_saturate_already_saturated(self):
         R = ring("x,y")
@@ -419,6 +499,98 @@ class TestIdealOps:
         assert str(q) == "x" and str(r) == "y"
         with pytest.raises(ValueError):
             exact_div(parse_polynomial("x + 1", R), g)
+
+
+def irrelevant(R):
+    return Ideal(R, [R.var(i) for i in range(R.nvars)])
+
+
+# the ideal and the saturating ideal of each TestIdealOps hand case
+HAND_CASES = [
+    ("x^2, x*y", "y"),
+    ("x^2, x*y", "x"),
+    ("x*y", "y"),
+    ("x^2*y, x*y^2", "x"),
+    ("y", "x"),
+    ("x^2, x*y", "x, y"),
+]
+
+# homogeneous ideals of points in P^2: the TestRegularity inputs of
+# test_zerodim.py, the curve it rejects included
+REGULARITY_CASES = [
+    "x, y",
+    "y, x*(x - z)*(x - 2*z)",
+    "x^2 - y*z, y^2 - x*z",
+    "x^2, x*y, x*z, y^2, y*z",
+    "x",
+]
+
+# inputs in P^3: a point times the irrelevant ideal, the twisted cubic, x
+# times the twisted cubic, three coordinate points plus w^3
+P3_CASES = [
+    "x^2, x*y, x*z, x*w, y^2, y*z, y*w, z^2, z*w",
+    "x*z - y^2, x*w - y*z, y*w - z^2",
+    "x^2*z - x*y^2, x^2*w - x*y*z, x*y*w - x*z^2",
+    "x*y, x*z, y*z, w^3",
+]
+
+
+class TestSaturation:
+    """Ideal.saturate, one tag elimination per generator, against the
+    quotient loop it replaced."""
+
+    @pytest.mark.parametrize("itext,jtext", HAND_CASES)
+    def test_hand_cases(self, itext, jtext):
+        R = ring("x,y")
+        assert_saturates_like_the_loop(ideal(R, itext), ideal(R, jtext))
+
+    def test_random_over_f101(self):
+        R = ring("x,y,z", p=101)
+        rng = random.Random(7)
+        moved = 0
+        for _ in range(5):
+            A = Ideal(R, [random_poly(R, 2, rng), random_poly(R, 1, rng)])
+            g, h = random_poly(R, 1, rng), random_poly(R, 2, rng)
+            for I in (A, A * Ideal(R, [g * g]), A * Ideal(R, [g, h])):
+                for J in (g, Ideal(R, [g, h])):
+                    sat = assert_saturates_like_the_loop(I, J)
+                    moved += sat is not I
+        assert moved
+
+    @pytest.mark.parametrize("text", REGULARITY_CASES)
+    def test_regularity_inputs(self, text):
+        R = ring("x,y,z")
+        I = ideal(R, text)
+        sat = assert_saturates_like_the_loop(I, irrelevant(R))
+        want = hilbert_data(loop_saturate(I, irrelevant(R))[0])
+        assert hilbert_data(sat) == want
+
+    @pytest.mark.parametrize("text", P3_CASES)
+    def test_p3_inputs(self, text):
+        R = ring("x,y,z,w")
+        assert_saturates_like_the_loop(ideal(R, text), irrelevant(R))
+
+    def test_steps_flag_change(self):
+        R = ring("x,y")
+        I = ideal(R, "x*y")
+        sat, steps = I.saturate(ideal(R, "x"))
+        assert (steps, [str(f) for f in sat.groebner().polys]) == (1, ["y"])
+        same, steps = sat.saturate(ideal(R, "x"))
+        assert same is sat and steps == 0
+
+    def test_unit_leaves_the_ideal(self):
+        R = ring("x,y")
+        I = ideal(R, "x^2, x*y")
+        for J in (ideal(R, "3"), ideal(R, "x, 1"), R.poly({(0, 0): 5})):
+            sat, steps = I.saturate(J)
+            assert sat is I and steps == 0
+
+    def test_zero_raises(self):
+        R = ring("x,y")
+        I = ideal(R, "x*y")
+        for J in (R.poly({}), Ideal(R, []), Ideal(R, [R.poly({})])):
+            with pytest.raises(ValueError):
+                I.saturate(J)
 
 
 class TestDimension:

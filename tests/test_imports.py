@@ -1,11 +1,13 @@
 """No library module imports a name it never uses, and no private helper
-is defined without a reader.
+is defined without a reader, nor a public module-level function.
 
 No linter runs on this tree, so an import whose last reader went away in
 a refactor is caught here, from the source alone.  `__init__.py` is left
 out of the import check: its imports are the package's re-exports.  A
 `_private` function, class or method must be read somewhere in the
-package outside its own body; tests do not count as readers.  No nested
+package outside its own body; tests do not count as readers.  A public
+module-level function must be read in the package or in demos/, or be
+named in PUBLIC_WITHOUT_READER with its reason.  No nested
 function calls itself: such a closure holds itself through its cell, and
 every call leaves a cycle for the cycle collector.  The packed-monomial
 codec `_Enc` is named in `groebner.py` alone.
@@ -167,6 +169,61 @@ def test_no_dead_private_helpers():
     sources = {name: (SRC / name).read_text(encoding="utf-8")
                for name in sorted(p.name for p in SRC.glob("*.py"))}
     assert unread_private_definitions(sources) == []
+
+
+DEMOS = SRC.parents[1] / "demos"
+
+# public functions nothing in the package or demos/ reads, and why each stays
+PUBLIC_WITHOUT_READER = {
+    "kernel_intersection": "a layer the benchmark tracer wraps "
+                           "(perfbench/layers.py)",
+    "parse_polynomial": "library API for one polynomial; the tests use it",
+    "prop22_experiment": "library API; the tests exercise it",
+    "reg_vs_q_report": "library API; the tests exercise it",
+    "qbar": "library API, the intrinsic defect module; README and the "
+            "tests use it",
+    "tangent_data": "a layer the benchmark tracer wraps; library API the "
+                    "tests exercise",
+}
+
+
+def unread_public_functions(sources: dict, readers: list) -> list:
+    """(module, line, name) of each public module-level function of the
+    sources that neither they nor the reader sources read outside its own
+    body."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = sum((read_names(t) for t in [*trees.values(),
+                                        *map(ast.parse, readers)]),
+               Counter())
+    return sorted((name, node.lineno, node.name)
+                  for name, t in trees.items() for node in t.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_")
+                  and read[node.name] == read_names(node)[node.name])
+
+
+def test_public_checker_finds_dead_functions():
+    sources = {
+        "a.py": ("def used():\n    pass\n"
+                 "def dead():\n    pass\n"
+                 "def loop(n):\n    return n and loop(n - 1)\n"
+                 "def _private():\n    pass\n"
+                 "class Box:\n    def method(self):\n        pass\n"),
+        "b.py": "from .a import used, dead\nused()\n",
+    }
+    demo = "from qfiber.a import loop\nprint(loop(3))\n"
+    assert unread_public_functions(sources, []) == [
+        ("a.py", 3, "dead"), ("a.py", 5, "loop")]
+    assert unread_public_functions(sources, [demo]) == [("a.py", 3, "dead")]
+
+
+def test_no_dead_public_functions():
+    sources = {name: (SRC / name).read_text(encoding="utf-8")
+               for name in sorted(p.name for p in SRC.glob("*.py"))}
+    demos = [p.read_text(encoding="utf-8")
+             for p in sorted(DEMOS.glob("*.py"))]
+    unread = {name for _, _, name in unread_public_functions(sources, demos)}
+    assert unread == set(PUBLIC_WITHOUT_READER)
 
 
 def self_referencing_closures(source: str) -> list:

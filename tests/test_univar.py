@@ -54,8 +54,9 @@ class TestArithmetic:
         assert h == [pow(5, 77, 101)]
 
     def test_eval(self):
+        # the remainder of f by x - a is f(a)
         f = [3, 0, 1]  # x^2 + 3
-        assert uv.eval_at(f, 10, P) == 103
+        assert uv.mod_poly(f, [(-10) % P, 1], P) == [103]
 
 
 class TestFactor:

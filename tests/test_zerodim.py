@@ -26,6 +26,14 @@ from qfiber.zerodim import (
 P = 32003
 
 
+def horner(f, a, p):
+    """f(a) mod p for a coefficient list f, lowest degree first."""
+    out = 0
+    for c in reversed(f):
+        out = (out * a + c) % p
+    return out
+
+
 def ring(names="x,y", p=P):
     return PolyRing(FieldSpec(p), tuple(names.split(",")))
 
@@ -318,9 +326,9 @@ class TestSemisimple:
         h = semisimple_poly(mp, P)
         # h(3) = 3 and h(5) = 5, and h'(...) kills the nilpotent direction:
         # (h(T) - 3) must be divisible by (T-3)^2 after subtracting
-        assert uv.eval_at(h, 3, P) == 3
-        assert uv.eval_at(h, 5, P) == 5
-        assert uv.eval_at(uv.derivative(h, P), 3, P) == 0
+        assert horner(h, 3, P) == 3
+        assert horner(h, 5, P) == 5
+        assert horner(uv.derivative(h, P), 3, P) == 0
 
     @staticmethod
     def nilpotent_part(A):
