@@ -15,8 +15,11 @@ image of the f-parts of the syzygies of (f, h).  They come from replaying
 the trace of a basis run over f and h, which for the conormal modules and
 the tangent space is a run already cached (that of I itself, or of I_Y),
 on cofactors kept as (g x d) arrays in the coordinates of R/I, shifted by
-the algebra's memoised monomial matrices.  No basis of a squared ideal is
-built.  After that all is numpy on int64 residues.
+the algebra's memoised monomial matrices.  The replay is batched: one pair
+of matrix products per entry that adds an element, and one pair per
+distinct shift for all the sums that reach zero.  No basis of a squared
+ideal is built.  After that all is numpy on int64 residues, with every
+product through linalg.mat_mul.
 
 A conormal module is kept as its relation space K alone (dim M = g*d -
 dim K).  Every Hom into the algebra is read off a relation map: the dual
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -196,25 +199,70 @@ def _relation_space(f, ideal: Ideal, alg: ArtinianAlgebra) -> np.ndarray:
         raise ValueError("f is not a run of generators of the ideal")
     units = np.zeros((len(gens), g, d), dtype=np.int64)
     units[at + np.arange(g), np.arange(g)] = alg.one
-    syz = _replay(ideal.groebner(), units, p,
-                  lambda q, v: mat_mul(v, alg.monomial_matrix(q).T, p))
-    return _submodule(np.array(syz, dtype=np.int64).reshape(len(syz), g * d),
+    return _submodule(_replay(ideal.groebner(), units, alg.monomial_matrix, p),
                       alg)[0]
 
 
-def _replay(gb, units, p: int, shift) -> list:
-    """The syzygies of gb's basis run, replayed on the unit cofactors.
+# rows x columns of one product of the deferred replay sums
+_REPLAY_CELLS = 1 << 16
 
-    A combination groups its parts c * x^q * v by the shift q and hands
-    each sum v to shift(q, v), the action of x^q on a cofactor.
+
+def _coefficients(coeffs, a, b, p: int):
+    """The distinct keys of a and of b, in order of first use, and the
+    (a x b) matrix of the coefficients summed over equal key pairs."""
+    ka, kb = {}, {}
+    at = ([ka.setdefault(x, len(ka)) for x in a],
+          [kb.setdefault(x, len(kb)) for x in b])
+    C = np.zeros((len(ka), len(kb)), dtype=np.int64)
+    np.add.at(C, at, coeffs)
+    return list(ka), list(kb), np.mod(C, p)
+
+
+def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
+    """The sums of gb's basis run that reached zero, replayed on the unit
+    cofactors: one row of k^(g*d) each.
+
+    units[k] is the (g x d) cofactor of the k-th generator and shift(q) the
+    (d x d) matrix of x^q on the d columns, so x^q acts on a cofactor v as
+    v @ shift(q).T.  An adding entry is one product of its (shift x source)
+    coefficients with the stacked cofactors of its sources, then one of the
+    results, side by side, with the stacked transposed shift matrices.  The
+    sums that reach zero feed no later entry, so they are taken last and
+    together: per distinct shift, one product shifts the cofactors of the
+    sources it meets, and one more, in chunks of rows that keep the
+    temporaries small, sums them with the (sum x source) coefficients.
     """
-    def combine(parts):
-        by_shift: dict = {}
-        for c, q, v in parts:
-            by_shift[q] = (by_shift.get(q, 0) + c * v) % p
-        return sum(shift(q, v) for q, v in by_shift.items()) % p
-
-    return gb.syzygies(units, combine)
+    n, g, d = units.shape
+    shifts, entries = gb.replay_trace()
+    mats = [shift(q).T for q in shifts]
+    vals = np.zeros((n + sum(e[0] for e in entries), g * d), dtype=np.int64)
+    vals[:n] = units.reshape(n, g * d)
+    t = n
+    for adds, coeffs, qs, srcs in entries:
+        if adds:
+            qs, srcs, C = _coefficients(coeffs, qs, srcs, p)
+            W = mat_mul(C, vals[srcs], p).reshape(len(qs), g, d)
+            W = W.transpose(1, 0, 2).reshape(g, len(qs) * d)
+            vals[t] = mat_mul(W, np.concatenate([mats[q] for q in qs]),
+                              p).reshape(g * d)
+            t += 1
+    zero = [e for e in entries if not e[0]]
+    rows = np.repeat(np.arange(len(zero)), [len(e[1]) for e in zero])
+    coeffs, qs, srcs = (np.array(list(chain.from_iterable(e[k] for e in zero)),
+                                 dtype=np.int64) for k in (1, 2, 3))
+    out = np.zeros((len(zero), g * d), dtype=np.int64)
+    step = max(1, _REPLAY_CELLS // (g * d or 1))
+    for q, Mt in enumerate(mats):
+        at = np.flatnonzero(qs == q)
+        if not at.size:
+            continue
+        sums, used, C = _coefficients(coeffs[at].tolist(), rows[at].tolist(),
+                                      srcs[at].tolist(), p)
+        S = mat_mul(vals[used].reshape(-1, d), Mt, p).reshape(len(used),
+                                                             g * d)
+        for lo in range(0, len(sums), step):
+            out[sums[lo:lo + step]] += mat_mul(C[lo:lo + step], S, p)
+    return np.mod(out, p)
 
 
 def _block_apply(X: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
@@ -237,7 +285,8 @@ def _submodule(rows: np.ndarray, alg: ArtinianAlgebra):
     while new.shape[0]:
         cand = np.vstack([_block_apply(X, new, p) for X in acts])
         if piv:
-            cand = np.mod(cand - mat_mul(cand[:, piv], R, p), p)
+            cand -= mat_mul(cand[:, piv], R, p)
+            np.mod(cand, p, out=cand)
         new, piv_new = rref(cand, p)
         new = new[:len(piv_new)]
         if piv_new:
@@ -514,8 +563,9 @@ def minimal_generators(alg: ArtinianAlgebra) -> list:
     polys = ideal.groebner().polys
     run = (ideal if ideal.gens == polys else Ideal(alg.ring, polys)).groebner()
     g, p = len(polys), alg.p
-    k0 = _replay(run, identity(g), p, lambda q, v: 0 * v if any(q) else v)
-    _, piv = rref(np.array(k0, dtype=np.int64).reshape(len(k0), g)[:, ::-1], p)
+    k0 = _replay(run, identity(g).reshape(g, g, 1),
+                 lambda q: np.array([[0 if any(q) else 1]]), p)
+    _, piv = rref(k0[:, ::-1], p)
     dropped = {g - 1 - j for j in piv}
     kept = [f for j, f in enumerate(polys) if j not in dropped]
     if len(kept) != _koszul_mu(alg):

@@ -23,10 +23,17 @@ replaced by an empty one whenever a repack re-encodes the monomials.
 
 Every run keeps its trace, the multiples c * x^q of inputs and earlier
 elements that each input and S-pair summed (Traverso's Groebner trace,
-ISSAC 1988).  GroebnerBasis.syzygies replays it, spending no S-pairs, on
-cofactors in the caller's own format; by Schreyer's theorem the sums that
-reached zero generate the syzygies modulo the ideal (Eisenbud, Commutative
+ISSAC 1988).  GroebnerBasis.replay_trace hands it out on exponent tuples,
+the one reader of the packed trace, for a caller to replay on cofactors of
+its own, spending no S-pairs; by Schreyer's theorem the sums that reached
+zero generate the syzygies modulo the ideal (Eisenbud, Commutative
 Algebra, Thm 15.10; the Gebauer-Moller criteria keep a generating set).
+
+A zero-dimensional basis also gives its quotient algebra on packed
+monomials: standard_monomials walks them with the reducer's guard-bit
+divisibility test, and border_columns reduces each border monomial x_v * m
+packed, with no Polynomial built, into the columns of the multiplication
+matrices, as plain (index, coefficient) lists.
 """
 
 from __future__ import annotations
@@ -433,49 +440,118 @@ class GroebnerBasis:
     def is_trivial(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].degree() == 0
 
+    def _widen(self):
+        """Re-encode the basis with fields twice as wide, after a _Repack."""
+        enc = _Enc(self.ring.nvars, self.ring.order, self._enc.B * 2)
+        self._enc = enc
+        self._engine = [(t[0][0], t[0][1], t[1:])
+                        for t in (enc.encode_poly(g) for g in self.polys)]
+        # memo keys are packed under the old field width
+        self._memo = {}
+
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         if not f.terms or not self.polys:
             return f
-        enc = self._enc
         while True:
+            enc = self._enc
             try:
                 terms = enc.encode_poly(f)
                 red = _nf_terms(terms, self._engine, enc, self.ring.p,
                                 self._memo, None)
                 return enc.decode_poly(red, self.ring)
             except _Repack:
-                enc = _Enc(self.ring.nvars, self.ring.order, enc.B * 2)
-                self._enc = enc
-                self._engine = [
-                    (t[0][0], t[0][1], t[1:])
-                    for t in (enc.encode_poly(g) for g in self.polys)
-                ]
-                # memo keys are packed under the old field width
-                self._memo = {}
+                self._widen()
 
     def reduces_to_zero(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
-    def syzygies(self, cofs, combine) -> list:
-        """Replay the run that built the basis on the caller's cofactors.
+    def standard_monomials(self) -> tuple:
+        """The monomials no leading term divides, ascending in the ring's
+        order, for a zero-dimensional ideal.
 
-        cofs[k] stands for the k-th nonzero generator the basis was built
-        from; combine(parts) returns the sum of c * x^q * v over its parts
-        (c, q, v), q an exponent tuple and v a cofactor.  Returns the
-        cofactors of the sums that reached zero: on unit cofactors, these
-        and the vectors with entries in the ideal generate the syzygies.
+        A breadth-first walk on packed monomials from 1: m * x_v joins when
+        no leading term divides it, tested on the guard bits as the reducer
+        does.  A leading term dividing m * x_v but not the standard m holds
+        x_v, so only those are tried.  Every exponent stays below that of
+        the pure power of its variable among the leading terms, so nothing
+        overflows its field.
+        """
+        enc = self._enc
+        gmask, mask = enc.gmask, (1 << enc.B) - 1
+        units = [1 << s for s in enc._shifts]
+        holding = [[t[1] for t in self._engine if (t[1] >> s) & mask]
+                   for s in enc._shifts]
+        walk = [0]
+        seen = {0}
+        for m in walk:
+            for u, lts in zip(units, holding):
+                mm = m + u
+                if mm in seen or any(((mm | gmask) - lt) & gmask == gmask
+                                     for lt in lts):
+                    continue
+                seen.add(mm)
+                walk.append(mm)
+        walk.sort(key=enc.key)
+        return tuple(enc.unpack(m) for m in walk)
+
+    def border_columns(self, std) -> list:
+        """Columns of the multiplication matrices of the variables on the
+        standard monomials std: out[v][j] lists (i, c) for the normal form
+        sum c * std[i] of x_v * std[j].
+
+        Each border monomial is reduced packed, with no polynomial built;
+        its key is the sum of the keys of its factors.  A field overflow
+        widens the codec as normal_form does.
+        """
+        p = self.ring.p
+        while True:
+            enc = self._enc
+            try:
+                packed = [enc.pack(m) for m in std]
+                keys = [enc.key(m) for m in packed]
+                index = {m: i for i, m in enumerate(packed)}
+                out = []
+                for u in (1 << s for s in enc._shifts):
+                    uk = enc.key(u)
+                    cols = []
+                    for m, k in zip(packed, keys):
+                        hit = index.get(m + u)
+                        if hit is not None:
+                            cols.append([(hit, 1)])
+                            continue
+                        red = _nf_terms([(k + uk, m + u, 1)], self._engine,
+                                        enc, p, self._memo, None)
+                        cols.append([(index[r], c) for _, r, c in red])
+                    out.append(cols)
+                return out
+            except _Repack:
+                self._widen()
+
+    def replay_trace(self) -> tuple:
+        """The trace of the run that built the basis, on exponent tuples.
+
+        Returns (shifts, entries): shifts lists the distinct exponents the
+        run shifted by, and entries holds one (adds, coeffs, qs, srcs) per
+        nonzero input and S-pair, in run order.  Term k of an entry stands
+        for coeffs[k] * x^shifts[qs[k]] times source srcs[k], where sources
+        0..n-1 are the n nonzero generators the basis was built from and
+        source n + t is the element the t-th adding entry made.  The terms
+        of an adding entry sum to its element; those of any other entry sum
+        to zero.  So on unit cofactors the sums of the entries that do not
+        add, with the vectors with entries in the ideal, generate the
+        syzygies of the generators.
         """
         enc, trace = self._trace
         p = self.ring.p
-        unpack = lru_cache(maxsize=None)(enc.unpack)
-        vals, out = list(cofs), []
-        for scale, terms in trace:
-            parts = [(c * (scale or 1) % p, unpack(q), vals[src])
-                     for c, q, src in terms]
-            (vals if scale else out).append(combine(parts))
-        return out
+        ids: dict = {}
+        entries = [(bool(scale), [c * scale % p for c, _, _ in terms]
+                    if scale else [c for c, _, _ in terms],
+                    [ids.setdefault(q, len(ids)) for _, q, _ in terms],
+                    [src for _, _, src in terms])
+                   for scale, terms in trace]
+        return [enc.unpack(q) for q in ids], entries
 
 
 def _run(ring: PolyRing, gens):

@@ -1,8 +1,11 @@
 """Exact linear algebra over F_p on numpy int64 arrays.
 
-Coefficients are residues in [0, p).  Matrix products are chunked along the
-contraction axis whenever k * (p-1)^2 could overflow int64, so any prime
-accepted by FieldSpec is safe.
+Coefficients are residues in [0, p).  This module holds every matrix
+product of the package, all through mat_mul.  A product whose contraction
+length k keeps k * (p-1)^2 below 2^53 runs in float64 BLAS, where every
+integer below 2^53 is exact; one above it runs on int64, chunked along the
+contraction axis so that k * (p-1)^2 stays below 2^62, so any prime
+accepted by FieldSpec (below 2^31) is safe.
 """
 
 from __future__ import annotations
@@ -22,17 +25,37 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+# output cells per block of a float64 product, which bounds its temporaries
+_BLOCK_CELLS = 1 << 16
+
+
 def mat_mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """(A @ B) mod p without int64 overflow."""
+    """(A @ B) mod p, exact for entries in (-p, p).
+
+    Every partial sum is an integer of absolute value at most k * (p-1)^2
+    for the contraction length k.  Below 2^53 the float64 product is
+    exact; it runs in blocks of rows, each cast into the int64 result and
+    reduced there.  Otherwise int64 partial sums over chunks of the
+    contraction axis stay below 2^62.
+    """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     k = A.shape[-1]
+    shape = A.shape[:-1] + B.shape[1:]
     if k == 0:
-        return np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
-    chunk = max(1, int((1 << 62) // ((p - 1) * (p - 1))))
-    if k <= chunk:
-        return np.mod(A @ B, p)
-    out = np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
+        return np.zeros(shape, dtype=np.int64)
+    if k * (p - 1) ** 2 < 1 << 53:
+        rows, Bf = A.reshape(-1, k), B.astype(np.float64)
+        step = max(1, _BLOCK_CELLS // max(1, Bf[0].size))
+        if rows.shape[0] <= step:
+            out = (rows.astype(np.float64) @ Bf).astype(np.int64)
+        else:
+            out = np.empty((rows.shape[0],) + B.shape[1:], dtype=np.int64)
+            for s in range(0, rows.shape[0], step):
+                out[s:s + step] = rows[s:s + step].astype(np.float64) @ Bf
+        return np.mod(out, p, out=out).reshape(shape)
+    chunk = max(1, (1 << 62) // ((p - 1) * (p - 1)))
+    out = np.zeros(shape, dtype=np.int64)
     for s in range(0, k, chunk):
         out = np.mod(out + A[..., s:s + chunk] @ B[s:s + chunk], p)
     return out
@@ -44,7 +67,7 @@ def rref(A, p: int):
     Returns (R, pivots) where R is fully reduced with monic pivots and
     pivots lists the pivot column of each nonzero row, in order.
     """
-    A = as_mod_array(A, p).copy()
+    A = as_mod_array(A, p)  # np.mod returns a fresh array
     m, n = A.shape
     pivots = []
     r = 0

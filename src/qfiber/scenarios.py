@@ -608,7 +608,7 @@ def secant_through_point(scen: CISecantScenario) -> SecantCheck:
                 tuple(pt), nonempty, None, None, trial + 1, nonempty,
                 "no rational direction; existence holds over the closure")
             continue
-        q = [int(x) for x in (M @ np.concatenate([[0], v])) % p]
+        q = [int(x) for x in mat_mul(M, np.concatenate([[0], v]), p)]
         dim, degree = _line_degree(_restrict(scen.gens, pt, q), l, p)
         deg = degree if dim == 1 else None
         return SecantCheck(tuple(pt), nonempty,

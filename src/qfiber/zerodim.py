@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import univar as uv
-from .algebra import Polynomial, mono_divides
+from .algebra import Polynomial
 from .groebner import Ideal, hilbert_data
 from .linalg import identity, mat_mul, rank, rref
 from .rng import Stream
@@ -53,24 +53,12 @@ class ArtinianAlgebra:
         kept on the ideal beside its Groebner basis."""
         if ideal._alg is not None:
             return ideal._alg
-        ring = ideal.ring
         gb = ideal.groebner()
         if gb.is_trivial():
             raise ValueError("the quotient by the unit ideal is zero")
         if not ideal.is_zero_dimensional():
             raise ValueError("quotient is not finite-dimensional")
-        lms = gb.leading_monomials()
-        # breadth-first walk of the standard monomials
-        walk = [(0,) * ring.nvars]
-        seen = set(walk)
-        for m in walk:
-            for v in range(ring.nvars):
-                mm = m[:v] + (m[v] + 1,) + m[v + 1:]
-                if mm in seen or any(mono_divides(l, mm) for l in lms):
-                    continue
-                seen.add(mm)
-                walk.append(mm)
-        ideal._alg = cls(ideal, sorted(walk, key=ring.order.key))
+        ideal._alg = cls(ideal, gb.standard_monomials())
         return ideal._alg
 
     @property
@@ -117,18 +105,13 @@ class ArtinianAlgebra:
         return self.actions()[v]
 
     def _build_actions(self) -> list:
-        ring = self.ring
         d = self.dim
         out = []
-        for v in range(ring.nvars):
+        for cols in self._gb.border_columns(self.std):
             X = np.zeros((d, d), dtype=np.int64)
-            for j, m in enumerate(self.std):
-                mm = m[:v] + (m[v] + 1,) + m[v + 1:]
-                hit = self._index.get(mm)
-                if hit is not None:
-                    X[hit, j] = 1
-                else:
-                    X[:, j] = self.coords(ring.monomial(mm))
+            at = np.array([(i, j, c) for j, col in enumerate(cols)
+                           for i, c in col], dtype=np.int64).reshape(-1, 3)
+            X[at[:, 0], at[:, 1]] = at[:, 2]
             out.append(X)
         return out
 

@@ -114,7 +114,7 @@ def test_01_reference_table(capsys):
     _verdict(capsys, 1,
              "table n=2..6 exact over seeds 0,1,2, n=7 and n=8 at seed 0",
              problems, f"17 rows, slowest {worst:.2f}s; n=7 takes about "
-             "4 s and n=8 about 20 s on a 2-core host")
+             "0.5 s and n=8 about 2 s on a 2-core host")
 
 
 # criterion 2: the excess model where the defect beats deg Z times c

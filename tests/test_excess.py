@@ -27,7 +27,9 @@ from qfiber.excess import (
     _defect_report,
     _koszul_mu,
     _relation_space,
+    _replay,
     _REPORT_SEED,
+    _submodule,
 )
 from qfiber import groebner as gb_module
 from qfiber import zerodim
@@ -1020,6 +1022,122 @@ class TestMinimalGenerators:
         monkeypatch.setattr(excess, "_koszul_mu", lambda alg: 5)
         with pytest.raises(RuntimeError, match="Koszul"):
             minimal_generators(alg)
+
+
+# --- the per-term replay the batched one replaced, kept as its oracle
+
+
+def per_term_replay(gb, units, shift, p):
+    """Each sum of gb's run replayed term by term: its parts c * x^q * v
+    grouped by shift, each group acted on by shift(q), the sums that
+    reached zero returned in run order, one row each."""
+    shifts, entries = gb.replay_trace()
+    vals, out = list(units), []
+    for adds, coeffs, qs, srcs in entries:
+        by_shift: dict = {}
+        for c, q, src in zip(coeffs, qs, srcs):
+            by_shift[q] = (by_shift.get(q, 0) + c * vals[src]) % p
+        total = sum(mat_mul(v, shift(shifts[q]).T, p)
+                    for q, v in by_shift.items()) % p
+        (vals if adds else out).append(total)
+    width = np.prod(units.shape[1:], dtype=int)
+    return np.array(out, dtype=np.int64).reshape(len(out), width)
+
+
+def unit_cofactors(f, ideal, alg):
+    gens, g = ideal.gens, len(f)
+    at = gens.index(f[0])
+    units = np.zeros((len(gens), g, alg.dim), dtype=np.int64)
+    units[at + np.arange(g), np.arange(g)] = alg.one
+    return units
+
+
+def assert_replays_as_oracle(f, ideal, alg):
+    """The batched replay against the per-term one, row for row, and the
+    relation space against the span of the per-term rows."""
+    units = unit_cofactors(f, ideal, alg)
+    gb = ideal.groebner()
+    want = per_term_replay(gb, units, alg.monomial_matrix, alg.p)
+    assert np.array_equal(_replay(gb, units, alg.monomial_matrix, alg.p),
+                          want)
+    assert np.array_equal(_relation_space(f, ideal, alg),
+                          _submodule(want, alg)[0])
+    return want
+
+
+def zero_entries(ideal):
+    return [e for e in ideal.groebner().replay_trace()[1] if not e[0]]
+
+
+def per_term_minimal_generators(alg):
+    """minimal_generators on the per-term replay of the constant terms."""
+    polys = alg.ideal.groebner().polys
+    g = len(polys)
+    k0 = per_term_replay(Ideal(alg.ring, polys).groebner(),
+                         identity(g).reshape(g, g, 1),
+                         lambda q: np.array([[0 if any(q) else 1]]), alg.p)
+    _, piv = rref(k0[:, ::-1], alg.p)
+    dropped = {g - 1 - j for j in piv}
+    return [f for j, f in enumerate(polys) if j not in dropped]
+
+
+class TestBatchedReplay:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_graph_small_side(self, n, seed):
+        s = gen_quadric_graph(n, Seed(seed))
+        assert_replays_as_oracle(s.I_Y.gens, s.Z.ideal, s.Z)
+
+    @pytest.mark.parametrize("make", [gen_EI_model, gen_fatpoint_model])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ei_and_fat_point(self, make, seed):
+        s = make(Seed(seed))
+        assert_replays_as_oracle(s.I_Y.gens, s.Z.ideal, s.Z)
+
+    @pytest.mark.parametrize("make", [axes_on_line, plane_holds_points])
+    def test_both_sides_of_non_ci(self, make):
+        s = make()
+        assert_replays_as_oracle(s.I_Y.gens, s.I_Y, s.Z)
+        assert_replays_as_oracle(s.I_Y.gens, s.Z.ideal, s.Z)
+
+    @pytest.mark.parametrize("idx", range(4))
+    def test_affine_pairs(self, idx):
+        L, I, modulus = affine_cases()[idx]
+        extra = Ideal(I.ring, []) if modulus is None else modulus
+        alg = ArtinianAlgebra.from_ideal(I + L + extra)
+        assert_replays_as_oracle(I.gens, I + extra, alg)
+        assert_replays_as_oracle(I.gens, alg.ideal, alg)
+
+    def test_no_zero_entries(self):
+        # coprime leading terms: the one pair is never formed, so no sum
+        # reaches zero and the relation space is zero, as I^2 says
+        I = idl(ring(), "x^2, y^3")
+        alg = ArtinianAlgebra.from_ideal(I)
+        assert zero_entries(I) == []
+        assert assert_replays_as_oracle(I.gens, I, alg).shape == (0,
+                                                                  2 * alg.dim)
+        assert _relation_space(I.gens, I, alg).shape[0] == 0
+        assert spanning_kernel(I.gens, I.power(2), alg).shape[0] == 0
+
+    def test_only_zero_entry_is_a_duplicate_input(self):
+        R = ring()
+        I = Ideal(R, parse_ideal("x^2, y^3, x^2", R))
+        alg = ArtinianAlgebra.from_ideal(I)
+        assert len(zero_entries(I)) == 1
+        rows = assert_replays_as_oracle(I.gens, I, alg)
+        # the syzygy e_1 - e_3 of x^2 - x^2 = 0, on the unit of the algebra
+        d = alg.dim
+        want = np.zeros((1, 3 * d), dtype=np.int64)
+        want[0, :d], want[0, 2 * d:] = alg.one, (P - alg.one) % P
+        assert np.array_equal(rows * pow(int(rows[0, 0]), P - 2, P) % P,
+                              want)
+        assert np.array_equal(_relation_space(I.gens, I, alg), rref_rows(
+            spanning_kernel(I.gens, I.power(2), alg)))
+
+    @pytest.mark.parametrize("case", sorted(MU_CASES))
+    def test_minimal_generators(self, case):
+        alg = ArtinianAlgebra.from_ideal(local_ideal(case))
+        assert minimal_generators(alg) == per_term_minimal_generators(alg)
 
 
 class TestAffinePairs:

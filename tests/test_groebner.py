@@ -268,21 +268,21 @@ class TestPairBudget:
 
 
 def replayed(gb, gens):
-    """The cofactors gb.syzygies replays on the unit vectors of the
-    generators gb was built from, kept as tuples of polynomials: exact
-    syzygies in R."""
+    """The cofactors of the sums gb.replay_trace says reached zero, replayed
+    on the unit vectors of the generators gb was built from and kept as
+    tuples of polynomials: exact syzygies in R."""
     R, n = gb.ring, len(gens)
-    units = [tuple(R.one() if i == k else R.zero() for i in range(n))
-             for k in range(n)]
-
-    def combine(parts):
-        out = [R.zero()] * n
-        for c, q, v in parts:
-            m = R.monomial(q, c)
-            out = [a + m * b for a, b in zip(out, v)]
-        return tuple(out)
-
-    return gb.syzygies(units, combine)
+    vals = [tuple(R.one() if i == k else R.zero() for i in range(n))
+            for k in range(n)]
+    shifts, entries = gb.replay_trace()
+    out = []
+    for adds, coeffs, qs, srcs in entries:
+        total = [R.zero()] * n
+        for c, q, src in zip(coeffs, qs, srcs):
+            m = R.monomial(shifts[q], c)
+            total = [a + m * b for a, b in zip(total, vals[src])]
+        (vals if adds else out).append(tuple(total))
+    return out
 
 
 def assert_exact(R, gens, found):

@@ -10,7 +10,8 @@ module-level function must be read in the package or in demos/, or be
 named in PUBLIC_WITHOUT_READER with its reason.  No nested
 function calls itself: such a closure holds itself through its cell, and
 every call leaves a cycle for the cycle collector.  The packed-monomial
-codec `_Enc` is named in `groebner.py` alone.
+codec `_Enc` is named in `groebner.py` alone, and every matrix product is
+written in `linalg.py` alone, where mat_mul keeps it exact.
 """
 
 import ast
@@ -280,3 +281,38 @@ def test_packed_codec_stays_in_groebner():
     naming = [p.name for p in sorted(SRC.glob("*.py"))
               if "_Enc" in named(ast.parse(p.read_text(encoding="utf-8")))]
     assert naming == ["groebner.py"]
+
+
+def matrix_products(source: str) -> list:
+    """(line, form) of each matrix product the source writes itself: the @
+    operator, and dot, matmul or einsum, as a function or a method."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            out.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in PRODUCTS:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in PRODUCTS:
+            out.append((node.lineno, node.id))
+    return sorted(out)
+
+
+PRODUCTS = ("dot", "matmul", "einsum")
+
+
+def test_product_checker_finds_products():
+    source = ("import numpy as np\nfrom numpy import einsum\n"
+              "a = np.eye(2) @ np.eye(2)\nb = np.dot(a, a)\n"
+              "c = a.dot(a)\nd = np.matmul(a, a)\ne = einsum('ij', a)\n"
+              "a @= b\nf = a * b\n")
+    assert matrix_products(source) == [
+        (3, "@"), (4, "dot"), (5, "dot"), (6, "matmul"), (7, "einsum"),
+        (8, "@")]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "linalg.py"])
+def test_products_only_in_linalg(name):
+    # float64 and int64 products are exact only within mat_mul's bounds
+    source = (SRC / name).read_text(encoding="utf-8")
+    assert matrix_products(source) == []

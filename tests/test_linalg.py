@@ -129,6 +129,24 @@ class TestMatMul:
         assert mat_mul(A, A, p).tolist() == want
 
 
+    def test_route_at_the_float_bound(self):
+        # p - 1 just below 2^26: two products of residues sum below 2^53,
+        # exact in float64, and three may not, so k = 3 must take the int64
+        # route; the plain float64 product shows the difference
+        p = 67108859  # the largest prime below 2^26
+        assert 2 * (p - 1) ** 2 < 1 << 53 <= 3 * (p - 1) ** 2
+        rng = random.Random(26)
+        for k in (2, 3):
+            rows = [[p - 2] * k] + [[rng.randrange(p) for _ in range(k)]
+                                    for _ in range(3)]
+            A = np.array(rows, dtype=np.int64)
+            want = [[sum(int(a) * int(b) for a, b in zip(r, c)) % p
+                     for c in A] for r in A]
+            assert mat_mul(A, A.T, p).tolist() == want
+        top = np.full((1, 3), p - 2, dtype=np.float64)
+        assert int((top @ top.T)[0, 0]) % p != want[0][0]
+
+
 class TestKernelIntersection:
     def test_matches_stacked(self):
         rng = random.Random(29)

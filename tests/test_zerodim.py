@@ -1,17 +1,20 @@
 """Artinian algebras: bases, actions, local splitting, tangent invariants."""
 
 import gc
+import random
 import weakref
 
 import numpy as np
 import pytest
 
-from qfiber.algebra import FieldSpec, PolyRing
+from qfiber.algebra import (LEX, FieldSpec, PolyRing, block_order,
+                            mono_divides)
 from qfiber.groebner import Ideal
 from qfiber.linalg import mat_mul, rank
-from qfiber.parser import parse_ideal, parse_polynomial
+from qfiber.parser import parse_ideal, parse_polynomial, parse_session
 from qfiber.rng import Stream
-from qfiber.scenarios import Seed, gen_fatpoint_model, gen_quadric_graph
+from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
+                              gen_quadric_graph, scenario_text)
 from qfiber.zerodim import (
     ArtinianAlgebra,
     _eval_matrix_poly,
@@ -128,6 +131,136 @@ class TestAlgebra:
             got = [sum(c * int(Mj[a, b]) for c, Mj in zip(vec, M)) % p
                    for a in range(A.dim)]
             assert got == A.coords(f * A.ring.monomial(q)).tolist()
+
+
+# --- the build on exponent tuples and Polynomial normal forms, kept as the
+# oracle of the packed walk and the border columns
+
+
+def walked_std(ideal):
+    """Standard monomials by a breadth-first walk on exponent tuples, each
+    candidate tested against every leading monomial, sorted in the ring's
+    order."""
+    ring = ideal.ring
+    lms = ideal.groebner().leading_monomials()
+    walk = [(0,) * ring.nvars]
+    seen = set(walk)
+    for m in walk:
+        for v in range(ring.nvars):
+            mm = m[:v] + (m[v] + 1,) + m[v + 1:]
+            if mm in seen or any(mono_divides(lm, mm) for lm in lms):
+                continue
+            seen.add(mm)
+            walk.append(mm)
+    return tuple(sorted(walk, key=ring.order.key))
+
+
+def coords_actions(A):
+    """The action matrices column by column: a unit column where x_v * m is
+    standard, else the coordinates of its Polynomial normal form."""
+    ring, d = A.ring, A.dim
+    index = {m: i for i, m in enumerate(A.std)}
+    out = []
+    for v in range(ring.nvars):
+        X = np.zeros((d, d), dtype=np.int64)
+        for j, m in enumerate(A.std):
+            mm = m[:v] + (m[v] + 1,) + m[v + 1:]
+            hit = index.get(mm)
+            if hit is not None:
+                X[hit, j] = 1
+            else:
+                X[:, j] = A.coords(ring.monomial(mm))
+        out.append(X)
+    return out
+
+
+def assert_built_as_oracle(A):
+    assert A.std == walked_std(A.ideal)
+    got = A.actions()
+    assert len(got) == A.nvars
+    for X, Y in zip(got, coords_actions(A)):
+        assert X.dtype == Y.dtype and np.array_equal(X, Y)
+
+
+FIXED_SESSIONS = {
+    "two_points": "ring R = Fp(32003)[x, y], grevlex;\n"
+                  "ideal X = y, x^2 - 1;\nideal Y = y;\n",
+    "line_meets_axes": "ring R = Fp(32003)[x, y, z], grevlex;\n"
+                       "ideal X = z, x + y - 1;\nideal Y = x*y, y*z, x*z;\n",
+    "plane_holds_points": "ring R = Fp(32003)[x, y, z], grevlex;\n"
+                          "ideal X = z;\nideal Y = x^2 - x, y^2, x*y, z;\n",
+}
+
+
+def session_algebra(text):
+    """The algebra of X + Y of a compute session."""
+    ring, ideals, _ = parse_session(text)
+    return ArtinianAlgebra.from_ideal(Ideal(ring, ideals["X"] + ideals["Y"]))
+
+
+# the six sessions of the benchmark's compute workload
+SESSIONS = {
+    "graph3": lambda: scenario_text(gen_quadric_graph(3, Seed(0))),
+    "graph4": lambda: scenario_text(gen_quadric_graph(4, Seed(0))),
+    "fatpoint": lambda: scenario_text(gen_fatpoint_model(Seed(0))),
+    **{name: (lambda text=text: text) for name, text in FIXED_SESSIONS.items()},
+}
+
+
+def random_zero_dim(rng, p=101):
+    """A zero-dimensional ideal over F_p: a pure power of each variable and
+    two random polynomials, in one of three orders."""
+    names = "x,y,z"[:2 * rng.randrange(2, 4) - 1]
+    order = rng.choice([None, LEX, block_order(1)])
+    R = PolyRing(FieldSpec(p), tuple(names.split(",")),
+                 *(() if order is None else (order,)))
+    n = R.nvars
+    gens = [R.monomial(tuple(rng.randrange(2, 5) * (i == v) for i in range(n)))
+            for v in range(n)]
+    for _ in range(2):
+        terms = {tuple(rng.randrange(4) for _ in range(n)): rng.randrange(1, p)
+                 for _ in range(rng.randrange(2, 6))}
+        gens.append(R.poly(terms))
+    return Ideal(R, gens)
+
+
+class TestPackedBuild:
+    """std and the actions against the build on tuples and coords."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_graph_charts(self, n):
+        assert_built_as_oracle(ArtinianAlgebra.from_ideal(
+            gen_quadric_graph(n, Seed(0)).chart_ideal))
+
+    @pytest.mark.parametrize("make", [gen_EI_model, gen_fatpoint_model])
+    def test_ei_and_fat_point(self, make):
+        assert_built_as_oracle(make(Seed(0)).Z)
+
+    @pytest.mark.parametrize("name", sorted(SESSIONS))
+    def test_compute_sessions(self, name):
+        assert_built_as_oracle(session_algebra(SESSIONS[name]()))
+
+    def test_random_ideals(self):
+        rng = random.Random(101)
+        built = 0
+        for _ in range(60):
+            I = random_zero_dim(rng)
+            if I.is_trivial():
+                continue
+            assert_built_as_oracle(ArtinianAlgebra.from_ideal(I))
+            built += 1
+        assert built > 40
+
+    def test_after_the_codec_widens(self):
+        # normal_form repacks the basis wider before the algebra is built
+        R = ring("x,y,z")
+        I = Ideal(R, parse_ideal(
+            "x*y - z^2, y*z - x^2, x*z - y^2, x^3 - y*z^2, z^4", R))
+        gb = I.groebner()
+        bits = gb._enc.B
+        gb.normal_form(R.monomial((0, 0, 200)))
+        assert gb._enc.B > bits
+        assert_built_as_oracle(ArtinianAlgebra.from_ideal(I))
 
 
 def scenario_algebra(name):
