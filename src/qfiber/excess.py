@@ -43,9 +43,7 @@ from .algebra import GREVLEX, PolyRing
 from .groebner import Ideal
 from .linalg import identity, mat_mul, nullspace, rank, rref
 from .rng import Stream
-from .zerodim import (ArtinianAlgebra, _eval_matrix_poly, _image_basis,
-                      _is_nilpotent, _linear_parts, _restrict, local_decompose,
-                      minpoly_of_vector, semisimple_poly)
+from .zerodim import ArtinianAlgebra, _linear_parts, local_decompose
 
 # Local decompositions inside reports use a fixed stream so that repeated
 # runs of the same scenario agree bit for bit.
@@ -304,7 +302,7 @@ def _relation_columns(K: np.ndarray, g: int, alg: ArtinianAlgebra):
     pivot, which span m/m^2: m = (those) + m^2, so Nakayama again gives
     m*K = (those)*K."""
     p, acts = alg.p, alg.actions()
-    if K.shape[0] and all(_is_nilpotent(X, p) for X in acts):
+    if K.shape[0] and alg.at_origin():
         lin = set(_linear_pivots(alg.ideal))
         mK = [_block_apply(X, K, p) for v, X in enumerate(acts)
               if v not in lin]
@@ -392,41 +390,24 @@ def hilbert_tangent_dim(alg: ArtinianAlgebra) -> int:
 # --- minimal generator counts ----------------------------------------------
 
 
-def _factor_mu(factor, actions, p: int):
-    """(local length of the module, local mu) on one local factor.
-
-    The maximal ideal of the factor is generated by the nilpotent parts
-    x_v - h_v(x_v) of the variables, with h_v the squarefree-projection
-    polynomial of the minimal polynomial of x_v on the factor; mu is the
-    codimension of the span of their images.
-    """
-    E = factor.projector(actions, p)
-    B, piv = _image_basis(E, p)
-    dim_c = len(piv)
-    if dim_c == 0:
-        return 0, 0
-    nil = []
-    for v, X in enumerate(actions):
-        Xc = _restrict(B, piv, X, p)
-        mp = minpoly_of_vector(np.asarray(factor.actions[v], dtype=np.int64),
-                               np.asarray(factor.one, dtype=np.int64), p)
-        h = semisimple_poly(mp, p)
-        nil.append(np.mod(Xc - _eval_matrix_poly(list(h), Xc, p), p))
-    radical = np.concatenate(nil, axis=1)
-    return dim_c, dim_c - rank(radical, p)
-
-
 def module_mu(mod: FinModule, factors):
     """Minimal number of generators of the module, with its per-component
     breakdown over the given local factors of the base algebra.
 
     Returns (mu, components) with components a tuple of (local length of
     the algebra, local module length, local mu), one per factor in order.
+    The nilpotent parts N_v of the actions, built once, span rad(A)*M
+    (ArtinianAlgebra.nilpotent_parts).  With E a factor's projector, E*M
+    is the local module and E*rad(A)*M its maximal ideal times it, so by
+    Nakayama mu_c = rank E - rank(E*[N_1 | ... | N_n]).
     """
+    p = mod.algebra.p
+    radical = np.hstack(mod.algebra.nilpotent_parts(mod.actions))
     per = []
     for f in factors:
-        dim_c, mu_c = _factor_mu(f, mod.actions, mod.algebra.p)
-        per.append((f.length, dim_c, mu_c))
+        E = f.projector(mod.actions, p)
+        dim_c = rank(E, p)
+        per.append((f.length, dim_c, dim_c - rank(mat_mul(E, radical, p), p)))
     return sum(t[2] for t in per), tuple(per)
 
 
@@ -606,7 +587,7 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
     cokernel of Hom(I/I^2, A/I) = ker Phi_K inside the dual A^g of the
     minimal free cover: the image of Phi_K.  It has no free summand.
     """
-    if not all(_is_nilpotent(X, Z.p) for X in Z.actions()):
+    if not Z.at_origin():
         raise ValueError("algebra is not local at the origin")
     J = minimal_presentation(Z.ideal)
     alg = ArtinianAlgebra.from_ideal(J)

@@ -17,7 +17,7 @@ from .algebra import FieldSpec, PolyRing, random_poly
 from .excess import QReport, minimal_generators
 from .groebner import Ideal, hilbert_data
 from .rng import Stream
-from .zerodim import ArtinianAlgebra, _is_nilpotent, zariski_tangent_dim
+from .zerodim import ArtinianAlgebra, zariski_tangent_dim
 
 LICCI = "Licci"
 UNKNOWN = "Unknown"
@@ -152,10 +152,8 @@ def licci_check(ideal: Ideal) -> LicciVerdict:
     the ideal; (maximal ideal) * ideal gets no basis.
     """
     alg = ArtinianAlgebra.from_ideal(ideal)
-    p = ideal.ring.p
-    for v in range(ideal.ring.nvars):
-        if not _is_nilpotent(alg.action(v), p):
-            raise ValueError("licci ladder needs an ideal local at the origin")
+    if not alg.at_origin():
+        raise ValueError("licci ladder needs an ideal local at the origin")
     mu = len(minimal_generators(alg))
     codim = ideal.ring.nvars
     tdim = zariski_tangent_dim(ideal)

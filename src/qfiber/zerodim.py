@@ -2,11 +2,14 @@
 
 An ArtinianAlgebra is F_p[x]/I for a zero-dimensional I, represented by its
 standard-monomial basis and the memoised monomial matrices M_q = X^q built
-from the multiplication matrices X_v of the variables.  On top of that live
+from the multiplication matrices X_v of the variables, and the memoised
+minimal polynomial of each X_v.  Those polynomials carry all the algebra's
+locality: every x_v is nilpotent when each is a power of t (at_origin), and
+the nilpotent parts X_v - h_v(X_v), h_v their semisimple polynomials, span
+its radical on the algebra and on any module over it.  On top of that live
 the tangent-space and derivation-module dimensions, the splitting of the
-algebra into local factors through idempotents (on bare action matrices),
-semisimple parts of multiplication operators, and the regularity of
-projective point ideals.
+algebra into certified local factors through idempotents (on bare action
+matrices), and the regularity of projective point ideals.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ class ArtinianAlgebra:
     The ideal keeps the algebra beside its Groebner basis (from_ideal), so
     each ideal has one; the algebra keeps the basis and refers to the ideal
     weakly (see ideal).  Every d x d matrix of the algebra is a monomial
-    matrix M_q = X^q, built once and memoised.
+    matrix M_q = X^q, built once and memoised, and so is the minimal
+    polynomial of each X_v with its semisimple polynomial.
     """
 
     def __init__(self, ideal: Ideal, std):
@@ -46,6 +50,8 @@ class ArtinianAlgebra:
         self.one[self._index[zero]] = 1
         self._actions = None
         self._monomials = {zero: identity(self.dim)}
+        self._minpolys = None
+        self._semisimple = None
 
     @classmethod
     def from_ideal(cls, ideal: Ideal) -> "ArtinianAlgebra":
@@ -133,6 +139,43 @@ class ArtinianAlgebra:
             q = r
         return memo[q]
 
+    # -- locality
+
+    def minimal_polynomials(self) -> list:
+        """The minimal polynomial of each X_v, lowest degree first.
+
+        The algebra is a faithful cyclic module over itself on the unit:
+        f(X_v) kills 1 exactly when f(x_v) = 0, and then kills everything.
+        So the Krylov sequence of X_v on the unit gives X_v's own minimal
+        polynomial.
+        """
+        if self._minpolys is None:
+            self._minpolys = [minpoly_of_vector(X, self.one, self.p)
+                              for X in self.actions()]
+        return self._minpolys
+
+    def at_origin(self) -> bool:
+        """True when every x_v is nilpotent: each minimal polynomial is a
+        power of t, and the algebra is local with its point at the origin.
+        No squarefree part is taken, so any dimension is fine."""
+        return not any(any(mp[:-1]) for mp in self.minimal_polynomials())
+
+    def nilpotent_parts(self, mats) -> list:
+        """N_v = Y_v - h_v(Y_v) for the matrices Y_v of the variables on a
+        module over the algebra, h_v the semisimple_poly of x_v's minimal
+        polynomial.  The minimal polynomial of Y_v divides that of x_v, so
+        N_v is Y_v's nilpotent part.  The n_v = x_v - h_v(x_v) generate
+        rad A: the quotient by them is generated by the h_v(x_v), which
+        commute and have squarefree minimal polynomials, so over the
+        perfect field F_p it is reduced.  The columns of the N_v thus span
+        rad(A)*M.  Needs dim A < p, as squarefree parts do.
+        """
+        if self._semisimple is None:
+            self._semisimple = [semisimple_poly(mp, self.p)
+                                for mp in self.minimal_polynomials()]
+        return [np.mod(Y - _eval_matrix_poly(h, Y, self.p), self.p)
+                for Y, h in zip(mats, self._semisimple)]
+
 
 # --- tangent and derivation dimensions ------------------------------------
 
@@ -180,7 +223,8 @@ def derivations_dim(alg: ArtinianAlgebra) -> int:
 
 @dataclass(frozen=True)
 class LocalFactor:
-    """One local factor of an artinian algebra.
+    """One local factor of an artinian algebra, certified by
+    local_decompose.
 
     chain holds (linear form coefficients, idempotent polynomial) pairs,
     outermost first; evaluating each polynomial at the corresponding linear
@@ -192,8 +236,6 @@ class LocalFactor:
 
     length: int
     chain: tuple
-    actions: tuple
-    one: tuple
     point: tuple | None
 
     def projector(self, action_mats, p: int) -> np.ndarray:
@@ -242,107 +284,78 @@ def minpoly_of_vector(M: np.ndarray, v, p: int) -> list:
     return [int(-c) % p for c in R[:k, k]] + [1]
 
 
-def _restrict(B: np.ndarray, pivots, X: np.ndarray, p: int) -> np.ndarray:
-    """Matrix of X on the invariant subspace spanned by the rref rows B."""
-    XB = mat_mul(np.asarray(X, dtype=np.int64), B.T, p)
-    return XB[pivots, :]
-
-
-def _is_nilpotent(X: np.ndarray, p: int) -> bool:
-    """True when X^d = 0 for the size d of X, by repeated squaring."""
-    N = np.mod(X, p)
-    for _ in range(max(1, X.shape[0]).bit_length() + 1):
-        if not N.any():
-            return True
-        N = mat_mul(N, N, p)
-    return not N.any()
-
-
-def _rational_point(actions, length: int, p: int):
-    """Support point if rational: each action is scalar plus nilpotent."""
-    point = []
-    for A in actions:
-        a = int(np.trace(A) % p) * pow(length % p, p - 2, p) % p
-        if not _is_nilpotent(A - a * identity(A.shape[0]), p):
-            return None
-        point.append(a)
-    return tuple(point)
-
-
-_CONFIRM = 2
+# random forms one piece may draw before local_decompose gives up on it;
+# with dim < p a form fails to split or certify with probability below
+# 1/2, so giving up on a good piece is a 2^-64 event
+_DRAWS = 64
 
 
 def local_decompose(alg: ArtinianAlgebra, stream: Stream) -> list:
-    """Split an artinian algebra into its local factors.
+    """Split an artinian algebra into its local factors, each certified.
 
-    Monte Carlo: a random linear form whose minimal polynomial is not
-    primary splits the algebra by an idempotent; a factor is accepted as
-    local once _CONFIRM + 1 forms in a row have a primary minimal
-    polynomial.  Factors are split on their bare action matrices and unit
-    vector, which is all a LocalFactor keeps.
+    A piece is split on its bare matrices: the actions X_v, their nilpotent
+    parts N_v, which span its radical (ArtinianAlgebra.nilpotent_parts), and
+    its unit vector.  Its residue algebra has dimension r = dim -
+    rank[N_1 | ... | N_n].  With r = 1 the piece is local with the rational
+    point a_v = tr X_v / dim.  Otherwise random linear forms are drawn: one
+    whose minimal polynomial has a reducible squarefree part splits the
+    piece by idempotents, and one where that part is irreducible of degree
+    r certifies a local piece with residue field F_p[form], no rational
+    point.  Any other form is redrawn, and after _DRAWS of them RuntimeError
+    is raised: randomness finds splittings, it never accepts a factor.
+    Factors are sorted by length, then by their idempotent e*1 in
+    standard-monomial coordinates, so the order does not depend on the
+    stream.
     """
     if alg.dim >= alg.p:
         raise ValueError("algebra dimension must stay below the field size")
+    acts, p = alg.actions(), alg.p
     out = []
-    _decompose_into(alg.actions(), alg.one, alg.p, stream, (), out)
-    # canonical order: by length, then by chain for ties
-    out.sort(key=lambda f: (f.length, f.chain))
+    _decompose_into(acts, alg.nilpotent_parts(acts), alg.one, p, stream, (),
+                    out)
+    out.sort(key=lambda f: (f.length, mat_mul(f.projector(acts, p), alg.one,
+                                              p).tolist()))
     return out
 
 
-def _decompose_into(actions, one, p, stream, chain, out):
+def _decompose_into(actions, nils, one, p, stream, chain, out):
     dim = len(one)
-    # a factor of length one is a field; a longer one is accepted as local
-    # once _CONFIRM + 1 forms in a row fail to split it
-    for _ in range(_CONFIRM + 1 if dim > 1 else 0):
+    r = dim - rank(np.vstack([N.T for N in nils]), p)
+    if r == 1:
+        inv = pow(dim, p - 2, p)
+        point = tuple(int(np.trace(X)) * inv % p for X in actions)
+        out.append(LocalFactor(dim, chain, point))
+        return
+    for _ in range(_DRAWS):
         coeffs = tuple(stream.randrange(p) for _ in actions)
-        mp = minpoly_of_vector(_linear_form(coeffs, actions, p), one, p)
+        L = _linear_form(coeffs, actions, p)
+        mp = minpoly_of_vector(L, one, p)
         red = uv.squarefree_part(mp, p)
-        if uv.deg(red) != 1 and not uv.is_irreducible(red, p):
-            factors = uv.factor_squarefree(red, p, stream)
-            _split_by(actions, one, p, coeffs, mp, factors, stream, chain, out)
-            return
-    out.append(LocalFactor(dim, chain, tuple(np.asarray(a) % p for a in actions),
-                           tuple(int(c) % p for c in one),
-                           _rational_point(actions, dim, p)))
-
-
-def _split_by(actions, one, p, coeffs, mp, factors, stream, chain, out):
-    # primary parts of the minimal polynomial
-    primaries = []
-    for q in factors:
-        e = 0
-        rest = list(mp)
-        while True:
-            quo, rem = uv.divmod_poly(rest, q, p)
-            if rem:
-                break
-            rest = quo
-            e += 1
-        primaries.append((q, e))
-    L = _linear_form(coeffs, actions, p)
-    for branch, (q, e) in enumerate(primaries):
-        qe = [1]
-        for _ in range(e):
-            qe = uv.mul(qe, q, p)
-        cof = uv.divmod_poly(mp, qe, p)[0]
-        # idempotent: cof * (cof^{-1} mod q^e), reduced mod the minimal poly
-        inv = _inv_mod(cof, qe, p)
-        u = uv.mod_poly(uv.mul(cof, inv, p), mp, p)
-        E = _eval_matrix_poly(u, L, p)
-        # the factor is the image of the projector
-        B, pivots = _image_basis(E, p)
-        one_vec = mat_mul(E, one.reshape(-1, 1), p).ravel()
-        _decompose_into([_restrict(B, pivots, X, p) for X in actions],
-                        one_vec[pivots], p, stream.fork(branch),
-                        chain + ((tuple(coeffs), tuple(u)),), out)
-
-
-def _image_basis(E: np.ndarray, p: int):
-    """Row-reduced basis of the column space, with pivot row indices."""
-    R, pivots = rref(E.T, p)
-    B = R[: len(pivots)]
-    return B, pivots
+        if uv.is_irreducible(red, p):
+            if uv.deg(red) == r:
+                out.append(LocalFactor(dim, chain, None))
+                return
+            continue
+        for branch, q in enumerate(uv.factor_squarefree(red, p, stream)):
+            # idempotent of the q-primary part: cof * (cof^-1 mod q^e)
+            # mod mp, with q^e the largest power of q dividing mp
+            qe = q
+            while not uv.divmod_poly(mp, uv.mul(qe, q, p), p)[1]:
+                qe = uv.mul(qe, q, p)
+            cof = uv.divmod_poly(mp, qe, p)[0]
+            u = uv.mod_poly(uv.mul(cof, _inv_mod(cof, qe, p), p), mp, p)
+            E = _eval_matrix_poly(u, L, p)
+            # the factor is the image of E, in the rref basis B of its
+            # columns, where a vector's coordinates are its pivot entries
+            B, piv = rref(E.T, p)
+            acts, parts = ([mat_mul(X, B[:len(piv)].T, p)[piv] for X in mats]
+                           for mats in (actions, nils))
+            _decompose_into(acts, parts, mat_mul(E, one, p)[piv], p,
+                            stream.fork(branch),
+                            chain + ((coeffs, tuple(u)),), out)
+        return
+    raise RuntimeError("no random linear form split or certified "
+                       "a local factor")
 
 
 def _inv_mod(f, modulus, p):

@@ -37,6 +37,14 @@ ideal X = y, x^2 - 1;
 ideal Y = y;
 """
 
+# the same two points over F_3, where a random form misses their
+# difference with probability 1/3
+TWO_POINTS_F3 = """\
+ring R = Fp(3)[x, y];
+ideal X = y, x^2 - 1;
+ideal Y = y;
+"""
+
 # two points, of lengths 2 and 1
 PLANE_HOLDS_POINTS = """\
 ring R = Fp(32003)[x, y, z], grevlex;
@@ -196,6 +204,36 @@ class TestCompute:
         qc = doc["checks"]["qlength"]
         assert qc["decomposition_bound"] == "2/1"
         assert qc["decomposition_holds"] is True
+
+    def test_two_points_over_f3_stay_apart(self, capsys, tmp_path):
+        # with this seed the first form misses the points' difference; a
+        # piece is local only by certificate, so the pair is split
+        f = tmp_path / "two.txt"
+        f.write_text(TWO_POINTS_F3)
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f),
+                                "--seed", "3")
+        assert code == 0
+        assert doc["components"] == [{"length": 1, "dim_Q": 1, "mu": 1}] * 2
+        points = sorted(tuple(e["point"]) for e in doc["licci"])
+        assert points == [(1, 0), (2, 0)]
+        assert doc["checks"]["qlength"]["decomposition_bound"] == "2/1"
+
+    @pytest.mark.parametrize("text", [TWO_POINTS, TWO_POINTS_F3,
+                                      LINE_MEETS_AXES],
+                             ids=["two-points", "two-points-f3", "line-axes"])
+    def test_report_does_not_depend_on_the_seed(self, capsys, tmp_path,
+                                                 text):
+        # the seed only finds splittings; the factors and their order are
+        # intrinsic
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        docs = []
+        for seed in range(4):
+            code, doc, _ = run_json(capsys, "compute", "--input", str(f),
+                                    "--seed", str(seed))
+            assert code == 0 and doc.pop("seed") == seed
+            docs.append(doc)
+        assert all(doc == docs[0] for doc in docs[1:])
 
     def test_transversal_reports_null_q(self, capsys, tmp_path):
         f = tmp_path / "tr.txt"

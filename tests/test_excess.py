@@ -48,6 +48,7 @@ from qfiber.zerodim import (
     semisimple_poly,
     tangent_data,
 )
+from test_zerodim import factor_mu, factor_point, is_nilpotent
 
 P = 32003
 
@@ -873,6 +874,20 @@ class TestQbar:
         with pytest.raises(ValueError):
             qbar(ArtinianAlgebra.from_ideal(idl(R, "x^2 - 1")))
 
+    @pytest.mark.parametrize("names,p,text", [
+        ("x", 3, "x^3"), ("x", 5, "x^5"), ("x,y", 3, "x^3, y^2")])
+    def test_dimension_at_least_p(self, names, p, text):
+        # the origin test takes no squarefree part, which needs dim < p
+        Z = ArtinianAlgebra.from_ideal(idl(ring(names, p), text))
+        assert Z.dim >= p
+        assert qbar(Z).basis_dim == 0
+
+    def test_nonlocal_rejected_in_dimension_p(self):
+        Z = ArtinianAlgebra.from_ideal(idl(ring("x", 3), "x^3 - x"))
+        with pytest.raises(ValueError,
+                           match="algebra is not local at the origin"):
+            qbar(Z)
+
     def test_minimal_generators(self):
         # the exact Groebner elements kept, in basis order
         cases = [
@@ -1230,6 +1245,15 @@ class TestTangentData:
         assert (td.zariski_dim, td.derivations_dim) == (3, 9)
         assert (td.t1_dim, td.hilb_tangent_dim) == (15, 18)
 
+    @pytest.mark.parametrize("names,p,text,want", [
+        ("x", 3, "x^3", (1, 3, 3, 3)), ("x", 5, "x^5", (1, 5, 5, 5)),
+        ("x,y", 3, "x^3, y^2", (2, 9, 9, 12)),
+        ("x", 3, "x^3 - x", (0, 0, 0, 3))])
+    def test_dimension_at_least_p(self, names, p, text, want):
+        td = tangent_data(idl(ring(names, p), text))
+        assert (td.zariski_dim, td.derivations_dim, td.t1_dim,
+                td.hilb_tangent_dim) == want
+
     def test_one_algebra_per_call(self, monkeypatch):
         ideal = gen_fatpoint_model(Seed(0)).chart_ideal
         built = []
@@ -1391,7 +1415,7 @@ def all_variable_columns(K, g, alg):
     """The Nakayama columns of Phi_K with m*K stacked over every variable,
     the route _relation_columns narrowed to the variables spanning m/m^2."""
     p, acts = alg.p, alg.actions()
-    if K.shape[0] and all(zerodim._is_nilpotent(X, p) for X in acts):
+    if K.shape[0] and all(is_nilpotent(X, p) for X in acts):
         mK, piv = rref(np.vstack([excess._block_apply(X, K, p)
                                   for X in acts]), p)
         K, piv = rref(K - mat_mul(K[:, piv], mK[:len(piv)], p), p)
@@ -1465,3 +1489,99 @@ class TestDerivationsRoute:
             else local_ideal(case)
         alg = ArtinianAlgebra.from_ideal(ideal)
         assert derivations_dim(alg) == jacobian_block_derivations_dim(alg)
+
+
+# --- locality against the routes the minimal polynomials replaced -----------
+
+
+def conjugate_pair():
+    """Two conjugate points over F_P(sqrt(c)), one factor of length 2."""
+    R = ring("x1,x2,a")
+    return scenario(R, f"x1 - a^2 + {nonresidue()}, x2", "x1, x2", 1, 2)
+
+
+LOCALITY_SCENARIOS = {
+    **{f"graph{n}": (lambda n=n: gen_quadric_graph(n, Seed(0)))
+       for n in range(2, 8)},
+    **{f"{name}-1": (lambda make=make: make(Seed(1))) for name, make in (
+        ("graph3", lambda s: gen_quadric_graph(3, s)),
+        ("graph4", lambda s: gen_quadric_graph(4, s)),
+        ("fatpoint", gen_fatpoint_model))},
+    "ei": lambda: gen_EI_model(Seed(0)),
+    "fatpoint": lambda: gen_fatpoint_model(Seed(0)),
+    "two_points": two_points,
+    "two_points_f3": lambda: scenario(ring(p=3), "y, x^2 - 1", "y", 0, 1),
+    "line_meets_axes": axes_on_line,
+    "plane_holds_points": plane_holds_points,
+    "conjugate_pair": conjugate_pair,
+}
+
+# algebras off the origin -> (length, point) of each factor; -1 is not a
+# square mod P
+OFF_ORIGIN = {
+    "x^2 + 1, y^2 + 1": [(2, None), (2, None)],
+    "x^2 + 1, y^2": [(4, None)],
+    "x^2 + 1, (y - 3)^2": [(4, None)],
+    "(x - 1)*(x + 1)*(x - 5)^2, y^2": [(2, (1, 0)), (2, (P - 1, 0)),
+                                        (4, (5, 0))],
+}
+LOCALITY_ALGEBRAS = {**MU_CASES,
+                     **{text: ("x,y", text) for text in OFF_ORIGIN}}
+
+
+def assert_matches_oracles(alg, factors, mod):
+    """at_origin, the factor points and mu per factor against repeated
+    squaring, the trace point checked nilpotent, and the per-factor
+    minimal polynomials."""
+    p = alg.p
+    assert alg.at_origin() == all(is_nilpotent(X, p) for X in alg.actions())
+    assert [f.point for f in factors] == [factor_point(f, alg)
+                                          for f in factors]
+    assert module_mu(mod, factors)[1] == tuple(
+        (f.length, *factor_mu(f, mod)) for f in factors)
+
+
+class TestLocalityOracles:
+    @pytest.mark.parametrize("case", list(LOCALITY_SCENARIOS))
+    def test_reports(self, case, monkeypatch):
+        s = LOCALITY_SCENARIOS[case]()
+        rep, mod = reported_q(lambda: q_module(s), monkeypatch)
+        assert_matches_oracles(s.Z, rep.factors, mod)
+        assert rep.per_component == module_mu(mod, rep.factors)[1]
+        if case == "two_points_f3":
+            assert [f.point for f in rep.factors] == [(2, 0), (1, 0)]
+        if case == "conjugate_pair":
+            assert [f.point for f in rep.factors] == [None]
+
+    @pytest.mark.parametrize("case", list(LOCALITY_ALGEBRAS))
+    def test_algebras(self, case):
+        names, text = LOCALITY_ALGEBRAS[case]
+        alg = ArtinianAlgebra.from_ideal(idl(ring(names), text))
+        factors = local_decompose(alg, Stream(_REPORT_SEED))
+        regular = FinModule(alg.dim, tuple(alg.actions()), identity(alg.dim),
+                            alg)
+        assert_matches_oracles(alg, factors, regular)
+        assert alg.at_origin() == (case in MU_CASES)
+        if alg.at_origin():
+            zbar = qbar(alg)
+            zfactors = local_decompose(zbar.algebra, Stream(_REPORT_SEED))
+            assert_matches_oracles(zbar.algebra, zfactors, zbar)
+        else:
+            assert [(f.length, f.point) for f in factors] == OFF_ORIGIN[case]
+
+    def test_one_minimal_polynomial_per_variable(self, monkeypatch):
+        # the graph n = 4 report reads the memoised polynomial of each of
+        # its 9 variables, and Z is local at a rational point: no form is
+        # drawn and no factor restricts anything
+        s = gen_quadric_graph(4, Seed(1))
+        calls = []
+        plain = zerodim.minpoly_of_vector
+
+        def counting(M, v, p):
+            calls.append(M.shape)
+            return plain(M, v, p)
+
+        monkeypatch.setattr(zerodim, "minpoly_of_vector", counting)
+        rep = q_module(s)
+        assert (rep.deg_z, rep.q, rep.mu_q) == (10, 5, 5)
+        assert len(calls) == s.Z.nvars == 9

@@ -10,8 +10,10 @@ module-level function must be read in the package or in demos/, or be
 named in PUBLIC_WITHOUT_READER with its reason.  No nested
 function calls itself: such a closure holds itself through its cell, and
 every call leaves a cycle for the cycle collector.  The packed-monomial
-codec `_Enc` is named in `groebner.py` alone, and every matrix product is
-written in `linalg.py` alone, where mat_mul keeps it exact.
+codec `_Enc` is named in `groebner.py` alone, every matrix product is
+written in `linalg.py` alone, where mat_mul keeps it exact, and minimal
+and semisimple polynomials are taken in `zerodim.py` alone, where each
+algebra memoises those of its variables.
 """
 
 import ast
@@ -316,3 +318,32 @@ def test_products_only_in_linalg(name):
     # float64 and int64 products are exact only within mat_mul's bounds
     source = (SRC / name).read_text(encoding="utf-8")
     assert matrix_products(source) == []
+
+
+def calls_of(source: str, name: str) -> list:
+    """Lines where the source calls a function of that name, bare or as
+    an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == name) or \
+                    (isinstance(f, ast.Attribute) and f.attr == name):
+                out.append(node.lineno)
+    return out
+
+
+def test_call_finder():
+    source = ("from .zerodim import f\nimport qfiber.zerodim as z\n"
+              "f(1)\nz.f(2)\ng = f\n")
+    assert calls_of(source, "f") == [3, 4]
+
+
+@pytest.mark.parametrize("name", ["minpoly_of_vector", "semisimple_poly"])
+def test_minimal_polynomials_only_in_zerodim(name):
+    # every reader of locality or of the radical takes the algebra's
+    # memoised polynomials (ArtinianAlgebra.minimal_polynomials,
+    # at_origin, nilpotent_parts) instead of taking its own
+    calling = [p.name for p in sorted(SRC.glob("*.py"))
+               if calls_of(p.read_text(encoding="utf-8"), name)]
+    assert calling == ["zerodim.py"]

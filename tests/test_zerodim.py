@@ -10,11 +10,12 @@ import pytest
 from qfiber.algebra import (LEX, FieldSpec, PolyRing, block_order,
                             mono_divides)
 from qfiber.groebner import Ideal
-from qfiber.linalg import mat_mul, rank
+from qfiber.linalg import mat_mul, rank, rref
 from qfiber.parser import parse_ideal, parse_polynomial, parse_session
 from qfiber.rng import Stream
 from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
                               gen_quadric_graph, scenario_text)
+from qfiber import zerodim
 from qfiber.zerodim import (
     ArtinianAlgebra,
     _eval_matrix_poly,
@@ -373,6 +374,76 @@ class TestDerivations:
         assert derivations_dim(algebra(R, "x^2 - 1")) == 0
 
 
+# --- oracles of locality, kept from the routes the minimal polynomials
+# of the variables replaced
+
+
+def is_nilpotent(X, p):
+    """True when X^d = 0 for the size d of X, by repeated squaring."""
+    N = np.mod(X, p)
+    for _ in range(max(1, X.shape[0]).bit_length() + 1):
+        if not N.any():
+            return True
+        N = mat_mul(N, N, p)
+    return not N.any()
+
+
+def rational_point(actions, length, p):
+    """Support point of a local factor if rational, else None: each action
+    is its mean eigenvalue tr/length plus a nilpotent matrix."""
+    point = []
+    for X in actions:
+        a = int(np.trace(X) % p) * pow(length % p, p - 2, p) % p
+        if not is_nilpotent(X - a * np.eye(X.shape[0], dtype=np.int64), p):
+            return None
+        point.append(a)
+    return tuple(point)
+
+
+def restricted(factor, mats, p):
+    """The matrices on the image of the factor's projector E, in the rref
+    basis of that image, with E and the pivots of that basis."""
+    E = factor.projector(mats, p)
+    B, piv = rref(E.T, p)
+    return [mat_mul(X, B[:len(piv)].T, p)[piv] for X in mats], E, piv
+
+
+def factor_point(factor, alg):
+    """rational_point on the factor's own restricted actions."""
+    acts = restricted(factor, alg.actions(), alg.p)[0]
+    return rational_point(acts, factor.length, alg.p)
+
+
+def factor_mu(factor, mod):
+    """(local module length, local mu) on one factor by the per-factor
+    route: the minimal polynomial of each variable on the factor's own
+    unit, its semisimple polynomial h_v, and the rank of the parts
+    X_v - h_v(X_v) of the module actions restricted to the factor."""
+    alg, p = mod.algebra, mod.algebra.p
+    acts, E, piv = restricted(factor, alg.actions(), p)
+    one = mat_mul(E, alg.one, p)[piv]
+    mats = restricted(factor, mod.actions, p)[0]
+    dim_c = mats[0].shape[0]
+    if not dim_c:
+        return 0, 0
+    nil = []
+    for A, X in zip(acts, mats):
+        h = semisimple_poly(minpoly_of_vector(A, one, p), p)
+        nil.append(np.mod(X - _eval_matrix_poly(h, X, p), p))
+    return dim_c, dim_c - rank(np.concatenate(nil, axis=1), p)
+
+
+class ZeroStream:
+    """A stream whose every draw is 0: each form it builds is the zero
+    form, which neither splits a piece nor certifies one."""
+
+    def randrange(self, a, b=None):
+        return 0 if b is None else a
+
+    def fork(self, label):
+        return self
+
+
 class TestDecompose:
     def test_two_rational_points(self):
         R = ring("x")
@@ -427,7 +498,8 @@ class TestDecompose:
         assert (total == np.eye(A.dim, dtype=np.int64)).all()
 
     def test_splits_on_bare_matrices(self, monkeypatch):
-        # a factor is its actions and unit vector: no algebra is built
+        # a piece is its actions, their nilpotent parts and its unit
+        # vector: no algebra is built
         A = algebra(ring(), "x^2 - 1, y^2 - 4")
         A.actions()
 
@@ -445,6 +517,67 @@ class TestDecompose:
         assert [f.chain for f in a] == [f.chain for f in b]
         assert [f.point for f in a] == [f.point for f in b]
         assert len(a) == 4
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_two_points_split_on_every_seed(self, p):
+        # a point pair is certified apart, never accepted as one cluster
+        A = algebra(ring("x", p), "x^2 - 1")
+        for seed in range(400):
+            parts = local_decompose(A, Stream(seed))
+            assert [f.point for f in parts] == [(p - 1,), (1,)], seed
+
+    def test_order_does_not_depend_on_the_stream(self):
+        # by length, then by the idempotent e*1, which is intrinsic; the
+        # points of x^2 - 1, y^2 - 4 came in 8 orders over these seeds
+        # when ties were broken by the chain of random forms
+        A = algebra(ring(), "x^2 - 1, y^2 - 4")
+        orders = {tuple(f.point for f in local_decompose(A, Stream(s)))
+                  for s in range(20)}
+        assert len(orders) == 1
+
+    def test_gives_up_without_accepting(self):
+        # zero forms can neither split the two points nor certify a field
+        # of degree 2 on them, so the pair is refused, not accepted
+        A = algebra(ring("x", 3), "x^2 - 1")
+        with pytest.raises(RuntimeError, match="no random linear form"):
+            local_decompose(A, ZeroStream())
+        # a local piece with a rational point draws no form at all
+        A = algebra(ring("x", 3), "(x - 1)^2")
+        assert [f.point for f in local_decompose(A, ZeroStream())] == [(1,)]
+
+
+class TestLocality:
+    @pytest.mark.parametrize("names,p,text,origin", [
+        ("x", P, "x^3", True), ("x,y", P, "x^2, x*y, y^2", True),
+        ("x,y", P, "x^2 - y, y^3", True), ("x", P, "(x - 2)^3", False),
+        ("x,y", P, "x^2 + 1, y^2", False),
+        # dimension at least p: no squarefree part is taken
+        ("x", 3, "x^3", True), ("x", 5, "x^5", True),
+        ("x,y", 3, "x^3, y^2", True), ("x", 3, "x^3 - x", False)])
+    def test_at_origin_matches_the_oracle(self, names, p, text, origin):
+        A = algebra(ring(names, p), text)
+        assert A.at_origin() is origin
+        assert origin == all(is_nilpotent(X, p) for X in A.actions())
+
+    def test_minimal_polynomials_are_memoised(self, monkeypatch):
+        A = algebra(ring(), "x^2 - 1, y^3")
+        calls = []
+        plain = zerodim.minpoly_of_vector
+
+        def counting(M, v, p):
+            calls.append(1)
+            return plain(M, v, p)
+
+        monkeypatch.setattr(zerodim, "minpoly_of_vector", counting)
+        mps = A.minimal_polynomials()
+        assert mps == [[P - 1, 0, 1], [0, 0, 0, 1]]
+        A.at_origin()
+        A.nilpotent_parts(A.actions())
+        local_decompose(A, Stream(0))
+        assert A.minimal_polynomials() is mps
+        # one per variable, and one form that splits the two points; each
+        # point is then certified rational with no form drawn
+        assert len(calls) == 3
 
 
 class TestSemisimple:
@@ -483,6 +616,12 @@ class TestSemisimple:
         R = ring("x")
         A = algebra(R, f"x^2 - {c}")
         assert not self.nilpotent_part(A).any()
+
+    @pytest.mark.parametrize("text", ["(x - 2)^3", "x^2 - 3", "x^4 - x^2"])
+    def test_algebra_nilpotent_parts(self, text):
+        A = algebra(ring("x"), text)
+        assert np.array_equal(A.nilpotent_parts(A.actions())[0],
+                              self.nilpotent_part(A))
 
 
 class TestRegularity:
