@@ -15,11 +15,13 @@ image of the f-parts of the syzygies of (f, h).  They come from replaying
 the trace of a basis run over f and h, which for the conormal modules and
 the tangent space is a run already cached (that of I itself, or of I_Y),
 on cofactors kept as (g x d) arrays in the coordinates of R/I, shifted by
-the algebra's memoised monomial matrices.  The replay is batched: one pair
-of matrix products per entry that adds an element, and one pair per
-distinct shift for all the sums that reach zero.  No basis of a squared
-ideal is built.  After that all is numpy on int64 residues, with every
-product through linalg.mat_mul.
+the algebra's memoised monomial matrices.  The replay is batched: the
+trace is flattened to arrays once, with the coefficients of each entry's
+equal (shift, source) terms summed in one pass, so no Python loop runs per
+term; then one pair of matrix products per entry that adds an element,
+and one pair per distinct shift for all the sums that reach zero.  No
+basis of a squared ideal is built.  After that all is numpy on int64
+residues, with every product through linalg.mat_mul.
 
 A conormal module is kept as its relation space K alone (dim M = g*d -
 dim K).  Every Hom into the algebra is read off a relation map: the dual
@@ -205,15 +207,55 @@ def _relation_space(f, ideal: Ideal, alg: ArtinianAlgebra) -> np.ndarray:
 _REPLAY_CELLS = 1 << 16
 
 
-def _coefficients(coeffs, a, b, p: int):
-    """The distinct keys of a and of b, in order of first use, and the
-    (a x b) matrix of the coefficients summed over equal key pairs."""
-    ka, kb = {}, {}
-    at = ([ka.setdefault(x, len(ka)) for x in a],
-          [kb.setdefault(x, len(kb)) for x in b])
-    C = np.zeros((len(ka), len(kb)), dtype=np.int64)
+def _grouped(major: np.ndarray, minor: np.ndarray, groups: int, size: int):
+    """The distinct minor values of each major group, ascending, and the
+    place of every item among those of its group.
+
+    Returns (starts, values, local): group k's values are
+    values[starts[k]:starts[k + 1]], and item i is values[starts[major[i]]
+    + local[i]].  major < groups and 0 <= minor < size.
+    """
+    keys, inv = np.unique(major * size + minor, return_inverse=True)
+    starts = np.searchsorted(keys // size, np.arange(groups + 1))
+    return starts, keys % size, inv - starts[major]
+
+
+def _trace_terms(gb, n: int, p: int):
+    """gb's replay trace flattened to arrays: (shifts, adds, terms), with
+    adds[e] true when entry e adds an element and terms the arrays (entry,
+    shift, source, coefficient) of its distinct terms, sorted, the
+    coefficients of equal terms summed mod p.  Sources 0..n-1 are the
+    inputs."""
+    shifts, entries = gb.replay_trace()
+    adds = np.array([e[0] for e in entries], dtype=bool)
+    nq, nv = len(shifts), n + int(adds.sum())
+    ent = np.repeat(np.arange(len(entries)), [len(e[1]) for e in entries])
+    coeffs, qs, srcs = (np.fromiter(chain.from_iterable(e[k] for e in entries),
+                                    dtype=np.int64, count=ent.size)
+                        for k in (1, 2, 3))
+    keys, at = np.unique((ent * nq + qs) * nv + srcs, return_inverse=True)
+    C = np.zeros(len(keys), dtype=np.int64)
     np.add.at(C, at, coeffs)
-    return list(ka), list(kb), np.mod(C, p)
+    return shifts, adds, (keys // (nq * nv), keys // nv % nq, keys % nv,
+                          C % p)
+
+
+def _blocks(major, minor, srcs, coeffs, groups: int, size: int, nv: int):
+    """For each major group k < groups, in order: its distinct minor values,
+    its distinct sources, and the (minor x source) matrix of the
+    coefficients of its terms, which are distinct (major, minor, source)
+    triples with minor < size and source < nv."""
+    order = np.argsort(major, kind="stable")
+    major, minor, srcs, coeffs = (a[order] for a in (major, minor, srcs,
+                                                      coeffs))
+    ma, mv, ml = _grouped(major, minor, groups, size)
+    sa, sv, sl = _grouped(major, srcs, groups, nv)
+    cut = np.searchsorted(major, np.arange(groups + 1))
+    for k in range(groups):
+        at = slice(cut[k], cut[k + 1])
+        M = np.zeros((ma[k + 1] - ma[k], sa[k + 1] - sa[k]), dtype=np.int64)
+        M[ml[at], sl[at]] = coeffs[at]
+        yield mv[ma[k]:ma[k + 1]], sv[sa[k]:sa[k + 1]], M
 
 
 def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
@@ -222,45 +264,43 @@ def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
 
     units[k] is the (g x d) cofactor of the k-th generator and shift(q) the
     (d x d) matrix of x^q on the d columns, so x^q acts on a cofactor v as
-    v @ shift(q).T.  An adding entry is one product of its (shift x source)
-    coefficients with the stacked cofactors of its sources, then one of the
-    results, side by side, with the stacked transposed shift matrices.  The
-    sums that reach zero feed no later entry, so they are taken last and
-    together: per distinct shift, one product shifts the cofactors of the
-    sources it meets, and one more, in chunks of rows that keep the
+    v @ shift(q).T.  The trace is read as arrays of its distinct terms
+    (_trace_terms).  An adding entry is one product of its (shift x source)
+    coefficients with the stacked cofactors of its sources, then one of
+    the results, side by side, with the stacked transposed shift matrices.
+    The sums that reach zero feed no later entry, so they are taken last
+    and together: per distinct shift, one product shifts the cofactors of
+    the sources it meets, and one more, in chunks of rows that keep the
     temporaries small, sums them with the (sum x source) coefficients.
     """
     n, g, d = units.shape
-    shifts, entries = gb.replay_trace()
+    shifts, adds, (ent, qs, srcs, C) = _trace_terms(gb, n, p)
     mats = [shift(q).T for q in shifts]
-    vals = np.zeros((n + sum(e[0] for e in entries), g * d), dtype=np.int64)
+    nv, nz = n + int(adds.sum()), int((~adds).sum())
+    vals = np.zeros((nv, g * d), dtype=np.int64)
     vals[:n] = units.reshape(n, g * d)
-    t = n
-    for adds, coeffs, qs, srcs in entries:
-        if adds:
-            qs, srcs, C = _coefficients(coeffs, qs, srcs, p)
-            W = mat_mul(C, vals[srcs], p).reshape(len(qs), g, d)
-            W = W.transpose(1, 0, 2).reshape(g, len(qs) * d)
-            vals[t] = mat_mul(W, np.concatenate([mats[q] for q in qs]),
-                              p).reshape(g * d)
-            t += 1
-    zero = [e for e in entries if not e[0]]
-    rows = np.repeat(np.arange(len(zero)), [len(e[1]) for e in zero])
-    coeffs, qs, srcs = (np.array(list(chain.from_iterable(e[k] for e in zero)),
-                                 dtype=np.int64) for k in (1, 2, 3))
-    out = np.zeros((len(zero), g * d), dtype=np.int64)
+    adding = adds[ent]
+    added = (np.cumsum(adds) - 1)[ent[adding]]
+    for t, (used, sources, M) in enumerate(_blocks(
+            added, qs[adding], srcs[adding], C[adding], nv - n, len(shifts),
+            nv), n):
+        W = mat_mul(M, vals[sources], p).reshape(len(used), g, d)
+        W = W.transpose(1, 0, 2).reshape(g, len(used) * d)
+        vals[t] = mat_mul(W, np.concatenate([mats[q] for q in used]),
+                          p).reshape(g * d)
+    zero = ~adding
+    sums = (np.cumsum(~adds) - 1)[ent[zero]]
+    out = np.zeros((nz, g * d), dtype=np.int64)
     step = max(1, _REPLAY_CELLS // (g * d or 1))
-    for q, Mt in enumerate(mats):
-        at = np.flatnonzero(qs == q)
-        if not at.size:
+    for Mt, (rows, sources, M) in zip(mats, _blocks(
+            qs[zero], sums, srcs[zero], C[zero], len(shifts), nz, nv)):
+        if not sources.size:
             continue
-        sums, used, C = _coefficients(coeffs[at].tolist(), rows[at].tolist(),
-                                      srcs[at].tolist(), p)
-        S = mat_mul(vals[used].reshape(-1, d), Mt, p).reshape(len(used),
-                                                             g * d)
-        for lo in range(0, len(sums), step):
-            out[sums[lo:lo + step]] += mat_mul(C[lo:lo + step], S, p)
-    return np.mod(out, p)
+        S = mat_mul(vals[sources].reshape(-1, d), Mt, p).reshape(
+            len(sources), g * d)
+        for lo in range(0, len(rows), step):
+            out[rows[lo:lo + step]] += mat_mul(M[lo:lo + step], S, p)
+    return np.mod(out, p, out=out)
 
 
 def _block_apply(X: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:

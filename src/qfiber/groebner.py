@@ -8,8 +8,9 @@ whole polynomials by pure adds.  Field overflow trips a guard bit and the
 computation restarts with wider fields.
 
 Pair handling is Buchberger with the Gebauer-Moller update and sugar-first
-selection.  Reduced bases are unique, monic, and sorted by leading term, so
-ideal equality is tuple equality.
+selection.  An S-pair's normal form starts from the two shifted tails,
+since the monic leading terms cancel.  Reduced bases are unique, monic,
+and sorted by leading term, so ideal equality is tuple equality.
 
 Normal forms look up their reducer in a first-divisor memo, as Singular
 keeps a reducer index (Greuel-Pfister, A Singular Introduction to
@@ -219,11 +220,15 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
 
     used is None or a list; a list receives one (c, q, i) per step, which
     subtracted c * x^q * basis[i] (q packed), so the normal form is terms
-    minus the sum of those multiples.
+    minus the sum of those multiples.  terms may repeat a monomial, as two
+    shifted tails do, and a term past its exponent field raises _Repack.
     """
+    gmask = enc.gmask
     coeff: dict = {}
     heap: list = []
     for k, m, c in terms:
+        if m & gmask:
+            raise _Repack
         prev = coeff.get(m)
         if prev is None:
             coeff[m] = c % p
@@ -231,7 +236,6 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
         else:
             coeff[m] = (prev + c) % p
     heapq.heapify(heap)
-    gmask = enc.gmask
     n = len(basis)
     out = []
     while heap:
@@ -268,33 +272,6 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
     return out
 
 
-def _spoly_terms(f, g, enc: _Enc, p: int):
-    fk, fm, _ = f[0]
-    gk, gm, _ = g[0]
-    L = enc.lcm(fm, gm)
-    Lk = enc.key(L)
-    uf, ufk = L - fm, Lk - fk
-    ug, ugk = L - gm, Lk - gk
-    gmask = enc.gmask
-    d: dict = {}
-    keys: dict = {}
-    for tk, tm, tc in f:
-        mm = uf + tm
-        if mm & gmask:
-            raise _Repack
-        d[mm] = (d.get(mm, 0) + tc) % p
-        keys[mm] = ufk + tk
-    for tk, tm, tc in g:
-        mm = ug + tm
-        if mm & gmask:
-            raise _Repack
-        d[mm] = (d.get(mm, 0) - tc) % p
-        keys.setdefault(mm, ugk + tk)
-    out = [(keys[m], m, c) for m, c in d.items() if c]
-    out.sort(reverse=True)
-    return out
-
-
 def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     """Reduced Groebner basis of the encoded inputs, and the trace of the
     run; raises ResourceAbort.
@@ -308,8 +285,7 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     pairs the Gebauer-Moller update drops leave no entry; their syzygies
     have entries in the ideal or follow from the others.
     """
-    G: list = []       # engine polys, monic, lt first
-    lts: list = []     # (ltkey, ltpacked, tail) view for the reducer search
+    lts: list = []     # (ltkey, ltpacked, tail) of each element, monic
     sugars: list = []
     pairs: dict = {}   # (i, j) -> (sugar, lcmkey, lcmpacked)
     heap: list = []
@@ -318,7 +294,7 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     n = len(inputs)
 
     def add_element(terms, sugar):
-        t = len(G)
+        t = len(lts)
         ltk, ltm, _ = terms[0]
         # Gebauer-Moller update: prune old pairs made redundant by lt(t)
         for ij in list(pairs):
@@ -336,7 +312,6 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
                 and all(not enc.divides(L2, L) for _, L2 in kept)
             ):
                 kept.append((i, L))
-        G.append(terms)
         lts.append((ltk, ltm, terms[1:]))
         sugars.append(sugar)
         for i, L in kept:
@@ -361,7 +336,7 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
         if sig in seen:
             trace.append((0, [(inv, 0, k), (p - 1, 0, n + seen[sig])]))
             continue
-        seen[sig] = len(G)
+        seen[sig] = len(lts)
         trace.append((inv, [(1, 0, k)]))
         add_element(terms, max(enc.deg(m) for _, m, _ in terms))
 
@@ -373,12 +348,16 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
             continue
         done += 1
         if done > max_pairs:
-            raise ResourceAbort(done, len(G), max_pairs)
-        s = _spoly_terms(G[i], G[j], enc, p)
+            raise ResourceAbort(done, len(lts), max_pairs)
+        # the monic leading terms cancel: the S-polynomial is the shifted
+        # tail of i minus that of j
+        _, Lk, L = cur
+        (ik, im, itail), (jk, jm, jtail) = lts[i], lts[j]
+        s = [(Lk - ik + tk, L - im + tm, tc) for tk, tm, tc in itail]
+        s += [(Lk - jk + tk, L - jm + tm, -tc) for tk, tm, tc in jtail]
         used: list = []
-        h = _nf_terms(s, lts, enc, p, memo, used) if s else s
-        L = cur[2]
-        terms = [(1, L - lts[i][1], n + i), (p - 1, L - lts[j][1], n + j)]
+        h = _nf_terms(s, lts, enc, p, memo, used)
+        terms = [(1, L - im, n + i), (p - 1, L - jm, n + j)]
         terms += [(p - c, q, n + t) for c, q, t in used]
         # scaled like the monic element h becomes
         trace.append((pow(h[0][2], p - 2, p) if h else 0, terms))
@@ -386,7 +365,7 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
             add_element(_monic_terms(h, p), sug)
 
     # minimalize: keep only elements whose lt no other kept lt divides
-    order = sorted(range(len(G)), key=lambda t: lts[t][0])
+    order = sorted(range(len(lts)), key=lambda t: lts[t][0])
     keep: list = []
     for t in order:
         if not any(enc.divides(lts[s][1], lts[t][1]) for s in keep):

@@ -2,14 +2,17 @@
 
 An ArtinianAlgebra is F_p[x]/I for a zero-dimensional I, represented by its
 standard-monomial basis and the memoised monomial matrices M_q = X^q built
-from the multiplication matrices X_v of the variables, and the memoised
-minimal polynomial of each X_v.  Those polynomials carry all the algebra's
-locality: every x_v is nilpotent when each is a power of t (at_origin), and
-the nilpotent parts X_v - h_v(X_v), h_v their semisimple polynomials, span
-its radical on the algebra and on any module over it.  On top of that live
-the tangent-space and derivation-module dimensions, the splitting of the
-algebra into certified local factors through idempotents (on bare action
-matrices), and the regularity of projective point ideals.
+from the multiplication matrices X_v of the variables.  Its locality comes
+from the reduced basis when every element is homogeneous: the zero set is
+then a finite cone, the origin alone, so every x_v is nilpotent and the X_v
+span the radical themselves.  Otherwise it comes from the memoised minimal
+polynomial of each X_v: every x_v is nilpotent when each is a power of t
+(at_origin), and the nilpotent parts X_v - h_v(X_v), h_v their semisimple
+polynomials, span its radical on the algebra and on any module over it.
+On top of that live the tangent-space and derivation-module dimensions,
+the splitting of the algebra into certified local factors through
+idempotents (on bare action matrices), and the regularity of projective
+point ideals.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ class ArtinianAlgebra:
     each ideal has one; the algebra keeps the basis and refers to the ideal
     weakly (see ideal).  Every d x d matrix of the algebra is a monomial
     matrix M_q = X^q, built once and memoised, and so is the minimal
-    polynomial of each X_v with its semisimple polynomial.
+    polynomial of each X_v with its semisimple polynomial.  A homogeneous
+    basis answers at_origin with neither built, and at the origin the
+    nilpotent parts are the matrices themselves.
     """
 
     def __init__(self, ideal: Ideal, std):
@@ -155,10 +160,14 @@ class ArtinianAlgebra:
         return self._minpolys
 
     def at_origin(self) -> bool:
-        """True when every x_v is nilpotent: each minimal polynomial is a
-        power of t, and the algebra is local with its point at the origin.
-        No squarefree part is taken, so any dimension is fine."""
-        return not any(any(mp[:-1]) for mp in self.minimal_polynomials())
+        """True when every x_v is nilpotent: the algebra is local with its
+        point at the origin.  When every element of the reduced basis is
+        homogeneous, the zero set is a finite cone, so the origin alone,
+        and no minimal polynomial is built.  Otherwise each minimal
+        polynomial must be a power of t.  No squarefree part is taken
+        either way, so any dimension is fine."""
+        return (all(f.is_homogeneous() for f in self._gb.polys)
+                or not any(any(mp[:-1]) for mp in self.minimal_polynomials()))
 
     def nilpotent_parts(self, mats) -> list:
         """N_v = Y_v - h_v(Y_v) for the matrices Y_v of the variables on a
@@ -168,8 +177,11 @@ class ArtinianAlgebra:
         rad A: the quotient by them is generated by the h_v(x_v), which
         commute and have squarefree minimal polynomials, so over the
         perfect field F_p it is reduced.  The columns of the N_v thus span
-        rad(A)*M.  Needs dim A < p, as squarefree parts do.
+        rad(A)*M.  At the origin every h_v is 0 and N_v = Y_v, at any
+        dimension; elsewhere it needs dim A < p, as squarefree parts do.
         """
+        if self.at_origin():
+            return list(mats)
         if self._semisimple is None:
             self._semisimple = [semisimple_poly(mp, self.p)
                                 for mp in self.minimal_polynomials()]
@@ -293,20 +305,24 @@ _DRAWS = 64
 def local_decompose(alg: ArtinianAlgebra, stream: Stream) -> list:
     """Split an artinian algebra into its local factors, each certified.
 
-    A piece is split on its bare matrices: the actions X_v, their nilpotent
-    parts N_v, which span its radical (ArtinianAlgebra.nilpotent_parts), and
-    its unit vector.  Its residue algebra has dimension r = dim -
-    rank[N_1 | ... | N_n].  With r = 1 the piece is local with the rational
-    point a_v = tr X_v / dim.  Otherwise random linear forms are drawn: one
-    whose minimal polynomial has a reducible squarefree part splits the
-    piece by idempotents, and one where that part is irreducible of degree
-    r certifies a local piece with residue field F_p[form], no rational
-    point.  Any other form is redrawn, and after _DRAWS of them RuntimeError
-    is raised: randomness finds splittings, it never accepts a factor.
-    Factors are sorted by length, then by their idempotent e*1 in
-    standard-monomial coordinates, so the order does not depend on the
-    stream.
+    An algebra at the origin is its one factor, at any dimension, with no
+    rank taken.  Any other is split on its bare matrices: the actions X_v,
+    their nilpotent parts N_v, which span its radical
+    (ArtinianAlgebra.nilpotent_parts), and its unit vector.  A piece's
+    residue algebra has dimension r = dim - rank[N_1 | ... | N_n].  With
+    r = 1 the piece is local with the rational point a_v = tr X_v / dim.
+    Otherwise random linear forms are drawn: one whose minimal polynomial
+    has a reducible squarefree part splits the piece by idempotents, and
+    one where that part is irreducible of degree r certifies a local piece
+    with residue field F_p[form], no rational point.  Any other form is
+    redrawn, and after _DRAWS of them RuntimeError is raised: randomness
+    finds splittings, it never accepts a factor.  Factors are sorted by
+    length, then by their idempotent e*1 in standard-monomial coordinates,
+    so the order does not depend on the stream.  Off the origin the
+    squarefree parts need dim < p, and a larger algebra raises ValueError.
     """
+    if alg.at_origin():
+        return [LocalFactor(alg.dim, (), (0,) * alg.nvars)]
     if alg.dim >= alg.p:
         raise ValueError("algebra dimension must stay below the field size")
     acts, p = alg.actions(), alg.p
@@ -393,7 +409,8 @@ def semisimple_poly(minpoly: list, p: int) -> list:
         dft = _compose_mod(df, t, minpoly, p)
         inv = _inv_mod(dft, minpoly, p)
         t = uv.sub(t, uv.mod_poly(uv.mul(ft, inv, p), minpoly, p), p)
-    assert not _compose_mod(f, t, minpoly, p), "newton iteration failed to converge"
+    if _compose_mod(f, t, minpoly, p):
+        raise RuntimeError("newton iteration failed to converge")
     return t
 
 

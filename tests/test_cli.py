@@ -45,6 +45,20 @@ ideal X = y, x^2 - 1;
 ideal Y = y;
 """
 
+# fat points at the origin of length at least the field size, in the
+# line and in 3-space: {p} is filled in with the characteristic
+ORIGIN_LINE = """\
+ring R = Fp({p})[x, y];
+ideal X = y;
+ideal Y = x^3, y;
+"""
+
+ORIGIN_SPACE = """\
+ring R = Fp({p})[x, y, z];
+ideal X = z;
+ideal Y = x^2, y^2, z;
+"""
+
 # two points, of lengths 2 and 1
 PLANE_HOLDS_POINTS = """\
 ring R = Fp(32003)[x, y, z], grevlex;
@@ -234,6 +248,32 @@ class TestCompute:
             assert code == 0 and doc.pop("seed") == seed
             docs.append(doc)
         assert all(doc == docs[0] for doc in docs[1:])
+
+    @pytest.mark.parametrize("text,want", [
+        (ORIGIN_LINE, (3, 3, "3/1", 1, 3, [0, 0])),
+        (ORIGIN_SPACE, (4, 4, "4/1", 1, 8, [0, 0, 0]))],
+        ids=["line", "space"])
+    def test_origin_at_any_field_size(self, capsys, tmp_path, text, want):
+        # an algebra at the origin is its one local factor, so deg Z >= p
+        # is reported over F_3 as over F_32003
+        f = tmp_path / "in.txt"
+        for p in (3, 32003):
+            f.write_text(text.format(p=p))
+            code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+            assert code == 0
+            assert tuple(doc[k] for k in ("deg_Z", "dim_Q", "q", "mu_Q",
+                                          "hilb_tangent_dim")) == want[:5]
+            assert [e["point"] for e in doc["licci"]] == [want[5]]
+
+    def test_off_origin_needs_dimension_below_p(self, capsys, tmp_path):
+        # three points on a line over F_3: splitting them takes squarefree
+        # parts, which need deg Z < p
+        f = tmp_path / "in.txt"
+        f.write_text("ring R = Fp(3)[x, y];\n"
+                     "ideal X = y, x^3 - x;\nideal Y = y;\n")
+        code, _, err = run(capsys, "compute", "--input", str(f))
+        assert code == 1
+        assert "below the field size" in err
 
     def test_transversal_reports_null_q(self, capsys, tmp_path):
         f = tmp_path / "tr.txt"

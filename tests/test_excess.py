@@ -1084,13 +1084,21 @@ def zero_entries(ideal):
     return [e for e in ideal.groebner().replay_trace()[1] if not e[0]]
 
 
+def constant_term_replay(alg):
+    """The arguments of minimal_generators' replay: the run of the reduced
+    basis, the unit vectors of k^g with d = 1, and evaluation at the
+    origin as the shift."""
+    polys = alg.ideal.groebner().polys
+    g = len(polys)
+    return (Ideal(alg.ring, polys).groebner(), identity(g).reshape(g, g, 1),
+            lambda q: np.array([[0 if any(q) else 1]]), alg.p)
+
+
 def per_term_minimal_generators(alg):
     """minimal_generators on the per-term replay of the constant terms."""
     polys = alg.ideal.groebner().polys
     g = len(polys)
-    k0 = per_term_replay(Ideal(alg.ring, polys).groebner(),
-                         identity(g).reshape(g, g, 1),
-                         lambda q: np.array([[0 if any(q) else 1]]), alg.p)
+    k0 = per_term_replay(*constant_term_replay(alg))
     _, piv = rref(k0[:, ::-1], alg.p)
     dropped = {g - 1 - j for j in piv}
     return [f for j, f in enumerate(polys) if j not in dropped]
@@ -1134,6 +1142,27 @@ class TestBatchedReplay:
         assert _relation_space(I.gens, I, alg).shape[0] == 0
         assert spanning_kernel(I.gens, I.power(2), alg).shape[0] == 0
 
+    def test_no_zero_sums(self):
+        # both S-pairs add an element and every later pair is coprime
+        I = idl(ring(), "x^2 + x, x^2 - y")
+        alg = ArtinianAlgebra.from_ideal(I)
+        entries = I.groebner().replay_trace()[1]
+        assert len(entries) == 4 and all(e[0] for e in entries)
+        assert assert_replays_as_oracle(I.gens, I, alg).shape == (0,
+                                                                  2 * alg.dim)
+
+    def test_only_entries_are_the_inputs(self):
+        # the cotangent space of a point: the runs of (x, y) on both sides
+        # hold one entry per input and nothing else
+        R = ring()
+        s = make_scenario(R, Ideal(R, []), idl(R, "x, y"), 2, 2)
+        for ideal in (s.I_Y, s.Z.ideal):
+            entries = ideal.groebner().replay_trace()[1]
+            assert sorted((e[0], e[2], e[3]) for e in entries) == [
+                (True, [0], [0]), (True, [0], [1])]
+            assert assert_replays_as_oracle(s.I_Y.gens, ideal,
+                                            s.Z).shape == (0, 2)
+
     def test_only_zero_entry_is_a_duplicate_input(self):
         R = ring()
         I = Ideal(R, parse_ideal("x^2, y^3, x^2", R))
@@ -1149,9 +1178,13 @@ class TestBatchedReplay:
         assert np.array_equal(_relation_space(I.gens, I, alg), rref_rows(
             spanning_kernel(I.gens, I.power(2), alg)))
 
-    @pytest.mark.parametrize("case", sorted(MU_CASES))
+    @pytest.mark.parametrize("case", sorted(MU_CASES) + [
+        "graph2", "graph3", "graph4", "graph5", "fatpoint"])
     def test_minimal_generators(self, case):
+        # the d = 1 replay of the constant terms, row for row
         alg = ArtinianAlgebra.from_ideal(local_ideal(case))
+        args = constant_term_replay(alg)
+        assert np.array_equal(_replay(*args), per_term_replay(*args))
         assert minimal_generators(alg) == per_term_minimal_generators(alg)
 
 
@@ -1570,10 +1603,9 @@ class TestLocalityOracles:
             assert [(f.length, f.point) for f in factors] == OFF_ORIGIN[case]
 
     def test_one_minimal_polynomial_per_variable(self, monkeypatch):
-        # the graph n = 4 report reads the memoised polynomial of each of
-        # its 9 variables, and Z is local at a rational point: no form is
-        # drawn and no factor restricts anything
-        s = gen_quadric_graph(4, Seed(1))
+        # the graph bases are homogeneous, so their reports build no
+        # minimal polynomial; a local algebra whose basis is not builds one
+        # per variable, memoised, and draws no form
         calls = []
         plain = zerodim.minpoly_of_vector
 
@@ -1582,6 +1614,88 @@ class TestLocalityOracles:
             return plain(M, v, p)
 
         monkeypatch.setattr(zerodim, "minpoly_of_vector", counting)
-        rep = q_module(s)
-        assert (rep.deg_z, rep.q, rep.mu_q) == (10, 5, 5)
-        assert len(calls) == s.Z.nvars == 9
+        reps = [q_module(gen_quadric_graph(n, Seed(1))) for n in range(2, 7)]
+        assert [(r.deg_z, r.q, r.mu_q) for r in reps] == [
+            (3, 3, 3), (6, 6, 3), (10, 5, 5), (20, 20, 6), (35, 7, 7)]
+        assert calls == []
+        R = ring()
+        alg = ArtinianAlgebra.from_ideal(idl(R, "x^2 - y^3, x*y"))
+        assert alg.ideal.groebner().polys == tuple(
+            parse_ideal("x*y, y^3 - x^2, x^3", R))
+        assert alg.at_origin()
+        factors = local_decompose(alg, Stream(_REPORT_SEED))
+        assert [(f.length, f.point) for f in factors] == [(5, (0, 0))]
+        mu(FinModule(alg.dim, tuple(alg.actions()), identity(alg.dim), alg))
+        assert len(calls) == alg.nvars == 2
+
+
+# --- the homogeneous shortcut against the minimal-polynomial route ----------
+
+
+def factor_summary(factors, alg):
+    """(length, idempotent e*1, point) of each factor, in local_decompose's
+    order."""
+    acts, p = alg.actions(), alg.p
+    return sorted(((f.length, mat_mul(f.projector(acts, p), alg.one,
+                                      p).tolist(), f.point)
+                   for f in factors), key=lambda t: t[:2])
+
+
+def minimal_polynomial_route(alg):
+    """at_origin, the nilpotent parts of the actions and the local factors
+    read off the minimal polynomials of the variables: the route a
+    homogeneous basis skips, splitting every algebra on its ranks."""
+    acts, p = alg.actions(), alg.p
+    mps = alg.minimal_polynomials()
+    nils = [np.mod(X - _eval_matrix_poly(semisimple_poly(mp, p), X, p), p)
+            for X, mp in zip(acts, mps)]
+    factors = []
+    zerodim._decompose_into(acts, nils, alg.one, p, Stream(_REPORT_SEED), (),
+                            factors)
+    return (not any(any(mp[:-1]) for mp in mps), nils,
+            factor_summary(factors, alg))
+
+
+# the locality scenarios hold graph n = 2..7, EI and the fat point
+SHORTCUT_ALGEBRAS = {
+    "graph8": lambda: gen_quadric_graph(8, Seed(0)).Z,
+    "fatpoint-chart": lambda: ArtinianAlgebra.from_ideal(
+        gen_fatpoint_model(Seed(0)).chart_ideal),
+    **{f"scenario-{case}": (lambda make=make: make().Z)
+       for case, make in LOCALITY_SCENARIOS.items()},
+    **{f"algebra-{case}": (lambda names=names, text=text:
+                           ArtinianAlgebra.from_ideal(idl(ring(names), text)))
+       for case, (names, text) in LOCALITY_ALGEBRAS.items()},
+}
+
+
+class TestOriginShortcut:
+    @pytest.mark.parametrize("case", list(SHORTCUT_ALGEBRAS))
+    def test_matches_minimal_polynomials(self, case, monkeypatch):
+        alg = SHORTCUT_ALGEBRAS[case]()
+        homogeneous = alg.ideal.is_homogeneous()
+        calls = []
+        plain = zerodim.minpoly_of_vector
+
+        def counting(M, v, p):
+            calls.append(1)
+            return plain(M, v, p)
+
+        with monkeypatch.context() as m:
+            m.setattr(zerodim, "minpoly_of_vector", counting)
+            origin = alg.at_origin()
+            nils = alg.nilpotent_parts(alg.actions())
+            factors = factor_summary(
+                local_decompose(alg, Stream(_REPORT_SEED)), alg)
+        # a homogeneous basis builds no minimal polynomial and cuts out
+        # the origin alone
+        assert not (homogeneous and calls)
+        assert origin or not homogeneous
+        want_origin, want_nils, want_factors = minimal_polynomial_route(alg)
+        assert origin == want_origin
+        assert len(nils) == len(want_nils) and all(
+            np.array_equal(N, W) for N, W in zip(nils, want_nils))
+        assert factors == want_factors
+        if origin:
+            assert factors == [(alg.dim, alg.one.tolist(),
+                                (0,) * alg.nvars)]

@@ -13,7 +13,8 @@ every call leaves a cycle for the cycle collector.  The packed-monomial
 codec `_Enc` is named in `groebner.py` alone, every matrix product is
 written in `linalg.py` alone, where mat_mul keeps it exact, and minimal
 and semisimple polynomials are taken in `zerodim.py` alone, where each
-algebra memoises those of its variables.
+algebra memoises those of its variables.  No module holds an assert
+statement: python -O strips them, so a check written as one would vanish.
 """
 
 import ast
@@ -347,3 +348,23 @@ def test_minimal_polynomials_only_in_zerodim(name):
     calling = [p.name for p in sorted(SRC.glob("*.py"))
                if calls_of(p.read_text(encoding="utf-8"), name)]
     assert calling == ["zerodim.py"]
+
+
+def assert_statements(source: str) -> list:
+    """Lines of the source's assert statements."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_finder():
+    source = ("assert x, 'm'\ndef f():\n    assert_equal(1)\n"
+              "    assert (y)\nasserted = 1\n")
+    assert assert_statements(source) == [1, 4]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_assert_statements(name):
+    # a runtime check raises an exception of its own, which python -O
+    # keeps
+    source = (SRC / name).read_text(encoding="utf-8")
+    assert assert_statements(source) == []

@@ -596,6 +596,18 @@ class TestSemisimple:
         assert horner(h, 5, P) == 5
         assert horner(uv.derivative(h, P), 3, P) == 0
 
+    def test_newton_failure_raises(self, monkeypatch):
+        # every inverse forced to zero: t never moves off T, which is not
+        # semisimple mod (T-2)^2, and a RuntimeError (exit 2) refuses it,
+        # as no assert would under python -O
+        from qfiber import univar as uv
+
+        mp = uv.mul([P - 2, 1], [P - 2, 1], P)
+        assert semisimple_poly(mp, P) == [2]
+        monkeypatch.setattr(zerodim, "_inv_mod", lambda f, modulus, p: [])
+        with pytest.raises(RuntimeError, match="newton"):
+            semisimple_poly(mp, P)
+
     @staticmethod
     def nilpotent_part(A):
         """x - h(x) for the one variable, as the defect-module mu computes it."""
