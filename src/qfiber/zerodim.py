@@ -35,10 +35,11 @@ class ArtinianAlgebra:
     The ideal keeps the algebra beside its Groebner basis (from_ideal), so
     each ideal has one; the algebra keeps the basis and refers to the ideal
     weakly (see ideal).  Every d x d matrix of the algebra is a monomial
-    matrix M_q = X^q, built once and memoised, and so is the minimal
-    polynomial of each X_v with its semisimple polynomial.  A homogeneous
-    basis answers at_origin with neither built, and at the origin the
-    nilpotent parts are the matrices themselves.
+    matrix M_q = X^q, built once and memoised, and so are the minimal
+    polynomial of each X_v with its semisimple polynomial and the answer
+    of at_origin.  A homogeneous basis answers at_origin with neither
+    polynomial built, and at the origin the nilpotent parts are the
+    matrices themselves.
     """
 
     def __init__(self, ideal: Ideal, std):
@@ -57,6 +58,7 @@ class ArtinianAlgebra:
         self._monomials = {zero: identity(self.dim)}
         self._minpolys = None
         self._semisimple = None
+        self._origin = None
 
     @classmethod
     def from_ideal(cls, ideal: Ideal) -> "ArtinianAlgebra":
@@ -166,8 +168,11 @@ class ArtinianAlgebra:
         and no minimal polynomial is built.  Otherwise each minimal
         polynomial must be a power of t.  No squarefree part is taken
         either way, so any dimension is fine."""
-        return (all(f.is_homogeneous() for f in self._gb.polys)
+        if self._origin is None:
+            self._origin = (
+                all(f.is_homogeneous() for f in self._gb.polys)
                 or not any(any(mp[:-1]) for mp in self.minimal_polynomials()))
+        return self._origin
 
     def nilpotent_parts(self, mats) -> list:
         """N_v = Y_v - h_v(Y_v) for the matrices Y_v of the variables on a
