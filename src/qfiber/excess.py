@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -226,13 +226,12 @@ def _trace_terms(gb, n: int, p: int):
     shift, source, coefficient) of its distinct terms, sorted, the
     coefficients of equal terms summed mod p.  Sources 0..n-1 are the
     inputs."""
-    shifts, entries = gb.replay_trace()
-    adds = np.array([e[0] for e in entries], dtype=bool)
+    shifts, adds, lengths, coeffs, qs, srcs = gb.replay_trace()
+    adds = np.array(adds, dtype=bool)
     nq, nv = len(shifts), n + int(adds.sum())
-    ent = np.repeat(np.arange(len(entries)), [len(e[1]) for e in entries])
-    coeffs, qs, srcs = (np.fromiter(chain.from_iterable(e[k] for e in entries),
-                                    dtype=np.int64, count=ent.size)
-                        for k in (1, 2, 3))
+    ent = np.repeat(np.arange(len(lengths)), lengths)
+    coeffs, qs, srcs = (np.array(a, dtype=np.int64) for a in (coeffs, qs,
+                                                                 srcs))
     keys, at = np.unique((ent * nq + qs) * nv + srcs, return_inverse=True)
     C = np.zeros(len(keys), dtype=np.int64)
     np.add.at(C, at, coeffs)
@@ -315,12 +314,18 @@ def _block_apply(X: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
 def _submodule(rows: np.ndarray, alg: ArtinianAlgebra):
     """rref k-basis and pivots of the alg-submodule the rows span, rows of
     k^(w*d) acted on blockwise: each round reduces the images of the rows
-    new in the last round modulo the basis so far."""
-    p, acts = alg.p, alg.actions()
+    new in the last round modulo the basis so far.  Only the variables
+    whose e_v leads no element of the reduced basis act: every other one
+    is minus its element's tail, a polynomial in those, so they generate
+    the algebra.  With none (a reduced point) the span is the module."""
+    p, n = alg.p, alg.nvars
+    lead = set(alg.ideal.groebner().leading_monomials())
+    acts = [X for v, X in enumerate(alg.actions())
+            if tuple(int(w == v) for w in range(n)) not in lead]
     R, piv = rref(rows, p)
     R = R[:len(piv)]
     new = R
-    while new.shape[0]:
+    while new.shape[0] and acts:
         cand = np.vstack([_block_apply(X, new, p) for X in acts])
         if piv:
             cand -= mat_mul(cand[:, piv], R, p)

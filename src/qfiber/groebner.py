@@ -24,17 +24,18 @@ replaced by an empty one whenever a repack re-encodes the monomials.
 
 Every run keeps its trace, the multiples c * x^q of inputs and earlier
 elements that each input and S-pair summed (Traverso's Groebner trace,
-ISSAC 1988).  GroebnerBasis.replay_trace hands it out on exponent tuples,
-the one reader of the packed trace, for a caller to replay on cofactors of
-its own, spending no S-pairs; by Schreyer's theorem the sums that reached
-zero generate the syzygies modulo the ideal (Eisenbud, Commutative
-Algebra, Thm 15.10; the Gebauer-Moller criteria keep a generating set).
+ISSAC 1988).  GroebnerBasis.replay_trace hands it out as flat lists on
+exponent tuples, the one reader of the packed trace, for a caller to
+replay on cofactors of its own, spending no S-pairs; by Schreyer's
+theorem the sums that reached zero generate the syzygies modulo the ideal
+(Eisenbud, Commutative Algebra, Thm 15.10; the Gebauer-Moller criteria
+keep a generating set).
 
 A zero-dimensional basis also gives its quotient algebra on packed
 monomials: standard_monomials walks them with the reducer's guard-bit
-divisibility test, and border_columns reduces each border monomial x_v * m
-packed, with no Polynomial built, into the columns of the multiplication
-matrices, as plain (index, coefficient) lists.
+divisibility test, and border_plan orders the border monomials x_v * m so
+that each column of the multiplication matrices is minus a tail of the
+basis or an action on a column built before it, with no normal form.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .algebra import (
     GREVLEX,
@@ -153,9 +155,6 @@ class _Enc:
         pm = t - (t >> (self.B - 1))
         return (b & pm) | (a & (self.fullmask ^ pm))
 
-    def coprime(self, a: int, b: int) -> bool:
-        return self.lcm(a, b) == a + b
-
     def _gkey(self, e, lo: int, hi: int) -> int:
         # grevlex on the slice: (degree, negated reverse-packed exponents)
         d = 0
@@ -201,17 +200,14 @@ def _initial_bits(gens) -> int:
     return max(5, (2 * maxe + 2).bit_length() + 1)
 
 
-def _monic_terms(terms, p: int):
-    inv = pow(terms[0][2], p - 2, p)
-    return [(k, m, c * inv % p) for k, m, c in terms]
-
-
 def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
     """Full normal form of a term list against monic engine polynomials.
 
     basis entries are (ltkey, ltpacked, tail) with tail the non-leading
     terms.  Work queue is a max-heap with lazy deletion backed by a coeff
-    dict; keys are additive so shifted tails cost one add per term.
+    dict; keys are additive so shifted tails cost one add per term.  The
+    dict keeps each coefficient as an unreduced sum, reduced once when its
+    monomial is popped.
 
     memo maps a packed monomial to the index of the first basis entry whose
     leading term divides it, or to ~n when none of the first n entries
@@ -222,26 +218,30 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
     subtracted c * x^q * basis[i] (q packed), so the normal form is terms
     minus the sum of those multiples.  terms may repeat a monomial, as two
     shifted tails do, and a term past its exponent field raises _Repack.
+    The guard bits are tested when a monomial first enters the dict: one
+    past its field carries a guard bit, so it equals no key stored there.
     """
     gmask = enc.gmask
     coeff: dict = {}
+    get = coeff.get
     heap: list = []
     for k, m, c in terms:
-        if m & gmask:
-            raise _Repack
-        prev = coeff.get(m)
+        prev = get(m)
         if prev is None:
-            coeff[m] = c % p
+            if m & gmask:
+                raise _Repack
+            coeff[m] = c
             heap.append((-k, m))
         else:
-            coeff[m] = (prev + c) % p
+            coeff[m] = prev + c
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     n = len(basis)
     out = []
     while heap:
-        negk, m = heapq.heappop(heap)
-        c = coeff.pop(m, None)
-        if c is None or c == 0:
+        negk, m = pop(heap)
+        c = coeff.pop(m) % p
+        if not c:
             continue
         i = memo.get(m, -1)  # -1 == ~0: no entry checked yet
         if i < 0 and ~i < n:
@@ -256,19 +256,20 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
             continue
         ltk, ltm, tail = basis[i]
         q = m - ltm
-        qk = -negk - ltk
         if used is not None:
             used.append((c, q, i))
+        negq = negk + ltk
+        c = p - c
         for tk, tm, tc in tail:
             mm = q + tm
-            if mm & gmask:
-                raise _Repack
-            prev = coeff.get(mm)
+            prev = get(mm)
             if prev is None:
-                coeff[mm] = (-c * tc) % p
-                heapq.heappush(heap, (-(qk + tk), mm))
+                if mm & gmask:
+                    raise _Repack
+                coeff[mm] = c * tc
+                push(heap, (negq - tk, mm))
             else:
-                coeff[mm] = (prev - c * tc) % p
+                coeff[mm] = prev + c * tc
     return out
 
 
@@ -292,30 +293,37 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     memo: dict = {}    # first-divisor memo of lts, which only grows
     trace: list = []
     n = len(inputs)
+    gmask = enc.gmask
 
     def add_element(terms, sugar):
         t = len(lts)
         ltk, ltm, _ = terms[0]
-        # Gebauer-Moller update: prune old pairs made redundant by lt(t)
-        for ij in list(pairs):
-            i, j = ij
-            L = pairs[ij][2]
-            if enc.divides(ltm, L) and enc.lcm(lts[i][1], ltm) != L and enc.lcm(lts[j][1], ltm) != L:
-                del pairs[ij]
-        # candidate pairs (i, t), filtered so only minimal lcms survive
+        # Gebauer-Moller update: prune old pairs made redundant by lt(t);
+        # a divides b when ((b | gmask) - a) & gmask == gmask
+        for ij, (_, _, L) in list(pairs.items()):
+            if ((L | gmask) - ltm) & gmask == gmask:
+                i, j = ij
+                if enc.lcm(lts[i][1], ltm) != L and enc.lcm(lts[j][1], ltm) != L:
+                    del pairs[ij]
+        # candidate pairs (i, t), filtered so only minimal lcms survive; a
+        # pair is coprime when its lcm is the product of its leading terms
         cand = [(i, enc.lcm(lts[i][1], ltm)) for i in range(t)]
         kept: list = []
         while cand:
             i, L = cand.pop()
-            if enc.coprime(lts[i][1], ltm) or (
-                all(not enc.divides(L2, L) for _, L2 in cand)
-                and all(not enc.divides(L2, L) for _, L2 in kept)
-            ):
+            if L == lts[i][1] + ltm:
+                kept.append((i, L))
+                continue
+            Lg = L | gmask
+            for _, L2 in chain(cand, kept):
+                if (Lg - L2) & gmask == gmask:
+                    break
+            else:
                 kept.append((i, L))
         lts.append((ltk, ltm, terms[1:]))
         sugars.append(sugar)
         for i, L in kept:
-            if enc.coprime(lts[i][1], ltm):
+            if L == lts[i][1] + ltm:
                 continue
             Lk = enc.key(L)
             sug = max(
@@ -360,9 +368,10 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
         terms = [(1, L - im, n + i), (p - 1, L - jm, n + j)]
         terms += [(p - c, q, n + t) for c, q, t in used]
         # scaled like the monic element h becomes
-        trace.append((pow(h[0][2], p - 2, p) if h else 0, terms))
+        inv = pow(h[0][2], p - 2, p) if h else 0
+        trace.append((inv, terms))
         if h:
-            add_element(_monic_terms(h, p), sug)
+            add_element([(k, m, c * inv % p) for k, m, c in h], sug)
 
     # minimalize: keep only elements whose lt no other kept lt divides
     order = sorted(range(len(lts)), key=lambda t: lts[t][0])
@@ -475,62 +484,80 @@ class GroebnerBasis:
         walk.sort(key=enc.key)
         return tuple(enc.unpack(m) for m in walk)
 
-    def border_columns(self, std) -> list:
-        """Columns of the multiplication matrices of the variables on the
-        standard monomials std: out[v][j] lists (i, c) for the normal form
-        sum c * std[i] of x_v * std[j].
+    def border_plan(self, std) -> tuple:
+        """How to build the multiplication matrices of the variables on the
+        standard monomials std, each column from columns built before it.
 
-        Each border monomial is reduced packed, with no polynomial built;
-        its key is the sum of the keys of its factors.  A field overflow
-        widens the codec as normal_form does.
+        Returns (places, direct, derived).  Places 0..d-1 hold std, places
+        d, d+1, ... the border monomials x_v * std[j] outside std in
+        increasing order, and places[v][j] is that of x_v * std[j].  direct
+        lists (row, place, coefficient) entries: the unit columns of std,
+        and minus the tail of each element a border monomial leads.  Any
+        other border monomial b = x_v * s is a proper multiple of a leading
+        term, so b' = b / x_w = x_v * (s / x_w) lies outside std for some
+        w; derived lists (place of b, w, place of b') in increasing order.
+        The column of b is X_w times that of b', and each x_w * s' it
+        meets, s' a term of b', lies below b, so is built already: the
+        multiplication matrices of FGLM (Faugere, Gianni, Lazard, Mora,
+        J. Symbolic Comput. 16, 1993) and of border bases (Kehrein,
+        Kreuzer, Robbiano, 2005).  A field overflow widens the codec as
+        normal_form does.
         """
-        p = self.ring.p
         while True:
             enc = self._enc
             try:
                 packed = [enc.pack(m) for m in std]
-                keys = [enc.key(m) for m in packed]
-                index = {m: i for i, m in enumerate(packed)}
-                out = []
-                for u in (1 << s for s in enc._shifts):
-                    uk = enc.key(u)
-                    cols = []
-                    for m, k in zip(packed, keys):
-                        hit = index.get(m + u)
-                        if hit is not None:
-                            cols.append([(hit, 1)])
-                            continue
-                        red = _nf_terms([(k + uk, m + u, 1)], self._engine,
-                                        enc, p, self._memo, None)
-                        cols.append([(index[r], c) for _, r, c in red])
-                    out.append(cols)
-                return out
+                break
             except _Repack:
                 self._widen()
+        p, gmask, d = self.ring.p, enc.gmask, len(packed)
+        units = [1 << s for s in enc._shifts]
+        keys = [enc.key(m) for m in packed]
+        place = {m: j for j, m in enumerate(packed)}
+        # a border monomial's order key is the sum of its factors' keys
+        border = {m + u: k + uk for u, uk in zip(units, map(enc.key, units))
+                  for m, k in zip(packed, keys) if m + u not in place}
+        border = sorted(border, key=border.__getitem__)
+        place.update((b, d + t) for t, b in enumerate(border))
+        lead = {ltm: tail for _, ltm, tail in self._engine}
+        direct = [(j, j, 1) for j in range(d)]
+        derived = []
+        for b in border:
+            tail = lead.get(b)
+            if tail is not None:
+                direct += [(place[m], place[b], p - c) for _, m, c in tail]
+                continue
+            for w, u in enumerate(units):
+                if ((b | gmask) - u) & gmask == gmask and place[b - u] >= d:
+                    derived.append((place[b], w, place[b - u]))
+                    break
+        return [[place[m + u] for m in packed] for u in units], direct, derived
 
     def replay_trace(self) -> tuple:
-        """The trace of the run that built the basis, on exponent tuples.
-
-        Returns (shifts, entries): shifts lists the distinct exponents the
-        run shifted by, and entries holds one (adds, coeffs, qs, srcs) per
-        nonzero input and S-pair, in run order.  Term k of an entry stands
-        for coeffs[k] * x^shifts[qs[k]] times source srcs[k], where sources
-        0..n-1 are the n nonzero generators the basis was built from and
-        source n + t is the element the t-th adding entry made.  The terms
-        of an adding entry sum to its element; those of any other entry sum
-        to zero.  So on unit cofactors the sums of the entries that do not
-        add, with the vectors with entries in the ideal, generate the
-        syzygies of the generators.
+        """The trace of the run that built the basis, on exponent tuples, as
+        (shifts, adds, lengths, coeffs, qs, srcs): the distinct exponents
+        the run shifted by, then per entry (nonzero input or S-pair, in run
+        order) whether it adds an element and how many terms it has, then
+        per term, entry by entry: term k stands for coeffs[k] *
+        x^shifts[qs[k]] times source srcs[k].  Sources 0..n-1 are the n
+        nonzero generators the basis was built from and source n + t is
+        the element the t-th adding entry made.  The terms of an adding
+        entry sum to its element; those of any other entry sum to zero.
+        So on unit cofactors the sums of the entries that do not add, with
+        the vectors with entries in the ideal, generate the syzygies of
+        the generators.
         """
         enc, trace = self._trace
         p = self.ring.p
-        ids: dict = {}
-        entries = [(bool(scale), [c * scale % p for c, _, _ in terms]
-                    if scale else [c for c, _, _ in terms],
-                    [ids.setdefault(q, len(ids)) for _, q, _ in terms],
-                    [src for _, _, src in terms])
-                   for scale, terms in trace]
-        return [enc.unpack(q) for q in ids], entries
+        adds = [bool(scale) for scale, _ in trace]
+        lengths = [len(terms) for _, terms in trace]
+        coeffs = [c * scale % p if scale else c
+                  for scale, terms in trace for c, _, _ in terms]
+        qs = [q for _, terms in trace for _, q, _ in terms]
+        srcs = [src for _, terms in trace for _, _, src in terms]
+        ids = {q: i for i, q in enumerate(dict.fromkeys(qs))}
+        return ([enc.unpack(q) for q in ids], adds, lengths, coeffs,
+                [ids[q] for q in qs], srcs)
 
 
 def _run(ring: PolyRing, gens):

@@ -118,15 +118,19 @@ class ArtinianAlgebra:
         return self.actions()[v]
 
     def _build_actions(self) -> list:
-        d = self.dim
-        out = []
-        for cols in self._gb.border_columns(self.std):
-            X = np.zeros((d, d), dtype=np.int64)
-            at = np.array([(i, j, c) for j, col in enumerate(cols)
-                           for i, c in col], dtype=np.int64).reshape(-1, 3)
-            X[at[:, 0], at[:, 1]] = at[:, 2]
-            out.append(X)
-        return out
+        """The X_v on one array of the columns of GroebnerBasis.border_plan:
+        the direct ones set at once, then each derived one in turn."""
+        d, p = self.dim, self.p
+        places, direct, derived = self._gb.border_plan(self.std)
+        places = np.array(places, dtype=np.int64)
+        C = np.zeros((d, places.max() + 1), dtype=np.int64)
+        at = np.array(direct, dtype=np.int64)
+        C[at[:, 0], at[:, 1]] = at[:, 2]
+        for k, w, b in derived:
+            nz = C[:, b].nonzero()[0]
+            if nz.size:
+                C[:, k] = mat_mul(C[:, places[w, nz]], C[nz, b], p)
+        return [C[:, cols] for cols in places]
 
     def monomial_matrix(self, q) -> np.ndarray:
         """M_q, the multiplication matrix of x^q for any exponent q.

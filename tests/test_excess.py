@@ -1,5 +1,6 @@
 """Conormal modules, Hom duals, and the defect-module invariants."""
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +49,9 @@ from qfiber.zerodim import (
     semisimple_poly,
     tangent_data,
 )
-from test_zerodim import factor_mu, factor_point, is_nilpotent
+from test_groebner import trace_entries
+from test_zerodim import (SESSIONS, factor_mu, factor_point, is_nilpotent,
+                          random_zero_dim, session_algebra)
 
 P = 32003
 
@@ -1046,7 +1049,7 @@ def per_term_replay(gb, units, shift, p):
     """Each sum of gb's run replayed term by term: its parts c * x^q * v
     grouped by shift, each group acted on by shift(q), the sums that
     reached zero returned in run order, one row each."""
-    shifts, entries = gb.replay_trace()
+    shifts, entries = trace_entries(gb)
     vals, out = list(units), []
     for adds, coeffs, qs, srcs in entries:
         by_shift: dict = {}
@@ -1081,7 +1084,7 @@ def assert_replays_as_oracle(f, ideal, alg):
 
 
 def zero_entries(ideal):
-    return [e for e in ideal.groebner().replay_trace()[1] if not e[0]]
+    return [e for e in trace_entries(ideal.groebner())[1] if not e[0]]
 
 
 def constant_term_replay(alg):
@@ -1146,7 +1149,7 @@ class TestBatchedReplay:
         # both S-pairs add an element and every later pair is coprime
         I = idl(ring(), "x^2 + x, x^2 - y")
         alg = ArtinianAlgebra.from_ideal(I)
-        entries = I.groebner().replay_trace()[1]
+        entries = trace_entries(I.groebner())[1]
         assert len(entries) == 4 and all(e[0] for e in entries)
         assert assert_replays_as_oracle(I.gens, I, alg).shape == (0,
                                                                   2 * alg.dim)
@@ -1157,7 +1160,7 @@ class TestBatchedReplay:
         R = ring()
         s = make_scenario(R, Ideal(R, []), idl(R, "x, y"), 2, 2)
         for ideal in (s.I_Y, s.Z.ideal):
-            entries = ideal.groebner().replay_trace()[1]
+            entries = trace_entries(ideal.groebner())[1]
             assert sorted((e[0], e[2], e[3]) for e in entries) == [
                 (True, [0], [0]), (True, [0], [1])]
             assert assert_replays_as_oracle(s.I_Y.gens, ideal,
@@ -1492,6 +1495,97 @@ class TestCotangentColumns:
         pivots = excess._linear_pivots(alg.ideal)
         assert pivots
         assert (len(pivots) == alg.nvars) == (case == "reduced_point")
+
+
+def all_variable_submodule(rows, alg):
+    """The alg-submodule the rows span, closed under the actions of every
+    variable: the closure _submodule narrowed to the algebra's
+    generators."""
+    p, acts = alg.p, alg.actions()
+    R, piv = rref(rows, p)
+    R = R[:len(piv)]
+    new = R
+    while new.shape[0]:
+        cand = np.vstack([_block_apply(X, new, p) for X in acts])
+        if piv:
+            cand -= mat_mul(cand[:, piv], R, p)
+            np.mod(cand, p, out=cand)
+        new, piv_new = rref(cand, p)
+        new = new[:len(piv_new)]
+        if piv_new:
+            R, piv = rref(np.vstack([R, new]), p)
+            R = R[:len(piv)]
+    return R, piv
+
+
+def closure_inputs(alg, seed=0):
+    """Rows to close over alg: the replayed syzygies of its ideal's
+    generators, three random rows of k^(2d) and one unit row."""
+    ideal = alg.ideal
+    yield _replay(ideal.groebner(), unit_cofactors(ideal.gens, ideal, alg),
+                  alg.monomial_matrix, alg.p)
+    yield np.random.default_rng(seed).integers(0, alg.p, (3, 2 * alg.dim))
+    unit = np.zeros((1, 2 * alg.dim), dtype=np.int64)
+    unit[0, -1] = 1
+    yield unit
+
+
+def assert_closes_as_oracle(rows, alg):
+    R, piv = excess._submodule(rows, alg)
+    want, want_piv = all_variable_submodule(rows, alg)
+    assert np.array_equal(R, want) and list(piv) == list(want_piv)
+
+
+def generator_count(alg):
+    """The variables whose e_v leads no element of the reduced basis."""
+    lead = set(alg.ideal.groebner().leading_monomials())
+    return sum(tuple(int(w == v) for w in range(alg.nvars)) not in lead
+               for v in range(alg.nvars))
+
+
+class TestGeneratorClosure:
+    """_submodule over the algebra's generators against the closure over
+    every variable."""
+
+    @pytest.mark.parametrize("case", [c for c in COTANGENT_CASES
+                                      if c != "reduced_point"])
+    def test_scenarios(self, case):
+        s = COTANGENT_CASES[case]()
+        alg, f = s.Z, s.I_Y.gens
+        cols = excess._relation_columns(conormal_in_X(s), len(f), alg)
+        replayed = _replay(alg.ideal.groebner(),
+                           unit_cofactors(f, alg.ideal, alg),
+                           alg.monomial_matrix, alg.p)
+        for rows in (cols, replayed, *closure_inputs(alg)):
+            assert_closes_as_oracle(rows, alg)
+        if case.startswith("graph"):
+            # the n + 1 variables x_i lead elements and act by zero
+            n = int(case[5:])
+            assert generator_count(alg) == alg.nvars - n - 1
+
+    @pytest.mark.parametrize("name", sorted(SESSIONS))
+    def test_compute_sessions(self, name):
+        alg = session_algebra(SESSIONS[name]())
+        for rows in closure_inputs(alg):
+            assert_closes_as_oracle(rows, alg)
+
+    def test_random_ideals(self):
+        rng = random.Random(17)
+        for k in range(20):
+            I = random_zero_dim(rng)
+            if I.is_trivial():
+                continue
+            alg = ArtinianAlgebra.from_ideal(I)
+            for rows in closure_inputs(alg, k):
+                assert_closes_as_oracle(rows, alg)
+
+    @pytest.mark.parametrize("text", ["x, y", "x - 1, y + 2", "x, y, x + y"])
+    def test_reduced_point_has_no_generators(self, text):
+        # every variable leads a linear element: the span is the module
+        alg = ArtinianAlgebra.from_ideal(idl(ring(), text))
+        assert alg.dim == 1 and generator_count(alg) == 0
+        for rows in closure_inputs(alg):
+            assert_closes_as_oracle(rows, alg)
 
 
 def jacobian_block_derivations_dim(alg):

@@ -1,5 +1,7 @@
 """Groebner engine and ideal calculus, checked against hand reductions."""
 
+import heapq
+import pickle
 import random
 
 import pytest
@@ -15,12 +17,14 @@ from qfiber.algebra import (
     mono_mul,
     random_poly,
 )
+from qfiber import groebner as groebner_module
 from qfiber.excess import q_module
 from qfiber.groebner import (
     GroebnerBasis,
     HilbertData,
     Ideal,
     ResourceAbort,
+    _Repack,
     _linear_witnesses,
     _max_independent,
     groebner,
@@ -30,6 +34,7 @@ from qfiber.groebner import (
 from qfiber.parser import parse_ideal, parse_polynomial
 from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
                               gen_quadric_graph)
+from test_zerodim import random_zero_dim
 
 
 def ring(names="x,y,z", p=32003, order=GREVLEX):
@@ -232,6 +237,142 @@ class TestNormalFormOracle:
             assert oracle_normal_form(tail, want) == tail
 
 
+# --- the reducer that reduced every coefficient on each update, kept as the
+# oracle of _nf_terms
+
+
+def oracle_nf_terms(terms, basis, enc, p, memo, used):
+    """_nf_terms with each coefficient reduced mod p whenever it changes
+    and the guard bits tested on every term."""
+    gmask = enc.gmask
+    coeff: dict = {}
+    heap: list = []
+    for k, m, c in terms:
+        if m & gmask:
+            raise _Repack
+        prev = coeff.get(m)
+        if prev is None:
+            coeff[m] = c % p
+            heap.append((-k, m))
+        else:
+            coeff[m] = (prev + c) % p
+    heapq.heapify(heap)
+    n = len(basis)
+    out = []
+    while heap:
+        negk, m = heapq.heappop(heap)
+        c = coeff.pop(m, None)
+        if c is None or c == 0:
+            continue
+        i = memo.get(m, -1)
+        if i < 0 and ~i < n:
+            for i in range(~i, n):
+                if ((m | gmask) - basis[i][1]) & gmask == gmask:
+                    break
+            else:
+                i = ~n
+            memo[m] = i
+        if i < 0:
+            out.append((-negk, m, c))
+            continue
+        ltk, ltm, tail = basis[i]
+        q = m - ltm
+        qk = -negk - ltk
+        if used is not None:
+            used.append((c, q, i))
+        for tk, tm, tc in tail:
+            mm = q + tm
+            if mm & gmask:
+                raise _Repack
+            prev = coeff.get(mm)
+            if prev is None:
+                coeff[mm] = (-c * tc) % p
+                heapq.heappush(heap, (-(qk + tk), mm))
+            else:
+                coeff[mm] = (prev - c * tc) % p
+    return out
+
+
+def run_bytes(R, gens):
+    """The reduced basis and the trace of a fresh run, pickled."""
+    gb = groebner(R, gens)
+    return pickle.dumps((gb.polys, gb._trace))
+
+
+def assert_runs_as_oracle(monkeypatch, R, gens):
+    got = run_bytes(R, gens)
+    with monkeypatch.context() as m:
+        m.setattr(groebner_module, "_nf_terms", oracle_nf_terms)
+        assert run_bytes(R, gens) == got
+
+
+class TestReducerOracle:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_graph_rows(self, monkeypatch, n, seed):
+        s = gen_quadric_graph(n, Seed(seed))
+        for I in (s.Z.ideal, s.I_Y):
+            assert_runs_as_oracle(monkeypatch, I.ring, I.gens)
+
+    # EI's I_Y takes 135 elements and a few seconds per run: one seed
+    @pytest.mark.parametrize("make,seed", [(gen_EI_model, 0),
+                                           (gen_fatpoint_model, 0),
+                                           (gen_fatpoint_model, 1)])
+    def test_ei_and_fat_point(self, monkeypatch, make, seed):
+        s = make(Seed(seed))
+        for I in (s.Z.ideal, s.I_Y):
+            assert_runs_as_oracle(monkeypatch, I.ring, I.gens)
+
+    def test_random_ideals_in_three_orders(self, monkeypatch):
+        rng = random.Random(5)
+        kinds = set()
+        for _ in range(30):
+            I = random_zero_dim(rng)
+            kinds.add(I.ring.order.kind)
+            assert_runs_as_oracle(monkeypatch, I.ring, I.gens)
+        assert kinds == {"grevlex", "lex", "block"}
+
+    def test_run_that_widens_its_codec(self, monkeypatch):
+        # in lex the run meets z^64 and widens its fields twice
+        R = ring("x,y,z", order=LEX)
+        gens = parse_ideal("x - y^4, y - z^4, z - x^4", R)
+        assert groebner(R, gens)._enc.B > 5
+        assert_runs_as_oracle(monkeypatch, R, gens)
+
+    def test_normal_form_that_widens_its_codec(self, monkeypatch):
+        # the x^16 case of test_memo_dropped_on_repack
+        R = ring("x,y")
+        gens = parse_ideal("x*y - 1, y^2 - 1", R)
+        f = R.monomial((16, 0))
+
+        def reduced():
+            gb = groebner(R, gens)
+            for k in range(1, 16):
+                gb.normal_form(R.monomial((k, 0)))
+            assert gb._enc.B == 5
+            nf = gb.normal_form(f)
+            assert gb._enc.B > 5
+            return pickle.dumps((nf, gb._engine, gb._memo))
+
+        got = reduced()
+        with monkeypatch.context() as m:
+            m.setattr(groebner_module, "_nf_terms", oracle_nf_terms)
+            assert reduced() == got
+
+
+# (trace entries, zero entries, trace terms) of Z's basis run on the graph
+# rows at seed 0: a change that adds reductions fails here
+Z_RUN_WORK = {2: (10, 2, 23), 3: (19, 6, 74), 4: (37, 17, 277),
+              5: (73, 43, 1082), 6: (142, 97, 4129)}
+
+
+@pytest.mark.parametrize("n", sorted(Z_RUN_WORK))
+def test_z_run_work_is_pinned(n):
+    trace = gen_quadric_graph(n, Seed(0)).Z.ideal.groebner()._trace[1]
+    assert (len(trace), sum(1 for scale, _ in trace if not scale),
+            sum(len(terms) for _, terms in trace)) == Z_RUN_WORK[n]
+
+
 class TestPairBudget:
     GENS = "x^3 - 2*x*y, x^2*y - 2*y^2 + x, z^4 - x*y"
 
@@ -267,6 +408,18 @@ class TestPairBudget:
             assert I.groebner() is gb
 
 
+def trace_entries(gb):
+    """gb.replay_trace regrouped by entry: (shifts, entries), one (adds,
+    coeffs, qs, srcs) per entry with the lists of its own terms."""
+    shifts, adds, lengths, coeffs, qs, srcs = gb.replay_trace()
+    entries, at = [], 0
+    for a, k in zip(adds, lengths):
+        entries.append((a, *(list(t[at:at + k]) for t in (coeffs, qs, srcs))))
+        at += k
+    assert at == len(coeffs) == len(qs) == len(srcs)
+    return shifts, entries
+
+
 def replayed(gb, gens):
     """The cofactors of the sums gb.replay_trace says reached zero, replayed
     on the unit vectors of the generators gb was built from and kept as
@@ -274,7 +427,7 @@ def replayed(gb, gens):
     R, n = gb.ring, len(gens)
     vals = [tuple(R.one() if i == k else R.zero() for i in range(n))
             for k in range(n)]
-    shifts, entries = gb.replay_trace()
+    shifts, entries = trace_entries(gb)
     out = []
     for adds, coeffs, qs, srcs in entries:
         total = [R.zero()] * n

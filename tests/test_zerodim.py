@@ -9,7 +9,7 @@ import pytest
 
 from qfiber.algebra import (LEX, FieldSpec, PolyRing, block_order,
                             mono_divides)
-from qfiber.groebner import Ideal
+from qfiber.groebner import Ideal, _nf_terms, _Repack
 from qfiber.linalg import mat_mul, rank, rref
 from qfiber.parser import parse_ideal, parse_polynomial, parse_session
 from qfiber.rng import Stream
@@ -175,12 +175,61 @@ def coords_actions(A):
     return out
 
 
+def border_columns(gb, std):
+    """Columns of the multiplication matrices of the variables on std:
+    out[v][j] lists (i, c) for the normal form sum c * std[i] of x_v *
+    std[j], each border monomial reduced packed, from scratch.  A field
+    overflow widens the codec as normal_form does."""
+    p = gb.ring.p
+    while True:
+        enc = gb._enc
+        try:
+            packed = [enc.pack(m) for m in std]
+            keys = [enc.key(m) for m in packed]
+            index = {m: i for i, m in enumerate(packed)}
+            out = []
+            for u in (1 << s for s in enc._shifts):
+                uk = enc.key(u)
+                cols = []
+                for m, k in zip(packed, keys):
+                    hit = index.get(m + u)
+                    if hit is not None:
+                        cols.append([(hit, 1)])
+                        continue
+                    red = _nf_terms([(k + uk, m + u, 1)], gb._engine, enc, p,
+                                    gb._memo, None)
+                    cols.append([(index[r], c) for _, r, c in red])
+                out.append(cols)
+            return out
+        except _Repack:
+            gb._widen()
+
+
+def border_actions(A):
+    """The action matrices filled from border_columns, the reductions the
+    border plan replaced."""
+    d, out = A.dim, []
+    for cols in border_columns(A.ideal.groebner(), A.std):
+        X = np.zeros((d, d), dtype=np.int64)
+        at = np.array([(i, j, c) for j, col in enumerate(cols)
+                       for i, c in col], dtype=np.int64).reshape(-1, 3)
+        X[at[:, 0], at[:, 1]] = at[:, 2]
+        out.append(X)
+    return out
+
+
+def assert_actions_equal(got, want):
+    assert len(got) == len(want)
+    for X, Y in zip(got, want):
+        assert X.dtype == Y.dtype and np.array_equal(X, Y)
+
+
 def assert_built_as_oracle(A):
     assert A.std == walked_std(A.ideal)
     got = A.actions()
     assert len(got) == A.nvars
-    for X, Y in zip(got, coords_actions(A)):
-        assert X.dtype == Y.dtype and np.array_equal(X, Y)
+    assert_actions_equal(got, coords_actions(A))
+    assert_actions_equal(got, border_actions(A))
 
 
 FIXED_SESSIONS = {
@@ -251,6 +300,19 @@ class TestPackedBuild:
             assert_built_as_oracle(ArtinianAlgebra.from_ideal(I))
             built += 1
         assert built > 40
+
+    def test_graph_row_8(self):
+        A = gen_quadric_graph(8, Seed(0)).Z
+        assert_actions_equal(A.actions(), border_actions(A))
+
+    def test_leading_variable_with_a_nonlinear_tail(self):
+        # in lex, x leads x - y^2: every border monomial x*y^k is x * y^k
+        # over a smaller one, down to the leading x itself
+        R = PolyRing(FieldSpec(P), ("x", "y"), LEX)
+        I = Ideal(R, parse_ideal("x - y^2, y^3", R))
+        assert [f.leading_monomial() for f in I.groebner()] == [(0, 3),
+                                                                (1, 0)]
+        assert_built_as_oracle(ArtinianAlgebra.from_ideal(I))
 
     def test_after_the_codec_widens(self):
         # normal_form repacks the basis wider before the algebra is built
