@@ -39,9 +39,7 @@ from .invariants import (
     qlength_verify,
     secant_sweep_bound,
 )
-from .linalg import mat_mul
 from .parser import ParseError, parse_session
-from .rng import Stream
 from .scenarios import (
     Seed,
     gen_EI_model,
@@ -161,8 +159,8 @@ def _component_verdict(Z, factor, isolate: bool):
     else:
         ideal = Z.ideal
         if isolate:
-            e = mat_mul(factor.projector(Z.actions(), p), Z.one, p)
-            ideal = ideal + Ideal(Z.ring, [Z.ring.one() - Z.lift(e)])
+            ideal = ideal + Ideal(Z.ring,
+                                  [Z.ring.one() - Z.lift(factor.idempotent)])
         if any(pt):
             ideal = Ideal(Z.ring, [g.shift(pt) for g in ideal.gens])
         verdict = licci_check(minimal_presentation(ideal))
@@ -197,7 +195,7 @@ def cmd_compute(args) -> int:
     codim_y = ring.nvars - I_Y.krull_dim()
     scen = make_scenario(ring, I_X, I_Y, dim_x, codim_y)
     try:
-        report = q_module(scen, Stream(args.seed))
+        report = q_module(scen)
         excess_note = ""
     except ExcessIntersection as e:
         report = e.report
@@ -272,7 +270,7 @@ def _table_row(task) -> dict:
         # a pool worker need not share the caller's context: set the budget
         with pair_budget(max_pairs):
             scen = gen_quadric_graph(n, Seed(seed, FieldSpec(p)))
-            rep = q_module(scen, Stream(seed))
+            rep = q_module(scen)
     except ResourceAbort as e:
         return {"n": n, "seed": seed, "aborted": True, "error": str(e),
                 "seconds": round(time.perf_counter() - t0, 2)}
@@ -356,14 +354,14 @@ def cmd_scenario(args) -> int:
             print("error: quadric-graph needs --n", file=sys.stderr)
             return EXIT_USAGE
         scen = gen_quadric_graph(args.n, s)
-        rep = q_module(scen, Stream(args.seed))
+        rep = q_module(scen)
         _emit({**base, "n": args.n, **rep.to_json_dict(),
                "session": scenario_text(scen)}, args.output)
         return EXIT_OK
     if args.name in ("fatpoint", "ei"):
         scen = gen_fatpoint_model(s) if args.name == "fatpoint" \
             else gen_EI_model(s)
-        rep = q_module(scen, Stream(args.seed))
+        rep = q_module(scen)
         _emit({**base, **rep.to_json_dict(),
                "session": scenario_text(scen)}, args.output)
         return EXIT_OK
@@ -394,7 +392,9 @@ def _output() -> argparse.ArgumentParser:
 
 def _common(output: argparse.ArgumentParser) -> argparse.ArgumentParser:
     c = argparse.ArgumentParser(add_help=False, parents=[output])
-    c.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    c.add_argument("--seed", type=int, default=0,
+                   help="64-bit master seed of the generated inputs; "
+                        "compute only echoes it into its report")
     c.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_BUDGET,
                    dest="max_pairs",
                    help="S-pair budget of each Groebner basis run; a run "

@@ -44,12 +44,7 @@ import numpy as np
 from .algebra import GREVLEX, PolyRing
 from .groebner import Ideal
 from .linalg import identity, mat_mul, nullspace, rank, rref
-from .rng import Stream
 from .zerodim import ArtinianAlgebra, _linear_parts, local_decompose
-
-# Local decompositions inside reports use a fixed stream so that repeated
-# runs of the same scenario agree bit for bit.
-_REPORT_SEED = 0x51B7
 
 
 class ExcessIntersection(Exception):
@@ -446,11 +441,11 @@ def module_mu(mod: FinModule, factors):
     is the local module and E*rad(A)*M its maximal ideal times it, so by
     Nakayama mu_c = rank E - rank(E*[N_1 | ... | N_n]).
     """
-    p = mod.algebra.p
-    radical = np.hstack(mod.algebra.nilpotent_parts(mod.actions))
+    alg, p = mod.algebra, mod.algebra.p
+    radical = np.hstack(alg.nilpotent_parts(mod.actions))
     per = []
     for f in factors:
-        E = f.projector(mod.actions, p)
+        E = f.projector(alg, mod.actions)
         dim_c = rank(E, p)
         per.append((f.length, dim_c, dim_c - rank(mat_mul(E, radical, p), p)))
     return sum(t[2] for t in per), tuple(per)
@@ -460,8 +455,8 @@ def module_mu(mod: FinModule, factors):
 
 
 def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
-                   alg: ArtinianAlgebra, c: int | None, dim_z: int,
-                   stream: Stream) -> QReport:
+                   alg: ArtinianAlgebra, c: int | None,
+                   dim_z: int) -> QReport:
     """Assemble the report from the relation spaces of the two conormal
     modules: Q = Phi_small(ker Phi_big), dim ker Phi_small = g*d -
     dim Phi_small(alg^g).  The restriction map exists, and is onto, exactly
@@ -469,7 +464,7 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
     ker Phi_big is the nullspace of the k-matrix of Phi_big, and its k-basis
     is mapped through that of Phi_small (_relation_matrix).  Q's actions are
     read off its rref basis, where a row's coordinates are its pivot
-    entries.  Z is split into local factors once, with the stream; the
+    entries.  Z is split into local factors once (local_decompose); the
     report keeps them.
     """
     p, width = alg.p, g * alg.dim
@@ -483,7 +478,7 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
         ker_big = nullspace(_relation_matrix(cols_big, alg).T, p)
         R, piv = rref(mat_mul(ker_big, _relation_matrix(cols, alg), p), p)
         R = R[:len(piv)]
-    dim_q, factors = len(piv), tuple(local_decompose(alg, stream))
+    dim_q, factors = len(piv), tuple(local_decompose(alg))
     actions = tuple(_block_apply(X, R, p)[:, piv].T for X in alg.actions())
     mu_q, per = module_mu(FinModule(dim_q, actions, identity(dim_q), alg),
                           factors)
@@ -498,17 +493,18 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
                    mu_q=mu_q, per_component=per, factors=factors)
 
 
-def q_module(s: IntersectionScenario, stream: Stream | None = None) -> QReport:
+def q_module(s: IntersectionScenario) -> QReport:
     """Defect module report of a scenario; q = dim_Q / (c - dim Z) exactly.
 
-    The stream splits Z into local factors (a fixed one when omitted).
-    Raises ExcessIntersection (carrying the report, q = None) when the
-    excess codimension c - dim Z is not positive.
+    Z is split into its local factors with no randomness, so the report
+    depends on the scenario alone.  Raises ExcessIntersection (carrying
+    the report, q = None) when the excess codimension c - dim Z is not
+    positive.
     """
     big = conormal_restricted(s)
     small = conormal_in_X(s)
     report = _defect_report(big, small, len(s.I_Y.gens), s.Z, s.c,
-                            s.dims[2], stream or Stream(_REPORT_SEED))
+                            s.dims[2])
     if report.q is None:
         raise ExcessIntersection(
             "q undefined: codim Y - dim X - dim Z <= 0", report)
@@ -528,8 +524,7 @@ def q_affine_pair(A: PolyRing, L: Ideal, I: Ideal,
     alg = ArtinianAlgebra.from_ideal(I + L + extra)
     big = _relation_space(I.gens, I + extra, alg)
     small = _relation_space(I.gens, alg.ideal, alg)
-    return _defect_report(big, small, len(I.gens), alg, None, 0,
-                          Stream(_REPORT_SEED))
+    return _defect_report(big, small, len(I.gens), alg, None, 0)
 
 
 # --- intrinsic defect module of the intersection algebra --------------------
@@ -656,13 +651,12 @@ def symmetry_check(s: IntersectionScenario) -> SymmetryReport:
     the per-component breakdown is what the report records.  Smoothness of
     both sides is assumed, not verified.
     """
-    st = Stream(_REPORT_SEED)
     r = s.ring.nvars
     swapped = IntersectionScenario(s.ring, s.I_Y, s.I_X,
                                    (r - s.dims[1], r - s.dims[0], s.dims[2]),
                                    s.Z)
-    forward = q_module(s, st.fork(1))
-    reverse = q_module(swapped, st.fork(2))
+    forward = q_module(s)
+    reverse = q_module(swapped)
     agree = (forward.dim_q == reverse.dim_q
              and forward.mu_q == reverse.mu_q
              and sorted(forward.per_component) == sorted(reverse.per_component))

@@ -279,8 +279,7 @@ def _common_roots(polys, p: int) -> list:
     g = []
     for coeffs in polys:
         g = uv.gcd(g, uv.trim([int(c) % p for c in coeffs]), p)
-    # roots come out sorted, so the splitting stream cannot change them
-    return uv.roots(g, p, Stream(0))
+    return uv.roots(g, p)
 
 
 def _line_degree(forms, d: int, p: int) -> tuple:

@@ -1,13 +1,16 @@
-"""Dense univariate polynomial arithmetic and factorization over F_p.
+"""Dense univariate polynomial arithmetic over F_p, and the roots of a
+polynomial in F_p.
 
 Polynomials are python lists of residues, lowest degree first, with no
-trailing zeros.  Factorization is squarefree / distinct-degree /
-equal-degree (Cantor-Zassenhaus), which needs p odd; FieldSpec already
-guarantees that.  Minimal-polynomial callers also keep deg f < p, so the
-squarefree step never meets a vanishing derivative.
+trailing zeros.  The roots are those of the gcd with t^p - t, split by
+Cantor-Zassenhaus, which needs p odd; FieldSpec already guarantees that.
+The splits draw from a fixed stream, and the roots come out sorted, so the
+answer is deterministic.
 """
 
 from __future__ import annotations
+
+from .rng import Stream
 
 
 def trim(f: list) -> list:
@@ -18,15 +21,6 @@ def trim(f: list) -> list:
 
 def deg(f: list) -> int:
     return len(f) - 1
-
-
-def add(f: list, g: list, p: int) -> list:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return trim(out)
 
 
 def sub(f: list, g: list, p: int) -> list:
@@ -100,109 +94,25 @@ def pow_mod(base: list, e: int, modulus: list, p: int) -> list:
     return out
 
 
-def derivative(f: list, p: int) -> list:
-    return trim([c * i % p for i, c in enumerate(f)][1:])
-
-
-def squarefree_part(f: list, p: int) -> list:
-    """Radical of f; valid whenever deg f < p (no p-th power factors)."""
-    f = monic(f, p)
-    if deg(f) <= 1:
-        return f
-    if deg(f) >= p:
-        raise ValueError("squarefree part needs deg f < p")
-    d = derivative(f, p)
-    if not d:
-        raise ValueError("vanishing derivative with deg f < p cannot happen")
-    g = gcd(f, d, p)
-    return divmod_poly(f, g, p)[0]
-
-
-def distinct_degree(f: list, p: int) -> list:
-    """Split squarefree monic f into [(d, product of degree-d factors)]."""
-    out = []
-    x = [0, 1]
-    h = list(x)
-    rest = list(f)
-    d = 0
-    while deg(rest) > 0:
-        d += 1
-        if 2 * d > deg(rest):
-            out.append((deg(rest), rest))
-            break
-        h = pow_mod(h, p, rest, p)
-        g = gcd(sub(h, x, p), rest, p)
-        if deg(g) > 0:
-            out.append((d, g))
-            rest = divmod_poly(rest, g, p)[0]
-            h = mod_poly(h, rest, p)
-    return out
-
-
-def _equal_degree_split(f: list, d: int, p: int, rng) -> list:
-    """One random split of f = product of degree-d irreducibles, deg f > d."""
+def _split_roots(f: list, p: int, rng) -> list:
+    """One random proper factor of f, a product of distinct linear factors
+    of degree above 1: gcd(a, f) or gcd(a^((p-1)/2) - 1, f)."""
     n = deg(f)
     while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = trim(a)
+        a = trim([rng.randrange(p) for _ in range(n)])
         if deg(a) < 1:
             continue
         g = gcd(a, f, p)
         if 0 < deg(g) < n:
             return g
-        b = pow_mod(a, (pow(p, d) - 1) // 2, f, p)
-        g = gcd(sub(b, [1], p), f, p)
+        g = gcd(sub(pow_mod(a, (p - 1) // 2, f, p), [1], p), f, p)
         if 0 < deg(g) < n:
             return g
 
 
-def factor_squarefree(f: list, p: int, rng) -> list:
-    """Monic irreducible factors of a squarefree monic f, sorted."""
-    factors = []
-    for d, block in distinct_degree(monic(f, p), p):
-        stack = [block]
-        while stack:
-            g = stack.pop()
-            if deg(g) == d:
-                factors.append(monic(g, p))
-                continue
-            h = _equal_degree_split(g, d, p, rng)
-            stack.append(h)
-            stack.append(divmod_poly(g, h, p)[0])
-    factors.sort()
-    return factors
-
-
-def is_irreducible(f: list, p: int) -> bool:
-    f = monic(f, p)
-    n = deg(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    h = pow_mod(x, pow(p, n), f, p)
-    if sub(h, x, p):
-        return False
-    # x^(p^(n/q)) - x must be coprime to f for every prime q | n
-    m, q = n, 2
-    primes = set()
-    while q * q <= m:
-        while m % q == 0:
-            primes.add(q)
-            m //= q
-        q += 1
-    if m > 1:
-        primes.add(m)
-    for q in sorted(primes):
-        h = pow_mod(x, pow(p, n // q), f, p)
-        if deg(gcd(sub(h, x, p), f, p)) > 0:
-            return False
-    return True
-
-
-def roots(f: list, p: int, rng) -> list:
-    """All roots in F_p, without multiplicity, sorted."""
+def roots(f: list, p: int) -> list:
+    """All roots in F_p, without multiplicity, sorted.  The splits draw
+    from a fixed stream; the sorted output cannot depend on it."""
     f = monic(f, p)
     if deg(f) < 1:
         return []
@@ -213,12 +123,13 @@ def roots(f: list, p: int, rng) -> list:
         return []
     out = []
     stack = [g]
+    rng = Stream(0)
     while stack:
         h = stack.pop()
         if deg(h) == 1:
             out.append((-h[0]) * pow(h[1], p - 2, p) % p)
             continue
-        s = _equal_degree_split(h, 1, p, rng)
+        s = _split_roots(h, p, rng)
         stack.append(s)
         stack.append(divmod_poly(h, s, p)[0])
     return sorted(out)

@@ -5,28 +5,31 @@ standard-monomial basis and the memoised monomial matrices M_q = X^q built
 from the multiplication matrices X_v of the variables.  Its locality comes
 from the reduced basis when every element is homogeneous: the zero set is
 then a finite cone, the origin alone, so every x_v is nilpotent and the X_v
-span the radical themselves.  Otherwise it comes from the memoised minimal
-polynomial of each X_v: every x_v is nilpotent when each is a power of t
-(at_origin), and the nilpotent parts X_v - h_v(X_v), h_v their semisimple
-polynomials, span its radical on the algebra and on any module over it.
-On top of that live the tangent-space and derivation-module dimensions,
-the splitting of the algebra into certified local factors through
-idempotents (on bare action matrices), and the regularity of projective
-point ideals.
+span the radical themselves.  Otherwise it comes from the Frobenius map
+F(a) = a^p, which is F_p-linear on the algebra and memoised on it as a
+matrix: F^N kills the radical once p^N >= dim (at_origin), ker(F - 1) is
+the split subalgebra F_p^c with one copy per local factor, and F^N maps
+onto the reduced part, where the semisimple part s_v of each x_v lives
+(Berlekamp, Math. Comp. 24 (1970); Ronyai, J. Symbolic Comput. 9 (1990)).
+So the splitting of the algebra into its local factors, their points and
+the nilpotent parts x_v - s_v, which span its radical on the algebra and
+on any module over it, need no randomness and hold at every p.  On top of
+that live the tangent-space and derivation-module dimensions and the
+regularity of projective point ideals.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from . import univar as uv
 from .algebra import Polynomial
 from .groebner import Ideal, hilbert_data
-from .linalg import identity, mat_mul, rank, rref
-from .rng import Stream
+from .linalg import identity, mat_mul, nullspace, rank, rref
 
 
 class ArtinianAlgebra:
@@ -35,11 +38,11 @@ class ArtinianAlgebra:
     The ideal keeps the algebra beside its Groebner basis (from_ideal), so
     each ideal has one; the algebra keeps the basis and refers to the ideal
     weakly (see ideal).  Every d x d matrix of the algebra is a monomial
-    matrix M_q = X^q, built once and memoised, and so are the minimal
-    polynomial of each X_v with its semisimple polynomial and the answer
-    of at_origin.  A homogeneous basis answers at_origin with neither
-    polynomial built, and at the origin the nilpotent parts are the
-    matrices themselves.
+    matrix M_q = X^q, built once and memoised, and so are the matrix of the
+    Frobenius map, the local factors with the semisimple parts of the
+    variables, and the answer of at_origin.  A homogeneous basis answers
+    at_origin with no Frobenius map built, and at the origin the nilpotent
+    parts are the matrices themselves.
     """
 
     def __init__(self, ideal: Ideal, std):
@@ -54,10 +57,12 @@ class ArtinianAlgebra:
         zero = (0,) * self.ring.nvars
         self.one = np.zeros(self.dim, dtype=np.int64)
         self.one[self._index[zero]] = 1
+        # the least N >= 1 with p^N >= dim: F^N kills every nilpotent
+        self.depth = next(N for N in count(1) if self.p ** N >= self.dim)
         self._actions = None
         self._monomials = {zero: identity(self.dim)}
-        self._minpolys = None
-        self._semisimple = None
+        self._frobenius = None
+        self._local = None
         self._origin = None
 
     @classmethod
@@ -133,69 +138,121 @@ class ArtinianAlgebra:
         return [C[:, cols] for cols in places]
 
     def monomial_matrix(self, q) -> np.ndarray:
-        """M_q, the multiplication matrix of x^q for any exponent q.
+        """M_q, the multiplication matrix of x^q for any exponent q
+        (_monomial on the actions, memoised on the algebra)."""
+        return _monomial(self._monomials, self.actions(), q, self.p)
 
-        M_q = X_v M_(q - e_v) with v the first variable of q, memoised
-        through every missing M_(q - e_v) on the way.  The actions commute
-        and products mod p are exact, so any chain gives the same matrix.
-        """
-        memo = self._monomials
-        chain = []
-        while q not in memo:
-            v = next(i for i, e in enumerate(q) if e)
-            chain.append((q, v))
-            q = q[:v] + (q[v] - 1,) + q[v + 1:]
-        for r, v in reversed(chain):
-            memo[r] = mat_mul(self.action(v), memo[q], self.p)
-            q = r
-        return memo[q]
+    def along_std(self, start: np.ndarray, mats) -> np.ndarray:
+        """x^q * start for every standard monomial q, stacked in the order
+        of std, with x_v acting by mats[v].  Each is mats[v] applied to the
+        one for q - e_v, v the first variable of q: q - e_v is standard
+        and comes earlier, since std ascends from 1 in a monomial order."""
+        out = np.empty((self.dim,) + start.shape, dtype=np.int64)
+        out[0] = start
+        for i, q in enumerate(self.std[1:], 1):
+            v = next(j for j, e in enumerate(q) if e)
+            prev = self._index[q[:v] + (q[v] - 1,) + q[v + 1:]]
+            out[i] = mat_mul(mats[v], out[prev], self.p)
+        return out
+
+    def evaluate(self, vectors, mats) -> list:
+        """The matrix of each element, given by its standard-monomial
+        coordinates a, on a module over the algebra whose variables act by
+        mats: the sum of a_q Y^q over the element's support, each Y^q
+        built once for all the elements (_monomial).  The element 1 is the
+        identity, with no product taken."""
+        p, std = self.p, self.std
+        memo = {std[0]: identity(mats[0].shape[0])}
+        out = []
+        for a in vectors:
+            M = np.zeros_like(memo[std[0]])
+            for i in np.flatnonzero(a):
+                M = (M + int(a[i]) * _monomial(memo, mats, std[i], p)) % p
+            out.append(M)
+        return out
 
     # -- locality
 
-    def minimal_polynomials(self) -> list:
-        """The minimal polynomial of each X_v, lowest degree first.
+    def frobenius(self) -> np.ndarray:
+        """The matrix of F(a) = a^p on the standard monomials.  Column q is
+        (x^q)^p = P_v (x^(q - e_v))^p for P_v = X_v^p, so it is built
+        along the standard monomials (along_std), with P_v by repeated
+        squaring for the variables of the standard monomials alone."""
+        if self._frobenius is None:
+            used = {v for q in self.std for v, e in enumerate(q) if e}
+            P = {v: _matrix_power(self.action(v), self.p, self.p)
+                 for v in used}
+            self._frobenius = self.along_std(self.one, P).T
+        return self._frobenius
 
-        The algebra is a faithful cyclic module over itself on the unit:
-        f(X_v) kills 1 exactly when f(x_v) = 0, and then kills everything.
-        So the Krylov sequence of X_v on the unit gives X_v's own minimal
-        polynomial.
-        """
-        if self._minpolys is None:
-            self._minpolys = [minpoly_of_vector(X, self.one, self.p)
-                              for X in self.actions()]
-        return self._minpolys
+    def frobenius_power(self, Y: np.ndarray, k: int) -> np.ndarray:
+        """F^k applied to the columns of Y."""
+        F = self.frobenius()
+        for _ in range(k):
+            Y = mat_mul(F, Y, self.p)
+        return Y
 
     def at_origin(self) -> bool:
         """True when every x_v is nilpotent: the algebra is local with its
         point at the origin.  When every element of the reduced basis is
         homogeneous, the zero set is a finite cone, so the origin alone,
-        and no minimal polynomial is built.  Otherwise each minimal
-        polynomial must be a power of t.  No squarefree part is taken
-        either way, so any dimension is fine."""
+        and no Frobenius map is built.  Otherwise F^N must kill every x_v,
+        N the depth: a nilpotent's index is at most dim <= p^N."""
         if self._origin is None:
-            self._origin = (
-                all(f.is_homogeneous() for f in self._gb.polys)
-                or not any(any(mp[:-1]) for mp in self.minimal_polynomials()))
+            self._origin = all(f.is_homogeneous() for f in self._gb.polys)
+            if not self._origin:
+                xs = np.stack([mat_mul(X, self.one, self.p)
+                               for X in self.actions()], axis=1)
+                self._origin = not self.frobenius_power(xs, self.depth).any()
         return self._origin
 
     def nilpotent_parts(self, mats) -> list:
-        """N_v = Y_v - h_v(Y_v) for the matrices Y_v of the variables on a
-        module over the algebra, h_v the semisimple_poly of x_v's minimal
-        polynomial.  The minimal polynomial of Y_v divides that of x_v, so
-        N_v is Y_v's nilpotent part.  The n_v = x_v - h_v(x_v) generate
-        rad A: the quotient by them is generated by the h_v(x_v), which
-        commute and have squarefree minimal polynomials, so over the
-        perfect field F_p it is reduced.  The columns of the N_v thus span
-        rad(A)*M.  At the origin every h_v is 0 and N_v = Y_v, at any
-        dimension; elsewhere it needs dim A < p, as squarefree parts do.
-        """
+        """N_v = Y_v - S_v for the matrices Y_v of the variables on a module
+        over the algebra, S_v the action of the semisimple part s_v of x_v
+        (local_decompose).  Each n_v = x_v - s_v is nilpotent, and the s_v
+        lie in the reduced subalgebra F^N(A), so the quotient by the n_v,
+        generated by the images of the s_v, is a product of fields: the
+        n_v generate rad A, and the columns of the N_v span rad(A)*M.  At
+        the origin every s_v is 0 and N_v = Y_v, with no product taken."""
         if self.at_origin():
             return list(mats)
-        if self._semisimple is None:
-            self._semisimple = [semisimple_poly(mp, self.p)
-                                for mp in self.minimal_polynomials()]
-        return [np.mod(Y - _eval_matrix_poly(h, Y, self.p), self.p)
-                for Y, h in zip(mats, self._semisimple)]
+        semisimple = self._local_parts()[1]
+        return [np.mod(Y - S, self.p)
+                for Y, S in zip(mats, self.evaluate(semisimple.T, mats))]
+
+    def _local_parts(self) -> tuple:
+        """(local factors, semisimple parts), memoised (_split)."""
+        if self._local is None:
+            self._local = _split(self)
+        return self._local
+
+
+def _monomial(memo: dict, mats, q, p: int) -> np.ndarray:
+    """Y^q for commuting matrices Y_v: Y^q = Y_v Y^(q - e_v) with v the
+    first variable of q, memoised through every missing Y^(q - e_v) on
+    the way.  The matrices commute and products mod p are exact, so any
+    chain gives the same matrix."""
+    chain = []
+    while q not in memo:
+        v = next(i for i, e in enumerate(q) if e)
+        chain.append((q, v))
+        q = q[:v] + (q[v] - 1,) + q[v + 1:]
+    for r, v in reversed(chain):
+        memo[r] = mat_mul(mats[v], memo[q], p)
+        q = r
+    return memo[q]
+
+
+def _matrix_power(X: np.ndarray, e: int, p: int) -> np.ndarray:
+    """X^e for e >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = X if out is None else mat_mul(out, X, p)
+        e >>= 1
+        if not e:
+            return out
+        X = mat_mul(X, X, p)
 
 
 # --- tangent and derivation dimensions ------------------------------------
@@ -244,48 +301,23 @@ def derivations_dim(alg: ArtinianAlgebra) -> int:
 
 @dataclass(frozen=True)
 class LocalFactor:
-    """One local factor of an artinian algebra, certified by
-    local_decompose.
+    """One local factor e*A of an artinian algebra A, from local_decompose.
 
-    chain holds (linear form coefficients, idempotent polynomial) pairs,
-    outermost first; evaluating each polynomial at the corresponding linear
-    combination of action matrices and multiplying the results yields the
-    idempotent projector of this factor in any module over the algebra.
-    point is the rational support point, or None when the residue field is
-    a proper extension of F_p.
+    idempotent is its primitive idempotent e in standard-monomial
+    coordinates, e*1, which also orders the factors; point is the rational
+    support point, or None when the residue field is a proper extension of
+    F_p.
     """
 
     length: int
-    chain: tuple
+    idempotent: tuple
     point: tuple | None
 
-    def projector(self, action_mats, p: int) -> np.ndarray:
-        """Idempotent of this factor acting on a module via its actions."""
-        E = identity(action_mats[0].shape[0])
-        for coeffs, upoly in self.chain:
-            L = _linear_form(coeffs, action_mats, p)
-            E = mat_mul(E, _eval_matrix_poly(list(upoly), L, p), p)
-        return E
-
-
-def _linear_form(coeffs, mats, p: int) -> np.ndarray:
-    """The matrix sum_v c_v X_v of a linear form on commuting matrices."""
-    out = np.zeros(mats[0].shape, dtype=np.int64)
-    for c, X in zip(coeffs, mats):
-        if c % p:
-            out = (out + (c % p) * np.asarray(X, dtype=np.int64)) % p
-    return out
-
-
-def _eval_matrix_poly(coeffs, M: np.ndarray, p: int) -> np.ndarray:
-    """Horner evaluation of a univariate polynomial at a square matrix."""
-    d = M.shape[0]
-    out = np.zeros((d, d), dtype=np.int64)
-    for c in reversed(coeffs):
-        out = mat_mul(out, M, p)
-        if c % p:
-            out = (out + (c % p) * identity(d)) % p
-    return out
+    def projector(self, alg: ArtinianAlgebra, mats) -> np.ndarray:
+        """E, the action of e on a module over alg whose variables act by
+        mats, evaluated over e's support only (ArtinianAlgebra.evaluate):
+        at the origin, where e = 1, the identity with no product taken."""
+        return alg.evaluate([self.idempotent], mats)[0]
 
 
 def minpoly_of_vector(M: np.ndarray, v, p: int) -> list:
@@ -305,132 +337,110 @@ def minpoly_of_vector(M: np.ndarray, v, p: int) -> list:
     return [int(-c) % p for c in R[:k, k]] + [1]
 
 
-# random forms one piece may draw before local_decompose gives up on it;
-# with dim < p a form fails to split or certify with probability below
-# 1/2, so giving up on a good piece is a 2^-64 event
-_DRAWS = 64
-
-
-def local_decompose(alg: ArtinianAlgebra, stream: Stream) -> list:
-    """Split an artinian algebra into its local factors, each certified.
+def local_decompose(alg: ArtinianAlgebra) -> list:
+    """Split an artinian algebra A into its local factors, with no
+    randomness and at every p; memoised on the algebra.
 
     An algebra at the origin is its one factor, at any dimension, with no
-    rank taken.  Any other is split on its bare matrices: the actions X_v,
-    their nilpotent parts N_v, which span its radical
-    (ArtinianAlgebra.nilpotent_parts), and its unit vector.  A piece's
-    residue algebra has dimension r = dim - rank[N_1 | ... | N_n].  With
-    r = 1 the piece is local with the rational point a_v = tr X_v / dim.
-    Otherwise random linear forms are drawn: one whose minimal polynomial
-    has a reducible squarefree part splits the piece by idempotents, and
-    one where that part is irreducible of degree r certifies a local piece
-    with residue field F_p[form], no rational point.  Any other form is
-    redrawn, and after _DRAWS of them RuntimeError is raised: randomness
-    finds splittings, it never accepts a factor.  Factors are sorted by
-    length, then by their idempotent e*1 in standard-monomial coordinates,
-    so the order does not depend on the stream.  Off the origin the
-    squarefree parts need dim < p, and a larger algebra raises ValueError.
+    rank taken.  Any other is split with the Frobenius map F(a) = a^p
+    (ArtinianAlgebra.frobenius).  A = prod A_c with A_c local of residue
+    field F_(p^(r_c)), and ker(F - 1) = {a : a^p = a} is F_p^c, one copy
+    per factor, so c = dim ker(F - 1) and the primitive idempotents e_c of
+    A are those of ker(F - 1) (_idempotents).  A factor's length is
+    rank L_e, for L_e the multiplication matrix of its idempotent, and its
+    residue degree is r = rank(F^N L_e), N the algebra's depth: F^N kills
+    the maximal ideal and maps e*A onto its residue field.  When r = 1 its
+    point a is read off F^N(e*x_v) = a_v*e.  The semisimple part of x_v is
+    s_v = sum_c F^(k_c)(e_c*x_v), k_c the least multiple of r_c at or above
+    N: F has order r_c on the residue field and kills the nilpotents by
+    then.  Factors are sorted by length, then by e*1.
     """
+    return list(alg._local_parts()[0])
+
+
+def _split(alg: ArtinianAlgebra) -> tuple:
+    """(factors, semisimple parts s_v as the columns of a d x n array, or
+    None at the origin): the work of local_decompose."""
+    d, n, p, N = alg.dim, alg.nvars, alg.p, alg.depth
     if alg.at_origin():
-        return [LocalFactor(alg.dim, (), (0,) * alg.nvars)]
-    if alg.dim >= alg.p:
-        raise ValueError("algebra dimension must stay below the field size")
-    acts, p = alg.actions(), alg.p
-    out = []
-    _decompose_into(acts, alg.nilpotent_parts(acts), alg.one, p, stream, (),
-                    out)
-    out.sort(key=lambda f: (f.length, mat_mul(f.projector(acts, p), alg.one,
-                                              p).tolist()))
-    return out
+        return [LocalFactor(d, tuple(alg.one.tolist()), (0,) * n)], None
+    F = alg.frobenius()
+    # the basis has full rank, so rref keeps every row
+    K, piv = rref(nullspace(np.mod(F - identity(d), p), p), p)
+    E = mat_mul(K.T, _idempotents(alg, K, piv), p)
+    c = E.shape[1]
+    # row q of L_e is x^q * e, so L holds every L_e transposed
+    L = alg.along_std(E, alg.actions())
+    FL = alg.frobenius_power(L.transpose(1, 0, 2).reshape(d, d * c), N)
+    FL = FL.reshape(d, d, c)
+    lengths = [rank(L[:, :, k], p) for k in range(c)]
+    degrees = [rank(FL[:, :, k], p) for k in range(c)]
+    steps = [-(-N // r) * r for r in degrees]
+    # Y holds the e_k * x_v, taken through F one step at a time
+    Y = np.stack([mat_mul(X, E, p) for X in alg.actions()], axis=1)
+    semisimple = np.zeros((d, n), dtype=np.int64)
+    points = [None] * c
+    for j in range(1, max(steps) + 1):
+        Y = mat_mul(F, Y.reshape(d, n * c), p).reshape(d, n, c)
+        for k in (k for k in range(c) if steps[k] == j):
+            semisimple = (semisimple + Y[:, :, k]) % p
+            if degrees[k] == 1:
+                t = np.flatnonzero(E[:, k])[0]
+                inv = pow(int(E[t, k]), p - 2, p)
+                points[k] = tuple(int(a) * inv % p for a in Y[t, :, k])
+    factors = sorted((LocalFactor(lengths[k], tuple(E[:, k].tolist()),
+                                  points[k]) for k in range(c)),
+                     key=lambda f: (f.length, f.idempotent))
+    return factors, semisimple
 
 
-def _decompose_into(actions, nils, one, p, stream, chain, out):
-    dim = len(one)
-    r = dim - rank(np.vstack([N.T for N in nils]), p)
-    if r == 1:
-        inv = pow(dim, p - 2, p)
-        point = tuple(int(np.trace(X)) * inv % p for X in actions)
-        out.append(LocalFactor(dim, chain, point))
-        return
-    for _ in range(_DRAWS):
-        coeffs = tuple(stream.randrange(p) for _ in actions)
-        L = _linear_form(coeffs, actions, p)
-        mp = minpoly_of_vector(L, one, p)
-        red = uv.squarefree_part(mp, p)
-        if uv.is_irreducible(red, p):
-            if uv.deg(red) == r:
-                out.append(LocalFactor(dim, chain, None))
-                return
-            continue
-        for branch, q in enumerate(uv.factor_squarefree(red, p, stream)):
-            # idempotent of the q-primary part: cof * (cof^-1 mod q^e)
-            # mod mp, with q^e the largest power of q dividing mp
-            qe = q
-            while not uv.divmod_poly(mp, uv.mul(qe, q, p), p)[1]:
-                qe = uv.mul(qe, q, p)
-            cof = uv.divmod_poly(mp, qe, p)[0]
-            u = uv.mod_poly(uv.mul(cof, _inv_mod(cof, qe, p), p), mp, p)
-            E = _eval_matrix_poly(u, L, p)
-            # the factor is the image of E, in the rref basis B of its
-            # columns, where a vector's coordinates are its pivot entries
-            B, piv = rref(E.T, p)
-            acts, parts = ([mat_mul(X, B[:len(piv)].T, p)[piv] for X in mats]
-                           for mats in (actions, nils))
-            _decompose_into(acts, parts, mat_mul(E, one, p)[piv], p,
-                            stream.fork(branch),
-                            chain + ((coeffs, tuple(u)),), out)
-        return
-    raise RuntimeError("no random linear form split or certified "
-                       "a local factor")
+def _idempotents(alg: ArtinianAlgebra, K: np.ndarray, piv) -> np.ndarray:
+    """The primitive idempotents of B = ker(F - 1), as columns in the
+    coordinates of its rref basis K (a vector's entries at piv).
 
-
-def _inv_mod(f, modulus, p):
-    """Inverse of f modulo a univariate polynomial, via extended euclid."""
-    r0, r1 = list(modulus), uv.mod_poly(f, modulus, p)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = uv.divmod_poly(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, uv.sub(s0, uv.mul(q, s1, p), p)
-    if uv.deg(r0) != 0:
-        raise ValueError("element is not invertible modulo the given polynomial")
-    c = pow(r0[0], p - 2, p)
-    return uv.mod_poly(uv.scale(s0, c, p), modulus, p)
-
-
-# --- semisimple parts ------------------------------------------------------
-
-
-def semisimple_poly(minpoly: list, p: int) -> list:
-    """Polynomial h with h(T) the semisimple part of T mod the minimal poly.
-
-    Newton iteration on the squarefree part f: t <- t - f(t)/f'(t), carried
-    out in F_p[T]/(minpoly); converges quadratically in the multiplicity.
+    B is F_p^c, so each basis element b_i has a split squarefree minimal
+    polynomial, a divisor of t^p - t, whose roots (univar.roots, sorted)
+    give the idempotents of b_i by Lagrange interpolation.  Refining the
+    idempotents found so far by those of b_1, b_2, ... ends at the c
+    primitive ones, since the basis separates the c points of B.  All of
+    it runs on B's own c x c multiplication matrices: S[:, i, j] holds
+    b_i*b_j, and b_i*b_j = sum_q K[j, q] x^q*b_i, with the x^q*b_i built
+    along the standard monomials.
     """
-    f = uv.squarefree_part(minpoly, p)
-    if uv.deg(f) == uv.deg(minpoly):
-        return [0, 1]  # already semisimple
-    df = uv.derivative(f, p)
-    t = [0, 1]
-    for _ in range(max(1, uv.deg(minpoly)).bit_length() + 1):
-        ft = _compose_mod(f, t, minpoly, p)
-        if not ft:
+    d, p, c = alg.dim, alg.p, len(piv)
+    one = alg.one[piv]
+    if c == 1:
+        return one[:, None]
+    B = alg.along_std(K.T, alg.actions())
+    S = mat_mul(B.transpose(1, 2, 0).reshape(d * c, d), K.T, p)
+    S = S.reshape(d, c, c)[piv]
+    pieces = one[:, None]
+    for i in range(c):
+        if pieces.shape[1] == c:
             break
-        dft = _compose_mod(df, t, minpoly, p)
-        inv = _inv_mod(dft, minpoly, p)
-        t = uv.sub(t, uv.mod_poly(uv.mul(ft, inv, p), minpoly, p), p)
-    if _compose_mod(f, t, minpoly, p):
-        raise RuntimeError("newton iteration failed to converge")
-    return t
-
-
-def _compose_mod(f, g, modulus, p):
-    """f(g) mod modulus by Horner."""
-    out = []
-    for c in reversed(f):
-        out = uv.mod_poly(uv.mul(out, g, p), modulus, p)
-        if c:
-            out = uv.add(out, [c], p)
-    return out
+        T = S[:, i, :]
+        roots = uv.roots(minpoly_of_vector(T, one, p), p)
+        m = len(roots)
+        if m == 1:
+            continue
+        powers = [one]
+        for _ in range(m - 1):
+            powers.append(mat_mul(T, powers[-1], p))
+        # Lagrange polynomials: the inverse of the evaluation matrix
+        values = np.array([[pow(a, k, p) for k in range(m)] for a in roots],
+                          dtype=np.int64)
+        lagrange = rref(np.hstack([values, identity(m)]), p)[0][:, m:]
+        split = mat_mul(np.stack(powers, axis=1), lagrange, p)
+        # w * f for each piece w and idempotent f of b_i; S is symmetric,
+        # so S times w is the multiplication matrix of w
+        mults = mat_mul(S.reshape(c * c, c), pieces, p)
+        prods = np.hstack([mat_mul(mults[:, k].reshape(c, c), split, p)
+                           for k in range(pieces.shape[1])])
+        pieces = prods[:, prods.any(axis=0)]
+    if pieces.shape[1] != c:
+        raise RuntimeError("the basis of ker(F - 1) failed to separate "
+                           "its points")
+    return pieces
 
 
 # --- regularity of projective point ideals ---------------------------------

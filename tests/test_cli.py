@@ -18,9 +18,7 @@ from qfiber.cli import main
 from qfiber.excess import make_scenario, minimal_presentation, q_module
 from qfiber.invariants import licci_check
 from qfiber.groebner import Ideal, ResourceAbort, groebner, pair_budget
-from qfiber.linalg import mat_mul
 from qfiber.parser import parse_ideal, parse_session
-from qfiber.rng import Stream
 from qfiber.scenarios import (Seed, gen_fatpoint_model, gen_quadric_graph,
                               scenario_text)
 from qfiber.zerodim import local_decompose
@@ -37,8 +35,8 @@ ideal X = y, x^2 - 1;
 ideal Y = y;
 """
 
-# the same two points over F_3, where a random form misses their
-# difference with probability 1/3
+# the same two points over F_3, where a random linear form would miss
+# their difference with probability 1/3
 TWO_POINTS_F3 = """\
 ring R = Fp(3)[x, y];
 ideal X = y, x^2 - 1;
@@ -220,8 +218,8 @@ class TestCompute:
         assert qc["decomposition_holds"] is True
 
     def test_two_points_over_f3_stay_apart(self, capsys, tmp_path):
-        # with this seed the first form misses the points' difference; a
-        # piece is local only by certificate, so the pair is split
+        # a random linear form would miss the points' difference at this
+        # seed; ker(F - 1) splits them at every seed
         f = tmp_path / "two.txt"
         f.write_text(TWO_POINTS_F3)
         code, doc, _ = run_json(capsys, "compute", "--input", str(f),
@@ -232,17 +230,16 @@ class TestCompute:
         assert points == [(1, 0), (2, 0)]
         assert doc["checks"]["qlength"]["decomposition_bound"] == "2/1"
 
-    @pytest.mark.parametrize("text", [TWO_POINTS, TWO_POINTS_F3,
-                                      LINE_MEETS_AXES],
-                             ids=["two-points", "two-points-f3", "line-axes"])
+    @pytest.mark.parametrize("text,seeds", [
+        (TWO_POINTS, 4), (TWO_POINTS_F3, 400), (LINE_MEETS_AXES, 4)],
+        ids=["two-points", "two-points-f3", "line-axes"])
     def test_report_does_not_depend_on_the_seed(self, capsys, tmp_path,
-                                                 text):
-        # the seed only finds splittings; the factors and their order are
-        # intrinsic
+                                                 text, seeds):
+        # the split draws nothing, so the seed only echoes into the report
         f = tmp_path / "in.txt"
         f.write_text(text)
         docs = []
-        for seed in range(4):
+        for seed in range(seeds):
             code, doc, _ = run_json(capsys, "compute", "--input", str(f),
                                     "--seed", str(seed))
             assert code == 0 and doc.pop("seed") == seed
@@ -265,15 +262,20 @@ class TestCompute:
                                           "hilb_tangent_dim")) == want[:5]
             assert [e["point"] for e in doc["licci"]] == [want[5]]
 
-    def test_off_origin_needs_dimension_below_p(self, capsys, tmp_path):
-        # three points on a line over F_3: splitting them takes squarefree
-        # parts, which need deg Z < p
+    def test_off_origin_at_any_field_size(self, capsys, tmp_path):
+        # all three points of a line over F_3, deg Z = p: ker(F - 1) splits
+        # them with no squarefree part taken
         f = tmp_path / "in.txt"
         f.write_text("ring R = Fp(3)[x, y];\n"
                      "ideal X = y, x^3 - x;\nideal Y = y;\n")
-        code, _, err = run(capsys, "compute", "--input", str(f))
-        assert code == 1
-        assert "below the field size" in err
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 0
+        assert doc["deg_Z"] == 3
+        assert doc["components"] == [{"length": 1, "dim_Q": 1, "mu": 1}] * 3
+        assert sorted(e["point"] for e in doc["licci"]) == [
+            [0, 0], [1, 0], [2, 0]]
+        assert all((e["verdict"], e["rule"]) == ("Licci", "CI")
+                   for e in doc["licci"])
 
     def test_transversal_reports_null_q(self, capsys, tmp_path):
         f = tmp_path / "tr.txt"
@@ -384,9 +386,9 @@ class TestCompute:
         calls = []
         plain = zerodim.local_decompose
 
-        def counting(alg, stream):
+        def counting(alg):
             calls.append(alg.dim)
-            return plain(alg, stream)
+            return plain(alg)
 
         for mod in (zerodim, excess, cli):
             if hasattr(mod, "local_decompose"):
@@ -461,12 +463,11 @@ class TestCompute:
         scen = make_scenario(ring, I_X, I_Y, I_X.krull_dim(),
                              ring.nvars - I_Y.krull_dim())
         Z, p = scen.Z, ring.p
-        factors = q_module(scen, Stream(1)).factors
+        factors = q_module(scen).factors
         assert len(factors) == 2
         for f in factors:
             assert f.length == 1 and f.point is not None
-            e = mat_mul(f.projector(Z.actions(), p), Z.one, p)
-            ideal = Z.ideal + Ideal(ring, [ring.one() - Z.lift(e)])
+            ideal = Z.ideal + Ideal(ring, [ring.one() - Z.lift(f.idempotent)])
             ideal = Ideal(ring, [g.shift([int(a) % p for a in f.point])
                                  for g in ideal.gens])
             oracle = licci_check(minimal_presentation(ideal))
@@ -515,14 +516,13 @@ class TestCompute:
         I_X, I_Y = Ideal(ring, ideals["X"]), Ideal(ring, ideals["Y"])
         scen = make_scenario(ring, I_X, I_Y, I_X.krull_dim(),
                              ring.nvars - I_Y.krull_dim())
-        Z, p = scen.Z, ring.p
+        Z = scen.Z
         rational = 0
-        for f in local_decompose(Z, Stream(1)):
+        for f in local_decompose(Z):
             if f.point is None:
                 continue
             rational += 1
-            e = mat_mul(f.projector(Z.actions(), p), Z.one, p)
-            cut = Z.ideal + Ideal(ring, [ring.one() - Z.lift(e)])
+            cut = Z.ideal + Ideal(ring, [ring.one() - Z.lift(f.idempotent)])
             m = Ideal(ring, [ring.var(v) - a
                              for v, a in zip(ring.variables, f.point)])
             oracle = Z.ideal + m.power(f.length)
@@ -546,7 +546,7 @@ class TestCompute:
         I_X, I_Y = Ideal(ring, ideals["X"]), Ideal(ring, ideals["Y"])
         scen = make_scenario(ring, I_X, I_Y, I_X.krull_dim(),
                              ring.nvars - I_Y.krull_dim())
-        rep = q_module(scen, Stream(0))
+        rep = q_module(scen)
         assert len(rep.factors) == len(rep.per_component) == 2
         for f, (length, _, _) in zip(rep.factors, rep.per_component):
             assert f.length == length

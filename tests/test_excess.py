@@ -29,7 +29,6 @@ from qfiber.excess import (
     _koszul_mu,
     _relation_space,
     _replay,
-    _REPORT_SEED,
     _submodule,
 )
 from qfiber import groebner as gb_module
@@ -42,13 +41,11 @@ from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
                               gen_quadric_graph)
 from qfiber.zerodim import (
     ArtinianAlgebra,
-    _eval_matrix_poly,
     derivations_dim,
     local_decompose,
-    minpoly_of_vector,
-    semisimple_poly,
     tangent_data,
 )
+import minpoly_route as mr
 from test_groebner import trace_entries
 from test_zerodim import (SESSIONS, factor_mu, factor_point, is_nilpotent,
                           random_zero_dim, session_algebra)
@@ -70,7 +67,7 @@ def scenario(R, xtext, ytext, dim_x, codim_y, **kw):
 
 def mu(mod):
     """module_mu over the local factors a report on the same algebra uses."""
-    return module_mu(mod, local_decompose(mod.algebra, Stream(_REPORT_SEED)))
+    return module_mu(mod, local_decompose(mod.algebra))
 
 
 def graph2():
@@ -440,7 +437,7 @@ class TestConormal:
         s = graph2()
         with pytest.raises(RuntimeError, match="onto"):
             _defect_report(identity(9), conormal_in_X(s), 3, s.Z, s.c,
-                           s.dims[2], Stream(0))
+                           s.dims[2])
 
     @pytest.mark.parametrize("case", sorted(CI_SCENARIOS))
     def test_free_big_module_matches_general_path(self, case):
@@ -767,12 +764,7 @@ class TestQModule:
             rep = q_module(s)
             dim, mats = q_space(s)
             assert dim == rep.dim_q
-            blocks = []
-            for v in range(s.Z.nvars):
-                h = semisimple_poly(
-                    minpoly_of_vector(s.Z.action(v), s.Z.one, P), P)
-                blocks.append(np.mod(
-                    mats[v] - _eval_matrix_poly(list(h), mats[v], P), P))
+            blocks = mr.nilpotent_parts(s.Z, mats)
             mu = dim - rank(np.concatenate(blocks, axis=1), P)
             assert mu == rep.mu_q
 
@@ -1684,70 +1676,76 @@ class TestLocalityOracles:
     def test_algebras(self, case):
         names, text = LOCALITY_ALGEBRAS[case]
         alg = ArtinianAlgebra.from_ideal(idl(ring(names), text))
-        factors = local_decompose(alg, Stream(_REPORT_SEED))
+        factors = local_decompose(alg)
         regular = FinModule(alg.dim, tuple(alg.actions()), identity(alg.dim),
                             alg)
         assert_matches_oracles(alg, factors, regular)
         assert alg.at_origin() == (case in MU_CASES)
         if alg.at_origin():
             zbar = qbar(alg)
-            zfactors = local_decompose(zbar.algebra, Stream(_REPORT_SEED))
+            zfactors = local_decompose(zbar.algebra)
             assert_matches_oracles(zbar.algebra, zfactors, zbar)
         else:
             assert [(f.length, f.point) for f in factors] == OFF_ORIGIN[case]
 
-    def test_one_minimal_polynomial_per_variable(self, monkeypatch):
+    def test_one_frobenius_map_per_algebra(self, monkeypatch):
         # the graph bases are homogeneous, so their reports build no
-        # minimal polynomial; a local algebra whose basis is not builds one
-        # per variable, memoised, and draws no form
+        # Frobenius map; a local algebra whose basis is not builds one,
+        # memoised, with one X_v^p per variable of its standard monomials
         calls = []
-        plain = zerodim.minpoly_of_vector
+        plain = zerodim._matrix_power
 
-        def counting(M, v, p):
-            calls.append(M.shape)
-            return plain(M, v, p)
+        def counting(X, e, p):
+            calls.append(X.shape)
+            return plain(X, e, p)
 
-        monkeypatch.setattr(zerodim, "minpoly_of_vector", counting)
+        monkeypatch.setattr(zerodim, "_matrix_power", counting)
+        # nor do they build a module monomial matrix: each report evaluates
+        # the unit alone, the idempotent of its one factor
+        supports = []
+        plain_evaluate = ArtinianAlgebra.evaluate
+
+        def recording(self, vectors, mats):
+            supports.extend(np.flatnonzero(a).tolist() for a in vectors)
+            return plain_evaluate(self, vectors, mats)
+
+        monkeypatch.setattr(ArtinianAlgebra, "evaluate", recording)
         reps = [q_module(gen_quadric_graph(n, Seed(1))) for n in range(2, 7)]
         assert [(r.deg_z, r.q, r.mu_q) for r in reps] == [
             (3, 3, 3), (6, 6, 3), (10, 5, 5), (20, 20, 6), (35, 7, 7)]
         assert calls == []
+        assert supports == [[0]] * 5
         R = ring()
         alg = ArtinianAlgebra.from_ideal(idl(R, "x^2 - y^3, x*y"))
         assert alg.ideal.groebner().polys == tuple(
             parse_ideal("x*y, y^3 - x^2, x^3", R))
         assert alg.at_origin()
-        factors = local_decompose(alg, Stream(_REPORT_SEED))
+        factors = local_decompose(alg)
         assert [(f.length, f.point) for f in factors] == [(5, (0, 0))]
         mu(FinModule(alg.dim, tuple(alg.actions()), identity(alg.dim), alg))
         assert len(calls) == alg.nvars == 2
 
 
-# --- the homogeneous shortcut against the minimal-polynomial route ----------
+# --- the Frobenius route against the minimal-polynomial route ---------------
 
 
-def factor_summary(factors, alg):
+def factor_summary(factors):
     """(length, idempotent e*1, point) of each factor, in local_decompose's
     order."""
-    acts, p = alg.actions(), alg.p
-    return sorted(((f.length, mat_mul(f.projector(acts, p), alg.one,
-                                      p).tolist(), f.point)
-                   for f in factors), key=lambda t: t[:2])
+    return sorted(((f.length, list(f.idempotent), f.point) for f in factors),
+                  key=lambda t: t[:2])
 
 
 def minimal_polynomial_route(alg):
     """at_origin, the nilpotent parts of the actions and the local factors
-    read off the minimal polynomials of the variables: the route a
-    homogeneous basis skips, splitting every algebra on its ranks."""
+    read off the minimal polynomials of the variables and split by random
+    forms (minpoly_route), on every algebra, with no homogeneous
+    shortcut."""
     acts, p = alg.actions(), alg.p
-    mps = alg.minimal_polynomials()
-    nils = [np.mod(X - _eval_matrix_poly(semisimple_poly(mp, p), X, p), p)
-            for X, mp in zip(acts, mps)]
-    factors = []
-    zerodim._decompose_into(acts, nils, alg.one, p, Stream(_REPORT_SEED), (),
-                            factors)
-    return (not any(any(mp[:-1]) for mp in mps), nils,
-            factor_summary(factors, alg))
+    factors = [(length, mat_mul(E, alg.one, p).tolist(), point)
+               for length, E, point in mr.decompose(alg, Stream(0))]
+    return (not any(any(mp[:-1]) for mp in mr.minimal_polynomials(alg)),
+            mr.nilpotent_parts(alg, acts), factors)
 
 
 # the locality scenarios hold graph n = 2..7, EI and the fat point
@@ -1769,20 +1767,19 @@ class TestOriginShortcut:
         alg = SHORTCUT_ALGEBRAS[case]()
         homogeneous = alg.ideal.is_homogeneous()
         calls = []
-        plain = zerodim.minpoly_of_vector
+        plain = zerodim._matrix_power
 
-        def counting(M, v, p):
+        def counting(X, e, p):
             calls.append(1)
-            return plain(M, v, p)
+            return plain(X, e, p)
 
         with monkeypatch.context() as m:
-            m.setattr(zerodim, "minpoly_of_vector", counting)
+            m.setattr(zerodim, "_matrix_power", counting)
             origin = alg.at_origin()
             nils = alg.nilpotent_parts(alg.actions())
-            factors = factor_summary(
-                local_decompose(alg, Stream(_REPORT_SEED)), alg)
-        # a homogeneous basis builds no minimal polynomial and cuts out
-        # the origin alone
+            factors = factor_summary(local_decompose(alg))
+        # a homogeneous basis builds no Frobenius map and cuts out the
+        # origin alone
         assert not (homogeneous and calls)
         assert origin or not homogeneous
         want_origin, want_nils, want_factors = minimal_polynomial_route(alg)

@@ -12,9 +12,11 @@ function calls itself: such a closure holds itself through its cell, and
 every call leaves a cycle for the cycle collector.  The packed-monomial
 codec `_Enc` is named in `groebner.py` alone, every matrix product is
 written in `linalg.py` alone, where mat_mul keeps it exact, and minimal
-and semisimple polynomials are taken in `zerodim.py` alone, where each
-algebra memoises those of its variables.  No module holds an assert
-statement: python -O strips them, so a check written as one would vanish.
+polynomials and the Frobenius map are taken in `zerodim.py` alone, where
+each algebra memoises its map.  The local decomposition and the defect
+module (`zerodim.py`, `excess.py`) import nothing from `rng`, so randomness
+stays in building inputs.  No module holds an assert statement: python -O
+strips them, so a check written as one would vanish.
 """
 
 import ast
@@ -340,14 +342,22 @@ def test_call_finder():
     assert calls_of(source, "f") == [3, 4]
 
 
-@pytest.mark.parametrize("name", ["minpoly_of_vector", "semisimple_poly"])
+@pytest.mark.parametrize("name", ["minpoly_of_vector", "frobenius"])
 def test_minimal_polynomials_only_in_zerodim(name):
-    # every reader of locality or of the radical takes the algebra's
-    # memoised polynomials (ArtinianAlgebra.minimal_polynomials,
-    # at_origin, nilpotent_parts) instead of taking its own
+    # every reader of locality or of the radical goes through the
+    # algebra's memoised Frobenius map (at_origin, local_decompose,
+    # nilpotent_parts) instead of taking polynomials or a map of its own
     calling = [p.name for p in sorted(SRC.glob("*.py"))
                if calls_of(p.read_text(encoding="utf-8"), name)]
     assert calling == ["zerodim.py"]
+
+
+@pytest.mark.parametrize("name", ["zerodim.py", "excess.py"])
+def test_no_randomness_in_locality_or_reports(name):
+    # the split and the defect report draw nothing: no stream, no fork
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    assert "qfiber.rng" not in imported_modules(tree)
+    assert not {"Stream", "fork", "randrange"} & named(tree)
 
 
 def assert_statements(source: str) -> list:

@@ -1,10 +1,13 @@
-"""Univariate F_p arithmetic and factorization."""
+"""Univariate F_p arithmetic and roots, and the factorization helpers of
+the minimal-polynomial oracle route (minpoly_route)."""
 
 import random
 
 import pytest
 
 from qfiber import univar as uv
+
+import minpoly_route as mr
 
 P = 32003
 
@@ -25,7 +28,7 @@ class TestArithmetic:
             if not g:
                 continue
             q, r = uv.divmod_poly(f, g, P)
-            back = uv.add(uv.mul(q, g, P), r, P)
+            back = mr.add(uv.mul(q, g, P), r, P)
             assert back == f
             assert uv.deg(r) < uv.deg(g)
 
@@ -63,24 +66,27 @@ class TestFactor:
     def test_squarefree_part(self):
         p = 101
         f = uv.mul(uv.mul(from_roots([3], p), from_roots([3], p), p), from_roots([5], p), p)
-        assert uv.squarefree_part(f, p) == from_roots([3, 5], p)
+        assert mr.squarefree_part(f, p) == from_roots([3, 5], p)
 
     def test_roots(self):
-        rng = random.Random(7)
         wanted = [2, 40, 17, 99]
         f = from_roots(wanted, P)
-        assert uv.roots(f, P, rng) == sorted(wanted)
+        assert uv.roots(f, P) == sorted(wanted)
+        # a repeated root once, and x^2 + 1 (P = 3 mod 4) adds none
+        g = uv.mul(uv.mul(f, from_roots([40, 3], P), P), [1, 0, 1], P)
+        assert uv.roots(g, P) == sorted(wanted + [3])
+        assert uv.roots(uv.mul(from_roots([1, 1, 2], 3), [1, 0, 1], 3),
+                        3) == [1, 2]
 
     def test_roots_none(self):
-        rng = random.Random(9)
         # x^2 + 1 over p = 3 mod 4 has no roots
-        assert uv.roots([1, 0, 1], 7, rng) == []
+        assert uv.roots([1, 0, 1], 7) == []
 
     def test_factor_mixed_degrees(self):
         rng = random.Random(11)
         p = 7
         f = uv.mul(from_roots([1, 2], p), [1, 0, 1], p)  # (x-1)(x-2)(x^2+1)
-        factors = uv.factor_squarefree(f, p, rng)
+        factors = mr.factor_squarefree(f, p, rng)
         assert sorted(uv.deg(g) for g in factors) == [1, 1, 2]
         prod = [1]
         for g in factors:
@@ -93,23 +99,23 @@ class TestFactor:
         # an irreducible quadratic: x^2 - 3 with 3 a non-residue mod 31
         assert pow(3, 15, 31) == 30
         f = uv.mul(from_roots([4], p), [(-3) % p, 0, 1], p)
-        blocks = dict(uv.distinct_degree(f, p))
+        blocks = dict(mr.distinct_degree(f, p))
         assert uv.deg(blocks[1]) == 1 and uv.deg(blocks[2]) == 2
 
     def test_is_irreducible(self):
         rng = random.Random(17)
-        assert uv.is_irreducible([1, 0, 1], 7)  # x^2 + 1 mod 7
-        assert not uv.is_irreducible([6, 0, 1], 7)  # x^2 - 1
-        assert uv.is_irreducible([3, 1], 7)
+        assert mr.is_irreducible([1, 0, 1], 7)  # x^2 + 1 mod 7
+        assert not mr.is_irreducible([6, 0, 1], 7)  # x^2 - 1
+        assert mr.is_irreducible([3, 1], 7)
         # x^4 + x + 1 is irreducible over F_2 but 5 divides ... check over F_3:
         # x^3 - x + 1 has no roots mod 3 and degree 3, hence irreducible
-        assert uv.is_irreducible([1, 2, 0, 1], 3)
+        assert mr.is_irreducible([1, 2, 0, 1], 3)
 
     def test_random_factor_refactor(self):
         rng = random.Random(19)
         for _ in range(10):
             roots = rng.sample(range(1, P), rng.randrange(2, 6))
             f = from_roots(roots, P)
-            fac = uv.factor_squarefree(f, P, rng)
+            fac = mr.factor_squarefree(f, P, rng)
             got = sorted((-g[0]) % P for g in fac)
             assert got == sorted(roots)

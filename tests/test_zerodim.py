@@ -1,6 +1,7 @@
 """Artinian algebras: bases, actions, local splitting, tangent invariants."""
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -12,20 +13,20 @@ from qfiber.algebra import (LEX, FieldSpec, PolyRing, block_order,
 from qfiber.groebner import Ideal, _nf_terms, _Repack
 from qfiber.linalg import mat_mul, rank, rref
 from qfiber.parser import parse_ideal, parse_polynomial, parse_session
+from qfiber import univar as uv
 from qfiber.rng import Stream
 from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
                               gen_quadric_graph, scenario_text)
 from qfiber import zerodim
 from qfiber.zerodim import (
     ArtinianAlgebra,
-    _eval_matrix_poly,
     cm_regularity,
     derivations_dim,
     local_decompose,
     minpoly_of_vector,
-    semisimple_poly,
     zariski_tangent_dim,
 )
+import minpoly_route as mr
 
 P = 32003
 
@@ -383,7 +384,7 @@ class TestMinpoly:
             v = np.asarray(v, dtype=np.int64)
             f = minpoly_of_vector(M, v, P)
             assert f[-1] == 1
-            assert not mat_mul(_eval_matrix_poly(f, M, P), v, P).any()
+            assert not mat_mul(mr.eval_matrix_poly(f, M, P), v, P).any()
             krylov = [v]
             for _ in range(d):
                 krylov.append(mat_mul(M, krylov[-1], P))
@@ -437,7 +438,7 @@ class TestDerivations:
 
 
 # --- oracles of locality, kept from the routes the minimal polynomials
-# of the variables replaced
+# of the variables replaced, which the Frobenius map replaced in turn
 
 
 def is_nilpotent(X, p):
@@ -462,17 +463,17 @@ def rational_point(actions, length, p):
     return tuple(point)
 
 
-def restricted(factor, mats, p):
+def restricted(factor, alg, mats, p):
     """The matrices on the image of the factor's projector E, in the rref
     basis of that image, with E and the pivots of that basis."""
-    E = factor.projector(mats, p)
+    E = factor.projector(alg, mats)
     B, piv = rref(E.T, p)
     return [mat_mul(X, B[:len(piv)].T, p)[piv] for X in mats], E, piv
 
 
 def factor_point(factor, alg):
     """rational_point on the factor's own restricted actions."""
-    acts = restricted(factor, alg.actions(), alg.p)[0]
+    acts = restricted(factor, alg, alg.actions(), alg.p)[0]
     return rational_point(acts, factor.length, alg.p)
 
 
@@ -482,51 +483,45 @@ def factor_mu(factor, mod):
     unit, its semisimple polynomial h_v, and the rank of the parts
     X_v - h_v(X_v) of the module actions restricted to the factor."""
     alg, p = mod.algebra, mod.algebra.p
-    acts, E, piv = restricted(factor, alg.actions(), p)
+    acts, E, piv = restricted(factor, alg, alg.actions(), p)
     one = mat_mul(E, alg.one, p)[piv]
-    mats = restricted(factor, mod.actions, p)[0]
+    mats = restricted(factor, alg, mod.actions, p)[0]
     dim_c = mats[0].shape[0]
     if not dim_c:
         return 0, 0
     nil = []
     for A, X in zip(acts, mats):
-        h = semisimple_poly(minpoly_of_vector(A, one, p), p)
-        nil.append(np.mod(X - _eval_matrix_poly(h, X, p), p))
+        h = mr.semisimple_poly(minpoly_of_vector(A, one, p), p)
+        nil.append(np.mod(X - mr.eval_matrix_poly(h, X, p), p))
     return dim_c, dim_c - rank(np.concatenate(nil, axis=1), p)
 
 
-class ZeroStream:
-    """A stream whose every draw is 0: each form it builds is the zero
-    form, which neither splits a piece nor certifies one."""
-
-    def randrange(self, a, b=None):
-        return 0 if b is None else a
-
-    def fork(self, label):
-        return self
+def root_streams(monkeypatch, seed):
+    """Point the root finder's fixed stream at another seed."""
+    monkeypatch.setattr(uv, "Stream", lambda _: Stream(seed))
 
 
 class TestDecompose:
     def test_two_rational_points(self):
         R = ring("x")
         A = algebra(R, "x^2 - 1")
-        parts = local_decompose(A, Stream(5))
+        parts = local_decompose(A)
         assert [f.length for f in parts] == [1, 1]
         assert sorted(f.point for f in parts) == [(1,), (P - 1,)]
 
     def test_local_stays_whole(self):
         R = ring("x")
         A = algebra(R, "x^2")
-        parts = local_decompose(A, Stream(5))
+        parts = local_decompose(A)
         assert len(parts) == 1
         assert parts[0].length == 2
         assert parts[0].point == (0,)
-        assert parts[0].chain == ()
+        assert parts[0].idempotent == (1, 0)
 
     def test_mixed_multiplicities(self):
         R = ring("x")
         A = algebra(R, "(x - 1)*(x + 1)*(x - 5)^2")
-        parts = local_decompose(A, Stream(11))
+        parts = local_decompose(A)
         assert sorted(f.length for f in parts) == [1, 1, 2]
         pts = {f.point for f in parts}
         assert pts == {(1,), (P - 1,), (5,)}
@@ -536,7 +531,7 @@ class TestDecompose:
         c = next(a for a in range(2, 50) if pow(a, (P - 1) // 2, P) == P - 1)
         R = ring("x")
         A = algebra(R, f"x^2 - {c}")
-        parts = local_decompose(A, Stream(7))
+        parts = local_decompose(A)
         assert len(parts) == 1
         assert parts[0].length == 2
         assert parts[0].point is None
@@ -544,24 +539,25 @@ class TestDecompose:
     def test_two_variables(self):
         R = ring()
         A = algebra(R, "x^2 - 1, y - x")
-        parts = local_decompose(A, Stream(13))
+        parts = local_decompose(A)
         assert sorted(f.point for f in parts) == [(1, 1), (P - 1, P - 1)]
 
     def test_projector_identity_sum(self):
         R = ring("x")
         A = algebra(R, "(x - 2)*(x - 3)*(x - 4)")
-        parts = local_decompose(A, Stream(17))
+        parts = local_decompose(A)
         acts = A.actions()
         total = np.zeros((A.dim, A.dim), dtype=np.int64)
         for f in parts:
-            E = f.projector(acts, P)
+            E = f.projector(A, acts)
             assert (mat_mul(E, E, P) == E).all()
+            assert mat_mul(E, A.one, P).tolist() == list(f.idempotent)
             total = (total + E) % P
         assert (total == np.eye(A.dim, dtype=np.int64)).all()
 
     def test_splits_on_bare_matrices(self, monkeypatch):
-        # a piece is its actions, their nilpotent parts and its unit
-        # vector: no algebra is built
+        # the split runs on the actions, the Frobenius map and the c x c
+        # matrices of ker(F - 1): no algebra is built
         A = algebra(ring(), "x^2 - 1, y^2 - 4")
         A.actions()
 
@@ -569,43 +565,93 @@ class TestDecompose:
             raise AssertionError("local_decompose built an algebra")
 
         monkeypatch.setattr(ArtinianAlgebra, "__init__", refuse)
-        assert len(local_decompose(A, Stream(23))) == 4
+        assert len(local_decompose(A)) == 4
 
     def test_deterministic(self):
         R = ring()
-        A = algebra(R, "x^2 - 1, y^2 - 4")
-        a = local_decompose(A, Stream(23))
-        b = local_decompose(A, Stream(23))
-        assert [f.chain for f in a] == [f.chain for f in b]
-        assert [f.point for f in a] == [f.point for f in b]
+        a = local_decompose(algebra(R, "x^2 - 1, y^2 - 4"))
+        b = local_decompose(algebra(R, "x^2 - 1, y^2 - 4"))
+        assert a == b
         assert len(a) == 4
 
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_two_points_split_on_every_seed(self, p):
-        # a point pair is certified apart, never accepted as one cluster
-        A = algebra(ring("x", p), "x^2 - 1")
+    def test_two_points_split_on_every_seed(self, p, monkeypatch):
+        # whatever stream the root finder splits with, the pair is split
+        # into its two points, in one order
         for seed in range(400):
-            parts = local_decompose(A, Stream(seed))
+            root_streams(monkeypatch, seed)
+            A = algebra(ring("x", p), "x^2 - 1")
+            parts = local_decompose(A)
             assert [f.point for f in parts] == [(p - 1,), (1,)], seed
 
-    def test_order_does_not_depend_on_the_stream(self):
-        # by length, then by the idempotent e*1, which is intrinsic; the
-        # points of x^2 - 1, y^2 - 4 came in 8 orders over these seeds
-        # when ties were broken by the chain of random forms
-        A = algebra(ring(), "x^2 - 1, y^2 - 4")
-        orders = {tuple(f.point for f in local_decompose(A, Stream(s)))
-                  for s in range(20)}
+    def test_order_does_not_depend_on_the_stream(self, monkeypatch):
+        # by length, then by the idempotent e*1, which is intrinsic
+        orders = set()
+        for seed in range(20):
+            root_streams(monkeypatch, seed)
+            A = algebra(ring(), "x^2 - 1, y^2 - 4")
+            orders.add(tuple(f.point for f in local_decompose(A)))
         assert len(orders) == 1
 
-    def test_gives_up_without_accepting(self):
-        # zero forms can neither split the two points nor certify a field
-        # of degree 2 on them, so the pair is refused, not accepted
-        A = algebra(ring("x", 3), "x^2 - 1")
-        with pytest.raises(RuntimeError, match="no random linear form"):
-            local_decompose(A, ZeroStream())
-        # a local piece with a rational point draws no form at all
-        A = algebra(ring("x", 3), "(x - 1)^2")
-        assert [f.point for f in local_decompose(A, ZeroStream())] == [(1,)]
+
+def brute_force_points(A):
+    """{point: local length} over the rational points of the algebra's
+    zero set, found by trying every point of F_p^n, with each length
+    taken by localising: dim R/(I + m_a^d), d = dim A, at or above the
+    Loewy length of the local ring."""
+    ring_, p, gens = A.ring, A.p, A.ideal.gens
+    out = {}
+    for a in itertools.product(range(p), repeat=A.nvars):
+        if any(g.evaluate(a) % p for g in gens):
+            continue
+        m = Ideal(ring_, [ring_.var(v) - ring_.constant(c)
+                          for v, c in zip(range(A.nvars), a)])
+        out[a] = ArtinianAlgebra.from_ideal(A.ideal + m.power(A.dim)).dim
+    return out
+
+
+class TestDimensionAtLeastP:
+    # (variables, p, ideal) -> c, dim rad and the residue degrees, sorted;
+    # every algebra over F_3 has dim >= p, and x^4 + 1 over F_5 splits
+    # into two factors of residue degree 2
+    CASES = {
+        "x^3 - x": ("x", 3, "x^3 - x", 3, 0, [1, 1, 1]),
+        "nine points": ("x,y", 3, "x^3 - x, y^3 - y", 9, 0, [1] * 9),
+        "fat line points": ("x,y", 3, "(x^3 - x)^2, y^2", 3, 9, [1, 1, 1]),
+        "(x^2 + 1)^3": ("x", 3, "(x^2 + 1)^3", 1, 4, [2]),
+        "x^4 + 1": ("x", 5, "x^4 + 1", 2, 0, [2, 2]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_against_brute_force(self, case):
+        names, p, text, c, rad, degrees = self.CASES[case]
+        A = algebra(ring(names, p), text)
+        assert A.dim >= p or p == 5
+        factors = local_decompose(A)
+        assert len(factors) == c
+        assert rank(np.hstack(A.nilpotent_parts(A.actions())), p) == rad
+        rational = {f.point: f.length for f in factors if f.point}
+        assert rational == brute_force_points(A)
+        # the residue degrees: r = rank(F^N L_e), L_e's columns x^q e
+        got = []
+        for f in factors:
+            L = A.along_std(np.array(f.idempotent), A.actions()).T
+            got.append(rank(A.frobenius_power(L, A.depth), p))
+        assert sorted(got) == degrees
+        assert sum(f.length for f in factors) == A.dim
+        assert A.dim - rad == sum(degrees)
+        assert all((f.point is None) == (r > 1) for f, r in zip(factors, got))
+
+    def test_no_separating_linear_form(self):
+        # every linear form takes equal values on two of the nine points,
+        # so no form splits them all; the basis of ker(F - 1) does
+        A = algebra(ring("x,y", 3), "x^3 - x, y^3 - y")
+        points = [f.point for f in local_decompose(A)]
+        for a, b in itertools.product(range(3), repeat=2):
+            values = {(a * x + b * y) % 3 for x, y in points}
+            assert len(values) < 9
+        assert sorted(points) == sorted(itertools.product(range(3),
+                                                          repeat=2))
 
 
 class TestLocality:
@@ -621,61 +667,68 @@ class TestLocality:
         assert A.at_origin() is origin
         assert origin == all(is_nilpotent(X, p) for X in A.actions())
 
-    def test_minimal_polynomials_are_memoised(self, monkeypatch):
+    def test_frobenius_is_memoised(self, monkeypatch):
+        # one X_v^p per variable of the standard monomials, the map built
+        # once, and the split done once, whoever asks first
         A = algebra(ring(), "x^2 - 1, y^3")
         calls = []
-        plain = zerodim.minpoly_of_vector
+        plain = zerodim._matrix_power
 
-        def counting(M, v, p):
-            calls.append(1)
-            return plain(M, v, p)
+        def counting(X, e, p):
+            calls.append(e)
+            return plain(X, e, p)
 
-        monkeypatch.setattr(zerodim, "minpoly_of_vector", counting)
-        mps = A.minimal_polynomials()
-        assert mps == [[P - 1, 0, 1], [0, 0, 0, 1]]
-        A.at_origin()
-        A.nilpotent_parts(A.actions())
-        local_decompose(A, Stream(0))
-        assert A.minimal_polynomials() is mps
-        # one per variable, and one form that splits the two points; each
-        # point is then certified rational with no form drawn
-        assert len(calls) == 3
+        monkeypatch.setattr(zerodim, "_matrix_power", counting)
+        nils = A.nilpotent_parts(A.actions())
+        F = A.frobenius()
+        assert not A.at_origin()
+        factors = local_decompose(A)
+        assert A.frobenius() is F
+        assert local_decompose(A) == factors
+        assert all(np.array_equal(N, M) for N, M in
+                   zip(A.nilpotent_parts(A.actions()), nils))
+        assert calls == [P, P]
+        assert [(f.length, f.point) for f in factors] == [
+            (3, (P - 1, 0)), (3, (1, 0))]
+
+    def test_frobenius_by_definition(self):
+        # column q of F is the coordinates of (x^q)^p
+        A = algebra(ring("x,y", 5), "x^3 - y^2 + 1, y^3 - x")
+        F = A.frobenius()
+        for i, q in enumerate(A.std):
+            want = A.coords(A.ring.monomial(q) ** 5)
+            assert F[:, i].tolist() == want.tolist()
 
 
 class TestSemisimple:
     def test_split_polynomial(self):
         # minimal polynomial (T-3)^2 (T-5): h sends T to its diagonal part
-        from qfiber import univar as uv
-
         mp = [1]
         for root, mult in ((3, 2), (5, 1)):
             for _ in range(mult):
                 mp = uv.mul(mp, [(-root) % P, 1], P)
-        h = semisimple_poly(mp, P)
+        h = mr.semisimple_poly(mp, P)
         # h(3) = 3 and h(5) = 5, and h'(...) kills the nilpotent direction:
         # (h(T) - 3) must be divisible by (T-3)^2 after subtracting
         assert horner(h, 3, P) == 3
         assert horner(h, 5, P) == 5
-        assert horner(uv.derivative(h, P), 3, P) == 0
+        assert horner(mr.derivative(h, P), 3, P) == 0
 
     def test_newton_failure_raises(self, monkeypatch):
         # every inverse forced to zero: t never moves off T, which is not
-        # semisimple mod (T-2)^2, and a RuntimeError (exit 2) refuses it,
-        # as no assert would under python -O
-        from qfiber import univar as uv
-
+        # semisimple mod (T-2)^2, and the oracle refuses it
         mp = uv.mul([P - 2, 1], [P - 2, 1], P)
-        assert semisimple_poly(mp, P) == [2]
-        monkeypatch.setattr(zerodim, "_inv_mod", lambda f, modulus, p: [])
+        assert mr.semisimple_poly(mp, P) == [2]
+        monkeypatch.setattr(mr, "inv_mod", lambda f, modulus, p: [])
         with pytest.raises(RuntimeError, match="newton"):
-            semisimple_poly(mp, P)
+            mr.semisimple_poly(mp, P)
 
     @staticmethod
     def nilpotent_part(A):
-        """x - h(x) for the one variable, as the defect-module mu computes it."""
+        """x - h(x) for the one variable, by the minimal-polynomial route."""
         X = A.action(0)
-        h = semisimple_poly(minpoly_of_vector(X, A.one, P), P)
-        return (X - _eval_matrix_poly(h, X, P)) % P
+        h = mr.semisimple_poly(minpoly_of_vector(X, A.one, P), P)
+        return (X - mr.eval_matrix_poly(h, X, P)) % P
 
     def test_nilpotent_parts_jet(self):
         R = ring("x")
@@ -690,6 +743,7 @@ class TestSemisimple:
         R = ring("x")
         A = algebra(R, f"x^2 - {c}")
         assert not self.nilpotent_part(A).any()
+        assert not A.nilpotent_parts(A.actions())[0].any()
 
     @pytest.mark.parametrize("text", ["(x - 2)^3", "x^2 - 3", "x^4 - x^2"])
     def test_algebra_nilpotent_parts(self, text):
