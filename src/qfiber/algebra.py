@@ -8,6 +8,7 @@ canonical residues in [0, p).  Everything here is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -464,28 +465,32 @@ def poly_to_string(f: Polynomial) -> str:
     return " + ".join(parts)
 
 
-def _exponents(nvars: int, degree: int) -> list:
-    """(exponent vector, degree left over) for every exponent vector of
-    total degree at most degree, in lexicographic order: the first
-    exponent slowest, each ascending."""
-    out = [((), degree)]
+@lru_cache(maxsize=32)
+def _draw_plan(nvars: int, order: MonomialOrder, degree: int,
+               homogeneous: bool) -> tuple:
+    """(exponent vectors, draw indices) of random_poly in descending
+    monomial order.  Coefficients are drawn for the exponent vectors of
+    total degree at most degree (exactly degree when homogeneous) in
+    lexicographic order, the first exponent slowest, and the vector in
+    place i takes draw index[i]."""
+    drawn = [((), degree)]
     for _ in range(nvars):
-        out = [(m + (e,), left - e) for m, left in out
-               for e in range(left + 1)]
-    return out
+        drawn = [(m + (e,), left - e) for m, left in drawn
+                 for e in range(left + 1)]
+    drawn = [m for m, left in drawn if not (homogeneous and left)]
+    places = sorted(range(len(drawn)), key=lambda i: order.key(drawn[i]),
+                    reverse=True)
+    return tuple(drawn[i] for i in places), tuple(places)
 
 
 def random_poly(ring: PolyRing, degree: int, rng,
                 homogeneous: bool = True) -> Polynomial:
     """Dense random polynomial of the given (total) degree.
 
-    rng must provide randrange.
+    rng must provide randrange; its draws follow _draw_plan.
     """
-    d = {}
-    for m, left in _exponents(ring.nvars, degree):
-        if homogeneous and left:
-            continue
-        c = rng.randrange(ring.p)
-        if c:
-            d[m] = c
-    return ring.poly(d)
+    monos, index = _draw_plan(ring.nvars, ring.order, degree, homogeneous)
+    draw, p = rng.randrange, ring.p
+    coeffs = [draw(p) for _ in index]
+    return Polynomial(ring, tuple((m, c) for m, i in zip(monos, index)
+                                  if (c := coeffs[i])))

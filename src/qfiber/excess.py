@@ -437,15 +437,17 @@ def module_mu(mod: FinModule, factors):
     Returns (mu, components) with components a tuple of (local length of
     the algebra, local module length, local mu), one per factor in order.
     The nilpotent parts N_v of the actions, built once, span rad(A)*M
-    (ArtinianAlgebra.nilpotent_parts).  With E a factor's projector, E*M
-    is the local module and E*rad(A)*M its maximal ideal times it, so by
-    Nakayama mu_c = rank E - rank(E*[N_1 | ... | N_n]).
+    (ArtinianAlgebra.nilpotent_parts).  With E the action of a factor's
+    idempotent, E*M is the local module and E*rad(A)*M its maximal ideal
+    times it, so by Nakayama mu_c = rank E - rank(E*[N_1 | ... | N_n]).
+    The E of all factors come from one ArtinianAlgebra.evaluate call, so
+    they share their monomial matrices Y^q.
     """
     alg, p = mod.algebra, mod.algebra.p
     radical = np.hstack(alg.nilpotent_parts(mod.actions))
+    projectors = alg.evaluate([f.idempotent for f in factors], mod.actions)
     per = []
-    for f in factors:
-        E = f.projector(alg, mod.actions)
+    for f, E in zip(factors, projectors):
         dim_c = rank(E, p)
         per.append((f.length, dim_c, dim_c - rank(mat_mul(E, radical, p), p)))
     return sum(t[2] for t in per), tuple(per)

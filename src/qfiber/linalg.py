@@ -5,7 +5,10 @@ product of the package, all through mat_mul.  A product whose contraction
 length k keeps k * (p-1)^2 below 2^53 runs in float64 BLAS, where every
 integer below 2^53 is exact; one above it runs on int64, chunked along the
 contraction axis so that k * (p-1)^2 stays below 2^62, so any prime
-accepted by FieldSpec (below 2^31) is safe.
+accepted by FieldSpec (below 2^31) is safe.  The determinant pencils
+det(A + t*B) of small matrices are Leibniz expansions on stacked arrays
+(pencil_dets), reduced after each linear factor, so their sums stay below
+2*(p-1)^2 < 2^63 for the same primes.
 """
 
 from __future__ import annotations
@@ -123,38 +126,38 @@ def nullspace(A, p: int) -> np.ndarray:
 
 @cache
 def _signed_permutations(n: int) -> tuple:
-    """(permutation of range(n), its sign) for the Leibniz expansion."""
-    out = []
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j]
-                         for i in range(n) for j in range(i + 1, n))
-        out.append((perm, -1 if inversions % 2 else 1))
-    return tuple(out)
+    """(the permutations of range(n), one per row, and their signs +-1,
+    the parities of their inversions) for the Leibniz expansion."""
+    perms = list(permutations(range(n)))
+    perms = np.array(perms, dtype=np.intp).reshape(len(perms), n)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum((1, 2))
+    return perms, 1 - 2 * (inversions % 2)
 
 
-def pencil_det(A, B, p: int) -> list:
-    """Coefficients of det(A + t*B) mod p, lowest degree first, for small
-    square A and B (n + 1 of them for n x n).
+def pencil_dets(A, B, p: int) -> np.ndarray:
+    """Coefficients of det(A_k + t*B_k) mod p, lowest degree first, one
+    row of n + 1 per pencil, for stacks A, B of k small n x n matrices.
 
-    The Leibniz expansion multiplies n linear factors a + t*b per
-    permutation over F_p[t], so the result is exact for every p, also
-    when F_p has too few points to interpolate a degree-n polynomial.
+    The Leibniz expansion runs over all n! permutations and all k pencils
+    at once: each permutation's product starts at its sign and is
+    multiplied by its n linear factors a + t*b in turn, reduced mod p
+    after each step, so every partial sum stays below 2*(p-1)^2 < 2^63,
+    and the n! products, each below p, sum below 2^63 for n <= 12.  The
+    result is exact for every p, also when F_p has too few points to
+    interpolate a degree-n polynomial; a 0 x 0 determinant is 1.
     """
-    A = [[int(x) for x in row] for row in A]
-    B = [[int(x) for x in row] for row in B]
-    acc = [0] * (len(A) + 1)
-    for perm, sign in _signed_permutations(len(A)):
-        f = [sign]
-        for i, j in enumerate(perm):
-            a, b = A[i][j], B[i][j]
-            f = [(x * a + y * b) % p for x, y in zip(f + [0], [0] + f)]
-        acc = [u + v for u, v in zip(acc, f)]
-    return [c % p for c in acc]
-
-
-def det(A, p: int) -> int:
-    """Determinant mod p of a small square matrix."""
-    return pencil_det(A, np.zeros_like(np.asarray(A)), p)[0]
+    A, B = as_mod_array(A, p), as_mod_array(B, p)
+    n = A.shape[-1]
+    perms, signs = _signed_permutations(n)
+    # a[k, s, i] = A_k[i, perms[s, i]], the i-th factor of permutation s
+    a, b = A[:, np.arange(n), perms], B[:, np.arange(n), perms]
+    f = np.zeros(a.shape[:2] + (n + 1,), dtype=np.int64)
+    f[..., 0] = signs % p
+    for i in range(n):
+        g = f * a[..., i, None]
+        g[..., 1:] += f[..., :-1] * b[..., i, None]
+        f = np.mod(g, p, out=g)
+    return np.mod(f.sum(axis=1), p)
 
 
 def kernel_intersection(blocks, dim: int, p: int) -> np.ndarray:

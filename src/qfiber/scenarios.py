@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .excess import IntersectionScenario, make_scenario
 from .groebner import Ideal, hilbert_data
-from .linalg import det, mat_mul, nullspace, pencil_det, rank
+from .linalg import mat_mul, nullspace, pencil_dets, rank
 from .rng import Stream
 
 _BUDGET = 8
@@ -252,8 +252,9 @@ def gen_reye(s: Seed) -> ReyeData:
 
     det A is a quartic form or zero, and det A(e_k) = det C[k] at the
     coordinate points, so one nonzero det C[k] proves det A nonzero
-    without expanding it.  Only when every such probe is zero is det A
-    expanded, to decide the draw exactly.
+    without expanding it.  The six probes are one stacked Leibniz
+    expansion (linalg.pencil_dets, exact at every p).  Only when every
+    probe is zero is det A expanded, to decide the draw exactly.
     """
     ring = PolyRing(s.p, tuple(f"y{i}" for i in range(6)))
     st = s.stream()
@@ -267,7 +268,7 @@ def gen_reye(s: Seed) -> ReyeData:
     A = tuple(tuple(entries[(i, j)] for j in range(4)) for i in range(4))
     d = ReyeData(ring, A)
     C = d.coefficients
-    if not any(det(C[k], ring.p) for k in range(ring.nvars)) \
+    if not pencil_dets(C, np.zeros_like(C), ring.p)[:, 0].any() \
             and d.detA.degree() != 4:
         raise RuntimeError(f"degenerate symmetric matrix from seed {s.seed}")
     return d
@@ -319,20 +320,20 @@ def _at(C: np.ndarray, points, p: int) -> np.ndarray:
     return flat.reshape((-1,) + C.shape[1:])
 
 
-def _pencil_minors(C: np.ndarray, a, b, p: int) -> list:
-    """The ten 3x3 minors (i, j), i <= j, of A(a) + t*A(b) as coefficient
-    lists in t: F_ij(1, t) for the binary cubics F_ij that the minors of A
-    restrict to on the line spanned by a and b."""
-    A0, A1 = _at(C, [a, b], p).tolist()
-    out = []
-    for i in range(4):
-        rows = [r for r in range(4) if r != i]
-        for j in range(i, 4):
-            cols = [c for c in range(4) if c != j]
-            out.append(pencil_det([[A0[r][c] for c in cols] for r in rows],
-                                  [[A1[r][c] for c in cols] for r in rows],
-                                  p))
-    return out
+# rows and columns of the 3x3 minors (i, j), i <= j, in row-major order
+_MINORS = [(i, j) for i in range(4) for j in range(i, 4)]
+_MINOR_ROWS = np.array([[k for k in range(4) if k != i] for i, _ in _MINORS])
+_MINOR_COLS = np.array([[k for k in range(4) if k != j] for _, j in _MINORS])
+
+
+def _pencil_minors(C: np.ndarray, a, b, p: int) -> np.ndarray:
+    """The ten 3x3 minors (i, j), i <= j, of A(a) + t*A(b), one row of
+    coefficients in t each: F_ij(1, t) for the binary cubics F_ij that the
+    minors of A restrict to on the line spanned by a and b.  All ten are
+    one stacked Leibniz expansion (linalg.pencil_dets)."""
+    at = (_MINOR_ROWS[:, :, None], _MINOR_COLS[:, None, :])
+    A0, A1 = _at(C, [a, b], p)
+    return pencil_dets(A0[at], A1[at], p)
 
 
 def reye_trisecant(d: ReyeData, s: Seed) -> ReyeCheck:
@@ -340,7 +341,8 @@ def reye_trisecant(d: ReyeData, s: Seed) -> ReyeCheck:
 
     Everything runs on the coefficient tensor C of A, with scalar
     matrices and polynomials in one variable.  det A restricted to a
-    random line u + t*w is the quartic det(A(u) + t*A(w)); at a root the
+    random line u + t*w is the quartic det(A(u) + t*A(w)), a Leibniz
+    expansion exact at every p (linalg.pencil_dets); at a root the
     scalar matrix has a kernel row v, and the four linear forms of v*A
     cut out a line L through the point.  L meets the minor surface in a
     projective scheme of degree 3: the minors restrict to the binary
@@ -360,7 +362,7 @@ def reye_trisecant(d: ReyeData, s: Seed) -> ReyeCheck:
         u = [tr.randrange(p) for _ in range(n)]
         w = [tr.randrange(p) for _ in range(n)]
         Au, Aw = _at(C, [u, w], p)
-        quartic = pencil_det(Au, Aw, p)
+        quartic = pencil_dets(Au[None], Aw[None], p)[0]
         if not any(quartic):
             continue
         for t0 in _common_roots([quartic], p):

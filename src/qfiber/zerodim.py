@@ -313,12 +313,6 @@ class LocalFactor:
     idempotent: tuple
     point: tuple | None
 
-    def projector(self, alg: ArtinianAlgebra, mats) -> np.ndarray:
-        """E, the action of e on a module over alg whose variables act by
-        mats, evaluated over e's support only (ArtinianAlgebra.evaluate):
-        at the origin, where e = 1, the identity with no product taken."""
-        return alg.evaluate([self.idempotent], mats)[0]
-
 
 def minpoly_of_vector(M: np.ndarray, v, p: int) -> list:
     """Minimal polynomial of M acting on the cyclic subspace of v.

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qfiber import algebra
 from qfiber.algebra import (
     FieldSpec,
     GREVLEX,
@@ -247,6 +248,67 @@ class TestArithmetic:
         assert R.zero().is_homogeneous()
         f = parse_polynomial("x^2 + y + 3", R)
         assert f.homogeneous_part(1) == parse_polynomial("y", R)
+
+
+def _exponents(nvars: int, degree: int) -> list:
+    """(exponent vector, degree left over) for every exponent vector of
+    total degree at most degree, in lexicographic order: the first
+    exponent slowest, each ascending."""
+    out = [((), degree)]
+    for _ in range(nvars):
+        out = [(m + (e,), left - e) for m, left in out
+               for e in range(left + 1)]
+    return out
+
+
+def dict_random_poly(ring, degree, rng, homogeneous=True):
+    """random_poly through a dict of the nonzero draws and ring.poly's
+    keyed sort, every call: the route the memoised draw plan replaced,
+    kept as its oracle."""
+    d = {}
+    for m, left in _exponents(ring.nvars, degree):
+        if homogeneous and left:
+            continue
+        c = rng.randrange(ring.p)
+        if c:
+            d[m] = c
+    return ring.poly(d)
+
+
+class TestRandomPoly:
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(2)],
+                             ids=str)
+    @pytest.mark.parametrize("p", [3, 32003])
+    def test_matches_the_dict_route(self, order, p):
+        # one stream per ring for both routes, so every draw also starts
+        # where the other route left it; at p = 3 a third of the draws are
+        # zero and drop out
+        for nvars in (3, 4):
+            R = PolyRing(FieldSpec(p), tuple(f"x{i}" for i in range(nvars)),
+                         order)
+            mine, theirs = Seed(nvars).stream(), Seed(nvars).stream()
+            for degree in range(4):
+                for homogeneous in (True, False):
+                    for _ in range(4):
+                        got = random_poly(R, degree, mine, homogeneous)
+                        want = dict_random_poly(R, degree, theirs,
+                                                homogeneous)
+                        assert got.terms == want.terms
+
+    def test_plan_memo_is_bounded(self):
+        plan = algebra._draw_plan
+        bound = plan.cache_info().maxsize
+        assert bound == 32
+        rng = Seed(0).stream()
+        for nvars in range(1, 4):
+            R = PolyRing(FieldSpec(5), tuple(f"x{i}" for i in range(nvars)))
+            for degree in range(2 * bound // 3 + 1):
+                random_poly(R, degree, rng)
+        assert plan.cache_info().currsize == bound
+        # a plan is read, not rebuilt, on the next draw of its shape
+        hits = plan.cache_info().hits
+        random_poly(R, degree, rng)
+        assert plan.cache_info().hits == hits + 1
 
 
 class TestStrings:

@@ -1,17 +1,17 @@
 """Exact F_p linear algebra: echelon forms, kernels, products."""
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from qfiber.linalg import (
-    det,
     identity,
     kernel_intersection,
     mat_mul,
     nullspace,
-    pencil_det,
+    pencil_dets,
     rank,
     rref,
 )
@@ -20,7 +20,8 @@ P = 32003
 
 
 def rand_matrix(rng, m, n, p=P):
-    return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=np.int64)
+    return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)],
+                    dtype=np.int64).reshape(m, n)
 
 
 def full_update_rref(A, p):
@@ -186,6 +187,33 @@ def elimination_det(A, p):
     return out % p
 
 
+def pencil_det(A, B, p):
+    """Coefficients of det(A + t*B) mod p, lowest degree first, for one
+    pencil of small square matrices: the Leibniz expansion on lists, one
+    permutation and one linear factor a + t*b at a time, kept as the
+    oracle for the stacked linalg.pencil_dets."""
+    A = [[int(x) for x in row] for row in A]
+    B = [[int(x) for x in row] for row in B]
+    n = len(A)
+    acc = [0] * (n + 1)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        f = [-1 if inversions % 2 else 1]
+        for i, j in enumerate(perm):
+            a, b = A[i][j], B[i][j]
+            f = [(x * a + y * b) % p for x, y in zip(f + [0], [0] + f)]
+        acc = [u + v for u, v in zip(acc, f)]
+    return [c % p for c in acc]
+
+
+def det(A, p):
+    """det A mod p: the constant coefficient of the stacked expansion of
+    the pencil A + t*0."""
+    A = np.asarray(A, dtype=np.int64)
+    return int(pencil_dets(A[None], np.zeros_like(A)[None], p)[0, 0])
+
+
 class TestDeterminants:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_det_matches_elimination(self, n):
@@ -206,7 +234,7 @@ class TestDeterminants:
         rng = random.Random(p)
         for _ in range(5):
             A, B = rand_matrix(rng, 4, 4, p), rand_matrix(rng, 4, 4, p)
-            coeffs = pencil_det(A, B, p)
+            coeffs = pencil_dets(A[None], B[None], p)[0].tolist()
             assert len(coeffs) == 5
             assert coeffs[0] == det(A, p) and coeffs[4] == det(B, p)
             for t in range(p if p < 50 else 7):
@@ -217,4 +245,32 @@ class TestDeterminants:
         # B of rank 1: det(A + t*B) is linear in t
         A = np.array([[1, 0], [0, 1]], dtype=np.int64)
         B = np.array([[1, 2], [2, 4]], dtype=np.int64)
-        assert pencil_det(A, B, P) == [1, 5, 0]
+        assert pencil_dets(A[None], B[None], P).tolist() == [[1, 5, 0]]
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("p", [3, 5, 7, P, 2147483647])
+    def test_stacks_match_the_list_expansion(self, n, p):
+        # entries in (-p, p), and B = 0 for the plain determinants; at
+        # 2^31 - 1 each step's sums come within a factor 2 of 2^63
+        rng = random.Random(100 * n + p % 97)
+        for k in (1, 6, 10):
+            A = np.array([rand_matrix(rng, n, n, 2 * p) - p for _ in range(k)],
+                         dtype=np.int64).reshape(k, n, n)
+            for B in (np.array([rand_matrix(rng, n, n, p) for _ in range(k)],
+                               dtype=np.int64).reshape(k, n, n),
+                      np.zeros_like(A)):
+                got = pencil_dets(A, B, p)
+                assert got.shape == (k, n + 1) and got.dtype == np.int64
+                assert got.tolist() == [pencil_det(a, b, p)
+                                        for a, b in zip(A, B)]
+
+    def test_largest_prime_at_its_extreme_entries(self):
+        # every entry p - 1, the largest factor a step can meet
+        p = 2147483647
+        A = np.full((1, 5, 5), p - 1, dtype=np.int64)
+        assert pencil_dets(A, A, p).tolist() == [pencil_det(A[0], A[0], p)]
+
+    def test_empty_determinant_is_one(self):
+        for p in (3, P):
+            empty = np.zeros((3, 0, 0), dtype=np.int64)
+            assert pencil_dets(empty, empty, p).tolist() == [[1]] * 3

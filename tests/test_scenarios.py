@@ -13,13 +13,14 @@ from qfiber.cli import main
 from qfiber.excess import q_module
 from qfiber.groebner import Ideal, hilbert_data
 from qfiber.invariants import corank_fiber_lower_bound
-from qfiber.linalg import det, nullspace
+from qfiber.linalg import nullspace
 from qfiber.parser import parse_session
 from qfiber.scenarios import (
     ReyeData,
     Seed,
     _common_roots,
     _minors_and_det,
+    _pencil_minors,
     gen_EI_model,
     gen_ci_secant,
     gen_fatpoint_model,
@@ -30,6 +31,7 @@ from qfiber.scenarios import (
     secant_through_point,
 )
 from test_groebner import assert_saturates_like_the_loop
+from test_linalg import elimination_det, pencil_det
 
 
 class TestSeed:
@@ -234,9 +236,9 @@ class TestReye:
                 x = [st.randrange(p) for _ in range(d.ring.nvars)]
                 Ax = [[sum(xk * int(C[k, i, j]) for k, xk in enumerate(x)) % p
                        for j in range(4)] for i in range(4)]
-                assert det_a.evaluate(x) == det(Ax, p)
+                assert det_a.evaluate(x) == elimination_det(Ax, p)
                 assert [m.evaluate(x) for m in minors] == [
-                    det(_drop(Ax, i, j), p)
+                    elimination_det(_drop(Ax, i, j), p)
                     for i in range(4) for j in range(i, 4)]
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -304,6 +306,19 @@ class TestReye:
         assert "_expansion" not in vars(d)
         first = d.I_X
         assert d.I_X is first and d.detA is d._expansion[1]
+
+    def test_pencil_minors_match_the_list_expansion(self):
+        # each of the ten minors (i, j), i <= j, of A(a) + t*A(b), against
+        # the list expansion of the pencil with row i and column j dropped
+        for seed in range(5):
+            d = gen_reye(Seed(seed))
+            p, C = d.ring.p, d.coefficients
+            st = Seed(seed).stream().fork(5)
+            a, b = ([st.randrange(p) for _ in range(6)] for _ in range(2))
+            A0, A1 = (np.tensordot(x, C, axes=1) % p for x in (a, b))
+            assert _pencil_minors(C, a, b, p).tolist() == [
+                pencil_det(_drop(A0, i, j), _drop(A1, i, j), p)
+                for i in range(4) for j in range(i, 4)]
 
     def test_coefficient_tensor(self):
         d = gen_reye(Seed(4))

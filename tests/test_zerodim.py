@@ -464,9 +464,10 @@ def rational_point(actions, length, p):
 
 
 def restricted(factor, alg, mats, p):
-    """The matrices on the image of the factor's projector E, in the rref
-    basis of that image, with E and the pivots of that basis."""
-    E = factor.projector(alg, mats)
+    """The matrices on the image of the factor's projector E, the action
+    of its idempotent, in the rref basis of that image, with E and the
+    pivots of that basis."""
+    E = alg.evaluate([factor.idempotent], mats)[0]
     B, piv = rref(E.T, p)
     return [mat_mul(X, B[:len(piv)].T, p)[piv] for X in mats], E, piv
 
@@ -548,8 +549,8 @@ class TestDecompose:
         parts = local_decompose(A)
         acts = A.actions()
         total = np.zeros((A.dim, A.dim), dtype=np.int64)
-        for f in parts:
-            E = f.projector(A, acts)
+        projectors = A.evaluate([f.idempotent for f in parts], acts)
+        for f, E in zip(parts, projectors):
             assert (mat_mul(E, E, P) == E).all()
             assert mat_mul(E, A.one, P).tolist() == list(f.idempotent)
             total = (total + E) % P
