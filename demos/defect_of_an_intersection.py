@@ -16,8 +16,8 @@ print("The scenario, as session text the CLI would also accept:")
 print()
 print(scenario_text(scen))
 
-dim_x, codim_y, dim_z = scen.dims
-print(f"dim X = {dim_x}, codim Y = {codim_y}, dim Z = {dim_z}")
+dim_x, codim_y = scen.dims
+print(f"dim X = {dim_x}, codim Y = {codim_y}, and Z is finite (dim Z = 0)")
 print(f"excess codimension c = codim Y - dim X = {scen.c}")
 print()
 

@@ -318,12 +318,6 @@ class Polynomial:
             n >>= 1
         return out
 
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        inv = self.ring.field.inv(self.terms[0][1])
-        return self * inv
-
     # -- calculus / evaluation
 
     def diff(self, var) -> "Polynomial":

@@ -39,7 +39,7 @@ from .invariants import (
     qlength_verify,
     secant_sweep_bound,
 )
-from .parser import ParseError, parse_session
+from .parser import parse_session
 from .scenarios import (
     Seed,
     gen_EI_model,
@@ -180,11 +180,7 @@ def cmd_compute(args) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        ring, ideals, _loose = parse_session(text)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    ring, ideals, _loose = parse_session(text)
     if "X" not in ideals or "Y" not in ideals:
         print("error: input must declare ideals named X and Y",
               file=sys.stderr)
@@ -238,7 +234,7 @@ def cmd_compute(args) -> int:
                 "hypotheses attested by the input, not verified"
             qd["status"] = "pass" if qc.passed else "fail"
         checks["qlength"] = qd
-        md = main1_report(report, dim_x, report.c).to_json_dict()
+        md = main1_report(report, dim_x).to_json_dict()
         md["status"] = "report-only"
         checks["main1"] = md
     out = {
@@ -476,9 +472,6 @@ def main(argv=None) -> int:
     try:
         with pair_budget(args.max_pairs):
             return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

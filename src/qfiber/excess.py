@@ -16,10 +16,11 @@ the trace of a basis run over f and h, which for the conormal modules and
 the tangent space is a run already cached (that of I itself, or of I_Y),
 on cofactors kept as (g x d) arrays in the coordinates of R/I, shifted by
 the algebra's memoised monomial matrices.  The replay is batched: the
-trace is flattened to arrays once, with the coefficients of each entry's
-equal (shift, source) terms summed in one pass, so no Python loop runs per
-term; then one pair of matrix products per entry that adds an element,
-and one pair per distinct shift for all the sums that reach zero.  No
+trace comes as flat lists, which become arrays with one np.array each,
+so no Python loop runs per term, and no entry repeats a (shift, source)
+term, so nothing is summed; then one pair of matrix products per entry
+that adds an element, and one pair per distinct shift for all the sums
+that reach zero.  No
 basis of a squared ideal is built.  After that all is numpy on int64
 residues, with every product through linalg.mat_mul.
 
@@ -78,12 +79,12 @@ class FinModule:
 class IntersectionScenario:
     """An intersection X cap Y in affine space, finite by construction.
 
-    dims holds (dim X, codim Y, dim Z); codim Y is certified against I_Y
-    when the conormal modules are built; smoothness of X is the caller's
-    responsibility (generators build graphs and linear spaces, smooth by
-    construction).  chart_ring/chart_ideal, when present, re-present the
-    intersection inside a coordinate chart of X and feed the intrinsic
-    tangent computations.
+    dims holds (dim X, codim Y); Z is finite (make_scenario), so dim Z = 0.
+    codim Y is certified against I_Y when the conormal modules are built;
+    smoothness of X is the caller's responsibility (generators build graphs
+    and linear spaces, smooth by construction).  chart_ideal, when present,
+    re-presents the intersection inside a coordinate chart of X, in the
+    chart's own ring, and feeds the intrinsic tangent computations.
     """
 
     ring: PolyRing
@@ -91,7 +92,6 @@ class IntersectionScenario:
     I_Y: Ideal
     dims: tuple
     Z: ArtinianAlgebra
-    chart_ring: PolyRing | None = None
     chart_ideal: Ideal | None = None
 
     @property
@@ -101,7 +101,7 @@ class IntersectionScenario:
 
 
 def make_scenario(ring: PolyRing, ideal_x: Ideal, ideal_y: Ideal,
-                  dim_x: int, codim_y: int, chart_ring: PolyRing | None = None,
+                  dim_x: int, codim_y: int,
                   chart_ideal: Ideal | None = None) -> IntersectionScenario:
     """Bundle the data of an intersection, checking finiteness up front.
 
@@ -116,8 +116,8 @@ def make_scenario(ring: PolyRing, ideal_x: Ideal, ideal_y: Ideal,
     if dim_z < 0:
         raise ValueError("intersection is empty")
     alg = ArtinianAlgebra.from_ideal(ideal_z)
-    return IntersectionScenario(ring, ideal_x, ideal_y, (dim_x, codim_y, 0),
-                                alg, chart_ring, chart_ideal)
+    return IntersectionScenario(ring, ideal_x, ideal_y, (dim_x, codim_y),
+                                alg, chart_ideal)
 
 
 @dataclass(frozen=True)
@@ -215,25 +215,6 @@ def _grouped(major: np.ndarray, minor: np.ndarray, groups: int, size: int):
     return starts, keys % size, inv - starts[major]
 
 
-def _trace_terms(gb, n: int, p: int):
-    """gb's replay trace flattened to arrays: (shifts, adds, terms), with
-    adds[e] true when entry e adds an element and terms the arrays (entry,
-    shift, source, coefficient) of its distinct terms, sorted, the
-    coefficients of equal terms summed mod p.  Sources 0..n-1 are the
-    inputs."""
-    shifts, adds, lengths, coeffs, qs, srcs = gb.replay_trace()
-    adds = np.array(adds, dtype=bool)
-    nq, nv = len(shifts), n + int(adds.sum())
-    ent = np.repeat(np.arange(len(lengths)), lengths)
-    coeffs, qs, srcs = (np.array(a, dtype=np.int64) for a in (coeffs, qs,
-                                                                 srcs))
-    keys, at = np.unique((ent * nq + qs) * nv + srcs, return_inverse=True)
-    C = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(C, at, coeffs)
-    return shifts, adds, (keys // (nq * nv), keys // nv % nq, keys % nv,
-                          C % p)
-
-
 def _blocks(major, minor, srcs, coeffs, groups: int, size: int, nv: int):
     """For each major group k < groups, in order: its distinct minor values,
     its distinct sources, and the (minor x source) matrix of the
@@ -258,17 +239,25 @@ def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
 
     units[k] is the (g x d) cofactor of the k-th generator and shift(q) the
     (d x d) matrix of x^q on the d columns, so x^q acts on a cofactor v as
-    v @ shift(q).T.  The trace is read as arrays of its distinct terms
-    (_trace_terms).  An adding entry is one product of its (shift x source)
-    coefficients with the stacked cofactors of its sources, then one of
-    the results, side by side, with the stacked transposed shift matrices.
-    The sums that reach zero feed no later entry, so they are taken last
-    and together: per distinct shift, one product shifts the cofactors of
-    the sources it meets, and one more, in chunks of rows that keep the
-    temporaries small, sums them with the (sum x source) coefficients.
+    v @ shift(q).T.  The trace (GroebnerBasis.replay_trace) becomes one
+    array of its entries and one of its terms, and one product scales the
+    terms of the adding entries; no entry repeats a (shift, source) term,
+    so none is summed.  An adding entry is one product of its (shift x
+    source) coefficients with the stacked cofactors of its sources, then
+    one of the results, side by side, with the stacked transposed shift
+    matrices.  The sums that reach zero feed no later entry, so they are
+    taken last and together: per distinct shift, one product shifts the
+    cofactors of the sources it meets, and one more, in chunks of rows
+    that keep the temporaries small, sums them with the (sum x source)
+    coefficients.
     """
     n, g, d = units.shape
-    shifts, adds, (ent, qs, srcs, C) = _trace_terms(gb, n, p)
+    shifts, entries, terms = gb.replay_trace()
+    scales, counts = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+    C, qs, srcs = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+    ent = np.repeat(np.arange(len(counts)), counts)
+    adds = scales != 0
+    C = C * np.where(adds, scales, 1)[ent] % p
     mats = [shift(q).T for q in shifts]
     nv, nz = n + int(adds.sum()), int((~adds).sum())
     vals = np.zeros((nv, g * d), dtype=np.int64)
@@ -333,14 +322,14 @@ def _submodule(rows: np.ndarray, alg: ArtinianAlgebra):
     return R, piv
 
 
-def _relation_columns(K: np.ndarray, g: int, alg: ArtinianAlgebra):
+def _relation_columns(K: np.ndarray, alg: ArtinianAlgebra):
     """The images c_i = (kappa^(1)_i, ..., kappa^(m)_i) of the g block ones
-    under Phi_K, rows of k^(m*d); they span Phi_K(alg^g) as a module
-    (_submodule).  When every variable acts nilpotently the kappa are the
-    rows of K outside m*K, which generate it (Nakayama); otherwise all rows
-    of K.  m*K is spanned by X_v*K over the variables v with no linear
-    pivot, which span m/m^2: m = (those) + m^2, so Nakayama again gives
-    m*K = (those)*K."""
+    under Phi_K, g*d the width of K, rows of k^(m*d); they span
+    Phi_K(alg^g) as a module (_submodule).  When every variable acts
+    nilpotently the kappa are the rows of K outside m*K, which generate it
+    (Nakayama); otherwise all rows of K.  m*K is spanned by X_v*K over the
+    variables v with no linear pivot, which span m/m^2: m = (those) + m^2,
+    so Nakayama again gives m*K = (those)*K."""
     p, acts = alg.p, alg.actions()
     if K.shape[0] and alg.at_origin():
         lin = set(_linear_pivots(alg.ideal))
@@ -351,8 +340,8 @@ def _relation_columns(K: np.ndarray, g: int, alg: ArtinianAlgebra):
             K = K - mat_mul(K[:, piv], mK[:len(piv)], p)
         K, piv = rref(K, p)
         K = K[:len(piv)]
-    m, d = K.shape[0], alg.dim
-    return K.reshape(m, g, d).transpose(1, 0, 2).reshape(g, m * d)
+    (m, w), d = K.shape, alg.dim
+    return K.reshape(m, w // d, d).transpose(1, 0, 2).reshape(w // d, m * d)
 
 
 def _linear_pivots(ideal: Ideal) -> list:
@@ -422,17 +411,17 @@ def hilbert_tangent_dim(alg: ArtinianAlgebra) -> int:
     come from the basis run of I that built the algebra; by rank-nullity
     the dimension is g*d - dim Phi_K(alg^g)."""
     gens = alg.ideal.gens
-    cols = _relation_columns(_relation_space(gens, alg.ideal, alg),
-                             len(gens), alg)
+    cols = _relation_columns(_relation_space(gens, alg.ideal, alg), alg)
     return len(gens) * alg.dim - len(_submodule(cols, alg)[1])
 
 
 # --- minimal generator counts ----------------------------------------------
 
 
-def module_mu(mod: FinModule, factors):
+def module_mu(mod: FinModule):
     """Minimal number of generators of the module, with its per-component
-    breakdown over the given local factors of the base algebra.
+    breakdown over the local factors of the base algebra (local_decompose,
+    memoised on the algebra).
 
     Returns (mu, components) with components a tuple of (local length of
     the algebra, local module length, local mu), one per factor in order.
@@ -444,6 +433,7 @@ def module_mu(mod: FinModule, factors):
     they share their monomial matrices Y^q.
     """
     alg, p = mod.algebra, mod.algebra.p
+    factors = local_decompose(alg)
     radical = np.hstack(alg.nilpotent_parts(mod.actions))
     projectors = alg.evaluate([f.idempotent for f in factors], mod.actions)
     per = []
@@ -456,9 +446,8 @@ def module_mu(mod: FinModule, factors):
 # --- the defect module ------------------------------------------------------
 
 
-def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
-                   alg: ArtinianAlgebra, c: int | None,
-                   dim_z: int) -> QReport:
+def _defect_report(big: np.ndarray, small: np.ndarray, alg: ArtinianAlgebra,
+                   c: int | None) -> QReport:
     """Assemble the report from the relation spaces of the two conormal
     modules: Q = Phi_small(ker Phi_big), dim ker Phi_small = g*d -
     dim Phi_small(alg^g).  The restriction map exists, and is onto, exactly
@@ -469,26 +458,23 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
     entries.  Z is split into local factors once (local_decompose); the
     report keeps them.
     """
-    p, width = alg.p, g * alg.dim
+    p, width = alg.p, small.shape[1]
     if rank(np.vstack([small, big]), p) != small.shape[0]:
         raise RuntimeError("restriction map failed to be onto")
-    cols = _relation_columns(small, g, alg)
+    cols = _relation_columns(small, alg)
     R, piv = _submodule(cols, alg)
     hilb_tangent_dim = width - len(piv)
     if big.shape[0]:
-        cols_big = _relation_columns(big, g, alg)
+        cols_big = _relation_columns(big, alg)
         ker_big = nullspace(_relation_matrix(cols_big, alg).T, p)
         R, piv = rref(mat_mul(ker_big, _relation_matrix(cols, alg), p), p)
         R = R[:len(piv)]
     dim_q, factors = len(piv), tuple(local_decompose(alg))
     actions = tuple(_block_apply(X, R, p)[:, piv].T for X in alg.actions())
-    mu_q, per = module_mu(FinModule(dim_q, actions, identity(dim_q), alg),
-                          factors)
+    mu_q, per = module_mu(FinModule(dim_q, actions, identity(dim_q), alg))
     if sum(t[1] for t in per) != dim_q:
         raise RuntimeError("local defect lengths do not add up")
-    q = None
-    if c is not None and c - dim_z >= 1:
-        q = Fraction(dim_q, c - dim_z)
+    q = Fraction(dim_q, c) if c is not None and c >= 1 else None
     return QReport(deg_z=alg.dim, c=c, dim_m_big=width - big.shape[0],
                    dim_m_small=width - small.shape[0],
                    hilb_tangent_dim=hilb_tangent_dim, dim_q=dim_q, q=q,
@@ -496,17 +482,16 @@ def _defect_report(big: np.ndarray, small: np.ndarray, g: int,
 
 
 def q_module(s: IntersectionScenario) -> QReport:
-    """Defect module report of a scenario; q = dim_Q / (c - dim Z) exactly.
+    """Defect module report of a scenario; q = dim_Q / c exactly.
 
     Z is split into its local factors with no randomness, so the report
     depends on the scenario alone.  Raises ExcessIntersection (carrying
-    the report, q = None) when the excess codimension c - dim Z is not
-    positive.
+    the report, q = None) when the excess codimension c is not positive;
+    Z is finite (make_scenario), so its dimension takes nothing off c.
     """
     big = conormal_restricted(s)
     small = conormal_in_X(s)
-    report = _defect_report(big, small, len(s.I_Y.gens), s.Z, s.c,
-                            s.dims[2])
+    report = _defect_report(big, small, s.Z, s.c)
     if report.q is None:
         raise ExcessIntersection(
             "q undefined: codim Y - dim X - dim Z <= 0", report)
@@ -526,7 +511,7 @@ def q_affine_pair(A: PolyRing, L: Ideal, I: Ideal,
     alg = ArtinianAlgebra.from_ideal(I + L + extra)
     big = _relation_space(I.gens, I + extra, alg)
     small = _relation_space(I.gens, alg.ideal, alg)
-    return _defect_report(big, small, len(I.gens), alg, None, 0)
+    return _defect_report(big, small, alg, None)
 
 
 # --- intrinsic defect module of the intersection algebra --------------------
@@ -634,9 +619,8 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
     J = minimal_presentation(Z.ideal)
     alg = ArtinianAlgebra.from_ideal(J)
     gens = minimal_generators(alg)
-    g = len(gens)
     cols = _relation_columns(
-        _relation_space(gens, Ideal(alg.ring, gens), alg), g, alg)
+        _relation_space(gens, Ideal(alg.ring, gens), alg), alg)
     R, piv = _submodule(cols, alg)
     acts = tuple(_block_apply(X, R, alg.p)[:, piv].T for X in alg.actions())
     return FinModule(len(piv), acts, cols[:, piv], alg)
@@ -655,8 +639,7 @@ def symmetry_check(s: IntersectionScenario) -> SymmetryReport:
     """
     r = s.ring.nvars
     swapped = IntersectionScenario(s.ring, s.I_Y, s.I_X,
-                                   (r - s.dims[1], r - s.dims[0], s.dims[2]),
-                                   s.Z)
+                                   (r - s.dims[1], r - s.dims[0]), s.Z)
     forward = q_module(s)
     reverse = q_module(swapped)
     agree = (forward.dim_q == reverse.dim_q

@@ -24,18 +24,21 @@ replaced by an empty one whenever a repack re-encodes the monomials.
 
 Every run keeps its trace, the multiples c * x^q of inputs and earlier
 elements that each input and S-pair summed (Traverso's Groebner trace,
-ISSAC 1988).  GroebnerBasis.replay_trace hands it out as flat lists on
-exponent tuples, the one reader of the packed trace, for a caller to
+ISSAC 1988), on two flat lists: a scale and a term count per entry, and a
+coefficient, packed shift and source per term, with no term repeated
+within an entry.  GroebnerBasis.replay_trace numbers and unpacks its
+distinct shifts, the one reader of the packed trace, for a caller to
 replay on cofactors of its own, spending no S-pairs; by Schreyer's
 theorem the sums that reached zero generate the syzygies modulo the ideal
 (Eisenbud, Commutative Algebra, Thm 15.10; the Gebauer-Moller criteria
 keep a generating set).
 
 A zero-dimensional basis also gives its quotient algebra on packed
-monomials: standard_monomials walks them with the reducer's guard-bit
-divisibility test, and border_plan orders the border monomials x_v * m so
-that each column of the multiplication matrices is minus a tail of the
-basis or an action on a column built before it, with no normal form.
+monomials: one walk, memoised on the basis, finds them with the reducer's
+guard-bit divisibility test, and border_plan orders the border monomials
+x_v * m so that each column of the multiplication matrices is minus a
+tail of the basis or an action on a column built before it, with no
+normal form.
 """
 
 from __future__ import annotations
@@ -200,7 +203,8 @@ def _initial_bits(gens) -> int:
     return max(5, (2 * maxe + 2).bit_length() + 1)
 
 
-def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
+def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, trace,
+              base: int = 0):
     """Full normal form of a term list against monic engine polynomials.
 
     basis entries are (ltkey, ltpacked, tail) with tail the non-leading
@@ -214,10 +218,11 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
     does, so a later lookup scans only the entries appended since.  It
     stays valid while basis only grows at the end with fixed leading terms.
 
-    used is None or a list; a list receives one (c, q, i) per step, which
-    subtracted c * x^q * basis[i] (q packed), so the normal form is terms
-    minus the sum of those multiples.  terms may repeat a monomial, as two
-    shifted tails do, and a term past its exponent field raises _Repack.
+    trace is None or a flat list that receives, per step subtracting
+    c * x^q * basis[i], the three items p - c, q (packed) and base + i, so
+    the normal form is terms plus the sum of those multiples.  terms may
+    repeat a monomial, as two shifted tails do, and a term past its
+    exponent field raises _Repack.
     The guard bits are tested when a monomial first enters the dict: one
     past its field carries a guard bit, so it equals no key stored there.
     """
@@ -256,10 +261,10 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
             continue
         ltk, ltm, tail = basis[i]
         q = m - ltm
-        if used is not None:
-            used.append((c, q, i))
         negq = negk + ltk
         c = p - c
+        if trace is not None:
+            trace += (c, q, base + i)
         for tk, tm, tc in tail:
             mm = q + tm
             prev = get(mm)
@@ -275,23 +280,34 @@ def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, used):
 
 def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     """Reduced Groebner basis of the encoded inputs, and the trace of the
-    run; raises ResourceAbort.
+    run as two flat lists (entries, terms); raises ResourceAbort.
 
-    The trace has one entry (scale, terms) per input and per S-pair, in run
-    order.  A term (c, q, src) stands for c * x^q times source src, q
-    packed: sources 0..n-1 are the n inputs, source n + t the t-th element
-    added.  An entry with nonzero scale adds the element scale * (sum of
-    its terms).  A zero scale marks a sum that reached zero: a duplicate
-    input, a zero S-polynomial, a pair reducing to zero.  Coprime pairs and
-    pairs the Gebauer-Moller update drops leave no entry; their syzygies
-    have entries in the ideal or follow from the others.
+    The trace has one entry per input and per S-pair, in run order:
+    entries holds its scale and its term count, terms its terms, entry by
+    entry, three items each.  A term c, q, src stands for c * x^q times
+    source src, q packed: sources 0..n-1 are the n inputs, source n + t
+    the t-th element added.  An entry with nonzero scale adds the element
+    scale * (sum of its terms).  A zero scale marks a sum that reached
+    zero: a duplicate input, a zero S-polynomial, a pair reducing to zero.
+    Coprime pairs and pairs the Gebauer-Moller update drops leave no
+    entry; their syzygies have entries in the ideal or follow from the
+    others.
+
+    No entry repeats a (q, src) pair, so its terms need no summing.  An
+    input entry has distinct sources.  A pair (i, j) with lcm L has the
+    head terms x^(L - lt(i)) times i and x^(L - lt(j)) times j, then one
+    term x^q times t per reduction step, which popped m = x^q * lt(t).  A
+    step pushes only monomials below the one it popped and the heap pops
+    the largest first, so no monomial is popped twice and the steps'
+    (q, t) are distinct; every m lies below L, so none is a head term.
     """
     lts: list = []     # (ltkey, ltpacked, tail) of each element, monic
     sugars: list = []
     pairs: dict = {}   # (i, j) -> (sugar, lcmkey, lcmpacked)
     heap: list = []
     memo: dict = {}    # first-divisor memo of lts, which only grows
-    trace: list = []
+    entries: list = []
+    trace_terms: list = []
     n = len(inputs)
     gmask = enc.gmask
 
@@ -342,10 +358,12 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
         terms = [(tk, m, c * inv % p) for tk, m, c in terms]
         sig = tuple((m, c) for _, m, c in terms)
         if sig in seen:
-            trace.append((0, [(inv, 0, k), (p - 1, 0, n + seen[sig])]))
+            entries += (0, 2)
+            trace_terms += (inv, 0, k, p - 1, 0, n + seen[sig])
             continue
         seen[sig] = len(lts)
-        trace.append((inv, [(1, 0, k)]))
+        entries += (inv, 1)
+        trace_terms += (1, 0, k)
         add_element(terms, max(enc.deg(m) for _, m, _ in terms))
 
     done = 0
@@ -363,13 +381,12 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
         (ik, im, itail), (jk, jm, jtail) = lts[i], lts[j]
         s = [(Lk - ik + tk, L - im + tm, tc) for tk, tm, tc in itail]
         s += [(Lk - jk + tk, L - jm + tm, -tc) for tk, tm, tc in jtail]
-        used: list = []
-        h = _nf_terms(s, lts, enc, p, memo, used)
-        terms = [(1, L - im, n + i), (p - 1, L - jm, n + j)]
-        terms += [(p - c, q, n + t) for c, q, t in used]
+        at = len(trace_terms)
+        trace_terms += (1, L - im, n + i, p - 1, L - jm, n + j)
+        h = _nf_terms(s, lts, enc, p, memo, trace_terms, n)
         # scaled like the monic element h becomes
         inv = pow(h[0][2], p - 2, p) if h else 0
-        trace.append((inv, terms))
+        entries += (inv, (len(trace_terms) - at) // 3)
         if h:
             add_element([(k, m, c * inv % p) for k, m, c in h], sug)
 
@@ -386,25 +403,29 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     memo = {}
     for idx, (ltk, ltm, tail) in enumerate(view):
         view[idx] = (ltk, ltm, _nf_terms(tail, view, enc, p, memo, None))
-    return [[(ltk, ltm, 1)] + tail for ltk, ltm, tail in view], trace
+    return ([[(ltk, ltm, 1)] + tail for ltk, ltm, tail in view],
+            (entries, trace_terms))
 
 
 class GroebnerBasis:
     """Reduced Groebner basis: monic, interreduced, sorted by leading term.
 
-    _trace is (codec, trace) of the run that built it; repacks leave it.
+    _trace is (codec, entries, terms) of the run that built it
+    (_buchberger); repacks leave it.
     """
 
-    __slots__ = ("ring", "polys", "_enc", "_engine", "_memo", "_trace")
+    __slots__ = ("ring", "polys", "_enc", "_engine", "_memo", "_walked",
+                 "_trace")
 
     def __init__(self, ring: PolyRing, polys: tuple, enc: _Enc, engine: list,
-                 trace: list):
+                 trace: tuple):
         self.ring = ring
         self.polys = polys
         self._enc = enc
         self._engine = engine
         self._memo: dict = {}  # first-divisor memo of _engine under _enc
-        self._trace = (enc, trace)
+        self._walked = None    # _walk's answer under _enc
+        self._trace = (enc, *trace)
 
     def __iter__(self):
         return iter(self.polys)
@@ -434,8 +455,9 @@ class GroebnerBasis:
         self._enc = enc
         self._engine = [(t[0][0], t[0][1], t[1:])
                         for t in (enc.encode_poly(g) for g in self.polys)]
-        # memo keys are packed under the old field width
+        # memo keys and walked monomials are packed under the old width
         self._memo = {}
+        self._walked = None
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -455,17 +477,20 @@ class GroebnerBasis:
     def reduces_to_zero(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
-    def standard_monomials(self) -> tuple:
-        """The monomials no leading term divides, ascending in the ring's
-        order, for a zero-dimensional ideal.
+    def _walk(self) -> list:
+        """(order key, packed monomial) of each standard monomial, ascending
+        in the ring's order, for a zero-dimensional ideal.
 
-        A breadth-first walk on packed monomials from 1: m * x_v joins when
-        no leading term divides it, tested on the guard bits as the reducer
-        does.  A leading term dividing m * x_v but not the standard m holds
-        x_v, so only those are tried.  Every exponent stays below that of
-        the pure power of its variable among the leading terms, so nothing
-        overflows its field.
+        A breadth-first walk from 1: m * x_v joins when no leading term
+        divides it, tested on the guard bits as the reducer does.  A leading
+        term dividing m * x_v but not the standard m holds x_v, so only
+        those are tried.  Every exponent stays below that of the pure power
+        of its variable among the leading terms, so nothing overflows its
+        field, and neither does a border monomial x_v * m.  Memoised until
+        a repack re-encodes the monomials.
         """
+        if self._walked is not None:
+            return self._walked
         enc = self._enc
         gmask, mask = enc.gmask, (1 << enc.B) - 1
         units = [1 << s for s in enc._shifts]
@@ -481,38 +506,36 @@ class GroebnerBasis:
                     continue
                 seen.add(mm)
                 walk.append(mm)
-        walk.sort(key=enc.key)
-        return tuple(enc.unpack(m) for m in walk)
+        self._walked = sorted((enc.key(m), m) for m in walk)
+        return self._walked
 
-    def border_plan(self, std) -> tuple:
+    def standard_monomials(self) -> tuple:
+        """The monomials no leading term divides, ascending in the ring's
+        order, for a zero-dimensional ideal (_walk)."""
+        return tuple(self._enc.unpack(m) for _, m in self._walk())
+
+    def border_plan(self) -> tuple:
         """How to build the multiplication matrices of the variables on the
-        standard monomials std, each column from columns built before it.
+        standard monomials, each column from columns built before it.
 
-        Returns (places, direct, derived).  Places 0..d-1 hold std, places
-        d, d+1, ... the border monomials x_v * std[j] outside std in
-        increasing order, and places[v][j] is that of x_v * std[j].  direct
-        lists (row, place, coefficient) entries: the unit columns of std,
-        and minus the tail of each element a border monomial leads.  Any
-        other border monomial b = x_v * s is a proper multiple of a leading
-        term, so b' = b / x_w = x_v * (s / x_w) lies outside std for some
-        w; derived lists (place of b, w, place of b') in increasing order.
-        The column of b is X_w times that of b', and each x_w * s' it
-        meets, s' a term of b', lies below b, so is built already: the
-        multiplication matrices of FGLM (Faugere, Gianni, Lazard, Mora,
-        J. Symbolic Comput. 16, 1993) and of border bases (Kehrein,
-        Kreuzer, Robbiano, 2005).  A field overflow widens the codec as
-        normal_form does.
+        Returns (places, direct, derived).  Places 0..d-1 hold the standard
+        monomials std, ascending (_walk), places d, d+1, ... the border
+        monomials x_v * std[j] outside std in increasing order, and
+        places[v][j] is that of x_v * std[j].  direct lists (row, place,
+        coefficient) entries: the unit columns of std, and minus the tail
+        of each element a border monomial leads.  Any other border monomial
+        b = x_v * s is a proper multiple of a leading term, so b' = b / x_w
+        = x_v * (s / x_w) lies outside std for some w; derived lists (place
+        of b, w, place of b') in increasing order.  The column of b is X_w
+        times that of b', and each x_w * s' it meets, s' a term of b', lies
+        below b, so is built already: the multiplication matrices of FGLM
+        (Faugere, Gianni, Lazard, Mora, J. Symbolic Comput. 16, 1993) and
+        of border bases (Kehrein, Kreuzer, Robbiano, 2005).
         """
-        while True:
-            enc = self._enc
-            try:
-                packed = [enc.pack(m) for m in std]
-                break
-            except _Repack:
-                self._widen()
+        enc = self._enc
+        keys, packed = zip(*self._walk())
         p, gmask, d = self.ring.p, enc.gmask, len(packed)
         units = [1 << s for s in enc._shifts]
-        keys = [enc.key(m) for m in packed]
         place = {m: j for j, m in enumerate(packed)}
         # a border monomial's order key is the sum of its factors' keys
         border = {m + u: k + uk for u, uk in zip(units, map(enc.key, units))
@@ -534,35 +557,31 @@ class GroebnerBasis:
         return [[place[m + u] for m in packed] for u in units], direct, derived
 
     def replay_trace(self) -> tuple:
-        """The trace of the run that built the basis, on exponent tuples, as
-        (shifts, adds, lengths, coeffs, qs, srcs): the distinct exponents
-        the run shifted by, then per entry (nonzero input or S-pair, in run
-        order) whether it adds an element and how many terms it has, then
-        per term, entry by entry: term k stands for coeffs[k] *
-        x^shifts[qs[k]] times source srcs[k].  Sources 0..n-1 are the n
-        nonzero generators the basis was built from and source n + t is
-        the element the t-th adding entry made.  The terms of an adding
-        entry sum to its element; those of any other entry sum to zero.
-        So on unit cofactors the sums of the entries that do not add, with
-        the vectors with entries in the ideal, generate the syzygies of
-        the generators.
+        """The trace of the run that built the basis (_buchberger), with its
+        shifts numbered: (shifts, entries, terms).  shifts lists the
+        distinct exponent tuples the run shifted by, in order of first use.
+        entries holds two items per entry (nonzero input or S-pair, in run
+        order): its scale, 0 when its sum reached zero, and its term count.
+        terms holds three items per term, entry by entry: term k stands for
+        terms[3k] * x^shifts[terms[3k+1]] times source terms[3k+2].
+        Sources 0..n-1 are the n nonzero generators the basis was built
+        from and source n + t is the element the t-th adding entry made,
+        scale times the sum of its terms; the terms of any other entry sum
+        to zero, and no entry repeats a (shift, source) pair.  So on unit
+        cofactors the sums of the entries that do not add, with the
+        vectors with entries in the ideal, generate the syzygies of the
+        generators.
         """
-        enc, trace = self._trace
-        p = self.ring.p
-        adds = [bool(scale) for scale, _ in trace]
-        lengths = [len(terms) for _, terms in trace]
-        coeffs = [c * scale % p if scale else c
-                  for scale, terms in trace for c, _, _ in terms]
-        qs = [q for _, terms in trace for _, q, _ in terms]
-        srcs = [src for _, terms in trace for _, _, src in terms]
-        ids = {q: i for i, q in enumerate(dict.fromkeys(qs))}
-        return ([enc.unpack(q) for q in ids], adds, lengths, coeffs,
-                [ids[q] for q in qs], srcs)
+        enc, entries, terms = self._trace
+        ids: dict = {}
+        terms = terms.copy()
+        terms[1::3] = [ids.setdefault(q, len(ids)) for q in terms[1::3]]
+        return [enc.unpack(q) for q in ids], entries.copy(), terms
 
 
 def _run(ring: PolyRing, gens):
     """_buchberger on the generators, widening the exponent fields until
-    nothing overflows; returns (codec, basis, trace)."""
+    nothing overflows; returns (codec, basis, (entries, terms))."""
     budget = _PAIR_BUDGET.get()
     bits = _initial_bits(gens)
     while True:
@@ -582,7 +601,7 @@ def groebner(ring: PolyRing, gens) -> GroebnerBasis:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         enc = _Enc(ring.nvars, ring.order, 5)
-        return GroebnerBasis(ring, (), enc, [], [])
+        return GroebnerBasis(ring, (), enc, [], ([], []))
     enc, basis, trace = _run(ring, gens)
     polys = tuple(enc.decode_poly(t, ring) for t in basis)
     engine = [(t[0][0], t[0][1], t[1:]) for t in basis]

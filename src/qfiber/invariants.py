@@ -276,14 +276,15 @@ def qlength_verify(report: QReport, verdict: LicciVerdict, *,
                         "; ".join(notes), all(required))
 
 
-def main1_report(report: QReport, n: int, c: int) -> BoundReport:
-    """Report q against n/c + 1.
+def main1_report(report: QReport, n: int) -> BoundReport:
+    """Report q against n/c + 1, c the report's excess codimension.
 
     Informational: constructed local models are not certified fibers of
     generic projections, so a violation is labeled, never asserted.
     """
     if report.q is None:
         raise ValueError("report has no q value")
+    c = report.c
     bound = Fraction(n, c) + 1
     ok = report.q <= bound
     ctx = {"n": n, "c": c, "label": "generic-projection"}

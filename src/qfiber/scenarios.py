@@ -71,7 +71,6 @@ def _graph_scenario(s: Seed, graph_count: int, base_count: int, label: str,
         x, y = (graph, axis) if graph_is_x else (axis, graph)
         try:
             scen = make_scenario(R, x, y, base_count, graph_count,
-                                 chart_ring=chart,
                                  chart_ideal=Ideal(chart, quads))
         except ValueError as exc:
             if str(exc) != "intersection not finite":
@@ -129,8 +128,7 @@ def gen_fatpoint_model(s: Seed) -> IntersectionScenario:
     I_X = Ideal(R, [R.var(3 + i) for i in range(6)])
     I_Y = Ideal(R, ygens)
     chart_ideal = Ideal(chart, [chart.poly({m: 1}) for m in monos])
-    scen = make_scenario(R, I_X, I_Y, 3, 6, chart_ring=chart,
-                         chart_ideal=chart_ideal)
+    scen = make_scenario(R, I_X, I_Y, 3, 6, chart_ideal=chart_ideal)
     reference = Ideal(R, [R.poly({m + (0,) * 6: 1}) for m in monos]
                       + [R.var(3 + i) for i in range(6)])
     if not scen.Z.ideal.equals(reference):

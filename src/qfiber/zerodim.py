@@ -45,13 +45,13 @@ class ArtinianAlgebra:
     parts are the matrices themselves.
     """
 
-    def __init__(self, ideal: Ideal, std):
+    def __init__(self, ideal: Ideal):
         self._ideal = weakref.ref(ideal)
         self._gens = ideal.gens
         self._gb = ideal.groebner()
         self.ring = ideal.ring
         self.p = self.ring.p
-        self.std = tuple(std)
+        self.std = self._gb.standard_monomials()
         self.dim = len(self.std)
         self._index = {m: i for i, m in enumerate(self.std)}
         zero = (0,) * self.ring.nvars
@@ -76,7 +76,7 @@ class ArtinianAlgebra:
             raise ValueError("the quotient by the unit ideal is zero")
         if not ideal.is_zero_dimensional():
             raise ValueError("quotient is not finite-dimensional")
-        ideal._alg = cls(ideal, gb.standard_monomials())
+        ideal._alg = cls(ideal)
         return ideal._alg
 
     @property
@@ -126,7 +126,7 @@ class ArtinianAlgebra:
         """The X_v on one array of the columns of GroebnerBasis.border_plan:
         the direct ones set at once, then each derived one in turn."""
         d, p = self.dim, self.p
-        places, direct, derived = self._gb.border_plan(self.std)
+        places, direct, derived = self._gb.border_plan()
         places = np.array(places, dtype=np.int64)
         C = np.zeros((d, places.max() + 1), dtype=np.int64)
         at = np.array(direct, dtype=np.int64)

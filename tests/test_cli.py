@@ -401,16 +401,15 @@ class TestCompute:
                              ids=["graph", "two-points", "plane-points"])
     def test_one_decomposition_per_session(self, capsys, tmp_path,
                                            monkeypatch, text):
+        # local_decompose is memoised on the algebra, so count the splits
         calls = []
-        plain = zerodim.local_decompose
+        plain = zerodim._split
 
         def counting(alg):
             calls.append(alg.dim)
             return plain(alg)
 
-        for mod in (zerodim, excess, cli):
-            if hasattr(mod, "local_decompose"):
-                monkeypatch.setattr(mod, "local_decompose", counting)
+        monkeypatch.setattr(zerodim, "_split", counting)
         f = tmp_path / "in.txt"
         f.write_text(text)
         code, doc, _ = run_json(capsys, "compute", "--input", str(f))

@@ -3,6 +3,8 @@
 import heapq
 import pickle
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -241,7 +243,7 @@ class TestNormalFormOracle:
 # oracle of _nf_terms
 
 
-def oracle_nf_terms(terms, basis, enc, p, memo, used):
+def oracle_nf_terms(terms, basis, enc, p, memo, trace, base=0):
     """_nf_terms with each coefficient reduced mod p whenever it changes
     and the guard bits tested on every term."""
     gmask = enc.gmask
@@ -278,8 +280,8 @@ def oracle_nf_terms(terms, basis, enc, p, memo, used):
         ltk, ltm, tail = basis[i]
         q = m - ltm
         qk = -negk - ltk
-        if used is not None:
-            used.append((c, q, i))
+        if trace is not None:
+            trace += (p - c, q, base + i)
         for tk, tm, tc in tail:
             mm = q + tm
             if mm & gmask:
@@ -299,8 +301,25 @@ def run_bytes(R, gens):
     return pickle.dumps((gb.polys, gb._trace))
 
 
+def repeated_terms(gb) -> list:
+    """(entry, packed shift, source) of each term of gb's trace that its
+    entry holds more than once."""
+    _, entries, terms = gb._trace
+    out, at = [], 0
+    for e, k in enumerate(entries[1::2]):
+        part = terms[3 * at:3 * (at + k)]
+        seen = Counter(zip(part[1::3], part[2::3]))
+        out += [(e, q, src) for (q, src), c in seen.items() if c > 1]
+        at += k
+    return out
+
+
 def assert_runs_as_oracle(monkeypatch, R, gens):
-    got = run_bytes(R, gens)
+    """A fresh run against the oracle reducer's, basis and trace byte for
+    byte, with no trace entry repeating a (shift, source) term."""
+    gb = groebner(R, gens)
+    assert repeated_terms(gb) == []
+    got = pickle.dumps((gb.polys, gb._trace))
     with monkeypatch.context() as m:
         m.setattr(groebner_module, "_nf_terms", oracle_nf_terms)
         assert run_bytes(R, gens) == got
@@ -360,6 +379,54 @@ class TestReducerOracle:
             assert reduced() == got
 
 
+def random_ideal(rng, order, p=101):
+    """Three or four variables, a pure power of each and two random
+    polynomials, in the given order."""
+    names = ("x", "y", "z", "w")[:rng.randrange(3, 5)]
+    R = PolyRing(FieldSpec(p), names, order)
+    n = R.nvars
+    gens = [R.monomial(tuple(rng.randrange(2, 5) * (i == v) for i in range(n)))
+            for v in range(n)]
+    for _ in range(2):
+        gens.append(R.poly({tuple(rng.randrange(4) for _ in range(n)):
+                            rng.randrange(1, p)
+                            for _ in range(rng.randrange(2, 6))}))
+    return R, gens
+
+
+class TestDistinctTraceTerms:
+    """No trace entry repeats a (shift, source) term, which lets the replay
+    take its terms as they come, with no summing.  TestReducerOracle checks
+    it on the runs of Z and I_Y of the graph rows, EI and the fat point."""
+
+    def test_checker_finds_a_repeat(self):
+        # entry 0 holds (shift 0, source 0) twice; entry 1 repeats nothing
+        run = SimpleNamespace(_trace=(None, [1, 3, 0, 2],
+                                      [1, 0, 0, 2, 4, 1, 3, 0, 0,
+                                       1, 0, 0, 1, 0, 1]))
+        assert repeated_terms(run) == [(0, 0, 0)]
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(2)],
+                             ids=["grevlex", "lex", "block2"])
+    def test_random_ideals(self, order):
+        rng = random.Random(11)
+        for _ in range(20):
+            gb = groebner(*random_ideal(rng, order))
+            assert repeated_terms(gb) == []
+            # some S-pair took a reduction step beyond its two head terms
+            assert max(gb._trace[1][1::2]) > 2
+
+    # the lex run that widens its codec is TestReducerOracle's
+    @pytest.mark.parametrize("text", ["x^3 - y*z^2, y^4 - z, z^5 - x*y",
+                                      "x^9 - y*z, y^9 - z^2, z^9 - x"])
+    def test_block_runs_that_widen_their_codec(self, text):
+        R = ring(order=block_order(2))
+        gens = parse_ideal(text, R)
+        gb = groebner(R, gens)
+        assert gb._enc.B > groebner_module._initial_bits(gens)
+        assert repeated_terms(gb) == []
+
+
 # (trace entries, zero entries, trace terms) of Z's basis run on the graph
 # rows at seed 0: a change that adds reductions fails here
 Z_RUN_WORK = {2: (10, 2, 23), 3: (19, 6, 74), 4: (37, 17, 277),
@@ -368,9 +435,10 @@ Z_RUN_WORK = {2: (10, 2, 23), 3: (19, 6, 74), 4: (37, 17, 277),
 
 @pytest.mark.parametrize("n", sorted(Z_RUN_WORK))
 def test_z_run_work_is_pinned(n):
-    trace = gen_quadric_graph(n, Seed(0)).Z.ideal.groebner()._trace[1]
-    assert (len(trace), sum(1 for scale, _ in trace if not scale),
-            sum(len(terms) for _, terms in trace)) == Z_RUN_WORK[n]
+    _, entries, terms = gen_quadric_graph(n, Seed(0)).Z.ideal.groebner()._trace
+    assert (len(entries) // 2, entries[0::2].count(0),
+            len(terms) // 3) == Z_RUN_WORK[n]
+    assert sum(entries[1::2]) * 3 == len(terms)
 
 
 class TestPairBudget:
@@ -410,13 +478,16 @@ class TestPairBudget:
 
 def trace_entries(gb):
     """gb.replay_trace regrouped by entry: (shifts, entries), one (adds,
-    coeffs, qs, srcs) per entry with the lists of its own terms."""
-    shifts, adds, lengths, coeffs, qs, srcs = gb.replay_trace()
-    entries, at = [], 0
-    for a, k in zip(adds, lengths):
-        entries.append((a, *(list(t[at:at + k]) for t in (coeffs, qs, srcs))))
+    coeffs, qs, srcs) per entry with the lists of its own terms, the
+    coefficients of an adding entry multiplied by its scale."""
+    shifts, flat, terms = gb.replay_trace()
+    p, entries, at = gb.ring.p, [], 0
+    for scale, k in zip(flat[0::2], flat[1::2]):
+        part = terms[3 * at:3 * (at + k)]
+        coeffs = [c * scale % p if scale else c for c in part[0::3]]
+        entries.append((bool(scale), coeffs, part[1::3], part[2::3]))
         at += k
-    assert at == len(coeffs) == len(qs) == len(srcs)
+    assert 3 * at == len(terms) and len(flat) % 2 == 0
     return shifts, entries
 
 

@@ -6,8 +6,10 @@ a refactor is caught here, from the source alone.  `__init__.py` is left
 out of the import check: its imports are the package's re-exports.  A
 `_private` function, class or method must be read somewhere in the
 package outside its own body; tests do not count as readers.  A public
-module-level function must be read in the package or in demos/, or be
-named in PUBLIC_WITHOUT_READER with its reason.  No nested
+module-level function must be read in the package, in demos/ or in the
+README's python code, or be named in PUBLIC_WITHOUT_READER with its
+reason; a public method of a class must be read there as an attribute,
+or be named in METHODS_WITHOUT_READER.  No nested
 function calls itself: such a closure holds itself through its cell, and
 every call leaves a cycle for the cycle collector.  The packed-monomial
 codec `_Enc` is named in `groebner.py` alone, every matrix product is
@@ -20,6 +22,7 @@ strips them, so a check written as one would vanish.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -107,8 +110,9 @@ def test_module_finder():
 
 
 def test_groebner_keeps_no_cofactor_format():
-    # syzygy cofactors are the caller's: GroebnerBasis.syzygies hands them
-    # to the caller's combine and never builds one itself
+    # syzygy cofactors are the caller's: GroebnerBasis.replay_trace hands
+    # out the trace on flat lists and exponent tuples, and excess._replay
+    # builds the cofactors on arrays of its own
     tree = ast.parse((SRC / "groebner.py").read_text(encoding="utf-8"))
     found = imported_modules(tree)
     banned = {"numpy", "qfiber.linalg", "qfiber.zerodim"}
@@ -223,13 +227,86 @@ def test_public_checker_finds_dead_functions():
     assert unread_public_functions(sources, [demo]) == [("a.py", 3, "dead")]
 
 
+def outside_readers() -> list:
+    """The readers of the package outside src/: each demo script and each
+    python code block of the README."""
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    return ([p.read_text(encoding="utf-8") for p in sorted(DEMOS.glob("*.py"))]
+            + re.findall(r"```python\n(.*?)```", readme, re.S))
+
+
 def test_no_dead_public_functions():
     sources = {name: (SRC / name).read_text(encoding="utf-8")
                for name in sorted(p.name for p in SRC.glob("*.py"))}
-    demos = [p.read_text(encoding="utf-8")
-             for p in sorted(DEMOS.glob("*.py"))]
-    unread = {name for _, _, name in unread_public_functions(sources, demos)}
+    unread = {name for _, _, name in unread_public_functions(
+        sources, outside_readers())}
     assert unread == set(PUBLIC_WITHOUT_READER)
+
+
+# public methods nothing in the package, demos/ or the README's code reads,
+# and why each stays
+METHODS_WITHOUT_READER = {
+    "FieldSpec.inv": "library API of the field; the tests check it",
+    "Ideal.contains": "library API, ideal membership; the tests use it",
+    "Ideal.power": "library API; the tests build I^2 and m^k as oracles "
+                   "with it",
+    "PolyRing.monomial": "library API; the tests build monomials and "
+                         "oracle columns with it",
+    "Polynomial.leading_coeff": "library API; the Groebner oracles in the "
+                                "tests use it",
+}
+
+
+def read_attributes(tree) -> Counter:
+    """How often the code under tree reads each attribute."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def unread_public_methods(sources: dict, readers: list) -> list:
+    """(module, line, Class.method) of each public method of a module-level
+    class of the sources that neither they nor the reader sources read as
+    an attribute outside its own body.  Only attribute reads count, so a
+    function of the same name does not hide an unread method."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = sum((read_attributes(t) for t in [*trees.values(),
+                                             *map(ast.parse, readers)]),
+               Counter())
+    return sorted((name, node.lineno, f"{cls.name}.{node.name}")
+                  for name, t in trees.items() for cls in t.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_")
+                  and read[node.name] == read_attributes(node)[node.name])
+
+
+def test_method_checker_finds_dead_methods():
+    sources = {
+        "a.py": ("class Box:\n"
+                 "    def used(self):\n        return 1\n"
+                 "    def dead(self):\n        pass\n"
+                 "    def loop(self, n):\n        return n and self.loop(n)\n"
+                 "    def shadowed(self):\n        pass\n"
+                 "    def _private(self):\n        pass\n"
+                 "def shadowed():\n    pass\n"
+                 "shadowed()\n"),
+        "b.py": "from .a import Box\nBox().used()\n",
+    }
+    demo = "from qfiber.a import Box\nBox().dead()\n"
+    assert unread_public_methods(sources, []) == [
+        ("a.py", 4, "Box.dead"), ("a.py", 6, "Box.loop"),
+        ("a.py", 8, "Box.shadowed")]
+    assert unread_public_methods(sources, [demo]) == [
+        ("a.py", 6, "Box.loop"), ("a.py", 8, "Box.shadowed")]
+
+
+def test_no_dead_public_methods():
+    sources = {name: (SRC / name).read_text(encoding="utf-8")
+               for name in sorted(p.name for p in SRC.glob("*.py"))}
+    unread = {name for _, _, name in unread_public_methods(
+        sources, outside_readers())}
+    assert unread == set(METHODS_WITHOUT_READER)
 
 
 def self_referencing_closures(source: str) -> list:

@@ -48,7 +48,7 @@ def graph2():
     R = ring("x1,x2,x3,a,b")
     chart = ring("a,b")
     return scenario(R, "x1 - a^2, x2 - a*b, x3 - b^2", "x1, x2, x3", 2, 3,
-                    chart_ring=chart, chart_ideal=idl(chart, "a^2, a*b, b^2"))
+                    chart_ideal=idl(chart, "a^2, a*b, b^2"))
 
 
 def fatpoint():
@@ -58,7 +58,7 @@ def fatpoint():
     ytext = ", ".join(f"{q} - u{i}" for i, q in enumerate(quads, start=1))
     xtext = ", ".join(f"u{i}" for i in range(1, 7))
     chart = ring("x,y,z")
-    return scenario(R, xtext, ytext, 3, 6, chart_ring=chart,
+    return scenario(R, xtext, ytext, 3, 6,
                     chart_ideal=idl(chart, ", ".join(quads)))
 
 
@@ -303,12 +303,12 @@ class TestQLength:
 
 class TestConjectureReports:
     def test_main1_at_the_bound(self):
-        rep = main1_report(fake_report(Fraction(5)), 4, 1)
+        rep = main1_report(fake_report(Fraction(5)), 4)
         assert rep.satisfied and rep.bound_value == 5
         assert "note" not in rep.context
 
     def test_main1_violation_is_labeled(self):
-        rep = main1_report(fake_report(Fraction(6)), 3, 1)
+        rep = main1_report(fake_report(Fraction(6)), 3)
         assert not rep.satisfied
         assert rep.context["note"] == "not a generic-projection fiber"
 

@@ -110,7 +110,7 @@ class TestQuadricGraph:
 
     def test_chart_matches_ambient(self):
         sc = gen_quadric_graph(2, Seed(4))
-        assert sc.chart_ring.nvars == 2
+        assert sc.chart_ideal.ring.nvars == 2
         assert sc.Z.dim == 3
 
 

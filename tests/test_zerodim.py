@@ -326,6 +326,19 @@ class TestPackedBuild:
         assert gb._enc.B > bits
         assert_built_as_oracle(ArtinianAlgebra.from_ideal(I))
 
+    def test_codec_widens_between_std_and_actions(self):
+        # the repack drops the walk the basis memoised under the narrower
+        # codec, so the border plan walks again under the wider one
+        R = ring("x,y,z")
+        I = Ideal(R, parse_ideal(
+            "x*y - z^2, y*z - x^2, x*z - y^2, x^3 - y*z^2, z^4", R))
+        gb = I.groebner()
+        bits = gb._enc.B
+        A = ArtinianAlgebra.from_ideal(I)
+        gb.normal_form(R.monomial((0, 0, 200)))
+        assert gb._enc.B > bits
+        assert_built_as_oracle(A)
+
 
 def scenario_algebra(name):
     if name == "fatpoint":
