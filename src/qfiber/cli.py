@@ -130,7 +130,8 @@ def _table_text(out: dict) -> str:
 
 
 def _component_verdict(Z, factor, isolate: bool):
-    """Licci ladder verdict for one local factor of the intersection Z.
+    """Licci ladder verdict for one local factor of the intersection Z, and
+    the note of its component line.
 
     When Z has other factors, the component is cut out as I_Z + (1 - e),
     with e the factor's idempotent in O_Z lifted to a polynomial; the ideal
@@ -141,36 +142,21 @@ def _component_verdict(Z, factor, isolate: bool):
     A reduced rational point is a complete intersection and takes no
     ladder.  Non-rational factors (clusters) stay Unknown.
     """
-    p = Z.p
     if factor.point is None:
-        return LicciVerdict(UNKNOWN, None), {
-            "length": factor.length,
-            "point": None,
-            "verdict": UNKNOWN,
-            "rule": None,
-            "note": "residue field extends the ground field (cluster); "
-                    "ladder not applied",
-        }
-    pt = [int(a) % p for a in factor.point]
+        return LicciVerdict(UNKNOWN, None), (
+            "residue field extends the ground field (cluster); "
+            "ladder not applied")
     if factor.length == 1:
         # a reduced rational point has the ideal m_pt, generated by its n
         # linear forms: a complete intersection, the ladder's first rung
-        verdict = LicciVerdict(LICCI, "CI")
-    else:
-        ideal = Z.ideal
-        if isolate:
-            ideal = ideal + Ideal(Z.ring,
-                                  [Z.ring.one() - Z.lift(factor.idempotent)])
-        if any(pt):
-            ideal = Ideal(Z.ring, [g.shift(pt) for g in ideal.gens])
-        verdict = licci_check(minimal_presentation(ideal))
-    return verdict, {
-        "length": factor.length,
-        "point": pt,
-        "verdict": verdict.status,
-        "rule": verdict.rule,
-        "note": "",
-    }
+        return LicciVerdict(LICCI, "CI"), ""
+    ideal = Z.ideal
+    if isolate:
+        ideal = ideal + Ideal(Z.ring,
+                              [Z.ring.one() - Z.lift(factor.idempotent)])
+    if any(factor.point):
+        ideal = Ideal(Z.ring, [g.shift(factor.point) for g in ideal.gens])
+    return licci_check(minimal_presentation(ideal)), ""
 
 
 def cmd_compute(args) -> int:
@@ -203,17 +189,16 @@ def cmd_compute(args) -> int:
     components = []
     for f in factors:
         try:
-            v, d = _component_verdict(scen.Z, f, isolate=len(factors) > 1)
+            v, note = _component_verdict(scen.Z, f, isolate=len(factors) > 1)
         except ResourceAbort:
             raise
         except (ValueError, RuntimeError) as e:
-            v = LicciVerdict(UNKNOWN, None)
-            d = {"length": f.length,
-                 "point": None if f.point is None else list(f.point),
-                 "verdict": UNKNOWN, "rule": None,
-                 "note": f"verdict unavailable: {e}"}
+            v, note = LicciVerdict(UNKNOWN, None), f"verdict unavailable: {e}"
         verdicts.append(v)
-        components.append(d)
+        components.append({
+            "length": f.length,
+            "point": None if f.point is None else list(f.point),
+            "verdict": v.status, "rule": v.rule, "note": note})
     overall = verdicts[0] if len(verdicts) == 1 else LicciVerdict(UNKNOWN,
                                                                   None)
     checks: dict = {}
@@ -227,11 +212,9 @@ def cmd_compute(args) -> int:
                 "Y is not certified a complete intersection: "
                 f"{len(I_Y.gens)} generators in codimension {codim_y}")}
         else:
-            qc = qlength_verify(report, overall, attested=True,
-                                component_verdicts=verdicts)
+            qc = qlength_verify(report, overall, component_verdicts=verdicts)
             qd = qc.to_json_dict()
-            qd["note"] = ((qd["note"] + "; ") if qd["note"] else "") + \
-                "hypotheses attested by the input, not verified"
+            qd["note"] = "hypotheses attested by the input, not verified"
             qd["status"] = "pass" if qc.passed else "fail"
         checks["qlength"] = qd
         md = main1_report(report, dim_x).to_json_dict()

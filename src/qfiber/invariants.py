@@ -2,8 +2,8 @@
 
 The checks come in two strengths.  Bounds certified by the underlying
 results are asserted: a False `satisfied` on those is a genuine failure.
-Conjecture-flavoured comparisons and checks whose hypotheses we cannot
-certify computationally only report which way the inequality went.
+Checks whose hypotheses we cannot certify computationally only report
+which way the inequality went.
 Everything here is exact rational arithmetic; no floats.
 """
 
@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebra import FieldSpec, PolyRing, random_poly
 from .excess import QReport, minimal_generators
-from .groebner import Ideal, hilbert_data
-from .rng import Stream
+from .groebner import Ideal
 from .zerodim import ArtinianAlgebra, zariski_tangent_dim
 
 LICCI = "Licci"
@@ -191,7 +189,6 @@ class QLengthCheck:
     floor_bound_required: bool
     decomposition_bound: Fraction | None
     decomposition_holds: bool | None
-    note: str
     passed: bool
 
     def to_json_dict(self) -> dict:
@@ -209,29 +206,23 @@ class QLengthCheck:
             "decomposition_bound": (None if self.decomposition_bound is None
                                     else _frac_str(self.decomposition_bound)),
             "decomposition_holds": self.decomposition_holds,
-            "note": self.note,
             "passed": self.passed,
         }
 
 
 def qlength_verify(report: QReport, verdict: LicciVerdict, *,
-                   attested: bool = False,
                    component_verdicts=None,
-                   component_reduced_degrees=None,
                    non_licci_certified: bool = False) -> QLengthCheck:
     """Check the licci/length dichotomy against a computed scenario report.
 
-    The caller must attest the hypotheses (smooth first argument, complete
-    intersection second, positive excess codimension, finite intersection);
-    they are not re-derivable from the report.  component_verdicts, when
-    given, holds one verdict per factor of report.factors, in order (so it
-    aligns with report.per_component), and enables the decomposition
-    bound: licci components contribute their full length, the rest
-    contribute reduced degree (default 1 each; pass
-    component_reduced_degrees to override) times the floor constant.
+    The hypotheses (smooth first argument, complete intersection second,
+    positive excess codimension, finite intersection) are the caller's to
+    attest; they are not re-derivable from the report.
+    component_verdicts, when given, holds one verdict per factor of
+    report.factors, in order (so it aligns with report.per_component), and
+    enables the decomposition bound: licci components contribute their
+    full length, the rest their residue degree times the floor constant.
     """
-    if not attested:
-        raise ValueError("hypotheses must be attested by the caller")
     if report.q is None or report.c is None:
         raise ValueError("needs a scenario report with q defined")
     c = report.c
@@ -243,24 +234,15 @@ def qlength_verify(report: QReport, verdict: LicciVerdict, *,
     floor_bound = max(1 + Fraction(3, c), Fraction(5, c))
     floor_bound_holds = q >= floor_bound
     floor_bound_required = non_licci_certified and not verdict.is_licci
-    notes = []
     decomposition_bound = None
     decomposition_holds = None
     if component_verdicts is not None:
-        comps = report.per_component
-        if len(component_verdicts) != len(comps):
+        if len(component_verdicts) != len(report.factors):
             raise ValueError("one verdict per component required")
-        if component_reduced_degrees is None:
-            component_reduced_degrees = (1,) * len(comps)
-            notes.append("reduced degrees defaulted to 1 per component; "
-                         "lengths are counted over the ground field")
-        decomposition_bound = Fraction(0)
-        for (length, _, _), v, red in zip(comps, component_verdicts,
-                                          component_reduced_degrees):
-            if v.is_licci:
-                decomposition_bound += length
-            else:
-                decomposition_bound += floor_bound * red
+        decomposition_bound = sum(
+            (f.length if v.is_licci else floor_bound * f.residue_degree
+             for f, v in zip(report.factors, component_verdicts)),
+            Fraction(0))
         decomposition_holds = q >= decomposition_bound
     required = [mu_bound_holds]
     if equality_required:
@@ -273,7 +255,7 @@ def qlength_verify(report: QReport, verdict: LicciVerdict, *,
                         equality_holds, mu_over_c, mu_bound_holds,
                         floor_bound, floor_bound_holds, floor_bound_required,
                         decomposition_bound, decomposition_holds,
-                        "; ".join(notes), all(required))
+                        all(required))
 
 
 def main1_report(report: QReport, n: int) -> BoundReport:
@@ -291,77 +273,3 @@ def main1_report(report: QReport, n: int) -> BoundReport:
     if not ok:
         ctx["note"] = "not a generic-projection fiber"
     return BoundReport(bound, report.q, ok, ctx)
-
-
-def reg_vs_q_report(reg: int, report: QReport) -> BoundReport:
-    """Conjecture-context comparison reg Z <= q; reported, never asserted."""
-    if report.q is None:
-        raise ValueError("report has no q value")
-    return BoundReport(report.q, Fraction(reg), Fraction(reg) <= report.q,
-                       {"label": "conjecture-context", "reg": reg})
-
-
-# --- the Hilbert-function experiment behind the corank bound ------------------
-
-
-@dataclass(frozen=True)
-class Prop22Result:
-    """Evidence record for the corank fiber bound's two counting claims."""
-
-    d: int
-    seed: int
-    ci_hilbert: tuple
-    binomials: tuple
-    peak_index: int
-    dropped_length: int
-    expected_length: int
-    attempts: int
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "seed": self.seed,
-            "ci_hilbert": list(self.ci_hilbert),
-            "binomials": list(self.binomials),
-            "peak_index": self.peak_index,
-            "dropped_length": self.dropped_length,
-            "expected_length": self.expected_length,
-            "attempts": self.attempts,
-            "passed": self.passed,
-        }
-
-
-def prop22_experiment(d: int, seed: int, p: int = 32003) -> Prop22Result:
-    """Seeded Hilbert-function experiment at corank d.
-
-    Two checks: d+1 general quadrics in d+1 variables form a complete
-    intersection whose graded Hilbert function is the full binomial row
-    C(d+1, m); the same count of general quadrics in only d variables
-    leaves an artinian quotient of total length C(d+1, ceil(d/2)), the
-    peak of that row.  Degenerate samples are redrawn, budget 8.
-    """
-    if not 1 <= d <= 6:
-        raise ValueError("desk scale covers 1 <= d <= 6")
-    field = FieldSpec(p)
-    stream = Stream(seed)
-    peak = (d + 1) // 2
-    binomials = tuple(comb(d + 1, m) for m in range(d + 2))
-
-    def sample(nvars: int, label: int, ok):
-        ring = PolyRing(field, tuple(f"y{i}" for i in range(1, nvars + 1)))
-        for trial in range(8):
-            st = stream.fork(label + trial)
-            gens = [random_poly(ring, 2, st.fork(i), homogeneous=True)
-                    for i in range(d + 1)]
-            hd = hilbert_data(Ideal(ring, gens))
-            if hd.krull_dim == 0 and ok(hd.degree):
-                return hd, trial + 1
-        raise RuntimeError(f"degenerate quadric samples from seed {seed}")
-
-    ci, tries_ci = sample(d + 1, 0, lambda deg: deg == 2 ** (d + 1))
-    ci_hf = tuple(ci.hf(m) for m in range(d + 2))
-    dropped, tries_drop = sample(d, 64, lambda deg: deg == binomials[peak])
-    passed = ci_hf == binomials and dropped.degree == binomials[peak]
-    return Prop22Result(d, seed, ci_hf, binomials, peak, dropped.degree,
-                        binomials[peak], tries_ci + tries_drop, passed)

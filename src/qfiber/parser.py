@@ -231,17 +231,6 @@ class _Parser:
         return self.ring, self.ideals, loose
 
 
-def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
-    """Parse a single polynomial in an existing ring."""
-    p = _Parser(_tokenize(text))
-    p.ring = ring
-    out = p.parse_poly()
-    t = p.peek()
-    if t.kind != "end":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return out
-
-
 def parse_ideal(text: str, ring: PolyRing) -> list:
     """Parse a comma-separated generator list in an existing ring."""
     p = _Parser(_tokenize(text))

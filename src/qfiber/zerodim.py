@@ -306,12 +306,13 @@ class LocalFactor:
     idempotent is its primitive idempotent e in standard-monomial
     coordinates, e*1, which also orders the factors; point is the rational
     support point, or None when the residue field is a proper extension of
-    F_p.
+    F_p; residue_degree is the degree r of that residue field over F_p.
     """
 
     length: int
     idempotent: tuple
     point: tuple | None
+    residue_degree: int
 
 
 def minpoly_of_vector(M: np.ndarray, v, p: int) -> list:
@@ -357,7 +358,7 @@ def _split(alg: ArtinianAlgebra) -> tuple:
     None at the origin): the work of local_decompose."""
     d, n, p, N = alg.dim, alg.nvars, alg.p, alg.depth
     if alg.at_origin():
-        return [LocalFactor(d, tuple(alg.one.tolist()), (0,) * n)], None
+        return [LocalFactor(d, tuple(alg.one.tolist()), (0,) * n, 1)], None
     F = alg.frobenius()
     # the basis has full rank, so rref keeps every row
     K, piv = rref(nullspace(np.mod(F - identity(d), p), p), p)
@@ -383,7 +384,7 @@ def _split(alg: ArtinianAlgebra) -> tuple:
                 inv = pow(int(E[t, k]), p - 2, p)
                 points[k] = tuple(int(a) * inv % p for a in Y[t, :, k])
     factors = sorted((LocalFactor(lengths[k], tuple(E[:, k].tolist()),
-                                  points[k]) for k in range(c)),
+                                  points[k], degrees[k]) for k in range(c)),
                      key=lambda f: (f.length, f.idempotent))
     return factors, semisimple
 

@@ -220,18 +220,19 @@ DRAWS = 64
 
 def decompose(alg, stream):
     """The local factors of the algebra by random linear forms, as
-    (length, projector E, point) in the order (length, E*1)."""
+    (length, projector E, point, residue degree) in the order
+    (length, E*1)."""
     acts, p = alg.actions(), alg.p
     out = []
     _decompose_into(acts, nilpotent_parts(alg, acts), alg.one, p, stream,
                     (), out)
     factors = []
-    for length, chain, point in out:
+    for length, chain, point, r in out:
         E = identity(alg.dim)
         for coeffs, upoly in chain:
             L = linear_form(coeffs, acts, p)
             E = mat_mul(E, eval_matrix_poly(list(upoly), L, p), p)
-        factors.append((length, E, point))
+        factors.append((length, E, point, r))
     return sorted(factors, key=lambda f: (f[0], mat_mul(f[1], alg.one,
                                                         p).tolist()))
 
@@ -242,7 +243,7 @@ def _decompose_into(actions, nils, one, p, stream, chain, out):
     if r == 1:
         inv = pow(dim, p - 2, p)
         point = tuple(int(np.trace(X)) * inv % p for X in actions)
-        out.append((dim, chain, point))
+        out.append((dim, chain, point, 1))
         return
     for _ in range(DRAWS):
         coeffs = tuple(stream.randrange(p) for _ in actions)
@@ -251,7 +252,7 @@ def _decompose_into(actions, nils, one, p, stream, chain, out):
         red = squarefree_part(mp, p)
         if is_irreducible(red, p):
             if uv.deg(red) == r:
-                out.append((dim, chain, None))
+                out.append((dim, chain, None, r))
                 return
             continue
         for branch, q in enumerate(factor_squarefree(red, p, stream)):

@@ -32,7 +32,6 @@ from qfiber.invariants import (
     UNKNOWN,
     corank_fiber_lower_bound,
     licci_check,
-    prop22_experiment,
     secant_sweep_bound,
 )
 from qfiber.parser import parse_ideal
@@ -46,6 +45,7 @@ from qfiber.scenarios import (
     reye_trisecant,
 )
 from qfiber.zerodim import ArtinianAlgebra, cm_regularity, tangent_data
+from prop22_counting import prop22_experiment
 
 _FIELD = FieldSpec(32003)
 

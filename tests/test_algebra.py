@@ -15,10 +15,10 @@ from qfiber.algebra import (
     poly_to_string,
     random_poly,
 )
-from qfiber.parser import (ParseError, _Parser, _tokenize, parse_polynomial,
-                           parse_session)
+from qfiber.parser import ParseError, _Parser, _tokenize, parse_session
 from qfiber.scenarios import (Seed, gen_fatpoint_model, gen_quadric_graph,
                               scenario_text)
+from polys import parse_polynomial
 
 
 class SequentialParser(_Parser):

@@ -488,10 +488,8 @@ class TestCompute:
             ideal = Ideal(ring, [g.shift([int(a) % p for a in f.point])
                                  for g in ideal.gens])
             oracle = licci_check(minimal_presentation(ideal))
-            verdict, line = cli._component_verdict(Z, f, isolate=True)
-            assert verdict == oracle
-            assert (line["verdict"], line["rule"]) == (oracle.status,
-                                                       oracle.rule)
+            verdict, note = cli._component_verdict(Z, f, isolate=True)
+            assert (verdict, note) == (oracle, "")
 
     def test_reduced_points_take_no_ladder(self, capsys, tmp_path,
                                            monkeypatch):
@@ -555,6 +553,11 @@ class TestCompute:
                 for e in doc["licci"]] == [
             ([0, 0], 1, "Licci", "CI"), (None, 2, "Unknown", None)]
         assert "cluster" in doc["licci"][1]["note"]
+        # the point counts its length, the cluster its residue degree 2
+        # times the floor 5
+        qd = doc["checks"]["qlength"]
+        assert qd["decomposition_bound"] == "11/1"
+        assert qd["note"] == "hypotheses attested by the input, not verified"
 
     @pytest.mark.parametrize("text", [TWO_POINTS, PLANE_HOLDS_POINTS],
                              ids=["two-points", "plane-points"])

@@ -35,7 +35,7 @@ from qfiber import groebner as gb_module
 from qfiber import zerodim
 from qfiber.groebner import Ideal, _linear_witnesses, pair_budget
 from qfiber.linalg import as_mod_array, identity, mat_mul, nullspace, rank, rref
-from qfiber.parser import parse_ideal, parse_polynomial
+from qfiber.parser import parse_ideal
 from qfiber.rng import Stream
 from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
                               gen_quadric_graph)
@@ -46,6 +46,7 @@ from qfiber.zerodim import (
     tangent_data,
 )
 import minpoly_route as mr
+from polys import parse_polynomial
 from test_groebner import trace_entries
 from test_zerodim import (SESSIONS, factor_mu, factor_point, is_nilpotent,
                           random_zero_dim, session_algebra)
@@ -1724,10 +1725,10 @@ class TestLocalityOracles:
 
 
 def factor_summary(factors):
-    """(length, idempotent e*1, point) of each factor, in local_decompose's
-    order."""
-    return sorted(((f.length, list(f.idempotent), f.point) for f in factors),
-                  key=lambda t: t[:2])
+    """(length, idempotent e*1, point, residue degree) of each factor, in
+    local_decompose's order."""
+    return sorted(((f.length, list(f.idempotent), f.point, f.residue_degree)
+                   for f in factors), key=lambda t: t[:2])
 
 
 def minimal_polynomial_route(alg):
@@ -1736,8 +1737,8 @@ def minimal_polynomial_route(alg):
     forms (minpoly_route), on every algebra, with no homogeneous
     shortcut."""
     acts, p = alg.actions(), alg.p
-    factors = [(length, mat_mul(E, alg.one, p).tolist(), point)
-               for length, E, point in mr.decompose(alg, Stream(0))]
+    factors = [(length, mat_mul(E, alg.one, p).tolist(), point, r)
+               for length, E, point, r in mr.decompose(alg, Stream(0))]
     return (not any(any(mp[:-1]) for mp in mr.minimal_polynomials(alg)),
             mr.nilpotent_parts(alg, acts), factors)
 
@@ -1783,4 +1784,4 @@ class TestOriginShortcut:
         assert factors == want_factors
         if origin:
             assert factors == [(alg.dim, alg.one.tolist(),
-                                (0,) * alg.nvars)]
+                                (0,) * alg.nvars, 1)]

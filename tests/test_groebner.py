@@ -33,9 +33,10 @@ from qfiber.groebner import (
     hilbert_data,
     pair_budget,
 )
-from qfiber.parser import parse_ideal, parse_polynomial
+from qfiber.parser import parse_ideal
 from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
                               gen_quadric_graph)
+from polys import parse_polynomial
 from test_zerodim import random_zero_dim
 
 

@@ -9,14 +9,16 @@ package outside its own body; tests do not count as readers.  A public
 module-level function must be read in the package, in demos/ or in the
 README's python code, or be named in PUBLIC_WITHOUT_READER with its
 reason; a public method of a class must be read there as an attribute,
-or be named in METHODS_WITHOUT_READER.  No nested
-function calls itself: such a closure holds itself through its cell, and
-every call leaves a cycle for the cycle collector.  The packed-monomial
-codec `_Enc` is named in `groebner.py` alone, every matrix product is
-written in `linalg.py` alone, where mat_mul keeps it exact, and minimal
-polynomials and the Frobenius map are taken in `zerodim.py` alone, where
-each algebra memoises its map.  The local decomposition and the defect
-module (`zerodim.py`, `excess.py`) import nothing from `rng`, so randomness
+or be named in METHODS_WITHOUT_READER; a defaulted parameter of either
+must be passed by some call there, or be named in DEFAULTS_WITHOUT_CALLER.
+No nested function calls itself: such a closure holds itself through its
+cell, and every call leaves a cycle for the cycle collector.  The
+packed-monomial codec `_Enc` is named in `groebner.py` alone, every
+matrix product is written in `linalg.py` alone, where mat_mul keeps it
+exact, and minimal polynomials and the Frobenius map are taken in
+`zerodim.py` alone, where each algebra memoises its map.  The local
+decomposition, the defect module and the checks on it (`zerodim.py`,
+`excess.py`, `invariants.py`) import nothing from `rng`, so randomness
 stays in building inputs.  No module holds an assert statement: python -O
 strips them, so a check written as one would vanish.
 """
@@ -187,9 +189,6 @@ DEMOS = SRC.parents[1] / "demos"
 PUBLIC_WITHOUT_READER = {
     "kernel_intersection": "a layer the benchmark tracer wraps "
                            "(perfbench/layers.py)",
-    "parse_polynomial": "library API for one polynomial; the tests use it",
-    "prop22_experiment": "library API; the tests exercise it",
-    "reg_vs_q_report": "library API; the tests exercise it",
     "qbar": "library API, the intrinsic defect module; README and the "
             "tests use it",
     "tangent_data": "a layer the benchmark tracer wraps; library API the "
@@ -309,6 +308,121 @@ def test_no_dead_public_methods():
     assert unread == set(METHODS_WITHOUT_READER)
 
 
+# defaulted parameters of public functions and methods that no call in the
+# package, demos/ or the README's code passes, and why each stays
+DEFAULTS_WITHOUT_CALLER = {
+    "main(argv)": "perfbench and the tests call main in-process with an "
+                  "argument list; the console script passes none",
+    "q_affine_pair(modulus)": "library API; the README documents it and "
+                              "the tests pin it",
+    "qlength_verify(non_licci_certified)": "the tests pin the certified "
+                                           "floor; a two-sided licci "
+                                           "verdict (ROADMAP item 9) sets it",
+    "PolyRing.monomial(coeff)": "library API; only the tests use it",
+    "Stream.randrange(b)": "library API; only the tests use it",
+}
+
+
+def public_callables(tree):
+    """(qualified name, function node, leading positional slots a call
+    fills implicitly) of each public module-level function and each public
+    method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not f.name.startswith("_"):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in f.decorator_list)
+                    yield f"{node.name}.{f.name}", f, 1 - static
+
+
+def defaulted_parameters(fn, skip: int) -> dict:
+    """Name of each parameter of fn with a default -> its positional slot
+    in a call, or None for a keyword-only one."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    out = {a.arg: i - skip for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)}
+    out.update({a.arg: None for a, d in zip(args.kwonlyargs,
+                                            args.kw_defaults)
+                if d is not None})
+    return out
+
+
+def passes(call, name: str, slot) -> bool:
+    """Whether the call hands the parameter a value: by keyword, by
+    position, or through a starred argument that may hold it."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return slot is not None and len(call.args) > slot
+
+
+def calls_by_name(trees) -> dict:
+    """Name -> every call under the trees of a function of that name, bare
+    or as an attribute."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def unpassed_defaults(sources: dict, readers: list) -> list:
+    """(module, line, 'name(parameter)') of each defaulted parameter of a
+    public function or method of the sources that no call in them or in
+    the reader sources passes, calls inside the function's own body left
+    out."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    calls = calls_by_name([*trees.values(), *map(ast.parse, readers)])
+    out = []
+    for module, tree in trees.items():
+        for qual, fn, skip in public_callables(tree):
+            own = {id(c) for c in calls_by_name([fn]).get(fn.name, [])}
+            outside = [c for c in calls.get(fn.name, []) if id(c) not in own]
+            out += [(module, fn.lineno, f"{qual}({param})")
+                    for param, slot in defaulted_parameters(fn, skip).items()
+                    if not any(passes(c, param, slot) for c in outside)]
+    return sorted(out)
+
+
+def test_default_checker_finds_unpassed_parameters():
+    sources = {
+        "a.py": ("def f(x, y=1, *, z=2, w=3):\n    return f(x, w=4)\n"
+                 "def g(a=0, b=0):\n    pass\n"
+                 "def _h(k=0):\n    pass\n"
+                 "class Box:\n"
+                 "    def put(self, item, at=0):\n        pass\n"
+                 "    @staticmethod\n"
+                 "    def make(size=1):\n        pass\n"
+                 "    def _keep(self, k=0):\n        pass\n"),
+        "b.py": ("from .a import Box, f, g\n"
+                 "f(1, z=5)\ng(1)\nBox.make(3)\nBox().put(1)\n"),
+    }
+    assert unpassed_defaults(sources, []) == [
+        ("a.py", 1, "f(w)"), ("a.py", 1, "f(y)"), ("a.py", 3, "g(b)"),
+        ("a.py", 8, "Box.put(at)")]
+    demo = "from qfiber.a import Box, f, g\nf(1, 2, **{})\ng(*[1, 2])\n"
+    assert unpassed_defaults(sources, [demo]) == [("a.py", 8, "Box.put(at)")]
+
+
+def test_no_unpassed_defaults():
+    sources = {name: (SRC / name).read_text(encoding="utf-8")
+               for name in sorted(p.name for p in SRC.glob("*.py"))}
+    unpassed = {name for _, _, name in unpassed_defaults(
+        sources, outside_readers())}
+    assert unpassed == set(DEFAULTS_WITHOUT_CALLER)
+
+
 def self_referencing_closures(source: str) -> list:
     """(outer, inner) for every function nested in a function whose body
     reads its own name."""
@@ -403,14 +517,8 @@ def test_products_only_in_linalg(name):
 def calls_of(source: str, name: str) -> list:
     """Lines where the source calls a function of that name, bare or as
     an attribute."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            f = node.func
-            if (isinstance(f, ast.Name) and f.id == name) or \
-                    (isinstance(f, ast.Attribute) and f.attr == name):
-                out.append(node.lineno)
-    return out
+    return [node.lineno
+            for node in calls_by_name([ast.parse(source)]).get(name, [])]
 
 
 def test_call_finder():
@@ -429,9 +537,10 @@ def test_minimal_polynomials_only_in_zerodim(name):
     assert calling == ["zerodim.py"]
 
 
-@pytest.mark.parametrize("name", ["zerodim.py", "excess.py"])
+@pytest.mark.parametrize("name", ["zerodim.py", "excess.py", "invariants.py"])
 def test_no_randomness_in_locality_or_reports(name):
-    # the split and the defect report draw nothing: no stream, no fork
+    # the split, the defect report and the checks on it draw nothing: no
+    # stream, no fork
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     assert "qfiber.rng" not in imported_modules(tree)
     assert not {"Stream", "fork", "randrange"} & named(tree)

@@ -20,14 +20,13 @@ from qfiber.invariants import (
     mather_bound,
     plane_sweep_bound,
     plane_sweep_report,
-    prop22_experiment,
     qlength_verify,
-    reg_vs_q_report,
     secant_sweep_bound,
 )
 from qfiber.parser import parse_ideal
 from qfiber.scenarios import Seed, gen_fatpoint_model
 from qfiber.zerodim import ArtinianAlgebra
+from prop22_counting import prop22_experiment
 
 P = 32003
 
@@ -259,7 +258,7 @@ class TestQLength:
         rep = q_module(s)
         verdict = licci_check(s.chart_ideal)
         assert verdict.is_licci and verdict.rule == "codim<=2"
-        check = qlength_verify(rep, verdict, attested=True)
+        check = qlength_verify(rep, verdict)
         assert check.equality_required and check.equality_holds
         assert check.mu_bound_holds
         assert not check.floor_bound_required
@@ -270,8 +269,7 @@ class TestQLength:
         rep = q_module(s)
         verdict = licci_check(s.chart_ideal)
         assert verdict.status == UNKNOWN
-        check = qlength_verify(rep, verdict, attested=True,
-                               non_licci_certified=True)
+        check = qlength_verify(rep, verdict, non_licci_certified=True)
         assert check.floor_bound == 2
         assert check.floor_bound_required and check.floor_bound_holds
         assert not check.equality_required
@@ -279,25 +277,26 @@ class TestQLength:
         assert check.passed
         assert check.to_json_dict()["floor_bound"] == "2/1"
 
-    def test_attestation_required(self):
-        with pytest.raises(ValueError):
-            qlength_verify(fake_report(Fraction(1)), LicciVerdict(LICCI, "CI"))
-
     def test_component_decomposition(self):
+        # a reduced point at a = 1 and the cluster a^2 + 1 = 0, irreducible
+        # over F_32003: residue degrees 1 and 2, read off the factors
         R = ring("x1,x2,a")
-        s = scenario(R, "x1 - a^2 + 1, x2", "x1, x2", 1, 2)
+        s = scenario(R, "x1 - (a - 1)*(a^2 + 1), x2", "x1, x2", 1, 2)
         rep = q_module(s)
-        ci = LicciVerdict(LICCI, "CI")
-        check = qlength_verify(rep, ci, attested=True,
-                               component_verdicts=(ci, ci))
-        assert check.decomposition_bound == 2
-        assert check.decomposition_holds
-        assert "reduced degrees defaulted" in check.note
+        assert [(f.length, f.residue_degree) for f in rep.factors] == [
+            (1, 1), (2, 2)]
+        ci, unknown = LicciVerdict(LICCI, "CI"), LicciVerdict(UNKNOWN, None)
+        for verdicts, bound in (((ci, ci), 3), ((ci, unknown), 1 + 5 * 2),
+                                ((unknown, unknown), 5 + 5 * 2)):
+            check = qlength_verify(rep, ci, component_verdicts=verdicts)
+            assert check.floor_bound == 5
+            assert check.decomposition_bound == bound
+            assert check.decomposition_holds == (rep.q >= bound)
 
     def test_component_count_mismatch(self):
         with pytest.raises(ValueError):
             qlength_verify(fake_report(Fraction(1), degz=1),
-                           LicciVerdict(LICCI, "CI"), attested=True,
+                           LicciVerdict(LICCI, "CI"),
                            component_verdicts=(LicciVerdict(LICCI, "CI"),))
 
 
@@ -311,10 +310,6 @@ class TestConjectureReports:
         rep = main1_report(fake_report(Fraction(6)), 3)
         assert not rep.satisfied
         assert rep.context["note"] == "not a generic-projection fiber"
-
-    def test_reg_vs_q(self):
-        assert reg_vs_q_report(3, fake_report(Fraction(3))).satisfied
-        assert not reg_vs_q_report(4, fake_report(Fraction(3))).satisfied
 
 
 class TestProp22:

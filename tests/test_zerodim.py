@@ -12,7 +12,7 @@ from qfiber.algebra import (LEX, FieldSpec, PolyRing, block_order,
                             mono_divides)
 from qfiber.groebner import Ideal, _nf_terms, _Repack
 from qfiber.linalg import mat_mul, rank, rref
-from qfiber.parser import parse_ideal, parse_polynomial, parse_session
+from qfiber.parser import parse_ideal, parse_session
 from qfiber import univar as uv
 from qfiber.rng import Stream
 from qfiber.scenarios import (Seed, gen_EI_model, gen_fatpoint_model,
@@ -27,6 +27,7 @@ from qfiber.zerodim import (
     zariski_tangent_dim,
 )
 import minpoly_route as mr
+from polys import parse_polynomial
 
 P = 32003
 
@@ -549,6 +550,7 @@ class TestDecompose:
         assert len(parts) == 1
         assert parts[0].length == 2
         assert parts[0].point is None
+        assert parts[0].residue_degree == 2
 
     def test_two_variables(self):
         R = ring()
