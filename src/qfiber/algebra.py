@@ -78,10 +78,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(a: Monomial) -> int:
     return sum(a)
 
@@ -246,12 +242,6 @@ class Polynomial:
         zero = (0,) * self.ring.nvars
         for m, c in self.terms:
             if m == zero:
-                return c
-        return 0
-
-    def coeff_of(self, mono: Monomial) -> int:
-        for m, c in self.terms:
-            if m == mono:
                 return c
         return 0
 

@@ -199,8 +199,14 @@ def cmd_compute(args) -> int:
             "length": f.length,
             "point": None if f.point is None else list(f.point),
             "verdict": v.status, "rule": v.rule, "note": note})
-    overall = verdicts[0] if len(verdicts) == 1 else LicciVerdict(UNKNOWN,
-                                                                  None)
+    # Q splits over the factors and a licci factor's q is its length, so a
+    # fiber whose every factor is licci has q = deg Z
+    if len(verdicts) == 1:
+        overall = verdicts[0]
+    elif all(v.is_licci for v in verdicts):
+        overall = LicciVerdict(LICCI, "every-component")
+    else:
+        overall = LicciVerdict(UNKNOWN, None)
     checks: dict = {}
     if report.q is None:
         checks["qlength"] = {"status": "skipped",

@@ -47,8 +47,8 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
+from math import comb
 
 from .algebra import (
     GREVLEX,
@@ -58,7 +58,6 @@ from .algebra import (
     block_order,
     mono_deg,
     mono_divides,
-    mono_lcm,
 )
 
 # S-pair budget of each basis run: the library default, which the command
@@ -856,18 +855,6 @@ def _hs_minimalize(gens):
     return out
 
 
-def _poly1_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _poly1_sub_shift(a, b, s):
     """a - t^s * b over Z."""
     out = list(a) + [0] * max(0, s + len(b) - len(a))
@@ -879,92 +866,34 @@ def _poly1_sub_shift(a, b, s):
 
 
 def _hilbert_numerator(gens, nvars: int):
-    """Numerator of the Hilbert series of S/(monomial ideal), over (1-t)^nvars."""
+    """Numerator of the Hilbert series of S/(monomial ideal), over (1-t)^nvars.
+
+    The pivot recursion of Bayer and Stillman (J. Symbolic Comput. 14,
+    1992): while two minimal generators share a variable, pivot on the
+    variable most of them use, N(M) = N(M + x_v) + t N(M : x_v).  Pairwise
+    coprime generators form a regular sequence, so N(M) = prod (1 - t^deg g);
+    the unit ideal gives 0 and the zero ideal 1.
+    """
     gens = _hs_minimalize(gens)
-    if not gens:
-        return [1]
-    if any(mono_deg(g) == 0 for g in gens):
-        return [0]
-    # split into connected components on shared variables
-    comps = _hs_components(gens)
-    if len(comps) > 1:
-        out = [1]
-        for comp in comps:
-            out = _poly1_mul(out, _hilbert_numerator_connected(comp, nvars))
-        return out
-    return _hilbert_numerator_connected(gens, nvars)
-
-
-def _hs_components(gens):
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for gi in range(len(gens)):
-        parent[gi] = gi
-    var_owner: dict = {}
-    for gi, g in enumerate(gens):
-        for i, e in enumerate(g):
-            if e:
-                if i in var_owner:
-                    ra, rb = find(var_owner[i]), find(gi)
-                    if ra != rb:
-                        parent[ra] = rb
-                else:
-                    var_owner[i] = gi
-    buckets: dict = {}
-    for gi in range(len(gens)):
-        buckets.setdefault(find(gi), []).append(gens[gi])
-    return list(buckets.values())
-
-
-def _hilbert_numerator_connected(gens, nvars: int):
-    pure = [g for g in gens if sum(1 for e in g if e) == 1]
-    if len(pure) == len(gens):
-        out = [1]
-        for g in gens:
-            out = _poly1_sub_shift(out, out, mono_deg(g))
-        return out
-    if len(gens) == 1:
-        return _poly1_sub_shift([1], [1], mono_deg(gens[0]))
-    if len(gens) == 2:
-        a, b = gens
-        out = _poly1_sub_shift([1], [1], mono_deg(a))
-        out = _poly1_sub_shift(out, [1], mono_deg(b))
-        return _poly1_sub_shift(out, [-1], mono_deg(mono_lcm(a, b)))
-    # pivot on the most shared variable
     counts = [0] * nvars
     for g in gens:
         for i, e in enumerate(g):
             if e:
                 counts[i] += 1
-    v = max(range(nvars), key=lambda i: counts[i])
-    # M + (x_v): drop gens using x_v, add x_v itself
-    plus = [g for g in gens if g[v] == 0]
+    v = max(range(nvars), key=counts.__getitem__, default=None)
+    if v is None or counts[v] < 2:
+        out = [1]
+        for g in gens:
+            out = _poly1_sub_shift(out, out, mono_deg(g))
+        return out
+    # M + (x_v): drop the generators x_v divides, add x_v itself
     xv = tuple(1 if i == v else 0 for i in range(nvars))
-    plus.append(xv)
-    # M : x_v: reduce the x_v exponent by one where positive
-    colon = []
-    for g in gens:
-        if g[v] > 0:
-            colon.append(tuple(e - 1 if i == v else e for i, e in enumerate(g)))
-        else:
-            colon.append(g)
-    return _poly1_sub_shift(_hilbert_numerator(plus, nvars), [-c for c in _hilbert_numerator(colon, nvars)], 1)
-
-
-@lru_cache(maxsize=None)
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    plus = [g for g in gens if g[v] == 0] + [xv]
+    # M : x_v: lower the exponent of x_v by one where it is positive
+    colon = [tuple(e - 1 if i == v and e else e for i, e in enumerate(g))
+             for g in gens]
+    return _poly1_sub_shift(_hilbert_numerator(plus, nvars),
+                            [-c for c in _hilbert_numerator(colon, nvars)], 1)
 
 
 @dataclass(frozen=True)
@@ -1015,7 +944,7 @@ class HilbertData:
         out = 0
         for k, c in enumerate(self.numerator):
             if c and k <= d:
-                out += c * _binom(n - 1 + d - k, n - 1)
+                out += c * comb(n - 1 + d - k, n - 1)
         return out
 
 

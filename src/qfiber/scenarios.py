@@ -23,9 +23,10 @@ from .algebra import (
     random_poly,
 )
 from .excess import IntersectionScenario, make_scenario
-from .groebner import Ideal, hilbert_data
-from .linalg import mat_mul, nullspace, pencil_dets, rank
+from .groebner import Ideal
+from .linalg import mat_mul, nullspace, pencil_dets, rank, rref
 from .rng import Stream
+from .zerodim import ArtinianAlgebra, _linear_parts, local_decompose
 
 _BUDGET = 8
 
@@ -430,20 +431,25 @@ class SecantCheck:
 
 
 def gen_ci_secant(n: int, l: int, s: Seed) -> CISecantScenario:
-    """Complete intersection whose l-secant lines sweep all of P^r."""
+    """Complete intersection whose l-secant lines sweep all of P^r.
+
+    A draw of r - n forms of degree l is kept when its affine cone has
+    dimension n + 1.  Homogeneous forms whose codimension equals their
+    number form a regular sequence (Matsumura, Commutative Ring Theory,
+    Thm 17.4), so the draw is a complete intersection, of degree
+    l^(r - n) by Bezout.
+    """
     if (n, l) not in _ACCEPTED:
         raise ValueError("accepted (n, l) pairs: (1, 2) and (2, 3); other "
                          "parameters degenerate or exceed desk scale")
     r = (n * l) // (l - 1) + 1
     ring = PolyRing(s.p, tuple(f"y{i}" for i in range(r + 1)))
     stream = s.stream()
-    expected = l ** (r - n)
     for trial in range(_BUDGET):
         st = stream.fork(trial)
         gens = [random_poly(ring, l, st.fork(i), homogeneous=True)
                 for i in range(r - n)]
-        hd = hilbert_data(Ideal(ring, gens))
-        if hd.krull_dim == n + 1 and hd.degree == expected:
+        if Ideal(ring, gens).krull_dim() == n + 1:
             return CISecantScenario(ring, tuple(gens), n, l, r, s)
     raise RuntimeError(
         f"degenerate forms for (n,l)=({n},{l}) from seed {s.seed}")
@@ -468,76 +474,40 @@ def _coeffs_in(g: Polynomial, j: int) -> list:
     return coeffs
 
 
-def _common_binary_roots(gens, active, p: int):
-    """Common projective roots (a:b) over F_p in the two active variables."""
-    i, j = active
-    out = [(1, r) for r in _common_roots([_coeffs_in(g, j) for g in gens], p)]
-    # (0:1) is a root when every form is divisible by the i-th variable
-    if all(m[i] for g in gens for m, _ in g.terms):
-        out.append((0, 1))
-    return out
-
-
 def _rational_cone_point(cone, dring: PolyRing):
     """A projective F_p-point of the direction cone, or None.
 
-    Solves the linear layer exactly, then the two shapes the accepted
-    parameter set produces: a binary system, or a surface pair reduced by
-    eliminating the last parameter.
+    F is the list of free columns of the cone's linear forms (the non-pivot
+    columns of their rref), so every point of the cone has a nonzero
+    F-coordinate.  Chart j of the cone sets d_F[i] = 0 for i < j and
+    d_F[j] = 1.  A chart that misses the cone is skipped, and one that meets
+    it in positive dimension gives up.  Otherwise the chart is finite, and
+    local_decompose splits its algebra with the Frobenius map; of the
+    rational points of its factors, the one with the least F-coordinates
+    is returned.  A chart with none passes to the next.
     """
     p = dring.p
-    linear = [g for g in cone if g.degree() == 1]
-    higher = [g for g in cone if g.degree() > 1]
-    unit = lambda v: tuple(1 if k == v else 0 for k in range(dring.nvars))
-    rows = np.array([[g.coeff_of(unit(v)) for v in range(dring.nvars)]
-                     for g in linear], dtype=np.int64)
-    B = nullspace(rows, p) if linear else np.eye(dring.nvars, dtype=np.int64)
-    w = B.shape[0]
-    if w == 0 or w > 3:
-        return None
-    sring = PolyRing(dring.field, tuple(f"s{k}" for k in range(1, w + 1)))
-    images = {
-        name: sring.poly({tuple(1 if t == k else 0 for t in range(w)):
-                          int(B[k][v]) for k in range(w) if B[k][v]})
-        for v, name in enumerate(dring.variables)
-    }
-    restricted = [g.substitute(images) for g in higher]
-    restricted = [g for g in restricted if not g.is_zero()]
-    sol = None
-    if not restricted:
-        sol = (1,) + (0,) * (w - 1)
-    elif w == 1:
-        sol = None
-    elif w == 2:
-        cands = _common_binary_roots(restricted, (0, 1), p)
-        sol = cands[0] if cands else None
-    else:
-        elim = Ideal(sring, restricted).eliminate([sring.variables[2]])
-        elim = [g for g in elim if not g.is_zero()]
-        if not elim:
+    # the forms are homogeneous, so their degree-one parts are the linear forms
+    pivots = rref(_linear_parts(cone, dring.nvars), p)[1]
+    free = [v for v in range(dring.nvars) if v not in pivots]
+    for j, f in enumerate(free):
+        chart = Ideal(dring, list(cone) + [dring.var(v) for v in free[:j]]
+                      + [dring.var(f) - dring.one()])
+        if chart.is_trivial():
+            continue
+        if not chart.is_zero_dimensional():
             return None
-        for a, b in _common_binary_roots(elim, (0, 1), p):
-            subs = {sring.variables[0]: a, sring.variables[1]: b}
-            slices = [g.substitute(subs) for g in restricted]
-            slices = [g for g in slices if not g.is_zero()]
-            if not slices:
-                sol = (a, b, 0)
-                break
-            hits = _common_roots([_coeffs_in(g, 2) for g in slices], p)
-            if hits:
-                sol = (a, b, hits[0])
-                break
-    if sol is None:
-        return None
-    v = np.zeros(dring.nvars, dtype=np.int64)
-    for k, c in enumerate(sol):
-        v = (v + c * B[k]) % p
-    if not np.any(v):
-        return None
-    for g in cone:
-        if g.evaluate([int(x) for x in v]) % p:
-            raise RuntimeError("cone point fails to satisfy a cone form")
-    return v
+        points = [fac.point for fac in
+                  local_decompose(ArtinianAlgebra.from_ideal(chart))
+                  if fac.point is not None]
+        if not points:
+            continue
+        v = min(points, key=lambda pt: [pt[u] for u in free])
+        for g in cone:
+            if g.evaluate(v) % p:
+                raise RuntimeError("cone point fails to satisfy a cone form")
+        return v
+    return None
 
 
 def _restrict(gens, a, b) -> list:

@@ -1,12 +1,14 @@
 """Command line front end: golden JSON fields, exit codes, error paths."""
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -111,6 +113,32 @@ REYE_REPORTS = {
     10: (4, [31018, 26603, 21600, 31445, 23053, 8194]),
     101: (1, [19179, 28969, 5834, 14049, 14627, 28168]),
     977: (1, [9785, 26316, 2087, 23665, 25921, 2908]),
+}
+
+# (attempts, sampled point, direction) of scenario secant-demo by
+# (seed, p, n, l)
+SECANT_REPORTS = {
+    (0, 32003, 1, 2): (2, [28197, 2033, 4107, 2253], [26144, 1, 7675]),
+    (0, 32003, 2, 3): (2, [28197, 2033, 4107, 2253, 28434],
+                       [24100, 1, 4654, 23536]),
+    (0, 7, 1, 2): (1, [5, 1, 0, 3], [3, 1, 5]),
+    (0, 7, 2, 3): (1, [5, 1, 0, 3, 5], [6, 0, 1, 0]),
+    (0, 3, 1, 2): (1, [1, 1, 2, 0], [1, 1, 0]),
+    (0, 3, 2, 3): (5, [2, 1, 1, 1, 1], [0, 1, 2, 2]),
+    (1, 32003, 1, 2): (1, [29933, 4127, 14234, 3646], [1833, 1, 20544]),
+    (1, 32003, 2, 3): (2, [21062, 22406, 29375, 19536, 9580],
+                       [14723, 1, 6691, 17182]),
+    (1, 7, 1, 2): (2, [3, 5, 2, 1], [1, 0, 1]),
+    (1, 7, 2, 3): (1, [1, 3, 4, 5, 1], [1, 1, 1, 2]),
+    (1, 3, 1, 2): (1, [2, 0, 1, 2], [0, 1, 0]),
+    (1, 3, 2, 3): (1, [2, 0, 1, 2, 0], [1, 0, 0, 0]),
+    (2, 32003, 1, 2): (2, [21981, 20648, 9330, 26663], [2680, 1, 8198]),
+    (2, 32003, 2, 3): (1, [13209, 8601, 26435, 6588, 19029],
+                       [14693, 1, 3131, 10603]),
+    (2, 7, 1, 2): (1, [2, 5, 2, 0], [1, 0, 0]),
+    (2, 7, 2, 3): (1, [2, 5, 2, 0, 3], [0, 1, 1, 1]),
+    (2, 3, 1, 2): (1, [1, 1, 1, 2], [2, 1, 0]),
+    (2, 3, 2, 3): (1, [1, 1, 1, 2, 2], [1, 2, 1, 1]),
 }
 
 
@@ -234,6 +262,27 @@ class TestCompute:
         qc = doc["checks"]["qlength"]
         assert qc["decomposition_bound"] == "2/1"
         assert qc["decomposition_holds"] is True
+
+    def test_all_licci_fiber_requires_equality(self, capsys, tmp_path,
+                                               monkeypatch):
+        # q is the sum of the local q's and a licci factor's q is its
+        # length, so two reduced points must give q = deg Z = 2
+        f = tmp_path / "two.txt"
+        f.write_text(TWO_POINTS)
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 0
+        qc = doc["checks"]["qlength"]
+        assert qc["verdict"] == {"status": "Licci", "rule": "every-component"}
+        assert qc["equality_required"] is True
+        assert qc["equality_holds"] is True
+        assert qc["status"] == "pass"
+        # a report whose q missed deg Z would now fail the session
+        real = cli.q_module
+        monkeypatch.setattr(cli, "q_module", lambda scen: dataclasses.replace(
+            real(scen), q=Fraction(3)))
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        assert code == 2
+        assert doc["checks"]["qlength"]["equality_holds"] is False
 
     def test_two_points_over_f3_stay_apart(self, capsys, tmp_path):
         # a random linear form would miss the points' difference at this
@@ -557,6 +606,9 @@ class TestCompute:
         # times the floor 5
         qd = doc["checks"]["qlength"]
         assert qd["decomposition_bound"] == "11/1"
+        # one factor is not certified licci, so equality is not required
+        assert qd["verdict"] == {"status": "Unknown", "rule": None}
+        assert qd["equality_required"] is False
         assert qd["note"] == "hypotheses attested by the input, not verified"
 
     @pytest.mark.parametrize("text", [TWO_POINTS, PLANE_HOLDS_POINTS],
@@ -787,16 +839,45 @@ class TestScenario:
         assert doc["r"] == 3
 
     def test_secant_checks_never_saturate(self, capsys, monkeypatch):
-        # they read only the Hilbert polynomial, which saturation keeps
-        def refuse(self, other):
-            raise AssertionError("Ideal.saturate was called")
+        # they read only the Hilbert polynomial, which saturation keeps;
+        # the secant sweep keeps its draw by a dimension count and finds
+        # its direction with the local decomposition, so it eliminates
+        # nothing and takes no Hilbert series
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
 
-        monkeypatch.setattr(Ideal, "saturate", refuse)
-        for argv in (["reye", "--seed", "1"], ["reye", "--seed", "3"],
-                     ["secant-demo", "--n", "1", "--l", "2"],
+        monkeypatch.setattr(Ideal, "saturate", refuse("Ideal.saturate"))
+        for argv in (["reye", "--seed", "1"], ["reye", "--seed", "3"]):
+            code, doc, _ = run_json(capsys, "scenario", *argv)
+            assert code == 0 and doc["passed"] is True
+        monkeypatch.setattr(Ideal, "eliminate", refuse("Ideal.eliminate"))
+        # hilbert_data reads its numerator from its own module, whatever
+        # name a caller imported it under
+        monkeypatch.setattr(gb_module, "_hilbert_numerator",
+                            refuse("hilbert_data"))
+        for argv in (["secant-demo", "--n", "1", "--l", "2"],
                      ["secant-demo", "--n", "2", "--l", "3"]):
             code, doc, _ = run_json(capsys, "scenario", *argv)
             assert code == 0 and doc["passed"] is True
+
+    @pytest.mark.parametrize("key", sorted(SECANT_REPORTS))
+    def test_secant_demo_report_is_pinned(self, capsys, key):
+        # the whole report, byte for byte: the point, the attempts and the
+        # direction, the least rational point of the direction cone
+        seed, p, n, l = key
+        attempts, point, direction = SECANT_REPORTS[key]
+        code, out, _ = run(capsys, "scenario", "secant-demo", "--n", str(n),
+                           "--l", str(l), "--seed", str(seed), "--p", str(p))
+        assert code == 0
+        assert out == json.dumps({
+            "attempts": attempts, "command": "scenario",
+            "cone_nonempty": True, "direction": direction, "l": l,
+            "line_degree": l, "n": n, "note": "", "p": p, "passed": True,
+            "point": point, "r": len(point) - 1, "scenario": "secant-demo",
+            "seed": seed,
+        }, indent=2) + "\n"
 
     def test_secant_demo_rejects_parameters(self, capsys):
         code, _, err = run(capsys, "scenario", "secant-demo",

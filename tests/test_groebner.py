@@ -4,6 +4,7 @@ import heapq
 import pickle
 import random
 from collections import Counter
+from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
 import pytest
@@ -905,3 +906,46 @@ class TestHilbert:
         hd = hilbert_data(ideal(R, "x, y"))
         assert hd.krull_dim == 0
         assert hd.degree == 1
+
+
+def counted_numerator(gens, nvars: int, top: int) -> list:
+    """Coefficients of t^0..t^top of (1 - t)^nvars * sum_d h(d) t^d, with
+    h(d) the number of monomials of degree d that no generator divides."""
+    series = [0] * (top + 1)
+    for d in range(top + 1):
+        for pick in combinations_with_replacement(range(nvars), d):
+            mono = tuple(pick.count(v) for v in range(nvars))
+            series[d] += not any(mono_divides(g, mono) for g in gens)
+    for _ in range(nvars):
+        series = [series[0]] + [b - a for a, b in zip(series, series[1:])]
+    return series
+
+
+def random_monomial_ideals(count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nvars = rng.randint(1, 4)
+        gens = [tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(nvars))
+                for _ in range(rng.randint(1, 6))]
+        yield gens, nvars
+
+
+@pytest.mark.parametrize("gens,nvars", [
+    ([(0, 0, 0)], 3),                    # the unit ideal
+    ([], 3),                             # the zero ideal
+    ([], 0),
+    ([()], 0),
+    ([(2, 0, 0), (0, 3, 0), (0, 0, 4)], 3),  # pure powers
+    ([(5,)], 1),
+    ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3),  # a cycle: every pair shares
+    ([(2, 0), (2, 0), (3, 1)], 2),      # repeated and redundant generators
+    *random_monomial_ideals(150, 11),
+])
+def test_numerator_counts_standard_monomials(gens, nvars):
+    # the lcm of all generators bounds the numerator's degree (the Taylor
+    # resolution), so past it the truncated product is the numerator
+    top = sum(max((g[i] for g in gens), default=0) for i in range(nvars))
+    num = groebner_module._hilbert_numerator(gens, nvars)
+    assert len(num) <= top + 1
+    assert num + [0] * (top + 1 - len(num)) == counted_numerator(
+        gens, nvars, top)

@@ -1,6 +1,7 @@
 """Seeded scenario generators: reproducibility, genericity, frozen reports."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ import pytest
 from qfiber import groebner as gb_module
 from qfiber import scenarios
 from qfiber import univar as uv
-from qfiber.algebra import Polynomial, PolyRing, random_poly
+from qfiber.algebra import FieldSpec, Polynomial, PolyRing, random_poly
 from qfiber.cli import main
 from qfiber.excess import q_module
 from qfiber.groebner import Ideal, hilbert_data
 from qfiber.invariants import corank_fiber_lower_bound
-from qfiber.linalg import nullspace
+from qfiber.linalg import nullspace, rref
 from qfiber.parser import parse_session
 from qfiber.scenarios import (
     ReyeData,
@@ -328,7 +329,7 @@ class TestReye:
             for j in range(4):
                 for k in range(6):
                     unit = tuple(int(v == k) for v in range(6))
-                    assert C[k, i, j] == d.A[i][j].coeff_of(unit)
+                    assert C[k, i, j] == dict(d.A[i][j].terms).get(unit, 0)
 
     @pytest.mark.parametrize("bad", ["square", "constant"])
     def test_check_needs_linear_forms(self, bad):
@@ -380,6 +381,86 @@ class TestCISecant:
         b = gen_ci_secant(2, 3, Seed(7))
         assert list(a.gens) == list(b.gens)
 
+    def test_dimension_decides_like_the_hilbert_series(self):
+        # forms whose codimension is their number are a regular sequence,
+        # so the dimension count accepts exactly the draws the Hilbert
+        # series shows to be complete intersections of degree l^(r-n)
+        decided = set()
+        for n, l in ((1, 2), (2, 3)):
+            r = (n * l) // (l - 1) + 1
+            for p in (32003, 101, 7, 5, 3):
+                ring = PolyRing(FieldSpec(p),
+                                tuple(f"y{i}" for i in range(r + 1)))
+                stream = Seed(0, FieldSpec(p)).stream()
+                draws = []
+                for trial in range(scenarios._BUDGET):
+                    st = stream.fork(trial)
+                    draws.append([random_poly(ring, l, st.fork(i),
+                                              homogeneous=True)
+                                  for i in range(r - n)])
+                f = draws[0][0]
+                # a repeated form, and forms with a common linear factor
+                draws.append([f] * (r - n))
+                draws.append([ring.var(0) * g.homogeneous_part(l - 1)
+                              for g in draws[1]])
+                for gens in draws:
+                    ideal = Ideal(ring, gens)
+                    accept = ideal.krull_dim() == n + 1
+                    hd = hilbert_data(ideal)
+                    assert accept == (hd.krull_dim == n + 1
+                                      and hd.degree == l ** (r - n))
+                    decided.add(accept)
+        assert decided == {True, False}
+
+    def test_cone_point_is_the_least_rational_point(self, monkeypatch):
+        # every cone the sweep meets over small fields, against a search
+        # over the free coordinates of each chart in turn
+        cones = []
+        real = scenarios._rational_cone_point
+
+        def recording(cone, dring):
+            got = real(cone, dring)
+            cones.append((cone, dring, got))
+            return got
+
+        monkeypatch.setattr(scenarios, "_rational_cone_point", recording)
+        for p in (3, 5, 7):
+            for seed in range(4):
+                for n, l in ((1, 2), (2, 3)):
+                    secant_through_point(
+                        gen_ci_secant(n, l, Seed(seed, FieldSpec(p))))
+        found = 0
+        for cone, dring, got in cones:
+            want = _least_cone_point(cone, dring)
+            if got is None and want is not None:
+                # a chart met the cone in a curve: the sweep gives up there
+                assert Ideal(dring, cone).krull_dim() >= 2
+                continue
+            assert (None if got is None else list(got)) == want
+            found += want is not None
+        assert found and found < len(cones)
+
+
+def _least_cone_point(cone, dring):
+    """The cone's rational point with d_F[i] = 0 for i < j, d_F[j] = 1, j
+    least, then least in its F-coordinates, F the free columns of the
+    linear forms; found by running over the F-coordinates in order."""
+    p, m = dring.p, dring.nvars
+    unit = [tuple(int(k == v) for k in range(m)) for v in range(m)]
+    rows = np.array([[dict(g.terms).get(u, 0) for u in unit]
+                     for g in cone if g.degree() == 1], dtype=np.int64)
+    R, piv = rref(rows.reshape(-1, m), p)
+    free = [v for v in range(m) if v not in piv]
+    for j in range(len(free)):
+        for tail in product(range(p), repeat=len(free) - j - 1):
+            v = [0] * m
+            for f, x in zip(free[j:], (1, *tail)):
+                v[f] = x
+            for k, c in enumerate(piv):
+                v[c] = -sum(int(R[k, f]) * v[f] for f in free) % p
+            if all(g.evaluate(v) % p == 0 for g in cone):
+                return v
+    return None
 
 def _examined_lines(monkeypatch, check, *args):
     """Run a secant check; for every line whose degree it reads, return
