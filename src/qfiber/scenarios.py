@@ -374,12 +374,12 @@ def reye_trisecant(d: ReyeData, s: Seed) -> ReyeCheck:
             # row j: coefficients of the linear form sum_i ker_i A[i][j]
             rows = mat_mul(ker, C.transpose(1, 0, 2).reshape(4, -1),
                            p).reshape(n, 4).T
-            if rank(rows, p) != 4:
+            span = nullspace(rows, p)  # nullity 2 of 6 columns: rank 4
+            if span.shape[0] != 2:
                 continue
             on_line = not np.any(mat_mul(rows, np.array(pt, dtype=np.int64),
                                          p))
-            b0, b1 = nullspace(rows, p)
-            dim, degree = _line_degree(_pencil_minors(C, b0, b1, p), 3, p)
+            dim, degree = _line_degree(_pencil_minors(C, *span, p), 3, p)
             if dim != 1:
                 continue
             return ReyeCheck(tuple(pt), 4, on_line, degree, attempts,

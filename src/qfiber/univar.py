@@ -6,6 +6,14 @@ trailing zeros.  The roots are those of the gcd with t^p - t, split by
 Cantor-Zassenhaus, which needs p odd; FieldSpec already guarantees that.
 The splits draw from a fixed stream, and the roots come out sorted, so the
 answer is deterministic.
+
+pow_mod, where both root steps spend their time, packs a polynomial of
+degree below 2d = 2 deg(modulus) into one python int, a W-bit slot per
+coefficient, W the bit length of 2d(p-1)^2.  A product of reduced
+polynomials is one int multiply with slots below d(p-1)^2; folding slots
+d..2d-2 back through the packed x^(d+k) mod the modulus adds below
+(d-1)(p-1)^2, so no slot carries.  Near p = 2^31 a slot passes 64 bits:
+this module stays on python ints, never numpy.
 """
 
 from __future__ import annotations
@@ -35,18 +43,6 @@ def scale(f: list, c: int, p: int) -> list:
     if c == 0:
         return []
     return [a * c % p for a in f]
-
-
-def mul(f: list, g: list, p: int) -> list:
-    """Schoolbook product; python ints hold every partial sum exactly."""
-    if not f or not g:
-        return []
-    n = len(g)
-    out = [0] * (len(f) + n - 1)
-    for i, a in enumerate(f):
-        if a:
-            out[i:i + n] = [c + a * b for c, b in zip(out[i:i + n], g)]
-    return trim([c % p for c in out])
 
 
 def divmod_poly(f: list, g: list, p: int):
@@ -82,16 +78,37 @@ def gcd(f: list, g: list, p: int) -> list:
 
 
 def pow_mod(base: list, e: int, modulus: list, p: int) -> list:
-    """base^e mod modulus; e may be huge (p^d sized)."""
-    out = [1]
+    """base^e mod modulus, e as large as p^d, on packed ints."""
     b = mod_poly(base, modulus, p)
-    while e:
-        if e & 1:
-            out = mod_poly(mul(out, b, p), modulus, p)
-        e >>= 1
-        if e:
-            b = mod_poly(mul(b, b, p), modulus, p)
-    return out
+    d = deg(modulus)
+    if not e or d < 1:
+        return [] if e else [1]
+    w = (2 * d * (p - 1) ** 2).bit_length()
+    slot = (1 << w) - 1
+    shifts = range(0, d * w, w)
+    low = (1 << d * w) - 1
+    # x^(d+k) mod modulus for k = 0..d-2, each by one step from the last
+    top = scale(modulus[:-1], -pow(modulus[-1], p - 2, p), p)
+    rows = [top]
+    while len(rows) < d - 1:
+        r = rows[-1]
+        rows.append([(a + r[-1] * c) % p for a, c in zip([0] + r[:-1], top)])
+    folds = [sum([c << s for c, s in zip(r, shifts)]) for r in rows]
+
+    def reduce(t: int) -> int:
+        high = t >> d * w
+        t &= low
+        for f in folds:
+            t += (high & slot) % p * f
+            high >>= w
+        return sum([((t >> s) & slot) % p << s for s in shifts])
+
+    a = packed = sum([c % p << s for c, s in zip(b, shifts)])
+    for bit in bin(e)[3:]:
+        a = reduce(a * a)
+        if bit == "1":
+            a = reduce(a * packed)
+    return trim([(a >> s) & slot for s in shifts])
 
 
 def _split_roots(f: list, p: int, rng) -> list:

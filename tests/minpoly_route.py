@@ -9,7 +9,9 @@ linear forms, a piece being accepted only when its residue dimension is 1
 or a form's squarefree minimal polynomial is irreducible of that degree.
 Squarefree parts need dim < p.  The univariate helpers (squarefree part,
 distinct- and equal-degree factorization, the irreducibility test) are
-the ones the route used.
+the ones the route used.  So are the schoolbook product `mul` and the
+list-based square-and-multiply `pow_mod`, which stay here as the oracle
+of the packed qfiber.univar.pow_mod.
 """
 
 import numpy as np
@@ -28,6 +30,31 @@ def add(f, g, p):
     for i, c in enumerate(g):
         out[i] = (out[i] + c) % p
     return uv.trim(out)
+
+
+def mul(f, g, p):
+    """Schoolbook product; python ints hold every partial sum exactly."""
+    if not f or not g:
+        return []
+    n = len(g)
+    out = [0] * (len(f) + n - 1)
+    for i, a in enumerate(f):
+        if a:
+            out[i:i + n] = [c + a * b for c, b in zip(out[i:i + n], g)]
+    return uv.trim([c % p for c in out])
+
+
+def pow_mod(base, e, modulus, p):
+    """base^e mod modulus by right-to-left square-and-multiply on lists."""
+    out = [1]
+    b = uv.mod_poly(base, modulus, p)
+    while e:
+        if e & 1:
+            out = uv.mod_poly(mul(out, b, p), modulus, p)
+        e >>= 1
+        if e:
+            b = uv.mod_poly(mul(b, b, p), modulus, p)
+    return out
 
 
 def derivative(f, p):
@@ -57,7 +84,7 @@ def distinct_degree(f, p):
         if 2 * d > uv.deg(rest):
             out.append((uv.deg(rest), rest))
             break
-        h = uv.pow_mod(h, p, rest, p)
+        h = pow_mod(h, p, rest, p)
         g = uv.gcd(uv.sub(h, x, p), rest, p)
         if uv.deg(g) > 0:
             out.append((d, g))
@@ -76,7 +103,7 @@ def equal_degree_split(f, d, p, rng):
         g = uv.gcd(a, f, p)
         if 0 < uv.deg(g) < n:
             return g
-        b = uv.pow_mod(a, (pow(p, d) - 1) // 2, f, p)
+        b = pow_mod(a, (pow(p, d) - 1) // 2, f, p)
         g = uv.gcd(uv.sub(b, [1], p), f, p)
         if 0 < uv.deg(g) < n:
             return g
@@ -107,7 +134,7 @@ def is_irreducible(f, p):
     if n == 1:
         return True
     x = [0, 1]
-    if uv.sub(uv.pow_mod(x, pow(p, n), f, p), x, p):
+    if uv.sub(pow_mod(x, pow(p, n), f, p), x, p):
         return False
     # x^(p^(n/q)) - x must be coprime to f for every prime q | n
     m, q = n, 2
@@ -120,7 +147,7 @@ def is_irreducible(f, p):
     if m > 1:
         primes.add(m)
     for q in sorted(primes):
-        h = uv.pow_mod(x, pow(p, n // q), f, p)
+        h = pow_mod(x, pow(p, n // q), f, p)
         if uv.deg(uv.gcd(uv.sub(h, x, p), f, p)) > 0:
             return False
     return True
@@ -156,7 +183,7 @@ def inv_mod(f, modulus, p):
     while r1:
         q, r = uv.divmod_poly(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, uv.sub(s0, uv.mul(q, s1, p), p)
+        s0, s1 = s1, uv.sub(s0, mul(q, s1, p), p)
     if uv.deg(r0) != 0:
         raise ValueError("element is not invertible modulo the given "
                          "polynomial")
@@ -168,7 +195,7 @@ def compose_mod(f, g, modulus, p):
     """f(g) mod modulus by Horner."""
     out = []
     for c in reversed(f):
-        out = uv.mod_poly(uv.mul(out, g, p), modulus, p)
+        out = uv.mod_poly(mul(out, g, p), modulus, p)
         if c:
             out = add(out, [c], p)
     return out
@@ -190,7 +217,7 @@ def semisimple_poly(minpoly, p):
         if not ft:
             break
         dft = compose_mod(df, t, minpoly, p)
-        t = uv.sub(t, uv.mod_poly(uv.mul(ft, inv_mod(dft, minpoly, p), p),
+        t = uv.sub(t, uv.mod_poly(mul(ft, inv_mod(dft, minpoly, p), p),
                                   minpoly, p), p)
     if compose_mod(f, t, minpoly, p):
         raise RuntimeError("newton iteration failed to converge")
@@ -259,10 +286,10 @@ def _decompose_into(actions, nils, one, p, stream, chain, out):
             # idempotent of the q-primary part: cof * (cof^-1 mod q^e)
             # mod mp, with q^e the largest power of q dividing mp
             qe = q
-            while not uv.divmod_poly(mp, uv.mul(qe, q, p), p)[1]:
-                qe = uv.mul(qe, q, p)
+            while not uv.divmod_poly(mp, mul(qe, q, p), p)[1]:
+                qe = mul(qe, q, p)
             cof = uv.divmod_poly(mp, qe, p)[0]
-            u = uv.mod_poly(uv.mul(cof, inv_mod(cof, qe, p), p), mp, p)
+            u = uv.mod_poly(mul(cof, inv_mod(cof, qe, p), p), mp, p)
             E = eval_matrix_poly(u, L, p)
             # the factor is the image of E, in the rref basis B of its
             # columns, where a vector's coordinates are its pivot entries

@@ -15,7 +15,8 @@ No nested function calls itself: such a closure holds itself through its
 cell, and every call leaves a cycle for the cycle collector.  The
 packed-monomial codec `_Enc` is named in `groebner.py` alone, every
 matrix product is written in `linalg.py` alone, where mat_mul keeps it
-exact, and minimal polynomials and the Frobenius map are taken in
+exact, `univar.py` imports no numpy, since its packed slots outgrow int64,
+and minimal polynomials and the Frobenius map are taken in
 `zerodim.py` alone, where each algebra memoises its map.  The local
 decomposition, the defect module and the checks on it (`zerodim.py`,
 `excess.py`, `invariants.py`) import nothing from `rng`, so randomness
@@ -120,6 +121,14 @@ def test_groebner_keeps_no_cofactor_format():
     banned = {"numpy", "qfiber.linalg", "qfiber.zerodim"}
     assert not {m for m in found
                 if any(m == b or m.startswith(b + ".") for b in banned)}
+
+
+def test_univar_stays_on_python_ints():
+    # pow_mod's packed slots pass 64 bits near p = 2^31: an int64 port
+    # would overflow without a word
+    tree = ast.parse((SRC / "univar.py").read_text(encoding="utf-8"))
+    assert not {m for m in imported_modules(tree)
+                if m == "numpy" or m.startswith("numpy.")}
 
 
 def private_definitions(tree) -> dict:

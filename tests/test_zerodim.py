@@ -722,7 +722,7 @@ class TestSemisimple:
         mp = [1]
         for root, mult in ((3, 2), (5, 1)):
             for _ in range(mult):
-                mp = uv.mul(mp, [(-root) % P, 1], P)
+                mp = mr.mul(mp, [(-root) % P, 1], P)
         h = mr.semisimple_poly(mp, P)
         # h(3) = 3 and h(5) = 5, and h'(...) kills the nilpotent direction:
         # (h(T) - 3) must be divisible by (T-3)^2 after subtracting
@@ -733,7 +733,7 @@ class TestSemisimple:
     def test_newton_failure_raises(self, monkeypatch):
         # every inverse forced to zero: t never moves off T, which is not
         # semisimple mod (T-2)^2, and the oracle refuses it
-        mp = uv.mul([P - 2, 1], [P - 2, 1], P)
+        mp = mr.mul([P - 2, 1], [P - 2, 1], P)
         assert mr.semisimple_poly(mp, P) == [2]
         monkeypatch.setattr(mr, "inv_mod", lambda f, modulus, p: [])
         with pytest.raises(RuntimeError, match="newton"):
