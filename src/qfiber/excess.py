@@ -18,11 +18,13 @@ on cofactors kept as (g x d) arrays in the coordinates of R/I, shifted by
 the algebra's memoised monomial matrices.  The replay is batched: the
 trace comes as flat lists, which become arrays with one np.array each,
 so no Python loop runs per term, and no entry repeats a (shift, source)
-term, so nothing is summed; then one pair of matrix products per entry
-that adds an element, and one pair per distinct shift for all the sums
-that reach zero.  No
-basis of a squared ideal is built.  After that all is numpy on int64
-residues, with every product through linalg.mat_mul.
+term, so nothing is summed.  Every input's element is a scaled copy of
+its cofactor, set with the others in one step, and a term whose shift
+matrix is zero is dropped; then one pair of matrix products per S-pair
+entry that adds an element, and one pair per distinct shift for all the
+sums that reach zero.  No basis of a squared ideal is built.  After that
+all is numpy on int64 residues, with every product through
+linalg.mat_mul.
 
 A conormal module is kept as its relation space K alone (dim M = g*d -
 dim K).  Every Hom into the algebra is read off a relation map: the dual
@@ -242,14 +244,17 @@ def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
     v @ shift(q).T.  The trace (GroebnerBasis.replay_trace) becomes one
     array of its entries and one of its terms, and one product scales the
     terms of the adding entries; no entry repeats a (shift, source) term,
-    so none is summed.  An adding entry is one product of its (shift x
-    source) coefficients with the stacked cofactors of its sources, then
-    one of the results, side by side, with the stacked transposed shift
-    matrices.  The sums that reach zero feed no later entry, so they are
-    taken last and together: per distinct shift, one product shifts the
-    cofactors of the sources it meets, and one more, in chunks of rows
-    that keep the temporaries small, sums them with the (sum x source)
-    coefficients.
+    so none is summed.  An input entry (one term, x^0 times an input)
+    adds a scaled copy of that input's cofactor; all of them are set in
+    one step.  A term whose shift matrix is zero adds nothing and is
+    dropped.  An S-pair entry that adds an element is one product of its
+    (shift x source) coefficients with the stacked cofactors of its
+    sources, then one of the results, side by side, with the stacked
+    transposed shift matrices.  The sums that reach zero feed no later
+    entry, so they are taken last and together: per distinct shift, one
+    product shifts the cofactors of the sources it meets, and one more, in
+    chunks of rows that keep the temporaries small, sums them with the
+    (sum x source) coefficients.
     """
     n, g, d = units.shape
     shifts, entries, terms = gb.replay_trace()
@@ -262,18 +267,28 @@ def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
     nv, nz = n + int(adds.sum()), int((~adds).sum())
     vals = np.zeros((nv, g * d), dtype=np.int64)
     vals[:n] = units.reshape(n, g * d)
-    adding = adds[ent]
-    added = (np.cumsum(adds) - 1)[ent[adding]]
-    for t, (used, sources, M) in enumerate(_blocks(
-            added, qs[adding], srcs[adding], C[adding], nv - n, len(shifts),
-            nv), n):
+    added = np.cumsum(adds) - 1
+    first = np.cumsum(counts) - counts
+    origin = np.array([not any(q) for q in shifts], dtype=bool)
+    inputs = adds & (counts == 1) & (srcs[first] < n) & origin[qs[first]]
+    at = first[inputs]
+    vals[n + added[inputs]] = C[at, None] * vals[srcs[at]] % p
+    live = np.array([M.any() for M in mats], dtype=bool)[qs] & ~inputs[ent]
+    adding, zero = live & adds[ent], live & ~adds[ent]
+    out = np.zeros((nz, g * d), dtype=np.int64)
+    if not live.any():
+        return out
+    pairs = adds & ~inputs
+    for t, (used, sources, M) in zip(n + added[pairs], _blocks(
+            (np.cumsum(pairs) - 1)[ent[adding]], qs[adding], srcs[adding],
+            C[adding], int(pairs.sum()), len(shifts), nv)):
+        if not sources.size:
+            continue
         W = mat_mul(M, vals[sources], p).reshape(len(used), g, d)
         W = W.transpose(1, 0, 2).reshape(g, len(used) * d)
         vals[t] = mat_mul(W, np.concatenate([mats[q] for q in used]),
                           p).reshape(g * d)
-    zero = ~adding
     sums = (np.cumsum(~adds) - 1)[ent[zero]]
-    out = np.zeros((nz, g * d), dtype=np.int64)
     step = max(1, _REPLAY_CELLS // (g * d or 1))
     for Mt, (rows, sources, M) in zip(mats, _blocks(
             qs[zero], sums, srcs[zero], C[zero], len(shifts), nz, nv)):

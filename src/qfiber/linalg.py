@@ -1,14 +1,30 @@
 """Exact linear algebra over F_p on numpy int64 arrays.
 
 Coefficients are residues in [0, p).  This module holds every matrix
-product of the package, all through mat_mul.  A product whose contraction
-length k keeps k * (p-1)^2 below 2^53 runs in float64 BLAS, where every
-integer below 2^53 is exact; one above it runs on int64, chunked along the
-contraction axis so that k * (p-1)^2 stays below 2^62, so any prime
-accepted by FieldSpec (below 2^31) is safe.  The determinant pencils
-det(A + t*B) of small matrices are Leibniz expansions on stacked arrays
-(pencil_dets), reduced after each linear factor, so their sums stay below
-2*(p-1)^2 < 2^63 for the same primes.
+product of the package, all through mat_mul, which has three routes.  A
+small product (rows * k * columns at most _SMALL_PRODUCT for the
+contraction length k) with k * (p-1)^2 below 2^63 is one int64 product,
+exact as it stands.  A larger one whose k keeps k * (p-1)^2 below 2^53
+runs in float64 BLAS, where every integer below 2^53 is exact; one above
+it runs on int64, chunked along the contraction axis so that k * (p-1)^2
+stays below 2^62, so any prime accepted by FieldSpec (below 2^31) is
+safe.  numpy's fixed cost per call decides the size cut: on the products
+of a benchmark pass (2-core x86_64 host, numpy 2.4) the int64 product
+beats the float64 one, casts included, up to about 4,500 multiply-adds
+(at 2,500 it takes 8.5 us against 10.7 us) and loses from about 5,000.
+
+rref has two routes as well.  A matrix of at most _SMALL_CELLS cells is
+eliminated on lists of Python ints, a row at a time; a larger one by
+column operations on the int64 array.  Both return the same int64 (R,
+pivots), and both are exact: the list route reduces every entry mod p
+after each step, and the array route's products stay below (p-1)^2 <
+2^62.  The cut is where the two cross on the eliminations of a benchmark
+pass, same host: near 512 cells (at 225 cells the rows take 30-34 us
+against 62-65 us, and at 850 cells they run 3x slower).
+
+The determinant pencils det(A + t*B) of small matrices are Leibniz
+expansions on stacked arrays (pencil_dets), reduced after each linear
+factor, so their sums stay below 2*(p-1)^2 < 2^63 for the same primes.
 """
 
 from __future__ import annotations
@@ -30,15 +46,20 @@ def identity(n: int) -> np.ndarray:
 
 # output cells per block of a float64 product, which bounds its temporaries
 _BLOCK_CELLS = 1 << 16
+# multiply-adds up to which one int64 product beats the float64 route
+_SMALL_PRODUCT = 1 << 12
+# cells up to which rref eliminates on lists of Python ints
+_SMALL_CELLS = 512
 
 
 def mat_mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """(A @ B) mod p, exact for entries in (-p, p).
 
     Every partial sum is an integer of absolute value at most k * (p-1)^2
-    for the contraction length k.  Below 2^53 the float64 product is
-    exact; it runs in blocks of rows, each cast into the int64 result and
-    reduced there.  Otherwise int64 partial sums over chunks of the
+    for the contraction length k.  A small product below 2^63 is one
+    int64 product.  Otherwise, below 2^53 the float64 product is exact;
+    it runs in blocks of rows, each cast into the int64 result and
+    reduced there.  Above it int64 partial sums over chunks of the
     contraction axis stay below 2^62.
     """
     A = np.asarray(A, dtype=np.int64)
@@ -47,7 +68,10 @@ def mat_mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     shape = A.shape[:-1] + B.shape[1:]
     if k == 0:
         return np.zeros(shape, dtype=np.int64)
-    if k * (p - 1) ** 2 < 1 << 53:
+    bound = k * (p - 1) ** 2
+    if bound < 1 << 63 and A.size * (B.size // k) <= _SMALL_PRODUCT:
+        return np.mod(A @ B, p)
+    if bound < 1 << 53:
         rows, Bf = A.reshape(-1, k), B.astype(np.float64)
         step = max(1, _BLOCK_CELLS // max(1, Bf[0].size))
         if rows.shape[0] <= step:
@@ -68,9 +92,13 @@ def rref(A, p: int):
     """Reduced row echelon form.
 
     Returns (R, pivots) where R is fully reduced with monic pivots and
-    pivots lists the pivot column of each nonzero row, in order.
+    pivots lists the pivot column of each nonzero row, in order.  Up to
+    _SMALL_CELLS cells the elimination runs on rows of Python ints
+    (_rref_rows); above it, on columns of the array.
     """
     A = as_mod_array(A, p)  # np.mod returns a fresh array
+    if A.size <= _SMALL_CELLS:
+        return _rref_rows(A, p)
     m, n = A.shape
     pivots = []
     r = 0
@@ -95,6 +123,32 @@ def rref(A, p: int):
         pivots.append(c)
         r += 1
     return A, pivots
+
+
+def _rref_rows(A: np.ndarray, p: int):
+    """rref of a small matrix of residues, Gauss-Jordan on its rows as
+    lists of Python ints: the same steps as the column loop, so the same
+    (R, pivots).  A row is zero left of its pivot column, so subtracting
+    it leaves the columns left of that untouched."""
+    m, n = A.shape
+    rows = A.tolist()
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        i = next((i for i in range(r, m) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        top = rows[r] = [x * inv % p for x in rows[r]]
+        for j, row in enumerate(rows):
+            f = row[c]
+            if f and j != r:
+                rows[j] = [(x - f * y) % p for x, y in zip(row, top)]
+        pivots.append(c)
+    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
 
 
 def rank(A, p: int) -> int:

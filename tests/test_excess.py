@@ -1177,6 +1177,57 @@ class TestBatchedReplay:
         assert minimal_generators(alg) == per_term_minimal_generators(alg)
 
 
+    @staticmethod
+    def counted_replay(monkeypatch, *args):
+        """_replay on the arguments, and the number of products it took."""
+        calls = []
+
+        def counting(A, B, p):
+            calls.append(1)
+            return mat_mul(A, B, p)
+
+        with monkeypatch.context() as m:
+            m.setattr(excess, "mat_mul", counting)
+            return _replay(*args), len(calls)
+
+    @pytest.mark.parametrize("text", ["x, y", "x^2, y^3", "x^2 + x, y^2",
+                                      "x^2, y^3, x^2"])
+    def test_input_entries_take_no_product(self, text, monkeypatch):
+        # each input's element is a scaled copy of its unit cofactor; only
+        # the sum that reaches zero, x^2 - x^2 in the last case, takes
+        # products: one shift and one sum
+        I = idl(ring(), text)
+        alg = ArtinianAlgebra.from_ideal(I)
+        gb = I.groebner()
+        entries = trace_entries(gb)[1]
+        assert all(len(e[2]) == 1 for e in entries if e[0])
+        units = unit_cofactors(I.gens, I, alg)
+        got, calls = self.counted_replay(monkeypatch, gb, units,
+                                         alg.monomial_matrix, P)
+        assert np.array_equal(got, per_term_replay(gb, units,
+                                                   alg.monomial_matrix, P))
+        assert calls == 2 * len(zero_entries(I))
+
+    @pytest.mark.parametrize("case", sorted(MU_CASES) + [
+        "graph2", "graph3", "graph4", "graph5", "fatpoint"])
+    def test_origin_replay_skips_vanishing_shifts(self, case, monkeypatch):
+        # at the origin every x^q with q != 0 is zero: an S-pair entry
+        # takes its two products only when a term sits at x^0, and the
+        # sums that reach zero take one shift and one sum when any does
+        alg = ArtinianAlgebra.from_ideal(local_ideal(case))
+        args = constant_term_replay(alg)
+        shifts, entries = trace_entries(args[0])
+        at_one = [[not any(shifts[q]) for q in e[2]] for e in entries]
+        pairs = sum(any(one) for e, one in zip(entries, at_one)
+                    if e[0] and len(one) > 1)
+        sums = any(any(one) for e, one in zip(entries, at_one) if not e[0])
+        got, calls = self.counted_replay(monkeypatch, *args)
+        assert np.array_equal(got, per_term_replay(*args))
+        assert calls == 2 * pairs + 2 * sums
+        if case.startswith("graph"):
+            assert not all(map(all, at_one))
+
+
 class TestAffinePairs:
     def test_frozen_oracle(self):
         R = ring()

@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from qfiber import linalg
 from qfiber.linalg import (
     identity,
     kernel_intersection,
@@ -84,6 +85,43 @@ class TestRref:
             assert piv == piv0
             assert R.dtype == R0.dtype and (R == R0).all()
 
+    @pytest.mark.parametrize("p", [3, 32003, 2147483629])
+    def test_both_routes_match_full_row_update(self, p):
+        # up to _SMALL_CELLS cells rref eliminates on rows of Python ints,
+        # above it on columns of the array: draws up to 40 x 40 reach both,
+        # with zero columns, repeated rows, low and zero rank, empty sides
+        rng = random.Random(p + 1)
+        small = linalg._SMALL_CELLS
+        shapes = [(rng.randrange(lo, hi), rng.randrange(lo, hi))
+                  for lo, hi in [(1, 23), (24, 41)] for _ in range(15)]
+        shapes += [(16, small // 16), (16, small // 16 + 1), (1, small),
+                   (small + 1, 1), (40, 40), (0, 7), (0, 600), (7, 0), (600, 0)]
+        cells = [m * n for m, n in shapes]
+        assert min(cells) == 0 and max(cells) > 3 * small
+        assert sum(c <= small for c in cells) > 15
+        assert sum(c > small for c in cells) > 15
+        for k, (m, n) in enumerate(shapes):
+            A, kind = rand_matrix(rng, m, n, p), k % 4
+            if m and n:
+                A[:, rng.sample(range(n), 1 + n // 8)] = 0
+                if kind == 1:
+                    A[rng.randrange(m)] = A[0]
+                    A[rng.randrange(m)] = A[-1]
+                elif kind == 2:
+                    r = rng.randrange(1, 4)
+                    A = mat_mul(rand_matrix(rng, m, r, p),
+                                rand_matrix(rng, r, n, p), p)
+                elif kind == 3:
+                    A[:] = 0
+            R, piv = rref(A, p)
+            R0, piv0 = full_update_rref(A, p)
+            assert piv == piv0
+            assert R.shape == R0.shape and R.dtype == R0.dtype
+            assert (R == R0).all()
+            assert rank(A, p) == len(piv0)
+            if kind == 3 or not (m and n):
+                assert piv == [] and not R.any()
+
     def test_rank_random_products(self):
         rng = random.Random(5)
         # rank of an outer product of full-rank factors is the inner dim
@@ -133,19 +171,76 @@ class TestMatMul:
     def test_route_at_the_float_bound(self):
         # p - 1 just below 2^26: two products of residues sum below 2^53,
         # exact in float64, and three may not, so k = 3 must take the int64
-        # route; the plain float64 product shows the difference
+        # route; the plain float64 product shows the difference.  64 x 64
+        # outputs keep both products above the small int64 route
         p = 67108859  # the largest prime below 2^26
         assert 2 * (p - 1) ** 2 < 1 << 53 <= 3 * (p - 1) ** 2
+        rows = 64
+        assert rows * 2 * rows > linalg._SMALL_PRODUCT
         rng = random.Random(26)
         for k in (2, 3):
-            rows = [[p - 2] * k] + [[rng.randrange(p) for _ in range(k)]
-                                    for _ in range(3)]
-            A = np.array(rows, dtype=np.int64)
-            want = [[sum(int(a) * int(b) for a, b in zip(r, c)) % p
-                     for c in A] for r in A]
-            assert mat_mul(A, A.T, p).tolist() == want
+            A = np.array([[p - 2] * k] + [[rng.randrange(p) for _ in range(k)]
+                                          for _ in range(rows - 1)],
+                         dtype=np.int64)
+            assert mat_mul(A, A.T, p).tolist() == product_oracle(A, A.T, p)
         top = np.full((1, 3), p - 2, dtype=np.float64)
-        assert int((top @ top.T)[0, 0]) % p != want[0][0]
+        assert int((top @ top.T)[0, 0]) % p != (3 * (p - 2) ** 2) % p
+
+    @pytest.mark.parametrize("p", [3, 32003, 67108859, 2147483647])
+    def test_routes_straddle_the_work_threshold(self, p):
+        # products of rows * k * columns around _SMALL_PRODUCT, with
+        # entries in (-p, p), take the int64 product below it and the
+        # float64 or chunked route above it
+        rng = random.Random(p)
+        small = linalg._SMALL_PRODUCT
+        shapes = [(small // 256 + d, 16, 16) for d in (-1, 0, 1)]
+        shapes += [(rng.randrange(1, 40), rng.randrange(1, 40),
+                    rng.randrange(1, 40)) for _ in range(20)]
+        work = [m * k * n for m, k, n in shapes]
+        assert sum(w <= small for w in work) > 3
+        assert sum(w > small for w in work) > 3
+        for m, k, n in shapes:
+            A = rand_matrix(rng, m, k, 2 * p - 1) - (p - 1)
+            B = rand_matrix(rng, k, n, 2 * p - 1) - (p - 1)
+            got = mat_mul(A, B, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == product_oracle(A, B, p)
+
+    @pytest.mark.parametrize("p", [32003, 2147483647])
+    def test_vector_and_stacked_operands(self, p):
+        # a 1-d right operand and a stack of left operands, on both sides
+        # of the work threshold
+        rng = random.Random(7)
+        small = linalg._SMALL_PRODUCT
+        for m in (4, 2 * small // 5):
+            A, b = rand_matrix(rng, m, 5, p), rand_matrix(rng, 5, 1, p)[:, 0]
+            got = mat_mul(A, b, p)
+            assert got.shape == (m,) and got.tolist() == product_oracle(A, b, p)
+        for s in (2, small // 8):
+            A = np.stack([rand_matrix(rng, 2, 3, p) for _ in range(s)])
+            B = rand_matrix(rng, 3, 4, p)
+            got = mat_mul(A, B, p)
+            assert got.shape == (s, 2, 4)
+            assert got.tolist() == product_oracle(A, B, p)
+
+    def test_largest_prime_leaves_the_int64_product(self):
+        # at 2^31 - 1 two products of residues sum below 2^63 and three do
+        # not, so a small product with k >= 3 must not be one int64 product:
+        # every entry +-(p - 1) would overflow it
+        p = 2**31 - 1
+        assert 2 * (p - 1) ** 2 < 1 << 63 <= 3 * (p - 1) ** 2
+        for k in (2, 3, 4, 9):
+            for sign in (1, -1):
+                A = np.full((2, k), p - 1, dtype=np.int64)
+                B = np.full((k, 3), sign * (p - 1), dtype=np.int64)
+                assert A.size * 3 <= linalg._SMALL_PRODUCT
+                assert mat_mul(A, B, p).tolist() == product_oracle(A, B, p)
+
+
+def product_oracle(A, B, p):
+    """(A @ B) mod p on Python ints, as nested lists."""
+    return np.mod(np.asarray(A).astype(object) @ np.asarray(B).astype(object),
+                  p).tolist()
 
 
 class TestKernelIntersection:
