@@ -12,15 +12,23 @@ selection.  An S-pair's normal form starts from the two shifted tails,
 since the monic leading terms cancel.  Reduced bases are unique, monic,
 and sorted by leading term, so ideal equality is tuple equality.
 
-Normal forms look up their reducer in a first-divisor memo, as Singular
-keeps a reducer index (Greuel-Pfister, A Singular Introduction to
-Commutative Algebra): a packed monomial maps to the index of the first
-basis entry, in list order, whose leading term divides it, or to ~n when
-none of the first n entries does, so a later lookup scans only the
-entries appended since.  The reducer is the one a linear scan would pick,
-so the work done is unchanged.  One memo serves the whole pair loop, one
-the interreduction, and each GroebnerBasis keeps one for normal_form,
-replaced by an empty one whenever a repack re-encodes the monomials.
+Normal forms run on small int monomial ids (_Reducer).  The pair loop,
+the interreduction and each GroebnerBasis keep one table each, which
+numbers the monomials met and holds per id its pending coefficient, its
+first-divisor memo and the multiple x^q * tail(g_i) that popping it
+subtracts, built once, since reducer multiples recur across S-pairs as in
+F4 (Faugere, JPAA 139, 1999).  The memo is the reducer index Singular
+keeps (Greuel-Pfister, A Singular Introduction to Commutative Algebra):
+the first basis entry, in list order, whose leading term divides the
+monomial, or ~n when none of the first n entries does, so a later lookup
+scans only the entries appended since.  A multiple keyed by the popped
+monomial stays right because its first divisor never changes while the
+basis only grows at the end with fixed elements: in the pair loop this
+always holds; in the interreduction every reducer of an element's tail
+precedes it in the minimal basis, so its tail is already final; a
+GroebnerBasis reduces against its final basis, and a repack replaces its
+table.  The reducer and the steps are those a linear scan and a dict of
+pending terms would take, so bases and traces do not depend on the table.
 
 Every run keeps its trace, the multiples c * x^q of inputs and earlier
 elements that each input and S-pair summed (Traverso's Groebner trace,
@@ -202,79 +210,116 @@ def _initial_bits(gens) -> int:
     return max(5, (2 * maxe + 2).bit_length() + 1)
 
 
-def _nf_terms(terms, basis, enc: _Enc, p: int, memo: dict, trace,
-              base: int = 0):
-    """Full normal form of a term list against monic engine polynomials.
+# a heap entry is (-key << _ID_BITS) | id: the largest key pops first.  An
+# id holds over a hundred bytes of table, so 2^32 of them cannot fit.
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+
+
+class _Reducer:
+    """Full normal forms against monic engine polynomials, on monomial ids,
+    with one table for a run (module docstring).
 
     basis entries are (ltkey, ltpacked, tail) with tail the non-leading
-    terms.  Work queue is a max-heap with lazy deletion backed by a coeff
-    dict; keys are additive so shifted tails cost one add per term.  The
-    dict keeps each coefficient as an unreduced sum, reduced once when its
-    monomial is popped.
-
-    memo maps a packed monomial to the index of the first basis entry whose
-    leading term divides it, or to ~n when none of the first n entries
-    does, so a later lookup scans only the entries appended since.  It
-    stays valid while basis only grows at the end with fixed leading terms.
-
-    trace is None or a flat list that receives, per step subtracting
-    c * x^q * basis[i], the three items p - c, q (packed) and base + i, so
-    the normal form is terms plus the sum of those multiples.  terms may
-    repeat a monomial, as two shifted tails do, and a term past its
-    exponent field raises _Repack.
-    The guard bits are tested when a monomial first enters the dict: one
-    past its field carries a guard bit, so it equals no key stored there.
+    terms, and may only be appended to.  Per id the table holds the packed
+    monomial (mono), the heap entry (ent), the pending coefficient, an
+    unreduced sum reduced once when the id is popped, or None when it is
+    not queued (pend), the first-divisor memo, -1 until set (first), and
+    the multiple popping it subtracts, built on its first such pop (mult).
+    The guard bits are tested when a monomial gets its id: one past its
+    field carries a guard bit, so it equals no monomial numbered before.
+    A reduction cut short by an exception leaves pending coefficients
+    behind, so the table is dropped with it.
     """
-    gmask = enc.gmask
-    coeff: dict = {}
-    get = coeff.get
-    heap: list = []
-    for k, m, c in terms:
-        prev = get(m)
-        if prev is None:
-            if m & gmask:
-                raise _Repack
-            coeff[m] = c
-            heap.append((-k, m))
-        else:
-            coeff[m] = prev + c
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    n = len(basis)
-    out = []
-    while heap:
-        negk, m = pop(heap)
-        c = coeff.pop(m) % p
-        if not c:
-            continue
-        i = memo.get(m, -1)  # -1 == ~0: no entry checked yet
-        if i < 0 and ~i < n:
-            for i in range(~i, n):
-                if ((m | gmask) - basis[i][1]) & gmask == gmask:
-                    break
-            else:
-                i = ~n
-            memo[m] = i
-        if i < 0:
-            out.append((-negk, m, c))
-            continue
-        ltk, ltm, tail = basis[i]
-        q = m - ltm
-        negq = negk + ltk
-        c = p - c
-        if trace is not None:
-            trace += (c, q, base + i)
-        for tk, tm, tc in tail:
-            mm = q + tm
-            prev = get(mm)
-            if prev is None:
-                if mm & gmask:
+
+    __slots__ = ("enc", "p", "ids", "mono", "ent", "pend", "first", "mult")
+
+    def __init__(self, enc: _Enc, p: int):
+        self.enc, self.p = enc, p
+        self.ids = {}
+        self.mono, self.ent, self.pend, self.first, self.mult = \
+            [], [], [], [], []
+
+    def _numbered(self, terms) -> list:
+        """(id, coeff) of each (key, packed, coeff), numbering the
+        monomials the table lacks."""
+        ids, gmask = self.ids, self.enc.gmask
+        out = []
+        for k, m, c in terms:
+            j = ids.get(m)
+            if j is None:
+                if m & gmask:
                     raise _Repack
-                coeff[mm] = c * tc
-                push(heap, (negq - tk, mm))
+                j = ids[m] = len(self.mono)
+                self.mono.append(m)
+                self.ent.append((-k << _ID_BITS) | j)
+                self.pend.append(None)
+                self.first.append(-1)  # -1 == ~0: no entry checked yet
+                self.mult.append(None)
+            out.append((j, c))
+        return out
+
+    def reduce(self, terms, basis, trace=None, base: int = 0) -> list:
+        """Normal form of a list of (key, packed, coeff), which may repeat
+        a monomial as two shifted tails do, as a list of (key, packed,
+        coeff) descending by key.
+
+        trace is None or a flat list that receives, per step subtracting
+        c * x^q * basis[i], the three items p - c, q (packed) and base + i,
+        so the normal form is terms plus the sum of those multiples.
+        """
+        p, gmask = self.p, self.enc.gmask
+        mono, ent, pend, first, mult = (self.mono, self.ent, self.pend,
+                                        self.first, self.mult)
+        heap: list = []
+        for j, c in self._numbered(terms):
+            prev = pend[j]
+            if prev is None:
+                heap.append(ent[j])
+                pend[j] = c
             else:
-                coeff[mm] = prev + c * tc
-    return out
+                pend[j] = prev + c
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        n = len(basis)
+        out = []
+        while heap:
+            e = pop(heap)
+            j = e & _ID_MASK
+            c = pend[j] % p
+            pend[j] = None
+            if not c:
+                continue
+            i = first[j]
+            if i < 0 and ~i < n:
+                m = mono[j]
+                for i in range(~i, n):
+                    if ((m | gmask) - basis[i][1]) & gmask == gmask:
+                        break
+                else:
+                    i = ~n
+                first[j] = i
+            if i < 0:
+                out.append((-(e >> _ID_BITS), mono[j], c))
+                continue
+            ltk, ltm, tail = basis[i]
+            ms = mult[j]
+            if ms is None:
+                # x^q * tail, q = m - lt; a key is the sum of its factors'
+                q, qk = mono[j] - ltm, -(e >> _ID_BITS) - ltk
+                ms = mult[j] = self._numbered([(qk + tk, q + tm, tc)
+                                               for tk, tm, tc in tail])
+            c = p - c
+            if trace is not None:
+                trace += (c, mono[j] - ltm, base + i)
+            for jj, tc in ms:
+                prev = pend[jj]
+                if prev is None:
+                    push(heap, ent[jj])
+                    pend[jj] = c * tc
+                else:
+                    pend[jj] = prev + c * tc
+        return out
 
 
 def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
@@ -304,7 +349,7 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     sugars: list = []
     pairs: dict = {}   # (i, j) -> (sugar, lcmkey, lcmpacked)
     heap: list = []
-    memo: dict = {}    # first-divisor memo of lts, which only grows
+    red = _Reducer(enc, p)  # over lts, which only grows
     entries: list = []
     trace_terms: list = []
     n = len(inputs)
@@ -382,7 +427,7 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
         s += [(Lk - jk + tk, L - jm + tm, -tc) for tk, tm, tc in jtail]
         at = len(trace_terms)
         trace_terms += (1, L - im, n + i, p - 1, L - jm, n + j)
-        h = _nf_terms(s, lts, enc, p, memo, trace_terms, n)
+        h = red.reduce(s, lts, trace_terms, n)
         # scaled like the monic element h becomes
         inv = pow(h[0][2], p - 2, p) if h else 0
         entries += (inv, (len(trace_terms) - at) // 3)
@@ -399,9 +444,9 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     # term met lies below the element's own leading term, which therefore
     # divides none of them, so this is reduction against the others.
     view = [lts[t] for t in keep]
-    memo = {}
+    red = _Reducer(enc, p)
     for idx, (ltk, ltm, tail) in enumerate(view):
-        view[idx] = (ltk, ltm, _nf_terms(tail, view, enc, p, memo, None))
+        view[idx] = (ltk, ltm, red.reduce(tail, view))
     return ([[(ltk, ltm, 1)] + tail for ltk, ltm, tail in view],
             (entries, trace_terms))
 
@@ -413,7 +458,7 @@ class GroebnerBasis:
     (_buchberger); repacks leave it.
     """
 
-    __slots__ = ("ring", "polys", "_enc", "_engine", "_memo", "_walked",
+    __slots__ = ("ring", "polys", "_enc", "_engine", "_reducer", "_walked",
                  "_trace")
 
     def __init__(self, ring: PolyRing, polys: tuple, enc: _Enc, engine: list,
@@ -422,7 +467,7 @@ class GroebnerBasis:
         self.polys = polys
         self._enc = enc
         self._engine = engine
-        self._memo: dict = {}  # first-divisor memo of _engine under _enc
+        self._reducer = _Reducer(enc, ring.p)  # over _engine under _enc
         self._walked = None    # _walk's answer under _enc
         self._trace = (enc, *trace)
 
@@ -454,8 +499,9 @@ class GroebnerBasis:
         self._enc = enc
         self._engine = [(t[0][0], t[0][1], t[1:])
                         for t in (enc.encode_poly(g) for g in self.polys)]
-        # memo keys and walked monomials are packed under the old width
-        self._memo = {}
+        # the reducer's table and walked monomials are packed under the
+        # old width
+        self._reducer = _Reducer(enc, self.ring.p)
         self._walked = None
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -467,11 +513,14 @@ class GroebnerBasis:
             enc = self._enc
             try:
                 terms = enc.encode_poly(f)
-                red = _nf_terms(terms, self._engine, enc, self.ring.p,
-                                self._memo, None)
+                red = self._reducer.reduce(terms, self._engine)
                 return enc.decode_poly(red, self.ring)
             except _Repack:
                 self._widen()
+            except BaseException:
+                # the table holds the pending coefficients of the reduction
+                self._reducer = _Reducer(enc, self.ring.p)
+                raise
 
     def reduces_to_zero(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()

@@ -88,17 +88,32 @@ def mat_mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rref(A, p: int):
+def rref(A, p: int, pivots_only: bool = False):
     """Reduced row echelon form.
 
     Returns (R, pivots) where R is fully reduced with monic pivots and
-    pivots lists the pivot column of each nonzero row, in order.  Up to
-    _SMALL_CELLS cells the elimination runs on rows of Python ints
-    (_rref_rows); above it, on columns of the array.
+    pivots lists the pivot column of each nonzero row, in order; with
+    pivots_only, the pivots alone, and the row route builds no array.  Up
+    to _SMALL_CELLS cells the elimination runs on rows of Python ints
+    (_rref_rows); above it, on columns of the array (_rref_columns).  Both
+    end at the first pivotless column below which every row is zero,
+    where R and pivots are final: at once for the zero matrix.
     """
     A = as_mod_array(A, p)  # np.mod returns a fresh array
-    if A.size <= _SMALL_CELLS:
-        return _rref_rows(A, p)
+    if A.size > _SMALL_CELLS:
+        R, pivots = _rref_columns(A, p)
+    else:
+        rows, pivots = _rref_rows(A, p)
+        if not pivots_only:
+            R = np.array(rows, dtype=np.int64).reshape(A.shape)
+    return pivots if pivots_only else (R, pivots)
+
+
+def _rref_columns(A: np.ndarray, p: int):
+    """rref of a matrix of residues in place, one int64 rank-1 update per
+    pivot.  Rows below the last pivot are zero left of the column in hand
+    and change only at a pivot, so they are tested once, at the column
+    after it (or the first column) when that holds no pivot."""
     m, n = A.shape
     pivots = []
     r = 0
@@ -107,6 +122,9 @@ def rref(A, p: int):
             break
         nz = np.nonzero(A[r:, c])[0]
         if nz.size == 0:
+            if c == (pivots[-1] + 1 if pivots else 0) and \
+                    not A[r:, c + 1:].any():
+                break
             continue
         i = r + int(nz[0])
         if i != r:
@@ -126,10 +144,11 @@ def rref(A, p: int):
 
 
 def _rref_rows(A: np.ndarray, p: int):
-    """rref of a small matrix of residues, Gauss-Jordan on its rows as
-    lists of Python ints: the same steps as the column loop, so the same
-    (R, pivots).  A row is zero left of its pivot column, so subtracting
-    it leaves the columns left of that untouched."""
+    """rref of a small matrix of residues as (rows, pivots), rows lists of
+    Python ints: Gauss-Jordan on its rows, the same steps and early end as
+    the column loop, so the same (R, pivots).  A row is zero left of its
+    pivot column, so subtracting it leaves the columns left of that
+    untouched."""
     m, n = A.shape
     rows = A.tolist()
     pivots = []
@@ -139,6 +158,9 @@ def _rref_rows(A: np.ndarray, p: int):
             break
         i = next((i for i in range(r, m) if rows[i][c]), None)
         if i is None:
+            if c == (pivots[-1] + 1 if pivots else 0) and \
+                    not any(map(any, rows[r:])):
+                break
             continue
         rows[r], rows[i] = rows[i], rows[r]
         inv = pow(rows[r][c], -1, p)
@@ -148,14 +170,14 @@ def _rref_rows(A: np.ndarray, p: int):
             if f and j != r:
                 rows[j] = [(x - f * y) % p for x, y in zip(row, top)]
         pivots.append(c)
-    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
+    return rows, pivots
 
 
 def rank(A, p: int) -> int:
     A = np.asarray(A, dtype=np.int64)
     if A.size == 0:
         return 0
-    return len(rref(A, p)[1])
+    return len(rref(A, p, pivots_only=True))
 
 
 def nullspace(A, p: int) -> np.ndarray:

@@ -19,6 +19,7 @@ in it.  Variables must be declared by the ring statement.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .algebra import FieldSpec, GREVLEX, LEX, PolyRing, Polynomial, block_order
@@ -33,59 +34,59 @@ class ParseError(ValueError):
         self.col = col
 
 
-_PUNCT = set("+-*^(),;=[]")
-
-
-@dataclass
+@dataclass(slots=True)
 class _Token:
-    kind: str  # 'int' | 'name' | one of _PUNCT | 'end'
+    kind: str  # 'int' | 'name' | one of +-*^(),;=[] | 'end'
     text: str
     line: int
     col: int
 
 
+# per line, blanks then one token or comment: a punctuation mark, a word
+# run (\w is str.isalnum or '_'), a comment, or any other character, which
+# is an error
+_SCAN = re.compile(r"([ \t\r]*)(?:([-+*^(),;=\[\]])|(\w+)|(#.*)|([^ \t\r]))")
+
+
 def _tokenize(src: str) -> list:
+    """Tokens with 1-based line and column, each character one column.
+
+    A word run splits as a character scan would: a leading run of
+    str.isdigit characters is an int, the rest a name if it starts with a
+    letter or '_', and anything else there is an unexpected character.
+    A comment takes no columns, so the end token of a session that ends
+    in one sits where the comment starts.
+    """
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Token("name", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("end", "", line, col))
+    append = toks.append
+    for line, text in enumerate(src.split("\n"), 1):
+        col = 1
+        end = len(text) + 1
+        # the matches tile the line up to its trailing blanks
+        for blanks, punct, word, comment, other in _SCAN.findall(text):
+            col += len(blanks)
+            if punct:
+                append(_Token(punct, punct, line, col))
+                col += 1
+            elif word:
+                # a leading run of digits is an int, the rest a name
+                k = len(word) if word.isdigit() else 0
+                while k < len(word) and word[k].isdigit():
+                    k += 1
+                if k:
+                    append(_Token("int", word[:k], line, col))
+                if k < len(word):
+                    if not (word[k].isalpha() or word[k] == "_"):
+                        raise ParseError(
+                            f"unexpected character {word[k]!r}", line, col + k)
+                    append(_Token("name", word[k:], line, col + k))
+                col += len(word)
+            elif comment:
+                end = col
+            else:
+                raise ParseError(f"unexpected character {other!r}", line,
+                                 col)
+    append(_Token("end", "", line, end))
     return toks
 
 

@@ -54,6 +54,47 @@ BENCHMARK_SESSIONS = [
 ]
 
 
+def scanned_tokens(src):
+    """The tokenizer that scanned one character at a time, kept as the
+    oracle of parser._tokenize: (kind, text, line, col) of each token, or
+    the ParseError's (message, line, col)."""
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+        elif ch in " \t\r":
+            i, col = i + 1, col + 1
+        elif ch == "#":
+            while i < n and src[i] != "\n":
+                i += 1
+        elif ch.isdigit() or ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (src[j].isdigit() if ch.isdigit()
+                             else src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(("int" if ch.isdigit() else "name", src[i:j], line,
+                         col))
+            col, i = col + j - i, j
+        elif ch in "+-*^(),;=[]":
+            toks.append((ch, ch, line, col))
+            i, col = i + 1, col + 1
+        else:
+            return ("error", f"line {line}, col {col}: unexpected character "
+                    f"{ch!r}", line, col)
+    return toks + [("end", "", line, col)]
+
+
+def regex_tokens(src):
+    """parser._tokenize in scanned_tokens' shape."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in _tokenize(src)]
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+
+
 def parse_outcome(parser):
     """Generators by ideal name and the loose polynomials, as term tuples,
     or the position of the ParseError."""
@@ -394,6 +435,30 @@ class TestParser:
         for k in range(len(text) + 1):
             assert parse_outcome(_Parser(_tokenize(text[:k]))) == \
                 parse_outcome(SequentialParser(_tokenize(text[:k])))
+
+    @pytest.mark.parametrize("idx", range(len(BENCHMARK_SESSIONS)))
+    def test_tokens_match_the_character_scan(self, idx):
+        # the session, each prefix of it, and the session behind a comment
+        # that runs to the end of input
+        text = BENCHMARK_SESSIONS[idx]
+        for src in (*(text[:k] for k in range(len(text) + 1)),
+                    text + "# trailing", text.rstrip("\n") + "  # x\n#"):
+            assert regex_tokens(src) == scanned_tokens(src)
+
+    def test_tokens_match_the_character_scan_on_odd_input(self):
+        # digits that are not decimal (superscripts), numerals that are not
+        # digits, letters outside ASCII, underscores, carriage returns,
+        # tabs, comments and characters no token starts with
+        alphabet = ("x1_9 \t\r\n#;,=()[]+-*^" "\u00b2\u00bd\u03b1\u0661"
+                    "\u2460\u216b\u4e94\u00e9.\f$")
+        rng = random.Random(17)
+        for _ in range(3000):
+            src = "".join(rng.choice(alphabet)
+                          for _ in range(rng.randrange(12)))
+            assert regex_tokens(src) == scanned_tokens(src), repr(src)
+        for src in ("x\u00b2", "2x3_y", "\u00bdx", "3\u00bd", "\u03b1\u0661",
+                    "ab # c", "a\r\n b", "\u00e9t\u00e9 = 2", ""):
+            assert regex_tokens(src) == scanned_tokens(src), repr(src)
 
     def test_session_block_order(self):
         from qfiber.parser import parse_session

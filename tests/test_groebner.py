@@ -160,13 +160,68 @@ class TestBasis:
         check(16)  # beyond the field width: forces a repack
         assert gb._enc.B > 5
         # every memo entry names the first divisor under the new packing
-        # (a stale one sends x^201 below into an unbounded reduction)
-        enc, engine = gb._enc, gb._engine
-        for m, i in gb._memo.items():
-            assert i == next((j for j, (_, ltm, _) in enumerate(engine)
-                              if enc.divides(ltm, m)), ~len(engine))
+        # (a stale one sends x^201 below into an unbounded reduction), and
+        # every built multiple is x^q times that divisor's tail
+        assert_table_names_first_divisors(gb)
         for k in (201, 202, *range(1, 16)):
             check(k)
+        assert_table_names_first_divisors(gb)
+
+    def test_interrupted_normal_form_leaves_no_pending_term(self,
+                                                            monkeypatch):
+        # raise from inside a reduction after its k-th heap push, while
+        # coefficients are pending; the normal forms after it, on the same
+        # basis and its table, must still be exact
+        R = ring()
+        gb = ideal(R, TestNormalFormOracle.GENS[0]).groebner()
+        rng = random.Random(3)
+        polys = [sparse_poly(R, rng, rng.randrange(2, 8), 6)
+                 for _ in range(12)]
+        push = heapq.heappush
+
+        class Interrupt(Exception):
+            pass
+
+        for k in (1, 2, 5, 20):
+            calls = []
+
+            def failing_push(heap, item):
+                calls.append(item)
+                if len(calls) == k:
+                    raise Interrupt
+                push(heap, item)
+
+            with monkeypatch.context() as m:
+                m.setattr(heapq, "heappush", failing_push)
+                with pytest.raises(Interrupt):
+                    for f in polys:
+                        gb.normal_form(f)
+            assert len(calls) == k
+            for f in polys:
+                assert gb.normal_form(f) == oracle_normal_form(f, gb.polys)
+
+
+def assert_table_names_first_divisors(gb):
+    """Each first-divisor memo entry of gb's reducer names the first
+    engine element whose leading term divides the monomial (~len when none
+    does), each monomial with a divisor has its multiple, x^q times that
+    element's tail, and no coefficient is pending."""
+    enc, engine, red = gb._enc, gb._engine, gb._reducer
+    assert set(red.pend) <= {None}
+    for m, j in red.ids.items():
+        assert red.mono[j] == m
+        i = red.first[j]
+        if i == -1:  # never popped with a nonzero coefficient
+            assert red.mult[j] is None
+            continue
+        assert i == next((t for t, (_, ltm, _) in enumerate(engine)
+                          if enc.divides(ltm, m)), ~len(engine))
+        if i < 0:
+            assert red.mult[j] is None
+            continue
+        q = m - engine[i][1]
+        assert [(red.mono[jj], c) for jj, c in red.mult[j]] == \
+            [(q + tm, c) for _, tm, c in engine[i][2]]
 
 
 def mono_div(a, b):
@@ -241,13 +296,15 @@ class TestNormalFormOracle:
             assert oracle_normal_form(tail, want) == tail
 
 
-# --- the reducer that reduced every coefficient on each update, kept as the
-# oracle of _nf_terms
+# --- the reducer on a dict of packed monomials, which reduced every
+# coefficient on each update, kept as the oracle of groebner._Reducer
 
 
 def oracle_nf_terms(terms, basis, enc, p, memo, trace, base=0):
-    """_nf_terms with each coefficient reduced mod p whenever it changes
-    and the guard bits tested on every term."""
+    """_Reducer.reduce on a coefficient dict keyed by packed monomials,
+    with a dict first-divisor memo, each coefficient reduced mod p whenever
+    it changes, the guard bits tested on every term, and no multiple
+    kept."""
     gmask = enc.gmask
     coeff: dict = {}
     heap: list = []
@@ -297,6 +354,26 @@ def oracle_nf_terms(terms, basis, enc, p, memo, trace, base=0):
     return out
 
 
+class OracleReducer:
+    """_Reducer's interface over oracle_nf_terms, one memo per table."""
+
+    def __init__(self, enc, p):
+        self.enc, self.p, self.memo = enc, p, {}
+
+    def reduce(self, terms, basis, trace=None, base=0):
+        return oracle_nf_terms(terms, basis, self.enc, self.p, self.memo,
+                               trace, base)
+
+
+def memo_items(red) -> list:
+    """The first-divisor memo of a _Reducer or an OracleReducer as sorted
+    (packed monomial, index) pairs."""
+    if isinstance(red, OracleReducer):
+        return sorted(red.memo.items())
+    return sorted((m, red.first[j]) for m, j in red.ids.items()
+                  if red.first[j] != -1)
+
+
 def run_bytes(R, gens):
     """The reduced basis and the trace of a fresh run, pickled."""
     gb = groebner(R, gens)
@@ -323,7 +400,7 @@ def assert_runs_as_oracle(monkeypatch, R, gens):
     assert repeated_terms(gb) == []
     got = pickle.dumps((gb.polys, gb._trace))
     with monkeypatch.context() as m:
-        m.setattr(groebner_module, "_nf_terms", oracle_nf_terms)
+        m.setattr(groebner_module, "_Reducer", OracleReducer)
         assert run_bytes(R, gens) == got
 
 
@@ -373,11 +450,11 @@ class TestReducerOracle:
             assert gb._enc.B == 5
             nf = gb.normal_form(f)
             assert gb._enc.B > 5
-            return pickle.dumps((nf, gb._engine, gb._memo))
+            return pickle.dumps((nf, gb._engine, memo_items(gb._reducer)))
 
         got = reduced()
         with monkeypatch.context() as m:
-            m.setattr(groebner_module, "_nf_terms", oracle_nf_terms)
+            m.setattr(groebner_module, "_Reducer", OracleReducer)
             assert reduced() == got
 
 

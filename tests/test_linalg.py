@@ -122,6 +122,37 @@ class TestRref:
             if kind == 3 or not (m and n):
                 assert piv == [] and not R.any()
 
+    @pytest.mark.parametrize("p", [3, 32003, 2147483629])
+    @pytest.mark.parametrize("m,n", [(3, 40), (20, 50), (42, 490), (84, 245),
+                                     (7, 91), (30, 30), (600, 2)])
+    def test_early_ends_match_full_row_update(self, p, m, n):
+        # the loop ends at the first pivotless column below which every
+        # row is zero: the zero matrix, rank exhausted before the last
+        # column (a low-rank product, then pivots in the last columns
+        # only), and wide matrices on both routes
+        rng = random.Random(m * n + p)
+        low = mat_mul(rand_matrix(rng, m, 2, p), rand_matrix(rng, 2, n, p), p)
+        late = np.zeros((m, n), dtype=np.int64)
+        late[:, -2:] = rand_matrix(rng, m, 2, p)
+        late[0, -1] = 1  # at least one pivot, in the last column or before
+        # one nonzero entry, in the top row and the last column: every row
+        # below the top one is zero from the first column on
+        top = np.zeros((m, n), dtype=np.int64)
+        top[0, -1] = 1
+        # the pivot columns each case allows
+        cases = [(np.zeros((m, n), dtype=np.int64), set()),
+                 (low, set(range(n))), (late, {n - 2, n - 1}),
+                 (rand_matrix(rng, m, n, p), set(range(n))), (top, {n - 1})]
+        for k, (A, allowed) in enumerate(cases):
+            R, piv = rref(A, p)
+            R0, piv0 = full_update_rref(A, p)
+            assert piv == piv0 and set(piv) <= allowed
+            assert (len(piv) == 0) == (k == 0)
+            if k == 1:
+                assert len(piv) <= 2
+            assert R.dtype == R0.dtype and (R == R0).all()
+            assert rank(A, p) == len(piv)
+
     def test_rank_random_products(self):
         rng = random.Random(5)
         # rank of an outer product of full-rank factors is the inner dim

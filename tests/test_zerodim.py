@@ -10,7 +10,7 @@ import pytest
 
 from qfiber.algebra import (LEX, FieldSpec, PolyRing, block_order,
                             mono_divides)
-from qfiber.groebner import Ideal, _nf_terms, _Repack
+from qfiber.groebner import Ideal, _Repack
 from qfiber.linalg import mat_mul, rank, rref
 from qfiber.parser import parse_ideal, parse_session
 from qfiber import univar as uv
@@ -182,7 +182,6 @@ def border_columns(gb, std):
     out[v][j] lists (i, c) for the normal form sum c * std[i] of x_v *
     std[j], each border monomial reduced packed, from scratch.  A field
     overflow widens the codec as normal_form does."""
-    p = gb.ring.p
     while True:
         enc = gb._enc
         try:
@@ -198,8 +197,8 @@ def border_columns(gb, std):
                     if hit is not None:
                         cols.append([(hit, 1)])
                         continue
-                    red = _nf_terms([(k + uk, m + u, 1)], gb._engine, enc, p,
-                                    gb._memo, None)
+                    red = gb._reducer.reduce([(k + uk, m + u, 1)],
+                                             gb._engine)
                     cols.append([(index[r], c) for _, r, c in red])
                 out.append(cols)
             return out
