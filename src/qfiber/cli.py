@@ -408,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reproduce the quadric-graph invariant table")
     t.add_argument("--n-min", type=int, default=2, dest="n_min")
     t.add_argument("--n-max", type=int, default=6, dest="n_max",
-                   help="last row (at most 8; n = 7 takes about 0.5 s and "
-                        "n = 8 about 2 s)")
+                   help="last row (at most 8; n = 7 takes about 0.2 s and "
+                        "n = 8 about 0.6 s)")
     t.set_defaults(func=cmd_table)
 
     # closed forms use no field, no seed and no Groebner basis: --output

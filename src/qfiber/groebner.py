@@ -12,8 +12,8 @@ selection.  An S-pair's normal form starts from the two shifted tails,
 since the monic leading terms cancel.  Reduced bases are unique, monic,
 and sorted by leading term, so ideal equality is tuple equality.
 
-Normal forms run on small int monomial ids (_Reducer).  The pair loop,
-the interreduction and each GroebnerBasis keep one table each, which
+Normal forms run on small int monomial ids (_Reducer).  The pair loop and
+the interreduction keep one table each, as does each normal form, which
 numbers the monomials met and holds per id its pending coefficient, its
 first-divisor memo and the multiple x^q * tail(g_i) that popping it
 subtracts, built once, since reducer multiples recur across S-pairs as in
@@ -25,10 +25,10 @@ scans only the entries appended since.  A multiple keyed by the popped
 monomial stays right because its first divisor never changes while the
 basis only grows at the end with fixed elements: in the pair loop this
 always holds; in the interreduction every reducer of an element's tail
-precedes it in the minimal basis, so its tail is already final; a
-GroebnerBasis reduces against its final basis, and a repack replaces its
-table.  The reducer and the steps are those a linear scan and a dict of
-pending terms would take, so bases and traces do not depend on the table.
+precedes it in the minimal basis, so its tail is already final; a normal
+form reduces against a final basis.  The reducer and the steps are those
+a linear scan and a dict of pending terms would take, so bases and
+traces do not depend on the table.
 
 Every run keeps its trace, the multiples c * x^q of inputs and earlier
 elements that each input and S-pair summed (Traverso's Groebner trace,
@@ -112,7 +112,8 @@ class _Repack(Exception):
 class _Enc:
     """Packed-monomial codec for a fixed ring and field width."""
 
-    __slots__ = ("n", "B", "order", "pmax", "gmask", "fullmask", "_shifts", "_degslot", "_tailbits")
+    __slots__ = ("n", "B", "order", "pmax", "gmask", "fullmask", "_shifts",
+                 "_tailbits")
 
     def __init__(self, nvars: int, order: MonomialOrder, bits: int):
         self.n = nvars
@@ -125,8 +126,6 @@ class _Enc:
         self.fullmask = (1 << (nvars * bits)) - 1
         # variable i sits at shift (n-1-i)*B: leading variables most significant
         self._shifts = tuple((nvars - 1 - i) * bits for i in range(nvars))
-        # within a grevlex key, the degree slot sits above n*B reversed-packed bits
-        self._degslot = nvars * bits
         if order.kind == "block":
             k = order.split
             self._tailbits = (nvars - k) * bits + bits + nvars.bit_length() + 1
@@ -218,7 +217,7 @@ _ID_MASK = (1 << _ID_BITS) - 1
 
 class _Reducer:
     """Full normal forms against monic engine polynomials, on monomial ids,
-    with one table for a run (module docstring).
+    with one table for a run or a normal form (module docstring).
 
     basis entries are (ltkey, ltpacked, tail) with tail the non-leading
     terms, and may only be appended to.  Per id the table holds the packed
@@ -228,8 +227,6 @@ class _Reducer:
     the multiple popping it subtracts, built on its first such pop (mult).
     The guard bits are tested when a monomial gets its id: one past its
     field carries a guard bit, so it equals no monomial numbered before.
-    A reduction cut short by an exception leaves pending coefficients
-    behind, so the table is dropped with it.
     """
 
     __slots__ = ("enc", "p", "ids", "mono", "ent", "pend", "first", "mult")
@@ -454,12 +451,13 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
 class GroebnerBasis:
     """Reduced Groebner basis: monic, interreduced, sorted by leading term.
 
-    _trace is (codec, entries, terms) of the run that built it
-    (_buchberger); repacks leave it.
+    _engine is the basis under the codec _enc and _trace is (entries,
+    terms) of the run that built it (_buchberger), its shifts packed by
+    _enc.  The basis is frozen when its run ends: after __init__ only the
+    _walk memo is written.
     """
 
-    __slots__ = ("ring", "polys", "_enc", "_engine", "_reducer", "_walked",
-                 "_trace")
+    __slots__ = ("ring", "polys", "_enc", "_engine", "_walked", "_trace")
 
     def __init__(self, ring: PolyRing, polys: tuple, enc: _Enc, engine: list,
                  trace: tuple):
@@ -467,9 +465,8 @@ class GroebnerBasis:
         self.polys = polys
         self._enc = enc
         self._engine = engine
-        self._reducer = _Reducer(enc, ring.p)  # over _engine under _enc
-        self._walked = None    # _walk's answer under _enc
-        self._trace = (enc, *trace)
+        self._walked = None    # _walk's answer
+        self._trace = trace
 
     def __iter__(self):
         return iter(self.polys)
@@ -477,50 +474,31 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.polys)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroebnerBasis)
-            and self.ring == other.ring
-            and self.polys == other.polys
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.polys))
-
     def leading_monomials(self):
         return tuple(g.leading_monomial() for g in self.polys)
 
     def is_trivial(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].degree() == 0
 
-    def _widen(self):
-        """Re-encode the basis with fields twice as wide, after a _Repack."""
-        enc = _Enc(self.ring.nvars, self.ring.order, self._enc.B * 2)
-        self._enc = enc
-        self._engine = [(t[0][0], t[0][1], t[1:])
-                        for t in (enc.encode_poly(g) for g in self.polys)]
-        # the reducer's table and walked monomials are packed under the
-        # old width
-        self._reducer = _Reducer(enc, self.ring.p)
-        self._walked = None
-
     def normal_form(self, f: Polynomial) -> Polynomial:
+        """f reduced by the basis on a table of its own.  When f or a
+        reduction overflows the exponent fields of the codec, it reduces
+        again under one twice as wide, with the basis encoded for this call
+        only, as _run widens a run."""
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         if not f.terms or not self.polys:
             return f
+        enc, engine = self._enc, self._engine
         while True:
-            enc = self._enc
             try:
                 terms = enc.encode_poly(f)
-                red = self._reducer.reduce(terms, self._engine)
+                red = _Reducer(enc, self.ring.p).reduce(terms, engine)
                 return enc.decode_poly(red, self.ring)
             except _Repack:
-                self._widen()
-            except BaseException:
-                # the table holds the pending coefficients of the reduction
-                self._reducer = _Reducer(enc, self.ring.p)
-                raise
+                enc = _Enc(self.ring.nvars, self.ring.order, enc.B * 2)
+                engine = [(t[0][0], t[0][1], t[1:])
+                          for t in map(enc.encode_poly, self.polys)]
 
     def reduces_to_zero(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -534,8 +512,8 @@ class GroebnerBasis:
         term dividing m * x_v but not the standard m holds x_v, so only
         those are tried.  Every exponent stays below that of the pure power
         of its variable among the leading terms, so nothing overflows its
-        field, and neither does a border monomial x_v * m.  Memoised until
-        a repack re-encodes the monomials.
+        field, and neither does a border monomial x_v * m.  Memoised on the
+        basis.
         """
         if self._walked is not None:
             return self._walked
@@ -620,7 +598,7 @@ class GroebnerBasis:
         vectors with entries in the ideal, generate the syzygies of the
         generators.
         """
-        enc, entries, terms = self._trace
+        enc, (entries, terms) = self._enc, self._trace
         ids: dict = {}
         terms = terms.copy()
         terms[1::3] = [ids.setdefault(q, len(ids)) for q in terms[1::3]]
@@ -793,9 +771,6 @@ class Ideal:
                 if not any(any(m[:k]) for m, _ in h.terms)]
 
     # -- dimension and leading-term combinatorics
-
-    def leading_monomials(self):
-        return self.groebner().leading_monomials()
 
     def krull_dim(self) -> int:
         """Krull dimension of the quotient ring (affine).

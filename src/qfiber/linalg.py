@@ -88,12 +88,11 @@ def mat_mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rref(A, p: int, pivots_only: bool = False):
+def rref(A, p: int):
     """Reduced row echelon form.
 
     Returns (R, pivots) where R is fully reduced with monic pivots and
-    pivots lists the pivot column of each nonzero row, in order; with
-    pivots_only, the pivots alone, and the row route builds no array.  Up
+    pivots lists the pivot column of each nonzero row, in order.  Up
     to _SMALL_CELLS cells the elimination runs on rows of Python ints
     (_rref_rows); above it, on columns of the array (_rref_columns).  Both
     end at the first pivotless column below which every row is zero,
@@ -104,9 +103,8 @@ def rref(A, p: int, pivots_only: bool = False):
         R, pivots = _rref_columns(A, p)
     else:
         rows, pivots = _rref_rows(A, p)
-        if not pivots_only:
-            R = np.array(rows, dtype=np.int64).reshape(A.shape)
-    return pivots if pivots_only else (R, pivots)
+        R = np.array(rows, dtype=np.int64).reshape(A.shape)
+    return R, pivots
 
 
 def _rref_columns(A: np.ndarray, p: int):
@@ -177,7 +175,7 @@ def rank(A, p: int) -> int:
     A = np.asarray(A, dtype=np.int64)
     if A.size == 0:
         return 0
-    return len(rref(A, p, pivots_only=True))
+    return len(rref(A, p)[1])
 
 
 def nullspace(A, p: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from qfiber.groebner import (
     HilbertData,
     Ideal,
     ResourceAbort,
+    _Enc,
     _Repack,
     _linear_witnesses,
     _max_independent,
@@ -118,14 +119,20 @@ class TestBasis:
         lts = set(I.groebner().leading_monomials())
         assert lts == {(1, 1), (21, 0), (0, 21)}
 
-    def test_repack_on_exponent_growth(self):
-        # generators have tiny exponents, but z = x^4 = y^16 = z^64 forces
-        # the basis through monomials far beyond the initial field width
+    def test_repack_on_exponent_growth(self, monkeypatch):
+        # generators have tiny exponents, but z = x^4 = y^16 = z^64 puts
+        # z^64 - z in the ideal, far beyond the basis's field width: its
+        # normal form repacks under a wider codec for the call alone
         R = ring("x,y,z")
         I = ideal(R, "x - y^4, y - z^4, z - x^4")
+        gb = I.groebner()
+        before = frozen(gb)
         zz = parse_polynomial("z^64 - z", R)
+        widths = codec_widths(monkeypatch)
         assert I.contains(zz)
-        assert I.groebner()._enc.B > 5
+        assert I.normal_form(zz) == oracle_normal_form(zz, gb.polys)
+        assert widths == [10, 10] and gb._enc.B == 5
+        assert frozen(gb) == before
 
     def test_resource_abort(self):
         R = ring("x,y,z")
@@ -142,36 +149,26 @@ class TestBasis:
         f = parse_polynomial("x + y", R)
         assert gb.normal_form(f) == f
 
-    def test_memo_dropped_on_repack(self):
-        # x = y and y^2 = 1, so x^k reduces to y for odd k and to 1 for even
+    def test_normal_form_past_the_codec(self, monkeypatch):
+        # x = y and y^2 = 1, so x^k reduces to y for odd k and to 1 for
+        # even.  From x^16 on the exponent outgrows the basis codec: the
+        # normal form reduces under one twice as wide, made for that call,
+        # and leaves the basis as its run built it
         R = ring("x,y")
         gb = ideal(R, "x*y - 1, y^2 - 1").groebner()
         y, one = parse_polynomial("y", R), R.one()
-
-        def check(k):
-            want = y if k % 2 else one
-            assert gb.normal_form(R.monomial((k, 0))) == want
-            fresh = ideal(R, "x*y - 1, y^2 - 1").groebner()
-            assert fresh.normal_form(R.monomial((k, 0))) == want
-
-        for k in range(1, 16):  # fills the memo at the initial width
-            check(k)
-        assert gb._enc.B == 5
-        check(16)  # beyond the field width: forces a repack
-        assert gb._enc.B > 5
-        # every memo entry names the first divisor under the new packing
-        # (a stale one sends x^201 below into an unbounded reduction), and
-        # every built multiple is x^q times that divisor's tail
-        assert_table_names_first_divisors(gb)
-        for k in (201, 202, *range(1, 16)):
-            check(k)
-        assert_table_names_first_divisors(gb)
+        before = frozen(gb)
+        widths = codec_widths(monkeypatch)
+        for k in (*range(1, 17), 201, 202, 3):
+            assert gb.normal_form(R.monomial((k, 0))) == (y if k % 2 else one)
+        assert widths == [5] * 15 + [10] * 3 + [5]
+        assert frozen(gb) == before
 
     def test_interrupted_normal_form_leaves_no_pending_term(self,
                                                             monkeypatch):
         # raise from inside a reduction after its k-th heap push, while
         # coefficients are pending; the normal forms after it, on the same
-        # basis and its table, must still be exact
+        # basis, must still be exact
         R = ring()
         gb = ideal(R, TestNormalFormOracle.GENS[0]).groebner()
         rng = random.Random(3)
@@ -201,12 +198,11 @@ class TestBasis:
                 assert gb.normal_form(f) == oracle_normal_form(f, gb.polys)
 
 
-def assert_table_names_first_divisors(gb):
-    """Each first-divisor memo entry of gb's reducer names the first
+def assert_table_names_first_divisors(enc, engine, red):
+    """Each first-divisor memo entry of the reducer red names the first
     engine element whose leading term divides the monomial (~len when none
     does), each monomial with a divisor has its multiple, x^q times that
     element's tail, and no coefficient is pending."""
-    enc, engine, red = gb._enc, gb._engine, gb._reducer
     assert set(red.pend) <= {None}
     for m, j in red.ids.items():
         assert red.mono[j] == m
@@ -222,6 +218,29 @@ def assert_table_names_first_divisors(gb):
         q = m - engine[i][1]
         assert [(red.mono[jj], c) for jj, c in red.mult[j]] == \
             [(q + tm, c) for _, tm, c in engine[i][2]]
+
+
+def frozen(gb):
+    """What a normal form leaves of a zero-dimensional basis, pickled: its
+    codec width, engine, standard monomials, border plan and trace."""
+    return pickle.dumps((gb._enc.B, gb._engine, gb.standard_monomials(),
+                         gb.border_plan(), gb.replay_trace()))
+
+
+def codec_widths(monkeypatch):
+    """The list that receives the codec width of each _Reducer made from
+    here on."""
+    widths = []
+
+    class Recording(groebner_module._Reducer):
+        __slots__ = ()
+
+        def __init__(self, enc, p):
+            widths.append(enc.B)
+            super().__init__(enc, p)
+
+    monkeypatch.setattr(groebner_module, "_Reducer", Recording)
+    return widths
 
 
 def mono_div(a, b):
@@ -280,6 +299,22 @@ class TestNormalFormOracle:
         for _ in range(25):
             f = sparse_poly(R, rng, rng.randrange(1, 8), 6)
             assert gb.normal_form(f) == oracle_normal_form(f, gb.polys)
+
+    def test_normal_form_past_the_codec(self, order, monkeypatch):
+        # each polynomial outgrows the codec of the basis, so its normal
+        # form reduces under a wider one of its own
+        R = ring(order=order)
+        gb = ideal(R, "x*y - z^2, y*z - x^2, x*z - y^2, x^3 - y*z^2, "
+                      "z^4").groebner()
+        before = frozen(gb)
+        k = gb._enc.pmax + 1
+        fs = [R.monomial((0, 0, k)), R.monomial((k, 3, 1)),
+              parse_polynomial(f"x^{k}*y - 3*z^{2 * k} + y^{k + 5} - x", R)]
+        widths = codec_widths(monkeypatch)
+        for f in fs:
+            assert gb.normal_form(f) == oracle_normal_form(f, gb.polys)
+        assert len(widths) == len(fs) and min(widths) > gb._enc.B
+        assert frozen(gb) == before
 
     def test_reduced_basis_independent_of_generator_order(self, order):
         R = ring(order=order)
@@ -377,13 +412,13 @@ def memo_items(red) -> list:
 def run_bytes(R, gens):
     """The reduced basis and the trace of a fresh run, pickled."""
     gb = groebner(R, gens)
-    return pickle.dumps((gb.polys, gb._trace))
+    return pickle.dumps((gb.polys, gb._enc.B, gb._trace))
 
 
 def repeated_terms(gb) -> list:
     """(entry, packed shift, source) of each term of gb's trace that its
     entry holds more than once."""
-    _, entries, terms = gb._trace
+    entries, terms = gb._trace
     out, at = [], 0
     for e, k in enumerate(entries[1::2]):
         part = terms[3 * at:3 * (at + k)]
@@ -398,7 +433,7 @@ def assert_runs_as_oracle(monkeypatch, R, gens):
     byte, with no trace entry repeating a (shift, source) term."""
     gb = groebner(R, gens)
     assert repeated_terms(gb) == []
-    got = pickle.dumps((gb.polys, gb._trace))
+    got = pickle.dumps((gb.polys, gb._enc.B, gb._trace))
     with monkeypatch.context() as m:
         m.setattr(groebner_module, "_Reducer", OracleReducer)
         assert run_bytes(R, gens) == got
@@ -438,24 +473,28 @@ class TestReducerOracle:
         assert_runs_as_oracle(monkeypatch, R, gens)
 
     def test_normal_form_that_widens_its_codec(self, monkeypatch):
-        # the x^16 case of test_memo_dropped_on_repack
+        # the x^16 case of TestBasis.test_normal_form_past_the_codec, then
+        # one table over x^1..x^16, x^201 and x^202 under the doubled codec,
+        # as a run reduces many sums on one table: the same normal forms
+        # and memo as the oracle's, and a memo naming first divisors
         R = ring("x,y")
-        gens = parse_ideal("x*y - 1, y^2 - 1", R)
-        f = R.monomial((16, 0))
+        gb = groebner(R, parse_ideal("x*y - 1, y^2 - 1", R))
+        enc = _Enc(R.nvars, R.order, 2 * gb._enc.B)
+        engine = [(t[0][0], t[0][1], t[1:])
+                  for t in map(enc.encode_poly, gb.polys)]
+        fs = [R.monomial((k, 0)) for k in (*range(1, 17), 201, 202)]
 
         def reduced():
-            gb = groebner(R, gens)
-            for k in range(1, 16):
-                gb.normal_form(R.monomial((k, 0)))
-            assert gb._enc.B == 5
-            nf = gb.normal_form(f)
-            assert gb._enc.B > 5
-            return pickle.dumps((nf, gb._engine, memo_items(gb._reducer)))
+            red = groebner_module._Reducer(enc, R.p)
+            nfs = [red.reduce(enc.encode_poly(f), engine) for f in fs]
+            return red, pickle.dumps((gb.normal_form(fs[15]), nfs,
+                                      memo_items(red)))
 
-        got = reduced()
+        red, got = reduced()
+        assert_table_names_first_divisors(enc, engine, red)
         with monkeypatch.context() as m:
             m.setattr(groebner_module, "_Reducer", OracleReducer)
-            assert reduced() == got
+            assert reduced()[1] == got
 
 
 def random_ideal(rng, order, p=101):
@@ -480,7 +519,7 @@ class TestDistinctTraceTerms:
 
     def test_checker_finds_a_repeat(self):
         # entry 0 holds (shift 0, source 0) twice; entry 1 repeats nothing
-        run = SimpleNamespace(_trace=(None, [1, 3, 0, 2],
+        run = SimpleNamespace(_trace=([1, 3, 0, 2],
                                       [1, 0, 0, 2, 4, 1, 3, 0, 0,
                                        1, 0, 0, 1, 0, 1]))
         assert repeated_terms(run) == [(0, 0, 0)]
@@ -493,7 +532,7 @@ class TestDistinctTraceTerms:
             gb = groebner(*random_ideal(rng, order))
             assert repeated_terms(gb) == []
             # some S-pair took a reduction step beyond its two head terms
-            assert max(gb._trace[1][1::2]) > 2
+            assert max(gb._trace[0][1::2]) > 2
 
     # the lex run that widens its codec is TestReducerOracle's
     @pytest.mark.parametrize("text", ["x^3 - y*z^2, y^4 - z, z^5 - x*y",
@@ -514,7 +553,7 @@ Z_RUN_WORK = {2: (10, 2, 23), 3: (19, 6, 74), 4: (37, 17, 277),
 
 @pytest.mark.parametrize("n", sorted(Z_RUN_WORK))
 def test_z_run_work_is_pinned(n):
-    _, entries, terms = gen_quadric_graph(n, Seed(0)).Z.ideal.groebner()._trace
+    entries, terms = gen_quadric_graph(n, Seed(0)).Z.ideal.groebner()._trace
     assert (len(entries) // 2, entries[0::2].count(0),
             len(terms) // 3) == Z_RUN_WORK[n]
     assert sum(entries[1::2]) * 3 == len(terms)
@@ -624,14 +663,17 @@ class TestSyzygies:
                    and s[4] == -s[3] for s in found)
 
     def test_replay_after_the_codec_widens(self):
-        # normal_form repacks the basis wider; the trace keeps the shifts
-        # packed by the codec of its own run
+        # a normal form past the basis codec reduces under a wider codec of
+        # its own; the basis keeps its codec, and the trace the shifts
+        # packed by it
         R = ring("x,y,z")
         gens = parse_ideal("x*y - z^2, y*z - x^2, x*z - y^2, x^3 - y*z^2", R)
         gb = groebner(R, gens)
-        bits = gb._enc.B
-        gb.normal_form(R.monomial((0, 0, 200)))
-        assert gb._enc.B > bits
+        before = pickle.dumps((gb._enc.B, gb._engine, gb.replay_trace()))
+        f = R.monomial((0, 0, 200))
+        assert gb.normal_form(f) == oracle_normal_form(f, gb.polys)
+        assert pickle.dumps((gb._enc.B, gb._engine,
+                             gb.replay_trace())) == before
         assert_exact(R, gens, replayed(gb, gens))
 
 

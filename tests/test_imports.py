@@ -17,7 +17,10 @@ packed-monomial codec `_Enc` is named in `groebner.py` alone, every
 matrix product is written in `linalg.py` alone, where mat_mul keeps it
 exact, `univar.py` imports no numpy, since its packed slots outgrow int64,
 and minimal polynomials and the Frobenius map are taken in
-`zerodim.py` alone, where each algebra memoises its map.  The local
+`zerodim.py` alone, where each algebra memoises its map.  A
+`GroebnerBasis` is frozen when its run ends: no method but `__init__`
+writes its state, save the memo `_walk` keeps, since an algebra reads the
+basis once and keeps what it read.  The local
 decomposition, the defect module and the checks on it (`zerodim.py`,
 `excess.py`, `invariants.py`) import nothing from `rng`, so randomness
 stays in building inputs.  No module holds an assert statement: python -O
@@ -129,6 +132,49 @@ def test_univar_stays_on_python_ints():
     tree = ast.parse((SRC / "univar.py").read_text(encoding="utf-8"))
     assert not {m for m in imported_modules(tree)
                 if m == "numpy" or m.startswith("numpy.")}
+
+
+def self_writes(source: str, cls: str) -> list:
+    """(method, attribute) of each write to an attribute of self, or into
+    one by subscript, in the methods of the class, __init__ left out: an
+    assignment, augmented or not, or a del."""
+    out = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or fn.name == "__init__":
+                continue
+            for n in ast.walk(fn):
+                if not isinstance(n, (ast.Attribute, ast.Subscript)) or \
+                        isinstance(n.ctx, ast.Load):
+                    continue
+                target = n.value if isinstance(n, ast.Subscript) else n
+                if isinstance(target, ast.Attribute) and \
+                        getattr(target.value, "id", None) == "self":
+                    out.append((fn.name, target.attr))
+    return sorted(out)
+
+
+def test_self_write_checker_finds_writes():
+    source = ("class Box:\n"
+              "    def __init__(self):\n        self.a = self.b = []\n"
+              "    def read(self):\n        return self.a, self.b[0]\n"
+              "    def put(self):\n        self.a = 1\n"
+              "    def add(self):\n        self.a += 1\n"
+              "    def drop(self):\n        del self.b\n"
+              "    def fill(self):\n        self.b[0] = 2\n"
+              "class Other:\n    def put(self):\n        self.z = 1\n")
+    assert self_writes(source, "Box") == [
+        ("add", "a"), ("drop", "b"), ("fill", "b"), ("put", "a")]
+
+
+def test_groebner_basis_is_frozen_after_init():
+    # normal forms reduce on a table of their own and widen a codec of
+    # their own, so nothing an ArtinianAlgebra read of a basis changes
+    source = (SRC / "groebner.py").read_text(encoding="utf-8")
+    assert self_writes(source, "GroebnerBasis") == [("_walk", "_walked")]
 
 
 def private_definitions(tree) -> dict:

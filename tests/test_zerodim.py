@@ -10,7 +10,7 @@ import pytest
 
 from qfiber.algebra import (LEX, FieldSpec, PolyRing, block_order,
                             mono_divides)
-from qfiber.groebner import Ideal, _Repack
+from qfiber.groebner import Ideal, _Enc, _Reducer, _Repack
 from qfiber.linalg import mat_mul, rank, rref
 from qfiber.parser import parse_ideal, parse_session
 from qfiber import univar as uv
@@ -180,11 +180,13 @@ def coords_actions(A):
 def border_columns(gb, std):
     """Columns of the multiplication matrices of the variables on std:
     out[v][j] lists (i, c) for the normal form sum c * std[i] of x_v *
-    std[j], each border monomial reduced packed, from scratch.  A field
-    overflow widens the codec as normal_form does."""
+    std[j], each border monomial reduced packed, from scratch, on a table
+    of this call.  A field overflow widens the codec for the call as
+    normal_form does."""
+    enc, engine = gb._enc, gb._engine
     while True:
-        enc = gb._enc
         try:
+            red = _Reducer(enc, gb.ring.p)
             packed = [enc.pack(m) for m in std]
             keys = [enc.key(m) for m in packed]
             index = {m: i for i, m in enumerate(packed)}
@@ -197,13 +199,14 @@ def border_columns(gb, std):
                     if hit is not None:
                         cols.append([(hit, 1)])
                         continue
-                    red = gb._reducer.reduce([(k + uk, m + u, 1)],
-                                             gb._engine)
-                    cols.append([(index[r], c) for _, r, c in red])
+                    nf = red.reduce([(k + uk, m + u, 1)], engine)
+                    cols.append([(index[r], c) for _, r, c in nf])
                 out.append(cols)
             return out
         except _Repack:
-            gb._widen()
+            enc = _Enc(gb.ring.nvars, gb.ring.order, 2 * enc.B)
+            engine = [(t[0][0], t[0][1], t[1:])
+                      for t in map(enc.encode_poly, gb.polys)]
 
 
 def border_actions(A):
@@ -316,27 +319,31 @@ class TestPackedBuild:
         assert_built_as_oracle(ArtinianAlgebra.from_ideal(I))
 
     def test_after_the_codec_widens(self):
-        # normal_form repacks the basis wider before the algebra is built
+        # a normal form past the basis codec, before the algebra is built,
+        # widens a codec of its own and leaves the basis's
         R = ring("x,y,z")
         I = Ideal(R, parse_ideal(
             "x*y - z^2, y*z - x^2, x*z - y^2, x^3 - y*z^2, z^4", R))
         gb = I.groebner()
-        bits = gb._enc.B
-        gb.normal_form(R.monomial((0, 0, 200)))
-        assert gb._enc.B > bits
+        bits, engine = gb._enc.B, gb._engine
+        f = R.monomial((0, 0, 200))
+        assert I.normal_form(f).is_zero()
+        assert (gb._enc.B, gb._engine) == (bits, engine)
         assert_built_as_oracle(ArtinianAlgebra.from_ideal(I))
 
     def test_codec_widens_between_std_and_actions(self):
-        # the repack drops the walk the basis memoised under the narrower
-        # codec, so the border plan walks again under the wider one
+        # the same normal form between the standard monomials and the
+        # actions leaves the walk the basis memoised, so the border plan
+        # reads the monomials std was read off
         R = ring("x,y,z")
         I = Ideal(R, parse_ideal(
             "x*y - z^2, y*z - x^2, x*z - y^2, x^3 - y*z^2, z^4", R))
         gb = I.groebner()
         bits = gb._enc.B
         A = ArtinianAlgebra.from_ideal(I)
-        gb.normal_form(R.monomial((0, 0, 200)))
-        assert gb._enc.B > bits
+        walk = gb._walk()
+        assert I.normal_form(R.monomial((0, 0, 200))).is_zero()
+        assert gb._enc.B == bits and gb._walk() is walk
         assert_built_as_oracle(A)
 
 
