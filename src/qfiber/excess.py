@@ -18,11 +18,12 @@ on cofactors kept as (g x d) arrays in the coordinates of R/I, shifted by
 the algebra's memoised monomial matrices.  The replay is batched: the
 trace comes as flat lists, which become arrays with one np.array each,
 so no Python loop runs per term, and no entry repeats a (shift, source)
-term, so nothing is summed.  Every input's element is a scaled copy of
-its cofactor, set with the others in one step, and a term whose shift
-matrix is zero is dropped; then one pair of matrix products per S-pair
-entry that adds an element, and one pair per distinct shift for all the
-sums that reach zero.  No basis of a squared ideal is built.  After that
+term, so nothing is summed.  The input entries, combinations of
+unshifted inputs, take one product of their combination matrix with the
+unit cofactors, and past them a term whose shift matrix is zero is
+dropped; then one pair of matrix products per S-pair entry that adds an
+element, and one pair per distinct shift for all the S-pair sums that
+reach zero.  No basis of a squared ideal is built.  After that
 all is numpy on int64 residues, with every product through
 linalg.mat_mul.
 
@@ -244,14 +245,16 @@ def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
     v @ shift(q).T.  The trace (GroebnerBasis.replay_trace) becomes one
     array of its entries and one of its terms, and one product scales the
     terms of the adding entries; no entry repeats a (shift, source) term,
-    so none is summed.  An input entry (one term, x^0 times an input)
-    adds a scaled copy of that input's cofactor; all of them are set in
-    one step.  A term whose shift matrix is zero adds nothing and is
+    so none is summed.  An entry whose terms are all unshifted inputs, a
+    row of the run's row reduction or a dependency among its inputs, is a
+    combination of their unit cofactors: all of them are set by one
+    product of the combination matrix with the stacked unit cofactors.
+    Past them, a term whose shift matrix is zero adds nothing and is
     dropped.  An S-pair entry that adds an element is one product of its
     (shift x source) coefficients with the stacked cofactors of its
     sources, then one of the results, side by side, with the stacked
-    transposed shift matrices.  The sums that reach zero feed no later
-    entry, so they are taken last and together: per distinct shift, one
+    transposed shift matrices.  The S-pair sums that reach zero feed no
+    later entry, so they are taken last and together: per distinct shift, one
     product shifts the cofactors of the sources it meets, and one more, in
     chunks of rows that keep the temporaries small, sums them with the
     (sum x source) coefficients.
@@ -268,14 +271,19 @@ def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
     vals = np.zeros((nv, g * d), dtype=np.int64)
     vals[:n] = units.reshape(n, g * d)
     added = np.cumsum(adds) - 1
-    first = np.cumsum(counts) - counts
+    sums = np.cumsum(~adds) - 1
+    out = np.zeros((nz, g * d), dtype=np.int64)
     origin = np.array([not any(q) for q in shifts], dtype=bool)
-    inputs = adds & (counts == 1) & (srcs[first] < n) & origin[qs[first]]
-    at = first[inputs]
-    vals[n + added[inputs]] = C[at, None] * vals[srcs[at]] % p
+    inputs = np.bincount(ent[(srcs >= n) | ~origin[qs]],
+                         minlength=len(counts)) == 0
+    at = inputs[ent]
+    T = np.zeros((int(inputs.sum()), n), dtype=np.int64)
+    T[(np.cumsum(inputs) - 1)[ent[at]], srcs[at]] = C[at]
+    V = mat_mul(T, vals[:n], p)
+    vals[n + added[inputs & adds]] = V[adds[inputs]]
+    out[sums[inputs & ~adds]] = V[~adds[inputs]]
     live = np.array([M.any() for M in mats], dtype=bool)[qs] & ~inputs[ent]
     adding, zero = live & adds[ent], live & ~adds[ent]
-    out = np.zeros((nz, g * d), dtype=np.int64)
     if not live.any():
         return out
     pairs = adds & ~inputs
@@ -288,10 +296,10 @@ def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
         W = W.transpose(1, 0, 2).reshape(g, len(used) * d)
         vals[t] = mat_mul(W, np.concatenate([mats[q] for q in used]),
                           p).reshape(g * d)
-    sums = (np.cumsum(~adds) - 1)[ent[zero]]
     step = max(1, _REPLAY_CELLS // (g * d or 1))
     for Mt, (rows, sources, M) in zip(mats, _blocks(
-            qs[zero], sums, srcs[zero], C[zero], len(shifts), nz, nv)):
+            qs[zero], sums[ent[zero]], srcs[zero], C[zero], len(shifts), nz,
+            nv)):
         if not sources.size:
             continue
         S = mat_mul(vals[sources].reshape(-1, d), Mt, p).reshape(
@@ -461,12 +469,20 @@ def module_mu(mod: FinModule):
 # --- the defect module ------------------------------------------------------
 
 
+def _in_row_space(rows: np.ndarray, R: np.ndarray, p: int) -> bool:
+    """True when the rows lie in the row space of R, nonzero rows in rref:
+    a vector v of that space is v[piv] @ R, piv the pivot columns of R."""
+    piv = (R != 0).argmax(axis=1)
+    return np.array_equal(mat_mul(rows[:, piv], R, p), rows)
+
+
 def _defect_report(big: np.ndarray, small: np.ndarray, alg: ArtinianAlgebra,
                    c: int | None) -> QReport:
     """Assemble the report from the relation spaces of the two conormal
     modules: Q = Phi_small(ker Phi_big), dim ker Phi_small = g*d -
     dim Phi_small(alg^g).  The restriction map exists, and is onto, exactly
-    when K_big lies in K_small; that is certified first.  Unless K_big = 0,
+    when K_big lies in K_small; that is certified first, on the rref rows
+    of K_small with no elimination (_in_row_space).  Unless K_big = 0,
     ker Phi_big is the nullspace of the k-matrix of Phi_big, and its k-basis
     is mapped through that of Phi_small (_relation_matrix).  Q's actions are
     read off its rref basis, where a row's coordinates are its pivot
@@ -474,7 +490,7 @@ def _defect_report(big: np.ndarray, small: np.ndarray, alg: ArtinianAlgebra,
     report keeps them.
     """
     p, width = alg.p, small.shape[1]
-    if rank(np.vstack([small, big]), p) != small.shape[0]:
+    if big.shape[0] and not _in_row_space(big, small, p):
         raise RuntimeError("restriction map failed to be onto")
     cols = _relation_columns(small, alg)
     R, piv = _submodule(cols, alg)

@@ -8,9 +8,11 @@ whole polynomials by pure adds.  Field overflow trips a guard bit and the
 computation restarts with wider fields.
 
 Pair handling is Buchberger with the Gebauer-Moller update and sugar-first
-selection.  An S-pair's normal form starts from the two shifted tails,
-since the monic leading terms cancel.  Reduced bases are unique, monic,
-and sorted by leading term, so ideal equality is tuple equality.
+selection, on the inputs in reduced row echelon form over F_p, so no input
+holds a monomial that leads another.  An S-pair's normal form starts from
+the two shifted tails, since the monic leading terms cancel.  Reduced
+bases are unique, monic, and sorted by leading term, so ideal equality is
+tuple equality.
 
 Normal forms run on small int monomial ids (_Reducer).  The pair loop and
 the interreduction keep one table each, as does each normal form, which
@@ -31,15 +33,19 @@ a linear scan and a dict of pending terms would take, so bases and
 traces do not depend on the table.
 
 Every run keeps its trace, the multiples c * x^q of inputs and earlier
-elements that each input and S-pair summed (Traverso's Groebner trace,
-ISSAC 1988), on two flat lists: a scale and a term count per entry, and a
-coefficient, packed shift and source per term, with no term repeated
-within an entry.  GroebnerBasis.replay_trace numbers and unpacks its
+elements that each row-reduced input and S-pair summed (Traverso's
+Groebner trace, ISSAC 1988), on two flat lists: a scale and a term count
+per entry, and a coefficient, packed shift and source per term, with no
+term repeated within an entry; an input's entry lists the inputs its row
+combines, at shift 0.  GroebnerBasis.replay_trace numbers and unpacks its
 distinct shifts, the one reader of the packed trace, for a caller to
 replay on cofactors of its own, spending no S-pairs; by Schreyer's
 theorem the sums that reached zero generate the syzygies modulo the ideal
 (Eisenbud, Commutative Algebra, Thm 15.10; the Gebauer-Moller criteria
-keep a generating set).
+keep a generating set).  The row reduction keeps this exact: with T the
+invertible matrix of the elimination, Syz(F) is spanned by the constant
+dependencies of F, the rows of T that reach zero, and Syz(T * F) pulled
+back through T.
 
 A zero-dimensional basis also gives its quotient algebra on packed
 monomials: one walk, memoised on the basis, finds them with the reducer's
@@ -112,8 +118,7 @@ class _Repack(Exception):
 class _Enc:
     """Packed-monomial codec for a fixed ring and field width."""
 
-    __slots__ = ("n", "B", "order", "pmax", "gmask", "fullmask", "_shifts",
-                 "_tailbits")
+    __slots__ = ("n", "B", "order", "pmax", "gmask", "_shifts", "_tailbits")
 
     def __init__(self, nvars: int, order: MonomialOrder, bits: int):
         self.n = nvars
@@ -123,7 +128,6 @@ class _Enc:
         self.gmask = 0
         for i in range(nvars):
             self.gmask |= 1 << ((i + 1) * bits - 1)
-        self.fullmask = (1 << (nvars * bits)) - 1
         # variable i sits at shift (n-1-i)*B: leading variables most significant
         self._shifts = tuple((nvars - 1 - i) * bits for i in range(nvars))
         if order.kind == "block":
@@ -158,11 +162,6 @@ class _Enc:
 
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.gmask) - a) & self.gmask == self.gmask
-
-    def lcm(self, a: int, b: int) -> int:
-        t = ((b | self.gmask) - a) & self.gmask
-        pm = t - (t >> (self.B - 1))
-        return (b & pm) | (a & (self.fullmask ^ pm))
 
     def _gkey(self, e, lo: int, hi: int) -> int:
         # grevlex on the slice: (degree, negated reverse-packed exponents)
@@ -319,20 +318,73 @@ class _Reducer:
         return out
 
 
+def _axpy(row: dict, comb: dict, c: int, src: tuple, p: int):
+    """row += c * src[0] and comb += c * src[1] in place, mod p, dropping
+    the entries that vanish."""
+    for part, add in zip((row, comb), src):
+        for m, v in add.items():
+            v = (part.get(m, 0) + c * v) % p
+            if v:
+                part[m] = v
+            else:
+                del part[m]
+
+
+def _row_reduce(inputs, p: int) -> list:
+    """The inputs' coefficient vectors on packed monomials, by descending
+    key, in reduced row echelon form over F_p, each row with the
+    combination of inputs it is.
+
+    Returns (terms, comb) pairs: the nonzero rows, monic, as lists of
+    (key, packed, coeff) descending by key, in ascending order of leading
+    key, then the combinations that vanish, with terms [].  comb lists
+    (k, c), k ascending, for c times input k.  Gauss-Jordan on python ints,
+    one input at a time: an input is reduced by the rows so far, and a row
+    it leaves clears its leading monomial from them.
+    """
+    keys = {m: k for terms in inputs for k, m, _ in terms}
+    rows: dict = {}    # leading monomial -> (row, comb), both dicts
+    zeros = []
+    for k, terms in enumerate(inputs):
+        row, comb = {m: c for _, m, c in terms}, {k: 1}
+        for m, src in rows.items():
+            if m in row:
+                _axpy(row, comb, p - row[m], src, p)
+        if not row:
+            zeros.append(comb)
+            continue
+        lead = max(row, key=keys.__getitem__)
+        inv = pow(row[lead], p - 2, p)
+        src = ({m: c * inv % p for m, c in row.items()},
+               {j: c * inv % p for j, c in comb.items()})
+        for other, ocomb in rows.values():
+            if lead in other:
+                _axpy(other, ocomb, p - other[lead], src, p)
+        rows[lead] = src
+    out = [(sorted(((keys[m], m, c) for m, c in row.items()), reverse=True),
+            sorted(comb.items())) for row, comb in rows.values()]
+    out.sort(key=lambda rc: rc[0][0][0])
+    return out + [([], sorted(comb.items())) for comb in zeros]
+
+
 def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     """Reduced Groebner basis of the encoded inputs, and the trace of the
     run as two flat lists (entries, terms); raises ResourceAbort.
 
-    The trace has one entry per input and per S-pair, in run order:
-    entries holds its scale and its term count, terms its terms, entry by
-    entry, three items each.  A term c, q, src stands for c * x^q times
-    source src, q packed: sources 0..n-1 are the n inputs, source n + t
-    the t-th element added.  An entry with nonzero scale adds the element
-    scale * (sum of its terms).  A zero scale marks a sum that reached
-    zero: a duplicate input, a zero S-polynomial, a pair reducing to zero.
-    Coprime pairs and pairs the Gebauer-Moller update drops leave no
-    entry; their syzygies have entries in the ideal or follow from the
-    others.
+    The inputs are row-reduced first (_row_reduce).  The trace has one
+    entry per input and per S-pair, in run order: entries holds its scale
+    and its term count, terms its terms, entry by entry, three items
+    each.  A term c, q, src stands for c * x^q times source src, q packed:
+    sources 0..n-1 are the n inputs, source n + t the t-th element added.
+    An entry with nonzero scale adds the element scale * (sum of its
+    terms).  A zero scale marks a sum that reached zero: a linear
+    dependency among the inputs, a zero S-polynomial, a pair reducing to
+    zero.  The n input entries come first: the rows of the reduced row
+    echelon form, scale 1, in ascending order of leading key, then the
+    combinations that vanish, each listing the inputs it combines as
+    terms c, 0, k.  Coprime pairs and pairs the Gebauer-Moller update
+    drops leave no entry; their syzygies have entries in the ideal or
+    follow from the others.
 
     No entry repeats a (q, src) pair, so its terms need no summing.  An
     input entry has distinct sources.  A pair (i, j) with lcm L has the
@@ -343,6 +395,7 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     (q, t) are distinct; every m lies below L, so none is a head term.
     """
     lts: list = []     # (ltkey, ltpacked, tail) of each element, monic
+    lms: list = []     # ltpacked of each element
     sugars: list = []
     pairs: dict = {}   # (i, j) -> (sugar, lcmkey, lcmpacked)
     heap: list = []
@@ -350,25 +403,33 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     entries: list = []
     trace_terms: list = []
     n = len(inputs)
-    gmask = enc.gmask
+    gmask, top = enc.gmask, enc.B - 1
 
     def add_element(terms, sugar):
         t = len(lts)
         ltk, ltm, _ = terms[0]
-        # Gebauer-Moller update: prune old pairs made redundant by lt(t);
-        # a divides b when ((b | gmask) - a) & gmask == gmask
-        for ij, (_, _, L) in list(pairs.items()):
-            if ((L | gmask) - ltm) & gmask == gmask:
-                i, j = ij
-                if enc.lcm(lts[i][1], ltm) != L and enc.lcm(lts[j][1], ltm) != L:
-                    del pairs[ij]
+        # lcm(lt(i), lt(t)) of each element i: the guard bits of
+        # (ltm | gmask) - lt(i) mark the fields where lt(t) is at least
+        # lt(i); each becomes the mask of its field, taken from lt(t)
+        lcms = []
+        for a in lms:
+            g = ((ltm | gmask) - a) & gmask
+            g -= g >> top
+            lcms.append(ltm & g | a & ~g)
+        # Gebauer-Moller update: drop the old pairs (i, j) whose lcm lt(t)
+        # divides unless it is that of (i, t) or (j, t); a divides b when
+        # ((b | gmask) - a) & gmask == gmask
+        for ij in [(i, j) for (i, j), (_, _, L) in pairs.items()
+                   if ((L | gmask) - ltm) & gmask == gmask
+                   and lcms[i] != L and lcms[j] != L]:
+            del pairs[ij]
         # candidate pairs (i, t), filtered so only minimal lcms survive; a
         # pair is coprime when its lcm is the product of its leading terms
-        cand = [(i, enc.lcm(lts[i][1], ltm)) for i in range(t)]
+        cand = list(enumerate(lcms))
         kept: list = []
         while cand:
             i, L = cand.pop()
-            if L == lts[i][1] + ltm:
+            if L == lms[i] + ltm:
                 kept.append((i, L))
                 continue
             Lg = L | gmask
@@ -378,34 +439,25 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
             else:
                 kept.append((i, L))
         lts.append((ltk, ltm, terms[1:]))
+        lms.append(ltm)
         sugars.append(sugar)
         for i, L in kept:
-            if L == lts[i][1] + ltm:
+            if L == lms[i] + ltm:
                 continue
             Lk = enc.key(L)
             sug = max(
-                sugars[i] + enc.deg(L - lts[i][1]),
+                sugars[i] + enc.deg(L - lms[i]),
                 sugar + enc.deg(L - ltm),
             )
             pairs[(i, t)] = (sug, Lk, L)
             heapq.heappush(heap, (sug, Lk, i, t))
 
-    seen: dict = {}    # monic input -> its element
-    for k in sorted(range(len(inputs)), key=lambda k: inputs[k][0][0]):
-        terms = inputs[k]
-        if not terms:
-            continue
-        inv = pow(terms[0][2], p - 2, p)
-        terms = [(tk, m, c * inv % p) for tk, m, c in terms]
-        sig = tuple((m, c) for _, m, c in terms)
-        if sig in seen:
-            entries += (0, 2)
-            trace_terms += (inv, 0, k, p - 1, 0, n + seen[sig])
-            continue
-        seen[sig] = len(lts)
-        entries += (inv, 1)
-        trace_terms += (1, 0, k)
-        add_element(terms, max(enc.deg(m) for _, m, _ in terms))
+    for terms, comb in _row_reduce(inputs, p):
+        entries += (1 if terms else 0, len(comb))
+        for k, c in comb:
+            trace_terms += (c, 0, k)
+        if terms:
+            add_element(terms, max(enc.deg(m) for _, m, _ in terms))
 
     done = 0
     while heap:
@@ -586,8 +638,11 @@ class GroebnerBasis:
         """The trace of the run that built the basis (_buchberger), with its
         shifts numbered: (shifts, entries, terms).  shifts lists the
         distinct exponent tuples the run shifted by, in order of first use.
-        entries holds two items per entry (nonzero input or S-pair, in run
-        order): its scale, 0 when its sum reached zero, and its term count.
+        entries holds two items per entry (input or S-pair, in run order):
+        its scale, 0 when its sum reached zero, and its term count; the
+        input entries come first, each a combination of inputs at shift 0,
+        whose rows row-reduce the inputs or, at scale 0, a linear
+        dependency among them.
         terms holds three items per term, entry by entry: term k stands for
         terms[3k] * x^shifts[terms[3k+1]] times source terms[3k+2].
         Sources 0..n-1 are the n nonzero generators the basis was built

@@ -26,6 +26,7 @@ from qfiber.excess import (
     symmetry_check,
     _block_apply,
     _defect_report,
+    _in_row_space,
     _koszul_mu,
     _relation_space,
     _replay,
@@ -33,7 +34,8 @@ from qfiber.excess import (
 )
 from qfiber import groebner as gb_module
 from qfiber import zerodim
-from qfiber.groebner import Ideal, _linear_witnesses, pair_budget
+from qfiber.groebner import (Ideal, _linear_witnesses, groebner,
+                             pair_budget)
 from qfiber.linalg import as_mod_array, identity, mat_mul, nullspace, rank, rref
 from qfiber.parser import parse_ideal
 from qfiber.rng import Stream
@@ -47,7 +49,8 @@ from qfiber.zerodim import (
 )
 import minpoly_route as mr
 from polys import parse_polynomial
-from test_groebner import trace_entries
+from test_groebner import (assert_exact, repeated_terms, replayed,
+                           trace_entries)
 from test_zerodim import (SESSIONS, factor_mu, factor_point, is_nilpotent,
                           random_zero_dim, session_algebra)
 
@@ -425,6 +428,37 @@ class TestConormal:
         big, small = conormal_restricted(s), conormal_in_X(s)
         assert big.shape[0] > 0
         assert rank(np.vstack([small, big]), P) == small.shape[0]
+
+    @pytest.mark.parametrize("case", ["pair0", "pair1", "pair2", "pair3",
+                                      "axes_on_line", "plane_holds_points"])
+    def test_containment_read_off_the_rref(self, case):
+        # K_small is in rref, so K_big lies in it exactly when each row v
+        # equals v[piv] @ K_small: the verdict of the rank of the stack,
+        # both ways round and for a big side pushed off the small one
+        if case.startswith("pair"):
+            L, I, modulus = affine_cases()[int(case[-1])]
+            extra = Ideal(I.ring, []) if modulus is None else modulus
+            alg = ArtinianAlgebra.from_ideal(I + L + extra)
+            big = _relation_space(I.gens, I + extra, alg)
+            small = _relation_space(I.gens, alg.ideal, alg)
+        else:
+            s = {"axes_on_line": axes_on_line,
+                 "plane_holds_points": plane_holds_points}[case]()
+            big, small = conormal_restricted(s), conormal_in_X(s)
+        assert small.shape[0] and np.array_equal(small, rref_rows(small))
+        cases = [(big, small), (small, big)]
+        # and with the unit vector of a column outside the pivots of K_small
+        width = small.shape[1]
+        free = sorted(set(range(width)) - set(rref(small, P)[1]))
+        if free:
+            off = np.eye(1, width, free[0], dtype=np.int64)
+            cases.append((np.vstack([big, off]), small))
+        verdicts = []
+        for rows, R in cases:
+            want = rank(np.vstack([R, rows]), P) == R.shape[0]
+            assert _in_row_space(rows, R, P) == want
+            verdicts.append(want)
+        assert verdicts[0] and not (free and verdicts[-1])
 
     def test_restriction_outside_relations_rejected(self):
         # a big side whose relations escape the small side admits no
@@ -1132,11 +1166,12 @@ class TestBatchedReplay:
         assert spanning_kernel(I.gens, I.power(2), alg).shape[0] == 0
 
     def test_no_zero_sums(self):
-        # both S-pairs add an element and every later pair is coprime
+        # the inputs row-reduce to x^2 - y and x + y, whose one S-pair adds
+        # y^2 - y, and every later pair is coprime
         I = idl(ring(), "x^2 + x, x^2 - y")
         alg = ArtinianAlgebra.from_ideal(I)
         entries = trace_entries(I.groebner())[1]
-        assert len(entries) == 4 and all(e[0] for e in entries)
+        assert len(entries) == 3 and all(e[0] for e in entries)
         assert assert_replays_as_oracle(I.gens, I, alg).shape == (0,
                                                                   2 * alg.dim)
 
@@ -1167,6 +1202,36 @@ class TestBatchedReplay:
         assert np.array_equal(_relation_space(I.gens, I, alg), rref_rows(
             spanning_kernel(I.gens, I.power(2), alg)))
 
+    # (inputs, combinations of them that vanish)
+    DEPENDENT_INPUTS = {
+        "repeated": ("x^2 - y, y^2 - x, x^2 - y", 1),
+        "scalar_multiple": ("x^2 - y, y^2 - x, 3*x^2 - 3*y", 1),
+        "sum_of_two": ("x^2 - y, y^2 - x, x^2 + y^2 - x - y", 1),
+        "equal_leading": ("x^2 + y, x^2 - x*y, x^2 + x - y^2", 0),
+        "non_homogeneous": ("x^3 - y, x*y - 1, x^3 + x*y - y - 1, y^2 - x",
+                            1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DEPENDENT_INPUTS))
+    def test_dependent_inputs(self, case):
+        # the run row-reduces its inputs first: a dependency among them is
+        # a zero entry of unshifted inputs, and the basis, the syzygies and
+        # the relation space are those of the general path
+        text, vanish = self.DEPENDENT_INPUTS[case]
+        R = ring()
+        gens = parse_ideal(text, R)
+        I = Ideal(R, gens)
+        gb = I.groebner()
+        assert gb.polys == groebner(R, gens[::-1]).polys
+        assert repeated_terms(gb) == []
+        inputs = trace_entries(gb)[1][:len(gens)]
+        assert sum(not e[0] for e in inputs) == vanish
+        assert_exact(R, gens, replayed(gb, gens))
+        alg = ArtinianAlgebra.from_ideal(I)
+        assert_replays_as_oracle(I.gens, I, alg)
+        assert np.array_equal(_relation_space(I.gens, I, alg), rref_rows(
+            spanning_kernel(I.gens, I.power(2), alg)))
+
     @pytest.mark.parametrize("case", sorted(MU_CASES) + [
         "graph2", "graph3", "graph4", "graph5", "fatpoint"])
     def test_minimal_generators(self, case):
@@ -1190,40 +1255,51 @@ class TestBatchedReplay:
             m.setattr(excess, "mat_mul", counting)
             return _replay(*args), len(calls)
 
+    @staticmethod
+    def input_entries(gb, n):
+        """Whether each entry of gb's trace holds only unshifted inputs, of
+        the n the run was built from."""
+        shifts, entries = trace_entries(gb)
+        return [all(not any(shifts[q]) for q in e[2]) and max(e[3]) < n
+                for e in entries]
+
     @pytest.mark.parametrize("text", ["x, y", "x^2, y^3", "x^2 + x, y^2",
                                       "x^2, y^3, x^2"])
     def test_input_entries_take_no_product(self, text, monkeypatch):
-        # each input's element is a scaled copy of its unit cofactor; only
-        # the sum that reaches zero, x^2 - x^2 in the last case, takes
-        # products: one shift and one sum
+        # no input entry takes a product of its own: each input's element,
+        # and the combination that vanishes, x^2 - x^2 in the last case, is
+        # a combination of unit cofactors, and all of them share one product
         I = idl(ring(), text)
         alg = ArtinianAlgebra.from_ideal(I)
         gb = I.groebner()
-        entries = trace_entries(gb)[1]
-        assert all(len(e[2]) == 1 for e in entries if e[0])
+        n = len(I.gens)
+        assert self.input_entries(gb, n) == [True] * n
         units = unit_cofactors(I.gens, I, alg)
         got, calls = self.counted_replay(monkeypatch, gb, units,
                                          alg.monomial_matrix, P)
         assert np.array_equal(got, per_term_replay(gb, units,
                                                    alg.monomial_matrix, P))
-        assert calls == 2 * len(zero_entries(I))
+        assert calls == 1
 
     @pytest.mark.parametrize("case", sorted(MU_CASES) + [
         "graph2", "graph3", "graph4", "graph5", "fatpoint"])
     def test_origin_replay_skips_vanishing_shifts(self, case, monkeypatch):
-        # at the origin every x^q with q != 0 is zero: an S-pair entry
-        # takes its two products only when a term sits at x^0, and the
-        # sums that reach zero take one shift and one sum when any does
+        # at the origin every x^q with q != 0 is zero: past the one product
+        # the input entries share, an S-pair entry takes its two products
+        # only when a term sits at x^0, and the S-pair sums that reach zero
+        # take one shift and one sum when any does
         alg = ArtinianAlgebra.from_ideal(local_ideal(case))
         args = constant_term_replay(alg)
         shifts, entries = trace_entries(args[0])
+        inputs = self.input_entries(args[0], args[1].shape[0])
         at_one = [[not any(shifts[q]) for q in e[2]] for e in entries]
-        pairs = sum(any(one) for e, one in zip(entries, at_one)
-                    if e[0] and len(one) > 1)
-        sums = any(any(one) for e, one in zip(entries, at_one) if not e[0])
+        pairs = sum(any(one) for e, one, i in zip(entries, at_one, inputs)
+                    if e[0] and not i)
+        sums = any(any(one) for e, one, i in zip(entries, at_one, inputs)
+                   if not e[0] and not i)
         got, calls = self.counted_replay(monkeypatch, *args)
         assert np.array_equal(got, per_term_replay(*args))
-        assert calls == 2 * pairs + 2 * sums
+        assert calls == 1 + 2 * pairs + 2 * sums
         if case.startswith("graph"):
             assert not all(map(all, at_one))
 

@@ -545,18 +545,26 @@ class TestDistinctTraceTerms:
         assert repeated_terms(gb) == []
 
 
-# (trace entries, zero entries, trace terms) of Z's basis run on the graph
-# rows at seed 0: a change that adds reductions fails here
-Z_RUN_WORK = {2: (10, 2, 23), 3: (19, 6, 74), 4: (37, 17, 277),
-              5: (73, 43, 1082), 6: (142, 97, 4129)}
+# Z's basis run on the graph rows at seed 0: (trace entries, zero entries,
+# input-combination terms, reduction steps), the steps being the terms of
+# the S-pair entries; a change that adds reductions fails here
+Z_RUN_WORK = {2: (8, 2, 21, 4), 3: (16, 6, 36, 40), 4: (33, 17, 55, 203),
+              5: (68, 43, 78, 868), 6: (136, 97, 105, 3714),
+              7: (297, 231, 136, 15593), 8: (584, 478, 171, 55503)}
 
 
 @pytest.mark.parametrize("n", sorted(Z_RUN_WORK))
 def test_z_run_work_is_pinned(n):
-    entries, terms = gen_quadric_graph(n, Seed(0)).Z.ideal.groebner()._trace
-    assert (len(entries) // 2, entries[0::2].count(0),
-            len(terms) // 3) == Z_RUN_WORK[n]
-    assert sum(entries[1::2]) * 3 == len(terms)
+    Z = gen_quadric_graph(n, Seed(0)).Z.ideal
+    entries, terms = Z.groebner()._trace
+    # one entry per input comes first, its terms unshifted inputs
+    k = len(Z.gens)
+    combined, steps = sum(entries[1:2 * k:2]), sum(entries[2 * k + 1::2])
+    assert set(terms[1:3 * combined:3]) == {0}
+    assert max(terms[2:3 * combined:3]) < k
+    assert (len(entries) // 2, entries[0::2].count(0), combined,
+            steps) == Z_RUN_WORK[n]
+    assert (combined + steps) * 3 == len(terms)
 
 
 class TestPairBudget:
@@ -652,8 +660,8 @@ class TestSyzygies:
         assert_exact(R, gens, replayed(groebner(R, gens), gens))
 
     def test_duplicate_input_gives_a_syzygy(self):
-        # z is given twice; the second copy is dropped as a duplicate,
-        # which leaves e_3 - e_4 as the syzygy z - z = 0
+        # z is given twice; the second copy row-reduces to zero, a zero
+        # entry that leaves e_3 - e_4 as the syzygy z - z = 0
         R = ring("x,y,z")
         gens = parse_ideal("x^2 - x, y^2, x*y, z, z", R)
         found = replayed(groebner(R, gens), gens)
