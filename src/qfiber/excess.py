@@ -18,14 +18,12 @@ on cofactors kept as (g x d) arrays in the coordinates of R/I, shifted by
 the algebra's memoised monomial matrices.  The replay is batched: the
 trace comes as flat lists, which become arrays with one np.array each,
 so no Python loop runs per term, and no entry repeats a (shift, source)
-term, so nothing is summed.  The input entries, combinations of
-unshifted inputs, take one product of their combination matrix with the
-unit cofactors, and past them a term whose shift matrix is zero is
-dropped; then one pair of matrix products per S-pair entry that adds an
-element, and one pair per distinct shift for all the S-pair sums that
-reach zero.  No basis of a squared ideal is built.  After that
-all is numpy on int64 residues, with every product through
-linalg.mat_mul.
+term, so nothing is summed.  In the layout the run records, one product
+gives the cofactors of all the input entries, then one pair of matrix
+products runs per S-pair entry that adds an element, and one pair per
+distinct shift for all the S-pair sums that reach zero (_replay).  No
+basis of a squared ideal is built.  After that all is numpy on int64
+residues, with every product through linalg.mat_mul.
 
 A conormal module is kept as its relation space K alone (dim M = g*d -
 dim K).  Every Hom into the algebra is read off a relation map: the dual
@@ -240,24 +238,25 @@ def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
     """The sums of gb's basis run that reached zero, replayed on the unit
     cofactors: one row of k^(g*d) each.
 
-    units[k] is the (g x d) cofactor of the k-th generator and shift(q) the
-    (d x d) matrix of x^q on the d columns, so x^q acts on a cofactor v as
-    v @ shift(q).T.  The trace (GroebnerBasis.replay_trace) becomes one
-    array of its entries and one of its terms, and one product scales the
-    terms of the adding entries; no entry repeats a (shift, source) term,
-    so none is summed.  An entry whose terms are all unshifted inputs, a
-    row of the run's row reduction or a dependency among its inputs, is a
-    combination of their unit cofactors: all of them are set by one
-    product of the combination matrix with the stacked unit cofactors.
-    Past them, a term whose shift matrix is zero adds nothing and is
-    dropped.  An S-pair entry that adds an element is one product of its
-    (shift x source) coefficients with the stacked cofactors of its
-    sources, then one of the results, side by side, with the stacked
-    transposed shift matrices.  The S-pair sums that reach zero feed no
-    later entry, so they are taken last and together: per distinct shift, one
-    product shifts the cofactors of the sources it meets, and one more, in
-    chunks of rows that keep the temporaries small, sums them with the
-    (sum x source) coefficients.
+    units[k] is the (g x d) cofactor of the k-th of the n generators and
+    shift(q) the (d x d) matrix of x^q on the d columns, so x^q acts on a
+    cofactor v as v @ shift(q).T.  The trace (GroebnerBasis.replay_trace)
+    becomes one array of its entries and one of its terms, and one product
+    scales the terms of the adding entries; no entry repeats a (shift,
+    source) term, so none is summed.  The first n entries, r that add an
+    element then n - r that vanish, combine inputs at x^0: with T their
+    (entry x input) coefficients, T @ units holds the cofactors of the
+    first r elements, then of the first n - r zero sums.  Every later term
+    names an element, so the table keeps one cofactor per element, and a
+    term whose shift matrix is zero adds nothing and is dropped.  An
+    S-pair entry that adds an element is one product of its (shift x
+    source) coefficients with the stacked cofactors of its sources, then
+    one of the results, side by side, with the stacked transposed shift
+    matrices.  The S-pair sums that reach zero feed no later entry, so
+    they are taken last and together: per distinct shift, one product
+    shifts the cofactors of the sources it meets, and one more, in chunks
+    of rows that keep the temporaries small, sums them with the (sum x
+    source) coefficients.
     """
     n, g, d = units.shape
     shifts, entries, terms = gb.replay_trace()
@@ -267,29 +266,23 @@ def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
     adds = scales != 0
     C = C * np.where(adds, scales, 1)[ent] % p
     mats = [shift(q).T for q in shifts]
-    nv, nz = n + int(adds.sum()), int((~adds).sum())
+    r, m = int(adds[:n].sum()), int(counts[:n].sum())
+    T = np.zeros((n, n), dtype=np.int64)
+    T[ent[:m], srcs[:m]] = C[:m]
+    V = mat_mul(T, units.reshape(n, g * d), p)
+    nv, nz = int(adds.sum()), int((~adds).sum())
     vals = np.zeros((nv, g * d), dtype=np.int64)
-    vals[:n] = units.reshape(n, g * d)
+    vals[:r] = V[:r]
+    out = np.zeros((nz, g * d), dtype=np.int64)
+    out[:n - r] = V[r:]
     added = np.cumsum(adds) - 1
     sums = np.cumsum(~adds) - 1
-    out = np.zeros((nz, g * d), dtype=np.int64)
-    origin = np.array([not any(q) for q in shifts], dtype=bool)
-    inputs = np.bincount(ent[(srcs >= n) | ~origin[qs]],
-                         minlength=len(counts)) == 0
-    at = inputs[ent]
-    T = np.zeros((int(inputs.sum()), n), dtype=np.int64)
-    T[(np.cumsum(inputs) - 1)[ent[at]], srcs[at]] = C[at]
-    V = mat_mul(T, vals[:n], p)
-    vals[n + added[inputs & adds]] = V[adds[inputs]]
-    out[sums[inputs & ~adds]] = V[~adds[inputs]]
-    live = np.array([M.any() for M in mats], dtype=bool)[qs] & ~inputs[ent]
+    ent, C, qs, srcs = ent[m:], C[m:], qs[m:], srcs[m:] - n
+    live = np.array([M.any() for M in mats], dtype=bool)[qs]
     adding, zero = live & adds[ent], live & ~adds[ent]
-    if not live.any():
-        return out
-    pairs = adds & ~inputs
-    for t, (used, sources, M) in zip(n + added[pairs], _blocks(
-            (np.cumsum(pairs) - 1)[ent[adding]], qs[adding], srcs[adding],
-            C[adding], int(pairs.sum()), len(shifts), nv)):
+    for t, (used, sources, M) in enumerate(_blocks(
+            added[ent[adding]] - r, qs[adding], srcs[adding], C[adding],
+            nv - r, len(shifts), nv), r):
         if not sources.size:
             continue
         W = mat_mul(M, vals[sources], p).reshape(len(used), g, d)

@@ -639,19 +639,18 @@ class GroebnerBasis:
         shifts numbered: (shifts, entries, terms).  shifts lists the
         distinct exponent tuples the run shifted by, in order of first use.
         entries holds two items per entry (input or S-pair, in run order):
-        its scale, 0 when its sum reached zero, and its term count; the
-        input entries come first, each a combination of inputs at shift 0,
-        whose rows row-reduce the inputs or, at scale 0, a linear
-        dependency among them.
+        its scale, 0 when its sum reached zero, and its term count.
         terms holds three items per term, entry by entry: term k stands for
         terms[3k] * x^shifts[terms[3k+1]] times source terms[3k+2].
         Sources 0..n-1 are the n nonzero generators the basis was built
         from and source n + t is the element the t-th adding entry made,
         scale times the sum of its terms; the terms of any other entry sum
-        to zero, and no entry repeats a (shift, source) pair.  So on unit
-        cofactors the sums of the entries that do not add, with the
-        vectors with entries in the ideal, generate the syzygies of the
-        generators.
+        to zero, and no entry repeats a (shift, source) pair.  The n input
+        entries come first, those that add before those that vanish, with
+        terms c * x^0 * input k, and every later term names an element.
+        So on unit cofactors the sums of the entries that do not add, with
+        the vectors with entries in the ideal, generate the syzygies of
+        the generators.
         """
         enc, (entries, terms) = self._enc, self._trace
         ids: dict = {}
@@ -707,10 +706,11 @@ class Ideal:
 
     _alg holds the quotient algebra once ArtinianAlgebra.from_ideal has
     built it, so each ideal has one basis and one algebra.  The algebra
-    refers back to its ideal weakly, so the two make no reference cycle.
+    keeps the generators and the basis rather than the ideal, so the two
+    make no reference cycle.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_alg", "__weakref__")
+    __slots__ = ("ring", "gens", "_gb", "_alg")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring

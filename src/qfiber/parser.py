@@ -14,7 +14,8 @@ Grammar (no implicit multiplication, '#' starts a comment to end of line):
     factor    := INT | NAME ['^' INT] | '(' poly ')' | '-' factor
 
 A session may declare exactly one ring; every polynomial after that lives
-in it.  Variables must be declared by the ring statement.
+in it.  Variables must be declared by the ring statement, each once, and
+block(k) needs 1 <= k < the number of variables.
 """
 
 from __future__ import annotations
@@ -178,7 +179,11 @@ class _Parser:
         names = [self.expect("name").text]
         while self.peek().kind == ",":
             self.next()
-            names.append(self.expect("name").text)
+            t = self.expect("name")
+            if t.text in names:
+                raise ParseError(f"duplicate variable {t.text!r}", t.line,
+                                 t.col)
+            names.append(t.text)
         self.expect("]")
         order = GREVLEX
         if self.peek().kind == ",":
@@ -192,6 +197,10 @@ class _Parser:
                 self.expect("(")
                 k = self.expect("int")
                 self.expect(")")
+                if not 1 <= int(k.text) < len(names):
+                    raise ParseError("block split must satisfy 1 <= split < "
+                                     f"{len(names)}, the number of variables",
+                                     k.line, k.col)
                 order = block_order(int(k.text))
             else:
                 raise ParseError(f"unknown order {otok.text!r}", otok.line, otok.col)

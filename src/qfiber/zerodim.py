@@ -20,7 +20,6 @@ regularity of projective point ideals.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import count
 
@@ -36,17 +35,17 @@ class ArtinianAlgebra:
     """F_p[x]/I for a zero-dimensional ideal I, in its standard monomials.
 
     The ideal keeps the algebra beside its Groebner basis (from_ideal), so
-    each ideal has one; the algebra keeps the basis and refers to the ideal
-    weakly (see ideal).  Every d x d matrix of the algebra is a monomial
-    matrix M_q = X^q, built once and memoised, and so are the matrix of the
-    Frobenius map, the local factors with the semisimple parts of the
-    variables, and the answer of at_origin.  A homogeneous basis answers
-    at_origin with no Frobenius map built, and at the origin the nilpotent
-    parts are the matrices themselves.
+    each ideal has one; the algebra keeps the generators and the basis, not
+    the ideal, so the two make no reference cycle (see ideal).  Every d x d
+    matrix of the algebra is a monomial matrix M_q = X^q, built once and
+    memoised, and so are the matrix of the Frobenius map, the local factors
+    with the semisimple parts of the variables, and the answer of
+    at_origin.  A homogeneous basis answers at_origin with no Frobenius map
+    built, and at the origin the nilpotent parts are the matrices
+    themselves.
     """
 
     def __init__(self, ideal: Ideal):
-        self._ideal = weakref.ref(ideal)
         self._gens = ideal.gens
         self._gb = ideal.groebner()
         self.ring = ideal.ring
@@ -81,14 +80,11 @@ class ArtinianAlgebra:
 
     @property
     def ideal(self) -> Ideal:
-        """The ideal of the algebra.  Once the caller's ideal object is gone,
-        an equal one is made on the same basis, with this algebra as its
-        cached quotient, so nothing is computed again."""
-        ideal = self._ideal()
-        if ideal is None:
-            ideal = Ideal(self.ring, self._gens)
-            ideal._gb, ideal._alg = self._gb, self
-            self._ideal = weakref.ref(ideal)
+        """The ideal of the algebra: an ideal on its generators with the
+        algebra's basis and the algebra itself as its cached basis and
+        quotient, so nothing is computed again."""
+        ideal = Ideal(self.ring, self._gens)
+        ideal._gb, ideal._alg = self._gb, self
         return ideal
 
     @property

@@ -465,3 +465,29 @@ class TestParser:
 
         ring, _, _ = parse_session("ring R = Fp(31)[t, x, y], block(1)")
         assert ring.order.kind == "block" and ring.order.split == 1
+
+    def test_session_lex_order(self):
+        ring, ideals, _ = parse_session(
+            "ring R = Fp(31)[x, y], lex; ideal I = y^2 + x, x^3")
+        assert ring.order is LEX
+        assert ring.order.key((1, 0)) > ring.order.key((0, 5))
+        assert [f.leading_monomial() for f in ideals["I"]] == [(1, 0),
+                                                              (3, 0)]
+
+    # (ring statement, the token the error points at)
+    RING_ERRORS = {
+        "block0": ("ring R = Fp(101)[x, y, z], block(0);", "0);"),
+        "block_nvars": ("ring R = Fp(101)[x, y, z], block(3);", "3);"),
+        "block_one_variable": ("ring R = Fp(101)[x], block(1);", "1);"),
+        "duplicate": ("ring R = Fp(101)[x, y, x];", "x];"),
+        "duplicate_neighbour": ("ring R = Fp(101)[x, y, y, z];", "y, z]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RING_ERRORS))
+    def test_ring_errors_point_at_their_token(self, case):
+        # the block's integer, or the repeated name, rather than the prime
+        src, token = self.RING_ERRORS[case]
+        with pytest.raises(ParseError) as ei:
+            parse_session(src)
+        assert ei.value.line == 1
+        assert ei.value.col == src.rindex(token) + 1

@@ -223,6 +223,39 @@ class TestTable:
         assert [r["n"] for r in doc["rows"]] == [2, 3]
         assert started == pools
 
+    def test_row_whose_report_raises(self, capsys, monkeypatch):
+        # a failed assertion in a row's report is its "error" row and
+        # exit 2; an abort is an "aborted" row and exit 3
+        def failing(scen):
+            raise RuntimeError("restriction map failed to be onto")
+
+        monkeypatch.setattr(cli, "q_module", failing)
+        code, doc, _ = run_json(capsys, "table", "--n-min", "2",
+                                "--n-max", "2")
+        assert code == 2
+        (row,) = doc["rows"]
+        assert row.pop("seconds") >= 0
+        assert row == {"n": 2, "seed": 0, "pass": False,
+                       "error": "restriction map failed to be onto"}
+        assert doc["all_pass"] is False
+        raised = iter([RuntimeError("restriction map failed to be onto"),
+                       ResourceAbort(6, 4, 5)])
+
+        def raising(scen):
+            raise next(raised)
+
+        monkeypatch.setattr(cli, "q_module", raising)
+        code, out, _ = run(capsys, "table", "--n-min", "2", "--n-max", "3",
+                           "--output", "text")
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[0] == "p = 32003, seed = 0"
+        rows = [line.split() for line in lines[2:]]
+        assert [r[:5] + r[6:] for r in rows] == [
+            ["2", "-", "-", "-", "-", "error"],
+            ["3", "-", "-", "-", "-", "aborted"]]
+        assert all(r[5].endswith("s") for r in rows)
+
     def test_parallel_rows(self, capsys):
         code, doc, _ = run_json(capsys, "table", "--n-min", "2",
                                 "--n-max", "3", "--jobs", "2")
@@ -262,6 +295,105 @@ class TestCompute:
         qc = doc["checks"]["qlength"]
         assert qc["decomposition_bound"] == "2/1"
         assert qc["decomposition_holds"] is True
+
+    def test_text_output_of_a_nested_report(self, capsys, tmp_path):
+        # dicts indent under their key, lists of dicts number their items,
+        # lists of scalars dash theirs; the input line names the file
+        f = tmp_path / "two.txt"
+        f.write_text(TWO_POINTS)
+        code, out, _ = run(capsys, "compute", "--input", str(f), "--output",
+                           "text")
+        assert code == 0
+        lines = out.splitlines()
+        lines.remove(f"input: {f}")
+        assert lines == [
+            "c: 1",
+            "checks:",
+            "  main1:",
+            "    bound_value: 1/1",
+            "    context:",
+            "      c: 1",
+            "      label: generic-projection",
+            "      n: 0",
+            "      note: not a generic-projection fiber",
+            "    observed_value: 2/1",
+            "    satisfied: False",
+            "    status: report-only",
+            "  qlength:",
+            "    decomposition_bound: 2/1",
+            "    decomposition_holds: True",
+            "    deg_Z: 2",
+            "    equality_holds: True",
+            "    equality_required: True",
+            "    floor_bound: 5/1",
+            "    floor_bound_holds: False",
+            "    floor_bound_required: False",
+            "    mu_bound_holds: True",
+            "    mu_over_c: 2/1",
+            "    note: hypotheses attested by the input, not verified",
+            "    passed: True",
+            "    q: 2/1",
+            "    status: pass",
+            "    verdict:",
+            "      rule: every-component",
+            "      status: Licci",
+            "codim_Y: 1",
+            "command: compute",
+            "components:",
+            "  [0]",
+            "    dim_Q: 1",
+            "    length: 1",
+            "    mu: 1",
+            "  [1]",
+            "    dim_Q: 1",
+            "    length: 1",
+            "    mu: 1",
+            "deg_Z: 2",
+            "dim_M_big: 2",
+            "dim_M_small: 0",
+            "dim_Q: 2",
+            "dim_X: 0",
+            "hilb_tangent_dim: 0",
+            "licci:",
+            "  [0]",
+            "    length: 1",
+            "    note: ",
+            "    point:",
+            "      - 32002",
+            "      - 0",
+            "    rule: CI",
+            "    verdict: Licci",
+            "  [1]",
+            "    length: 1",
+            "    note: ",
+            "    point:",
+            "      - 1",
+            "      - 0",
+            "    rule: CI",
+            "    verdict: Licci",
+            "mu_Q: 2",
+            "p: 32003",
+            "q: 2/1",
+            "seed: 0",
+        ]
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_verdict_unavailable(self, capsys, tmp_path, monkeypatch, error):
+        # a ladder that fails on a component leaves it Unknown, with the
+        # reason in its note, and the report goes on
+        def failing(ideal):
+            raise error("no minimal chart")
+
+        monkeypatch.setattr(cli, "licci_check", failing)
+        f = tmp_path / "qg2.txt"
+        f.write_text(QG2)
+        code, doc, _ = run_json(capsys, "compute", "--input", str(f))
+        (comp,) = doc["licci"]
+        assert (comp["verdict"], comp["rule"], comp["note"]) == (
+            "Unknown", None, "verdict unavailable: no minimal chart")
+        assert doc["checks"]["qlength"]["verdict"] == {"status": "Unknown",
+                                                       "rule": None}
+        assert (code, doc["q"], doc["mu_Q"]) == (0, "3/1", 3)
 
     def test_all_licci_fiber_requires_equality(self, capsys, tmp_path,
                                                monkeypatch):
@@ -412,6 +544,19 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--input", str(f))
         assert code == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize("ring, where", [
+        ("ring R = Fp(101)[x, y, z], block(0);", "line 1, col 34"),
+        ("ring R = Fp(101)[x, y, z], block(3);", "line 1, col 34"),
+        ("ring R = Fp(101)[x, y, x];", "line 1, col 24"),
+    ], ids=["block0", "block-nvars", "duplicate"])
+    def test_ring_statement_error_exits_1(self, capsys, tmp_path, ring,
+                                         where):
+        f = tmp_path / "bad.txt"
+        f.write_text(ring + "\nideal X = x;\nideal Y = y;\n")
+        code, _, err = run(capsys, "compute", "--input", str(f))
+        assert code == 1
+        assert err.startswith(f"error: {where}: ")
 
     def test_largest_prime(self, capsys, tmp_path):
         f = tmp_path / "two.txt"
@@ -879,6 +1024,13 @@ class TestScenario:
             "seed": seed,
         }, indent=2) + "\n"
 
+    @pytest.mark.parametrize("argv", [[], ["--n", "1"], ["--l", "2"]],
+                             ids=["neither", "no-l", "no-n"])
+    def test_secant_demo_needs_n_and_l(self, capsys, argv):
+        code, out, err = run(capsys, "scenario", "secant-demo", *argv)
+        assert (code, out) == (1, "")
+        assert "secant-demo needs --n and --l" in err
+
     def test_secant_demo_rejects_parameters(self, capsys):
         code, _, err = run(capsys, "scenario", "secant-demo",
                            "--n", "1", "--l", "3")
@@ -894,6 +1046,15 @@ class TestPlumbing:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    def test_failed_assertion_exits_2(self, capsys, monkeypatch):
+        def failing(scen):
+            raise RuntimeError("local defect lengths do not add up")
+
+        monkeypatch.setattr(cli, "q_module", failing)
+        code, out, err = run(capsys, "scenario", "ei")
+        assert (code, out) == (2, "")
+        assert err == "error: local defect lengths do not add up\n"
 
 
 # every entry point that builds a basis honours --max-pairs; the table row

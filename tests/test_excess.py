@@ -49,8 +49,8 @@ from qfiber.zerodim import (
 )
 import minpoly_route as mr
 from polys import parse_polynomial
-from test_groebner import (assert_exact, repeated_terms, replayed,
-                           trace_entries)
+from test_groebner import (assert_exact, assert_replay_layout,
+                           repeated_terms, replayed, trace_entries)
 from test_zerodim import (SESSIONS, factor_mu, factor_point, is_nilpotent,
                           random_zero_dim, session_algebra)
 
@@ -1224,6 +1224,7 @@ class TestBatchedReplay:
         gb = I.groebner()
         assert gb.polys == groebner(R, gens[::-1]).polys
         assert repeated_terms(gb) == []
+        assert_replay_layout(gb, len(gens))
         inputs = trace_entries(gb)[1][:len(gens)]
         assert sum(not e[0] for e in inputs) == vanish
         assert_exact(R, gens, replayed(gb, gens))

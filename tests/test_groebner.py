@@ -557,11 +557,9 @@ Z_RUN_WORK = {2: (8, 2, 21, 4), 3: (16, 6, 36, 40), 4: (33, 17, 55, 203),
 def test_z_run_work_is_pinned(n):
     Z = gen_quadric_graph(n, Seed(0)).Z.ideal
     entries, terms = Z.groebner()._trace
-    # one entry per input comes first, its terms unshifted inputs
     k = len(Z.gens)
+    assert_replay_layout(Z.groebner(), k)
     combined, steps = sum(entries[1:2 * k:2]), sum(entries[2 * k + 1::2])
-    assert set(terms[1:3 * combined:3]) == {0}
-    assert max(terms[2:3 * combined:3]) < k
     assert (len(entries) // 2, entries[0::2].count(0), combined,
             steps) == Z_RUN_WORK[n]
     assert (combined + steps) * 3 == len(terms)
@@ -615,6 +613,21 @@ def trace_entries(gb):
         at += k
     assert 3 * at == len(terms) and len(flat) % 2 == 0
     return shifts, entries
+
+
+def assert_replay_layout(gb, n):
+    """The layout excess._replay reads off gb's trace, n the inputs of the
+    run: the n input entries come first, scale 1 then 0 and never 1 after
+    0, their terms c * x^0 * input k, and every later term names an
+    element, source n + t."""
+    shifts, entries, terms = gb.replay_trace()
+    scales = entries[0:2 * n:2]
+    assert len(scales) == n and set(scales) <= {0, 1}
+    assert scales == sorted(scales, reverse=True)
+    m = sum(entries[1:2 * n:2])
+    for c, q, k in zip(*(terms[i:3 * m:3] for i in range(3))):
+        assert 0 < c < gb.ring.p and not any(shifts[q]) and 0 <= k < n
+    assert all(src >= n for src in terms[3 * m + 2::3])
 
 
 def replayed(gb, gens):

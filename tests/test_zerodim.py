@@ -67,7 +67,8 @@ class TestAlgebra:
             ArtinianAlgebra.from_ideal(I)
 
     def test_freed_without_the_cycle_collector(self):
-        # the algebra refers to its ideal weakly: dropping both frees them
+        # the algebra keeps no reference to its ideal: dropping both
+        # frees them
         gc.disable()
         try:
             sc = gen_quadric_graph(3, Seed(0))
@@ -80,19 +81,21 @@ class TestAlgebra:
             gc.enable()
 
     def test_ideal_outlives_its_first_object(self):
-        # once the ideal it was built from is gone, the algebra hands out an
-        # equal ideal whose cached algebra is itself
+        # the algebra hands out an ideal on its generators whose cached
+        # basis and quotient are its own, before and after the ideal it was
+        # built from is gone, so nothing is computed again
         R = ring()
         I = Ideal(R, parse_ideal("x^2 - y, y^3", R))
         A = ArtinianAlgebra.from_ideal(I)
-        assert A.ideal is I
-        gone = weakref.ref(I)
+        gb = I.groebner()
+        assert A.ideal.gens == I.gens
+        assert A.ideal.groebner() is gb
+        assert ArtinianAlgebra.from_ideal(A.ideal) is A
         del I
-        assert gone() is None
         J = A.ideal
-        assert A.ideal is J
-        assert ArtinianAlgebra.from_ideal(J) is A
         assert J.gens == tuple(parse_ideal("x^2 - y, y^3", R))
+        assert J.groebner() is gb
+        assert ArtinianAlgebra.from_ideal(J) is A
         assert A.lift(A.coords(parse_polynomial("x^2", R))) == \
             parse_polynomial("y", R)
 
