@@ -23,7 +23,8 @@ gives the cofactors of all the input entries, then one pair of matrix
 products runs per S-pair entry that adds an element, and one pair per
 distinct shift for all the S-pair sums that reach zero (_replay).  No
 basis of a squared ideal is built.  After that all is numpy on int64
-residues, with every product through linalg.mat_mul.
+residues, with every product through linalg.mat_mul; the algebra acts on
+a block of rows by its free variables alone, in one product per block.
 
 A conormal module is kept as its relation space K alone (dim M = g*d -
 dim K).  Every Hom into the algebra is read off a relation map: the dual
@@ -45,7 +46,7 @@ import numpy as np
 
 from .algebra import GREVLEX, PolyRing
 from .groebner import Ideal
-from .linalg import identity, mat_mul, nullspace, rank, rref
+from .linalg import identity, mat_mul, nullspace, rank, rref, stack_apply
 from .zerodim import ArtinianAlgebra, _linear_parts, local_decompose
 
 
@@ -302,31 +303,20 @@ def _replay(gb, units: np.ndarray, shift, p: int) -> np.ndarray:
     return np.mod(out, p, out=out)
 
 
-def _block_apply(X: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """One algebra action on rows of k^(g*d), blockwise on each d-chunk."""
-    r, w = rows.shape
-    d = X.shape[0]
-    if r == 0 or w == 0:
-        return rows
-    return mat_mul(rows.reshape(-1, d), X.T, p).reshape(r, w)
-
-
 def _submodule(rows: np.ndarray, alg: ArtinianAlgebra):
     """rref k-basis and pivots of the alg-submodule the rows span, rows of
     k^(w*d) acted on blockwise: each round reduces the images of the rows
-    new in the last round modulo the basis so far.  Only the variables
-    whose e_v leads no element of the reduced basis act: every other one
-    is minus its element's tail, a polynomial in those, so they generate
-    the algebra.  With none (a reduced point) the span is the module."""
-    p, n = alg.p, alg.nvars
-    lead = set(alg.ideal.groebner().leading_monomials())
-    acts = [X for v, X in enumerate(alg.actions())
-            if tuple(int(w == v) for w in range(n)) not in lead]
+    new in the last round modulo the basis so far, all the free actions
+    taken in one product (stack_apply).  Only the free variables act:
+    every other one is minus its element's tail, a polynomial in those, so
+    they generate the algebra.  With none (a reduced point) the span is the
+    module."""
+    p, S = alg.p, alg.free_actions()
     R, piv = rref(rows, p)
     R = R[:len(piv)]
     new = R
-    while new.shape[0] and acts:
-        cand = np.vstack([_block_apply(X, new, p) for X in acts])
+    while new.shape[0] and len(S):
+        cand = stack_apply(S, new, p).reshape(-1, new.shape[1])
         if piv:
             cand -= mat_mul(cand[:, piv], R, p)
             np.mod(cand, p, out=cand)
@@ -343,16 +333,13 @@ def _relation_columns(K: np.ndarray, alg: ArtinianAlgebra):
     under Phi_K, g*d the width of K, rows of k^(m*d); they span
     Phi_K(alg^g) as a module (_submodule).  When every variable acts
     nilpotently the kappa are the rows of K outside m*K, which generate it
-    (Nakayama); otherwise all rows of K.  m*K is spanned by X_v*K over the
-    variables v with no linear pivot, which span m/m^2: m = (those) + m^2,
-    so Nakayama again gives m*K = (those)*K."""
-    p, acts = alg.p, alg.actions()
+    (Nakayama); otherwise all rows of K.  There the free variables generate
+    m, since a bound x_v is minus its tail, which has no constant term, so
+    m*K is spanned by the X_w*K, taken in one product (stack_apply)."""
+    p, S = alg.p, alg.free_actions()
     if K.shape[0] and alg.at_origin():
-        lin = set(_linear_pivots(alg.ideal))
-        mK = [_block_apply(X, K, p) for v, X in enumerate(acts)
-              if v not in lin]
-        if mK:
-            mK, piv = rref(np.vstack(mK), p)
+        if len(S):
+            mK, piv = rref(stack_apply(S, K, p).reshape(-1, K.shape[1]), p)
             K = K - mat_mul(K[:, piv], mK[:len(piv)], p)
         K, piv = rref(K, p)
         K = K[:len(piv)]
@@ -360,20 +347,24 @@ def _relation_columns(K: np.ndarray, alg: ArtinianAlgebra):
     return K.reshape(m, w // d, d).transpose(1, 0, 2).reshape(w // d, m * d)
 
 
-def _linear_pivots(ideal: Ideal) -> list:
-    """Pivot columns of the rref of the linear parts of the ideal's reduced
-    basis: variables that other variables give modulo m^2 in the quotient,
-    so the rest span m/m^2."""
-    ring = ideal.ring
-    return rref(_linear_parts(ideal.groebner().polys, ring.nvars), ring.p)[1]
-
-
 def _relation_matrix(cols: np.ndarray, alg: ArtinianAlgebra) -> np.ndarray:
     """The k-matrix of Phi_K on alg^g from its columns c_i: row (i, a) is
     the a-th standard monomial times c_i, so Phi_K(phi) = phi @ matrix."""
     g, w = cols.shape
-    return np.stack([_block_apply(alg.monomial_matrix(q), cols, alg.p)
-                     for q in alg.std], axis=1).reshape(g * alg.dim, w)
+    M = np.stack([alg.monomial_matrix(q) for q in alg.std])
+    return stack_apply(M, cols, alg.p).transpose(1, 0, 2).reshape(
+        g * alg.dim, w)
+
+
+def _quotient_module(R: np.ndarray, piv, gens: np.ndarray,
+                     alg: ArtinianAlgebra) -> FinModule:
+    """The module with k-basis the rref rows R, a row's coordinates its
+    entries at the pivots piv, and generators gens: the free actions are
+    read off the rows' images in one product (stack_apply), the others
+    are minus their tails on those (ArtinianAlgebra.module_actions)."""
+    free = stack_apply(alg.free_actions(), R, alg.p)[:, :, piv]
+    return FinModule(len(piv), tuple(alg.module_actions(
+        free.transpose(0, 2, 1))), gens, alg)
 
 
 # --- conormal modules of a scenario ----------------------------------------
@@ -441,17 +432,20 @@ def module_mu(mod: FinModule):
 
     Returns (mu, components) with components a tuple of (local length of
     the algebra, local module length, local mu), one per factor in order.
-    The nilpotent parts N_v of the actions, built once, span rad(A)*M
-    (ArtinianAlgebra.nilpotent_parts).  With E the action of a factor's
-    idempotent, E*M is the local module and E*rad(A)*M its maximal ideal
-    times it, so by Nakayama mu_c = rank E - rank(E*[N_1 | ... | N_n]).
-    The E of all factors come from one ArtinianAlgebra.evaluate call, so
-    they share their monomial matrices Y^q.
+    The nilpotent parts N_w of the free actions, built once, span
+    rad(A)*M (ArtinianAlgebra.nilpotent_parts).  With E the action of a
+    factor's idempotent, E*M is the local module and E*rad(A)*M its
+    maximal ideal times it, so by Nakayama mu_c = rank E -
+    rank(E*[N_1 | ... | N_f]).  The E of all factors come from one
+    ArtinianAlgebra.evaluate call, so they share their monomial matrices
+    Y^q.
     """
-    alg, p = mod.algebra, mod.algebra.p
+    alg, p, m = mod.algebra, mod.algebra.p, mod.basis_dim
     factors = local_decompose(alg)
-    radical = np.hstack(alg.nilpotent_parts(mod.actions))
-    projectors = alg.evaluate([f.idempotent for f in factors], mod.actions)
+    free = np.asarray(mod.actions)[list(alg.free)]
+    N = alg.nilpotent_parts(free)
+    radical = N.transpose(1, 0, 2).reshape(m, len(N) * m)
+    projectors = alg.evaluate([f.idempotent for f in factors], free)
     per = []
     for f, E in zip(factors, projectors):
         dim_c = rank(E, p)
@@ -479,8 +473,8 @@ def _defect_report(big: np.ndarray, small: np.ndarray, alg: ArtinianAlgebra,
     ker Phi_big is the nullspace of the k-matrix of Phi_big, and its k-basis
     is mapped through that of Phi_small (_relation_matrix).  Q's actions are
     read off its rref basis, where a row's coordinates are its pivot
-    entries.  Z is split into local factors once (local_decompose); the
-    report keeps them.
+    entries, the free ones in one product (_quotient_module).  Z is split
+    into local factors once (local_decompose); the report keeps them.
     """
     p, width = alg.p, small.shape[1]
     if big.shape[0] and not _in_row_space(big, small, p):
@@ -494,8 +488,7 @@ def _defect_report(big: np.ndarray, small: np.ndarray, alg: ArtinianAlgebra,
         R, piv = rref(mat_mul(ker_big, _relation_matrix(cols, alg), p), p)
         R = R[:len(piv)]
     dim_q, factors = len(piv), tuple(local_decompose(alg))
-    actions = tuple(_block_apply(X, R, p)[:, piv].T for X in alg.actions())
-    mu_q, per = module_mu(FinModule(dim_q, actions, identity(dim_q), alg))
+    mu_q, per = module_mu(_quotient_module(R, piv, identity(dim_q), alg))
     if sum(t[1] for t in per) != dim_q:
         raise RuntimeError("local defect lengths do not add up")
     q = Fraction(dim_q, c) if c is not None and c >= 1 else None
@@ -608,14 +601,17 @@ def minimal_generators(alg: ArtinianAlgebra) -> list:
 def minimal_presentation(ideal: Ideal) -> Ideal:
     """Image of an origin-supported ideal in its minimal chart.
 
-    Eliminates every variable that carries a linear part in the ideal,
-    keeping one variable when all of them would go (a reduced point), and
-    verifies the quotient length survives the move.  When each of those
-    variables leads an element of the reduced basis, the image is read off
-    the basis (_drop_variables); otherwise a block-order elimination runs.
+    Eliminates every variable that carries a linear part in the ideal: the
+    pivot columns of the rref of the linear parts of its reduced basis,
+    which the other variables give modulo m^2.  It keeps one variable when
+    all of them would go (a reduced point), and verifies the quotient
+    length survives the move.  When each of those variables leads an
+    element of the reduced basis, the image is read off the basis
+    (_drop_variables); otherwise a block-order elimination runs.
     """
     ring = ideal.ring
-    doomed = [ring.variables[j] for j in _linear_pivots(ideal)]
+    linear = _linear_parts(ideal.groebner().polys, ring.nvars)
+    doomed = [ring.variables[j] for j in rref(linear, ring.p)[1]]
     if len(doomed) == ring.nvars:
         # a reduced point; keep one variable so the re-presented ring is
         # nontrivial (the ideal becomes principal on it)
@@ -646,8 +642,7 @@ def qbar(Z: ArtinianAlgebra) -> FinModule:
     cols = _relation_columns(
         _relation_space(gens, Ideal(alg.ring, gens), alg), alg)
     R, piv = _submodule(cols, alg)
-    acts = tuple(_block_apply(X, R, alg.p)[:, piv].T for X in alg.actions())
-    return FinModule(len(piv), acts, cols[:, piv], alg)
+    return _quotient_module(R, piv, cols[:, piv], alg)
 
 
 # --- symmetry ----------------------------------------------------------------

@@ -50,9 +50,9 @@ back through T.
 A zero-dimensional basis also gives its quotient algebra on packed
 monomials: one walk, memoised on the basis, finds them with the reducer's
 guard-bit divisibility test, and border_plan orders the border monomials
-x_v * m so that each column of the multiplication matrices is minus a
-tail of the basis or an action on a column built before it, with no
-normal form.
+x_w * m of the variables that generate the quotient so that each column
+of their multiplication matrices is minus a tail of the basis or an
+action on a column built before it, with no normal form.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
+from operator import mul
 
 from .algebra import (
     GREVLEX,
@@ -116,9 +116,15 @@ class _Repack(Exception):
 
 
 class _Enc:
-    """Packed-monomial codec for a fixed ring and field width."""
+    """Packed-monomial codec for a fixed ring and field width.
 
-    __slots__ = ("n", "B", "order", "pmax", "gmask", "_shifts", "_tailbits")
+    An order key is linear in the exponents, sum e_i * _weights[i], so a
+    product's key is the sum of its factors'.  grevlex on exponents lo..hi-1
+    is the degree past hi - lo fields minus the reversed packing; lex is the
+    packing; block(k) puts grevlex on the first k above that on the rest.
+    """
+
+    __slots__ = ("n", "B", "order", "pmax", "gmask", "_shifts", "_weights")
 
     def __init__(self, nvars: int, order: MonomialOrder, bits: int):
         self.n = nvars
@@ -130,11 +136,20 @@ class _Enc:
             self.gmask |= 1 << ((i + 1) * bits - 1)
         # variable i sits at shift (n-1-i)*B: leading variables most significant
         self._shifts = tuple((nvars - 1 - i) * bits for i in range(nvars))
-        if order.kind == "block":
-            k = order.split
-            self._tailbits = (nvars - k) * bits + bits + nvars.bit_length() + 1
+
+        def grevlex(lo: int, hi: int) -> list:
+            return [(1 << (hi - lo) * bits) - (1 << (i - lo) * bits)
+                    for i in range(lo, hi)]
+
+        if order.kind == "lex":
+            self._weights = tuple(1 << s for s in self._shifts)
+        elif order.kind == "grevlex":
+            self._weights = tuple(grevlex(0, nvars))
         else:
-            self._tailbits = 0
+            k = order.split
+            tail = (nvars - k) * bits + bits + nvars.bit_length() + 1
+            self._weights = tuple([w << tail for w in grevlex(0, k)]
+                                  + grevlex(k, nvars))
 
     def pack(self, e) -> int:
         m = 0
@@ -152,38 +167,11 @@ class _Enc:
             out[i] = (m >> s) & mask
         return tuple(out)
 
-    def deg(self, m: int) -> int:
-        B, mask = self.B, (1 << self.B) - 1
-        d = 0
-        while m:
-            d += m & mask
-            m >>= B
-        return d
-
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.gmask) - a) & self.gmask == self.gmask
 
-    def _gkey(self, e, lo: int, hi: int) -> int:
-        # grevlex on the slice: (degree, negated reverse-packed exponents)
-        d = 0
-        rev = 0
-        B = self.B
-        for i in range(lo, hi):
-            d += e[i]
-            rev |= e[i] << ((i - lo) * B)
-        return (d << ((hi - lo) * B)) - rev
-
     def key_of_tuple(self, e) -> int:
-        kind = self.order.kind
-        if kind == "grevlex":
-            return self._gkey(e, 0, self.n)
-        if kind == "lex":
-            m = 0
-            for v, s in zip(e, self._shifts):
-                m |= v << s
-            return m
-        k = self.order.split
-        return (self._gkey(e, 0, k) << self._tailbits) + self._gkey(e, k, self.n)
+        return sum(map(mul, e, self._weights))
 
     def key(self, m: int) -> int:
         return self.key_of_tuple(self.unpack(m))
@@ -396,14 +384,15 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
     """
     lts: list = []     # (ltkey, ltpacked, tail) of each element, monic
     lms: list = []     # ltpacked of each element
-    sugars: list = []
-    pairs: dict = {}   # (i, j) -> (sugar, lcmkey, lcmpacked)
+    exps: list = []    # exponent tuple of each element's leading term
+    sugars: list = []  # sugar minus leading degree of each element
+    pairs: dict = {}   # (i, j) -> lcmpacked of the open pairs
     heap: list = []
     red = _Reducer(enc, p)  # over lts, which only grows
     entries: list = []
     trace_terms: list = []
     n = len(inputs)
-    gmask, top = enc.gmask, enc.B - 1
+    gmask, top, weights = enc.gmask, enc.B - 1, enc._weights
 
     def add_element(terms, sugar):
         t = len(lts)
@@ -411,45 +400,52 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
         # lcm(lt(i), lt(t)) of each element i: the guard bits of
         # (ltm | gmask) - lt(i) mark the fields where lt(t) is at least
         # lt(i); each becomes the mask of its field, taken from lt(t)
+        ltmg = ltm | gmask
         lcms = []
         for a in lms:
-            g = ((ltm | gmask) - a) & gmask
+            g = (ltmg - a) & gmask
             g -= g >> top
             lcms.append(ltm & g | a & ~g)
         # Gebauer-Moller update: drop the old pairs (i, j) whose lcm lt(t)
         # divides unless it is that of (i, t) or (j, t); a divides b when
         # ((b | gmask) - a) & gmask == gmask
-        for ij in [(i, j) for (i, j), (_, _, L) in pairs.items()
+        for ij in [ij for ij, L in pairs.items()
                    if ((L | gmask) - ltm) & gmask == gmask
-                   and lcms[i] != L and lcms[j] != L]:
+                   and lcms[ij[0]] != L and lcms[ij[1]] != L]:
             del pairs[ij]
-        # candidate pairs (i, t), filtered so only minimal lcms survive; a
-        # pair is coprime when its lcm is the product of its leading terms
-        cand = list(enumerate(lcms))
-        kept: list = []
-        while cand:
-            i, L = cand.pop()
+        # the new pairs (i, t) whose lcm no other new lcm divides properly,
+        # the first of those sharing an lcm, and none whose lcm a coprime
+        # pair has: a pair is coprime when its lcm is the product of its
+        # leading terms, and needs no S-polynomial.  A proper divisor is
+        # numerically smaller, so the minimal lcms come out of one
+        # ascending pass, each tried against those found before it.
+        first: dict = {}
+        coprime = set()
+        for i, L in enumerate(lcms):
+            first.setdefault(L, i)
             if L == lms[i] + ltm:
-                kept.append((i, L))
-                continue
+                coprime.add(L)
+        minimal: list = []
+        for L in sorted(first):
             Lg = L | gmask
-            for _, L2 in chain(cand, kept):
+            for L2 in minimal:
                 if (Lg - L2) & gmask == gmask:
                     break
             else:
-                kept.append((i, L))
+                minimal.append(L)
+        et = enc.unpack(ltm)
+        dt = sum(et)
         lts.append((ltk, ltm, terms[1:]))
         lms.append(ltm)
-        sugars.append(sugar)
-        for i, L in kept:
-            if L == lms[i] + ltm:
-                continue
-            Lk = enc.key(L)
-            sug = max(
-                sugars[i] + enc.deg(L - lms[i]),
-                sugar + enc.deg(L - ltm),
-            )
-            pairs[(i, t)] = (sug, Lk, L)
+        exps.append(et)
+        sugars.append(sugar - dt)
+        for i in sorted((first[L] for L in minimal if L not in coprime),
+                        reverse=True):
+            # the lcm's exponents are the larger of the two leading terms'
+            e = tuple(map(max, exps[i], et))
+            Lk = sum(map(mul, e, weights))
+            sug = max(sugars[i], sugar - dt) + sum(e)
+            pairs[(i, t)] = lcms[i]
             heapq.heappush(heap, (sug, Lk, i, t))
 
     for terms, comb in _row_reduce(inputs, p):
@@ -457,20 +453,19 @@ def _buchberger(enc: _Enc, inputs, p: int, max_pairs: int):
         for k, c in comb:
             trace_terms += (c, 0, k)
         if terms:
-            add_element(terms, max(enc.deg(m) for _, m, _ in terms))
+            add_element(terms, max(sum(enc.unpack(m)) for _, m, _ in terms))
 
     done = 0
     while heap:
-        sug, _, i, j = heapq.heappop(heap)
-        cur = pairs.pop((i, j), None)
-        if cur is None:
+        sug, Lk, i, j = heapq.heappop(heap)
+        L = pairs.pop((i, j), None)
+        if L is None:
             continue
         done += 1
         if done > max_pairs:
             raise ResourceAbort(done, len(lts), max_pairs)
         # the monic leading terms cancel: the S-polynomial is the shifted
         # tail of i minus that of j
-        _, Lk, L = cur
         (ik, im, itail), (jk, jm, jtail) = lts[i], lts[j]
         s = [(Lk - ik + tk, L - im + tm, tc) for tk, tm, tc in itail]
         s += [(Lk - jk + tk, L - jm + tm, -tc) for tk, tm, tc in jtail]
@@ -592,20 +587,24 @@ class GroebnerBasis:
         order, for a zero-dimensional ideal (_walk)."""
         return tuple(self._enc.unpack(m) for _, m in self._walk())
 
-    def border_plan(self) -> tuple:
-        """How to build the multiplication matrices of the variables on the
-        standard monomials, each column from columns built before it.
+    def border_plan(self, variables) -> tuple:
+        """How to build the multiplication matrices of the given variables
+        on the standard monomials, each column from columns built before
+        it.  variables must hold every variable whose e_v leads no element:
+        those generate the algebra (ArtinianAlgebra.free).
 
         Returns (places, direct, derived).  Places 0..d-1 hold the standard
         monomials std, ascending (_walk), places d, d+1, ... the border
-        monomials x_v * std[j] outside std in increasing order, and
-        places[v][j] is that of x_v * std[j].  direct lists (row, place,
-        coefficient) entries: the unit columns of std, and minus the tail
-        of each element a border monomial leads.  Any other border monomial
-        b = x_v * s is a proper multiple of a leading term, so b' = b / x_w
-        = x_v * (s / x_w) lies outside std for some w; derived lists (place
-        of b, w, place of b') in increasing order.  The column of b is X_w
-        times that of b', and each x_w * s' it meets, s' a term of b', lies
+        monomials x_w * std[j] outside std, w in variables, in increasing
+        order, and places[k][j] is that of x_w * std[j] for the k-th
+        variable w.  direct lists (row, place, coefficient) entries: the
+        unit columns of std, and minus the tail of each element a border
+        monomial leads.  Any other border monomial b = x_w * s is a proper
+        multiple of a leading term, so b' = b / x_u = x_w * (s / x_u) lies
+        outside std for some u; u divides s, so it is free and b' is a
+        border monomial too.  derived lists (place of b, k, place of b') in
+        increasing order, u the k-th variable.  The column of b is X_u
+        times that of b', and each x_u * s' it meets, s' a term of b', lies
         below b, so is built already: the multiplication matrices of FGLM
         (Faugere, Gianni, Lazard, Mora, J. Symbolic Comput. 16, 1993) and
         of border bases (Kehrein, Kreuzer, Robbiano, 2005).
@@ -613,7 +612,7 @@ class GroebnerBasis:
         enc = self._enc
         keys, packed = zip(*self._walk())
         p, gmask, d = self.ring.p, enc.gmask, len(packed)
-        units = [1 << s for s in enc._shifts]
+        units = [1 << enc._shifts[w] for w in variables]
         place = {m: j for j, m in enumerate(packed)}
         # a border monomial's order key is the sum of its factors' keys
         border = {m + u: k + uk for u, uk in zip(units, map(enc.key, units))
@@ -628,9 +627,9 @@ class GroebnerBasis:
             if tail is not None:
                 direct += [(place[m], place[b], p - c) for _, m, c in tail]
                 continue
-            for w, u in enumerate(units):
+            for k, u in enumerate(units):
                 if ((b | gmask) - u) & gmask == gmask and place[b - u] >= d:
-                    derived.append((place[b], w, place[b - u]))
+                    derived.append((place[b], k, place[b - u]))
                     break
         return [[place[m + u] for m in packed] for u in units], direct, derived
 

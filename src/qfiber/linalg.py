@@ -88,6 +88,17 @@ def mat_mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def stack_apply(S: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """Each action of the stack S (k x d x d) on rows of k^w, blockwise on
+    each d-chunk, as one product with H = [S[0]^T | ... | S[k-1]^T]: a
+    (k x r x w) array, [i] the rows acted on by S[i]."""
+    k, d = S.shape[:2]
+    r, w = rows.shape
+    H = S.transpose(2, 0, 1).reshape(d, k * d)
+    out = mat_mul(rows.reshape(-1, d), H, p)
+    return out.reshape(r, w // d, k, d).transpose(2, 0, 1, 3).reshape(k, r, w)
+
+
 def rref(A, p: int):
     """Reduced row echelon form.
 

@@ -50,7 +50,7 @@ def divmod_poly(f: list, g: list, p: int):
         raise ZeroDivisionError("division by zero polynomial")
     r = list(f)
     q = [0] * max(0, len(f) - len(g) + 1)
-    inv = pow(g[-1], p - 2, p)
+    inv = 1 if g[-1] == 1 else pow(g[-1], p - 2, p)
     for i in range(len(f) - len(g), -1, -1):
         c = r[i + len(g) - 1] * inv % p
         if c:
@@ -65,15 +65,17 @@ def mod_poly(f: list, g: list, p: int) -> list:
 
 
 def monic(f: list, p: int) -> list:
-    if not f:
+    """f scaled to leading coefficient 1; f itself when it has that."""
+    if not f or f[-1] == 1:
         return f
     return scale(f, pow(f[-1], p - 2, p), p)
 
 
 def gcd(f: list, g: list, p: int) -> list:
-    a, b = list(f), list(g)
+    # every divisor is monic, so divmod_poly inverts nothing
+    a, b = list(f), monic(g, p)
     while b:
-        a, b = b, mod_poly(a, b, p)
+        a, b = b, monic(mod_poly(a, b, p), p)
     return monic(a, p)
 
 
@@ -144,7 +146,7 @@ def roots(f: list, p: int) -> list:
     while stack:
         h = stack.pop()
         if deg(h) == 1:
-            out.append((-h[0]) * pow(h[1], p - 2, p) % p)
+            out.append(-h[0] % p)  # h is monic
             continue
         s = _split_roots(h, p, rng)
         stack.append(s)

@@ -2,10 +2,14 @@
 
 An ArtinianAlgebra is F_p[x]/I for a zero-dimensional I, represented by its
 standard-monomial basis and the memoised monomial matrices M_q = X^q built
-from the multiplication matrices X_v of the variables.  Its locality comes
-from the reduced basis when every element is homogeneous: the zero set is
-then a finite cone, the origin alone, so every x_v is nilpotent and the X_v
-span the radical themselves.  Otherwise it comes from the Frobenius map
+from the multiplication matrices X_v of the variables.  The free x_w, whose
+e_w leads no element of the reduced basis, generate it: any other x_v is
+minus the tail of the element it leads, on standard monomials, which hold
+free variables alone.  So only the free X_w are built, as one stack, and a
+bound X_v is that tail evaluated on them.  Its locality comes from the
+reduced basis when every element is homogeneous: the zero set is then a
+finite cone, the origin alone, so every x_v is nilpotent and the X_v span
+the radical themselves.  Otherwise it comes from the Frobenius map
 F(a) = a^p, which is F_p-linear on the algebra and memoised on it as a
 matrix: F^N kills the radical once p^N >= dim (at_origin), ker(F - 1) is
 the split subalgebra F_p^c with one copy per local factor, and F^N maps
@@ -28,7 +32,7 @@ import numpy as np
 from . import univar as uv
 from .algebra import Polynomial
 from .groebner import Ideal, hilbert_data
-from .linalg import identity, mat_mul, nullspace, rank, rref
+from .linalg import identity, mat_mul, nullspace, rank, rref, stack_apply
 
 
 class ArtinianAlgebra:
@@ -36,29 +40,40 @@ class ArtinianAlgebra:
 
     The ideal keeps the algebra beside its Groebner basis (from_ideal), so
     each ideal has one; the algebra keeps the generators and the basis, not
-    the ideal, so the two make no reference cycle (see ideal).  Every d x d
-    matrix of the algebra is a monomial matrix M_q = X^q, built once and
-    memoised, and so are the matrix of the Frobenius map, the local factors
-    with the semisimple parts of the variables, and the answer of
-    at_origin.  A homogeneous basis answers at_origin with no Frobenius map
-    built, and at the origin the nilpotent parts are the matrices
-    themselves.
+    the ideal, so the two make no reference cycle (see ideal).  free lists
+    the free variables and _tails the coordinates of each bound x_v.  Every
+    d x d matrix of the algebra is a monomial matrix M_q = X^q, built once
+    and memoised, and so are the actions, the matrix of the Frobenius map,
+    the local factors with the semisimple parts of the variables, and the
+    answer of at_origin.  A homogeneous basis answers at_origin with no
+    Frobenius map built, and at the origin the nilpotent parts are the
+    matrices themselves.
     """
 
     def __init__(self, ideal: Ideal):
         self._gens = ideal.gens
         self._gb = ideal.groebner()
         self.ring = ideal.ring
-        self.p = self.ring.p
+        self.p = p = self.ring.p
         self.std = self._gb.standard_monomials()
         self.dim = len(self.std)
         self._index = {m: i for i, m in enumerate(self.std)}
-        zero = (0,) * self.ring.nvars
+        n = self.ring.nvars
+        zero = (0,) * n
         self.one = np.zeros(self.dim, dtype=np.int64)
         self.one[self._index[zero]] = 1
+        lead = {f.leading_monomial(): f for f in self._gb.polys}
+        self._tails = {}
+        for v in range(n):
+            f = lead.get(zero[:v] + (1,) + zero[v + 1:])
+            if f is not None:
+                a = self._tails[v] = np.zeros(self.dim, dtype=np.int64)
+                for m, c in f.terms[1:]:
+                    a[self._index[m]] = p - c
+        self.free = tuple(v for v in range(n) if v not in self._tails)
         # the least N >= 1 with p^N >= dim: F^N kills every nilpotent
-        self.depth = next(N for N in count(1) if self.p ** N >= self.dim)
-        self._actions = None
+        self.depth = next(N for N in count(1) if p ** N >= self.dim)
+        self._free = self._actions = None
         self._monomials = {zero: identity(self.dim)}
         self._frobenius = None
         self._local = None
@@ -110,28 +125,48 @@ class ArtinianAlgebra:
 
     # -- multiplication
 
+    def free_actions(self) -> np.ndarray:
+        """The X_w of the free variables, in order, as one (f x d x d) stack
+        (_build_actions); with actions, memoised."""
+        if self._free is None:
+            self._free = self._build_actions()
+            self._actions = self.module_actions(self._free)
+        return self._free
+
     def actions(self) -> list:
-        if self._actions is None:
-            self._actions = self._build_actions()
+        """X_v for every variable: views of the free stack, then the bound
+        ones (module_actions)."""
+        self.free_actions()
         return self._actions
 
-    def action(self, v: int) -> np.ndarray:
-        return self.actions()[v]
+    def module_actions(self, free: np.ndarray) -> list:
+        """The action of every variable on a module over the algebra whose
+        free variables act by the stack free: free[k] for the k-th free
+        variable, and minus its element's tail evaluated on them for a bound
+        x_v (evaluate), 0 where that tail is 0."""
+        bound = [v for v, a in self._tails.items() if a.any()]
+        tails = self.evaluate([self._tails[v] for v in bound], free)
+        acts = list(np.zeros((self.nvars,) + free.shape[1:], dtype=np.int64))
+        for v, Y in [*zip(self.free, free), *zip(bound, tails)]:
+            acts[v] = Y
+        return acts
 
-    def _build_actions(self) -> list:
-        """The X_v on one array of the columns of GroebnerBasis.border_plan:
-        the direct ones set at once, then each derived one in turn."""
-        d, p = self.dim, self.p
-        places, direct, derived = self._gb.border_plan()
-        places = np.array(places, dtype=np.int64)
-        C = np.zeros((d, places.max() + 1), dtype=np.int64)
+    def _build_actions(self) -> np.ndarray:
+        """The free X_w on one array of the columns of border_plan, a row
+        each: the direct ones set at once, then each derived one in turn.
+        The stack is a view of H = [X_1^T | ... | X_f^T], the rows of the
+        x_w * std[j] side by side, which stack_apply multiplies by."""
+        d, p, f = self.dim, self.p, len(self.free)
+        places, direct, derived = self._gb.border_plan(self.free)
+        places = np.array(places, dtype=np.int64).reshape(f, d)
+        C = np.zeros((places.max(initial=d - 1) + 1, d), dtype=np.int64)
         at = np.array(direct, dtype=np.int64)
-        C[at[:, 0], at[:, 1]] = at[:, 2]
+        C[at[:, 1], at[:, 0]] = at[:, 2]
         for k, w, b in derived:
-            nz = C[:, b].nonzero()[0]
+            nz = C[b].nonzero()[0]
             if nz.size:
-                C[:, k] = mat_mul(C[:, places[w, nz]], C[nz, b], p)
-        return [C[:, cols] for cols in places]
+                C[k] = mat_mul(C[b, nz], C[places[w, nz]], p)
+        return C[places.T].reshape(d, f, d).transpose(1, 2, 0)
 
     def monomial_matrix(self, q) -> np.ndarray:
         """M_q, the multiplication matrix of x^q for any exponent q
@@ -151,20 +186,20 @@ class ArtinianAlgebra:
             out[i] = mat_mul(mats[v], out[prev], self.p)
         return out
 
-    def evaluate(self, vectors, mats) -> list:
-        """The matrix of each element, given by its standard-monomial
-        coordinates a, on a module over the algebra whose variables act by
-        mats: the sum of a_q Y^q over the element's support, each Y^q
-        built once for all the elements (_monomial).  The element 1 is the
-        identity, with no product taken."""
-        p, std = self.p, self.std
-        memo = {std[0]: identity(mats[0].shape[0])}
-        out = []
-        for a in vectors:
-            M = np.zeros_like(memo[std[0]])
+    def evaluate(self, vectors, free: np.ndarray) -> np.ndarray:
+        """The stacked matrices of the elements, given by their
+        standard-monomial coordinates a, on a module over the algebra whose
+        free variables act by the stack free: the sum of a_q Y^q over the
+        element's support, each Y^q built once for all the elements
+        (_monomial).  The element 1 is the identity, with no product."""
+        p, std, m = self.p, self.std, free.shape[1]
+        memo = {std[0]: identity(m)}
+        mats = dict(zip(self.free, free))
+        out = np.zeros((len(vectors), m, m), dtype=np.int64)
+        for M, a in zip(out, vectors):
             for i in np.flatnonzero(a):
-                M = (M + int(a[i]) * _monomial(memo, mats, std[i], p)) % p
-            out.append(M)
+                M += int(a[i]) * _monomial(memo, mats, std[i], p)
+                M %= p
         return out
 
     # -- locality
@@ -172,12 +207,11 @@ class ArtinianAlgebra:
     def frobenius(self) -> np.ndarray:
         """The matrix of F(a) = a^p on the standard monomials.  Column q is
         (x^q)^p = P_v (x^(q - e_v))^p for P_v = X_v^p, so it is built
-        along the standard monomials (along_std), with P_v by repeated
-        squaring for the variables of the standard monomials alone."""
+        along the standard monomials (along_std), with P_w by repeated
+        squaring for the free variables, those of the standard monomials."""
         if self._frobenius is None:
-            used = {v for q in self.std for v, e in enumerate(q) if e}
-            P = {v: _matrix_power(self.action(v), self.p, self.p)
-                 for v in used}
+            P = {w: _matrix_power(X, self.p, self.p)
+                 for w, X in zip(self.free, self.free_actions())}
             self._frobenius = self.along_std(self.one, P).T
         return self._frobenius
 
@@ -193,28 +227,27 @@ class ArtinianAlgebra:
         point at the origin.  When every element of the reduced basis is
         homogeneous, the zero set is a finite cone, so the origin alone,
         and no Frobenius map is built.  Otherwise F^N must kill every x_v,
-        N the depth: a nilpotent's index is at most dim <= p^N."""
+        N the depth: a nilpotent's index is at most dim <= p^N.  x_v is the
+        first column of X_v, x_v * 1."""
         if self._origin is None:
             self._origin = all(f.is_homogeneous() for f in self._gb.polys)
             if not self._origin:
-                xs = np.stack([mat_mul(X, self.one, self.p)
-                               for X in self.actions()], axis=1)
+                xs = np.stack([X[:, 0] for X in self.actions()], axis=1)
                 self._origin = not self.frobenius_power(xs, self.depth).any()
         return self._origin
 
-    def nilpotent_parts(self, mats) -> list:
-        """N_v = Y_v - S_v for the matrices Y_v of the variables on a module
-        over the algebra, S_v the action of the semisimple part s_v of x_v
-        (local_decompose).  Each n_v = x_v - s_v is nilpotent, and the s_v
-        lie in the reduced subalgebra F^N(A), so the quotient by the n_v,
-        generated by the images of the s_v, is a product of fields: the
-        n_v generate rad A, and the columns of the N_v span rad(A)*M.  At
-        the origin every s_v is 0 and N_v = Y_v, with no product taken."""
+    def nilpotent_parts(self, free: np.ndarray) -> np.ndarray:
+        """The stack of N_w = Y_w - S_w for the stack free of the Y_w of the
+        free variables on a module over the algebra, S_w the action of the
+        semisimple part s_w of x_w (local_decompose).  Each n_w = x_w - s_w
+        is nilpotent, and the s_w lie in the reduced subalgebra F^N(A).  The
+        x_w generate A, so the quotient by the n_w, generated by the images
+        of the s_w, is a product of fields: the n_w generate rad A, and the
+        columns of the N_w span rad(A)*M.  At the origin N_w = Y_w."""
         if self.at_origin():
-            return list(mats)
-        semisimple = self._local_parts()[1]
-        return [np.mod(Y - S, self.p)
-                for Y, S in zip(mats, self.evaluate(semisimple.T, mats))]
+            return free
+        semisimple = self._local_parts()[1][:, self.free]
+        return np.mod(free - self.evaluate(semisimple.T, free), self.p)
 
     def _local_parts(self) -> tuple:
         """(local factors, semisimple parts), memoised (_split)."""
@@ -368,7 +401,7 @@ def _split(alg: ArtinianAlgebra) -> tuple:
     degrees = [rank(FL[:, :, k], p) for k in range(c)]
     steps = [-(-N // r) * r for r in degrees]
     # Y holds the e_k * x_v, taken through F one step at a time
-    Y = np.stack([mat_mul(X, E, p) for X in alg.actions()], axis=1)
+    Y = stack_apply(np.stack(alg.actions()), E.T, p).transpose(2, 0, 1)
     semisimple = np.zeros((d, n), dtype=np.int64)
     points = [None] * c
     for j in range(1, max(steps) + 1):

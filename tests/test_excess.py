@@ -24,7 +24,6 @@ from qfiber.excess import (
     q_module,
     qbar,
     symmetry_check,
-    _block_apply,
     _defect_report,
     _in_row_space,
     _koszul_mu,
@@ -33,7 +32,7 @@ from qfiber.excess import (
     _submodule,
 )
 from qfiber import groebner as gb_module
-from qfiber import zerodim
+from qfiber import linalg, zerodim
 from qfiber.groebner import (Ideal, _linear_witnesses, groebner,
                              pair_budget)
 from qfiber.linalg import as_mod_array, identity, mat_mul, nullspace, rank, rref
@@ -55,6 +54,17 @@ from test_zerodim import (SESSIONS, factor_mu, factor_point, is_nilpotent,
                           random_zero_dim, session_algebra)
 
 P = 32003
+
+
+def _block_apply(X, rows, p):
+    """One algebra action on rows of k^(g*d), blockwise on each d-chunk:
+    the one-action-at-a-time product that the stacked products of the
+    library replace, kept as their oracle."""
+    r, w = rows.shape
+    d = X.shape[0]
+    if r == 0 or w == 0:
+        return rows
+    return mat_mul(rows.reshape(-1, d), X.T, p).reshape(r, w)
 
 
 def ring(names="x,y", p=P):
@@ -1563,10 +1573,10 @@ class TestImageRoute:
 
 def all_variable_columns(K, g, alg):
     """The Nakayama columns of Phi_K with m*K stacked over every variable,
-    the route _relation_columns narrowed to the variables spanning m/m^2."""
+    the route _relation_columns narrowed to the free variables."""
     p, acts = alg.p, alg.actions()
     if K.shape[0] and all(is_nilpotent(X, p) for X in acts):
-        mK, piv = rref(np.vstack([excess._block_apply(X, K, p)
+        mK, piv = rref(np.vstack([_block_apply(X, K, p)
                                   for X in acts]), p)
         K, piv = rref(K - mat_mul(K[:, piv], mK[:len(piv)], p), p)
         K = K[:len(piv)]
@@ -1592,7 +1602,7 @@ COTANGENT_CASES = {
 
 
 class TestCotangentColumns:
-    """m*K from the variables with no linear pivot against m*K from all."""
+    """m*K from the free variables against m*K from all."""
 
     @pytest.mark.parametrize("case", list(COTANGENT_CASES))
     def test_matches_all_variables(self, case):
@@ -1604,11 +1614,10 @@ class TestCotangentColumns:
             K, g, alg = conormal_in_X(s), len(s.I_Y.gens), s.Z
         cols = excess._relation_columns(K, alg)
         assert np.array_equal(cols, all_variable_columns(K, g, alg))
-        # the narrowing leaves out at least one variable, all of them on
-        # the reduced point
-        pivots = excess._linear_pivots(alg.ideal)
-        assert pivots
-        assert (len(pivots) == alg.nvars) == (case == "reduced_point")
+        # the narrowing to the free variables leaves out at least one
+        # variable, all of them on the reduced point
+        assert len(alg.free) < alg.nvars
+        assert (not alg.free) == (case == "reduced_point")
 
 
 def all_variable_submodule(rows, alg):
@@ -1899,7 +1908,7 @@ class TestOriginShortcut:
         with monkeypatch.context() as m:
             m.setattr(zerodim, "_matrix_power", counting)
             origin = alg.at_origin()
-            nils = alg.nilpotent_parts(alg.actions())
+            nils = alg.nilpotent_parts(alg.free_actions())
             factors = factor_summary(local_decompose(alg))
         # a homogeneous basis builds no Frobenius map and cuts out the
         # origin alone
@@ -1907,9 +1916,135 @@ class TestOriginShortcut:
         assert origin or not homogeneous
         want_origin, want_nils, want_factors = minimal_polynomial_route(alg)
         assert origin == want_origin
+        # the free variables generate the algebra, so their parts alone
+        # span the radical
+        want_nils = [want_nils[w] for w in alg.free]
         assert len(nils) == len(want_nils) and all(
             np.array_equal(N, W) for N, W in zip(nils, want_nils))
         assert factors == want_factors
         if origin:
             assert factors == [(alg.dim, alg.one.tolist(),
                                 (0,) * alg.nvars, 1)]
+
+
+# --- Q's free actions and mu against every variable -------------------------
+
+
+def built_modules(run, monkeypatch):
+    """run()'s answer and the (R, piv, module) of each module that
+    excess._quotient_module built during it."""
+    seen = []
+    plain = excess._quotient_module
+
+    def recording(R, piv, gens, alg):
+        mod = plain(R, piv, gens, alg)
+        seen.append((R, piv, mod))
+        return mod
+
+    with monkeypatch.context() as m:
+        m.setattr(excess, "_quotient_module", recording)
+        out = run()
+    return out, seen
+
+
+def element_on(mod, a):
+    """The matrix of the element with standard-monomial coordinates a on
+    the module, from the actions of every variable, one at a time."""
+    alg, p, m = mod.algebra, mod.algebra.p, mod.basis_dim
+    out = np.zeros((m, m), dtype=np.int64)
+    for i in np.flatnonzero(a):
+        M = identity(m)
+        for v, e in enumerate(alg.std[i]):
+            for _ in range(e):
+                M = mat_mul(mod.actions[v], M, p)
+        out = (out + int(a[i]) * M) % p
+    return out
+
+
+def all_variable_mu(mod):
+    """(mu, per factor) with rad(A)*M spanned by the nilpotent parts of
+    every variable's action (the minimal-polynomial route), each factor's
+    projector built from every action."""
+    alg, p = mod.algebra, mod.algebra.p
+    blocks = mr.nilpotent_parts(alg, mod.actions)
+    radical = np.hstack(blocks) if blocks else np.zeros(
+        (mod.basis_dim, 0), dtype=np.int64)
+    per = []
+    for f in local_decompose(alg):
+        E = element_on(mod, np.array(f.idempotent))
+        dim_c = rank(E, p)
+        per.append((f.length, dim_c, dim_c - rank(mat_mul(E, radical, p), p)))
+    return sum(t[2] for t in per), tuple(per)
+
+
+def assert_module_as_oracle(R, piv, mod):
+    """Every action of the module is the one-action-at-a-time product of
+    that variable's X_v with the basis rows, read at the pivots, and mu
+    is the all-variable count."""
+    alg, p = mod.algebra, mod.algebra.p
+    want = [_block_apply(X, R, p)[:, piv].T for X in alg.actions()]
+    assert len(mod.actions) == len(want)
+    for Y, W in zip(mod.actions, want):
+        assert np.array_equal(Y, W)
+    assert module_mu(mod) == all_variable_mu(mod)
+
+
+REDUCED_POINTS = {
+    "origin": lambda: scenario(ring(), "y", "x, y", 1, 2),
+    "off_origin": lambda: scenario(ring(), "y - 1", "x - 2, y - 1", 1, 2),
+}
+
+
+class TestQuotientModuleActions:
+    """Q's actions and mu on the free stack against every variable."""
+
+    @pytest.mark.parametrize("case", list(LOCALITY_SCENARIOS))
+    def test_scenarios(self, case, monkeypatch):
+        s = LOCALITY_SCENARIOS[case]()
+        rep, seen = built_modules(lambda: q_module(s), monkeypatch)
+        (R, piv, mod), = seen
+        assert mod.basis_dim == rep.dim_q
+        assert_module_as_oracle(R, piv, mod)
+
+    @pytest.mark.parametrize("case", list(REDUCED_POINTS))
+    def test_reduced_points(self, case, monkeypatch):
+        # no free variable: Q's actions are the point's coordinates
+        s = REDUCED_POINTS[case]()
+        assert s.Z.dim == 1 and s.Z.free == ()
+        rep, seen = built_modules(lambda: q_module(s), monkeypatch)
+        (R, piv, mod), = seen
+        assert rep.dim_q == rep.mu_q == 1
+        assert_module_as_oracle(R, piv, mod)
+        point = [int(Y[0, 0]) for Y in mod.actions]
+        assert [f.point for f in rep.factors] == [tuple(point)]
+
+    @pytest.mark.parametrize("case", list(MU_CASES))
+    def test_qbar(self, case, monkeypatch):
+        names, text = MU_CASES[case]
+        alg = ArtinianAlgebra.from_ideal(idl(ring(names), text))
+        zbar, seen = built_modules(lambda: qbar(alg), monkeypatch)
+        (R, piv, mod), = seen
+        assert mod is zbar
+        assert_module_as_oracle(R, piv, mod)
+
+
+# mat_mul calls of one q_module on the graph rows at seed 0, the algebra's
+# free actions included; with every variable's plan and one product per
+# action they were 114 and 208
+Q_MODULE_PRODUCTS = {5: 88, 6: 181}
+
+
+@pytest.mark.parametrize("n", sorted(Q_MODULE_PRODUCTS))
+def test_q_module_products_are_pinned(n, monkeypatch):
+    s = gen_quadric_graph(n, Seed(0))
+    calls = []
+    plain = linalg.mat_mul
+
+    def counting(A, B, p):
+        calls.append(1)
+        return plain(A, B, p)
+
+    for module in (linalg, zerodim, excess):
+        monkeypatch.setattr(module, "mat_mul", counting)
+    q_module(s)
+    assert len(calls) == Q_MODULE_PRODUCTS[n]

@@ -224,7 +224,8 @@ def frozen(gb):
     """What a normal form leaves of a zero-dimensional basis, pickled: its
     codec width, engine, standard monomials, border plan and trace."""
     return pickle.dumps((gb._enc.B, gb._engine, gb.standard_monomials(),
-                         gb.border_plan(), gb.replay_trace()))
+                         gb.border_plan(range(gb.ring.nvars)),
+                         gb.replay_trace()))
 
 
 def codec_widths(monkeypatch):

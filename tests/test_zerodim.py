@@ -231,12 +231,25 @@ def assert_actions_equal(got, want):
         assert X.dtype == Y.dtype and np.array_equal(X, Y)
 
 
+def assert_free_as_oracle(A, want):
+    """The free variables are those whose e_v leads no element, their
+    stack holds the oracle's matrices of them, and every action, the bound
+    ones minus their tails on that stack, is the oracle's."""
+    lead = set(A.ideal.groebner().leading_monomials())
+    unit = [tuple(int(w == v) for w in range(A.nvars)) for v in range(A.nvars)]
+    assert A.free == tuple(v for v in range(A.nvars) if unit[v] not in lead)
+    free = A.free_actions()
+    assert free.shape == (len(A.free), A.dim, A.dim)
+    assert_actions_equal(list(free), [want[w] for w in A.free])
+    assert_actions_equal(A.actions(), want)
+
+
 def assert_built_as_oracle(A):
     assert A.std == walked_std(A.ideal)
     got = A.actions()
     assert len(got) == A.nvars
     assert_actions_equal(got, coords_actions(A))
-    assert_actions_equal(got, border_actions(A))
+    assert_free_as_oracle(A, border_actions(A))
 
 
 FIXED_SESSIONS = {
@@ -281,6 +294,21 @@ def random_zero_dim(rng, p=101):
     return Ideal(R, gens)
 
 
+# border monomials and derived columns of the free variables' plan on the
+# graph rows at seed 0: an all-variable plan takes 12/6, 33/23, 68/52,
+# 161/136, 328/289, 752/686 and 1502/1396
+BORDER_WORK = {2: (3, 0), 3: (9, 3), 4: (18, 7), 5: (41, 22), 6: (83, 51),
+               7: (192, 134), 8: (368, 271)}
+
+
+@pytest.mark.parametrize("n", sorted(BORDER_WORK))
+def test_border_work_is_pinned(n):
+    A = gen_quadric_graph(n, Seed(0)).Z
+    places, _, derived = A.ideal.groebner().border_plan(A.free)
+    border = {j for row in places for j in row if j >= A.dim}
+    assert (len(border), len(derived)) == BORDER_WORK[n]
+
+
 class TestPackedBuild:
     """std and the actions against the build on tuples and coords."""
 
@@ -310,7 +338,30 @@ class TestPackedBuild:
 
     def test_graph_row_8(self):
         A = gen_quadric_graph(8, Seed(0)).Z
-        assert_actions_equal(A.actions(), border_actions(A))
+        assert_free_as_oracle(A, border_actions(A))
+
+    @pytest.mark.parametrize("n,seed", [(n, s) for n in range(2, 8)
+                                        for s in (0, 1)] + [(8, 1)])
+    def test_graph_rows(self, n, seed):
+        # the x_i lead elements with tail 0: only the a's are free
+        A = gen_quadric_graph(n, Seed(seed)).Z
+        assert len(A.free) == A.nvars - n - 1
+        assert_free_as_oracle(A, border_actions(A))
+
+    @pytest.mark.parametrize("text", ["x, y", "x - 1, y + 2"])
+    def test_reduced_point(self, text):
+        # every variable leads a linear element: no free variable, and each
+        # X_v is the constant minus its tail
+        A = algebra(ring(), text)
+        assert A.free == () and A.free_actions().shape == (0, 1, 1)
+        assert_built_as_oracle(A)
+
+    def test_bound_tails_with_a_constant(self):
+        # x + y - 1 leads with x, so X_x is 1 - X_y on the stack of y
+        A = session_algebra(FIXED_SESSIONS["line_meets_axes"])
+        assert A.free == (1,)
+        assert A.coords(A.ring.var(0))[0] == 1
+        assert_built_as_oracle(A)
 
     def test_leading_variable_with_a_nonlinear_tail(self):
         # in lex, x leads x - y^2: every border monomial x*y^k is x * y^k
@@ -361,7 +412,7 @@ def action_power(A, q):
     M = np.eye(A.dim, dtype=np.int64)
     for v, e in enumerate(q):
         for _ in range(e):
-            M = mat_mul(A.action(v), M, P)
+            M = mat_mul(A.actions()[v], M, P)
     return M
 
 
@@ -382,13 +433,13 @@ class TestMinpoly:
     def test_nilpotent_shift(self):
         R = ring("x")
         A = algebra(R, "x^3")
-        mp = minpoly_of_vector(A.action(0), A.one, P)
+        mp = minpoly_of_vector(A.actions()[0], A.one, P)
         assert mp == [0, 0, 0, 1]
 
     def test_split_element(self):
         R = ring("x")
         A = algebra(R, "x^2 - 1")
-        mp = minpoly_of_vector(A.action(0), A.one, P)
+        mp = minpoly_of_vector(A.actions()[0], A.one, P)
         assert mp == [P - 1, 0, 1]
 
     def test_by_definition(self):
@@ -486,11 +537,19 @@ def rational_point(actions, length, p):
     return tuple(point)
 
 
+def free_stack(alg, mats):
+    """The stack of the matrices of the algebra's free variables among the
+    matrices mats of every variable, on a module of dimension m."""
+    m = mats[0].shape[0]
+    return np.array([mats[w] for w in alg.free],
+                    dtype=np.int64).reshape(len(alg.free), m, m)
+
+
 def restricted(factor, alg, mats, p):
     """The matrices on the image of the factor's projector E, the action
     of its idempotent, in the rref basis of that image, with E and the
     pivots of that basis."""
-    E = alg.evaluate([factor.idempotent], mats)[0]
+    E = alg.evaluate([factor.idempotent], free_stack(alg, mats))[0]
     B, piv = rref(E.T, p)
     return [mat_mul(X, B[:len(piv)].T, p)[piv] for X in mats], E, piv
 
@@ -573,7 +632,8 @@ class TestDecompose:
         parts = local_decompose(A)
         acts = A.actions()
         total = np.zeros((A.dim, A.dim), dtype=np.int64)
-        projectors = A.evaluate([f.idempotent for f in parts], acts)
+        projectors = A.evaluate([f.idempotent for f in parts],
+                                 free_stack(A, acts))
         for f, E in zip(parts, projectors):
             assert (mat_mul(E, E, P) == E).all()
             assert mat_mul(E, A.one, P).tolist() == list(f.idempotent)
@@ -654,7 +714,7 @@ class TestDimensionAtLeastP:
         assert A.dim >= p or p == 5
         factors = local_decompose(A)
         assert len(factors) == c
-        assert rank(np.hstack(A.nilpotent_parts(A.actions())), p) == rad
+        assert rank(np.hstack(A.nilpotent_parts(A.free_actions())), p) == rad
         rational = {f.point: f.length for f in factors if f.point}
         assert rational == brute_force_points(A)
         # the residue degrees: r = rank(F^N L_e), L_e's columns x^q e
@@ -704,14 +764,14 @@ class TestLocality:
             return plain(X, e, p)
 
         monkeypatch.setattr(zerodim, "_matrix_power", counting)
-        nils = A.nilpotent_parts(A.actions())
+        nils = A.nilpotent_parts(A.free_actions())
         F = A.frobenius()
         assert not A.at_origin()
         factors = local_decompose(A)
         assert A.frobenius() is F
         assert local_decompose(A) == factors
         assert all(np.array_equal(N, M) for N, M in
-                   zip(A.nilpotent_parts(A.actions()), nils))
+                   zip(A.nilpotent_parts(A.free_actions()), nils))
         assert calls == [P, P]
         assert [(f.length, f.point) for f in factors] == [
             (3, (P - 1, 0)), (3, (1, 0))]
@@ -751,7 +811,7 @@ class TestSemisimple:
     @staticmethod
     def nilpotent_part(A):
         """x - h(x) for the one variable, by the minimal-polynomial route."""
-        X = A.action(0)
+        X = A.actions()[0]
         h = mr.semisimple_poly(minpoly_of_vector(X, A.one, P), P)
         return (X - mr.eval_matrix_poly(h, X, P)) % P
 
@@ -759,7 +819,7 @@ class TestSemisimple:
         R = ring("x")
         A = algebra(R, "(x - 2)^3")
         N = self.nilpotent_part(A)
-        want = (A.action(0) - 2 * np.eye(3, dtype=np.int64)) % P
+        want = (A.actions()[0] - 2 * np.eye(3, dtype=np.int64)) % P
         assert (N == want).all()
         assert rank(N, P) == 2
 
@@ -768,12 +828,12 @@ class TestSemisimple:
         R = ring("x")
         A = algebra(R, f"x^2 - {c}")
         assert not self.nilpotent_part(A).any()
-        assert not A.nilpotent_parts(A.actions())[0].any()
+        assert not A.nilpotent_parts(A.free_actions())[0].any()
 
     @pytest.mark.parametrize("text", ["(x - 2)^3", "x^2 - 3", "x^4 - x^2"])
     def test_algebra_nilpotent_parts(self, text):
         A = algebra(ring("x"), text)
-        assert np.array_equal(A.nilpotent_parts(A.actions())[0],
+        assert np.array_equal(A.nilpotent_parts(A.free_actions())[0],
                               self.nilpotent_part(A))
 
 
